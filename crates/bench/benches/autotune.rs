@@ -6,7 +6,7 @@ use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{bridge_groups, connected_components, InlineGraph};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::Autotuner;
-use optinline_core::{CompilerEvaluator, InliningConfiguration};
+use optinline_core::{InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_workloads::{generate_file, GenParams};
 
@@ -29,7 +29,7 @@ fn bench_autotune_round(c: &mut Criterion) {
             &module,
             |b, m| {
                 b.iter(|| {
-                    let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+                    let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
                     let tuner = Autotuner::new(&ev, ev.sites().clone());
                     tuner.clean_slate(1)
                 })
@@ -48,14 +48,14 @@ fn bench_initializations(c: &mut Criterion) {
     );
     group.bench_function("clean_slate_2_rounds", |b| {
         b.iter(|| {
-            let ev = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
+            let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
             let tuner = Autotuner::new(&ev, ev.sites().clone());
             tuner.clean_slate(2)
         })
     });
     group.bench_function("heuristic_init_2_rounds", |b| {
         b.iter(|| {
-            let ev = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
+            let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
             let tuner = Autotuner::new(&ev, ev.sites().clone());
             tuner.run(heuristic.clone(), 2)
         })

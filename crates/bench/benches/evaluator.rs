@@ -1,13 +1,11 @@
-//! Criterion benches for the size-evaluator subsystem: whole-module
-//! compiles vs the component-scoped incremental evaluator on the
+//! Criterion benches for the size evaluator: whole-module vs
+//! component-scoped compiles on the
 //! autotuner's flip-one-site access pattern, and memo-cache contention
 //! under parallel queries (sharded vs a single global lock).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
-use optinline_core::{
-    CompilerEvaluator, Evaluator, IncrementalEvaluator, InliningConfiguration, ShardedCache,
-};
+use optinline_core::{Evaluator, InliningConfiguration, ShardedCache, SizeEvaluator};
 use optinline_ir::Module;
 use optinline_workloads::{generate_file, GenParams};
 use std::collections::HashMap;
@@ -44,28 +42,20 @@ fn bench_full_vs_incremental(c: &mut Criterion) {
         let module = clustered_module(clusters);
         let probes = probe_sequence(&module);
         let label = format!("{clusters}comp_{}probes", probes.len());
-        group.bench_with_input(
-            BenchmarkId::new("full_module", &label),
-            &(&module, &probes),
-            |b, (m, probes)| {
-                b.iter(|| {
-                    // Fresh evaluator each iteration: measure cold compile
-                    // work, not the memo cache.
-                    let ev = CompilerEvaluator::new((*m).clone(), Box::new(X86Like));
-                    probes.iter().map(|p| ev.size_of(p)).sum::<u64>()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("incremental", &label),
-            &(&module, &probes),
-            |b, (m, probes)| {
-                b.iter(|| {
-                    let ev = IncrementalEvaluator::new((*m).clone(), Box::new(X86Like));
-                    probes.iter().map(|p| ev.size_of(p)).sum::<u64>()
-                })
-            },
-        );
+        for (mode, incremental) in [("full_module", false), ("incremental", true)] {
+            group.bench_with_input(
+                BenchmarkId::new(mode, &label),
+                &(&module, &probes),
+                |b, (m, probes)| {
+                    b.iter(|| {
+                        // Fresh evaluator each iteration: measure cold
+                        // compile work, not the memo cache.
+                        let ev = SizeEvaluator::new((*m).clone(), Box::new(X86Like), incremental);
+                        probes.iter().map(|p| ev.size_of(p)).sum::<u64>()
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }
@@ -113,14 +103,7 @@ fn bench_cache_contention(c: &mut Criterion) {
                         let mut acc = 0u64;
                         for i in 0..OPS_PER_THREAD {
                             let k = (t.wrapping_mul(31) + i) % KEYSPACE;
-                            acc ^= match cache.get(&k) {
-                                Some(v) => v,
-                                None => {
-                                    let v = k.wrapping_mul(0x9E37);
-                                    cache.insert(k, v);
-                                    v
-                                }
-                            };
+                            acc ^= cache.get_or_compute(k, |k| k.wrapping_mul(0x9E37));
                         }
                         acc
                     });

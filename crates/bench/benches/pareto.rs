@@ -6,10 +6,7 @@
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::Autotuner;
-use optinline_core::{
-    CompilerEvaluator, Evaluator, IncrementalEvaluator, InliningConfiguration, Objective,
-    ParetoFront,
-};
+use optinline_core::{Evaluator, InliningConfiguration, Objective, ParetoFront, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_ir::Measurement;
 use optinline_workloads::{generate_file, GenParams};
@@ -34,13 +31,13 @@ fn bench_measure_objectives(c: &mut Criterion) {
         for (name, objective) in [("size", Objective::Size), ("speed", Objective::Speed)] {
             group.bench_with_input(BenchmarkId::new(name, format!("{n}fns")), &module, |b, m| {
                 b.iter(|| {
-                    let ev = IncrementalEvaluator::new(m.clone(), Box::new(X86Like));
+                    let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), true);
                     ev.measure(&config, objective)
                 })
             });
         }
         // Warm repeat: both objectives must answer from the memo.
-        let ev = IncrementalEvaluator::new(module.clone(), Box::new(X86Like));
+        let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), true);
         ev.measure(&config, Objective::Speed);
         group.bench_with_input(BenchmarkId::new("speed_warm", format!("{n}fns")), &ev, |b, ev| {
             b.iter(|| ev.measure(&config, Objective::Speed))
@@ -88,7 +85,7 @@ fn bench_pareto_tuning(c: &mut Criterion) {
             &module,
             |b, m| {
                 b.iter(|| {
-                    let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+                    let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
                     let tuner = Autotuner::new(&ev, ev.sites().clone());
                     tuner.run(heuristic.clone(), 1)
                 })
@@ -99,7 +96,7 @@ fn bench_pareto_tuning(c: &mut Criterion) {
             &module,
             |b, m| {
                 b.iter(|| {
-                    let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+                    let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
                     let tuner = Autotuner::new(&ev, ev.sites().clone());
                     tuner.run_pareto([InliningConfiguration::clean_slate(), heuristic.clone()], 1)
                 })

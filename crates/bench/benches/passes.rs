@@ -4,7 +4,7 @@
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::{site_components, Autotuner};
-use optinline_core::{CompilerEvaluator, InliningConfiguration};
+use optinline_core::{InliningConfiguration, SizeEvaluator};
 use optinline_opt::{run_inliner, AlwaysInline, Dce, Gvn, Pass, Sccp, SimplifyCfg, TailMerge};
 use optinline_workloads::{generate_file, GenParams};
 
@@ -53,14 +53,14 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("full", clusters), &module, |b, m| {
             b.iter(|| {
-                let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+                let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
                 let tuner = Autotuner::new(&ev, ev.sites().clone());
                 tuner.clean_slate(3)
             })
         });
         group.bench_with_input(BenchmarkId::new("incremental", clusters), &module, |b, m| {
             b.iter(|| {
-                let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+                let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
                 let comps = site_components(ev.module());
                 let tuner = Autotuner::new(&ev, ev.sites().clone());
                 tuner.run_incremental(&comps, InliningConfiguration::clean_slate(), 3)

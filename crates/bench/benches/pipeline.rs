@@ -4,7 +4,7 @@
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::{text_size, X86Like};
-use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_opt::{
     optimize_os, optimize_os_no_inline, AlwaysInline, ForcedDecisions, PipelineOptions,
@@ -97,7 +97,7 @@ fn bench_scheduler_single_flip(c: &mut Criterion) {
 
 fn bench_evaluator_cache(c: &mut Criterion) {
     let module = module_sized(12);
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let cfg = InliningConfiguration::clean_slate();
     ev.size_of(&cfg);
     c.bench_function("evaluator_cache_hit", |b| b.iter(|| ev.size_of(&cfg)));

@@ -6,7 +6,7 @@
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_core::tree::{build_inlining_tree, evaluate_inlining_tree, space_size};
-use optinline_core::{exhaustive_search, CompilerEvaluator, InliningConfiguration};
+use optinline_core::{exhaustive_search, InliningConfiguration, SizeEvaluator};
 use optinline_workloads::{generate_file, GenParams};
 
 fn search_module(n_internal: usize, clusters: usize) -> optinline_ir::Module {
@@ -24,22 +24,28 @@ fn bench_naive_vs_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimal_search");
     group.sample_size(10);
     let module = search_module(6, 2);
-    let ev = CompilerEvaluator::new(module, Box::new(optinline_codegen::X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(optinline_codegen::X86Like), false);
     let sites = ev.sites().clone();
     assert!(sites.len() <= 14, "bench module grew too big: {}", sites.len());
     group.bench_function(BenchmarkId::new("naive", sites.len()), |b| {
         b.iter(|| {
             // A fresh evaluator per iteration: the memo cache must not leak
             // work across measurements.
-            let ev =
-                CompilerEvaluator::new(search_module(6, 2), Box::new(optinline_codegen::X86Like));
+            let ev = SizeEvaluator::new(
+                search_module(6, 2),
+                Box::new(optinline_codegen::X86Like),
+                false,
+            );
             exhaustive_search(&ev, &sites)
         })
     });
     group.bench_function(BenchmarkId::new("tree", sites.len()), |b| {
         b.iter(|| {
-            let ev =
-                CompilerEvaluator::new(search_module(6, 2), Box::new(optinline_codegen::X86Like));
+            let ev = SizeEvaluator::new(
+                search_module(6, 2),
+                Box::new(optinline_codegen::X86Like),
+                false,
+            );
             let graph = InlineGraph::from_module(ev.module());
             let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
             evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate())

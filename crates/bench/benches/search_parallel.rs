@@ -6,8 +6,8 @@ use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_core::tree::{build_inlining_tree, evaluate_inlining_tree};
 use optinline_core::{
-    evaluate_inlining_tree_dag, module_fingerprint, CompilerEvaluator, InliningConfiguration,
-    PersistentCache, PersistentEvaluator, SearchSession, WorkerPool,
+    evaluate_inlining_tree_dag, module_fingerprint, InliningConfiguration, PersistentCache,
+    PersistentEvaluator, SearchSession, SizeEvaluator, WorkerPool,
 };
 use optinline_workloads::{generate_file, GenParams};
 
@@ -27,12 +27,16 @@ fn search_module(n_internal: usize, clusters: usize) -> optinline_ir::Module {
 fn bench_worker_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("search_parallel");
     group.sample_size(10);
-    let probe = CompilerEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like));
+    let probe =
+        SizeEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like), false);
     let sites = probe.sites().len();
     group.bench_function(BenchmarkId::new("sequential", sites), |b| {
         b.iter(|| {
-            let ev =
-                CompilerEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like));
+            let ev = SizeEvaluator::new(
+                search_module(8, 3),
+                Box::new(optinline_codegen::X86Like),
+                false,
+            );
             let graph = InlineGraph::from_module(ev.module());
             let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
             evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate())
@@ -42,9 +46,10 @@ fn bench_worker_scaling(c: &mut Criterion) {
         let pool = WorkerPool::new(workers);
         group.bench_function(BenchmarkId::new("dag", format!("{workers}w")), |b| {
             b.iter(|| {
-                let ev = CompilerEvaluator::new(
+                let ev = SizeEvaluator::new(
                     search_module(8, 3),
                     Box::new(optinline_codegen::X86Like),
+                    false,
                 );
                 let graph = InlineGraph::from_module(ev.module());
                 let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
@@ -66,7 +71,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
 fn bench_session_warmth(c: &mut Criterion) {
     let mut group = c.benchmark_group("search_session");
     group.sample_size(10);
-    let ev = CompilerEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like));
+    let ev = SizeEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like), false);
     let graph = InlineGraph::from_module(ev.module());
     let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
     let pool = WorkerPool::new(2);
@@ -121,7 +126,8 @@ fn bench_persistent_cache(c: &mut Criterion) {
         b.iter(|| {
             let _ = std::fs::remove_dir_all(&dir);
             let cache = PersistentCache::open(&dir, fp, &meta).expect("cache opens");
-            let ev = CompilerEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like));
+            let ev =
+                SizeEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like), false);
             let pev = PersistentEvaluator::new(&ev, &cache, ev.sites().clone());
             evaluate_inlining_tree_dag(
                 &tree,
@@ -136,14 +142,15 @@ fn bench_persistent_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let cache = PersistentCache::open(&dir, fp, &meta).expect("cache opens");
-        let ev = CompilerEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like));
+        let ev = SizeEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like), false);
         let pev = PersistentEvaluator::new(&ev, &cache, ev.sites().clone());
         evaluate_inlining_tree_dag(&tree, &pev, InliningConfiguration::clean_slate(), &pool, None);
     }
     group.bench_function("warm", |b| {
         b.iter(|| {
             let cache = PersistentCache::open(&dir, fp, &meta).expect("cache opens");
-            let ev = CompilerEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like));
+            let ev =
+                SizeEvaluator::new(module.clone(), Box::new(optinline_codegen::X86Like), false);
             let pev = PersistentEvaluator::new(&ev, &cache, ev.sites().clone());
             evaluate_inlining_tree_dag(
                 &tree,

@@ -11,7 +11,7 @@ use optinline_bench::{criterion_group, criterion_main, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::X86Like;
 use optinline_core::tree::{evaluate_inlining_tree, try_build_inlining_tree};
-use optinline_core::{CompilerEvaluator, InliningConfiguration};
+use optinline_core::{InliningConfiguration, SizeEvaluator};
 use optinline_serve::{
     Client, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server, ServerHandle,
 };
@@ -88,7 +88,7 @@ impl Handler for SearchHandler {
         let graph = InlineGraph::from_module(&module);
         let tree = try_build_inlining_tree(&graph, PartitionStrategy::Paper, 1u128 << *bits)
             .ok_or("tree exceeds the bit budget")?;
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         let (config, size) =
             evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
         Ok(Reply {

@@ -21,8 +21,7 @@
 use crate::oracle::{observe, Behaviour, Limits};
 use optinline_codegen::X86Like;
 use optinline_core::{
-    module_cycles, CompilerEvaluator, Evaluator, IncrementalEvaluator, InliningConfiguration,
-    Objective, WorkerPool,
+    module_cycles, Evaluator, InliningConfiguration, Objective, SizeEvaluator, WorkerPool,
 };
 use optinline_ir::interp::CostModel;
 use optinline_ir::{Linkage, Measurement, Module};
@@ -67,8 +66,8 @@ pub fn check_cycles(
 ) -> CycleReport {
     let cost = CostModel::default();
     let limits = Limits::default();
-    let full = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
-    let incr = IncrementalEvaluator::new(module.clone(), Box::new(X86Like));
+    let full = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
+    let incr = SizeEvaluator::new(module.clone(), Box::new(X86Like), true);
     let mut report = CycleReport::default();
     let pristine_cycles = module_cycles(module, &cost);
     let mut references = Vec::with_capacity(configs.len());

@@ -18,7 +18,7 @@ use crate::sizecheck::check_sizes;
 use crate::storecheck::check_store_equivalence;
 use optinline_callgraph::Decision;
 use optinline_codegen::X86Like;
-use optinline_core::{IncrementalEvaluator, InliningConfiguration, ModuleEvaluator, WorkerPool};
+use optinline_core::{InliningConfiguration, SizeEvaluator, WorkerPool};
 use optinline_ir::{FuncId, Inst, Module};
 use optinline_workloads::rng::StdRng;
 use optinline_workloads::{generate_file, GenParams};
@@ -540,7 +540,7 @@ pub fn run_reducer_demo(seed: u64, repro_dir: Option<&Path>) -> std::io::Result<
     // buggy evaluator: fast path disagrees with the honest reference.
     let mut is_failing = |m: &Module, c: &InliningConfiguration| {
         let ev = BuggyEvaluator::new(
-            IncrementalEvaluator::new(m.clone(), Box::new(X86Like)),
+            SizeEvaluator::new(m.clone(), Box::new(X86Like), true),
             MARKER,
             BIAS,
         );

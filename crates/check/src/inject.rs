@@ -10,34 +10,38 @@
 //! configuration with a single inlined site. `optinline check
 //! --demo-reduce` runs exactly that proof.
 //!
-//! [`full_size_of`]: ModuleEvaluator::full_size_of
+//! [`full_size_of`]: BuggyEvaluator::full_size_of
 
-use optinline_core::{Evaluator, EvaluatorStats, InliningConfiguration, ModuleEvaluator};
-use optinline_ir::{CallSiteId, Module};
-use std::collections::BTreeSet;
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 
 /// An evaluator with a seeded fast-path bug; see the module docs.
 #[derive(Debug)]
-pub struct BuggyEvaluator<E> {
-    inner: E,
+pub struct BuggyEvaluator {
+    inner: SizeEvaluator,
     marker: String,
     bias: u64,
 }
 
-impl<E: ModuleEvaluator> BuggyEvaluator<E> {
+impl BuggyEvaluator {
     /// Wraps `inner`, inflating `size_of` by `bias` whenever the module
     /// contains a function named `marker` and the configuration inlines at
     /// least one site.
-    pub fn new(inner: E, marker: impl Into<String>, bias: u64) -> Self {
+    pub fn new(inner: SizeEvaluator, marker: impl Into<String>, bias: u64) -> Self {
         BuggyEvaluator { inner, marker: marker.into(), bias }
     }
 
     fn triggered(&self, config: &InliningConfiguration) -> bool {
         self.inner.module().func_by_name(&self.marker).is_some() && config.inlined_count() > 0
     }
+
+    /// The honest reference path — that asymmetry is the bug the size
+    /// oracle detects.
+    pub fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
+        self.inner.full_size_of(config)
+    }
 }
 
-impl<E: ModuleEvaluator> Evaluator for BuggyEvaluator<E> {
+impl Evaluator for BuggyEvaluator {
     fn size_of(&self, config: &InliningConfiguration) -> u64 {
         let honest = self.inner.size_of(config);
         if self.triggered(config) {
@@ -56,32 +60,11 @@ impl<E: ModuleEvaluator> Evaluator for BuggyEvaluator<E> {
     }
 }
 
-impl<E: ModuleEvaluator> ModuleEvaluator for BuggyEvaluator<E> {
-    fn module(&self) -> &Module {
-        self.inner.module()
-    }
-
-    fn sites(&self) -> &BTreeSet<CallSiteId> {
-        self.inner.sites()
-    }
-
-    fn stats(&self) -> EvaluatorStats {
-        self.inner.stats()
-    }
-
-    // The reference path stays honest — that asymmetry is the bug the size
-    // oracle detects.
-    fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
-        self.inner.full_size_of(config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use optinline_callgraph::Decision;
     use optinline_codegen::X86Like;
-    use optinline_core::IncrementalEvaluator;
     use optinline_workloads::{generate_file, GenParams};
 
     #[test]
@@ -89,7 +72,7 @@ mod tests {
         let m = generate_file(&GenParams::named("inject", 6));
         assert!(m.func_by_name("f3").is_some());
         let site = *m.inlinable_sites().iter().next().expect("has sites");
-        let ev = BuggyEvaluator::new(IncrementalEvaluator::new(m, Box::new(X86Like)), "f3", 17);
+        let ev = BuggyEvaluator::new(SizeEvaluator::new(m, Box::new(X86Like), true), "f3", 17);
         let clean = InliningConfiguration::clean_slate();
         let hot = clean.clone().with(site, Decision::Inline);
         // Untriggered: fast path agrees with the reference.

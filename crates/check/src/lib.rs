@@ -3,9 +3,9 @@
 //! The paper's search algorithms are only sound on two premises: every
 //! inlining configuration is *semantics-preserving* (the `-Os` pipeline
 //! never changes observable behaviour), and the fast `configuration → size`
-//! path agrees with the reference path (the incremental evaluator's
-//! component decomposition, the memo caches, and the worker-pool parallel
-//! probes all return the number one whole-module compile would). This crate
+//! path agrees with the reference path (the size evaluator's component
+//! decomposition, its memo caches, and the worker-pool parallel probes all
+//! return the number one whole-module compile would). This crate
 //! tests both premises differentially, and shrinks anything that fails:
 //!
 //! - [`oracle`] — the **semantic oracle**: interpret every public entry
@@ -13,11 +13,11 @@
 //!   and assert observable equality (return value, final globals, ordered
 //!   store trace, trap kind). On divergence, the instrumented pipeline
 //!   re-runs per pass to attribute the bug to the stage that introduced it.
-//! - [`sizecheck`] — the **size oracle**: property-test
-//!   [`IncrementalEvaluator`](optinline_core::IncrementalEvaluator) against
-//!   [`CompilerEvaluator`](optinline_core::CompilerEvaluator) and the
-//!   uncached whole-module reference, sequentially (cached and uncached)
-//!   and concurrently through the worker pool.
+//! - [`sizecheck`] — the **size oracle**: property-test both modes of
+//!   [`SizeEvaluator`](optinline_core::SizeEvaluator) — component-scoped
+//!   and whole-module — against the uncached whole-module reference,
+//!   sequentially (cached and uncached) and concurrently through the
+//!   worker pool.
 //! - [`schedcheck`] — the **scheduling oracle**: the change-driven pass
 //!   scheduler must produce byte-identical modules (and sizes) to the
 //!   legacy whole-module sweep kept behind

@@ -14,7 +14,7 @@ use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::X86Like;
 use optinline_core::tree::{evaluate_inlining_tree, try_build_inlining_tree};
 use optinline_core::{
-    evaluate_inlining_tree_dag, CompilerEvaluator, InliningConfiguration, SearchSession, WorkerPool,
+    evaluate_inlining_tree_dag, InliningConfiguration, SearchSession, SizeEvaluator, WorkerPool,
 };
 use optinline_ir::Module;
 use std::fmt;
@@ -63,7 +63,7 @@ pub struct ParReport {
 pub fn check_parallel_search(module: &Module, seed: u64) -> Option<ParReport> {
     let graph = InlineGraph::from_module(module);
     let tree = try_build_inlining_tree(&graph, PartitionStrategy::Paper, TREE_BUDGET)?;
-    let ev = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
+    let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
     let expected = evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
 
     let mut report = ParReport::default();

@@ -17,7 +17,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::{text_size, X86Like};
 use optinline_core::tree::{evaluate_inlining_tree, try_build_inlining_tree};
-use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_ir::Module;
 use optinline_serve::{Client, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server};
 
@@ -111,7 +111,7 @@ impl OracleHandler {
                 let graph = InlineGraph::from_module(&module);
                 let tree = try_build_inlining_tree(&graph, PartitionStrategy::Paper, 1u128 << bits)
                     .ok_or("tree exceeds the requested bit budget")?;
-                let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+                let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
                 let (config, size) =
                     evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
                 Ok(Reply {

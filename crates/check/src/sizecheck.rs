@@ -2,24 +2,21 @@
 //! one uncached whole-module compile.
 //!
 //! Three fast paths have historically hidden divergence bugs, so all three
-//! are cross-checked against [`ModuleEvaluator::full_size_of`] (clone the
+//! are cross-checked against [`SizeEvaluator::full_size_of`] (clone the
 //! module, run the pipeline, measure — no caches, no decomposition):
 //!
-//! 1. [`CompilerEvaluator`]'s memoized whole-module path (cache keying),
-//! 2. [`IncrementalEvaluator`]'s component decomposition (the §3.2
-//!    exactness argument, mechanically enforced),
-//! 3. both of the above probed *concurrently* through the [`WorkerPool`]
-//!    (sharded-cache races, stats accounting).
+//! 1. [`SizeEvaluator`]'s memoized whole-module mode (cache keying),
+//! 2. [`SizeEvaluator`]'s component mode (the §3.2 exactness argument,
+//!    mechanically enforced),
+//! 3. both modes probed *concurrently* through the [`WorkerPool`]
+//!    (sharded-cache races, single-flight misses, stats accounting).
 //!
 //! Each configuration is queried twice sequentially (miss path, then hit
 //! path) and once concurrently, so a cache returning a stale or misfiled
 //! entry shows up as a mismatch even when the underlying compile is right.
 
 use optinline_codegen::X86Like;
-use optinline_core::{
-    CompilerEvaluator, Evaluator, IncrementalEvaluator, InliningConfiguration, ModuleEvaluator,
-    WorkerPool,
-};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator, WorkerPool};
 use optinline_ir::Module;
 use std::fmt;
 
@@ -65,8 +62,8 @@ pub fn check_sizes(
     configs: &[InliningConfiguration],
     pool: Option<&WorkerPool>,
 ) -> SizeReport {
-    let full = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
-    let incr = IncrementalEvaluator::new(module.clone(), Box::new(X86Like));
+    let full = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
+    let incr = SizeEvaluator::new(module.clone(), Box::new(X86Like), true);
     let mut report = SizeReport::default();
     let mut references = Vec::with_capacity(configs.len());
 
@@ -117,8 +114,8 @@ pub fn check_sizes(
         }
     }
 
-    // Exact-accounting invariant (the PR's cache-stats fix): the memoized
-    // full evaluator issues exactly one cache probe per query.
+    // Exact-accounting invariant: whole-module mode issues exactly one
+    // cache probe per query.
     let stats = full.stats();
     debug_assert_eq!(
         stats.cache_hits + stats.cache_misses,

@@ -13,8 +13,8 @@ use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::X86Like;
 use optinline_core::tree::{evaluate_inlining_tree, try_build_inlining_tree};
 use optinline_core::{
-    cache_meta, module_fingerprint, CompilerEvaluator, Evaluator, InliningConfiguration,
-    PersistentCache, PersistentEvaluator,
+    cache_meta, module_fingerprint, Evaluator, InliningConfiguration, PersistentCache,
+    PersistentEvaluator, SizeEvaluator,
 };
 use optinline_ir::Module;
 use std::fmt;
@@ -65,7 +65,7 @@ pub fn check_store_equivalence(module: &Module, seed: u64) -> Option<StoreReport
     let graph = InlineGraph::from_module(module);
     let tree = try_build_inlining_tree(&graph, PartitionStrategy::Paper, TREE_BUDGET)?;
     let reference = {
-        let ev = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
+        let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
         evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate())
     };
 
@@ -84,7 +84,7 @@ pub fn check_store_equivalence(module: &Module, seed: u64) -> Option<StoreReport
     for warm in [false, true] {
         // A fresh in-memory evaluator each round: the warm run may answer
         // only from disk.
-        let ev = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
+        let ev = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
         let run = (|| -> std::io::Result<(InliningConfiguration, u64)> {
             let cache = PersistentCache::open(&dir, fp, &meta)?;
             let persisted = PersistentEvaluator::new(&ev, &cache, ev.sites().clone());

@@ -8,7 +8,7 @@ use optinline_cli::{
     cmd_gen, cmd_link, cmd_optimize, cmd_print, cmd_run, cmd_search, cmd_stats, CacheAction,
     CliError, EvalOptions, InitChoice, Objective, OptimizeOptions, StrategyChoice, TargetChoice,
 };
-use optinline_serve::{loadgen, ClientConfig, RequestKind};
+use optinline_serve::{loadgen, ClientConfig, Outcome, RequestKind};
 
 const USAGE: &str = "\
 optinline — optimal function inlining toolkit (ASPLOS'22 reproduction)
@@ -139,6 +139,18 @@ impl Args {
         }
     }
 
+    /// Sends the request `kind` builds to the daemon named by `--connect`,
+    /// if any, and prints its report. `None` means no daemon answered: the
+    /// caller runs the request in-process.
+    fn served(&self, kind: impl FnOnce() -> RequestKind) -> Result<Option<Outcome>, CliError> {
+        let Some(ep) = self.flag("connect") else { return Ok(None) };
+        let outcome = remote_call(&parse_endpoint(ep), kind(), &self.client_config()?)?;
+        if let Some(outcome) = &outcome {
+            print!("{}", outcome.report);
+        }
+        Ok(outcome)
+    }
+
     /// Client-side robustness knobs for `--connect` calls. The retry
     /// jitter seed is the pid: deterministic within one process, spread
     /// across a herd of clients hammering a recovering daemon.
@@ -209,24 +221,19 @@ fn dispatch(cmd: &str, args: &Args) -> Result<(), CliError> {
             let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
             let opts = args.optimize_options()?;
             let source = args.input()?;
-            if let Some(ep) = args.flag("connect") {
-                let kind = RequestKind::Optimize {
-                    source: source.clone(),
-                    target: args.flag("target").unwrap_or("x86").to_string(),
-                    strategy: args.flag("strategy").unwrap_or("heuristic").to_string(),
-                    full_sweep: opts.full_sweep,
-                    pass_stats: opts.pass_stats,
-                    objective: args.flag("objective").unwrap_or("size").to_string(),
-                };
-                if let Some(outcome) =
-                    remote_call(&parse_endpoint(ep), kind, &args.client_config()?)?
-                {
-                    print!("{}", outcome.report);
-                    if args.flag("out").is_some() {
-                        args.write_or_print(outcome.module.as_deref().unwrap_or_default())?;
-                    }
-                    return Ok(());
+            let served = args.served(|| RequestKind::Optimize {
+                source: source.clone(),
+                target: args.flag("target").unwrap_or("x86").to_string(),
+                strategy: args.flag("strategy").unwrap_or("heuristic").to_string(),
+                full_sweep: opts.full_sweep,
+                pass_stats: opts.pass_stats,
+                objective: args.flag("objective").unwrap_or("size").to_string(),
+            })?;
+            if let Some(outcome) = served {
+                if args.flag("out").is_some() {
+                    args.write_or_print(outcome.module.as_deref().unwrap_or_default())?;
                 }
+                return Ok(());
             }
             let (report, module_text) = cmd_optimize(&source, strategy, target, opts)?;
             print!("{report}");
@@ -240,24 +247,18 @@ fn dispatch(cmd: &str, args: &Args) -> Result<(), CliError> {
             let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
             let eval = args.eval_options()?;
             let source = args.input()?;
-            if let Some(ep) = args.flag("connect") {
-                let kind = RequestKind::Search {
-                    source: source.clone(),
-                    target: args.flag("target").unwrap_or("x86").to_string(),
-                    bits,
-                    full_eval: !eval.incremental,
-                    stats: eval.show_stats,
-                    pass_stats: eval.show_pass_stats,
-                    objective: args.flag("objective").unwrap_or("size").to_string(),
-                };
-                if let Some(outcome) =
-                    remote_call(&parse_endpoint(ep), kind, &args.client_config()?)?
-                {
-                    print!("{}", outcome.report);
-                    return Ok(());
-                }
+            let served = args.served(|| RequestKind::Search {
+                source: source.clone(),
+                target: args.flag("target").unwrap_or("x86").to_string(),
+                bits,
+                full_eval: !eval.incremental,
+                stats: eval.show_stats,
+                pass_stats: eval.show_pass_stats,
+                objective: args.flag("objective").unwrap_or("size").to_string(),
+            })?;
+            if served.is_none() {
+                print!("{}", cmd_search(&source, bits, target, eval)?);
             }
-            print!("{}", cmd_search(&source, bits, target, eval)?);
             Ok(())
         }
         "autotune" => {
@@ -266,25 +267,19 @@ fn dispatch(cmd: &str, args: &Args) -> Result<(), CliError> {
             let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
             let eval = args.eval_options()?;
             let source = args.input()?;
-            if let Some(ep) = args.flag("connect") {
-                let kind = RequestKind::Autotune {
-                    source: source.clone(),
-                    target: args.flag("target").unwrap_or("x86").to_string(),
-                    rounds: rounds as u32,
-                    init: args.flag("init").unwrap_or("both").to_string(),
-                    full_eval: !eval.incremental,
-                    stats: eval.show_stats,
-                    pass_stats: eval.show_pass_stats,
-                    objective: args.flag("objective").unwrap_or("size").to_string(),
-                };
-                if let Some(outcome) =
-                    remote_call(&parse_endpoint(ep), kind, &args.client_config()?)?
-                {
-                    print!("{}", outcome.report);
-                    return Ok(());
-                }
+            let served = args.served(|| RequestKind::Autotune {
+                source: source.clone(),
+                target: args.flag("target").unwrap_or("x86").to_string(),
+                rounds: rounds as u32,
+                init: args.flag("init").unwrap_or("both").to_string(),
+                full_eval: !eval.incremental,
+                stats: eval.show_stats,
+                pass_stats: eval.show_pass_stats,
+                objective: args.flag("objective").unwrap_or("size").to_string(),
+            })?;
+            if served.is_none() {
+                print!("{}", cmd_autotune(&source, rounds, init, target, eval)?);
             }
-            print!("{}", cmd_autotune(&source, rounds, init, target, eval)?);
             Ok(())
         }
         "serve" => {

@@ -18,18 +18,24 @@
 //! stats view under- or over-count outcomes relative to map state.)
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Number of shards (a power of two, so shard selection is a mask).
 const SHARDS: usize = 16;
+
+/// Why a shard lock can fail: a thread panicked while holding it.
+const POISONED: &str = "a thread panicked while holding a memo shard lock";
 
 /// A concurrent map split over [`SHARDS`] independently locked shards,
 /// optionally bounded with FIFO (insertion-order) eviction.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
+    /// One per shard: signalled when a computation pending in that shard
+    /// settles.
+    settled: Vec<Condvar>,
     /// Per-shard entry bound; `None` means unbounded.
     shard_capacity: Option<usize>,
 }
@@ -40,14 +46,38 @@ struct Shard<K, V> {
     map: HashMap<K, V>,
     /// Insertion order of resident keys, used only when bounded.
     order: VecDeque<K>,
+    /// Hashes of the keys [`ShardedCache::get_or_compute`] callers are
+    /// computing now.
+    pending: HashSet<u64>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl<K, V> Shard<K, V> {
+impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     fn new() -> Self {
-        Shard { map: HashMap::new(), order: VecDeque::new(), hits: 0, misses: 0, evictions: 0 }
+        Shard {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            pending: HashSet::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Inserts `key → value`, evicting the oldest residents beyond `cap`.
+    fn insert(&mut self, key: K, value: V, cap: Option<usize>) {
+        if self.map.insert(key.clone(), value).is_none() {
+            if let Some(cap) = cap {
+                self.order.push_back(key);
+                while self.map.len() > cap {
+                    let oldest = self.order.pop_front().expect("order tracks residents");
+                    self.map.remove(&oldest);
+                    self.evictions += 1;
+                }
+            }
+        }
     }
 }
 
@@ -90,14 +120,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     fn with_shard_capacity(shard_capacity: Option<usize>) -> Self {
         ShardedCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
+            settled: (0..SHARDS).map(|_| Condvar::new()).collect(),
             shard_capacity,
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+    fn hash(key: &K) -> u64 {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+        h.finish()
+    }
+
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
+        &self.shards[(Self::hash(key) as usize) & (SHARDS - 1)]
     }
 
     /// Looks up `key`, counting the outcome as a hit or miss in the same
@@ -113,22 +148,57 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         found
     }
 
-    /// Inserts `key → value`, evicting the shard's oldest entry first if a
-    /// capacity bound is set and the shard is full. Concurrent inserters of
-    /// the same key are harmless for memoization (both computed the same
-    /// value); the last write wins.
-    pub fn insert(&self, key: K, value: V) {
-        let mut shard = self.shard(&key).lock().unwrap();
-        if shard.map.insert(key.clone(), value).is_none() {
-            if let Some(cap) = self.shard_capacity {
-                shard.order.push_back(key);
-                while shard.map.len() > cap {
-                    let oldest = shard.order.pop_front().expect("order tracks residents");
-                    shard.map.remove(&oldest);
-                    shard.evictions += 1;
-                }
+    /// Returns the value resident for `key`, computing and inserting it
+    /// with `compute` first on a miss. Misses are single-flight: while one
+    /// caller computes a key, concurrent callers of the same key wait for
+    /// its value instead of computing it again, so computations equal
+    /// distinct keys. Each call counts one hit (found or waited for) or one
+    /// miss (computed). If `compute` unwinds, the key is released and a
+    /// waiting caller computes it instead.
+    pub fn get_or_compute(&self, key: K, compute: impl FnOnce(&K) -> V) -> V {
+        let hash = Self::hash(&key);
+        let idx = (hash as usize) & (SHARDS - 1);
+        let mut shard = self.shards[idx].lock().expect(POISONED);
+        loop {
+            if let Some(found) = shard.map.get(&key).cloned() {
+                shard.hits += 1;
+                return found;
+            }
+            // Pending keys are tracked by hash: a colliding key only waits
+            // for the other computation to settle, then computes its own.
+            if shard.pending.insert(hash) {
+                break;
+            }
+            shard = self.settled[idx].wait(shard).expect(POISONED);
+        }
+        shard.misses += 1;
+        drop(shard);
+        /// Releases the pending hash and wakes its waiters, also on unwind.
+        struct Settle<'a, K, V> {
+            cache: &'a ShardedCache<K, V>,
+            idx: usize,
+            hash: u64,
+        }
+        impl<K, V> Drop for Settle<'_, K, V> {
+            fn drop(&mut self) {
+                let shards = &self.cache.shards;
+                let mut shard = shards[self.idx].lock().unwrap_or_else(PoisonError::into_inner);
+                shard.pending.remove(&self.hash);
+                self.cache.settled[self.idx].notify_all();
             }
         }
+        let settle = Settle { cache: self, idx, hash };
+        let value = compute(&key);
+        self.shards[idx].lock().expect(POISONED).insert(key, value.clone(), self.shard_capacity);
+        drop(settle);
+        value
+    }
+
+    /// Inserts `key → value`, evicting the shard's oldest entry first if a
+    /// capacity bound is set and the shard is full; an existing entry is
+    /// overwritten.
+    pub fn insert(&self, key: K, value: V) {
+        self.shard(&key).lock().unwrap().insert(key, value, self.shard_capacity);
     }
 
     /// Total entries across all shards.
@@ -269,6 +339,16 @@ mod tests {
         assert_eq!(c.get(&resident), Some(resident * 10));
         assert_eq!(c.stats().evictions, before.evictions);
         assert_eq!(c.stats().entries(), before.entries());
+    }
+
+    #[test]
+    fn get_or_compute_releases_the_key_when_compute_unwinds() {
+        let c: ShardedCache<u64, u64> = ShardedCache::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.get_or_compute(5, |_| panic!("compile cancelled"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(c.get_or_compute(5, |_| 50), 50, "the next caller computes it");
     }
 
     #[test]

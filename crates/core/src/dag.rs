@@ -483,8 +483,8 @@ pub fn evaluate_inlining_tree_dag(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::CompilerEvaluator;
     use crate::tree::{build_inlining_tree, evaluate_inlining_tree, space_size};
+    use crate::SizeEvaluator;
     use optinline_callgraph::{InlineGraph, PartitionStrategy};
     use optinline_codegen::X86Like;
     use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
@@ -533,7 +533,7 @@ mod tests {
         strategy: PartitionStrategy,
     ) -> ((InliningConfiguration, u64), (InliningConfiguration, u64)) {
         let m = module_from_shape(shape.0, shape.1, seed);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, strategy);
         let seq = evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn session_dedups_repeated_evaluations() {
         let m = module_from_shape(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 7);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
         let pool = WorkerPool::new(2);
@@ -680,8 +680,8 @@ mod tests {
         let edges = &[(0usize, 1usize), (1, 2), (2, 3)][..];
         let m1 = module_from_shape(4, edges, 21);
         let m2 = module_from_shape(4, edges, 22);
-        let ev1 = CompilerEvaluator::new(m1, Box::new(X86Like));
-        let ev2 = CompilerEvaluator::new(m2, Box::new(X86Like));
+        let ev1 = SizeEvaluator::new(m1, Box::new(X86Like), false);
+        let ev2 = SizeEvaluator::new(m2, Box::new(X86Like), false);
         assert_ne!(ev1.memo_scope(), ev2.memo_scope());
         let tree1 =
             build_inlining_tree(&InlineGraph::from_module(ev1.module()), PartitionStrategy::Paper);
@@ -757,7 +757,7 @@ mod tests {
         // several lanes at least the counters must be consistent (steals
         // can be zero on a 1-CPU machine, but tasks must all run).
         let m = module_from_shape(6, &[(0, 1), (2, 3), (4, 5)], 11);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
         let session = SearchSession::new();
@@ -782,7 +782,7 @@ mod tests {
         // respawn guard must keep the DAG's queued lane work flowing and
         // the result identical to the sequential walk.
         let m = module_from_shape(5, &[(0, 1), (1, 2), (3, 4)], 13);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
         let seq = evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
@@ -828,7 +828,7 @@ mod tests {
         }));
         assert!(r.is_err());
         // The pool remains serviceable.
-        assert_eq!(pool.join(|| 1, || 2), (1, 2));
+        assert_eq!(pool.map(&[1, 2], |&x| x * 10), vec![10, 20]);
     }
 
     #[test]

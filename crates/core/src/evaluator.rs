@@ -1,31 +1,21 @@
-//! Evaluating configurations: the paper's `CompileAndMeasureSize`.
+//! Evaluating configurations: the traits every evaluator implements, the
+//! observability snapshot they share, and the identity fingerprints that
+//! address memo tables and store scopes.
 //!
-//! [`CompilerEvaluator`] clones the module, runs the decision-driven
-//! inliner plus the `-Os`-like cleanup pipeline, and measures the `.text`
-//! size under a [`Target`]. Results are memoized on the configuration's
-//! canonical identity (its inlined-site set), so the tree search and the
-//! autotuner never pay twice for the same point — the single-machine
-//! stand-in for the paper's compile-farm parallelism. The memo lives in a
-//! [`ShardedCache`], so concurrent hits from the parallel search do not
-//! serialize on one lock.
-//!
-//! [`IncrementalEvaluator`](crate::IncrementalEvaluator) is the
-//! component-scoped alternative that compiles only the call-graph
-//! components a configuration actually touches; both expose the same
-//! [`EvaluatorStats`] observability surface through `stats()`.
+//! The one module-backed implementation is
+//! [`SizeEvaluator`](crate::SizeEvaluator), the paper's
+//! `CompileAndMeasureSize`; adapters such as
+//! [`PersistentEvaluator`](crate::PersistentEvaluator) and
+//! [`SpeedEvaluator`](crate::SpeedEvaluator) layer over it through the
+//! [`Evaluator`] trait.
 
-use crate::cache::ShardedCache;
 use crate::config::InliningConfiguration;
-use crate::measure::{module_cycles, Objective};
+use crate::measure::Objective;
 use optinline_callgraph::Fnv128;
-use optinline_codegen::{text_size, Target};
-use optinline_ir::interp::CostModel;
-use optinline_ir::{CallSiteId, Measurement, Module};
-use optinline_opt::{optimize_os_report, ForcedDecisions, PipelineOptions, PipelineStats};
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use optinline_codegen::Target;
+use optinline_ir::{Measurement, Module};
+use optinline_opt::{PipelineOptions, PipelineStats};
+use std::time::Duration;
 
 /// Anything that can score an inlining configuration.
 ///
@@ -106,29 +96,8 @@ pub fn evaluation_identity<'a>(parts: impl IntoIterator<Item = &'a str>) -> u128
     h.finish()
 }
 
-/// An [`Evaluator`] backed by an actual module — enough surface for the
-/// searches (which need the call graph) to run against either the full
-/// or the incremental evaluator.
-pub trait ModuleEvaluator: Evaluator {
-    /// The pristine input module.
-    fn module(&self) -> &Module;
-
-    /// The module's inlinable call sites — the configuration domain.
-    fn sites(&self) -> &BTreeSet<CallSiteId>;
-
-    /// Snapshot of the evaluator's observability counters.
-    fn stats(&self) -> EvaluatorStats;
-
-    /// Reference-path size: compile the *whole* module under `config`,
-    /// bypassing every cache, memo, and decomposition shortcut, and measure
-    /// it. Differential oracles cross-check [`Evaluator::size_of`] (the
-    /// fast path) against this; implementations must not share state with
-    /// the fast path beyond the pristine module itself.
-    fn full_size_of(&self, config: &InliningConfiguration) -> u64;
-}
-
-/// Observability snapshot shared by both evaluators: how many queries were
-/// served, what they cost, and how well the memoization worked.
+/// Observability snapshot of an evaluator: how many queries were served,
+/// what they cost, and how well the memoization worked.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EvaluatorStats {
     /// Size queries served (including cache hits).
@@ -143,14 +112,14 @@ pub struct EvaluatorStats {
     pub cache_evictions: u64,
     /// Entries resident per cache shard.
     pub shard_loads: Vec<usize>,
-    /// Compilations per call-graph component (empty for the full-module
-    /// evaluator, which has no component structure).
+    /// Compilations per call-graph component (empty in whole-module mode,
+    /// which has no component structure).
     pub per_component_compiles: Vec<u64>,
     /// Total wall-clock time spent inside compile-and-measure.
     pub compile_time: Duration,
     /// Compile work in units of one full-module compilation: each compile
-    /// weighted by its share of the pristine module's instructions. For the
-    /// full evaluator this equals `compiles`; for the incremental one it is
+    /// weighted by its share of the pristine module's instructions. In
+    /// whole-module mode this equals `compiles`; in component mode it is
     /// the headline savings metric.
     pub full_module_equivalents: f64,
     /// Cleanup fixpoint loops that exhausted their iteration cap with
@@ -246,6 +215,43 @@ impl EvaluatorStats {
         line
     }
 
+    /// Adds every counter of `other` into this snapshot — the suite-wide
+    /// aggregate of many evaluators. Shard loads add per shard; per-component
+    /// compile counts are concatenated, since different evaluators'
+    /// components are different components.
+    pub fn merge(&mut self, other: &EvaluatorStats) {
+        self.queries += other.queries;
+        self.compiles += other.compiles;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.cache_evictions += other.cache_evictions;
+        if self.shard_loads.len() < other.shard_loads.len() {
+            self.shard_loads.resize(other.shard_loads.len(), 0);
+        }
+        for (mine, theirs) in self.shard_loads.iter_mut().zip(&other.shard_loads) {
+            *mine += theirs;
+        }
+        self.per_component_compiles.extend_from_slice(&other.per_component_compiles);
+        self.compile_time += other.compile_time;
+        self.full_module_equivalents += other.full_module_equivalents;
+        self.fixpoint_cap_hits += other.fixpoint_cap_hits;
+        self.pipeline.absorb(&other.pipeline);
+        self.cycle_measures += other.cycle_measures;
+        self.cycle_compiles += other.cycle_compiles;
+        self.executor_tasks += other.executor_tasks;
+        self.executor_steals += other.executor_steals;
+        self.dedup_hits += other.dedup_hits;
+        self.persist_hits += other.persist_hits;
+        self.persist_misses += other.persist_misses;
+        self.persist_loaded += other.persist_loaded;
+        self.store_appends += other.store_appends;
+        self.store_flushed_lines += other.store_flushed_lines;
+        self.store_imported += other.store_imported;
+        self.store_compacted_bytes += other.store_compacted_bytes;
+        self.store_gc_evicted_scopes += other.store_gc_evicted_scopes;
+        self.store_gc_evicted_bytes += other.store_gc_evicted_bytes;
+    }
+
     /// Folds the task-DAG executor's counters into this snapshot.
     pub fn absorb_executor(&mut self, exec: crate::dag::ExecutorStats) {
         self.executor_tasks += exec.tasks;
@@ -275,212 +281,13 @@ impl EvaluatorStats {
     }
 }
 
-/// The standard evaluator: compile the module under the configuration and
-/// measure `.text` bytes (memoized).
-pub struct CompilerEvaluator {
-    module: Module,
-    target: Box<dyn Target>,
-    options: PipelineOptions,
-    sites: BTreeSet<CallSiteId>,
-    cache: ShardedCache<BTreeSet<CallSiteId>, u64>,
-    /// Cycles memo, separate from the size memo: most runs never measure
-    /// cycles and must not pay for the wider value. `None` is a cached
-    /// answer too ("nothing executable"), not a miss.
-    cycles_cache: ShardedCache<BTreeSet<CallSiteId>, Option<u64>>,
-    cost: CostModel,
-    compiles: AtomicU64,
-    queries: AtomicU64,
-    cycle_measures: AtomicU64,
-    cycle_compiles: AtomicU64,
-    compile_nanos: AtomicU64,
-    pipeline_stats: Mutex<PipelineStats>,
-    scope: OnceLock<u128>,
-}
-
-impl std::fmt::Debug for CompilerEvaluator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompilerEvaluator")
-            .field("module", &self.module.name)
-            .field("target", &self.target.name())
-            .field("sites", &self.sites.len())
-            .field("compilations", &self.compilations())
-            .finish()
-    }
-}
-
-impl CompilerEvaluator {
-    /// Creates an evaluator for `module` under `target`.
-    pub fn new(module: Module, target: Box<dyn Target>) -> Self {
-        let sites = module.inlinable_sites();
-        CompilerEvaluator {
-            module,
-            target,
-            options: PipelineOptions::default(),
-            sites,
-            cache: ShardedCache::new(),
-            cycles_cache: ShardedCache::new(),
-            cost: CostModel::default(),
-            compiles: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            cycle_measures: AtomicU64::new(0),
-            cycle_compiles: AtomicU64::new(0),
-            compile_nanos: AtomicU64::new(0),
-            pipeline_stats: Mutex::new(PipelineStats::default()),
-            scope: OnceLock::new(),
-        }
-    }
-
-    /// Overrides the pipeline options (e.g. verify-each for tests).
-    pub fn with_options(mut self, options: PipelineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The module's inlinable call sites — the configuration domain.
-    pub fn sites(&self) -> &BTreeSet<CallSiteId> {
-        &self.sites
-    }
-
-    /// The pristine input module.
-    pub fn module(&self) -> &Module {
-        &self.module
-    }
-
-    /// The size-model target in use.
-    pub fn target(&self) -> &dyn Target {
-        self.target.as_ref()
-    }
-
-    /// The pipeline options in use.
-    pub fn options(&self) -> PipelineOptions {
-        self.options
-    }
-
-    /// The cost model cycle measurements run under (part of the
-    /// cycles-scope identity).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The simulated cycles of the module under `config`, memoized on the
-    /// canonical inlined-site set. `None` means nothing executable.
-    fn cycles_of(&self, config: &InliningConfiguration) -> Option<u64> {
-        let key: BTreeSet<CallSiteId> =
-            config.inlined_sites().intersection(&self.sites).copied().collect();
-        if let Some(cycles) = self.cycles_cache.get(&key) {
-            return cycles;
-        }
-        let optimized = self.compile(config);
-        self.cycle_compiles.fetch_add(1, Ordering::Relaxed);
-        let cycles = module_cycles(&optimized, &self.cost);
-        self.cycles_cache.insert(key, cycles);
-        cycles
-    }
-
-    /// Snapshot of the observability counters.
-    pub fn stats(&self) -> EvaluatorStats {
-        let cache = self.cache.stats();
-        let compiles = self.compiles.load(Ordering::Relaxed);
-        let pipeline = self.pipeline_stats.lock().unwrap().clone();
-        EvaluatorStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            compiles,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            shard_loads: cache.shard_loads,
-            per_component_compiles: Vec::new(),
-            compile_time: Duration::from_nanos(self.compile_nanos.load(Ordering::Relaxed)),
-            full_module_equivalents: compiles as f64,
-            fixpoint_cap_hits: pipeline.cap_hits,
-            pipeline,
-            cycle_measures: self.cycle_measures.load(Ordering::Relaxed),
-            cycle_compiles: self.cycle_compiles.load(Ordering::Relaxed),
-            ..EvaluatorStats::default()
-        }
-    }
-
-    /// Compiles the module under `config` and returns the optimized module
-    /// (uncached; for case-study inspection, not for search loops).
-    pub fn compile(&self, config: &InliningConfiguration) -> Module {
-        let mut m = self.module.clone();
-        let oracle = ForcedDecisions::new(config.decisions().clone());
-        let report = optimize_os_report(&mut m, &oracle, self.options);
-        self.pipeline_stats.lock().unwrap().absorb(&report.stats);
-        m
-    }
-}
-
-impl Evaluator for CompilerEvaluator {
-    fn measure(&self, config: &InliningConfiguration, objective: Objective) -> Measurement {
-        if !objective.wants_cycles() {
-            return Measurement::size_only(self.size_of(config));
-        }
-        self.cycle_measures.fetch_add(1, Ordering::Relaxed);
-        let size = self.size_of(config);
-        match self.cycles_of(config) {
-            Some(cycles) => Measurement::with_cycles(size, cycles),
-            None => Measurement::size_only(size),
-        }
-    }
-
-    fn size_of(&self, config: &InliningConfiguration) -> u64 {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key: BTreeSet<CallSiteId> =
-            config.inlined_sites().intersection(&self.sites).copied().collect();
-        if let Some(size) = self.cache.get(&key) {
-            return size;
-        }
-        let start = Instant::now();
-        let optimized = self.compile(config);
-        let size = text_size(&optimized, self.target.as_ref());
-        self.compile_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.cache.insert(key, size);
-        size
-    }
-
-    fn compilations(&self) -> u64 {
-        self.compiles.load(Ordering::Relaxed)
-    }
-
-    fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    fn memo_scope(&self) -> Option<u128> {
-        Some(
-            *self.scope.get_or_init(|| {
-                domain_fingerprint(&self.module, self.target.as_ref(), self.options)
-            }),
-        )
-    }
-}
-
-impl ModuleEvaluator for CompilerEvaluator {
-    fn module(&self) -> &Module {
-        &self.module
-    }
-
-    fn sites(&self) -> &BTreeSet<CallSiteId> {
-        &self.sites
-    }
-
-    fn stats(&self) -> EvaluatorStats {
-        CompilerEvaluator::stats(self)
-    }
-
-    fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
-        text_size(&self.compile(config), self.target.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SizeEvaluator;
     use optinline_callgraph::Decision;
     use optinline_codegen::X86Like;
-    use optinline_ir::{BinOp, FuncBuilder, Linkage};
+    use optinline_ir::{BinOp, CallSiteId, FuncBuilder, Linkage};
 
     fn demo_module() -> (Module, CallSiteId) {
         let mut m = Module::new("m");
@@ -506,7 +313,7 @@ mod tests {
     #[test]
     fn sizes_differ_between_configurations() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let clean = InliningConfiguration::clean_slate();
         let inlined = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         let s_clean = ev.size_of(&clean);
@@ -519,7 +326,7 @@ mod tests {
     #[test]
     fn cache_hits_do_not_recompile() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let cfg = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         let a = ev.size_of(&cfg);
         let b = ev.size_of(&cfg);
@@ -531,7 +338,7 @@ mod tests {
     #[test]
     fn partial_and_total_configs_share_cache_entries() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let partial = InliningConfiguration::clean_slate();
         let total = InliningConfiguration::clean_slate().with(site, Decision::NoInline);
         ev.size_of(&partial);
@@ -543,7 +350,7 @@ mod tests {
     fn compile_returns_the_optimized_module() {
         let (m, site) = demo_module();
         let inc = m.func_by_name("inc").unwrap();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let cfg = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         let out = ev.compile(&cfg);
         assert!(out.is_stub(inc));
@@ -552,7 +359,7 @@ mod tests {
     #[test]
     fn evaluator_is_shareable_across_threads() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let cfg = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         ev.size_of(&cfg); // prewarm so concurrent queries all hit the cache
         std::thread::scope(|scope| {
@@ -570,7 +377,7 @@ mod tests {
     #[test]
     fn measure_under_size_objective_is_exactly_size_of() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let cfg = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         let size = ev.size_of(&cfg);
         let measured = ev.measure(&cfg, Objective::Size);
@@ -582,7 +389,7 @@ mod tests {
     #[test]
     fn measure_under_speed_objective_carries_memoized_cycles() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let clean = InliningConfiguration::clean_slate();
         let inlined = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         let a = ev.measure(&clean, Objective::Speed);
@@ -602,7 +409,7 @@ mod tests {
     #[test]
     fn stats_track_queries_compiles_and_cache_behaviour() {
         let (m, site) = demo_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let cfg = InliningConfiguration::clean_slate().with(site, Decision::Inline);
         ev.size_of(&cfg);
         ev.size_of(&cfg);

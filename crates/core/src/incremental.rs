@@ -1,23 +1,39 @@
-//! Component-scoped incremental evaluation.
+//! The size evaluator: the paper's `CompileAndMeasureSize`, whole-module
+//! or component-scoped.
 //!
-//! [`CompilerEvaluator`] recompiles the *whole* module for every cache
-//! miss, even though an inlining decision can only affect the connected
-//! component of the call graph it lives in. [`IncrementalEvaluator`]
-//! exploits that: it splits the module once into the connected components
-//! of the full call graph ([`coarse_components`]), extracts each as a
-//! standalone slice ([`extract_slice`]), and evaluates a configuration as
+//! [`SizeEvaluator`] clones the module, runs the decision-driven inliner
+//! plus the `-Os`-like cleanup pipeline, and measures the `.text` size
+//! under a [`Target`]. It evaluates a configuration as
 //!
 //! ```text
 //! size(config) = constant_part + Σ_c size_c(config ∩ sites(c))
 //! ```
 //!
-//! where `size_c` is memoized per component on the *relevant subset* of
-//! decisions. Two configurations that differ only inside component A reuse
-//! every other component's result verbatim; the tree search's `Components`
-//! recursion and the autotuner's one-flip probes hit exactly that pattern,
-//! so most "compilations" shrink from whole-module to one-component work.
+//! where each `size_c` is memoized on the *relevant subset* of decisions
+//! (the configuration's inlined sites inside component `c`), so the tree
+//! search and the autotuner never pay twice for the same point.
 //!
-//! # Why this is exact
+//! - In **component mode** (`incremental = true`, the default everywhere)
+//!   the components are the connected components of the full call graph
+//!   ([`coarse_components`]), each extracted once as a standalone slice
+//!   ([`extract_slice`]); zero-site components form the constant part.
+//!   Two configurations that differ only inside component A reuse every
+//!   other component's result verbatim; the tree search's `Components`
+//!   recursion and the autotuner's one-flip probes hit exactly that
+//!   pattern, so most compiles shrink from whole-module to one-component
+//!   work.
+//! - In **whole-module mode** (`incremental = false`, `--full-eval`) there
+//!   is one always-active component holding the whole, unsliced module and
+//!   no constant part: every miss compiles the whole module, one memo probe
+//!   per query.
+//!
+//! The memo lives in a [`ShardedCache`], so concurrent hits from the
+//! parallel search do not serialize on one lock, and a miss is
+//! single-flight: the first caller of a key compiles while concurrent
+//! callers of the same key wait for its value, so compiles equal distinct
+//! keys whatever the thread timing.
+//!
+//! # Why the decomposition is exact
 //!
 //! Components are *coarse*: every call edge counts, inlinable or not, plus
 //! `inline_path` provenance references. Every pass in the `-Os` pipeline
@@ -30,11 +46,13 @@
 //! [`function_size`](optinline_codegen::function_size) aligns functions
 //! independently, the per-component sizes sum to exactly
 //! [`text_size`](optinline_codegen::text_size). The cross-validation suite
-//! asserts this identity on randomized modules and configurations.
+//! asserts this identity on randomized modules and configurations, and the
+//! size oracle checks both modes against the uncached whole-module
+//! reference [`SizeEvaluator::full_size_of`].
 
 use crate::cache::ShardedCache;
 use crate::config::InliningConfiguration;
-use crate::evaluator::{CompilerEvaluator, Evaluator, EvaluatorStats, ModuleEvaluator};
+use crate::evaluator::{domain_fingerprint, Evaluator, EvaluatorStats};
 use crate::measure::{module_cycles, Objective};
 use optinline_callgraph::{coarse_components, Decision};
 use optinline_codegen::{text_size, Target};
@@ -50,9 +68,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// One coarse call-graph component, ready to compile in isolation.
+/// One call-graph component, ready to compile in isolation.
 struct Component {
-    /// Pristine slice of the component's functions.
+    /// Pristine slice of the component's functions (the whole module in
+    /// whole-module mode).
     slice: Module,
     /// Effect summary of the pristine slice (equals the restriction of the
     /// whole-module summary, since no call edge leaves a coarse component);
@@ -64,15 +83,23 @@ struct Component {
     insts: u64,
 }
 
-/// Component-scoped, memoizing drop-in replacement for
-/// [`CompilerEvaluator`]; see the module docs for the decomposition and
-/// the exactness argument.
-pub struct IncrementalEvaluator {
+impl Component {
+    fn new(slice: Module, sites: BTreeSet<CallSiteId>, insts: u64) -> Self {
+        let summary = EffectSummary::compute(&slice);
+        Component { slice, summary, sites, insts }
+    }
+}
+
+/// The module-backed evaluator: compile the module under a configuration
+/// and measure `.text` bytes, memoized per component; see the module docs
+/// for the two modes and the exactness argument.
+pub struct SizeEvaluator {
     module: Module,
     target: Box<dyn Target>,
-    options: PipelineOptions,
     sites: BTreeSet<CallSiteId>,
-    /// Components that contain at least one inlinable site.
+    incremental: bool,
+    /// Components that contain at least one inlinable site (in
+    /// whole-module mode: the whole module, sites or not).
     active: Vec<Component>,
     /// Pristine slices of zero-site components: their size is the same
     /// under every configuration, so they compile once, lazily.
@@ -82,13 +109,17 @@ pub struct IncrementalEvaluator {
     /// Cycles memo over *whole-module* canonical keys: the size
     /// decomposition is exact because every `-Os` pass is componentwise,
     /// but the cost model's i-cache is global, so cycles are measured on
-    /// whole-module compiles and memoized separately.
+    /// whole-module compiles and memoized separately. Most runs never
+    /// measure cycles and do not pay for the wider value. `None` is a
+    /// cached answer too ("nothing executable"), not a miss.
     cycles_cache: ShardedCache<BTreeSet<CallSiteId>, Option<u64>>,
     cost: CostModel,
     queries: AtomicU64,
     compiles: AtomicU64,
     cycle_measures: AtomicU64,
     cycle_compiles: AtomicU64,
+    /// Compiles per active component; empty in whole-module mode, which
+    /// has no component structure to report.
     per_component_compiles: Vec<AtomicU64>,
     /// Σ pristine instruction counts over all compiles, for the
     /// full-module-equivalents metric.
@@ -99,48 +130,48 @@ pub struct IncrementalEvaluator {
     scope: OnceLock<u128>,
 }
 
-impl std::fmt::Debug for IncrementalEvaluator {
+impl std::fmt::Debug for SizeEvaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncrementalEvaluator")
+        f.debug_struct("SizeEvaluator")
             .field("module", &self.module.name)
             .field("target", &self.target.name())
             .field("sites", &self.sites.len())
+            .field("incremental", &self.incremental)
             .field("active_components", &self.active.len())
             .field("constant_components", &self.constant_slices.len())
             .finish()
     }
 }
 
-impl IncrementalEvaluator {
-    /// Creates an evaluator for `module` under `target`, slicing it into
-    /// coarse call-graph components up front.
-    pub fn new(module: Module, target: Box<dyn Target>) -> Self {
-        Self::with_options(module, target, PipelineOptions::default())
-    }
-
-    /// [`IncrementalEvaluator::new`] with explicit pipeline options.
-    pub fn with_options(module: Module, target: Box<dyn Target>, options: PipelineOptions) -> Self {
+impl SizeEvaluator {
+    /// Creates an evaluator for `module` under `target`: component-scoped
+    /// when `incremental` (slicing the module into coarse call-graph
+    /// components up front), whole-module otherwise.
+    pub fn new(module: Module, target: Box<dyn Target>, incremental: bool) -> Self {
         let sites = module.inlinable_sites();
+        let module_insts = (module.inst_count() as u64).max(1);
         let mut active = Vec::new();
         let mut constant_slices = Vec::new();
-        for comp in coarse_components(&module) {
-            let slice = extract_slice(&module, &comp);
-            let comp_sites = slice.inlinable_sites();
-            if comp_sites.is_empty() {
-                constant_slices.push(slice);
-            } else {
-                let summary = EffectSummary::compute(&slice);
-                let insts = slice.inst_count() as u64;
-                active.push(Component { slice, summary, sites: comp_sites, insts });
+        if incremental {
+            for comp in coarse_components(&module) {
+                let slice = extract_slice(&module, &comp);
+                let comp_sites = slice.inlinable_sites();
+                if comp_sites.is_empty() {
+                    constant_slices.push(slice);
+                } else {
+                    let insts = slice.inst_count() as u64;
+                    active.push(Component::new(slice, comp_sites, insts));
+                }
             }
+        } else {
+            active.push(Component::new(module.clone(), sites.clone(), module_insts));
         }
-        let module_insts = (module.inst_count() as u64).max(1);
-        let per_component_compiles = (0..active.len()).map(|_| AtomicU64::new(0)).collect();
-        IncrementalEvaluator {
+        let tracked = if incremental { active.len() } else { 0 };
+        SizeEvaluator {
             module,
             target,
-            options,
             sites,
+            incremental,
             active,
             constant_slices,
             constant_part: OnceLock::new(),
@@ -151,7 +182,7 @@ impl IncrementalEvaluator {
             compiles: AtomicU64::new(0),
             cycle_measures: AtomicU64::new(0),
             cycle_compiles: AtomicU64::new(0),
-            per_component_compiles,
+            per_component_compiles: (0..tracked).map(|_| AtomicU64::new(0)).collect(),
             compiled_insts: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
             module_insts,
@@ -175,7 +206,8 @@ impl IncrementalEvaluator {
         self.target.as_ref()
     }
 
-    /// Number of coarse components (with and without inlinable sites).
+    /// Number of components compiled separately: the coarse components
+    /// (with and without inlinable sites) in component mode, 1 otherwise.
     pub fn component_count(&self) -> usize {
         self.active.len() + self.constant_slices.len()
     }
@@ -184,32 +216,6 @@ impl IncrementalEvaluator {
     /// cycles-scope identity).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The simulated cycles of the module under `config`, memoized on the
-    /// whole-module canonical inlined-site set. `None` means nothing
-    /// executable.
-    fn cycles_of(&self, config: &InliningConfiguration) -> Option<u64> {
-        let key: BTreeSet<CallSiteId> =
-            config.inlined_sites().intersection(&self.sites).copied().collect();
-        if let Some(cycles) = self.cycles_cache.get(&key) {
-            return cycles;
-        }
-        let optimized = self.compile(config);
-        self.cycle_compiles.fetch_add(1, Ordering::Relaxed);
-        let cycles = module_cycles(&optimized, &self.cost);
-        self.cycles_cache.insert(key, cycles);
-        cycles
-    }
-
-    /// Compiles the *whole* module under `config` and returns it
-    /// (uncached; for case-study inspection, not for search loops).
-    pub fn compile(&self, config: &InliningConfiguration) -> Module {
-        let mut m = self.module.clone();
-        let oracle = ForcedDecisions::new(config.decisions().clone());
-        let report = optimize_os_report(&mut m, &oracle, self.options);
-        self.pipeline_stats.lock().unwrap().absorb(&report.stats);
-        m
     }
 
     /// Snapshot of the observability counters.
@@ -239,6 +245,38 @@ impl IncrementalEvaluator {
         }
     }
 
+    /// Compiles the *whole* module under `config` and returns it
+    /// (uncached; for case-study inspection, not for search loops).
+    pub fn compile(&self, config: &InliningConfiguration) -> Module {
+        let mut m = self.module.clone();
+        let oracle = ForcedDecisions::new(config.decisions().clone());
+        let report = optimize_os_report(&mut m, &oracle, PipelineOptions::default());
+        self.pipeline_stats.lock().unwrap().absorb(&report.stats);
+        m
+    }
+
+    /// Reference-path size: compile the *whole* module under `config`,
+    /// bypassing the component decomposition, the memo, and the constant
+    /// part, and measure it. Differential oracles cross-check
+    /// [`Evaluator::size_of`] (the fast path) against this; it shares no
+    /// state with the fast path beyond the pristine module itself.
+    pub fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
+        text_size(&self.compile(config), self.target.as_ref())
+    }
+
+    /// The simulated cycles of the module under `config`, memoized on the
+    /// whole-module canonical inlined-site set. `None` means nothing
+    /// executable.
+    fn cycles_of(&self, config: &InliningConfiguration) -> Option<u64> {
+        let key: BTreeSet<CallSiteId> =
+            config.inlined_sites().intersection(&self.sites).copied().collect();
+        self.cycles_cache.get_or_compute(key, |_| {
+            let optimized = self.compile(config);
+            self.cycle_compiles.fetch_add(1, Ordering::Relaxed);
+            module_cycles(&optimized, &self.cost)
+        })
+    }
+
     /// Compiles one pristine slice under `inlined` (a canonical subset of
     /// the slice's own sites) and measures it.
     fn compile_slice(
@@ -249,30 +287,33 @@ impl IncrementalEvaluator {
     ) -> u64 {
         let mut m = slice.clone();
         let oracle = ForcedDecisions::new(inlined.iter().map(|&s| (s, Decision::Inline)).collect());
-        let report =
-            optimize_os_report_with_summary(&mut m, &oracle, self.options, summary.clone());
+        let report = optimize_os_report_with_summary(
+            &mut m,
+            &oracle,
+            PipelineOptions::default(),
+            summary.clone(),
+        );
         self.pipeline_stats.lock().unwrap().absorb(&report.stats);
         text_size(&m, self.target.as_ref())
     }
 
     /// The size contribution of component `idx` under the decision subset
-    /// relevant to it, memoized.
+    /// relevant to it, memoized (single-flight).
     fn component_size(&self, idx: usize, inlined: BTreeSet<CallSiteId>) -> u64 {
-        let key = (idx, inlined);
-        if let Some(size) = self.cache.get(&key) {
-            return size;
-        }
-        let comp = &self.active[idx];
-        let start = Instant::now();
-        let size = self.compile_slice(&comp.slice, &comp.summary, &key.1);
-        self.record_compile(start, comp.insts);
-        self.per_component_compiles[idx].fetch_add(1, Ordering::Relaxed);
-        self.cache.insert(key, size);
-        size
+        self.cache.get_or_compute((idx, inlined), |(idx, inlined)| {
+            let comp = &self.active[*idx];
+            let start = Instant::now();
+            let size = self.compile_slice(&comp.slice, &comp.summary, inlined);
+            self.record_compile(start, comp.insts);
+            if let Some(count) = self.per_component_compiles.get(*idx) {
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+            size
+        })
     }
 
     /// The configuration-independent contribution of zero-site components,
-    /// compiled once on first use.
+    /// compiled once on first use (0 in whole-module mode).
     fn constant_part(&self) -> u64 {
         *self.constant_part.get_or_init(|| {
             self.constant_slices
@@ -295,7 +336,7 @@ impl IncrementalEvaluator {
     }
 }
 
-impl Evaluator for IncrementalEvaluator {
+impl Evaluator for SizeEvaluator {
     fn measure(&self, config: &InliningConfiguration, objective: Objective) -> Measurement {
         if !objective.wants_cycles() {
             return Measurement::size_only(self.size_of(config));
@@ -328,236 +369,18 @@ impl Evaluator for IncrementalEvaluator {
     }
 
     fn memo_scope(&self) -> Option<u128> {
-        // Same fingerprint as the full evaluator over the same inputs: the
-        // decomposition is proven size-identical to whole-module compiles,
-        // so the two evaluation modes share one domain.
+        // One domain for both modes: the decomposition is proven
+        // size-identical to whole-module compiles.
         Some(*self.scope.get_or_init(|| {
-            crate::evaluator::domain_fingerprint(&self.module, self.target.as_ref(), self.options)
+            domain_fingerprint(&self.module, self.target.as_ref(), PipelineOptions::default())
         }))
-    }
-}
-
-impl ModuleEvaluator for IncrementalEvaluator {
-    fn module(&self) -> &Module {
-        &self.module
-    }
-
-    fn sites(&self) -> &BTreeSet<CallSiteId> {
-        &self.sites
-    }
-
-    fn stats(&self) -> EvaluatorStats {
-        IncrementalEvaluator::stats(self)
-    }
-
-    fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
-        // Deliberately ignores the component decomposition, the memo cache,
-        // and the constant part: one whole-module compile, measured fresh —
-        // the reference the size oracle cross-checks `size_of` against.
-        text_size(&self.compile(config), self.target.as_ref())
-    }
-}
-
-/// Either compile-strategy behind one concrete type.
-#[derive(Debug)]
-enum SizeEvaluatorKind {
-    /// Whole-module compiles ([`CompilerEvaluator`]).
-    Full(CompilerEvaluator),
-    /// Component-scoped compiles ([`IncrementalEvaluator`]).
-    Incremental(IncrementalEvaluator),
-}
-
-/// Either evaluator behind one concrete type, so call sites (CLI flags,
-/// experiment drivers) can switch at runtime without generics — optionally
-/// with a persistent store scope attached, so owners that can't juggle the
-/// borrowed [`PersistentEvaluator`](crate::PersistentEvaluator) wrapper
-/// (e.g. the experiments harness, which owns its evaluators) still get
-/// cross-run caching.
-#[derive(Debug)]
-pub struct SizeEvaluator {
-    kind: SizeEvaluatorKind,
-    persist: Option<std::sync::Arc<crate::PersistentCache>>,
-}
-
-impl SizeEvaluator {
-    /// Creates the evaluator selected by `incremental`.
-    pub fn new(module: Module, target: Box<dyn Target>, incremental: bool) -> Self {
-        let kind = if incremental {
-            SizeEvaluatorKind::Incremental(IncrementalEvaluator::new(module, target))
-        } else {
-            SizeEvaluatorKind::Full(CompilerEvaluator::new(module, target))
-        };
-        SizeEvaluator { kind, persist: None }
-    }
-
-    /// Attaches a persistent store scope: `size_of` answers from it before
-    /// compiling and records every fresh result. `full_size_of` (the
-    /// oracle reference path) deliberately bypasses it.
-    pub fn with_persist(mut self, cache: std::sync::Arc<crate::PersistentCache>) -> Self {
-        self.persist = Some(cache);
-        self
-    }
-
-    /// The attached persistent cache, if any.
-    pub fn persist(&self) -> Option<&std::sync::Arc<crate::PersistentCache>> {
-        self.persist.as_ref()
-    }
-
-    /// The module's inlinable call sites — the configuration domain.
-    pub fn sites(&self) -> &BTreeSet<CallSiteId> {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.sites(),
-            SizeEvaluatorKind::Incremental(ev) => ev.sites(),
-        }
-    }
-
-    /// The pristine input module.
-    pub fn module(&self) -> &Module {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.module(),
-            SizeEvaluatorKind::Incremental(ev) => ev.module(),
-        }
-    }
-
-    /// The size-model target in use.
-    pub fn target(&self) -> &dyn Target {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.target(),
-            SizeEvaluatorKind::Incremental(ev) => ev.target(),
-        }
-    }
-
-    /// Snapshot of the observability counters (folding in the attached
-    /// persistent scope's counters, when one is attached).
-    pub fn stats(&self) -> EvaluatorStats {
-        let mut stats = match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.stats(),
-            SizeEvaluatorKind::Incremental(ev) => ev.stats(),
-        };
-        if let Some(cache) = &self.persist {
-            stats.absorb_persist(cache.stats());
-        }
-        stats
-    }
-
-    /// Compiles the whole module under `config` (uncached).
-    pub fn compile(&self, config: &InliningConfiguration) -> Module {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.compile(config),
-            SizeEvaluatorKind::Incremental(ev) => ev.compile(config),
-        }
-    }
-
-    /// The cost model cycle measurements run under (part of the
-    /// cycles-scope identity).
-    pub fn cost_model(&self) -> &CostModel {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.cost_model(),
-            SizeEvaluatorKind::Incremental(ev) => ev.cost_model(),
-        }
-    }
-
-    fn inner_size_of(&self, config: &InliningConfiguration) -> u64 {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.size_of(config),
-            SizeEvaluatorKind::Incremental(ev) => ev.size_of(config),
-        }
-    }
-
-    fn inner_measure(&self, config: &InliningConfiguration, objective: Objective) -> Measurement {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.measure(config, objective),
-            SizeEvaluatorKind::Incremental(ev) => ev.measure(config, objective),
-        }
-    }
-}
-
-impl Evaluator for SizeEvaluator {
-    fn size_of(&self, config: &InliningConfiguration) -> u64 {
-        let Some(cache) = &self.persist else {
-            return self.inner_size_of(config);
-        };
-        // Same canonical key as the evaluators' own memo tables: the
-        // configuration's inlined sites restricted to this module's.
-        let key: Vec<CallSiteId> =
-            config.inlined_sites().intersection(self.sites()).copied().collect();
-        if let Some(found) = cache.get(&key) {
-            return found.size;
-        }
-        let size = self.inner_size_of(config);
-        cache.put(key, Measurement::size_only(size));
-        size
-    }
-
-    fn measure(&self, config: &InliningConfiguration, objective: Objective) -> Measurement {
-        if !objective.wants_cycles() {
-            return Measurement::size_only(self.size_of(config));
-        }
-        let Some(cache) = &self.persist else {
-            return self.inner_measure(config, objective);
-        };
-        let key: Vec<CallSiteId> =
-            config.inlined_sites().intersection(self.sites()).copied().collect();
-        // Only a cycles-carrying entry answers a cycles query; a size-only
-        // one falls through so the fresh measurement can upgrade it.
-        if let Some(found) = cache.get(&key) {
-            if found.cycles.is_some() {
-                return found;
-            }
-        }
-        let measured = self.inner_measure(config, objective);
-        cache.put(key, measured);
-        measured
-    }
-
-    fn compilations(&self) -> u64 {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.compilations(),
-            SizeEvaluatorKind::Incremental(ev) => ev.compilations(),
-        }
-    }
-
-    fn queries(&self) -> u64 {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.queries(),
-            SizeEvaluatorKind::Incremental(ev) => ev.queries(),
-        }
-    }
-
-    fn memo_scope(&self) -> Option<u128> {
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.memo_scope(),
-            SizeEvaluatorKind::Incremental(ev) => ev.memo_scope(),
-        }
-    }
-}
-
-impl ModuleEvaluator for SizeEvaluator {
-    fn module(&self) -> &Module {
-        SizeEvaluator::module(self)
-    }
-
-    fn sites(&self) -> &BTreeSet<CallSiteId> {
-        SizeEvaluator::sites(self)
-    }
-
-    fn stats(&self) -> EvaluatorStats {
-        SizeEvaluator::stats(self)
-    }
-
-    fn full_size_of(&self, config: &InliningConfiguration) -> u64 {
-        // The reference path must stay independent of every cache,
-        // including the persistent store.
-        match &self.kind {
-            SizeEvaluatorKind::Full(ev) => ev.full_size_of(config),
-            SizeEvaluatorKind::Incremental(ev) => ev.full_size_of(config),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::{cache_meta, PersistentCache, PersistentEvaluator};
     use optinline_codegen::X86Like;
     use optinline_ir::{BinOp, FuncBuilder, Linkage};
 
@@ -594,9 +417,10 @@ mod tests {
     #[test]
     fn matches_full_evaluator_on_every_configuration() {
         let (m, sites) = two_component_module();
-        let full = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
-        let incr = IncrementalEvaluator::new(m, Box::new(X86Like));
+        let full = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
+        let incr = SizeEvaluator::new(m, Box::new(X86Like), true);
         assert_eq!(incr.component_count(), 3);
+        assert_eq!(full.component_count(), 1);
         for mask in 0..4u32 {
             let cfg: InliningConfiguration = sites
                 .iter()
@@ -614,7 +438,7 @@ mod tests {
     #[test]
     fn flipping_one_component_reuses_the_other() {
         let (m, sites) = two_component_module();
-        let incr = IncrementalEvaluator::new(m, Box::new(X86Like));
+        let incr = SizeEvaluator::new(m, Box::new(X86Like), true);
         let base = InliningConfiguration::clean_slate();
         incr.size_of(&base);
         // First query: one compile per active component + constant part.
@@ -628,6 +452,48 @@ mod tests {
         // Both queries did full-coverage lookups; only 4 of 5 missed... the
         // headline: compile work stayed well under 2 full-module compiles.
         assert!(s.full_module_equivalents < 2.0, "{}", s.full_module_equivalents);
+    }
+
+    #[test]
+    fn whole_module_mode_compiles_the_whole_module_once_per_key() {
+        let (m, sites) = two_component_module();
+        let full = SizeEvaluator::new(m, Box::new(X86Like), false);
+        let base = InliningConfiguration::clean_slate();
+        full.size_of(&base);
+        full.size_of(&base.clone().with(sites[0], Decision::Inline));
+        full.size_of(&base);
+        let s = full.stats();
+        assert_eq!((s.queries, s.compiles, s.cache_hits, s.cache_misses), (3, 2, 1, 2));
+        assert_eq!(s.full_module_equivalents, 2.0, "each miss is one whole-module compile");
+        assert!(s.per_component_compiles.is_empty(), "no component structure to report");
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compile_once() {
+        let (m, sites) = two_component_module();
+        let cfg = InliningConfiguration::clean_slate().with(sites[0], Decision::Inline);
+        for incremental in [false, true] {
+            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), incremental);
+            let barrier = std::sync::Barrier::new(8);
+            let answers: Vec<Measurement> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            ev.measure(&cfg, Objective::Speed)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:?}");
+            let expected = if incremental { ev.component_count() as u64 } else { 1 };
+            assert_eq!(ev.compilations(), expected, "incremental={incremental}");
+            let s = ev.stats();
+            assert_eq!(s.cycle_compiles, 1, "incremental={incremental}");
+            assert_eq!(s.cache_misses, s.compiles - ev.constant_slices.len() as u64);
+            assert_eq!(s.queries, 8);
+        }
     }
 
     /// Two components whose wrappers become dead (and DFE-removed) once
@@ -665,7 +531,7 @@ mod tests {
     #[test]
     fn dead_function_elimination_in_one_component_does_not_stale_the_other() {
         let (m, sites) = dfe_prone_two_component_module();
-        let incr = IncrementalEvaluator::new(m.clone(), Box::new(X86Like));
+        let incr = SizeEvaluator::new(m.clone(), Box::new(X86Like), true);
         assert_eq!(incr.component_count(), 2);
         // Inlining wrap0's site makes wrap0 dead: the whole-module pipeline
         // runs DeadFunctionElim while component 1 is untouched. Query in an
@@ -697,8 +563,8 @@ mod tests {
     #[test]
     fn full_size_of_matches_cached_fast_path() {
         let (m, sites) = two_component_module();
-        let full = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
-        let incr = IncrementalEvaluator::new(m, Box::new(X86Like));
+        let full = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
+        let incr = SizeEvaluator::new(m, Box::new(X86Like), true);
         let cfg = InliningConfiguration::clean_slate().with(sites[0], Decision::Inline);
         for _ in 0..2 {
             // Second round hits the memo caches; reference stays uncached.
@@ -715,15 +581,13 @@ mod tests {
         let cfg = InliningConfiguration::clean_slate().with(sites[1], Decision::Inline);
         assert_eq!(full.size_of(&cfg), incr.size_of(&cfg));
         assert_eq!(full.sites(), incr.sites());
+        assert_eq!(full.memo_scope(), incr.memo_scope(), "both modes share one domain");
         assert!(incr.stats().compiles > 0);
     }
 
     #[test]
     fn size_and_speed_scopes_never_alias_and_survive_compact_and_gc() {
         use crate::measure::objective_scope;
-        use crate::persist::{cache_meta, PersistentCache};
-        use optinline_callgraph::Decision;
-        use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("optinline-objscope-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (m, sites) = two_component_module();
@@ -735,23 +599,21 @@ mod tests {
         let cost = CostModel::default();
         let speed_fp = objective_scope(domain, Objective::Speed, &cost);
         assert_ne!(speed_fp, domain);
+        // A fresh whole-module evaluator behind the store scope `fp`.
+        let measure = |fp: u128, objective: Objective| {
+            let cache = PersistentCache::open_scoped(&dir, fp, None, &meta).unwrap();
+            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
+            let measured =
+                PersistentEvaluator::new(&ev, &cache, ev.sites().clone()).measure(&cfg, objective);
+            (measured, ev.compilations(), cache)
+        };
 
         // Cold runs: one per objective, each against its own scope.
-        let (size_cold, speed_cold);
-        {
-            let cache = Arc::new(PersistentCache::open_scoped(&dir, domain, None, &meta).unwrap());
-            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false).with_persist(cache);
-            size_cold = ev.measure(&cfg, Objective::Size);
-            assert!(size_cold.cycles.is_none());
-        }
-        {
-            let cache =
-                Arc::new(PersistentCache::open_scoped(&dir, speed_fp, None, &meta).unwrap());
-            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false).with_persist(cache);
-            speed_cold = ev.measure(&cfg, Objective::Speed);
-            assert_eq!(speed_cold.size, size_cold.size, "same domain, same sizes");
-            assert!(speed_cold.cycles.is_some(), "public mains are executable");
-        }
+        let (size_cold, _, _) = measure(domain, Objective::Size);
+        assert!(size_cold.cycles.is_none());
+        let (speed_cold, _, _) = measure(speed_fp, Objective::Speed);
+        assert_eq!(speed_cold.size, size_cold.size, "same domain, same sizes");
+        assert!(speed_cold.cycles.is_some(), "public mains are executable");
 
         // Compact and GC (budget generous enough to keep both logs): the
         // two scopes must both survive, still separated.
@@ -766,28 +628,21 @@ mod tests {
         // compiles and no cycles leaking into the size scope.
         let key: Vec<CallSiteId> =
             cfg.inlined_sites().intersection(&sites.iter().copied().collect()).copied().collect();
-        {
-            let cache = Arc::new(PersistentCache::open_scoped(&dir, domain, None, &meta).unwrap());
-            let ev =
-                SizeEvaluator::new(m.clone(), Box::new(X86Like), false).with_persist(cache.clone());
-            assert_eq!(ev.measure(&cfg, Objective::Size), size_cold);
-            assert_eq!(ev.compilations(), 0, "warm size measure must not compile");
-            let raw = cache.get(&key).expect("the size scope holds the entry");
-            assert!(raw.cycles.is_none(), "cycles must never alias into the size scope");
-        }
-        {
-            let cache =
-                Arc::new(PersistentCache::open_scoped(&dir, speed_fp, None, &meta).unwrap());
-            let ev = SizeEvaluator::new(m, Box::new(X86Like), false).with_persist(cache);
-            assert_eq!(ev.measure(&cfg, Objective::Speed), speed_cold);
-            assert_eq!(ev.compilations(), 0, "warm speed measure must not compile either");
-        }
+        let (size_warm, compiles, cache) = measure(domain, Objective::Size);
+        assert_eq!(size_warm, size_cold);
+        assert_eq!(compiles, 0, "warm size measure must not compile");
+        let raw = cache.get(&key).expect("the size scope holds the entry");
+        assert!(raw.cycles.is_none(), "cycles must never alias into the size scope");
+        drop(cache);
+        let (speed_warm, compiles, _) = measure(speed_fp, Objective::Speed);
+        assert_eq!(speed_warm, speed_cold);
+        assert_eq!(compiles, 0, "warm speed measure must not compile either");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn size_evaluator_with_persist_warm_starts_without_compiling() {
-        use crate::persist::{cache_meta, module_fingerprint, PersistentCache};
+    fn persistent_evaluator_warm_starts_without_compiling() {
+        use crate::persist::module_fingerprint;
         let dir =
             std::env::temp_dir().join(format!("optinline-sizeev-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -797,21 +652,22 @@ mod tests {
         let cfg = InliningConfiguration::clean_slate().with(sites[0], Decision::Inline);
         let cold_size;
         {
-            let cache = std::sync::Arc::new(PersistentCache::open(&dir, fp, &meta).unwrap());
-            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false).with_persist(cache);
-            cold_size = ev.size_of(&cfg);
+            let cache = PersistentCache::open(&dir, fp, &meta).unwrap();
+            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
+            cold_size = PersistentEvaluator::new(&ev, &cache, ev.sites().clone()).size_of(&cfg);
             assert!(ev.compilations() > 0);
             // The reference path must not be served by the store.
             assert_eq!(ev.full_size_of(&cfg), cold_size);
         }
         // Fresh evaluator, same store: the answer comes from disk.
-        let cache = std::sync::Arc::new(PersistentCache::open(&dir, fp, &meta).unwrap());
-        let ev = SizeEvaluator::new(m, Box::new(X86Like), false).with_persist(cache);
-        assert_eq!(ev.size_of(&cfg), cold_size);
+        let cache = PersistentCache::open(&dir, fp, &meta).unwrap();
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
+        let persisted = PersistentEvaluator::new(&ev, &cache, ev.sites().clone());
+        assert_eq!(persisted.size_of(&cfg), cold_size);
         assert_eq!(ev.compilations(), 0, "warm start must not compile");
-        let s = ev.stats();
-        assert_eq!(s.persist_hits, 1);
-        assert!(s.persist_loaded >= 1);
+        let s = cache.stats();
+        assert_eq!(s.hits, 1);
+        assert!(s.loaded >= 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

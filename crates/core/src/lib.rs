@@ -12,9 +12,10 @@
 //!
 //! - [`InliningConfiguration`] — `{inline, no-inline}` labels per call site
 //!   (§2), with coupled copies handled upstream by stable site ids.
-//! - [`CompilerEvaluator`] — `CompileAndMeasureSize`: run the
+//! - [`SizeEvaluator`] — `CompileAndMeasureSize`: run the
 //!   decision-driven inliner + `-Os` pipeline, measure `.text` bytes;
-//!   memoized and thread-safe.
+//!   memoized, thread-safe, and either whole-module or component-scoped
+//!   (compiling only the call-graph components a configuration touches).
 //! - [`naive`] — the `2^n` exhaustive search (§3.1), the ground truth.
 //! - [`tree`] — the inlining tree (§3.2, Algorithms 1–2): provably the same
 //!   optimum, at a fraction of the evaluations.
@@ -27,7 +28,7 @@
 //!
 //! ```
 //! use optinline_ir::{Module, Linkage, FuncBuilder, BinOp};
-//! use optinline_core::{CompilerEvaluator, tree, autotune::Autotuner};
+//! use optinline_core::{SizeEvaluator, tree, autotune::Autotuner};
 //! use optinline_callgraph::PartitionStrategy;
 //! use optinline_codegen::X86Like;
 //!
@@ -49,7 +50,8 @@
 //!     b.ret(v);
 //! }
 //!
-//! let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+//! // `true` selects component-scoped compiles; `false` whole-module ones.
+//! let ev = SizeEvaluator::new(m, Box::new(X86Like), true);
 //! // Exhaustive optimum through the recursively partitioned space.
 //! let optimal = tree::optimal_configuration(&ev, PartitionStrategy::Paper);
 //! // One autotuning round finds the same thing here.
@@ -78,10 +80,8 @@ pub mod tree;
 pub use cache::{CacheStats, ShardedCache};
 pub use config::InliningConfiguration;
 pub use dag::{evaluate_inlining_tree_dag, ExecutorStats, SearchSession};
-pub use evaluator::{
-    evaluation_identity, CompilerEvaluator, Evaluator, EvaluatorStats, ModuleEvaluator,
-};
-pub use incremental::{IncrementalEvaluator, SizeEvaluator};
+pub use evaluator::{evaluation_identity, Evaluator, EvaluatorStats};
+pub use incremental::SizeEvaluator;
 pub use measure::{
     cost_model_fingerprint, module_cycles, objective_scope, Objective, SpeedEvaluator,
 };
@@ -92,8 +92,7 @@ pub use persist::{
 };
 pub use pool::WorkerPool;
 pub use tree::{
-    build_inlining_tree, evaluate_inlining_tree, evaluate_inlining_tree_parallel, space_size,
-    try_build_inlining_tree, InliningTree,
+    build_inlining_tree, evaluate_inlining_tree, space_size, try_build_inlining_tree, InliningTree,
 };
 
 #[cfg(test)]
@@ -101,10 +100,11 @@ mod cross_validation {
     //! The core soundness check: on real modules, the recursively
     //! partitioned search finds exactly the naïve optimum.
 
-    use crate::evaluator::{CompilerEvaluator, Evaluator};
+    use crate::evaluator::Evaluator;
     use crate::naive::exhaustive_search;
     use crate::tree::{build_inlining_tree, evaluate_inlining_tree, space_size};
     use crate::InliningConfiguration;
+    use crate::SizeEvaluator;
     use optinline_callgraph::{InlineGraph, PartitionStrategy};
     use optinline_codegen::X86Like;
     use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
@@ -150,7 +150,7 @@ mod cross_validation {
 
     fn check_shape(n: usize, edges: &[(usize, usize)], seed: u64) {
         let m = module_from_shape(n, edges, seed);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let naive = exhaustive_search(&ev, &sites);
         for strategy in
@@ -232,7 +232,7 @@ mod cross_validation {
     #[test]
     fn memoization_keeps_tree_evaluations_at_or_under_space_size() {
         let m = module_from_shape(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 42);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
         let space = space_size(&tree);

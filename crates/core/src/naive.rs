@@ -66,7 +66,7 @@ pub fn naive_space_size(n_sites: usize) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::CompilerEvaluator;
+    use crate::SizeEvaluator;
     use optinline_callgraph::Decision;
     use optinline_codegen::X86Like;
     use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn finds_the_true_optimum_over_four_configs() {
         let (m, s_tiny, s_fat) = mixed_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let out = exhaustive_search(&ev, &sites);
         assert_eq!(out.evaluations, 8); // three sites: two in main, one in keeper
@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn empty_site_set_evaluates_once() {
         let (m, _, _) = mixed_module();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let out = exhaustive_search(&ev, &BTreeSet::new());
         assert_eq!(out.evaluations, 1);
         assert_eq!(out.config, InliningConfiguration::clean_slate());

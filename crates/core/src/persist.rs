@@ -16,17 +16,18 @@
 //!
 //! - **Canonical keying.** Entries are keyed by the configuration's
 //!   inlined-site set restricted to the module's sites — matching the
-//!   in-memory memo key of `CompilerEvaluator`, so a hit is exactly a
-//!   compile avoided.
+//!   whole-module memo key of [`SizeEvaluator`](crate::SizeEvaluator), so a
+//!   hit is exactly a compile avoided.
 //! - **Identity derivation.** [`cache_meta`] builds the human-auditable
 //!   identity tag recorded on (and verified against) every scope log, and
 //!   [`module_fingerprint`] still computes the fingerprint older releases
 //!   used for their flat per-module files — passed to the store as the
 //!   *legacy* identity so those files are imported once (when their meta
 //!   matches) or cleanly ignored (when it doesn't), never misread.
-//! - **[`PersistentEvaluator`]**, the [`Evaluator`] adapter the CLI layers
-//!   under `search`/`autotune` when `--cache-dir` is given: answer from
-//!   the store, forward misses, record every fresh result.
+//! - **[`PersistentEvaluator`]**, the only store-backed [`Evaluator`]: the
+//!   adapter the CLI layers under `search`/`autotune` and the experiments
+//!   harness under its cases when a cache directory is given — answer
+//!   from the store, forward misses, record every fresh result.
 
 use crate::config::InliningConfiguration;
 use crate::evaluator::Evaluator;
@@ -159,8 +160,8 @@ impl PersistentCache {
 /// [`PersistentCache`] before delegating, and records every fresh result.
 ///
 /// Keys are canonicalized to the module's own call sites, mirroring the
-/// in-memory memoization of `CompilerEvaluator`: configurations that agree
-/// on this module's sites share one entry.
+/// whole-module memo of [`SizeEvaluator`](crate::SizeEvaluator):
+/// configurations that agree on this module's sites share one entry.
 #[derive(Debug)]
 pub struct PersistentEvaluator<'e, E: Evaluator + std::fmt::Debug> {
     inner: &'e E,

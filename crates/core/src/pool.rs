@@ -8,13 +8,12 @@
 //!
 //! - **Persistent workers.** `available_parallelism() - 1` threads are
 //!   started once (lazily, via [`WorkerPool::global`]) and reused for every
-//!   `join`/`map` in the process.
-//! - **Help-first semantics.** The caller always participates: `join` runs
-//!   the first closure inline and only offloads the second; `map` claims
-//!   items from a shared atomic index alongside the helpers. A blocked
-//!   caller *helps* — it pops and runs other queued jobs while waiting — so
-//!   nested `join`/`map` calls (the tree recursion) cannot deadlock even
-//!   when every worker is busy.
+//!   `map` and task-DAG lane in the process.
+//! - **Help-first semantics.** The caller always participates: `map`
+//!   claims items from a shared atomic index alongside the helpers. A
+//!   blocked caller *helps* — it pops and runs other queued jobs while
+//!   waiting — so nested `map` calls cannot deadlock even when every
+//!   worker is busy.
 //! - **Dynamic balancing.** `map` hands out items one atomic increment at a
 //!   time instead of pre-chunking, so a thread that drew cheap items simply
 //!   claims more; nobody idles behind a straggler.
@@ -23,10 +22,9 @@
 //!
 //! Jobs borrow the caller's stack (like `std::thread::scope`). The borrow
 //! is erased to `'static` to sit in the shared queue, which is sound
-//! because both `join` and `map` block until every job they pushed has
-//! either been executed or been reclaimed from the queue *and* every
-//! borrowing closure has signalled completion — no reference outlives the
-//! call that created it.
+//! because `map` blocks until every job it pushed has either been executed
+//! or been reclaimed from the queue *and* every borrowing closure has
+//! signalled completion — no reference outlives the call that created it.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -117,7 +115,7 @@ static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 impl WorkerPool {
     /// The process-wide pool, started on first use with
     /// `available_parallelism() - 1` workers (the calling thread is the
-    /// extra lane — both `join` and `map` keep the caller working).
+    /// extra lane — `map` keeps the caller working).
     pub fn global() -> &'static WorkerPool {
         GLOBAL.get_or_init(|| {
             let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -157,62 +155,13 @@ impl WorkerPool {
 
     /// Submits a fire-and-forget job.
     ///
-    /// Unlike [`join`](WorkerPool::join)/[`map`](WorkerPool::map) jobs,
-    /// which capture their own panics and resurface them at the submitting
-    /// call site, a `spawn`ed job has no caller waiting: if it panics, the
+    /// Unlike [`map`](WorkerPool::map) jobs, which capture their own panics
+    /// and resurface them at the submitting call site, a `spawn`ed job has no caller waiting: if it panics, the
     /// worker running it dies and is respawned, and the panic is otherwise
     /// dropped (or contained, when a helping caller stole the job). The
     /// pool itself stays fully serviceable either way.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         self.push(Box::new(job));
-    }
-
-    /// Runs `a` and `b`, potentially in parallel, and returns both results.
-    ///
-    /// `a` runs on the calling thread; `b` is offered to the pool. If no
-    /// worker picks `b` up by the time `a` finishes, the caller reclaims
-    /// and runs it inline — the fork is free when the pool is saturated.
-    /// A panic in either closure resurfaces here after both have settled.
-    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        struct JoinState<R> {
-            result: UnsafeCell<Option<std::thread::Result<R>>>,
-            done: AtomicBool,
-        }
-        // The pool writes `result` exactly once, strictly before releasing
-        // `done`; the caller reads it strictly after acquiring `done`.
-        unsafe impl<R: Send> Sync for JoinState<R> {}
-
-        let state = JoinState::<RB> { result: UnsafeCell::new(None), done: AtomicBool::new(false) };
-        let ptr = SendPtr(&state as *const JoinState<RB>);
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let ptr = ptr; // capture the whole SendPtr, not the raw field
-            let s = unsafe { &*ptr.0 };
-            let r = catch_unwind(AssertUnwindSafe(b));
-            unsafe { *s.result.get() = Some(r) };
-            s.done.store(true, Ordering::Release);
-        });
-        // Safety: this function does not return (nor unwind) before `done`
-        // is observed, so the borrows inside `job` stay valid while it can
-        // still run. See the module-level safety note.
-        let id = self.push(unsafe { erase(job) });
-
-        let ra = catch_unwind(AssertUnwindSafe(a));
-        if let Some(job) = self.reclaim(id) {
-            job();
-        } else {
-            self.help_until(|| state.done.load(Ordering::Acquire));
-        }
-        let rb = unsafe { (*state.result.get()).take().expect("join job completed") };
-        match (ra, rb) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(p), _) | (_, Err(p)) => resume_unwind(p),
-        }
     }
 
     /// Applies `f` to every item, in parallel, preserving order.
@@ -330,11 +279,11 @@ impl WorkerPool {
     /// Runs queued jobs (any jobs — that's the stealing) until `ready`
     /// holds, parking briefly when the queue is empty.
     ///
-    /// Stolen jobs run under `catch_unwind`: `join` and `map` must not
-    /// unwind past their completion flags (the borrow-erasure safety
-    /// contract), so a panicking fire-and-forget job stolen here is
-    /// contained — `join`/`map` jobs carry their own capture-and-report
-    /// panic handling and are unaffected by the extra guard.
+    /// Stolen jobs run under `catch_unwind`: `map` must not unwind past its
+    /// completion flags (the borrow-erasure safety contract), so a
+    /// panicking fire-and-forget job stolen here is contained — `map` jobs
+    /// carry their own capture-and-report panic handling and are unaffected
+    /// by the extra guard.
     fn help_until(&self, ready: impl Fn() -> bool) {
         while !ready() {
             let job = lock_ignore_poison(&self.inner.queue).pop_front();
@@ -375,7 +324,7 @@ fn worker_loop(inner: &PoolInner) {
             }
         };
         match job {
-            // `join`/`map` jobs contain their own panic capture; a raw
+            // `map` jobs contain their own panic capture; a raw
             // `spawn` job may panic through here, killing this worker — the
             // thread's `RespawnGuard` then starts a replacement, so pool
             // capacity survives. The job runs outside the queue lock, so a
@@ -391,8 +340,8 @@ fn worker_loop(inner: &PoolInner) {
 /// # Safety
 ///
 /// The caller must not return (or unwind) before the job has run to
-/// completion or been reclaimed from the queue — `join` and `map` enforce
-/// this with their completion flags.
+/// completion or been reclaimed from the queue — `map` enforces this with
+/// its completion flags.
 unsafe fn erase(job: Box<dyn FnOnce() + Send + '_>) -> Job {
     std::mem::transmute(job)
 }
@@ -401,21 +350,6 @@ unsafe fn erase(job: Box<dyn FnOnce() + Send + '_>) -> Job {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = WorkerPool::new(2);
-        let x = 10;
-        let (a, b) = pool.join(|| x + 1, || x + 2);
-        assert_eq!((a, b), (11, 12));
-    }
-
-    #[test]
-    fn join_works_with_zero_workers() {
-        let pool = WorkerPool::new(0);
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
 
     #[test]
     fn map_preserves_order_and_covers_all_items() {
@@ -430,20 +364,6 @@ mod tests {
         let pool = WorkerPool::new(2);
         assert_eq!(pool.map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(pool.map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn nested_joins_do_not_deadlock() {
-        // Deeper than the worker count, so progress relies on help-first.
-        let pool = WorkerPool::new(2);
-        fn fib(pool: &WorkerPool, n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
-            a + b
-        }
-        assert_eq!(fib(&pool, 16), 987);
     }
 
     #[test]
@@ -493,16 +413,6 @@ mod tests {
         assert_eq!(pool.map(&items, |&x| x + 1)[0], 1);
     }
 
-    #[test]
-    fn panics_propagate_from_join() {
-        let pool = WorkerPool::new(2);
-        let r = catch_unwind(AssertUnwindSafe(|| pool.join(|| 1, || panic!("b panics"))));
-        assert!(r.is_err());
-        let r = catch_unwind(AssertUnwindSafe(|| pool.join(|| panic!("a panics"), || 2)));
-        assert!(r.is_err());
-        assert_eq!(pool.join(|| 1, || 2), (1, 2));
-    }
-
     /// Spin-waits (bounded) until `cond` holds; panics on timeout.
     fn wait_for(what: &str, cond: impl Fn() -> bool) {
         for _ in 0..2000 {
@@ -529,8 +439,6 @@ mod tests {
             let out = pool.map(&items, |&x| x + 1);
             assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
         }
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
         // ...and worker capacity converges back to the configured count.
         wait_for("respawn", || pool.alive_workers() == 2);
     }
@@ -561,21 +469,19 @@ mod tests {
     fn helping_caller_contains_a_stolen_panicking_job() {
         let pool = WorkerPool::new(1);
         wait_for("worker up", || pool.alive_workers() == 1);
-        // The offered half sleeps on the sole worker while the inline half
-        // enqueues a panicking fire-and-forget job, so the caller usually
-        // ends up in the help loop and steals it. Whether the caller or a
-        // worker runs the panicking job, `join` must return normally.
-        let (a, b) = pool.join(
-            || {
+        // The sole worker's helper job sleeps on item 1 while the caller's
+        // item 0 enqueues a panicking fire-and-forget job, so the caller
+        // usually ends up in the help loop and steals it. Whether the caller
+        // or a worker runs the panicking job, `map` must return normally.
+        let out = pool.map(&[0u32, 1], |&i| {
+            if i == 0 {
                 pool.spawn(|| panic!("stolen panicking job"));
-                1
-            },
-            || {
+            } else {
                 std::thread::sleep(Duration::from_millis(50));
-                2
-            },
-        );
-        assert_eq!((a, b), (1, 2));
+            }
+            i + 1
+        });
+        assert_eq!(out, vec![1, 2]);
         let items: Vec<u32> = (0..32).collect();
         assert_eq!(pool.map(&items, |&x| x * 2)[31], 62);
         wait_for("capacity restored", || pool.alive_workers() == 1);

@@ -9,7 +9,9 @@
 //! - [`build_inlining_tree`] is the paper's Algorithm 2 (tree construction
 //!   with a pluggable partition-edge strategy);
 //! - [`evaluate_inlining_tree`] is Algorithm 1 (optimal configuration by
-//!   bottom-up propagation), with an embarrassingly parallel variant;
+//!   bottom-up propagation) as a sequential walk; the task-DAG executor
+//!   ([`evaluate_inlining_tree_dag`](crate::evaluate_inlining_tree_dag))
+//!   runs the same algorithm in parallel;
 //! - [`space_size`] is the evaluation count: leaves plus one extra
 //!   evaluation per components node.
 
@@ -198,32 +200,6 @@ pub fn evaluate_inlining_tree(
     evaluator: &dyn Evaluator,
     base: InliningConfiguration,
 ) -> (InliningConfiguration, u64) {
-    evaluate_inner(tree, evaluator, base, 0)
-}
-
-/// Parallel variant: children of the top `par_depth` tree levels fan out
-/// over the process-wide [`WorkerPool`](crate::WorkerPool) — persistent
-/// threads with help-first joins, so deep recursion costs no thread spawns
-/// and an idle sibling steals queued work instead of blocking. The
-/// evaluation scheme is embarrassingly parallel (§3.2); memoization in the
-/// evaluator keeps duplicated partial configurations cheap.
-pub fn evaluate_inlining_tree_parallel(
-    tree: &InliningTree,
-    evaluator: &dyn Evaluator,
-    base: InliningConfiguration,
-    par_depth: usize,
-) -> (InliningConfiguration, u64) {
-    evaluate_inner(tree, evaluator, base, par_depth)
-}
-
-fn evaluate_inner(
-    tree: &InliningTree,
-    evaluator: &dyn Evaluator,
-    base: InliningConfiguration,
-    par: usize,
-) -> (InliningConfiguration, u64) {
-    // Safe to unwind here even mid-fan-out: `join`/`map` resurface a
-    // closure panic only after every borrowed job has settled.
     optinline_ir::cancel::checkpoint();
     match tree {
         InliningTree::Leaf => {
@@ -233,17 +209,8 @@ fn evaluate_inner(
         InliningTree::Binary { site, not_inlined, inlined } => {
             let base_no = base.clone().with(*site, Decision::NoInline);
             let base_in = base.with(*site, Decision::Inline);
-            let ((c1, s1), (c2, s2)) = if par > 0 {
-                crate::pool::WorkerPool::global().join(
-                    || evaluate_inner(not_inlined, evaluator, base_no, par - 1),
-                    || evaluate_inner(inlined, evaluator, base_in, par - 1),
-                )
-            } else {
-                (
-                    evaluate_inner(not_inlined, evaluator, base_no, 0),
-                    evaluate_inner(inlined, evaluator, base_in, 0),
-                )
-            };
+            let (c1, s1) = evaluate_inlining_tree(not_inlined, evaluator, base_no);
+            let (c2, s2) = evaluate_inlining_tree(inlined, evaluator, base_in);
             if s1 <= s2 {
                 (c1, s1)
             } else {
@@ -251,15 +218,9 @@ fn evaluate_inner(
             }
         }
         InliningTree::Components(children) => {
-            let results: Vec<(InliningConfiguration, u64)> = if par > 0 {
-                crate::pool::WorkerPool::global()
-                    .map(children, |c| evaluate_inner(c, evaluator, base.clone(), par - 1))
-            } else {
-                children.iter().map(|c| evaluate_inner(c, evaluator, base.clone(), 0)).collect()
-            };
-            let mut merged = base;
-            for (c, _) in &results {
-                merged.merge(c);
+            let mut merged = base.clone();
+            for child in children {
+                merged.merge(&evaluate_inlining_tree(child, evaluator, base.clone()).0);
             }
             let size = evaluator.size_of(&merged);
             (merged, size)
@@ -268,11 +229,8 @@ fn evaluate_inner(
 }
 
 /// Convenience: builds and evaluates the tree for an evaluator's module.
-/// Works against any [`ModuleEvaluator`] — the full
-/// [`CompilerEvaluator`](crate::CompilerEvaluator) or the component-scoped
-/// [`IncrementalEvaluator`](crate::IncrementalEvaluator).
 pub fn optimal_configuration(
-    evaluator: &dyn crate::evaluator::ModuleEvaluator,
+    evaluator: &crate::SizeEvaluator,
     strategy: PartitionStrategy,
 ) -> crate::naive::SearchOutcome {
     let graph = InlineGraph::from_module(evaluator.module());

@@ -4,13 +4,14 @@
 use optinline_codegen::X86Like;
 use optinline_core::{
     cache_meta, module_fingerprint, Evaluator, EvaluatorStats, InliningConfiguration,
-    PersistentCache, SearchSession, SizeEvaluator,
+    PersistentCache, PersistentEvaluator, SearchSession, SizeEvaluator,
 };
 use optinline_heuristics::CostModelInliner;
+use optinline_ir::Module;
 use optinline_workloads::{spec_suite, Benchmark, Scale};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The harness-wide hash-consing session for the task-DAG search
 /// executor: every exhaustive search in a run shares it, so repeated
@@ -35,8 +36,8 @@ pub struct Ctx {
     pub exhaustive_bits: u32,
     /// Where reports are written.
     pub out_dir: PathBuf,
-    /// Use the component-scoped incremental evaluator (default) instead of
-    /// whole-module compiles (`--full-eval`).
+    /// Run the size evaluator in component mode (default) instead of
+    /// whole-module mode (`--full-eval`).
     pub incremental: bool,
     /// Directory for the persistent evaluation store (`--cache-dir`, or
     /// the `OPTINLINE_CACHE_DIR` environment variable): a second harness
@@ -91,6 +92,9 @@ pub struct FileCase {
     /// Size evaluator (x86-like target; incremental or full per
     /// [`Ctx::incremental`]).
     pub evaluator: SizeEvaluator,
+    /// The file's scope in the persistent evaluation store, when the
+    /// harness runs with a cache directory.
+    pub cache: Option<PersistentCache>,
     /// The LLVM-`-Os`-like baseline configuration.
     pub heuristic: InliningConfiguration,
     /// Baseline size (the experiments' 100% reference).
@@ -99,64 +103,80 @@ pub struct FileCase {
     pub no_inline_size: u64,
 }
 
-/// Loads the suite and precomputes per-file baselines. With a cache
-/// directory, every evaluator gets a persistent scope in one shared
-/// store, addressed by its `memo_scope` identity — the same addressing
-/// the CLI uses, so harness and CLI runs share warm entries.
+impl FileCase {
+    /// Wraps `module` for the harness. With a cache directory, the
+    /// evaluator gets a persistent scope in one shared store, addressed by
+    /// its `memo_scope` identity — the same addressing the CLI uses, so
+    /// harness and CLI runs share warm entries.
+    pub fn new(
+        bench: &'static str,
+        module: Module,
+        incremental: bool,
+        cache_dir: Option<&Path>,
+    ) -> FileCase {
+        let file = module.name.clone();
+        let evaluator = SizeEvaluator::new(module, Box::new(X86Like), incremental);
+        let cache = cache_dir.and_then(|dir| {
+            let legacy = module_fingerprint(evaluator.module(), evaluator.target().name());
+            let fp = evaluator.memo_scope().unwrap_or(legacy);
+            let meta = cache_meta(evaluator.module(), evaluator.target().name());
+            PersistentCache::open_scoped(dir, fp, Some(legacy), &meta)
+                .map_err(|e| eprintln!("warning: cache disabled for {file}: {e}"))
+                .ok()
+        });
+        let heuristic = InliningConfiguration::from_decisions(
+            CostModelInliner::default().decide(evaluator.module(), &X86Like),
+        );
+        let mut case = FileCase {
+            bench,
+            file,
+            evaluator,
+            cache,
+            heuristic,
+            heuristic_size: 0,
+            no_inline_size: 0,
+        };
+        (case.heuristic_size, case.no_inline_size) = case.with_evaluator(|ev| {
+            (ev.size_of(&case.heuristic), ev.size_of(&InliningConfiguration::clean_slate()))
+        });
+        case
+    }
+
+    /// Runs `f` against the evaluator experiments query: the size
+    /// evaluator, answered from the file's store scope first when there is
+    /// one.
+    pub fn with_evaluator<R>(&self, f: impl FnOnce(&dyn Evaluator) -> R) -> R {
+        match &self.cache {
+            Some(cache) => {
+                let sites = self.evaluator.sites().clone();
+                f(&PersistentEvaluator::new(&self.evaluator, cache, sites))
+            }
+            None => f(&self.evaluator),
+        }
+    }
+}
+
+/// Loads the suite and precomputes per-file baselines (see
+/// [`FileCase::new`] for the cache directory).
 pub fn load_cases(scale: Scale, incremental: bool, cache_dir: Option<&Path>) -> Vec<FileCase> {
     let suite: Vec<Benchmark> = spec_suite(scale);
     let mut cases = Vec::new();
     for bench in suite {
         for module in bench.files {
-            let file = module.name.clone();
-            let mut evaluator = SizeEvaluator::new(module, Box::new(X86Like), incremental);
-            if let Some(dir) = cache_dir {
-                let legacy = module_fingerprint(evaluator.module(), evaluator.target().name());
-                let fp = evaluator.memo_scope().unwrap_or(legacy);
-                let meta = cache_meta(evaluator.module(), evaluator.target().name());
-                match PersistentCache::open_scoped(dir, fp, Some(legacy), &meta) {
-                    Ok(cache) => evaluator = evaluator.with_persist(Arc::new(cache)),
-                    Err(e) => eprintln!("warning: cache disabled for {file}: {e}"),
-                }
-            }
-            let heuristic = InliningConfiguration::from_decisions(
-                CostModelInliner::default().decide(evaluator.module(), &X86Like),
-            );
-            let heuristic_size = evaluator.size_of(&heuristic);
-            let no_inline_size = evaluator.size_of(&InliningConfiguration::clean_slate());
-            cases.push(FileCase {
-                bench: bench.name,
-                file,
-                evaluator,
-                heuristic,
-                heuristic_size,
-                no_inline_size,
-            });
+            cases.push(FileCase::new(bench.name, module, incremental, cache_dir));
         }
     }
     cases
 }
 
-/// Aggregates evaluator counters across the whole suite.
+/// Aggregates evaluator and store-scope counters across the whole suite.
 pub fn aggregate_stats(cases: &[FileCase]) -> EvaluatorStats {
     let mut agg = EvaluatorStats::default();
     for c in cases {
-        let s = c.evaluator.stats();
-        agg.queries += s.queries;
-        agg.compiles += s.compiles;
-        agg.cache_hits += s.cache_hits;
-        agg.cache_misses += s.cache_misses;
-        agg.cache_evictions += s.cache_evictions;
-        agg.compile_time += s.compile_time;
-        agg.full_module_equivalents += s.full_module_equivalents;
-        agg.fixpoint_cap_hits += s.fixpoint_cap_hits;
-        agg.pipeline.absorb(&s.pipeline);
-        agg.executor_tasks += s.executor_tasks;
-        agg.executor_steals += s.executor_steals;
-        agg.dedup_hits += s.dedup_hits;
-        agg.persist_hits += s.persist_hits;
-        agg.persist_misses += s.persist_misses;
-        agg.persist_loaded += s.persist_loaded;
+        agg.merge(&c.evaluator.stats());
+        if let Some(cache) = &c.cache {
+            agg.absorb_persist(cache.stats());
+        }
     }
     agg
 }
@@ -168,7 +188,7 @@ pub fn stats_footer(cases: &[FileCase]) -> String {
     stats.absorb_executor(search_session().stats());
     // All cases share one store (same directory), so its store-wide I/O
     // counters fold in exactly once.
-    if let Some(cache) = cases.iter().find_map(|c| c.evaluator.persist()) {
+    if let Some(cache) = cases.iter().find_map(|c| c.cache.as_ref()) {
         stats.absorb_store(cache.store_stats());
     }
     format!("evaluator: {}", stats.render())
@@ -217,4 +237,49 @@ pub fn relative_table(title: &str, cases: &[FileCase], tuned: impl Fn(&FileCase)
     let _ = writeln!(out, "{:<12} median relative size: {median:>6.2}%", "");
     let _ = writeln!(out, "{:<12} total  relative size: {total:>6.2}%", "");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optinline_core::Objective;
+
+    #[test]
+    fn pareto_cycle_counters_reach_the_footer() {
+        let module =
+            optinline_workloads::generate_file(&optinline_workloads::GenParams::named("footer", 5));
+        let cases = vec![FileCase::new("bench", module, true, None)];
+        assert!(!stats_footer(&cases).contains("cycles:"), "size-only so far");
+        let measured =
+            cases[0].with_evaluator(|ev| ev.measure(&cases[0].heuristic, Objective::Pareto));
+        assert!(measured.cycles.is_some(), "generated modules have a public main");
+        let footer = stats_footer(&cases);
+        assert!(footer.contains("cycles: 1 measures / 1 compiles"), "{footer}");
+    }
+
+    #[test]
+    fn store_counters_fold_in_once_per_case() {
+        let dir = std::env::temp_dir().join(format!("optinline-exp-footer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let module = |seed| {
+            optinline_workloads::generate_file(&optinline_workloads::GenParams::named(
+                format!("file{seed}"),
+                seed,
+            ))
+        };
+        let cases: Vec<FileCase> =
+            (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
+        // Two baseline queries per case, all against cold scopes.
+        let stats = aggregate_stats(&cases);
+        assert_eq!(stats.persist_hits + stats.persist_misses, 4);
+        assert_eq!(stats.persist_loaded, 0);
+        drop(cases);
+        let warm: Vec<FileCase> =
+            (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
+        let stats = aggregate_stats(&warm);
+        assert_eq!((stats.persist_hits, stats.persist_misses), (4, 0));
+        assert_eq!(stats.compiles, 0, "a warm harness run answers from disk");
+        drop(warm);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -35,9 +35,10 @@ pub fn tune_all(cases: &[FileCase], rounds: usize) -> TuneResults {
             r.init_rounds.insert(case.file.clone(), vec![case.heuristic_size; rounds]);
             continue;
         }
-        let tuner = Autotuner::new(&case.evaluator, sites);
-        let clean = tuner.clean_slate(rounds);
-        let init = tuner.run(case.heuristic.clone(), rounds);
+        let (clean, init) = case.with_evaluator(|ev| {
+            let tuner = Autotuner::new(ev, sites);
+            (tuner.clean_slate(rounds), tuner.run(case.heuristic.clone(), rounds))
+        });
         let fill = |outcome: &optinline_core::autotune::TuneOutcome| -> Vec<u64> {
             let mut sizes: Vec<u64> = Vec::with_capacity(rounds);
             let mut best = u64::MAX;

@@ -6,13 +6,13 @@ use crate::common::Ctx;
 use optinline_callgraph::{dot, PartitionStrategy};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::Autotuner;
-use optinline_core::{tree, CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{tree, Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_ir::Module;
 use optinline_workloads::samples;
 use std::fmt::Write as _;
 
-fn heuristic_cfg(ev: &CompilerEvaluator) -> InliningConfiguration {
+fn heuristic_cfg(ev: &SizeEvaluator) -> InliningConfiguration {
     InliningConfiguration::from_decisions(CostModelInliner::default().decide(ev.module(), &X86Like))
 }
 
@@ -23,7 +23,7 @@ pub fn fig8(ctx: &Ctx) {
     for (label, module) in
         [("outline_trap (blender-like)", samples::outline_trap(6)), ("fig2", samples::fig2())]
     {
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         let optimal = tree::optimal_configuration(&ev, PartitionStrategy::Paper);
         let heur = heuristic_cfg(&ev);
         let h_size = ev.size_of(&heur);
@@ -44,7 +44,7 @@ pub fn fig8(ctx: &Ctx) {
 }
 
 fn autotune_both(module: Module) -> (u64, u64, u64, String, String) {
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let sites = ev.sites().clone();
     let heur = heuristic_cfg(&ev);
     let base = ev.size_of(&heur);
@@ -59,7 +59,7 @@ fn autotune_both(module: Module) -> (u64, u64, u64, String, String) {
 /// Figure 11: the shared-callee star where only collective inlining pays.
 pub fn fig11(ctx: &Ctx) {
     let module = samples::dce_star(5);
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let sites = ev.sites().clone();
     let clean_size = ev.size_of(&InliningConfiguration::clean_slate());
     let all: InliningConfiguration =

@@ -4,7 +4,7 @@
 use crate::common::Ctx;
 use optinline_codegen::{Target, WasmLike, X86Like};
 use optinline_core::autotune::Autotuner;
-use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_ir::Module;
 use optinline_workloads::{amalgamation, large_library};
@@ -15,7 +15,7 @@ fn tune_module(
     target: Box<dyn Target>,
     rounds: usize,
 ) -> (u64, u64, u64, u64, usize) {
-    let ev = CompilerEvaluator::new(module, target);
+    let ev = SizeEvaluator::new(module, target, false);
     let sites = ev.sites().clone();
     let n_sites = sites.len();
     let heuristic = InliningConfiguration::from_decisions(

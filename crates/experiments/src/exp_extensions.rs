@@ -13,7 +13,7 @@ use crate::exp_roofline::OptimalCase;
 use optinline_codegen::X86Like;
 use optinline_core::analysis::RooflineStats;
 use optinline_core::autotune::{site_components, Autotuner};
-use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::TrialInliner;
 use std::fmt::Write as _;
 
@@ -31,12 +31,13 @@ pub fn trials(ctx: &Ctx, optima: &[OptimalCase<'_>]) {
         let trial_cfg = InliningConfiguration::from_decisions(
             TrialInliner::default().decide(o.case.evaluator.module(), &X86Like),
         );
-        let trial_size = o.case.evaluator.size_of(&trial_cfg);
         let sites = o.case.evaluator.sites().clone();
-        let tuner = Autotuner::new(&o.case.evaluator, sites);
-        let clean = tuner.clean_slate(4);
-        let init = tuner.run(o.case.heuristic.clone(), 4);
-        let tuned = Autotuner::combine([&clean, &init]).size;
+        let (trial_size, tuned) = o.case.with_evaluator(|ev| {
+            let tuner = Autotuner::new(ev, sites);
+            let clean = tuner.clean_slate(4);
+            let init = tuner.run(o.case.heuristic.clone(), 4);
+            (ev.size_of(&trial_cfg), Autotuner::combine([&clean, &init]).size)
+        });
         pairs_cost.push((o.case.heuristic_size, o.optimal_size));
         pairs_trial.push((trial_size, o.optimal_size));
         pairs_tuned.push((tuned, o.optimal_size));
@@ -97,22 +98,23 @@ pub fn scalability(ctx: &Ctx, cases: &[FileCase]) {
     let amalgamation = optinline_workloads::amalgamation(ctx.scale);
     let amalgamation_ev =
         optinline_core::SizeEvaluator::new(amalgamation, Box::new(X86Like), ctx.incremental);
-    enum Row<'a> {
-        Suite(&'a FileCase),
-        Amalgamation,
-    }
-    let rows: Vec<Row<'_>> =
-        big.into_iter().take(12).map(Row::Suite).chain([Row::Amalgamation]).collect();
-    for row in rows {
-        let (name, ev): (&str, &optinline_core::SizeEvaluator) = match &row {
-            Row::Suite(c) => (c.file.as_str(), &c.evaluator),
-            Row::Amalgamation => ("sqlite_amalgamation.ir", &amalgamation_ev),
+    // Suite rows, then the amalgamation (`None`).
+    for row in big.into_iter().take(12).map(Some).chain([None]) {
+        let (name, sized) = match row {
+            Some(c) => (c.file.as_str(), &c.evaluator),
+            None => ("sqlite_amalgamation.ir", &amalgamation_ev),
         };
-        let sites = ev.sites().clone();
-        let comps = site_components(ev.module());
-        let tuner = Autotuner::new(ev, sites.clone());
-        let full = tuner.clean_slate(4);
-        let incr = tuner.run_incremental(&comps, InliningConfiguration::clean_slate(), 4);
+        let sites = sized.sites().clone();
+        let comps = site_components(sized.module());
+        let tune = |ev: &dyn Evaluator| {
+            let tuner = Autotuner::new(ev, sites.clone());
+            let full = tuner.clean_slate(4);
+            (full, tuner.run_incremental(&comps, InliningConfiguration::clean_slate(), 4))
+        };
+        let (full, incr) = match row {
+            Some(c) => c.with_evaluator(tune),
+            None => tune(&amalgamation_ev),
+        };
         let equal = full.rounds.len() == incr.rounds.len()
             && full.rounds.iter().zip(&incr.rounds).all(|(a, b)| a.size == b.size);
         let fe = full.total_evaluations();
@@ -157,7 +159,7 @@ pub fn lto(ctx: &Ctx, _cases: &[FileCase]) {
         "{:<10} {:>6} {:>7} {:>13} {:>12} {:>12} {:>10}",
         "program", "files", "xsites", "baseline(B)", "per-file(B)", "linked(B)", "linked rel"
     );
-    let tune = |ev: &CompilerEvaluator, heuristic: &InliningConfiguration| -> u64 {
+    let tune = |ev: &SizeEvaluator, heuristic: &InliningConfiguration| -> u64 {
         let sites = ev.sites().clone();
         if sites.is_empty() {
             return ev.size_of(heuristic);
@@ -167,7 +169,7 @@ pub fn lto(ctx: &Ctx, _cases: &[FileCase]) {
         let init = tuner.run(heuristic.clone(), 3);
         Autotuner::combine([&clean, &init]).size
     };
-    let heuristic_for = |ev: &CompilerEvaluator| {
+    let heuristic_for = |ev: &SizeEvaluator| {
         InliningConfiguration::from_decisions(
             optinline_heuristics::CostModelInliner::default().decide(ev.module(), &X86Like),
         )
@@ -186,7 +188,7 @@ pub fn lto(ctx: &Ctx, _cases: &[FileCase]) {
         let mut per_file_total = 0u64;
         let mut baseline_total = 0u64;
         for m in &files {
-            let ev = CompilerEvaluator::new(m.clone(), Box::new(X86Like));
+            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
             let heuristic = heuristic_for(&ev);
             baseline_total += ev.size_of(&heuristic);
             per_file_total += tune(&ev, &heuristic);
@@ -198,7 +200,7 @@ pub fn lto(ctx: &Ctx, _cases: &[FileCase]) {
             name == "main" || name.contains("xuse")
         });
         let cross_sites = linked.inlinable_sites().len() - per_file_sites;
-        let ev = CompilerEvaluator::new(linked, Box::new(X86Like));
+        let ev = SizeEvaluator::new(linked, Box::new(X86Like), false);
         let heuristic = heuristic_for(&ev);
         let linked_tuned = tune(&ev, &heuristic);
         let _ = writeln!(
@@ -346,18 +348,22 @@ pub fn guarded(ctx: &Ctx, cases: &[FileCase]) {
         let mut tot = [0u64; 6]; // base_size, plain_size, guard_size, base_cyc, plain_cyc, guard_cyc
         for case in cases.iter().filter(|c| c.bench == name) {
             let sites = case.evaluator.sites().clone();
-            let (plain_cfg, guard_cfg) = if sites.is_empty() {
-                (case.heuristic.clone(), case.heuristic.clone())
-            } else {
-                let tuner = Autotuner::new(&case.evaluator, sites);
-                let plain = tuner.run(case.heuristic.clone(), 2);
-                let guard =
-                    tuner.run_guarded(case.heuristic.clone(), 2, &|cfg| cycles_of(case, cfg), 1.02);
-                (plain.best().config.clone(), guard.best().config.clone())
-            };
+            let (plain_cfg, guard_cfg, plain_size, guard_size) = case.with_evaluator(|ev| {
+                let (plain_cfg, guard_cfg) = if sites.is_empty() {
+                    (case.heuristic.clone(), case.heuristic.clone())
+                } else {
+                    let tuner = Autotuner::new(ev, sites);
+                    let plain = tuner.run(case.heuristic.clone(), 2);
+                    let cycles = |cfg: &InliningConfiguration| cycles_of(case, cfg);
+                    let guard = tuner.run_guarded(case.heuristic.clone(), 2, &cycles, 1.02);
+                    (plain.best().config.clone(), guard.best().config.clone())
+                };
+                let (plain_size, guard_size) = (ev.size_of(&plain_cfg), ev.size_of(&guard_cfg));
+                (plain_cfg, guard_cfg, plain_size, guard_size)
+            });
             tot[0] += case.heuristic_size;
-            tot[1] += case.evaluator.size_of(&plain_cfg);
-            tot[2] += case.evaluator.size_of(&guard_cfg);
+            tot[1] += plain_size;
+            tot[2] += guard_size;
             tot[3] += cycles_of(case, &case.heuristic).unwrap_or(0);
             tot[4] += cycles_of(case, &plain_cfg).unwrap_or(0);
             tot[5] += cycles_of(case, &guard_cfg).unwrap_or(0);

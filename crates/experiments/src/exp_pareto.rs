@@ -10,7 +10,7 @@
 
 use crate::common::{bench_names, Ctx, FileCase};
 use optinline_core::autotune::Autotuner;
-use optinline_core::{Evaluator, InliningConfiguration, Objective};
+use optinline_core::{InliningConfiguration, Objective};
 use std::fmt::Write as _;
 
 /// The frontier experiment: per-benchmark size/cycles frontiers vs the
@@ -29,7 +29,7 @@ pub fn pareto(ctx: &Ctx, cases: &[FileCase], rounds: usize) {
 
     let mut fronts = Vec::new();
     for case in cases {
-        let baseline = case.evaluator.measure(&case.heuristic, Objective::Pareto);
+        let baseline = case.with_evaluator(|ev| ev.measure(&case.heuristic, Objective::Pareto));
         let sites = case.evaluator.sites().clone();
         if sites.is_empty() {
             fronts.push(FileFront {
@@ -44,9 +44,10 @@ pub fn pareto(ctx: &Ctx, cases: &[FileCase], rounds: usize) {
             });
             continue;
         }
-        let tuner = Autotuner::new(&case.evaluator, sites);
-        let outcome = tuner
-            .run_pareto([InliningConfiguration::clean_slate(), case.heuristic.clone()], rounds);
+        let outcome = case.with_evaluator(|ev| {
+            Autotuner::new(ev, sites)
+                .run_pareto([InliningConfiguration::clean_slate(), case.heuristic.clone()], rounds)
+        });
         let small = outcome.front.min_size().expect("front is never empty");
         assert!(
             small.measurement.size <= baseline.size,

@@ -41,10 +41,12 @@ pub fn fig19(ctx: &Ctx, cases: &[FileCase]) {
             let tuned_cfg = if sites.is_empty() {
                 case.heuristic.clone()
             } else {
-                let tuner = Autotuner::new(&case.evaluator, sites);
-                let clean = tuner.clean_slate(2);
-                let init = tuner.run(case.heuristic.clone(), 2);
-                Autotuner::combine([&clean, &init]).config
+                case.with_evaluator(|ev| {
+                    let tuner = Autotuner::new(ev, sites);
+                    let clean = tuner.clean_slate(2);
+                    let init = tuner.run(case.heuristic.clone(), 2);
+                    Autotuner::combine([&clean, &init]).config
+                })
             };
             let Some(tuned_cycles) = cycles_under(case, &tuned_cfg) else { continue };
             base_total += base_cycles;

@@ -38,13 +38,15 @@ pub fn compute_optima<'a>(ctx: &Ctx, cases: &'a [FileCase]) -> Vec<OptimalCase<'
             continue;
         };
         let space = space_size(&tree);
-        let (optimal, optimal_size) = evaluate_inlining_tree_dag(
-            &tree,
-            &case.evaluator,
-            InliningConfiguration::clean_slate(),
-            WorkerPool::global(),
-            Some(crate::common::search_session()),
-        );
+        let (optimal, optimal_size) = case.with_evaluator(|ev| {
+            evaluate_inlining_tree_dag(
+                &tree,
+                ev,
+                InliningConfiguration::clean_slate(),
+                WorkerPool::global(),
+                Some(crate::common::search_session()),
+            )
+        });
         out.push(OptimalCase { case, optimal, optimal_size, evaluations: space });
     }
     out

@@ -4,7 +4,7 @@ use crate::common::{bench_names, bench_total, relative_table, Ctx, FileCase};
 use crate::exp_autotune::TuneResults;
 use optinline_codegen::X86Like;
 use optinline_core::autotune::Autotuner;
-use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use std::fmt::Write as _;
 
@@ -65,7 +65,7 @@ pub fn fig18(ctx: &Ctx, cases: &[FileCase], tunes: &TuneResults) {
 /// (the paper's `XalanBitmap.cpp`).
 pub fn table4(ctx: &Ctx) {
     let module = optinline_workloads::samples::xalan_bitmap();
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let sites = ev.sites().clone();
     let heuristic = InliningConfiguration::from_decisions(
         CostModelInliner::default().decide(ev.module(), &X86Like),

@@ -58,7 +58,7 @@ fn usage() -> ! {
         "usage: experiments [--small] [--bits N] [--out DIR] [--full-eval] [--cache-dir DIR] \
          <experiment|all>...\n"
     );
-    eprintln!("  --full-eval  whole-module compiles instead of the incremental evaluator");
+    eprintln!("  --full-eval  whole-module compiles instead of per-component ones");
     eprintln!("  --cache-dir  persistent evaluation store (also: OPTINLINE_CACHE_DIR env var)\n");
     eprintln!("experiments:");
     for (name, desc) in EXPERIMENTS {

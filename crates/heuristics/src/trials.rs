@@ -103,7 +103,7 @@ fn first_undecided(
 mod tests {
     use super::*;
     use optinline_codegen::X86Like;
-    use optinline_core::{CompilerEvaluator, Evaluator, InliningConfiguration};
+    use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
     use optinline_ir::{BinOp, FuncBuilder, Linkage};
 
     fn wrapper_chain() -> Module {
@@ -138,7 +138,7 @@ mod tests {
         let decisions = TrialInliner::default().decide(&m, &X86Like);
         assert!(decisions.values().any(|&d| d == Decision::Inline));
         // Trials measure, so the result can never be worse than no-inline.
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let trial_cfg = InliningConfiguration::from_decisions(
             TrialInliner::default().decide(ev.module(), &X86Like),
         );

@@ -195,6 +195,11 @@ fn identical_concurrent_requests_collapse_into_one_evaluation() {
     wait_until("all clients to join the in-flight evaluation", Duration::from_secs(10), || {
         handle.stats().dedup_joined == (CLIENTS as u64 - 1)
     });
+    // The flight is recorded before the evaluation thread that enters the
+    // handler is spawned, so the leader's entry can trail the joins.
+    wait_until("the leader to enter the handler", Duration::from_secs(10), || {
+        handled.load(Ordering::SeqCst) >= 1
+    });
     assert_eq!(handled.load(Ordering::SeqCst), 1, "only the leader runs the handler");
     gate.release();
 

@@ -391,7 +391,7 @@ mod tests {
     use super::*;
     use optinline_callgraph::Decision;
     use optinline_codegen::X86Like;
-    use optinline_core::{autotune::Autotuner, CompilerEvaluator, InliningConfiguration};
+    use optinline_core::{autotune::Autotuner, InliningConfiguration, SizeEvaluator};
     use optinline_heuristics::CostModelInliner;
     use optinline_ir::interp::Interp;
 
@@ -401,7 +401,7 @@ mod tests {
         let main = m.func_by_name("main").unwrap();
         let out = Interp::new(&m).run(main, &[5]).unwrap();
         assert_eq!(out.ret, Some(0)); // bar(0) == 0 in the first iteration
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let site = *ev.sites().iter().next().unwrap();
         let clean = ev.size_of(&InliningConfiguration::clean_slate());
         let inl = ev.size_of(&InliningConfiguration::clean_slate().with(site, Decision::Inline));
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn dce_star_needs_collective_inlining() {
         let m = dce_star(5);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let clean = ev.size_of(&InliningConfiguration::clean_slate());
         // Any single inline grows the binary…
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn dce_chain_favors_heuristic_initialization() {
         let m = dce_chain();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let tuner = Autotuner::new(&ev, sites.clone());
         let clean = tuner.clean_slate(1);
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn outline_trap_favors_clean_slate() {
         let m = outline_trap(6);
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let tuner = Autotuner::new(&ev, sites.clone());
         let clean = tuner.clean_slate(1);
@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn xalan_bitmap_improves_over_rounds() {
         let m = xalan_bitmap();
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         let tuner = Autotuner::new(&ev, sites);
         let out = tuner.clean_slate(4);

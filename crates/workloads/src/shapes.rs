@@ -168,10 +168,10 @@ mod tests {
     #[test]
     fn shapes_interpret_and_search_soundly() {
         use optinline_codegen::X86Like;
-        use optinline_core::{exhaustive_search, CompilerEvaluator};
+        use optinline_core::{exhaustive_search, SizeEvaluator};
         for m in [chain(4), star(3, 6), binary_tree(3), components(3)] {
             let name = m.name.clone();
-            let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+            let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
             let sites = ev.sites().clone();
             let naive = exhaustive_search(&ev, &sites);
             let tree = optinline_core::tree::optimal_configuration(&ev, PartitionStrategy::Paper);

@@ -8,7 +8,7 @@ use optinline::prelude::*;
 use optinline::workloads::{amalgamation, Scale};
 
 fn study(target_name: &str, target: Box<dyn Target>, module: Module) {
-    let ev = CompilerEvaluator::new(module, target);
+    let ev = SizeEvaluator::new(module, target, false);
     let sites = ev.sites().clone();
     let clean_size = ev.size_of(&InliningConfiguration::clean_slate());
     let heuristic = InliningConfiguration::from_decisions(

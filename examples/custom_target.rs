@@ -55,7 +55,7 @@ impl Target for ThumbLike {
 }
 
 fn optimal_inline_count(module: &Module, target: Box<dyn Target>) -> (usize, u64, String) {
-    let ev = CompilerEvaluator::new(module.clone(), target);
+    let ev = SizeEvaluator::new(module.clone(), target, false);
     let outcome = optinline::core::tree::optimal_configuration(&ev, PartitionStrategy::Paper);
     (outcome.config.inlined_count(), outcome.size, ev.target().name().to_string())
 }

@@ -45,7 +45,7 @@ fn main() {
         b.ret(Some(c));
     }
 
-    let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+    let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
     let n = ev.sites().len();
     println!("module has {n} inlinable call sites -> naive space 2^{n} = {}", 1u64 << n);
 

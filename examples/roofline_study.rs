@@ -22,7 +22,7 @@ fn main() {
             call_density: 1.4,
             ..GenParams::named(format!("file{seed:02}"), seed * 77 + 5)
         });
-        let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         if sites.is_empty() || sites.len() > 14 {
             continue;

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("interpreted: returns {:?}, counter = {}", before.ret, before.globals[0]);
 
     // ...find the optimal inlining...
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let optimal = optinline::core::tree::optimal_configuration(&ev, PartitionStrategy::Paper);
     println!(
         "\noptimal configuration ({} of {} sites inlined, {} B): {}",

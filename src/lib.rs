@@ -25,7 +25,7 @@
 //!
 //! // Find the optimal inlining for one of the paper's figures.
 //! let module = optinline::workloads::samples::fig5();
-//! let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+//! let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
 //! let optimal = optinline::core::tree::optimal_configuration(&ev, PartitionStrategy::Paper);
 //! assert!(optimal.evaluations <= 32); // recursively partitioned ≤ naive 2^5
 //! ```
@@ -43,8 +43,7 @@ pub mod prelude {
     pub use optinline_callgraph::{Decision, InlineGraph, PartitionStrategy};
     pub use optinline_codegen::{text_size, Target, WasmLike, X86Like};
     pub use optinline_core::{
-        autotune::Autotuner, CompilerEvaluator, Evaluator, EvaluatorStats, IncrementalEvaluator,
-        InliningConfiguration, ModuleEvaluator, SizeEvaluator,
+        autotune::Autotuner, Evaluator, EvaluatorStats, InliningConfiguration, SizeEvaluator,
     };
     pub use optinline_heuristics::CostModelInliner;
     pub use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};

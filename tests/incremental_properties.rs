@@ -1,7 +1,7 @@
-//! Properties of the component-scoped incremental evaluator, spanning
-//! crates: over generated programs it must be byte-identical to the
-//! whole-module `CompilerEvaluator` on *every* configuration, and on
-//! multi-component workloads it must do measurably less compile work.
+//! Properties of the size evaluator's component mode, spanning crates:
+//! over generated programs it must be byte-identical to whole-module mode
+//! on *every* configuration, and on multi-component workloads it must do
+//! measurably less compile work.
 
 use optinline::prelude::*;
 use optinline::workloads::GenParams;
@@ -62,8 +62,8 @@ fn arb_decisions(module: &Module, seed: u64) -> InliningConfiguration {
 fn incremental_evaluator_is_byte_identical_to_full_compiles() {
     for case in 0..40u64 {
         let module = optinline::workloads::generate_file(&params_from(case));
-        let full = CompilerEvaluator::new(module.clone(), Box::new(X86Like));
-        let inc = IncrementalEvaluator::new(module.clone(), Box::new(X86Like));
+        let full = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
+        let inc = SizeEvaluator::new(module.clone(), Box::new(X86Like), true);
         let mut configs = vec![
             InliningConfiguration::clean_slate(),
             module
@@ -121,14 +121,14 @@ fn incremental_halves_compile_work_on_multi_component_workloads() {
             call_window: 1,
             ..GenParams::named(format!("multi{seed}"), seed)
         });
-        let full = IncrementalEvaluatorHarness::full(module.clone());
-        let inc = IncrementalEvaluatorHarness::incremental(module);
+        let full = SizeEvaluator::new(module.clone(), Box::new(X86Like), false);
+        let inc = SizeEvaluator::new(module, Box::new(X86Like), true);
         if inc.component_count() < 2 {
             continue;
         }
         measured += 1;
-        let (full_best, full_work) = full.autotune();
-        let (inc_best, inc_work) = inc.autotune();
+        let (full_best, full_work) = autotune(&full);
+        let (inc_best, inc_work) = autotune(&inc);
         assert_eq!(full_best, inc_best, "seed {seed}: evaluators tuned to different sizes");
         total_full += full_work;
         total_inc += inc_work;
@@ -141,40 +141,10 @@ fn incremental_halves_compile_work_on_multi_component_workloads() {
     );
 }
 
-/// Small harness pairing an evaluator with the tuning workload used by the
-/// work-saving property above.
-struct IncrementalEvaluatorHarness {
-    ev: SizeEvaluator,
-    components: usize,
-}
-
-impl IncrementalEvaluatorHarness {
-    fn full(module: Module) -> Self {
-        IncrementalEvaluatorHarness {
-            ev: SizeEvaluator::new(module, Box::new(X86Like), false),
-            components: 1,
-        }
-    }
-
-    fn incremental(module: Module) -> Self {
-        let probe = IncrementalEvaluator::new(module.clone(), Box::new(X86Like));
-        let components = probe.component_count();
-        IncrementalEvaluatorHarness {
-            ev: SizeEvaluator::new(module, Box::new(X86Like), true),
-            components,
-        }
-    }
-
-    fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Runs two clean-slate autotuning rounds and reports (best size,
-    /// full-module-equivalent compile work).
-    fn autotune(&self) -> (u64, f64) {
-        let sites = self.ev.sites().clone();
-        let tuner = Autotuner::new(&self.ev, sites);
-        let outcome = tuner.clean_slate(2);
-        (outcome.best().size, self.ev.stats().full_module_equivalents)
-    }
+/// Runs two clean-slate autotuning rounds and reports (best size,
+/// full-module-equivalent compile work).
+fn autotune(ev: &SizeEvaluator) -> (u64, f64) {
+    let tuner = Autotuner::new(ev, ev.sites().clone());
+    let outcome = tuner.clean_slate(2);
+    (outcome.best().size, ev.stats().full_module_equivalents)
 }

@@ -95,7 +95,7 @@ fn merge_functions_breaks_component_independence() {
 #[test]
 fn tree_search_remains_sound_without_merging() {
     let (m, _, _) = twin_components();
-    let ev = CompilerEvaluator::new(m, Box::new(X86Like));
+    let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
     let sites = ev.sites().clone();
     let naive = optinline::core::exhaustive_search(&ev, &sites);
     let tree = optinline::core::tree::optimal_configuration(&ev, PartitionStrategy::Paper);

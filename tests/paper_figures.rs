@@ -2,13 +2,13 @@
 //! space sizes, and optimal-search soundness on the sample modules.
 
 use optinline::core::tree::{build_inlining_tree, evaluate_inlining_tree, space_size};
-use optinline::core::{exhaustive_search, CompilerEvaluator, InliningConfiguration};
+use optinline::core::{exhaustive_search, InliningConfiguration, SizeEvaluator};
 use optinline::prelude::*;
 use optinline::workloads::samples;
 
 fn assert_tree_matches_naive(module: Module) {
     let name = module.name.clone();
-    let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
     let sites = ev.sites().clone();
     assert!(sites.len() <= 16, "{name}: too many sites for a naive cross-check");
     let naive = exhaustive_search(&ev, &sites);
@@ -72,7 +72,7 @@ fn fig4_components_are_explored_independently() {
     let graph = InlineGraph::from_module(&samples::fig4());
     let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
     assert_eq!(space_size(&tree), 7);
-    let ev = CompilerEvaluator::new(samples::fig4(), Box::new(X86Like));
+    let ev = SizeEvaluator::new(samples::fig4(), Box::new(X86Like), false);
     evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
     assert!(u128::from(ev.compilations()) <= 7);
 }
@@ -81,7 +81,7 @@ fn fig4_components_are_explored_independently() {
 fn optimal_beats_or_matches_every_strategy_on_every_sample() {
     for module in optinline::workloads::paper_samples() {
         let name = module.name.clone();
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         if ev.sites().len() > 16 {
             continue;
         }
@@ -105,7 +105,7 @@ fn interpreting_samples_is_invariant_under_optimal_inlining() {
         let Some(main) = module.func_by_name("main") else { continue };
         let args: Vec<i64> = (0..module.func(main).param_count() as i64).map(|i| i + 3).collect();
         let before = optinline::ir::interp::Interp::new(&module).run(main, &args).unwrap();
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         if ev.sites().len() > 16 {
             continue;
         }

@@ -101,7 +101,7 @@ fn tree_search_equals_naive_on_generated_files() {
             recursion: seed % 7 == 0,
             ..GenParams::named(format!("tree{seed}"), seed)
         });
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         if sites.len() > 10 {
             continue;
@@ -119,7 +119,7 @@ fn tree_search_equals_naive_on_generated_files() {
 fn autotuner_rounds_never_lose_to_their_best_base() {
     for case in 0..24u64 {
         let module = optinline::workloads::generate_file(&params_from(case));
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         if sites.is_empty() {
             continue;

@@ -26,7 +26,7 @@ fn incremental_autotuning_is_exact() {
         let n = 3 + (case % 6) as usize;
         let clusters = 1 + (case % 3) as usize;
         let module = gen(seed, n, clusters);
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         let sites = ev.sites().clone();
         if sites.is_empty() {
             continue;
@@ -49,7 +49,7 @@ fn no_strategy_beats_the_exhaustive_optimum() {
     for case in 0..24u64 {
         let seed = case * 41 + 5;
         let module = gen(seed, 3 + (seed % 3) as usize, 1 + (seed % 2) as usize);
-        let ev = CompilerEvaluator::new(module, Box::new(X86Like));
+        let ev = SizeEvaluator::new(module, Box::new(X86Like), false);
         if ev.sites().len() > 10 || ev.sites().is_empty() {
             continue;
         }
