@@ -156,10 +156,11 @@ impl WorkerPool {
     /// Submits a fire-and-forget job.
     ///
     /// Unlike [`map`](WorkerPool::map) jobs, which capture their own panics
-    /// and resurface them at the submitting call site, a `spawn`ed job has no caller waiting: if it panics, the
-    /// worker running it dies and is respawned, and the panic is otherwise
-    /// dropped (or contained, when a helping caller stole the job). The
-    /// pool itself stays fully serviceable either way.
+    /// and resurface them at the submitting call site, a `spawn`ed job has
+    /// no caller waiting: if it panics, the worker running it dies and is
+    /// respawned, and the panic is otherwise dropped (or contained, when a
+    /// helping caller stole the job). The pool itself stays fully
+    /// serviceable either way.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         self.push(Box::new(job));
     }
