@@ -1,6 +1,6 @@
 //! Benches for the `optinline-serve` daemon: transport round-trip
 //! latency (ping, and a no-op request through the full admission →
-//! dispatch → fan-out path) and concurrent batch throughput with
+//! worker → fan-out path) and concurrent batch throughput with
 //! identical vs distinct request identities — the dedup payoff behind
 //! `results/perf_serve.txt`.
 
@@ -62,8 +62,8 @@ fn bench_module(bits: u32) -> String {
     module.to_string()
 }
 
-/// Replies instantly: what is left is framing, admission, dispatch, the
-/// evaluation thread spawn, and fan-out — the transport's own cost.
+/// Replies instantly: what is left is framing, admission, the worker's
+/// pop and dedup check, and fan-out — the transport's own cost.
 #[derive(Debug)]
 struct EchoHandler;
 
@@ -100,7 +100,7 @@ impl Handler for SearchHandler {
 }
 
 /// Round-trip latency over the unix socket: a ping (pure framing) vs a
-/// no-op request (framing plus the whole queue/dispatch/fan-out path).
+/// no-op request (framing plus the whole queue/worker/fan-out path).
 fn bench_transport(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_transport");
     group.sample_size(10);

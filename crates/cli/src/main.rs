@@ -206,7 +206,7 @@ impl Args {
     }
 }
 
-fn dispatch(cmd: &str, args: &Args) -> Result<(), CliError> {
+fn run_command(cmd: &str, args: &Args) -> Result<(), CliError> {
     match cmd {
         "print" => {
             let out = cmd_print(&args.input()?)?;
@@ -411,7 +411,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = dispatch(&cmd, &args) {
+    if let Err(e) = run_command(&cmd, &args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -35,8 +35,8 @@ pub struct ServeConfig {
     pub cache_budget_bytes: Option<u64>,
     /// Admission queue depth (`--queue`); 0 keeps the default.
     pub queue_capacity: usize,
-    /// Concurrent evaluations (`--max-concurrent`); 0 sizes from the
-    /// worker pool.
+    /// Evaluation workers the daemon starts (`--max-concurrent`), so the
+    /// most evaluations running at once; 0 sizes from the worker pool.
     pub max_concurrent: usize,
 }
 
@@ -116,8 +116,9 @@ impl CliHandler {
     }
 }
 
-/// Parses a wire-format objective spelling; the decode layer has already
-/// defaulted an absent field to `size`.
+/// Parses a wire-format objective spelling. The decode layer only checks
+/// that the field is a string, so an unknown spelling is refused here,
+/// with an `error` event.
 fn parse_objective(s: &str) -> Result<Objective, String> {
     Objective::parse(s)
         .ok_or_else(|| format!("unknown objective `{s}` (expected size|speed|pareto)"))
@@ -196,17 +197,21 @@ impl Handler for CliHandler {
     }
 }
 
-/// Boots a daemon on a background thread and returns its handle —
-/// the building block tests and the equivalence oracle drive directly.
-pub fn start_daemon(config: ServeConfig) -> Result<ServerHandle, CliError> {
+/// Binds a daemon with the CLI's handler to `config`'s endpoint.
+fn bind(config: ServeConfig) -> Result<Server, CliError> {
     let handler = CliHandler::new(config.cache_dir, config.cache_budget_bytes)?;
-    let mut opts = ServeOptions::default();
+    let mut opts =
+        ServeOptions { max_concurrent: config.max_concurrent, ..ServeOptions::default() };
     if config.queue_capacity > 0 {
         opts.queue_capacity = config.queue_capacity;
     }
-    opts.max_concurrent = config.max_concurrent;
-    let server = Server::bind(config.endpoint, Box::new(handler), opts)?;
-    Ok(server.start())
+    Ok(Server::bind(config.endpoint, Box::new(handler), opts)?)
+}
+
+/// Boots a daemon on a background thread and returns its handle —
+/// the building block tests and the equivalence oracle drive directly.
+pub fn start_daemon(config: ServeConfig) -> Result<ServerHandle, CliError> {
+    Ok(bind(config)?.start())
 }
 
 /// `optinline serve` — runs the daemon on the calling thread until a
@@ -214,14 +219,7 @@ pub fn start_daemon(config: ServeConfig) -> Result<ServerHandle, CliError> {
 /// stats report.
 pub fn cmd_serve(config: ServeConfig) -> Result<String, CliError> {
     let endpoint = config.endpoint.clone();
-    let handler = CliHandler::new(config.cache_dir, config.cache_budget_bytes)?;
-    let mut opts = ServeOptions::default();
-    if config.queue_capacity > 0 {
-        opts.queue_capacity = config.queue_capacity;
-    }
-    opts.max_concurrent = config.max_concurrent;
-    let server =
-        Server::bind(endpoint.clone(), Box::new(handler), opts)?.drain_on(install_drain_handler());
+    let server = bind(config)?.drain_on(install_drain_handler());
     eprintln!("[serve] listening on {endpoint}");
     let stats = server.run()?;
     Ok(render_server_stats(&stats))

@@ -191,9 +191,9 @@ fn identical_concurrent_requests_evaluate_once() {
     .expect("daemon boots");
 
     // All clients connect first, then fire the same request through a
-    // barrier; the dispatcher's dedup check runs in microseconds while
-    // the search itself takes milliseconds, so followers join the
-    // leader's in-flight evaluation.
+    // barrier; a worker's dedup check runs in microseconds while the
+    // search itself takes milliseconds, so followers join the leader's
+    // in-flight evaluation.
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let workers: Vec<_> = (0..CLIENTS)
         .map(|_| {

@@ -777,30 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_survives_concurrent_worker_panics() {
-        // Fire-and-forget panicking jobs kill pool workers mid-run; the
-        // respawn guard must keep the DAG's queued lane work flowing and
-        // the result identical to the sequential walk.
-        let m = module_from_shape(5, &[(0, 1), (1, 2), (3, 4)], 13);
-        let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
-        let graph = InlineGraph::from_module(ev.module());
-        let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
-        let seq = evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
-        let pool = WorkerPool::new(2);
-        for _ in 0..4 {
-            pool.spawn(|| panic!("worker-killing job"));
-        }
-        let dag = evaluate_inlining_tree_dag(
-            &tree,
-            &ev,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            None,
-        );
-        assert_eq!(seq, dag);
-    }
-
-    #[test]
     fn evaluator_panics_propagate_without_deadlock() {
         struct Boom;
         impl Evaluator for Boom {

@@ -108,8 +108,6 @@ pub struct EvaluatorStats {
     pub cache_hits: u64,
     /// Memo-cache misses.
     pub cache_misses: u64,
-    /// Memo-cache entries displaced by a capacity bound (0 when unbounded).
-    pub cache_evictions: u64,
     /// Entries resident per cache shard.
     pub shard_loads: Vec<usize>,
     /// Compilations per call-graph component (empty in whole-module mode,
@@ -224,7 +222,6 @@ impl EvaluatorStats {
         self.compiles += other.compiles;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         if self.shard_loads.len() < other.shard_loads.len() {
             self.shard_loads.resize(other.shard_loads.len(), 0);
         }

@@ -1,6 +1,6 @@
-//! A persistent work-stealing worker pool (std-only).
+//! A persistent work-stealing `map` executor (std-only).
 //!
-//! The tree search ([`crate::tree`]) and the autotuner
+//! The DAG tree search ([`crate::evaluate_inlining_tree_dag`]) and the autotuner
 //! ([`crate::autotune`]) both fan work out across threads. Spawning scoped
 //! threads at every recursion node pays a thread-creation tax per node and
 //! statically splits work that is wildly uneven (one subtree may compile
@@ -61,42 +61,6 @@ struct PoolInner {
     available: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    /// Live worker threads; kept at the configured count by the respawn
-    /// guard even when a job panic kills a worker.
-    alive: AtomicUsize,
-}
-
-/// Restores pool capacity when a worker dies of a panic: spawns a
-/// replacement thread unless the pool is shutting down. Armed for the whole
-/// life of a worker thread; a clean (shutdown) exit only decrements the
-/// live count.
-struct RespawnGuard {
-    inner: Arc<PoolInner>,
-    index: usize,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        self.inner.alive.fetch_sub(1, Ordering::SeqCst);
-        if std::thread::panicking() && !self.inner.shutdown.load(Ordering::Acquire) {
-            spawn_worker(Arc::clone(&self.inner), self.index);
-        }
-    }
-}
-
-/// Starts one worker thread (initial startup and panic respawn).
-fn spawn_worker(inner: Arc<PoolInner>, index: usize) {
-    let for_thread = Arc::clone(&inner);
-    inner.alive.fetch_add(1, Ordering::SeqCst);
-    let spawned =
-        std::thread::Builder::new().name(format!("optinline-worker-{index}")).spawn(move || {
-            let guard = RespawnGuard { inner: for_thread, index };
-            worker_loop(&guard.inner);
-        });
-    if spawned.is_err() {
-        // Could not start the thread at all; don't count a ghost worker.
-        inner.alive.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// Raw pointer that may cross threads; the pool's blocking protocol keeps
@@ -133,10 +97,14 @@ impl WorkerPool {
             available: Condvar::new(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            alive: AtomicUsize::new(0),
         });
         for i in 0..threads {
-            spawn_worker(Arc::clone(&inner), i);
+            let inner = Arc::clone(&inner);
+            // A worker that fails to start only costs parallelism: `map`
+            // reclaims the helper jobs nobody picked up and runs them.
+            let _ = std::thread::Builder::new()
+                .name(format!("optinline-worker-{i}"))
+                .spawn(move || worker_loop(&inner));
         }
         WorkerPool { inner, threads }
     }
@@ -144,25 +112,6 @@ impl WorkerPool {
     /// Number of worker threads (not counting callers).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Number of currently live worker threads. Transiently below
-    /// [`threads`](WorkerPool::threads) while a panicked worker is being
-    /// respawned; converges back to it.
-    pub fn alive_workers(&self) -> usize {
-        self.inner.alive.load(Ordering::SeqCst)
-    }
-
-    /// Submits a fire-and-forget job.
-    ///
-    /// Unlike [`map`](WorkerPool::map) jobs, which capture their own panics
-    /// and resurface them at the submitting call site, a `spawn`ed job has
-    /// no caller waiting: if it panics, the worker running it dies and is
-    /// respawned, and the panic is otherwise dropped (or contained, when a
-    /// helping caller stole the job). The pool itself stays fully
-    /// serviceable either way.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.push(Box::new(job));
     }
 
     /// Applies `f` to every item, in parallel, preserving order.
@@ -281,10 +230,9 @@ impl WorkerPool {
     /// holds, parking briefly when the queue is empty.
     ///
     /// Stolen jobs run under `catch_unwind`: `map` must not unwind past its
-    /// completion flags (the borrow-erasure safety contract), so a
-    /// panicking fire-and-forget job stolen here is contained — `map` jobs
-    /// carry their own capture-and-report panic handling and are unaffected
-    /// by the extra guard.
+    /// completion flags (the borrow-erasure safety contract). Every queued
+    /// job is a `map` helper that captures and reports its own panics, so
+    /// the guard is a backstop.
     fn help_until(&self, ready: impl Fn() -> bool) {
         while !ready() {
             let job = lock_ignore_poison(&self.inner.queue).pop_front();
@@ -325,11 +273,7 @@ fn worker_loop(inner: &PoolInner) {
             }
         };
         match job {
-            // `map` jobs contain their own panic capture; a raw
-            // `spawn` job may panic through here, killing this worker — the
-            // thread's `RespawnGuard` then starts a replacement, so pool
-            // capacity survives. The job runs outside the queue lock, so a
-            // panic cannot poison shared state mid-mutation.
+            // Every job is a `map` helper, which captures its own panics.
             Some(job) => job(),
             None => return,
         }
@@ -414,78 +358,28 @@ mod tests {
         assert_eq!(pool.map(&items, |&x| x + 1)[0], 1);
     }
 
-    /// Spin-waits (bounded) until `cond` holds; panics on timeout.
-    fn wait_for(what: &str, cond: impl Fn() -> bool) {
-        for _ in 0..2000 {
-            if cond() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("timed out waiting for {what}");
-    }
-
     #[test]
-    fn panicking_spawn_jobs_do_not_poison_or_shrink_the_pool() {
-        let pool = WorkerPool::new(2);
-        wait_for("workers up", || pool.alive_workers() == 2);
-        // More panicking jobs than workers: every worker dies at least once
-        // if it picks one up; each death must respawn a replacement.
-        for _ in 0..8 {
-            pool.spawn(|| panic!("worker-killing job"));
-        }
-        // The pool keeps serving work correctly throughout...
-        let items: Vec<u64> = (0..64).collect();
-        for _ in 0..4 {
-            let out = pool.map(&items, |&x| x + 1);
-            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-        }
-        // ...and worker capacity converges back to the configured count.
-        wait_for("respawn", || pool.alive_workers() == 2);
-    }
-
-    #[test]
-    fn panicking_spawn_then_shutdown_does_not_deadlock() {
+    fn stolen_map_jobs_report_panics_to_their_own_map() {
+        // Row 1's inner map panics on one column. Whichever thread runs
+        // that item — its own caller, the worker, or the other row's
+        // caller helping while it waits — the panic resurfaces at row 1's
+        // inner `map` only, and the pool keeps serving.
         let pool = WorkerPool::new(1);
-        wait_for("worker up", || pool.alive_workers() == 1);
-        pool.spawn(|| panic!("boom"));
-        wait_for("respawn", || pool.alive_workers() == 1);
-        drop(pool); // must not hang on a dead or poisoned worker
-    }
-
-    #[test]
-    fn spawn_runs_fire_and_forget_jobs() {
-        let pool = WorkerPool::new(2);
-        let counter = Arc::new(AtomicU32::new(0));
-        for _ in 0..16 {
-            let counter = Arc::clone(&counter);
-            pool.spawn(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        wait_for("jobs drained", || counter.load(Ordering::SeqCst) == 16);
-    }
-
-    #[test]
-    fn helping_caller_contains_a_stolen_panicking_job() {
-        let pool = WorkerPool::new(1);
-        wait_for("worker up", || pool.alive_workers() == 1);
-        // The sole worker's helper job sleeps on item 1 while the caller's
-        // item 0 enqueues a panicking fire-and-forget job, so the caller
-        // usually ends up in the help loop and steals it. Whether the caller
-        // or a worker runs the panicking job, `map` must return normally.
-        let out = pool.map(&[0u32, 1], |&i| {
-            if i == 0 {
-                pool.spawn(|| panic!("stolen panicking job"));
-            } else {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            i + 1
+        let rows: Vec<u32> = (0..4).collect();
+        let cols: Vec<u32> = (0..8).collect();
+        let failed = pool.map(&rows, |&r| {
+            catch_unwind(AssertUnwindSafe(|| {
+                pool.map(&cols, |&c| {
+                    if r == 1 && c == 5 {
+                        panic!("inner boom");
+                    }
+                    c
+                })
+            }))
+            .is_err()
         });
-        assert_eq!(out, vec![1, 2]);
-        let items: Vec<u32> = (0..32).collect();
-        assert_eq!(pool.map(&items, |&x| x * 2)[31], 62);
-        wait_for("capacity restored", || pool.alive_workers() == 1);
+        assert_eq!(failed, vec![false, true, false, false]);
+        assert_eq!(pool.map(&cols, |&x| x * 2)[7], 14);
     }
 
     #[test]
@@ -493,28 +387,5 @@ mod tests {
         let a = WorkerPool::global() as *const WorkerPool;
         let b = WorkerPool::global() as *const WorkerPool;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn respawn_after_panic_drains_already_queued_jobs() {
-        // Regression test for the DAG executor's lane drivers: a panicking
-        // job in front of a full queue must not strand the jobs behind it.
-        // The replacement worker (RespawnGuard) has to pick up the same
-        // shared queue and drain everything that was enqueued *before* the
-        // panic happened.
-        let pool = WorkerPool::new(1);
-        let done = Arc::new(AtomicU32::new(0));
-        pool.spawn(|| {
-            std::thread::sleep(Duration::from_millis(20));
-            panic!("queue-head job dies");
-        });
-        for _ in 0..64 {
-            let done = Arc::clone(&done);
-            pool.spawn(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        wait_for("queued jobs survive the respawn", || done.load(Ordering::Relaxed) == 64);
-        wait_for("capacity restored", || pool.alive_workers() == 1);
     }
 }

@@ -9,11 +9,10 @@
 //! the evaluation in `catch_unwind` (the serve executor does) downcasts
 //! the payload to tell "cancelled" apart from a genuine panic.
 //!
-//! Unwinding is safe at every checkpoint because all three evaluation
-//! drivers already contain panics for fault tolerance: the worker pool's
-//! `join`/`map` resurface a closure panic only after every borrowed job
-//! has settled, and the DAG runner catches per-task panics into an
-//! abort flag.
+//! Unwinding is safe at every checkpoint because both evaluation drivers
+//! already contain panics for fault tolerance: the worker pool's `map`
+//! resurfaces a closure panic only after every borrowed job has settled,
+//! and the DAG runner catches per-task panics into an abort flag.
 //!
 //! One subtlety: a worker that *helps* — steals queued jobs belonging to
 //! other requests while waiting for its own — must not apply its own

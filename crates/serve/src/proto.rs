@@ -15,9 +15,13 @@
 //!  "full_eval":false,"stats":false,"pass_stats":false,"objective":"pareto"}
 //! ```
 //!
-//! `objective` is `size` | `speed` | `pareto` and defaults to `size` when
-//! absent, so pre-measurement clients keep working and keep their dedup
-//! identities (the identity always hashes the effective objective).
+//! `objective` is `size` | `speed` | `pareto`. A request must carry every
+//! field of its kind except the boolean flags, which default to `false`
+//! when absent, and the optional `deadline_ms` below. Client and daemon
+//! ship in one binary and every encoder writes every field, so nothing
+//! decodes older lines: a request line missing a field is answered with
+//! `error{id: 0, "bad request: …"}`, and a `stats` event must carry every
+//! counter.
 //!
 //! `id` is chosen by the client and echoed on every event for that
 //! request; it only needs to be unique per connection.
@@ -97,7 +101,7 @@ pub enum RequestKind {
         full_sweep: bool,
         /// Append the per-pass table to the report.
         pass_stats: bool,
-        /// `size` | `speed` | `pareto` (absent on the wire means `size`).
+        /// `size` | `speed` | `pareto`.
         objective: String,
     },
     /// Optimal-inlining search over the module's residual tree.
@@ -114,7 +118,7 @@ pub enum RequestKind {
         stats: bool,
         /// Append the per-pass / analysis-cache table to the report.
         pass_stats: bool,
-        /// `size` | `speed` | `pareto` (absent on the wire means `size`).
+        /// `size` | `speed` | `pareto`.
         objective: String,
     },
     /// The paper's local autotuner.
@@ -133,7 +137,7 @@ pub enum RequestKind {
         stats: bool,
         /// Append the per-pass / analysis-cache table to the report.
         pass_stats: bool,
-        /// `size` | `speed` | `pareto` (absent on the wire means `size`).
+        /// `size` | `speed` | `pareto`.
         objective: String,
     },
 }
@@ -350,15 +354,6 @@ fn get_u64(obj: &Object, key: &str) -> Result<u64, String> {
     u64::try_from(n).map_err(|_| format!("field {key:?} must be non-negative"))
 }
 
-/// Absent counter fields decode as 0, so a new client reading an old
-/// daemon's stats line still works.
-fn get_u64_or_0(obj: &Object, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(0),
-        Some(_) => get_u64(obj, key),
-    }
-}
-
 fn get_u32(obj: &Object, key: &str) -> Result<u32, String> {
     u32::try_from(get_u64(obj, key)?).map_err(|_| format!("field {key:?} is out of range"))
 }
@@ -391,19 +386,6 @@ fn get_flag(obj: &Object, key: &str) -> Result<bool, String> {
     match obj.get(key) {
         None => Ok(false),
         Some(v) => v.as_bool().ok_or_else(|| format!("field {key:?} must be a boolean")),
-    }
-}
-
-/// Absent `objective` means `size`, so pre-measurement clients keep
-/// working; the spelling is not validated here — the handler rejects
-/// unknown objectives with a proper `error` event.
-fn get_objective(obj: &Object) -> Result<String, String> {
-    match obj.get("objective") {
-        None => Ok("size".to_string()),
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "field \"objective\" must be a string".to_string()),
     }
 }
 
@@ -471,7 +453,7 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             strategy: get_str(&obj, "strategy")?,
             full_sweep: get_flag(&obj, "full_sweep")?,
             pass_stats: get_flag(&obj, "pass_stats")?,
-            objective: get_objective(&obj)?,
+            objective: get_str(&obj, "objective")?,
         },
         "search" => RequestKind::Search {
             source: get_str(&obj, "source")?,
@@ -480,7 +462,7 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             full_eval: get_flag(&obj, "full_eval")?,
             stats: get_flag(&obj, "stats")?,
             pass_stats: get_flag(&obj, "pass_stats")?,
-            objective: get_objective(&obj)?,
+            objective: get_str(&obj, "objective")?,
         },
         "autotune" => RequestKind::Autotune {
             source: get_str(&obj, "source")?,
@@ -490,7 +472,7 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             full_eval: get_flag(&obj, "full_eval")?,
             stats: get_flag(&obj, "stats")?,
             pass_stats: get_flag(&obj, "pass_stats")?,
-            objective: get_objective(&obj)?,
+            objective: get_str(&obj, "objective")?,
         },
         other => return Err(format!("unknown request kind {other:?}")),
     };
@@ -591,14 +573,14 @@ pub fn decode_event(line: &str) -> Result<Event, String> {
                 dedup_joined: get_u64(&obj, "dedup_joined")?,
                 completed: get_u64(&obj, "completed")?,
                 errors: get_u64(&obj, "errors")?,
-                shed_deadline: get_u64_or_0(&obj, "shed_deadline")?,
-                cancelled: get_u64_or_0(&obj, "cancelled")?,
+                shed_deadline: get_u64(&obj, "shed_deadline")?,
+                cancelled: get_u64(&obj, "cancelled")?,
                 queue_depth: get_u64(&obj, "queue_depth")?,
                 in_flight: get_u64(&obj, "in_flight")?,
-                open_connections: get_u64_or_0(&obj, "open_connections")?,
-                peak_connections: get_u64_or_0(&obj, "peak_connections")?,
-                slow_reader_disconnects: get_u64_or_0(&obj, "slow_reader_disconnects")?,
-                poll_wakeups: get_u64_or_0(&obj, "poll_wakeups")?,
+                open_connections: get_u64(&obj, "open_connections")?,
+                peak_connections: get_u64(&obj, "peak_connections")?,
+                slow_reader_disconnects: get_u64(&obj, "slow_reader_disconnects")?,
+                poll_wakeups: get_u64(&obj, "poll_wakeups")?,
             },
         }),
         "shutting_down" => Ok(Event::ShuttingDown { id }),
@@ -662,7 +644,7 @@ mod tests {
     #[test]
     fn deadline_is_optional_on_the_wire_and_absent_from_identity() {
         let line = r#"{"id":5,"kind":"ping"}"#;
-        assert_eq!(decode_request(line).unwrap().deadline_ms, None, "legacy lines still decode");
+        assert_eq!(decode_request(line).unwrap().deadline_ms, None, "the deadline may be absent");
         let quick = Request { id: 1, kind: search("m"), deadline_ms: Some(10) };
         let patient = Request { id: 2, kind: search("m"), deadline_ms: None };
         assert_eq!(
@@ -731,23 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_lines_missing_new_counters_decode_as_zero() {
-        // An old daemon's stats line: no shed_deadline / cancelled fields.
-        let line = concat!(
-            r#"{"id":2,"event":"stats","accepted":4,"rejected":0,"evaluations":4,"#,
-            r#""dedup_joined":0,"completed":4,"errors":0,"queue_depth":0,"in_flight":0}"#
-        );
-        let Event::Stats { stats, .. } = decode_event(line).unwrap() else {
-            panic!("not a stats event")
-        };
-        assert_eq!(stats.shed_deadline, 0);
-        assert_eq!(stats.cancelled, 0);
-        assert_eq!(stats.completed, 4);
-        assert_eq!(stats.peak_connections, 0, "pre-gauge daemons decode with zero gauges");
-        assert_eq!(stats.poll_wakeups, 0);
-    }
-
-    #[test]
     fn identity_covers_every_reply_shaping_field() {
         let base = search("m");
         assert_eq!(base.identity(), search("m").identity(), "identical requests share identity");
@@ -809,18 +774,5 @@ mod tests {
         };
         let s = search("m");
         assert_ne!(o.identity(), s.identity());
-    }
-
-    #[test]
-    fn absent_objective_decodes_as_size_and_shares_its_identity() {
-        // A pre-measurement client line: no "objective" field at all.
-        let line = r#"{"id":5,"kind":"search","source":"m","target":"x86","bits":16,"stats":true}"#;
-        let req = decode_request(line).unwrap();
-        assert_eq!(req.kind, search("m"));
-        assert_eq!(
-            req.kind.identity(),
-            search("m").identity(),
-            "legacy lines dedup with explicit --objective size requests"
-        );
     }
 }

@@ -17,20 +17,21 @@
 //! like the old blocking reader did, without holding a thread.
 //!
 //! Admission is **round-robin per connection**, not a global FIFO: each
-//! connection owns a sub-queue and the dispatcher takes one job per
+//! connection owns a sub-queue and the workers take one job per
 //! connection per turn, so a client that batches a thousand requests
 //! cannot starve a client that sends one. The total across sub-queues is
 //! still bounded by `queue_capacity`.
 //!
-//! A single dispatcher thread pops jobs while fewer than `max_concurrent`
-//! evaluations run. At dispatch the job's 128-bit evaluation identity is
-//! checked against the in-flight table: a hit makes this request a
-//! *joiner* (it is recorded as a waiter and occupies no slot), a miss
-//! makes it the *leader* of a fresh evaluation. The leader runs the
-//! injected [`Handler`] on its own thread; progress notes and the final
-//! result fan out to every waiter recorded by completion time. A panic in
-//! the handler is caught and reported as an `error` event so joiners are
-//! never stranded.
+//! `max_concurrent` **evaluation workers** start with the server and
+//! live until it drains; no thread is created per request. A worker pops
+//! the next job and checks its 128-bit evaluation identity against the
+//! in-flight table: a hit makes this request a *joiner* (it is recorded
+//! as a waiter and the worker moves on to the next job), a miss makes it
+//! the *leader* of a fresh evaluation, and the worker runs the injected
+//! [`Handler`] itself. Progress notes and the final result fan out to
+//! every waiter recorded by completion time. A panic in the handler is
+//! caught and reported as an `error` event so joiners are never
+//! stranded, and the worker goes on serving.
 //!
 //! # Outbound buffering and slow readers
 //!
@@ -38,7 +39,7 @@
 //! appends the encoded event to the connection's bounded outbound buffer
 //! and nudges the poll loop through its waker; the loop drains buffers
 //! opportunistically and on `POLLOUT`. A stalled client therefore cannot
-//! block the dispatcher or an evaluation's fan-out — its buffer just
+//! block a worker or an evaluation's fan-out — its buffer just
 //! grows until the bound trips, at which point everything pending is
 //! replaced by a typed `rejected{slow_reader}` farewell and the
 //! connection is doomed: one best-effort farewell flush, then disconnect
@@ -48,14 +49,16 @@
 //!
 //! # Deadlines and shedding
 //!
-//! A request may carry a queue-time budget (`deadline_ms`). The
-//! dispatcher sweeps expired jobs out of the sub-queues each tick and
-//! answers them with a typed `rejected{deadline}` event — under overload
-//! the daemon sheds late work instead of evaluating it after the client
-//! stopped caring, and the shed is always observable, never a silent
-//! drop. A *parked* job (never admitted) that expires is refused with
-//! the same event but counts as `rejected`, not `shed_deadline`, so the
-//! accepted-side ledger never sees a request it never accepted.
+//! A request may carry a queue-time budget (`deadline_ms`). Expired jobs
+//! are swept out of the sub-queues by every worker pop, in the same
+//! critical section, and by the poll loop once per tick, which covers
+//! work queued while every worker is busy. Both answer with a typed
+//! `rejected{deadline}` event — under overload the daemon sheds late
+//! work instead of evaluating it after the client stopped caring, and
+//! the shed is always observable, never a silent drop. A *parked* job
+//! (never admitted) that expires is refused with the same event but
+//! counts as `rejected`, not `shed_deadline`, so the accepted-side
+//! ledger never sees a request it never accepted.
 //!
 //! # Cancellation
 //!
@@ -75,13 +78,14 @@
 //! `shutdown` requests, [`ServerHandle::drain`], and an optional external
 //! [`AtomicBool`] (wired to SIGTERM by the CLI) all trip the same flag:
 //! the listener is dropped (new connects fail fast), new work is
-//! answered `rejected{draining}`, queued and running work finishes, the
-//! remaining outbound buffers are flushed (bounded by a grace period so
-//! one stalled reader cannot hold the exit hostage), the handler flushes
-//! durable state ([`Handler::drained`]), connections close, the Unix
-//! socket file is removed, and final [`ServerStats`] are returned. The
-//! SIGTERM flag is re-checked every poll timeout tick, which is the only
-//! periodic wake-up left — accept and I/O latency come from readiness.
+//! answered `rejected{draining}`, queued and running work finishes and
+//! each worker exits once the queue is empty, the remaining outbound
+//! buffers are flushed (bounded by a grace period so one stalled reader
+//! cannot hold the exit hostage), the handler flushes durable state
+//! ([`Handler::drained`]), connections close, the Unix socket file is
+//! removed, and final [`ServerStats`] are returned. The SIGTERM flag and
+//! the deadline sweep run every poll timeout tick, the only periodic
+//! wake-up left — accept and I/O latency come from readiness.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -98,14 +102,12 @@ use crate::net::{
 };
 use crate::proto::{self, Event, Request, RequestKind, ServerStats};
 
-/// Poll timeout: bounds how stale the external drain-flag (SIGTERM)
-/// check can get. Everything else — accept, reads, writes, wakes — is
-/// readiness-driven; this tick never gates request latency.
-const POLL_TICK_MS: i32 = 25;
-
-/// How often the dispatcher sweeps for expired deadlines while blocked
-/// (all slots busy or queue empty): bounds shed latency under overload.
-const DISPATCH_TICK: Duration = Duration::from_millis(25);
+/// Poll timeout, and the period of the poll loop's deadline sweep:
+/// bounds how stale the external drain-flag (SIGTERM) check, and the
+/// shedding of expired work queued behind busy workers, can get.
+/// Everything else — accept, reads, writes, wakes — is readiness-driven;
+/// this tick never gates request latency.
+const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
@@ -161,8 +163,9 @@ pub struct ServeOptions {
     /// sub-queues; a connection whose job does not fit is parked and not
     /// read from (back-pressuring the client) until space frees.
     pub queue_capacity: usize,
-    /// Maximum evaluations running at once. `0` means "worker pool
-    /// threads, at least 1".
+    /// Evaluation workers started with the server, so the most
+    /// evaluations running at once. `0` means "worker pool threads, at
+    /// least 1".
     pub max_concurrent: usize,
     /// Per-connection outbound buffer bound in bytes; a connection whose
     /// pending events exceed it is disconnected as a slow reader. A
@@ -228,8 +231,8 @@ struct Flight {
 }
 
 /// A connection's outbound side, shared between the poll loop (which
-/// owns the socket and does every actual write) and the dispatcher /
-/// evaluation threads (which only ever append events here). Bounded: a
+/// owns the socket and does every actual write) and the workers (which
+/// only ever append events here). Bounded: a
 /// reader that falls `cap` bytes behind is doomed, never waited on.
 #[derive(Debug)]
 struct Out {
@@ -443,8 +446,8 @@ struct ServerInner {
     max_concurrent: usize,
     out_buffer_cap: usize,
     state: Mutex<QueueState>,
-    /// Wakes the dispatcher (new job / freed slot) and anything waiting
-    /// on queue state transitions.
+    /// Wakes an idle worker when a job is admitted, and every worker
+    /// when the drain lands.
     wake: Condvar,
     in_flight: Mutex<HashMap<u128, Flight>>,
     draining: AtomicBool,
@@ -478,8 +481,14 @@ impl ServerInner {
         self.draining.load(Ordering::SeqCst)
     }
 
+    /// Trips the drain flag. It is set under the state lock, so a worker
+    /// that found the queue empty either sees the flag or is already
+    /// waiting for the notification: no lost wake-up.
     fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        {
+            let _s = self.lock_state();
+            self.draining.store(true, Ordering::SeqCst);
+        }
         self.wake.notify_all();
         self.waker.wake();
     }
@@ -529,26 +538,34 @@ impl ServerInner {
         s.push(job);
         drop(s);
         self.counters.accepted.fetch_add(1, Ordering::SeqCst);
-        self.wake.notify_all();
+        self.wake.notify_one();
         Admit::Admitted
     }
 
-    /// Releases an evaluation slot (or a joiner's borrowed slot).
+    /// Releases the worker's slot once its job is settled (a joiner's
+    /// right after the dedup check).
     fn finish_slot(&self) {
-        let mut s = self.lock_state();
-        s.running -= 1;
-        drop(s);
-        self.wake.notify_all();
+        self.lock_state().running -= 1;
         // The poll loop may be waiting on this for drain completion.
         self.waker.wake();
     }
 
-    /// Dispatcher loop: runs until draining *and* the queue is empty.
-    /// Running evaluations finish on their own threads; `run` waits for
-    /// them separately. Each pass first sweeps deadline-expired (and
-    /// dead-connection) jobs out of the sub-queues; the typed rejection
-    /// events go out *after* the state lock is dropped.
-    fn dispatch(self: &Arc<Self>) {
+    /// Answers the jobs a sweep took out of the queue: expired ones with
+    /// `rejected{deadline}`, dead-connection ones as cancelled. Called
+    /// after the state lock is dropped.
+    fn answer_swept(&self, shed: &mut Vec<Job>, dead: &mut Vec<Job>) {
+        for job in shed.drain(..) {
+            self.counters.shed_deadline.fetch_add(1, Ordering::SeqCst);
+            job.out.send(&Event::Rejected { id: job.id, reason: "deadline".to_string() });
+        }
+        self.count_cancelled(dead.drain(..).len() as u64);
+    }
+
+    /// One evaluation worker: runs until draining *and* the queue is
+    /// empty. Each pop first sweeps deadline-expired (and
+    /// dead-connection) jobs out of the sub-queues in the same critical
+    /// section, so an expired job is never evaluated.
+    fn work(&self) {
         let mut shed: Vec<Job> = Vec::new();
         let mut dead: Vec<Job> = Vec::new();
         loop {
@@ -556,38 +573,22 @@ impl ServerInner {
                 let mut s = self.lock_state();
                 loop {
                     s.take_expired(Instant::now(), &mut shed, &mut dead);
+                    if let Some(job) = s.pop_fair() {
+                        s.running += 1;
+                        break Some(job);
+                    }
                     if !shed.is_empty() || !dead.is_empty() {
                         break None;
                     }
-                    if s.running < self.max_concurrent {
-                        if let Some(job) = s.pop_fair() {
-                            s.running += 1;
-                            break Some(job);
-                        }
-                    }
-                    if self.draining() && s.queued == 0 {
+                    if self.draining() {
                         return;
                     }
-                    // A timed wait, not a plain one: deadline expiry is
-                    // a wake-up source no notification announces.
-                    s = self
-                        .wake
-                        .wait_timeout(s, DISPATCH_TICK)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .0;
+                    s = self.wake.wait(s).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
             // Queue space was freed: let the poll loop retry parked jobs.
-            self.wake.notify_all();
             self.waker.wake();
-            for job in shed.drain(..) {
-                self.counters.shed_deadline.fetch_add(1, Ordering::SeqCst);
-                job.out.send(&Event::Rejected { id: job.id, reason: "deadline".to_string() });
-            }
-            for job in dead.drain(..) {
-                drop(job);
-                self.count_cancelled(1);
-            }
+            self.answer_swept(&mut shed, &mut dead);
             if let Some(job) = job {
                 self.launch(job);
             }
@@ -595,22 +596,23 @@ impl ServerInner {
     }
 
     /// Dedup-checks one popped job: join a live in-flight identity or
-    /// lead a fresh evaluation. A *cancelled* flight is never joined —
-    /// its evaluation is already unwinding — so the job replaces it as a
-    /// new generation.
-    fn launch(self: &Arc<Self>, job: Job) {
-        let Some(identity) = job.kind.identity() else {
+    /// lead a fresh evaluation on this worker. A *cancelled* flight is
+    /// never joined — its evaluation is already unwinding — so the job
+    /// replaces it as a new generation.
+    fn launch(&self, job: Job) {
+        let Job { id, kind, out, .. } = job;
+        let Some(identity) = kind.identity() else {
             // Admin kinds are answered at the connection layer and never
             // reach the queue; refuse defensively rather than panic.
-            job.out.send(&Event::Error {
-                id: job.id,
-                message: format!("request kind {:?} is not evaluable", job.kind.name()),
-            });
             self.counters.errors.fetch_add(1, Ordering::SeqCst);
+            out.send(&Event::Error {
+                id,
+                message: format!("request kind {:?} is not evaluable", kind.name()),
+            });
             self.finish_slot();
             return;
         };
-        let waiter = Waiter { id: job.id, out: Arc::clone(&job.out) };
+        let waiter = Waiter { id, out: Arc::clone(&out) };
         let lead = {
             let mut inflight = self.lock_in_flight();
             match inflight.get_mut(&identity) {
@@ -627,7 +629,7 @@ impl ServerInner {
                 }
             }
         };
-        job.out.send(&Event::Started { id: job.id, deduped: lead.is_none() });
+        out.send(&Event::Started { id, deduped: lead.is_none() });
         let Some((gen, token)) = lead else {
             self.counters.dedup_joined.fetch_add(1, Ordering::SeqCst);
             // A joiner holds no slot: its result arrives with the leader's.
@@ -635,16 +637,7 @@ impl ServerInner {
             return;
         };
         self.counters.evaluations.fetch_add(1, Ordering::SeqCst);
-        // A dedicated thread, not `WorkerPool::spawn`: on a zero-worker
-        // pool (single CPU) a fire-and-forget pool job only runs when some
-        // caller helps, which a daemon with no other traffic never does.
-        // Concurrency stays bounded by `max_concurrent` via the slot count.
-        let inner = Arc::clone(self);
-        let kind = job.kind;
-        std::thread::Builder::new()
-            .name(format!("serve-eval-{identity:032x}"))
-            .spawn(move || inner.execute(identity, gen, token, kind))
-            .expect("spawn evaluation thread");
+        self.execute(identity, gen, token, &kind);
     }
 
     /// Removes waiters (by `(conn, id)`) from the given flight if the
@@ -667,7 +660,7 @@ impl ServerInner {
 
     /// Runs the handler as the leader of `(identity, gen)` and fans the
     /// outcome out to every waiter still registered at completion time.
-    fn execute(self: &Arc<Self>, identity: u128, gen: u64, token: CancelToken, kind: RequestKind) {
+    fn execute(&self, identity: u128, gen: u64, token: CancelToken, kind: &RequestKind) {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // Install the flight's cancel token around the handler: any
             // checkpoint the evaluation passes through now answers to
@@ -695,7 +688,7 @@ impl ServerInner {
                     self.count_cancelled(self.reap_waiters(identity, gen, &dead));
                 }
             };
-            self.handler.handle(&kind, &progress)
+            self.handler.handle(kind, &progress)
         }));
         enum Terminal {
             Reply(Reply),
@@ -721,6 +714,17 @@ impl ServerInner {
         };
         let mut evaluated = true;
         for w in &waiters {
+            // Every waiter lands in exactly one terminal counter, counted
+            // before the event is queued: a client holding its terminal
+            // event must find it in a `stats` snapshot. A failed send
+            // moves the count to cancelled — the client disconnected and
+            // never got an answer.
+            let counter = match &terminal {
+                Terminal::Reply(_) => &self.counters.completed,
+                Terminal::Fail(_) => &self.counters.errors,
+                Terminal::Cancelled => &self.counters.cancelled,
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
             let sent = match &terminal {
                 Terminal::Reply(reply) => w.out.send(&Event::Done {
                     id: w.id,
@@ -739,15 +743,10 @@ impl ServerInner {
                     w.out.send(&Event::Rejected { id: w.id, reason: "cancelled".to_string() })
                 }
             };
-            // Every waiter lands in exactly one terminal counter; a
-            // failed terminal send counts as cancelled — the client
-            // disconnected and never got an answer.
-            let counter = match (&terminal, sent) {
-                (_, false) | (Terminal::Cancelled, true) => &self.counters.cancelled,
-                (Terminal::Reply(_), true) => &self.counters.completed,
-                (Terminal::Fail(_), true) => &self.counters.errors,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
+            if !sent {
+                self.counters.cancelled.fetch_add(1, Ordering::SeqCst);
+                counter.fetch_sub(1, Ordering::SeqCst);
+            }
             evaluated = false;
         }
         self.finish_slot();
@@ -762,10 +761,7 @@ impl ServerInner {
             let mut s = self.lock_state();
             s.drop_conn(conn)
         };
-        if dropped > 0 {
-            self.count_cancelled(dropped);
-            self.wake.notify_all();
-        }
+        self.count_cancelled(dropped);
         let mut reaped = 0u64;
         {
             let mut inflight = self.lock_in_flight();
@@ -1004,7 +1000,7 @@ fn flush_out(inner: &Arc<ServerInner>, c: &mut Conn) {
 /// accept/read/write readiness on one thread, and exits once a drain
 /// has finished all admitted work and flushed (or timed out flushing)
 /// every outbound buffer. Returns the surviving connections' sockets so
-/// `run` can close them *after* the handler has flushed durable state.
+/// `serve` can close them *after* the handler has flushed durable state.
 fn event_loop(
     inner: &Arc<ServerInner>,
     listener: Listener,
@@ -1016,10 +1012,13 @@ fn event_loop(
     let mut fds: Vec<PollFd> = Vec::new();
     let mut keys: Vec<Key> = Vec::new();
     let mut flush_deadline: Option<Instant> = None;
+    let mut last_sweep = Instant::now();
 
     loop {
         if let Some(flag) = drain_on {
-            if flag.load(Ordering::SeqCst) {
+            // Once: tripping the drain wakes this loop, so re-tripping it
+            // every pass would spin it until the drain completes.
+            if flag.load(Ordering::SeqCst) && !inner.draining() {
                 inner.begin_drain();
             }
         }
@@ -1028,6 +1027,15 @@ fn event_loop(
             // connects fail fast instead of parking in a backlog nobody
             // will ever serve.
             listener = None;
+        }
+
+        // Deadline expiry is an event no notification announces: while
+        // every worker is busy, only this tick sheds expired queued work.
+        if last_sweep.elapsed() >= POLL_TICK {
+            last_sweep = Instant::now();
+            let (mut shed, mut dead) = (Vec::new(), Vec::new());
+            inner.lock_state().take_expired(last_sweep, &mut shed, &mut dead);
+            inner.answer_swept(&mut shed, &mut dead);
         }
 
         // Queue space may have freed (or the drain landed): settle
@@ -1079,7 +1087,7 @@ fn event_loop(
             }
         }
 
-        poll_fds(&mut fds, POLL_TICK_MS)?;
+        poll_fds(&mut fds, POLL_TICK.as_millis() as i32)?;
         inner.counters.poll_wakeups.fetch_add(1, Ordering::Relaxed);
 
         for (i, key) in keys.iter().enumerate() {
@@ -1189,25 +1197,53 @@ impl Server {
     /// thread (it becomes the poll loop); use [`Server::start`] for a
     /// handle-based variant.
     pub fn run(self) -> std::io::Result<ServerStats> {
-        let inner = Arc::clone(&self.inner);
-        let dispatcher = std::thread::Builder::new()
-            .name("serve-dispatch".to_string())
-            .spawn(move || inner.dispatch())
-            .expect("spawn dispatcher thread");
+        let workers = self.start_workers();
+        self.serve(workers)
+    }
 
+    /// Runs the server on a background thread and returns a handle for
+    /// draining and joining (used by tests and the equivalence oracle).
+    /// The evaluation workers are running when this returns.
+    pub fn start(self) -> ServerHandle {
+        let workers = self.start_workers();
+        let inner = Arc::clone(&self.inner);
+        let thread = std::thread::Builder::new()
+            .name("serve-poll".to_string())
+            .spawn(move || self.serve(workers))
+            .expect("spawn server thread");
+        ServerHandle { inner, thread }
+    }
+
+    /// Starts the `max_concurrent` evaluation workers.
+    fn start_workers(&self) -> Vec<std::thread::JoinHandle<()>> {
+        (0..self.inner.max_concurrent)
+            .map(|i| {
+                let inner = Arc::clone(&self.inner);
+                std::thread::Builder::new()
+                    .name(format!("serve-worker-{i}"))
+                    .spawn(move || inner.work())
+                    .expect("spawn evaluation worker")
+            })
+            .collect()
+    }
+
+    /// The poll loop, then the drain epilogue.
+    fn serve(self, workers: Vec<std::thread::JoinHandle<()>>) -> std::io::Result<ServerStats> {
         let survivors = match event_loop(&self.inner, self.listener, self.drain_on) {
             Ok(survivors) => survivors,
             Err(e) => {
-                // Poll-layer failure: let the dispatcher wind down
-                // instead of leaving it spinning, then surface the error.
+                // Poll-layer failure: let the workers wind down instead
+                // of waiting for work forever, then surface the error.
                 self.inner.begin_drain();
                 return Err(e);
             }
         };
 
         // The event loop only exits once draining with the queue empty
-        // and no evaluation running, so the dispatcher is done too.
-        let _ = dispatcher.join();
+        // and no evaluation running, so every worker is exiting too.
+        for worker in workers {
+            let _ = worker.join();
+        }
 
         // All evaluations done and their events flushed: let the handler
         // flush durable state before any client can observe the daemon
@@ -1221,17 +1257,6 @@ impl Server {
             let _ = std::fs::remove_file(path);
         }
         Ok(self.inner.server_stats())
-    }
-
-    /// Runs the server on a background thread and returns a handle for
-    /// draining and joining (used by tests and the equivalence oracle).
-    pub fn start(self) -> ServerHandle {
-        let inner = Arc::clone(&self.inner);
-        let thread = std::thread::Builder::new()
-            .name("serve-poll".to_string())
-            .spawn(move || self.run())
-            .expect("spawn server thread");
-        ServerHandle { inner, thread }
     }
 }
 

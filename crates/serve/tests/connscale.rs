@@ -102,8 +102,9 @@ fn idle_connections_cost_fds_not_threads() {
     #[cfg(target_os = "linux")]
     {
         let grown = thread_count().saturating_sub(threads_before);
-        // Poll loop + dispatcher (already counted before the connects)
-        // plus nothing per connection; a generous bound of 4 catches any
+        // Poll loop + evaluation workers (all running before `start`
+        // returned, so counted before the connects) plus nothing per
+        // connection; a generous bound of 4 catches any
         // thread-per-connection backsliding (which would be ~500).
         assert!(grown <= 4, "{IDLE_CONNS} idle connections grew {grown} threads (want <= 4)");
     }

@@ -300,8 +300,8 @@ fn dead_joiners_are_reaped_without_disturbing_the_leader() {
     let path = sock_path("reap");
     let gate = Arc::new(Gate::default());
     let handler = ProgressHandler { gate: Arc::clone(&gate) };
-    // Two slots: dedup joining happens at dispatch, so the joiner needs a
-    // free slot to be discovered while the leader occupies the first.
+    // Two workers: dedup joining happens when a worker pops the job, so
+    // the joiner needs a free worker while the leader occupies the first.
     let opts = ServeOptions { queue_capacity: 16, max_concurrent: 2, ..ServeOptions::default() };
     let handle = start_server(&path, Box::new(handler), opts);
 
@@ -336,4 +336,38 @@ fn dead_joiners_are_reaped_without_disturbing_the_leader() {
         stats.accepted,
         stats.completed + stats.errors + stats.shed_deadline + stats.cancelled
     );
+}
+
+/// Client and daemon ship in one binary, so nothing decodes older lines:
+/// a stats line without every counter and a request line without an
+/// objective are both decode errors, and the daemon answers such a
+/// request line with `error{id: 0, "bad request: …"}`.
+#[test]
+fn lines_missing_a_required_field_are_refused() {
+    let stats = concat!(
+        r#"{"id":2,"event":"stats","accepted":4,"rejected":0,"evaluations":4,"#,
+        r#""dedup_joined":0,"completed":4,"errors":0,"queue_depth":0,"in_flight":0}"#
+    );
+    let err = proto::decode_event(stats).expect_err("a stats line missing counters is refused");
+    assert!(err.contains("shed_deadline"), "got: {err}");
+    let search = r#"{"id":5,"kind":"search","source":"m","target":"x86","bits":16,"stats":true}"#;
+    let err = proto::decode_request(search).expect_err("a request without objective is refused");
+    assert!(err.contains("objective"), "got: {err}");
+
+    let path = sock_path("badline");
+    let handler = OrderHandler { gate: Arc::default(), order: Arc::default() };
+    let handle = start_server(&path, Box::new(handler), ServeOptions::default());
+    let mut conn = RawConn::connect(&path);
+    conn.writer.write_all(search.as_bytes()).expect("raw write");
+    conn.writer.write_all(b"\n").expect("raw write");
+    match conn.read_event() {
+        Event::Error { id: 0, message } => {
+            assert_eq!(message, format!("bad request: {err}"));
+        }
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
+    drop(conn);
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!(stats.accepted, 0, "a refused line never reaches admission");
 }

@@ -4,13 +4,15 @@
 //! deterministic. Full-stack equivalence against the real evaluator
 //! lives in `optinline-check` and the CLI tests.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use optinline_serve::{
-    Client, ClientError, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server,
+    Client, ClientError, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server, ServerHandle,
 };
 
 fn sock_path(tag: &str) -> PathBuf {
@@ -195,8 +197,8 @@ fn identical_concurrent_requests_collapse_into_one_evaluation() {
     wait_until("all clients to join the in-flight evaluation", Duration::from_secs(10), || {
         handle.stats().dedup_joined == (CLIENTS as u64 - 1)
     });
-    // The flight is recorded before the evaluation thread that enters the
-    // handler is spawned, so the leader's entry can trail the joins.
+    // The flight is recorded before its worker enters the handler, so the
+    // leader's entry can trail the joins.
     wait_until("the leader to enter the handler", Duration::from_secs(10), || {
         handled.load(Ordering::SeqCst) >= 1
     });
@@ -380,4 +382,92 @@ fn a_panicking_handler_reports_an_error_instead_of_stranding_waiters() {
     handle.drain();
     let stats = handle.join().expect("clean exit");
     assert_eq!(stats.errors, 1);
+}
+
+/// Records the thread every evaluation runs on; a source containing
+/// "boom" panics after recording.
+struct ThreadLog {
+    threads: Arc<Mutex<Vec<ThreadId>>>,
+}
+
+impl Handler for ThreadLog {
+    fn handle(&self, kind: &RequestKind, _: &dyn Fn(&str)) -> Result<Reply, String> {
+        self.threads.lock().unwrap().push(std::thread::current().id());
+        let RequestKind::Search { source, .. } = kind else { return Err("not search".into()) };
+        if source.contains("boom") {
+            panic!("boom");
+        }
+        Ok(Reply { report: format!("ran {source}"), module: None, measurement: None })
+    }
+}
+
+fn start_thread_log(
+    tag: &str,
+    max_concurrent: usize,
+) -> (Client, ServerHandle, Arc<Mutex<Vec<ThreadId>>>) {
+    let path = sock_path(tag);
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let handler = Box::new(ThreadLog { threads: Arc::clone(&threads) });
+    let opts = ServeOptions { max_concurrent, ..ServeOptions::default() };
+    let handle = Server::bind(Endpoint::Unix(path.clone()), handler, opts).expect("bind").start();
+    let client = Client::connect(&Endpoint::Unix(path)).expect("connect");
+    (client, handle, threads)
+}
+
+#[test]
+fn evaluations_run_on_the_fixed_workers() {
+    let (mut client, handle, threads) = start_thread_log("workers", 2);
+    for i in 0..20 {
+        let source = format!("(module m{i})");
+        let out = client.call(search(&source, 4), &mut |_| {}).expect("served");
+        assert_eq!(out.report, format!("ran {source}"));
+    }
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!(stats.evaluations, 20, "distinct identities never dedup");
+    let used: HashSet<ThreadId> = threads.lock().unwrap().iter().copied().collect();
+    assert!(used.len() <= 2, "20 evaluations ran on {} threads, want the 2 workers", used.len());
+}
+
+#[test]
+fn a_worker_keeps_serving_after_its_handler_panics() {
+    let (mut client, handle, threads) = start_thread_log("panicworker", 1);
+    match client.call(search("(module boom)", 4), &mut |_| {}) {
+        Err(ClientError::Remote(msg)) => assert!(msg.contains("panicked"), "got: {msg}"),
+        other => panic!("expected a remote error, got {other:?}"),
+    }
+    let out = client.call(search("(module after)", 4), &mut |_| {}).expect("served after a panic");
+    assert_eq!(out.report, "ran (module after)");
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!((stats.errors, stats.completed), (1, 1));
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 2);
+    assert_eq!(threads[0], threads[1], "the one worker ran both evaluations");
+}
+
+/// A drain that lands while the workers are starting or going idle must
+/// still wake every one of them: an idle server drains promptly, every
+/// time.
+#[test]
+fn idle_servers_drain_promptly_every_time() {
+    let path = sock_path("cycles");
+    for cycle in 0..50 {
+        let (handler, _, drained) = TestHandler::plain();
+        let opts = ServeOptions { max_concurrent: 4, ..ServeOptions::default() };
+        let server = Server::bind(Endpoint::Unix(path.clone()), handler, opts).expect("bind");
+        let handle = server.start();
+        let (done, finished) = mpsc::channel();
+        let drainer = std::thread::spawn(move || {
+            handle.drain();
+            let _ = done.send(handle.join());
+        });
+        let stats = finished
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("cycle {cycle}: drain and join took over 2 s"))
+            .expect("clean exit");
+        drainer.join().expect("drainer thread");
+        assert!(drained.load(Ordering::SeqCst), "cycle {cycle}: the handler flushed");
+        assert_eq!(stats.accepted, 0);
+    }
 }

@@ -25,9 +25,7 @@
 //! - **compaction**: logs are rewritten without duplicate or damaged lines
 //!   when dead bytes cross a ratio, or on demand;
 //! - **size-budgeted GC**: least-recently-used scope logs are evicted
-//!   until the directory fits a byte budget ([`LocalStore::gc`]);
-//! - a [`Store`] trait seam so a remote tier (serving daemon) can slot in
-//!   behind the same interface later.
+//!   until the directory fits a byte budget ([`LocalStore::gc`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,8 +42,6 @@ pub use format::{
 pub use index::{Index, ScopeRecord, SharedIndex, INDEX_FILE};
 pub use local::{GcReport, LocalStore, ScopeFormatMix, ScopeSpec, VerifyReport};
 pub use scope::{Scope, ScopeCounters};
-
-use optinline_ir::{CallSiteId, Measurement};
 
 /// Tuning knobs of a [`LocalStore`].
 #[derive(Clone, Copy, Debug)]
@@ -119,24 +115,4 @@ impl StoreStats {
     pub fn any(&self) -> bool {
         *self != StoreStats::default()
     }
-}
-
-/// The storage interface the evaluator layers program against. The local
-/// sharded-directory store is the first implementation; a remote tier
-/// (the serving daemon of ROADMAP items 1–2) is meant to slot in behind
-/// the same five operations.
-pub trait Store: std::fmt::Debug {
-    /// Looks up the measurement recorded for `key` in `scope`. Only scopes
-    /// already opened via the implementation's handshake can answer.
-    fn get(&self, scope: u128, key: &[CallSiteId]) -> Option<Measurement>;
-    /// Records a measurement for `key` in `scope` (buffered; durable by
-    /// [`Store::flush`] at the latest).
-    fn put(&self, scope: u128, key: Vec<CallSiteId>, value: Measurement);
-    /// Makes every buffered write durable.
-    fn flush(&self) -> std::io::Result<()>;
-    /// Evicts least-recently-used scopes until the store fits
-    /// `budget_bytes`.
-    fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport>;
-    /// Aggregate counters.
-    fn stats(&self) -> StoreStats;
 }

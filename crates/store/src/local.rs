@@ -7,8 +7,8 @@ use crate::format::{
 };
 use crate::index::{ScopeRecord, SharedIndex};
 use crate::scope::{Scope, ScopeCounters};
-use crate::{Store, StoreOptions, StoreStats};
-use optinline_ir::{CallSiteId, Measurement};
+use crate::{StoreOptions, StoreStats};
+use optinline_ir::CallSiteId;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -541,38 +541,6 @@ impl LocalStore {
     fn live_scopes(&self) -> Vec<Scope> {
         let reg = self.scopes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         reg.values().filter_map(|(_, w)| w.upgrade()).map(|inner| Scope { inner }).collect()
-    }
-}
-
-impl Store for LocalStore {
-    fn get(&self, scope: u128, key: &[CallSiteId]) -> Option<Measurement> {
-        let inner = {
-            let reg = self.scopes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            reg.get(&scope).and_then(|(_, w)| w.upgrade())?
-        };
-        Scope { inner }.get(key)
-    }
-
-    fn put(&self, scope: u128, key: Vec<CallSiteId>, value: Measurement) {
-        let inner = {
-            let reg = self.scopes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            reg.get(&scope).and_then(|(_, w)| w.upgrade())
-        };
-        if let Some(inner) = inner {
-            Scope { inner }.put(key, value);
-        }
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        self.flush_all()
-    }
-
-    fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport> {
-        LocalStore::gc(self, budget_bytes)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.store_stats()
     }
 }
 

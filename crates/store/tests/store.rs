@@ -4,9 +4,7 @@
 //! concurrent appenders-vs-compaction stress run.
 
 use optinline_ir::{CallSiteId, Measurement};
-use optinline_store::{
-    scope_rel_path, LocalStore, ScopeSpec, Store, StoreOptions, HEADER, LEGACY_HEADER,
-};
+use optinline_store::{scope_rel_path, LocalStore, ScopeSpec, StoreOptions, HEADER, LEGACY_HEADER};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -492,21 +490,6 @@ fn size_only_entries_upgrade_to_measurements_but_never_downgrade() {
     store.compact_all().unwrap();
     let scope = store.scope(spec(fp)).unwrap();
     assert_eq!(scope.get(&k(&[1])), Some(Measurement::with_cycles(80, 900)));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn store_trait_routes_through_open_scopes() {
-    let dir = tmpdir("trait");
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(0x42)).unwrap();
-    let dyn_store: &dyn Store = &*store;
-    dyn_store.put(0x42, k(&[1]), m(5));
-    assert_eq!(dyn_store.get(0x42, &k(&[1])), Some(m(5)));
-    assert_eq!(dyn_store.get(0x43, &k(&[1])), None, "unopened scope answers nothing");
-    dyn_store.flush().unwrap();
-    assert!(dyn_store.stats().puts >= 1);
-    drop(scope);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
