@@ -3,11 +3,13 @@
 //! the paper counts in).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use optinline_check::schedcheck::optimize_os_sweep;
 use optinline_codegen::{text_size, X86Like};
 use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::CostModelInliner;
 use optinline_opt::{
-    optimize_os, optimize_os_no_inline, AlwaysInline, ForcedDecisions, PipelineOptions,
+    optimize_os, optimize_os_no_inline, AlwaysInline, ForcedDecisions, InlineOracle,
+    PipelineOptions,
 };
 use optinline_workloads::{generate_file, GenParams};
 
@@ -56,8 +58,9 @@ fn bench_heuristic_decide(c: &mut Criterion) {
 /// the paper's search cost: single-flip neighbour probes. The autotuner's
 /// inner loop takes a base configuration and re-compiles once per site with
 /// exactly one decision flipped; the change-driven worklist only revisits
-/// the inliner-touched neighbourhood after round one, while the legacy
-/// sweep reprocesses every function every round.
+/// the inliner-touched neighbourhood after round one, while the
+/// whole-module sweep (the scheduling oracle's reference) reprocesses every
+/// function every round.
 fn bench_scheduler_single_flip(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_single_flip");
     group.sample_size(10);
@@ -74,16 +77,19 @@ fn bench_scheduler_single_flip(c: &mut Criterion) {
             .take(8)
             .map(|&site| base.clone().with(site, base.decision(site).flipped()))
             .collect();
-        for (label, full_sweep) in [("full_sweep", true), ("change_driven", false)] {
+        type Compile = fn(&mut optinline_ir::Module, &dyn InlineOracle, PipelineOptions) -> usize;
+        let schedulers: [(&str, Compile); 2] =
+            [("full_sweep", optimize_os_sweep), ("change_driven", optimize_os)];
+        for (label, compile) in schedulers {
             group.bench_with_input(BenchmarkId::new(label, n), &probes, |b, probes| {
                 b.iter(|| {
                     let mut total = 0u64;
                     for cfg in probes {
                         let mut m = module.clone();
-                        optimize_os(
+                        compile(
                             &mut m,
                             &ForcedDecisions::new(cfg.decisions().clone()),
-                            PipelineOptions { full_sweep, ..PipelineOptions::default() },
+                            PipelineOptions::default(),
                         );
                         total += text_size(&m, &X86Like);
                     }

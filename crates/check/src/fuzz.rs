@@ -81,7 +81,8 @@ pub struct FuzzReport {
     pub semantic_comparisons: usize,
     /// Path × configuration size comparisons performed.
     pub size_comparisons: usize,
-    /// Scheduler × configuration byte-identity comparisons performed.
+    /// Drain × configuration byte-identity comparisons performed (the
+    /// `-Os` compile and the heuristics' drain, worklist vs sweep).
     pub scheduling_comparisons: usize,
     /// Parallel DAG executor vs sequential Algorithm 1 comparisons
     /// performed (worker counts × cold/warm sessions).
@@ -111,7 +112,8 @@ pub struct FuzzReport {
     pub semantic_failures: Vec<FailureRecord>,
     /// Size-oracle failures.
     pub size_failures: Vec<FailureRecord>,
-    /// Scheduling-oracle failures (worklist vs full-sweep divergence).
+    /// Scheduling-oracle failures (worklist vs whole-module sweep
+    /// divergence).
     pub scheduling_failures: Vec<FailureRecord>,
     /// Parallel-search-oracle failures (DAG executor vs sequential walk).
     pub parallel_failures: Vec<FailureRecord>,

@@ -18,10 +18,12 @@
 //!   and whole-module — against the uncached whole-module reference,
 //!   sequentially (cached and uncached) and concurrently through the
 //!   worker pool.
-//! - [`schedcheck`] — the **scheduling oracle**: the change-driven pass
-//!   scheduler must produce byte-identical modules (and sizes) to the
-//!   legacy whole-module sweep kept behind
-//!   `PipelineOptions::full_sweep`, on every module × configuration.
+//! - [`schedcheck`] — the **scheduling oracle**: the worklist, the one
+//!   production pass scheduler, must produce byte-identical modules (and
+//!   sizes) to the whole-module sweep this crate keeps as its private
+//!   reference — for the full `-Os` compile and for the inlining
+//!   heuristics' 3-round-capped cleanup drain, on every module ×
+//!   configuration.
 //! - [`cyclecheck`] — the **cycles oracle**: `-Os` under any
 //!   configuration preserves observable behaviour while the simulated
 //!   cycle count may change (the former asserted, the latter recorded),
@@ -41,7 +43,7 @@
 //!   direct handler calls for every request kind (cold and on a warm
 //!   repeat), identical concurrent requests collapsed into one
 //!   evaluation with byte-identical fan-out, and a clean drain.
-//! - [`reduce`] — the **delta-debugging reducer**: shrink a failing
+//! - [`reduce`](mod@reduce) — the **delta-debugging reducer**: shrink a failing
 //!   `(module, configuration)` pair to a minimal call-closed reproducer by
 //!   dropping configuration decisions and slicing functions out.
 //! - [`fuzz`] — the driver: generate random modules and configurations

@@ -11,7 +11,7 @@
 //!    set stays *call-closed* (no kept function calls, or carries
 //!    `inline_path` provenance into, a removed one — the precondition of
 //!    [`extract_slice`]). Slicing renumbers [`FuncId`]s but preserves
-//!    [`CallSiteId`]s, so the shrunken configuration stays valid after
+//!    [`CallSiteId`](optinline_ir::CallSiteId)s, so the shrunken configuration stays valid after
 //!    restriction to the surviving sites.
 //!
 //! The predicate is re-evaluated from scratch on every candidate, so it

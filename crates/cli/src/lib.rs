@@ -168,14 +168,9 @@ impl Default for EvalOptions {
     }
 }
 
-/// Pipeline scheduling and reporting options for `optimize`.
+/// Reporting options for `optimize`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct OptimizeOptions {
-    /// Run the legacy whole-module sweep scheduler instead of the
-    /// change-driven worklist (`--full-sweep`). The two produce
-    /// byte-identical modules; this exists for benchmarking and as the
-    /// reference the scheduling oracle compares against.
-    pub full_sweep: bool,
     /// Append the per-pass invocation/changed table plus analysis-cache
     /// and scheduling counters to the report (`--pass-stats`).
     pub pass_stats: bool,
@@ -252,7 +247,7 @@ pub fn cmd_optimize_measured(
     let report = optimize_os_report(
         &mut optimized,
         &ForcedDecisions::new(config.decisions().clone()),
-        PipelineOptions { full_sweep: opts.full_sweep, ..PipelineOptions::default() },
+        PipelineOptions::default(),
     );
     let t = target.boxed();
     let before = text_size(&module, t.as_ref());
@@ -260,11 +255,6 @@ pub fn cmd_optimize_measured(
     let mut out = String::new();
     let _ = writeln!(out, "strategy:        {strategy:?}");
     let _ = writeln!(out, "target:          {}", t.name());
-    let _ = writeln!(
-        out,
-        "scheduler:       {}",
-        if opts.full_sweep { "full sweep (legacy)" } else { "change-driven worklist" }
-    );
     let _ = writeln!(
         out,
         "sites inlined:   {} of {}",
@@ -1093,26 +1083,6 @@ mod tests {
         assert!(with_stats.contains("pass stats:"), "{with_stats}");
         assert!(with_stats.contains("analysis cache:"), "{with_stats}");
         assert!(with_stats.contains("scheduling:"), "{with_stats}");
-    }
-
-    #[test]
-    fn full_sweep_and_worklist_report_identical_sizes() {
-        let src = demo_source();
-        let (wl_report, wl_text) =
-            cmd_optimize(&src, StrategyChoice::Heuristic, TargetChoice::X86, Default::default())
-                .unwrap();
-        let (fs_report, fs_text) = cmd_optimize(
-            &src,
-            StrategyChoice::Heuristic,
-            TargetChoice::X86,
-            OptimizeOptions { full_sweep: true, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(wl_text, fs_text, "schedulers disagree on the optimized module");
-        let size_line = |r: &str| r.lines().find(|l| l.starts_with("size:")).map(str::to_owned);
-        assert_eq!(size_line(&wl_report), size_line(&fs_report));
-        assert!(wl_report.contains("change-driven worklist"));
-        assert!(fs_report.contains("full sweep (legacy)"));
     }
 
     #[test]

@@ -14,12 +14,12 @@ const USAGE: &str = "\
 optinline — optimal function inlining toolkit (ASPLOS'22 reproduction)
 
 usage:
-  optinline print    <file.ir>
+  optinline print    <file.ir> [-o out.ir]
   optinline stats    <file.ir>
   optinline optimize <file.ir> [--strategy never|always|heuristic|trial]
                                [--target x86|wasm] [--pass-stats]
                                [--objective size|speed|pareto]
-                               [--full-sweep] [-o out.ir] [--connect EP]
+                               [-o out.ir] [--connect EP]
   optinline search   <file.ir> [--bits N] [--target x86|wasm]
                                [--objective size|speed|pareto]
                                [--full-eval] [--stats] [--pass-stats]
@@ -61,28 +61,65 @@ client knobs (with --connect):
                           jitter                          (default 50)
 ";
 
+/// The client knobs `optimize`, `search` and `autotune` take with
+/// `--connect` (see USAGE).
+const CLIENT_FLAGS: &str = "connect deadline-ms connect-timeout-ms retries retry-backoff-ms";
+
+/// The flags each command's USAGE entry lists, space-separated, in two
+/// parts: its own (`out` is `-o`) and its client knobs. `None` for an
+/// unknown command, which `run_command` refuses.
+fn command_flags(cmd: &str) -> Option<[&'static str; 2]> {
+    Some(match cmd {
+        "print" => ["out", ""],
+        "stats" | "run" => ["", ""],
+        "optimize" => ["strategy target pass-stats objective out", CLIENT_FLAGS],
+        "search" => [
+            "bits target objective full-eval stats pass-stats jobs cache-dir no-persist \
+             cache-budget-bytes",
+            CLIENT_FLAGS,
+        ],
+        "autotune" => [
+            "rounds init target full-eval stats objective pass-stats cache-dir no-persist \
+             cache-budget-bytes",
+            CLIENT_FLAGS,
+        ],
+        "serve" => ["socket tcp cache-dir cache-budget-bytes queue max-concurrent", ""],
+        "loadgen" => ["connect connections requests mix threads seed deadline-ms", ""],
+        "cache" => ["cache-dir cache-budget-bytes", ""],
+        "gen" => ["seed internal clusters out", ""],
+        "link" => ["keep out", ""],
+        "corpus" => ["dir scale", ""],
+        "cfg" => ["func", ""],
+        "check" => ["fuzz seed reduce repro-dir demo-reduce chaos", ""],
+        _ => return None,
+    })
+}
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
+    /// Splits `argv` into positionals and flags, refusing any flag the
+    /// USAGE entry of `cmd` does not list before it can take a value.
+    fn parse(cmd: &str, argv: impl Iterator<Item = String>) -> Result<Args, CliError> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut argv = argv.peekable();
         // Flags that take no value; present means "on".
-        const BOOLEAN: &[&str] = &[
-            "stats",
-            "full-eval",
-            "reduce",
-            "demo-reduce",
-            "pass-stats",
-            "full-sweep",
-            "no-persist",
-        ];
+        const BOOLEAN: &[&str] =
+            &["stats", "full-eval", "reduce", "demo-reduce", "pass-stats", "no-persist"];
+        let accepted = command_flags(cmd);
+        let check = |name: &str, spelled: &str| match accepted {
+            Some(lists) if !lists.iter().flat_map(|l| l.split_whitespace()).any(|f| f == name) => {
+                Err(format!("unknown flag {spelled} for {cmd}"))
+            }
+            _ => Ok(()),
+        };
         while let Some(a) = argv.next() {
             if let Some(name) = a.strip_prefix("--") {
+                check(name, &a)?;
                 if BOOLEAN.contains(&name) {
                     flags.push((name.to_string(), String::new()));
                     continue;
@@ -90,6 +127,7 @@ impl Args {
                 let value = argv.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 flags.push((name.to_string(), value));
             } else if a == "-o" {
+                check("out", &a)?;
                 let value = argv.next().ok_or("-o needs a path")?;
                 flags.push(("out".into(), value));
             } else {
@@ -171,7 +209,6 @@ impl Args {
 
     fn optimize_options(&self) -> Result<OptimizeOptions, CliError> {
         Ok(OptimizeOptions {
-            full_sweep: self.flag("full-sweep").is_some(),
             pass_stats: self.flag("pass-stats").is_some(),
             objective: self.objective()?,
         })
@@ -225,7 +262,7 @@ fn run_command(cmd: &str, args: &Args) -> Result<(), CliError> {
                 source: source.clone(),
                 target: args.flag("target").unwrap_or("x86").to_string(),
                 strategy: args.flag("strategy").unwrap_or("heuristic").to_string(),
-                full_sweep: opts.full_sweep,
+                full_sweep: false,
                 pass_stats: opts.pass_stats,
                 objective: args.flag("objective").unwrap_or("size").to_string(),
             })?;
@@ -404,7 +441,7 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    let args = match Args::parse(argv) {
+    let args = match Args::parse(&cmd, argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

@@ -137,11 +137,15 @@ impl Handler for CliHandler {
                 pass_stats,
                 objective,
             } => {
+                if *full_sweep {
+                    return Err("the full-sweep scheduler was removed: optimize always drains \
+                                the change-driven worklist"
+                        .to_string());
+                }
                 let strategy = StrategyChoice::parse(strategy).map_err(as_msg)?;
                 let target = TargetChoice::parse(target).map_err(as_msg)?;
                 let objective = parse_objective(objective)?;
-                let opts =
-                    OptimizeOptions { full_sweep: *full_sweep, pass_stats: *pass_stats, objective };
+                let opts = OptimizeOptions { pass_stats: *pass_stats, objective };
                 let (report, module, measurement) =
                     cmd_optimize_measured(source, strategy, target, opts).map_err(as_msg)?;
                 Ok(Reply { report, module: Some(module), measurement: Some(measurement) })

@@ -79,6 +79,30 @@ fn bad_input_exits_nonzero() {
 }
 
 #[test]
+fn flags_a_command_does_not_list_are_refused() {
+    let ir = tmp("flags.ir");
+    run_ok(&["gen", "--seed", "3", "--internal", "4", "-o", ir.to_str().unwrap()]);
+    let path = ir.to_str().unwrap();
+    for (args, flag, cmd) in [
+        // A misspelled value flag used to be silently ignored.
+        (vec!["search", path, "--bit", "20"], "--bit", "search"),
+        // A removed boolean flag, after the file and before it (where it
+        // would otherwise have consumed the file name as its value).
+        (vec!["optimize", path, "--full-sweep"], "--full-sweep", "optimize"),
+        (vec!["optimize", "--full-sweep", path], "--full-sweep", "optimize"),
+        // `-o` is a flag too.
+        (vec!["stats", path, "-o", "x.ir"], "-o", "stats"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag} for {cmd}")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+    std::fs::remove_file(&ir).ok();
+}
+
+#[test]
 fn optimized_output_file_parses_again() {
     let ir = tmp("opt.ir");
     let out_ir = tmp("opt_out.ir");

@@ -78,7 +78,7 @@ fn served_results_are_byte_identical_to_in_process_cold_and_warm() {
         &src,
         StrategyChoice::Trial,
         TargetChoice::Wasm,
-        OptimizeOptions { full_sweep: false, pass_stats: true, ..Default::default() },
+        OptimizeOptions { pass_stats: true, ..Default::default() },
     )
     .unwrap();
     assert_eq!(served.report, local_report, "optimize report diverged");
@@ -176,6 +176,42 @@ fn served_objectives_match_in_process_and_report_measurements() {
     handle.join().expect("clean exit");
     std::fs::remove_dir_all(&daemon_cache).ok();
     std::fs::remove_dir_all(&local_cache).ok();
+}
+
+#[test]
+fn a_full_sweep_optimize_is_refused_with_an_error_event() {
+    let src = demo_source();
+    let sock = tmp("full-sweep.sock");
+    let handle = start_daemon(ServeConfig {
+        endpoint: Endpoint::Unix(sock.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon boots");
+    let mut client = Client::connect(&Endpoint::Unix(sock.clone())).expect("connect");
+
+    let kind = |full_sweep| RequestKind::Optimize {
+        source: src.clone(),
+        target: "x86".to_string(),
+        strategy: "heuristic".to_string(),
+        full_sweep,
+        pass_stats: false,
+        objective: "size".to_string(),
+    };
+    match client.call(kind(true), &mut |_| {}) {
+        Err(ClientError::Remote(msg)) => assert!(msg.contains("full-sweep"), "{msg}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    // The refusal is the request's outcome, not the connection's: the
+    // same connection still serves the worklist.
+    let served = client.call(kind(false), &mut |_| {}).expect("served optimize");
+    assert!(served.report.contains("size:"), "{}", served.report);
+
+    let stats = client.server_stats().expect("stats");
+    assert_eq!(stats.errors, 1, "the refusal is counted as an error");
+    assert_eq!(stats.completed, 1);
+
+    handle.drain();
+    handle.join().expect("clean exit");
 }
 
 #[test]

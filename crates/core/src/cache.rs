@@ -29,7 +29,7 @@ const SHARDS: usize = 16;
 /// Why a shard lock can fail: a thread panicked while holding it.
 const POISONED: &str = "a thread panicked while holding a memo shard lock";
 
-/// A concurrent memo split over [`SHARDS`] independently locked shards.
+/// A concurrent memo split over `SHARDS` independently locked shards.
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// One per shard: signalled when a computation pending in that shard

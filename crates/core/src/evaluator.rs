@@ -84,7 +84,7 @@ pub(crate) fn domain_fingerprint(
 /// length-prefixed FNV-128 over every part that determines the reply
 /// bytes (request kind, module text, target, parameters). The serving
 /// daemon deduplicates in-flight requests by this value, so it lives in
-/// core next to [`domain_fingerprint`] — the two members of the identity
+/// core next to `domain_fingerprint` — the two members of the identity
 /// family must never drift apart in hashing discipline.
 pub fn evaluation_identity<'a>(parts: impl IntoIterator<Item = &'a str>) -> u128 {
     let mut h = Fnv128::new();

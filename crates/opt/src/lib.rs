@@ -87,8 +87,8 @@ pub use pass::{
 };
 pub use pipeline::{
     cleanup_pipeline, cleanup_pipeline_with, optimize_os, optimize_os_instrumented,
-    optimize_os_no_inline, optimize_os_report, optimize_os_report_with_summary,
-    optimize_os_with_summary, OsReport, PipelineOptions,
+    optimize_os_no_inline, optimize_os_report, optimize_os_report_with_summary, OsReport,
+    PipelineOptions,
 };
 pub use sccp::Sccp;
 pub use simplify::Simplify;

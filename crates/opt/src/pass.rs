@@ -1,7 +1,7 @@
-//! The pass framework: the per-function [`Pass`] contract, a
-//! [`PassManager`] that can run a pipeline either as legacy whole-module
-//! sweeps or as a change-driven dirty-function worklist, and the counters
-//! ([`PipelineStats`]) both schedulers report.
+//! The pass framework: the per-function [`Pass`] contract, the
+//! [`PassManager`] that drains a pipeline on a change-driven
+//! dirty-function worklist, and the counters ([`PipelineStats`]) it
+//! reports.
 //!
 //! ## The contract
 //!
@@ -14,29 +14,37 @@
 //! `run_on_function` — that module-scope passes (dead-function elimination,
 //! function merging, the inliner-as-a-pass) override.
 //!
-//! ## The two schedulers
+//! ## The scheduler
 //!
-//! [`PassManager::run_to_fixpoint`] is the legacy reference: sweep every
-//! pass over every function, repeat until a full sweep changes nothing.
-//! [`PassManager::run_worklist`] is the change-driven scheduler: the same
-//! pass-major order, but each round only visits *dirty* functions — the
-//! seed set on round one, then exactly the functions something changed in
-//! the previous round. A clean function is by construction at a local
-//! fixpoint of every pass in the pipeline, so skipping it is byte-identical
-//! to the legacy sweep's no-op visit; the worklist therefore produces the
-//! same final module while doing `Σ(per-function rounds-to-converge)` work
-//! instead of `functions × max(rounds-to-converge)`.
+//! [`PassManager::run_worklist`] is the one scheduling loop: rounds of the
+//! pipeline in pass-major order, each round visiting only *dirty*
+//! functions — the seed set on round one, then exactly the functions
+//! something changed in the previous round.
+//! [`PassManager::run_to_fixpoint`] is a drain of the same loop seeded
+//! with every function.
 //!
-//! The equivalence argument needs one structural property the standard
-//! pipeline has: every cross-function writer (dead-argument elimination)
-//! is the *last* pass in the sequence, so a round never changes a function
-//! after a later pass in the same round already visited it. Custom
-//! pipelines that put cross-function passes mid-sequence still converge to
-//! the same fixpoint but may take a different route through it.
+//! The reference it must match byte for byte is the whole-module sweep:
+//! every pass over every function, repeated until a sweep changes nothing.
+//! A clean function is by construction at a local fixpoint of every pass
+//! in the pipeline, so skipping it is byte-identical to the sweep's no-op
+//! visit. The **mid-round rule** covers the other half: when a pass
+//! reports a function changed while visiting another (dead-argument
+//! elimination rewriting a caller), that function joins the current round
+//! — the rest of the current pass visits it if it comes later in
+//! [`FuncId`] order, and every later pass of the round visits it. Those are
+//! exactly the visits the sweep makes to it after the change, so a
+//! cross-function cascade finishes in the same round as under the sweep,
+//! and the two stop at the same module under an iteration cap too. The
+//! worklist does `Σ(per-function rounds-to-converge)` work instead of
+//! `functions × max(rounds-to-converge)`.
+//!
+//! `optinline-check`'s scheduling oracle keeps the sweep as its private
+//! reference and compares the two on every fuzz case.
 
 use optinline_ir::{verify_module, AnalysisCacheStats, AnalysisManager, FuncId, Module};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// What one per-function pass application did: which functions changed
 /// (empty = nothing) and which analyses are still valid for them.
@@ -153,9 +161,8 @@ pub struct PipelineStats {
     pub cap_hits: u64,
     /// Did every fixpoint loop in the run converge?
     pub hit_fixpoint: bool,
-    /// Dirty-function visits (one visit = the whole pass sequence applied
-    /// to one function in one round). Zero under the legacy full sweep,
-    /// which does not track per-function work.
+    /// Function visits: one per function per round it takes part in,
+    /// whether it was dirty at the round's start or joined mid-round.
     pub function_visits: u64,
 }
 
@@ -231,10 +238,8 @@ impl PipelineStats {
     }
 }
 
-/// Holds a pass pipeline and runs it with either scheduler: legacy
-/// whole-module fixpoint sweeps ([`run_to_fixpoint`](Self::run_to_fixpoint))
-/// or the change-driven dirty-function worklist
-/// ([`run_worklist`](Self::run_worklist)).
+/// Holds a pass pipeline and drains it on the change-driven
+/// dirty-function worklist ([`run_worklist`](Self::run_worklist)).
 #[derive(Debug)]
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
@@ -267,11 +272,6 @@ impl PassManager {
         self
     }
 
-    /// The registered pass names, in order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
     /// Fresh per-pass counters matching this pipeline, for accumulating
     /// across [`run_worklist`](Self::run_worklist) drains.
     pub fn fresh_stats(&self) -> PipelineStats {
@@ -286,50 +286,23 @@ impl PassManager {
         }
     }
 
-    /// Runs the pipeline to a fixpoint with whole-module sweeps — the
-    /// legacy reference scheduler kept behind `PipelineOptions::full_sweep`.
+    /// The registered passes, in order (read-only: a reference scheduler
+    /// can replay the exact pipeline without copying its construction).
+    pub fn passes(&self) -> impl Iterator<Item = &dyn Pass> {
+        self.passes.iter().map(|p| p.as_ref())
+    }
+
+    /// Drains the pipeline over the whole module: the worklist seeded with
+    /// every function, a fresh (live) [`AnalysisManager`], and throwaway
+    /// counters.
     ///
     /// # Panics
     ///
     /// Panics if `verify_each` is enabled and a pass breaks the IR.
     pub fn run_to_fixpoint(&self, module: &mut Module) -> Fixpoint {
-        self.run_to_fixpoint_observed(module, &mut |_, _| {})
-    }
-
-    /// Like [`run_to_fixpoint`](PassManager::run_to_fixpoint), but invokes
-    /// `observer(pass_name, module)` after each pass application that
-    /// changed the module — the hook differential oracles use to attribute
-    /// a semantic divergence to the specific pass that introduced it.
-    /// Unchanged applications are skipped so observers only pay for (and
-    /// only report) real transformations.
-    pub fn run_to_fixpoint_observed(
-        &self,
-        module: &mut Module,
-        observer: &mut dyn FnMut(&'static str, &Module),
-    ) -> Fixpoint {
-        let mut fp = Fixpoint::default();
-        for _ in 0..self.max_iterations {
-            optinline_ir::cancel::checkpoint();
-            let mut changed = false;
-            for pass in &self.passes {
-                let c = pass.run(module);
-                if self.verify_each {
-                    if let Err(e) = verify_module(module) {
-                        panic!("pass `{}` broke the IR: {e}\n{module}", pass.name());
-                    }
-                }
-                if c {
-                    observer(pass.name(), module);
-                }
-                changed |= c;
-            }
-            if !changed {
-                fp.hit_fixpoint = true;
-                break;
-            }
-            fp.iterations += 1;
-        }
-        fp
+        let all: Vec<FuncId> = module.func_ids().collect();
+        let mut stats = self.fresh_stats();
+        self.run_worklist(module, &mut AnalysisManager::new(), all, &mut stats)
     }
 
     /// The change-driven scheduler: rounds of the pass sequence over only
@@ -337,16 +310,21 @@ impl PassManager {
     /// visits exactly the functions something changed (including callers
     /// rewritten by dead-argument elimination) in the previous round.
     ///
+    /// The mid-round rule: a function a pass changes while visiting another
+    /// joins the current round — the rest of that pass visits it if it
+    /// comes later in [`FuncId`] order, and every later pass of the round
+    /// visits it, exactly as the whole-module sweep would.
+    ///
     /// Analyses are read through `am` and invalidated per each pass's
     /// [`PassResult::preserved`] declaration. Work and cache counters are
     /// accumulated into `stats` (obtain one from
     /// [`fresh_stats`](Self::fresh_stats); reuse it across drains to sum).
     ///
-    /// Callers that want the legacy result byte-for-byte must seed every
-    /// function whose state is not already a pipeline fixpoint — the
-    /// standard pipeline seeds all of them, because a pristine (or freshly
-    /// inlined-into) module has cleanup opportunities everywhere, and lets
-    /// the dirty set collapse from there.
+    /// Callers that want the whole-module sweep's result byte-for-byte
+    /// must seed every function whose state is not already a pipeline
+    /// fixpoint — the standard pipeline seeds all of them, because a
+    /// pristine (or freshly inlined-into) module has cleanup opportunities
+    /// everywhere, and lets the dirty set collapse from there.
     pub fn run_worklist(
         &self,
         module: &mut Module,
@@ -357,11 +335,12 @@ impl PassManager {
         self.run_worklist_observed(module, am, seed, &mut |_, _| {}, stats)
     }
 
-    /// [`run_worklist`](Self::run_worklist) with the same observer hook as
-    /// [`run_to_fixpoint_observed`](Self::run_to_fixpoint_observed): called
-    /// once per pass per round when that pass changed anything. Because a
-    /// skipped (clean) function is one the pass could not have changed, the
-    /// observed module states are identical to the legacy scheduler's.
+    /// [`run_worklist`](Self::run_worklist) that also invokes
+    /// `observer(pass_name, module)` once per pass per round when that pass
+    /// changed anything — the hook differential oracles use to attribute a
+    /// semantic divergence to the specific pass that introduced it.
+    /// Unchanged applications are skipped so observers only pay for (and
+    /// only report) real transformations.
     pub fn run_worklist_observed(
         &self,
         module: &mut Module,
@@ -372,24 +351,28 @@ impl PassManager {
     ) -> Fixpoint {
         debug_assert_eq!(stats.per_pass.len(), self.passes.len(), "stats/pipeline mismatch");
         let mut fp = Fixpoint::default();
-        // BTreeSet: functions are visited in id order, like the legacy
-        // sweep — required for byte-identity (SCCP materializes fresh
-        // value ids, so visit order is observable in the output).
-        let mut dirty: BTreeSet<FuncId> = seed.into_iter().collect();
+        // BTreeSet: functions are visited in id order, like the sweep —
+        // required for byte-identity (SCCP materializes fresh value ids,
+        // so visit order is observable in the output).
+        let mut round: BTreeSet<FuncId> = seed.into_iter().collect();
         for _ in 0..self.max_iterations {
             // A round boundary is a module-consistent point, so it is the
             // cancellation checkpoint for served pipeline work.
             optinline_ir::cancel::checkpoint();
-            if dirty.is_empty() {
+            if round.is_empty() {
                 fp.hit_fixpoint = true;
                 break;
             }
-            stats.function_visits += dirty.len() as u64;
+            stats.function_visits += round.len() as u64;
             let mut next: BTreeSet<FuncId> = BTreeSet::new();
             let mut round_changed = false;
             for (pi, pass) in self.passes.iter().enumerate() {
                 let mut pass_changed = false;
-                for &fid in &dirty {
+                // A cursor rather than an iterator: `round` grows while
+                // this pass runs, and a function joining after the cursor
+                // is visited by the rest of this pass.
+                let mut cursor = round.first().copied();
+                while let Some(fid) = cursor {
                     stats.per_pass[pi].invocations += 1;
                     let res = pass.run_on_function(module, fid, am);
                     if res.any_changed() {
@@ -398,8 +381,12 @@ impl PassManager {
                         for &f in &res.changed_functions {
                             am.invalidate_function(f, res.preserved);
                             next.insert(f);
+                            if round.insert(f) {
+                                stats.function_visits += 1;
+                            }
                         }
                     }
+                    cursor = round.range((Excluded(fid), Unbounded)).next().copied();
                 }
                 if self.verify_each {
                     if let Err(e) = verify_module(module) {
@@ -416,9 +403,9 @@ impl PassManager {
                 break;
             }
             fp.iterations += 1;
-            dirty = next;
+            round = next;
         }
-        if dirty.is_empty() {
+        if round.is_empty() {
             fp.hit_fixpoint = true;
         }
         stats.record(fp);
@@ -437,6 +424,8 @@ impl Default for PassManager {
 mod tests {
     use super::*;
     use optinline_ir::Linkage;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
 
     #[derive(Debug)]
     struct CountingPass {
@@ -493,21 +482,141 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add(CountingPass { fires: Default::default(), budget: 3 });
         let mut m = Module::new("m");
-        m.declare_function("main", 0, Linkage::Public);
+        let f = m.declare_function("main", 0, Linkage::Public);
         let mut seen = Vec::new();
-        pm.run_to_fixpoint_observed(&mut m, &mut |name, module| {
-            seen.push((name, module.name.clone()));
-        });
+        let mut stats = pm.fresh_stats();
+        let mut am = AnalysisManager::new();
+        let mut observer =
+            |name: &'static str, module: &Module| seen.push((name, module.name.clone()));
+        pm.run_worklist_observed(&mut m, &mut am, [f], &mut observer, &mut stats);
         // The pass reports "changed" on its first two fires only; the third
         // (no-change) application must not be observed.
         assert_eq!(seen, vec![("counting", "m".to_string()), ("counting", "m".to_string())]);
     }
 
+    /// A synthetic cross-function pass over a chain of functions in id
+    /// order: visiting an armed function disarms it and arms (rewrites) the
+    /// next one, the way dead-argument elimination rewrites callers. The
+    /// head's first visit changes it and arms it, so the cascade starts in
+    /// round two, when only the head is dirty.
+    #[derive(Debug)]
+    struct Cascade {
+        chain: Vec<FuncId>,
+        armed: Mutex<BTreeSet<FuncId>>,
+        started: AtomicBool,
+    }
+
+    impl Cascade {
+        fn new(chain: Vec<FuncId>) -> Self {
+            Cascade { chain, armed: Mutex::default(), started: AtomicBool::new(false) }
+        }
+    }
+
+    impl Pass for Cascade {
+        fn name(&self) -> &'static str {
+            "cascade"
+        }
+
+        fn run_on_function(
+            &self,
+            _m: &mut Module,
+            fid: FuncId,
+            _am: &mut AnalysisManager,
+        ) -> PassResult {
+            let mut armed = self.armed.lock().unwrap();
+            if fid == self.chain[0] && !self.started.swap(true, Ordering::SeqCst) {
+                armed.insert(fid);
+                return PassResult::changed(fid, PreservedAnalyses::all());
+            }
+            if !armed.remove(&fid) {
+                return PassResult::unchanged();
+            }
+            let pos = self.chain.iter().position(|&f| f == fid).unwrap();
+            let mut changed = vec![fid];
+            if let Some(&next) = self.chain.get(pos + 1) {
+                armed.insert(next);
+                changed.push(next);
+            }
+            PassResult::changed_many(changed, PreservedAnalyses::all())
+        }
+    }
+
+    /// Records every function it visits and never changes anything.
+    #[derive(Debug, Default)]
+    struct Recorder(Mutex<Vec<FuncId>>);
+
+    impl Pass for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn run_on_function(
+            &self,
+            _m: &mut Module,
+            fid: FuncId,
+            _am: &mut AnalysisManager,
+        ) -> PassResult {
+            self.0.lock().unwrap().push(fid);
+            PassResult::unchanged()
+        }
+    }
+
+    fn chain_module(n: usize) -> (Module, Vec<FuncId>) {
+        let mut m = Module::new("chain");
+        let ids = (0..n).map(|i| m.declare_function(format!("f{i}"), 0, Linkage::Public)).collect();
+        (m, ids)
+    }
+
     #[test]
-    fn pass_names_are_reported_in_order() {
+    fn a_cascade_finishes_inside_the_pass_that_starts_it() {
+        // Chain f0 → f1 → … → f4 in id order, the heuristics' 3-round cap.
+        // The whole-module sweep finishes the cascade in round two (each
+        // newly armed function comes later in the same sweep) and proves
+        // the fixpoint in round three; one round per link would need six.
+        let (mut m, ids) = chain_module(5);
         let mut pm = PassManager::new();
-        pm.add(CountingPass { fires: Default::default(), budget: 0 });
-        assert_eq!(pm.pass_names(), vec!["counting"]);
+        pm.max_iterations(3);
+        pm.add(Cascade::new(ids.clone())).add(Recorder::default());
+        let mut stats = pm.fresh_stats();
+        let fp = pm.run_worklist(&mut m, &mut AnalysisManager::new(), ids.clone(), &mut stats);
+        assert_eq!(fp, Fixpoint { iterations: 2, hit_fixpoint: true });
+        // Round two: f0 dirty, f1..f4 join as the cascade reaches them;
+        // round three: all five were changed in round two.
+        assert_eq!(stats.per_pass[0].invocations, 15);
+        assert_eq!(stats.per_pass[0].changed, 1 + 9);
+        assert_eq!(stats.per_pass[1].invocations, 15, "later passes visit every joiner");
+        assert_eq!(stats.function_visits, 15, "mid-round joins count as visits");
+    }
+
+    #[test]
+    fn a_joiner_behind_the_cursor_waits_for_the_next_pass() {
+        // Chain f4 → f3 → … → f0: each armed function comes *earlier* in
+        // id order, so, as under the sweep, the cascade moves one link per
+        // round, while the rest of each round still sees the joiner.
+        let (mut m, mut ids) = chain_module(5);
+        ids.reverse();
+        let mut pm = PassManager::new();
+        let cascade = Cascade::new(ids.clone());
+        pm.add(cascade).add(Recorder::default());
+        let mut stats = pm.fresh_stats();
+        let seed = ids.iter().copied();
+        let fp = pm.run_worklist(&mut m, &mut AnalysisManager::new(), seed, &mut stats);
+        // Round 1 arms f4; rounds 2..=6 move the cascade from f4 to f0.
+        assert_eq!(fp, Fixpoint { iterations: 6, hit_fixpoint: true });
+        // Cascade visits: 5 (round 1), then each round its start-of-round
+        // set; the recorder additionally sees the round's joiner.
+        let rounds: [u64; 7] = [5, 1, 2, 2, 2, 2, 1];
+        assert_eq!(stats.per_pass[0].invocations, rounds.iter().sum::<u64>());
+        assert_eq!(stats.per_pass[1].invocations, rounds.iter().sum::<u64>() + 4);
+        assert_eq!(stats.function_visits, stats.per_pass[1].invocations);
+    }
+
+    #[test]
+    fn passes_are_reported_in_order() {
+        let mut pm = PassManager::new();
+        pm.add(CountingPass { fires: Default::default(), budget: 0 }).add(Recorder::default());
+        let names: Vec<_> = pm.passes().map(|p| p.name()).collect();
+        assert_eq!(names, ["counting", "recorder"]);
     }
 
     #[test]

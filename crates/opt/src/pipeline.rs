@@ -18,35 +18,31 @@ use crate::simplify_cfg::SimplifyCfg;
 use crate::tailmerge::TailMerge;
 use optinline_ir::{AnalysisManager, FuncId, Module};
 
-/// Options for [`optimize_os`].
+/// Options for [`optimize_os`] and the cleanup pipelines. The cleanup
+/// always drains on the change-driven worklist
+/// ([`PassManager::run_worklist`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineOptions {
-    /// Cap on cleanup fixpoint iterations (default 10).
+    /// Cap on cleanup rounds per drain (default 10).
     pub max_iterations: usize,
     /// Verify the IR after every pass (slow; meant for tests).
     pub verify_each: bool,
-    /// Run the legacy whole-module sweep scheduler instead of the
-    /// change-driven dirty-function worklist (default `false`). The two
-    /// produce byte-identical modules; the sweep is kept as the reference
-    /// the differential oracles cross-check against.
-    pub full_sweep: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
-        PipelineOptions { max_iterations: 10, verify_each: false, full_sweep: false }
+        PipelineOptions { max_iterations: 10, verify_each: false }
     }
 }
 
 /// What a full `-Os` compile did: the inliner's expansion count plus the
-/// cleanup schedulers' work/cache counters.
+/// worklist's work/cache counters.
 #[derive(Clone, Debug, Default)]
 pub struct OsReport {
     /// Call sites the inliner expanded.
     pub inlined: usize,
-    /// Per-pass, analysis-cache, and fixpoint accounting for the cleanup
-    /// drains. Under `full_sweep` only the round/cap counters are
-    /// populated (the legacy scheduler does not track per-function work).
+    /// Per-pass, analysis-cache, and fixpoint accounting, summed over the
+    /// cleanup drains before and after dead-function elimination.
     pub stats: PipelineStats,
 }
 
@@ -107,7 +103,7 @@ pub fn optimize_os_report(
     optimize_os_report_with_summary(module, oracle, options, summary)
 }
 
-/// [`optimize_os`] with a precomputed pre-inlining [`EffectSummary`].
+/// [`optimize_os_report`] with a precomputed pre-inlining [`EffectSummary`].
 ///
 /// The summary must have been computed on `module` in its current (pristine,
 /// pre-inlining) state — callers that compile the same module repeatedly
@@ -116,16 +112,6 @@ pub fn optimize_os_report(
 /// per component slice.
 ///
 /// [`EffectSummary`]: optinline_ir::analysis::EffectSummary
-pub fn optimize_os_with_summary(
-    module: &mut Module,
-    oracle: &dyn InlineOracle,
-    options: PipelineOptions,
-    summary: optinline_ir::analysis::EffectSummary,
-) -> usize {
-    optimize_os_report_with_summary(module, oracle, options, summary).inlined
-}
-
-/// [`optimize_os_with_summary`] returning the full [`OsReport`].
 pub fn optimize_os_report_with_summary(
     module: &mut Module,
     oracle: &dyn InlineOracle,
@@ -169,21 +155,10 @@ fn optimize_os_observed(
     }
     let pm = cleanup_pipeline_with(options, Some(summary.clone()));
     let mut stats = pm.fresh_stats();
-    if options.full_sweep {
-        // Legacy reference scheduler: whole-module sweeps.
-        stats.record(pm.run_to_fixpoint_observed(module, observer));
-        if DeadFunctionElim.run(module) {
-            observer("dead-function-elim", module);
-            // Dropping functions can orphan nothing else (stubs keep ids),
-            // but a final sweep catches calls-to-pure-stub cleanups.
-            stats.record(pm.run_to_fixpoint_observed(module, observer));
-        }
-        return OsReport { inlined: outcome.expanded, stats };
-    }
-    // Change-driven scheduler. A pristine (or freshly inlined-into) module
-    // has cleanup opportunities everywhere, so the first drain seeds every
-    // function — byte-identity with the sweep demands it — and the dirty
-    // set collapses to the inliner-touched neighbourhood after round one.
+    // A pristine (or freshly inlined-into) module has cleanup
+    // opportunities everywhere, so the first drain seeds every function —
+    // byte-identity with the sweep demands it — and the dirty set
+    // collapses to the inliner-touched neighbourhood after round one.
     let mut am = AnalysisManager::with_frozen_effects(summary);
     let all: Vec<FuncId> = module.func_ids().collect();
     pm.run_worklist_observed(module, &mut am, all.iter().copied(), observer, &mut stats);

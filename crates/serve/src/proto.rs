@@ -97,7 +97,10 @@ pub enum RequestKind {
         target: String,
         /// `never` | `always` | `heuristic` | `trial`.
         strategy: String,
-        /// Use the legacy whole-module sweep scheduler.
+        /// Must be `false`: the whole-module sweep scheduler was removed,
+        /// and the CLI's handler refuses `true` with an `error` event. The
+        /// field stays on the wire and in the identity so existing request
+        /// builders keep compiling and encoding unchanged.
         full_sweep: bool,
         /// Append the per-pass table to the report.
         pass_stats: bool,
