@@ -5,6 +5,11 @@
 //! Each property runs over a deterministic spread of seeds; `params_from`
 //! mixes the seed into varied generator parameters, so the corpus spans
 //! sizes, call densities, recursion, and opt-out probabilities.
+//!
+//! `pipeline_outputs_match_golden` pins what the whole `-Os` pipeline makes
+//! of that corpus, byte for byte, against `tests/golden/pipeline_outputs.txt`.
+
+mod common;
 
 use optinline::prelude::*;
 use optinline::workloads::GenParams;
@@ -77,6 +82,41 @@ fn pipeline_preserves_observables_under_any_configuration() {
             optinline::ir::interp::run_main(&optimized).expect("optimized programs terminate");
         assert_eq!(before.observable(), after.observable(), "case {case}");
     }
+}
+
+/// `optimize_os_report` on 256 generated modules under two random
+/// configurations each, pinned as `case config digest size | stats` rows:
+/// the digest of the printed module (`common::module_digest`), its x86 text
+/// size, and the report's `--pass-stats` rendering with its lines joined by
+/// ` | ` and runs of spaces collapsed. Constant folding and tail merging
+/// change nothing in this corpus (SCCP folds first, and generated modules
+/// have no duplicate tails); `pass_properties` pins both on inputs where
+/// they do.
+#[test]
+fn pipeline_outputs_match_golden() {
+    let mut rows = String::from("# case config digest x86-size | pass stats\n");
+    for case in 0..256u64 {
+        let module = optinline::workloads::generate_file(&params_from(case));
+        for config in 0..2u64 {
+            let decisions = arb_decisions(&module, case * 31 + 7 + config);
+            let mut m = module.clone();
+            let report = optinline::opt::optimize_os_report(
+                &mut m,
+                &ForcedDecisions::new(decisions.decisions().clone()),
+                PipelineOptions::default(),
+            );
+            let rendered: Vec<String> = report
+                .stats
+                .render()
+                .lines()
+                .map(|line| line.split_whitespace().collect::<Vec<_>>().join(" "))
+                .collect();
+            let digest = common::module_digest(&m);
+            let size = text_size(&m, &X86Like);
+            rows.push_str(&format!("{case} {config} {digest} {size} | {}\n", rendered.join(" | ")));
+        }
+    }
+    common::assert_golden("pipeline_outputs.txt", &rows);
 }
 
 #[test]
