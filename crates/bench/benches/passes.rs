@@ -1,11 +1,15 @@
-//! Criterion benches for the individual optimization passes and the
-//! incremental-autotuning ablation (full vs dirty-component rounds).
+//! Criterion benches for the nine cleanup passes, each applied once to a
+//! fresh clone of one inlined module, and the incremental-autotuning
+//! ablation (full vs dirty-component rounds).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::{site_components, Autotuner};
 use optinline_core::{InliningConfiguration, SizeEvaluator};
-use optinline_opt::{run_inliner, AlwaysInline, Dce, Gvn, Pass, Sccp, SimplifyCfg, TailMerge};
+use optinline_opt::{
+    run_inliner, AlwaysInline, ConstFold, Cse, Dce, DeadArgElim, Gvn, Pass, Sccp, Simplify,
+    SimplifyCfg, TailMerge,
+};
 use optinline_workloads::{generate_file, GenParams};
 
 fn inlined_module(n_internal: usize) -> optinline_ir::Module {
@@ -23,12 +27,17 @@ fn inlined_module(n_internal: usize) -> optinline_ir::Module {
 fn bench_individual_passes(c: &mut Criterion) {
     let mut group = c.benchmark_group("passes");
     let module = inlined_module(16);
+    // Pipeline order (`cleanup_pipeline`).
     let cases: Vec<(&str, Box<dyn Pass>)> = vec![
+        ("const_fold", Box::new(ConstFold)),
+        ("simplify", Box::new(Simplify)),
         ("sccp", Box::new(Sccp)),
+        ("cse", Box::new(Cse::default())),
         ("gvn", Box::new(Gvn)),
         ("simplify_cfg", Box::new(SimplifyCfg)),
         ("tail_merge", Box::new(TailMerge)),
         ("dce", Box::new(Dce::default())),
+        ("dead_arg_elim", Box::new(DeadArgElim)),
     ];
     for (name, pass) in cases {
         group.bench_function(name, |b| {

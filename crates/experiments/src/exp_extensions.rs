@@ -280,7 +280,12 @@ pub fn farm(ctx: &Ctx, cases: &[FileCase]) {
     };
     let mut out = String::new();
     let _ = writeln!(out, "Extension — compile-farm capacity model");
-    let _ = writeln!(out, "measured compile cost: {cost_us} us per evaluation\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(
+        out,
+        "measured compile cost: {cost_us} us per evaluation (compiled one at a time; host has \
+         {cores} cores)\n"
+    );
     let _ = writeln!(
         out,
         "{:<28} {:>10} {:>10} {:>10} {:>10}",

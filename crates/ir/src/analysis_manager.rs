@@ -16,8 +16,9 @@
 //!   snapshot taken at its start (the historical whole-module semantics,
 //!   and the pipeline's decision-independence requirement from §3.2 of the
 //!   paper).
-//! - **CFG facts** (function-keyed): [`CfgFacts`] — block reachability,
-//!   predecessor lists, and immediate dominators, consumed by GVN.
+//! - **CFG facts** (function-keyed): [`CfgFacts`] — immediate dominators
+//!   and block reachability, consumed by GVN. One CFG walk computes both: a
+//!   block is reachable exactly when it has an immediate dominator.
 //! - **Call graph** (module-keyed): the caller map, consumed by
 //!   dead-argument elimination to rewrite only the functions that actually
 //!   call a pruned callee. Cleanup passes only ever *remove* call edges,
@@ -27,7 +28,7 @@
 //! Cache traffic is counted in [`AnalysisCacheStats`] and surfaced through
 //! `optinline optimize --pass-stats`.
 
-use crate::analysis::{immediate_dominators, predecessors, reachable_blocks, EffectSummary};
+use crate::analysis::{immediate_dominators, EffectSummary};
 use crate::{BlockId, FuncId, Module};
 
 /// The analyses a pass promises are still valid for every function it
@@ -99,26 +100,23 @@ impl PreservedAnalyses {
 }
 
 /// Per-function CFG/dominance facts, computed together because their
-/// consumers (GVN's dominator-scoped value table) want all three.
+/// consumer (GVN's dominator-scoped value table) wants both.
 #[derive(Clone, Debug)]
 pub struct CfgFacts {
     /// `reachable[b]` — is block `b` reachable from the entry?
     pub reachable: Vec<bool>,
-    /// `preds[b]` — predecessor blocks of block `b`.
-    pub preds: Vec<Vec<BlockId>>,
-    /// `idom[b]` — immediate dominator of block `b` (entry and unreachable
-    /// blocks have none).
+    /// `idom[b]` — immediate dominator of block `b` (the entry is its own;
+    /// unreachable blocks have none).
     pub idom: Vec<Option<BlockId>>,
 }
 
 impl CfgFacts {
-    /// Computes all facts for one function.
+    /// Computes all facts for one function in one dominator computation:
+    /// reachability is read off the dominators, since every reachable
+    /// block, and only a reachable block, has one.
     pub fn compute(func: &crate::Function) -> Self {
-        CfgFacts {
-            reachable: reachable_blocks(func),
-            preds: predecessors(func),
-            idom: immediate_dominators(func),
-        }
+        let idom = immediate_dominators(func);
+        CfgFacts { reachable: idom.iter().map(Option::is_some).collect(), idom }
     }
 }
 
@@ -339,6 +337,28 @@ mod tests {
         am.effects(&m);
         assert_eq!(am.stats().computes, 0, "frozen summary is never recomputed");
         let _ = callee;
+    }
+
+    #[test]
+    fn cfg_reachability_is_read_off_the_dominators() {
+        let mut m = Module::new("m");
+        let f = m.declare_function("f", 1, Linkage::Public);
+        let mut b = FuncBuilder::new(&mut m, f);
+        let p = b.param(0);
+        let (t, _) = b.new_block(0);
+        let (e, _) = b.new_block(0);
+        let (dead, _) = b.new_block(0);
+        b.branch(p, t, &[], e, &[]);
+        b.switch_to(t);
+        b.ret(Some(p));
+        b.switch_to(e);
+        b.ret(None);
+        b.switch_to(dead);
+        b.jump(e, &[]);
+        let facts = CfgFacts::compute(m.func(f));
+        assert_eq!(facts.reachable, crate::analysis::reachable_blocks(m.func(f)));
+        assert_eq!(facts.reachable, vec![true, true, true, false]);
+        assert_eq!(facts.idom[0], Some(m.func(f).entry()));
     }
 
     #[test]

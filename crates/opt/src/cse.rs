@@ -4,12 +4,16 @@
 //! of a global are reused, and a load following a store to the same global
 //! forwards the stored value. Calls that may write memory invalidate the
 //! memory state.
+//!
+//! The two per-block tables (available expressions, known memory) are
+//! [`FxHashMap`]s allocated once per function and cleared at each block,
+//! and blocks are rewritten in place.
 
+use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::analysis::EffectSummary;
 use optinline_ir::{AnalysisManager, BinOp, FuncId, GlobalId, Inst, Module, ValueId};
-use std::collections::HashMap;
 
 /// The local-CSE pass.
 ///
@@ -63,19 +67,20 @@ fn cse_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bo
     let func = module.func_mut(fid);
     let mut subst = Subst::new();
     let mut changed = false;
+    let mut available: FxHashMap<Key, ValueId> = FxHashMap::default();
+    let mut memory: FxHashMap<GlobalId, ValueId> = FxHashMap::default();
     for block in &mut func.blocks {
-        let mut available: HashMap<Key, ValueId> = HashMap::new();
-        let mut memory: HashMap<GlobalId, ValueId> = HashMap::new();
-        let mut kept: Vec<Inst> = Vec::with_capacity(block.insts.len());
-        for mut inst in block.insts.drain(..) {
+        available.clear();
+        memory.clear();
+        block.insts.retain_mut(|inst| {
             inst.map_uses(|v| subst.resolve(v));
-            match &inst {
+            match &*inst {
                 Inst::Const { dst, value } => {
                     let key = Key::Const(*value);
                     if let Some(&prev) = available.get(&key) {
                         subst.insert(*dst, prev);
                         changed = true;
-                        continue;
+                        return false;
                     }
                     available.insert(key, *dst);
                 }
@@ -101,7 +106,7 @@ fn cse_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bo
                     if let Some(&prev) = available.get(&key) {
                         subst.insert(*dst, prev);
                         changed = true;
-                        continue;
+                        return false;
                     }
                     available.insert(key, *dst);
                 }
@@ -109,7 +114,7 @@ fn cse_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bo
                     if let Some(&prev) = memory.get(global) {
                         subst.insert(*dst, prev);
                         changed = true;
-                        continue;
+                        return false;
                     }
                     memory.insert(*global, *dst);
                 }
@@ -123,9 +128,8 @@ fn cse_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bo
                     }
                 }
             }
-            kept.push(inst);
-        }
-        block.insts = kept;
+            true
+        });
     }
     if !subst.is_empty() {
         subst.apply(func);

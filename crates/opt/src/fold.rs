@@ -7,7 +7,6 @@
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use optinline_ir::{AnalysisManager, Inst, Module, Terminator, ValueId};
-use std::collections::HashMap;
 
 /// The constant-folding pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -38,25 +37,27 @@ fn fold_function(module: &mut Module, fid: optinline_ir::FuncId) -> bool {
     let func = module.func_mut(fid);
     let mut changed = false;
     // SSA: a value defined by `const` is that constant at every dominated
-    // use, and the verifier guarantees uses are dominated.
-    let mut consts: HashMap<ValueId, i64> = HashMap::new();
+    // use, and the verifier guarantees uses are dominated. `consts` is
+    // indexed by value id; a use past its end is not a constant.
+    let mut consts: Vec<Option<i64>> = vec![None; func.value_bound() as usize];
     for block in &func.blocks {
         for inst in &block.insts {
             if let Inst::Const { dst, value } = inst {
-                consts.insert(*dst, *value);
+                consts[dst.index()] = Some(*value);
             }
         }
     }
+    let constant = |consts: &[Option<i64>], v: ValueId| consts.get(v.index()).copied().flatten();
     // Iterate locally: folding one Bin can make another foldable.
     loop {
         let mut progressed = false;
         for block in &mut func.blocks {
             for inst in &mut block.insts {
                 if let Inst::Bin { dst, op, lhs, rhs } = *inst {
-                    if let (Some(&a), Some(&b)) = (consts.get(&lhs), consts.get(&rhs)) {
+                    if let (Some(a), Some(b)) = (constant(&consts, lhs), constant(&consts, rhs)) {
                         let value = op.eval(a, b);
                         *inst = Inst::Const { dst, value };
-                        consts.insert(dst, value);
+                        consts[dst.index()] = Some(value);
                         progressed = true;
                     }
                 }
@@ -70,7 +71,7 @@ fn fold_function(module: &mut Module, fid: optinline_ir::FuncId) -> bool {
     // Fold branches on constants into jumps.
     for block in &mut func.blocks {
         if let Terminator::Branch { cond, then_to, else_to } = &block.term {
-            if let Some(&c) = consts.get(cond) {
+            if let Some(c) = constant(&consts, *cond) {
                 let target = if c != 0 { then_to.clone() } else { else_to.clone() };
                 block.term = Terminator::Jump(target);
                 changed = true;

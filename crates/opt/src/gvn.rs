@@ -6,11 +6,19 @@
 //! hash table, so a computation is reused anywhere its first occurrence
 //! dominates — the cross-block half of the paper's "inlining enables
 //! further optimization" story.
+//!
+//! The scoped table is one [`FxHashMap`] from key to value plus one key
+//! stack shared by all scopes. A key is inserted only when the lookup
+//! misses and is removed when the scope that inserted it ends, so each key
+//! maps to exactly one value while it is visible. Entering a block records
+//! the stack's height as its mark; leaving it pops the keys above the mark
+//! out of the map. The dominator tree is kept as first-child/next-sibling
+//! links, and blocks are rewritten in place.
 
+use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::{AnalysisManager, BinOp, BlockId, FuncId, Inst, Module, ValueId};
-use std::collections::HashMap;
 
 /// The global value-numbering pass.
 ///
@@ -42,7 +50,7 @@ impl Pass for Gvn {
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Bin(BinOp, ValueId, ValueId),
     Const(i64),
@@ -61,79 +69,84 @@ fn canonical_key(op: BinOp, lhs: ValueId, rhs: ValueId) -> Key {
     }
 }
 
+/// No block: the end of a child/sibling list.
+const NONE: u32 = u32::MAX;
+
 fn gvn_function(module: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> bool {
     let facts = am.cfg_facts(module, fid);
     let reach = &facts.reachable;
     let idom = &facts.idom;
     let n = module.func(fid).blocks.len();
 
-    // Dominator-tree children.
-    let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    // Dominator-tree children as first-child/next-sibling links. Blocks are
+    // linked in increasing id order, each at the head of its parent's list,
+    // so a list runs from the highest id down.
+    let mut first_child = vec![NONE; n];
+    let mut next_sibling = vec![NONE; n];
     for b in 1..n {
         if !reach[b] {
             continue;
         }
         if let Some(d) = idom[b] {
             if d.index() != b {
-                children[d.index()].push(BlockId::new(b as u32));
+                next_sibling[b] = first_child[d.index()];
+                first_child[d.index()] = b as u32;
             }
         }
     }
 
-    // Pre-order walk with an explicit scope stack: entering a block pushes
-    // its definitions, leaving pops them.
+    // Pre-order walk with an explicit step stack: entering a block pushes
+    // its new keys on the shared key stack, leaving pops them back to the
+    // block's mark.
     let mut subst = Subst::new();
-    let mut available: HashMap<Key, Vec<ValueId>> = HashMap::new();
+    let mut available: FxHashMap<Key, ValueId> = FxHashMap::default();
+    let mut scope: Vec<Key> = Vec::new();
     let mut changed = false;
 
     enum Step {
         Enter(BlockId),
-        Leave(Vec<Key>),
+        Leave(usize),
     }
     let func = module.func_mut(fid);
     let mut stack = vec![Step::Enter(func.entry())];
     while let Some(step) = stack.pop() {
         match step {
-            Step::Leave(keys) => {
-                for k in keys {
-                    let bucket = available.get_mut(&k).expect("pushed on enter");
-                    bucket.pop();
-                    if bucket.is_empty() {
-                        available.remove(&k);
-                    }
+            Step::Leave(mark) => {
+                for key in scope.drain(mark..) {
+                    available.remove(&key);
                 }
             }
             Step::Enter(bid) => {
-                let mut pushed: Vec<Key> = Vec::new();
+                stack.push(Step::Leave(scope.len()));
                 let block = func.block_mut(bid);
-                let mut kept: Vec<Inst> = Vec::with_capacity(block.insts.len());
-                for mut inst in block.insts.drain(..) {
+                block.insts.retain_mut(|inst| {
                     inst.map_uses(|v| subst.resolve(v));
-                    let key = match &inst {
-                        Inst::Const { value, .. } => Some(Key::Const(*value)),
-                        Inst::Bin { op, lhs, rhs, .. } => Some(canonical_key(*op, *lhs, *rhs)),
-                        _ => None,
+                    let key = match &*inst {
+                        Inst::Const { value, .. } => Key::Const(*value),
+                        Inst::Bin { op, lhs, rhs, .. } => canonical_key(*op, *lhs, *rhs),
+                        _ => return true,
                     };
-                    match (key, inst.def()) {
-                        (Some(key), Some(dst)) => {
-                            if let Some(prev) = available.get(&key).and_then(|b| b.last().copied())
-                            {
-                                subst.insert(dst, prev);
-                                changed = true;
-                            } else {
-                                available.entry(key.clone()).or_default().push(dst);
-                                pushed.push(key);
-                                kept.push(inst);
-                            }
+                    let dst = inst.def().expect("const and bin define a value");
+                    match available.get(&key) {
+                        Some(&prev) => {
+                            subst.insert(dst, prev);
+                            changed = true;
+                            false
                         }
-                        _ => kept.push(inst),
+                        None => {
+                            available.insert(key, dst);
+                            scope.push(key);
+                            true
+                        }
                     }
-                }
-                block.insts = kept;
+                });
                 block.term.map_uses(|v| subst.resolve(v));
-                stack.push(Step::Leave(pushed));
-                for &c in children[bid.index()].iter().rev() {
-                    stack.push(Step::Enter(c));
+                // Pushing the list (highest id first) leaves the lowest id
+                // on top: children are entered in increasing id order.
+                let mut c = first_child[bid.index()];
+                while c != NONE {
+                    stack.push(Step::Enter(BlockId::new(c)));
+                    c = next_sibling[c as usize];
                 }
             }
         }

@@ -61,6 +61,7 @@ mod cse;
 mod dae;
 mod dce;
 mod fold;
+mod fx;
 mod gvn;
 mod inline;
 mod mergefunc;

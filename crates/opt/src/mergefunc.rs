@@ -12,35 +12,39 @@
 //! the violation; `PipelineOptions` keeps the pass opt-in so the search
 //! stays exact by default.
 
+use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
-use optinline_ir::{AnalysisManager, FuncId, Inst, JumpTarget, Linkage, Module, Terminator};
-use std::collections::HashMap;
+use optinline_ir::{
+    AnalysisManager, FuncId, Inst, JumpTarget, Linkage, Module, Terminator, ValueId,
+};
 
 /// The function-merging pass (opt-in; see module docs).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MergeFunctions;
 
 /// Maps each mergeable function to its surviving twin (the lowest-id
-/// structurally equal function).
-fn compute_redirects(module: &Module) -> HashMap<FuncId, FuncId> {
+/// structurally equal function): `redirects[f.index()]`, `None` for a
+/// function that stays. Groups never share a function, so the order in
+/// which they are visited does not matter.
+fn compute_redirects(module: &Module) -> Vec<Option<FuncId>> {
     // Group internal, non-stub functions by a structural fingerprint,
     // then verify exact structural equality within groups.
-    let mut groups: HashMap<u64, Vec<FuncId>> = HashMap::new();
+    let mut groups: FxHashMap<u64, Vec<FuncId>> = FxHashMap::default();
     for (id, f) in module.iter_funcs() {
         if f.linkage != Linkage::Internal || module.is_stub(id) {
             continue;
         }
         groups.entry(fingerprint(module, id)).or_default().push(id);
     }
-    let mut redirects: HashMap<FuncId, FuncId> = HashMap::new();
+    let mut redirects: Vec<Option<FuncId>> = vec![None; module.func_count()];
     for ids in groups.values() {
         for (i, &a) in ids.iter().enumerate() {
-            if redirects.contains_key(&a) {
+            if redirects[a.index()].is_some() {
                 continue;
             }
             for &b in ids.iter().skip(i + 1) {
-                if !redirects.contains_key(&b) && structurally_equal(module, a, b) {
-                    redirects.insert(b, a);
+                if redirects[b.index()].is_none() && structurally_equal(module, a, b) {
+                    redirects[b.index()] = Some(a);
                 }
             }
         }
@@ -49,17 +53,13 @@ fn compute_redirects(module: &Module) -> HashMap<FuncId, FuncId> {
 }
 
 /// Rewrites every call in `caller` per `redirects`; true if any changed.
-fn redirect_calls_in(
-    module: &mut Module,
-    caller: FuncId,
-    redirects: &HashMap<FuncId, FuncId>,
-) -> bool {
+fn redirect_calls_in(module: &mut Module, caller: FuncId, redirects: &[Option<FuncId>]) -> bool {
     let mut changed = false;
     let func = module.func_mut(caller);
     for block in &mut func.blocks {
         for inst in &mut block.insts {
             if let Inst::Call { callee, .. } = inst {
-                if let Some(&to) = redirects.get(callee) {
+                if let Some(to) = redirects[callee.index()] {
                     *callee = to;
                     changed = true;
                 }
@@ -85,7 +85,7 @@ impl Pass for MergeFunctions {
         // contract. Redirected calls change the call graph (and possibly
         // the transitive effect summary's keying); block structure stays.
         let redirects = compute_redirects(module);
-        if !redirects.is_empty() && redirect_calls_in(module, fid, &redirects) {
+        if redirects.iter().any(Option::is_some) && redirect_calls_in(module, fid, &redirects) {
             PassResult::changed(fid, PreservedAnalyses::none().plus_cfg())
         } else {
             PassResult::unchanged()
@@ -94,7 +94,7 @@ impl Pass for MergeFunctions {
 
     fn run(&self, module: &mut Module) -> bool {
         let redirects = compute_redirects(module);
-        if redirects.is_empty() {
+        if redirects.iter().all(Option::is_none) {
             return false;
         }
         // Redirect every call; dead-function elimination reclaims the
@@ -148,10 +148,8 @@ fn structurally_equal(module: &Module, a: FuncId, b: FuncId) -> bool {
     if fa.param_count() != fb.param_count() || fa.blocks.len() != fb.blocks.len() {
         return false;
     }
-    let mut map: HashMap<optinline_ir::ValueId, optinline_ir::ValueId> = HashMap::new();
-    let mut bind = |va: optinline_ir::ValueId, vb: optinline_ir::ValueId| -> bool {
-        *map.entry(va).or_insert(vb) == vb
-    };
+    let mut map: FxHashMap<ValueId, ValueId> = FxHashMap::default();
+    let mut bind = |va: ValueId, vb: ValueId| -> bool { *map.entry(va).or_insert(vb) == vb };
     for (ba, bb) in fa.blocks.iter().zip(&fb.blocks) {
         if ba.params.len() != bb.params.len() || ba.insts.len() != bb.insts.len() {
             return false;
@@ -216,7 +214,7 @@ fn structurally_equal(module: &Module, a: FuncId, b: FuncId) -> bool {
 fn target_eq(
     a: &JumpTarget,
     b: &JumpTarget,
-    bind: &mut impl FnMut(optinline_ir::ValueId, optinline_ir::ValueId) -> bool,
+    bind: &mut impl FnMut(ValueId, ValueId) -> bool,
 ) -> bool {
     a.block == b.block
         && a.args.len() == b.args.len()

@@ -11,14 +11,22 @@
 //! flows through a join.
 //!
 //! Lattice per value: ⊤ (unknown yet) → constant *c* → ⊥ (varying).
+//!
+//! The analysis state is two dense tables. The lattice is a
+//! `Vec<Lattice>` indexed by [`ValueId::index`] and sized by
+//! [`Function::value_bound`](optinline_ir::Function::value_bound), with ⊤
+//! as the default (a use past its end reads ⊤). Executable edges are a
+//! 2-bit mask per source block: bit *i* is set once the terminator's *i*-th
+//! target (then = 0, else = 1; a jump's only target is 0) is known to be
+//! executable. A terminator has at most two targets, so the mask names
+//! every edge, including both edges of a branch whose arms go to the same
+//! block.
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
-use optinline_ir::analysis::reachable_blocks;
 use optinline_ir::{
     AnalysisManager, BlockId, FuncId, Inst, JumpTarget, Module, Terminator, ValueId,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// The SCCP pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -69,21 +77,20 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
     if n_blocks == 0 {
         return false;
     }
-    let mut value: HashMap<ValueId, Lattice> = HashMap::new();
-    // Executable CFG edges as (from, to, which-target-index).
-    let mut exec_edge: HashSet<(BlockId, BlockId, u8)> = HashSet::new();
+    let mut value: Vec<Lattice> = vec![Lattice::Top; func.value_bound() as usize];
+    // Executable CFG edges: bit `idx` of `exec_edge[from]` marks the
+    // terminator's `idx`-th target.
+    let mut exec_edge: Vec<u8> = vec![0; n_blocks];
     let mut exec_block = vec![false; n_blocks];
-    let mut block_queue: VecDeque<BlockId> = VecDeque::new();
 
     // Function parameters vary (callers differ).
     for &p in func.params() {
-        value.insert(p, Lattice::Bottom);
+        value[p.index()] = Lattice::Bottom;
     }
     exec_block[0] = true;
-    block_queue.push_back(func.entry());
 
-    let lookup = |value: &HashMap<ValueId, Lattice>, v: ValueId| -> Lattice {
-        value.get(&v).copied().unwrap_or(Lattice::Top)
+    let lookup = |value: &[Lattice], v: ValueId| -> Lattice {
+        value.get(v.index()).copied().unwrap_or(Lattice::Top)
     };
 
     // Chaotic iteration: re-evaluate whole executable blocks until the
@@ -100,8 +107,7 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
             if !exec_block[b] {
                 continue;
             }
-            let bid = BlockId::new(b as u32);
-            let block = func.block(bid);
+            let block = &func.blocks[b];
             for inst in &block.insts {
                 let new = match inst {
                     Inst::Const { value: v, .. } => Lattice::Const(*v),
@@ -116,34 +122,32 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
                     Inst::Store { .. } => continue,
                 };
                 if let Some(d) = inst.def() {
-                    let old = lookup(&value, d);
+                    let old = value[d.index()];
                     let met = old.meet(new);
                     if met != old {
-                        value.insert(d, met);
+                        value[d.index()] = met;
                         changed_lattice = true;
                     }
                 }
             }
             // Terminator: mark outgoing edges executable and flow block
             // arguments into target params.
-            let mut flow = |t: &JumpTarget,
-                            idx: u8,
-                            value: &mut HashMap<ValueId, Lattice>,
-                            changed: &mut bool| {
-                if exec_edge.insert((bid, t.block, idx)) {
+            let mut flow = |t: &JumpTarget, idx: u8, value: &mut [Lattice], changed: &mut bool| {
+                let bit = 1u8 << idx;
+                if exec_edge[b] & bit == 0 {
+                    exec_edge[b] |= bit;
                     *changed = true;
                 }
                 if !exec_block[t.block.index()] {
                     exec_block[t.block.index()] = true;
                     *changed = true;
                 }
-                let params = func.block(t.block).params.clone();
-                for (&p, &a) in params.iter().zip(&t.args) {
+                for (&p, &a) in func.block(t.block).params.iter().zip(&t.args) {
                     let incoming = lookup(value, a);
-                    let old = lookup(value, p);
+                    let old = value[p.index()];
                     let met = old.meet(incoming);
                     if met != old {
-                        value.insert(p, met);
+                        value[p.index()] = met;
                         *changed = true;
                     }
                 }
@@ -171,31 +175,27 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
     // replace provably-constant block params with materialized constants
     // (the param itself stays; dead-param pruning cleans it up later).
     // Only params that still have uses get a constant — that keeps the
-    // pass idempotent.
-    let reach = reachable_blocks(func);
+    // pass idempotent. Executable blocks are reachable: each was entered
+    // along a CFG edge from an executable block.
     let counts = optinline_ir::analysis::use_counts(func);
     let func = module.func_mut(fid);
     let mut rewrote = false;
     let mut subst = Subst::new();
-    for b in 0..n_blocks {
-        if !reach[b] || !exec_block[b] {
+    for (b, &executable) in exec_block.iter().enumerate() {
+        if !executable {
             continue;
         }
         let bid = BlockId::new(b as u32);
-        let const_params: Vec<(ValueId, i64)> = func
-            .block(bid)
-            .params
-            .iter()
-            .filter_map(|&p| match value.get(&p) {
-                Some(&Lattice::Const(c)) if counts[p.index()] > 0 => Some((p, c)),
-                _ => None,
-            })
-            .collect();
-        for (p, c) in const_params {
-            let fresh = func.new_value();
-            func.block_mut(bid).insts.insert(0, Inst::Const { dst: fresh, value: c });
-            subst.insert(p, fresh);
-            rewrote = true;
+        for i in 0..func.blocks[b].params.len() {
+            let p = func.blocks[b].params[i];
+            if let Lattice::Const(c) = value[p.index()] {
+                if counts[p.index()] > 0 {
+                    let fresh = func.new_value();
+                    func.block_mut(bid).insts.insert(0, Inst::Const { dst: fresh, value: c });
+                    subst.insert(p, fresh);
+                    rewrote = true;
+                }
+            }
         }
         let block = func.block_mut(bid);
         for inst in &mut block.insts {
@@ -203,13 +203,13 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
             if matches!(inst, Inst::Const { .. } | Inst::Call { .. } | Inst::Load { .. }) {
                 continue;
             }
-            if let Some(&Lattice::Const(c)) = value.get(&d) {
+            if let Some(&Lattice::Const(c)) = value.get(d.index()) {
                 *inst = Inst::Const { dst: d, value: c };
                 rewrote = true;
             }
         }
         if let Terminator::Branch { cond, then_to, else_to } = &block.term {
-            if let Some(&Lattice::Const(c)) = value.get(cond) {
+            if let Lattice::Const(c) = lookup(&value, *cond) {
                 let t = if c != 0 { then_to.clone() } else { else_to.clone() };
                 block.term = Terminator::Jump(t);
                 rewrote = true;

@@ -6,7 +6,6 @@
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::{AnalysisManager, BinOp, FuncId, Inst, Module, ValueId};
-use std::collections::HashMap;
 
 /// The instruction-simplification pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -42,15 +41,16 @@ enum Outcome {
     Rewrite(Inst),
 }
 
+/// `consts` is indexed by value id; a value past its end is not a constant.
 fn simplify_bin(
-    consts: &HashMap<ValueId, i64>,
+    consts: &[Option<i64>],
     dst: ValueId,
     op: BinOp,
     lhs: ValueId,
     rhs: ValueId,
 ) -> Option<Outcome> {
-    let lc = consts.get(&lhs).copied();
-    let rc = consts.get(&rhs).copied();
+    let lc = consts.get(lhs.index()).copied().flatten();
+    let rc = consts.get(rhs.index()).copied().flatten();
     use BinOp::*;
     // Identities with a constant on one side.
     match (op, lc, rc) {
@@ -88,44 +88,43 @@ fn simplify_bin(
 
 fn simplify_function(module: &mut Module, fid: FuncId) -> bool {
     let func = module.func_mut(fid);
-    let mut consts: HashMap<ValueId, i64> = HashMap::new();
+    let mut consts: Vec<Option<i64>> = vec![None; func.value_bound() as usize];
     for block in &func.blocks {
         for inst in &block.insts {
             if let Inst::Const { dst, value } = inst {
-                consts.insert(*dst, *value);
+                consts[dst.index()] = Some(*value);
             }
         }
     }
     let mut subst = Subst::new();
     let mut changed = false;
     for block in &mut func.blocks {
-        let mut kept: Vec<Inst> = Vec::with_capacity(block.insts.len());
-        for inst in block.insts.drain(..) {
-            let Inst::Bin { dst, op, lhs, rhs } = inst else {
-                kept.push(inst);
-                continue;
+        block.insts.retain_mut(|inst| {
+            let Inst::Bin { dst, op, lhs, rhs } = *inst else {
+                return true;
             };
             // Uses may refer to already-substituted values within this
             // sweep; resolve so identity checks see through copies.
             let (lhs, rhs) = (subst.resolve(lhs), subst.resolve(rhs));
             match simplify_bin(&consts, dst, op, lhs, rhs) {
-                None => kept.push(Inst::Bin { dst, op, lhs, rhs }),
+                None => *inst = Inst::Bin { dst, op, lhs, rhs },
                 Some(Outcome::Value(v)) => {
                     subst.insert(dst, v);
                     changed = true;
+                    return false;
                 }
                 Some(Outcome::Const(value)) => {
-                    kept.push(Inst::Const { dst, value });
-                    consts.insert(dst, value);
+                    *inst = Inst::Const { dst, value };
+                    consts[dst.index()] = Some(value);
                     changed = true;
                 }
                 Some(Outcome::Rewrite(new)) => {
-                    kept.push(new);
+                    *inst = new;
                     changed = true;
                 }
             }
-        }
-        block.insts = kept;
+            true
+        });
     }
     if !subst.is_empty() {
         subst.apply(func);

@@ -3,14 +3,22 @@
 //! In SSA, many simplifications reduce to "replace every use of `a` with
 //! `b`". [`Subst`] collects such replacements (following chains) and applies
 //! them to a whole function in one sweep.
+//!
+//! The replacements live in a dense table indexed by [`ValueId::index`]:
+//! slot `i` holds the replacement of value `i`, if any. Value ids are dense
+//! per function (below [`Function::value_bound`]), so the table stays small;
+//! it grows on insert, and a lookup past its end means "no replacement". An
+//! entry count bounds chain walks, which is how a cycle is detected.
 
 use optinline_ir::{Function, ValueId};
-use std::collections::HashMap;
 
 /// A set of pending `old → new` value replacements.
 #[derive(Clone, Debug, Default)]
 pub struct Subst {
-    map: HashMap<ValueId, ValueId>,
+    /// `map[old.index()]` — the replacement of `old`.
+    map: Vec<Option<ValueId>>,
+    /// Occupied slots in `map`.
+    len: usize,
 }
 
 impl Subst {
@@ -26,17 +34,24 @@ impl Subst {
     /// Panics on a direct self-mapping, which would loop forever.
     pub fn insert(&mut self, old: ValueId, new: ValueId) {
         assert_ne!(old, new, "self-substitution {old} -> {new}");
-        self.map.insert(old, new);
+        if old.index() >= self.map.len() {
+            self.map.resize(old.index() + 1, None);
+        }
+        let slot = &mut self.map[old.index()];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        *slot = Some(new);
     }
 
     /// Returns `true` if no replacements are pending.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Number of pending replacements.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Resolves a value through replacement chains.
@@ -47,10 +62,10 @@ impl Subst {
     pub fn resolve(&self, v: ValueId) -> ValueId {
         let mut cur = v;
         let mut hops = 0;
-        while let Some(&next) = self.map.get(&cur) {
+        while let Some(&Some(next)) = self.map.get(cur.index()) {
             cur = next;
             hops += 1;
-            assert!(hops <= self.map.len(), "substitution cycle at {v}");
+            assert!(hops <= self.len, "substitution cycle at {v}");
         }
         cur
     }
@@ -83,6 +98,16 @@ mod tests {
         assert_eq!(s.resolve(ValueId::new(1)), ValueId::new(3));
         assert_eq!(s.resolve(ValueId::new(9)), ValueId::new(9));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn reinserting_a_value_replaces_without_counting_twice() {
+        let mut s = Subst::new();
+        s.insert(ValueId::new(4), ValueId::new(2));
+        s.insert(ValueId::new(4), ValueId::new(3));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.resolve(ValueId::new(4)), ValueId::new(3));
+        assert_eq!(s.resolve(ValueId::new(0)), ValueId::new(0));
     }
 
     #[test]
