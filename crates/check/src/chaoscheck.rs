@@ -14,10 +14,9 @@
 //!   off; and the server's terminal counters *account for every accepted
 //!   request* (completed + errors + shed + cancelled == accepted).
 //! - **Store half.** A store is built, crash artifacts are inflicted —
-//!   torn log tails, torn or beheaded or deleted index images, orphaned
-//!   temp files, injected torn appends and torn index saves — and after
-//!   every crash/restart cycle `verify` must come back clean and every
-//!   durably flushed entry must still be served.
+//!   torn log tails, orphaned temp files, injected torn appends — and
+//!   after every crash/restart cycle `verify` must come back clean and
+//!   every durably flushed entry must still be served.
 //!
 //! Everything derives from the case seed: the fault plan, the request
 //! mix, and the surgery schedule. A failure names the seed to replay.
@@ -30,7 +29,7 @@ use optinline_ir::{CallSiteId, Measurement};
 use optinline_serve::{
     Client, ClientConfig, ClientError, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server,
 };
-use optinline_store::{LocalStore, ScopeSpec, StoreOptions, INDEX_FILE};
+use optinline_store::{LocalStore, ScopeSpec, StoreOptions};
 
 /// Concurrent clients fired per serve half.
 const CLIENTS: usize = 6;
@@ -323,45 +322,22 @@ fn key(ids: &[u32]) -> Vec<CallSiteId> {
 }
 
 /// One crash artifact inflicted between store sessions.
-fn inflict(choice: u64, dir: &std::path::Path, log: &std::path::Path) {
-    match choice % 5 {
+fn inflict(choice: u64, log: &std::path::Path) {
+    if choice.is_multiple_of(2) {
         // Torn log tail: a crash mid-append left a partial entry line.
-        0 => {
-            if let Ok(mut text) = std::fs::read_to_string(log) {
-                text.push_str("912 s1,s");
-                let _ = std::fs::write(log, text);
-            }
+        if let Ok(mut text) = std::fs::read_to_string(log) {
+            text.push_str("912 s1,s");
+            let _ = std::fs::write(log, text);
         }
-        // Torn index image: the atomic index write was interrupted and a
-        // truncated image got published.
-        1 => {
-            let index = dir.join(INDEX_FILE);
-            if let Ok(text) = std::fs::read_to_string(&index) {
-                let keep = text.len().saturating_sub(9).max(1);
-                let _ = std::fs::write(&index, &text[..keep]);
-            }
-        }
-        // Beheaded index: the header itself never made it to disk whole.
-        2 => {
-            let _ = std::fs::write(dir.join(INDEX_FILE), "optinline-ind");
-        }
-        // Vanished index: recovery must rebuild from the logs alone.
-        3 => {
-            let _ = std::fs::remove_file(dir.join(INDEX_FILE));
-        }
-        // Orphaned temp files from a writer that died mid-rewrite.
-        _ => {
-            let _ = std::fs::write(dir.join("index.v1.tmp.999999999"), "half an image");
-            if let Some(shard) = log.parent() {
-                let _ = std::fs::write(shard.join("dead.tmp.999999998"), "torn");
-            }
-        }
+    } else if let Some(shard) = log.parent() {
+        // Orphaned temp file from a writer that died mid-rewrite.
+        let _ = std::fs::write(shard.join("dead.tmp.999999998"), "torn");
     }
 }
 
 /// The store half: build → crash → restart → verify-clean, three cycles
-/// with seed-chosen artifacts, plus injected torn appends and torn index
-/// saves through the real fault seams.
+/// with seed-chosen artifacts, plus an injected torn append through the
+/// real fault seam.
 fn chaos_store(seed: u64, report: &mut ChaosReport) {
     let dir =
         std::env::temp_dir().join(format!("optinline-chaos-store-{}-{seed:x}", std::process::id()));
@@ -391,24 +367,16 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
         scope.path().to_path_buf()
     };
 
-    // Injected chaos through the real seams: a torn batched append, then
-    // a torn index save, each followed by reopen + verify.
+    // Injected chaos through the real seam: a torn batched append,
+    // followed by reopen + verify.
     {
-        let plan = FaultPlan::new(seed)
-            .with(FaultSpec::on_hits(
-                "store.append",
-                &dir.to_string_lossy(),
-                &[1],
-                FaultKind::Truncate,
-                0,
-            ))
-            .with(FaultSpec::on_hits(
-                "store.index.save",
-                &dir.to_string_lossy(),
-                &[1],
-                FaultKind::Truncate,
-                0,
-            ));
+        let plan = FaultPlan::new(seed).with(FaultSpec::on_hits(
+            "store.append",
+            &dir.to_string_lossy(),
+            &[1],
+            FaultKind::Truncate,
+            0,
+        ));
         let _guard = arm_scoped(plan);
         if let Ok(store) = LocalStore::open(&dir, StoreOptions::default()) {
             if let Ok(scope) = store.scope(spec) {
@@ -423,7 +391,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
 
     // Crash/restart cycles with seed-chosen artifacts on top.
     for cycle in 0..3u64 {
-        inflict(mix(seed ^ (0xc0 + cycle)), &dir, &log);
+        inflict(mix(seed ^ (0xc0 + cycle)), &log);
         let store = match LocalStore::open(&dir, StoreOptions::default()) {
             Ok(s) => s,
             Err(e) => return fail(format!("cycle {cycle}: reopen failed: {e}")),

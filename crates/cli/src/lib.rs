@@ -840,7 +840,8 @@ pub enum CacheAction {
     /// Evict least-recently-used scopes until the directory fits the
     /// `--cache-budget-bytes` budget.
     Gc,
-    /// Structurally scan every log, report damage, and rebuild the index.
+    /// Structurally scan every log, report damage, truncate torn tails,
+    /// and sweep orphaned temp files.
     Verify,
     /// Rewrite every scope log, dropping superseded and duplicate lines.
     Compact,
@@ -876,9 +877,9 @@ pub fn cmd_cache(
     let _ = writeln!(out, "cache dir:       {}", dir.display());
     match action {
         CacheAction::Stats => {
-            let stats = store.store_stats();
-            let _ = writeln!(out, "scopes:          {}", stats.scopes);
-            let _ = writeln!(out, "entries:         {}", stats.entries);
+            let census = store.census()?;
+            let _ = writeln!(out, "scopes:          {}", census.scopes);
+            let _ = writeln!(out, "entries:         {}", census.entries);
             let _ = writeln!(out, "disk bytes:      {}", store.disk_bytes()?);
         }
         CacheAction::Gc => {
@@ -913,7 +914,6 @@ pub fn cmd_cache(
                     mix.fingerprint, mix.size_only_lines, mix.measurement_lines
                 );
             }
-            let _ = writeln!(out, "index:           rebuilt");
             if !report.clean() {
                 return Err(format!("cache verify found damage\n{out}").into());
             }
@@ -1188,9 +1188,68 @@ mod tests {
         assert!(cmd_cache(CacheAction::Gc, &dir, None).is_err(), "gc without budget must fail");
         let gc = cmd_cache(CacheAction::Gc, &dir, Some(1)).unwrap();
         assert!(gc.contains("evicted scopes:  1"), "{gc}");
-        // The budget is enforced: nothing but the (tiny) index remains.
+        // The budget is enforced: no scope remains.
         let post = cmd_cache(CacheAction::Stats, &dir, None).unwrap();
         assert!(post.contains("scopes:          0"), "{post}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_root_holds_only_sharded_logs() {
+        let src = demo_source();
+        let dir = std::env::temp_dir().join(format!("optinline-cli-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = EvalOptions { cache_dir: Some(dir.clone()), ..Default::default() };
+        cmd_search(&src, 18, TargetChoice::X86, opts).unwrap();
+        let store = LocalStore::shared(&dir).unwrap();
+        store.gc(u64::MAX).unwrap();
+        store.compact_all().unwrap();
+        assert!(store.verify().unwrap().clean());
+        drop(store);
+        let mut logs = 0;
+        for shard in std::fs::read_dir(&dir).unwrap() {
+            let shard = shard.unwrap();
+            assert!(shard.file_type().unwrap().is_dir(), "{:?} is not a shard", shard.path());
+            for log in std::fs::read_dir(shard.path()).unwrap() {
+                let name = log.unwrap().file_name().to_string_lossy().into_owned();
+                assert!(name.ends_with(".log"), "{name} is not a scope log");
+                logs += 1;
+            }
+        }
+        assert_eq!(logs, 1, "the search's one scope");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two stores on one directory, as two processes sharing a cache
+    /// would have: each sees the scopes the other used, in the order
+    /// they were used, because recency and counts live in the logs.
+    #[test]
+    fn stores_sharing_a_directory_agree_on_counts_and_gc_order() {
+        use optinline_store::{scope_rel_path, ScopeSpec, StoreOptions};
+        let dir = std::env::temp_dir().join(format!("optinline-cli-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+        let b = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+        // Fingerprints descend so that only recency, never the tie-break,
+        // can put Z first.
+        let (z, y, x) = (3u128, 2u128, 1u128);
+        for (store, fingerprint) in [(&a, z), (&b, y), (&a, x)] {
+            let spec =
+                ScopeSpec { fingerprint, meta: "m target=t sites=1", legacy_fingerprint: None };
+            store.scope(spec).unwrap().put(Vec::new(), Measurement::size_only(100));
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let stats = cmd_cache(CacheAction::Stats, &dir, None).unwrap();
+        assert!(stats.contains("scopes:          3"), "{stats}");
+
+        let report = a.gc(a.disk_bytes().unwrap() - 1).unwrap();
+        assert_eq!(report.evicted_scopes, 1, "{report:?}");
+        let exists = |fp| {
+            let (shard, file) = scope_rel_path(fp);
+            dir.join(shard).join(file).exists()
+        };
+        assert!(!exists(z), "the least recently used scope goes first");
+        assert!(exists(y) && exists(x));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -71,8 +71,8 @@ pub fn parse_endpoint(s: &str) -> Endpoint {
 pub struct CliHandler {
     cache_dir: Option<PathBuf>,
     cache_budget_bytes: Option<u64>,
-    /// Held for the daemon's lifetime so the shared store (and its index)
-    /// persists across requests instead of closing after each one.
+    /// Held for the daemon's lifetime so the shared store persists across
+    /// requests instead of closing after each one.
     store: Option<Arc<LocalStore>>,
 }
 

@@ -225,19 +225,6 @@ pub fn text_size(module: &Module, target: &dyn Target) -> u64 {
     module.func_ids().map(|f| function_size(module, target, f)).sum()
 }
 
-/// The `.text` contribution of a subset of functions (e.g. one call-graph
-/// component). Since [`function_size`] aligns each function independently,
-/// summing `subset_size` over any partition of the module's functions
-/// equals [`text_size`] exactly — the identity the component-scoped
-/// incremental evaluator is built on.
-pub fn subset_size(
-    module: &Module,
-    target: &dyn Target,
-    funcs: impl IntoIterator<Item = FuncId>,
-) -> u64 {
-    funcs.into_iter().map(|f| function_size(module, target, f)).sum()
-}
-
 /// Per-function size report, for case-study output.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SizeReport {

@@ -65,11 +65,6 @@ impl InliningConfiguration {
         self.decisions.values().filter(|&&d| d == Decision::Inline).count()
     }
 
-    /// Number of sites explicitly labelled `NoInline`.
-    pub fn no_inline_count(&self) -> usize {
-        self.decisions.values().filter(|&&d| d == Decision::NoInline).count()
-    }
-
     /// Merges `other`'s decisions into `self` (overwriting on conflict).
     pub fn merge(&mut self, other: &InliningConfiguration) {
         for (&s, &d) in &other.decisions {

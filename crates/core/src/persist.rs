@@ -8,9 +8,9 @@
 //! disk through [`optinline_store`]: one *scope* per evaluation domain
 //! (module text + target + pipeline options — the same `memo_scope`
 //! fingerprint that keys in-process session memoization), living in a
-//! sharded directory with a shared index, batched appends, compaction, and
-//! size-budgeted GC. See the store crate (and DESIGN.md §5) for the layout
-//! and crash-safety argument.
+//! sharded directory with batched appends, compaction, and size-budgeted
+//! GC. See the store crate (and DESIGN.md §5) for the layout and
+//! crash-safety argument.
 //!
 //! What this module adds on top of the raw store:
 //!

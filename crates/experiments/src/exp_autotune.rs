@@ -5,7 +5,6 @@ use crate::common::{bench_names, bench_total, relative_table, Ctx, FileCase};
 use crate::exp_roofline::OptimalCase;
 use optinline_core::analysis::RooflineStats;
 use optinline_core::autotune::Autotuner;
-use optinline_core::{Evaluator, InliningConfiguration};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -172,9 +171,4 @@ pub fn fig16(ctx: &Ctx, optima: &[OptimalCase<'_>], tunes: &TuneResults) {
         tuned.optimal_rate() >= heur.optimal_rate(),
         "autotuner must dominate the baseline on optimality"
     );
-}
-
-/// Re-exports `Evaluator` use for size queries in this module's callers.
-pub fn _usage(ev: &dyn Evaluator) -> u64 {
-    ev.size_of(&InliningConfiguration::clean_slate())
 }

@@ -139,7 +139,7 @@ impl FaultPlan {
     /// `kind=panic|io|delay|truncate|crash`, `nth=1+2+5`, `ppm=N`,
     /// `arg=N`, `ctx=S`.
     ///
-    /// Example: `seed=7;store.index.save,kind=crash,nth=1`.
+    /// Example: `seed=7;store.append,kind=crash,nth=1`.
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for record in text.split(';').map(str::trim).filter(|r| !r.is_empty()) {

@@ -4,7 +4,7 @@
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId, ValueId};
-use crate::inst::{Inst, Terminator};
+use crate::inst::Inst;
 use crate::module::Module;
 use std::collections::BTreeSet;
 
@@ -128,11 +128,10 @@ pub fn dominates(idom: &[Option<BlockId>], a: BlockId, b: BlockId) -> bool {
 }
 
 /// Per-function effect summary: whether calling the function can observably
-/// read or write memory (transitively through callees).
+/// write memory (transitively through callees).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EffectSummary {
     writes: Vec<bool>,
-    reads: Vec<bool>,
 }
 
 impl EffectSummary {
@@ -141,15 +140,10 @@ impl EffectSummary {
     pub fn compute(module: &Module) -> Self {
         let n = module.func_count();
         let mut writes = vec![false; n];
-        let mut reads = vec![false; n];
         for (id, f) in module.iter_funcs() {
             for b in &f.blocks {
-                for i in &b.insts {
-                    match i {
-                        Inst::Store { .. } => writes[id.index()] = true,
-                        Inst::Load { .. } => reads[id.index()] = true,
-                        _ => {}
-                    }
+                if b.insts.iter().any(|i| matches!(i, Inst::Store { .. })) {
+                    writes[id.index()] = true;
                 }
             }
         }
@@ -164,26 +158,17 @@ impl EffectSummary {
                                 writes[id.index()] = true;
                                 changed = true;
                             }
-                            if reads[callee.index()] && !reads[id.index()] {
-                                reads[id.index()] = true;
-                                changed = true;
-                            }
                         }
                     }
                 }
             }
         }
-        EffectSummary { writes, reads }
+        EffectSummary { writes }
     }
 
     /// Whether the function may write a global (transitively).
     pub fn may_write(&self, f: FuncId) -> bool {
         self.writes[f.index()]
-    }
-
-    /// Whether the function may read a global (transitively).
-    pub fn may_read(&self, f: FuncId) -> bool {
-        self.reads[f.index()]
     }
 
     /// A call to `f` whose result is unused is removable exactly when `f`
@@ -251,33 +236,6 @@ pub fn is_acyclic(func: &Function) -> bool {
         true
     }
     dfs(func, func.entry(), &mut state)
-}
-
-/// Terminator kind statistics for a function — handy for tests and reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TermStats {
-    /// Number of unconditional jumps.
-    pub jumps: usize,
-    /// Number of conditional branches.
-    pub branches: usize,
-    /// Number of returns.
-    pub returns: usize,
-    /// Number of unreachable terminators.
-    pub unreachable: usize,
-}
-
-/// Computes [`TermStats`] over all blocks of a function.
-pub fn term_stats(func: &Function) -> TermStats {
-    let mut s = TermStats::default();
-    for b in &func.blocks {
-        match b.term {
-            Terminator::Jump(_) => s.jumps += 1,
-            Terminator::Branch { .. } => s.branches += 1,
-            Terminator::Return(_) => s.returns += 1,
-            Terminator::Unreachable => s.unreachable += 1,
-        }
-    }
-    s
 }
 
 #[cfg(test)]
@@ -422,12 +380,5 @@ mod tests {
         // hdr jumps to itself: a loop.
         b.jump(hdr, &[]);
         assert!(!is_acyclic(m2.func(g)));
-    }
-
-    #[test]
-    fn term_stats_counts_kinds() {
-        let (m, f) = diamond();
-        let s = term_stats(m.func(f));
-        assert_eq!(s, TermStats { jumps: 2, branches: 1, returns: 1, unreachable: 0 });
     }
 }

@@ -25,7 +25,6 @@
 //! assert_eq!(m.inlinable_sites().len(), 1);
 //! ```
 
-use crate::function::Block;
 use crate::ids::{BlockId, CallSiteId, FuncId, GlobalId, ValueId};
 use crate::inst::{BinOp, Inst, JumpTarget, Terminator};
 use crate::module::Module;
@@ -45,11 +44,6 @@ impl<'m> FuncBuilder<'m> {
     /// Creates a builder positioned at the entry block of `func`.
     pub fn new(module: &'m mut Module, func: FuncId) -> Self {
         FuncBuilder { module, func, cursor: BlockId::new(0) }
-    }
-
-    /// The function being built.
-    pub fn func_id(&self) -> FuncId {
-        self.func
     }
 
     /// The block instructions are currently appended to.
@@ -180,12 +174,6 @@ impl<'m> FuncBuilder<'m> {
     /// Terminates the current block with `ret [value]`.
     pub fn ret(&mut self, value: Option<ValueId>) {
         self.set_term(Terminator::Return(value));
-    }
-
-    /// Direct access to the block being built (escape hatch).
-    pub fn current_block_mut(&mut self) -> &mut Block {
-        let cursor = self.cursor;
-        self.module.func_mut(self.func).block_mut(cursor)
     }
 }
 

@@ -26,24 +26,17 @@ pub trait InlineOracle: Send + Sync + fmt::Debug {
     fn decide(&self, site: CallSiteId) -> Decision;
 }
 
-/// An oracle backed by an explicit decision map with a default for
-/// unlisted sites.
+/// An oracle backed by an explicit decision map; unlisted sites are not
+/// inlined.
 #[derive(Clone, Debug, Default)]
 pub struct ForcedDecisions {
     map: BTreeMap<CallSiteId, Decision>,
-    default: Option<Decision>,
 }
 
 impl ForcedDecisions {
     /// Creates an oracle from a map; unlisted sites are not inlined.
     pub fn new(map: BTreeMap<CallSiteId, Decision>) -> Self {
-        ForcedDecisions { map, default: None }
-    }
-
-    /// Overrides the default decision for unlisted sites.
-    pub fn with_default(mut self, default: Decision) -> Self {
-        self.default = Some(default);
-        self
+        ForcedDecisions { map }
     }
 
     /// The underlying decision map.
@@ -54,7 +47,7 @@ impl ForcedDecisions {
 
 impl InlineOracle for ForcedDecisions {
     fn decide(&self, site: CallSiteId) -> Decision {
-        self.map.get(&site).copied().or(self.default).unwrap_or(Decision::NoInline)
+        self.map.get(&site).copied().unwrap_or(Decision::NoInline)
     }
 }
 
@@ -79,25 +72,11 @@ impl InlineOracle for NeverInline {
     }
 }
 
-/// What [`run_inliner_tracked`] did: how many sites were expanded, and
-/// which caller functions were rewritten in the process.
-///
-/// `changed_callers` is the natural seed for a change-driven cleanup
-/// schedule: only functions that absorbed a callee body (plus anything
-/// they transitively dirty) can have new cleanup opportunities.
+/// What [`run_inliner_tracked`] did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InlineOutcome {
     /// Number of call sites expanded.
     pub expanded: usize,
-    /// Functions whose bodies were rewritten, in id order, deduplicated.
-    pub changed_callers: Vec<FuncId>,
-}
-
-impl InlineOutcome {
-    /// True if at least one call site was expanded.
-    pub fn any_changed(&self) -> bool {
-        self.expanded > 0
-    }
 }
 
 /// Applies `oracle`'s decisions exhaustively; returns the number of call
@@ -111,8 +90,7 @@ pub fn run_inliner(module: &mut Module, oracle: &dyn InlineOracle) -> usize {
     run_inliner_tracked(module, oracle).expanded
 }
 
-/// Like [`run_inliner`], but also reports which callers were rewritten —
-/// the seed set for [`crate::PassManager::run_worklist`].
+/// Like [`run_inliner`], but reports the count as an [`InlineOutcome`].
 ///
 /// # Panics
 ///
@@ -120,15 +98,10 @@ pub fn run_inliner(module: &mut Module, oracle: &dyn InlineOracle) -> usize {
 pub fn run_inliner_tracked(module: &mut Module, oracle: &dyn InlineOracle) -> InlineOutcome {
     let mut outcome = InlineOutcome::default();
     for f in module.func_ids() {
-        let mut touched = false;
         while let Some((bid, idx)) = find_candidate(module, f, oracle) {
             inline_call(module, f, bid, idx);
             outcome.expanded += 1;
-            touched = true;
             assert!(outcome.expanded < 1_000_000, "inliner expansion runaway");
-        }
-        if touched {
-            outcome.changed_callers.push(f);
         }
     }
     outcome

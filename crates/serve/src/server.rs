@@ -787,6 +787,10 @@ struct Conn {
     out: Arc<Out>,
     /// Bytes read but not yet framed into lines.
     rdbuf: Vec<u8>,
+    /// Length of the prefix of `rdbuf` already searched and known to
+    /// hold no newline, so a line arriving over many reads is scanned
+    /// once, not once per read.
+    scanned: usize,
     /// A decoded request the full queue refused; while present, the
     /// connection is not read from (back-pressure) and not polled for
     /// input.
@@ -831,7 +835,10 @@ fn accept_ready(
             Arc::clone(&inner.waker),
             Arc::clone(&inner.ctx),
         ));
-        conns.insert(conn, Conn { stream, out, rdbuf: Vec::new(), parked: None, eof: false });
+        conns.insert(
+            conn,
+            Conn { stream, out, rdbuf: Vec::new(), scanned: 0, parked: None, eof: false },
+        );
         let open = inner.counters.open_connections.fetch_add(1, Ordering::SeqCst) + 1;
         inner.counters.peak_connections.fetch_max(open, Ordering::SeqCst);
     }
@@ -865,7 +872,12 @@ fn read_ready(inner: &Arc<ServerInner>, c: &mut Conn) {
 /// connection dooms. A trailing partial line stays buffered.
 fn process_lines(inner: &Arc<ServerInner>, c: &mut Conn) {
     while c.parked.is_none() && c.out.alive() {
-        let Some(pos) = c.rdbuf.iter().position(|&b| b == b'\n') else { break };
+        let Some(at) = c.rdbuf[c.scanned..].iter().position(|&b| b == b'\n') else {
+            c.scanned = c.rdbuf.len();
+            break;
+        };
+        let pos = c.scanned + at;
+        c.scanned = 0;
         let raw: Vec<u8> = c.rdbuf.drain(..=pos).collect();
         match std::str::from_utf8(&raw[..raw.len() - 1]) {
             Ok(line) => handle_line(inner, c, line.trim_end_matches('\r')),
@@ -954,8 +966,7 @@ fn retry_parked(inner: &Arc<ServerInner>, c: &mut Conn) {
 /// take. All failure modes doom the connection: a half-written frame is
 /// garbage the client cannot resynchronize on, so there is no partial
 /// recovery, only the close-and-reap path.
-fn flush_out(inner: &Arc<ServerInner>, c: &mut Conn) {
-    let _ = inner;
+fn flush_out(c: &mut Conn) {
     let mut buf = c.out.lock_buf();
     while !buf.is_empty() {
         if optinline_fault::armed() {
@@ -1119,7 +1130,7 @@ fn event_loop(
         // added latency. Sockets that refuse keep POLLOUT interest.
         for c in conns.values_mut() {
             if c.out.buffered() {
-                flush_out(inner, c);
+                flush_out(c);
             }
         }
 

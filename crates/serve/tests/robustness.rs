@@ -1,6 +1,7 @@
 //! Robustness tests for the daemon: deadline shedding, round-robin
 //! admission fairness, cooperative cancellation on waiter disconnect,
-//! and dead-waiter reaping during dedup fan-out. All against toy
+//! dead-waiter reaping during dedup fan-out, and framing of lines that
+//! arrive over many reads. All against toy
 //! handlers; some clients speak the wire protocol raw so they can
 //! pipeline requests and disconnect at nasty moments.
 
@@ -370,4 +371,53 @@ fn lines_missing_a_required_field_are_refused() {
     handle.drain();
     let stats = handle.join().expect("clean exit");
     assert_eq!(stats.accepted, 0, "a refused line never reaches admission");
+}
+
+/// A request line that arrives over many reads is framed like a one-piece
+/// write, and a pipelined second line split across writes is answered
+/// too.
+#[test]
+fn lines_split_across_reads_are_framed_whole() {
+    let path = sock_path("split");
+    let gate = Arc::new(Gate::default());
+    let handler = OrderHandler { gate, order: Arc::new(Mutex::new(Vec::new())) };
+    let handle = start_server(&path, Box::new(handler), ServeOptions::default());
+    let request = Request::new(1, search("(module split)"));
+
+    let mut whole = RawConn::connect(&path);
+    whole.send(&request);
+    let expected = whole.read_terminal(1);
+    assert!(matches!(expected, Event::Done { .. }), "{expected:?}");
+
+    let first = proto::encode_request(&request) + "\n";
+    let second = proto::encode_request(&Request::new(2, RequestKind::Ping)) + "\n";
+    let step = first.len() / 64;
+    assert!(step >= 1, "the request line is shorter than 64 bytes");
+    let mut split = RawConn::connect(&path);
+    let mut pieces = 0;
+    let (head, tail) = second.as_bytes().split_at(second.len() / 2);
+    for piece in first.as_bytes().chunks(step).chain([head, tail]) {
+        split.writer.write_all(piece).expect("raw write");
+        split.writer.flush().expect("raw flush");
+        pieces += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(pieces >= 64 + 2, "{pieces} pieces");
+    // The ping is answered inline, so it may overtake the search's reply.
+    let (mut done, mut pong) = (None, false);
+    while done.is_none() || !pong {
+        match split.read_event() {
+            Event::Pong { id: 2 } => pong = true,
+            e @ Event::Done { id: 1, .. } => done = Some(e),
+            e => assert!(
+                matches!(e, Event::Queued { id: 1 } | Event::Started { id: 1, .. }),
+                "{e:?}"
+            ),
+        }
+    }
+    assert_eq!(done, Some(expected));
+
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!(stats.completed, 2);
 }

@@ -6,7 +6,6 @@
 //! cache files with a store rooted at one directory:
 //!
 //! ```text
-//! <root>/index.v1            compact advisory index (atomic rewrites)
 //! <root>/ab/cdef...0123.log  scope log, sharded by fingerprint prefix
 //! <root>/<fp-hex32>.sizes    legacy v2 per-module file (imported/ignored)
 //! ```
@@ -15,11 +14,11 @@
 //! options, fingerprinted by the evaluator's `memo_scope` — and its log
 //! maps canonical inlined-site sets to measured sizes. On top of the
 //! legacy cache's guarantees (identity verification, line-scoped
-//! corruption tolerance, torn-tail termination, restart by atomic rename),
+//! corruption tolerance, torn-tail truncation, restart by atomic rename),
 //! the store adds:
 //!
-//! - a shared **index** of per-scope entry counts, byte sizes, and hit
-//!   recency ([`SharedIndex`]) — advisory, rebuildable by a full scan;
+//! - **recency** kept as each log's mtime, stamped when a scope handle
+//!   opens and after each flush — the logs are the store's only state;
 //! - **write batching**: `put` buffers lines in memory and appends them in
 //!   one syscall per threshold crossing ([`StoreOptions`]);
 //! - **compaction**: logs are rewritten without duplicate or damaged lines
@@ -31,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 mod format;
-mod index;
 mod local;
 mod scope;
 
@@ -39,7 +37,6 @@ pub use format::{
     fingerprint_of, format_entry, log_file_stem, parse_entry, sanitize_meta, scope_rel_path,
     HEADER, LEGACY_EXT, LEGACY_HEADER, LOG_EXT, META_PREFIX,
 };
-pub use index::{Index, ScopeRecord, SharedIndex, INDEX_FILE};
 pub use local::{GcReport, LocalStore, ScopeFormatMix, ScopeSpec, VerifyReport};
 pub use scope::{Scope, ScopeCounters};
 
@@ -78,12 +75,6 @@ impl Default for StoreOptions {
 /// output upstream).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Scopes known to the index.
-    pub scopes: u64,
-    /// Live entries across indexed scopes.
-    pub entries: u64,
-    /// Bytes across indexed scope logs.
-    pub disk_bytes: u64,
     /// Lookups answered from the store this process.
     pub hits: u64,
     /// Lookups that fell through to the evaluator.
@@ -108,11 +99,4 @@ pub struct StoreStats {
     pub gc_evicted_scopes: u64,
     /// Bytes reclaimed by size-budgeted GC.
     pub gc_evicted_bytes: u64,
-}
-
-impl StoreStats {
-    /// Whether any counter is non-zero.
-    pub fn any(&self) -> bool {
-        *self != StoreStats::default()
-    }
 }

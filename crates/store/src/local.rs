@@ -1,11 +1,12 @@
 //! The local filesystem store: sharded scope logs under one root, plus
-//! the shared index, size-budgeted GC, verification, and compaction.
+//! size-budgeted GC, verification, and compaction. The logs are the only
+//! state: GC recency is each log's mtime, and store-wide counts come from
+//! reading the logs.
 
 use crate::format::{
     fingerprint_of, log_file_stem, parse_entry, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT,
     META_PREFIX,
 };
-use crate::index::{ScopeRecord, SharedIndex};
 use crate::scope::{Scope, ScopeCounters};
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::CallSiteId;
@@ -13,6 +14,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::SystemTime;
 
 /// Identity of a scope to open: the content fingerprint, the
 /// human-auditable meta tag verified against the log, and optionally the
@@ -105,6 +107,8 @@ struct Scanned {
     fingerprint: u128,
     path: PathBuf,
     bytes: u64,
+    /// Last open or flush; `None` (unreadable) sorts coldest.
+    mtime: Option<SystemTime>,
 }
 
 /// Everything a sharded-directory walk found.
@@ -117,7 +121,7 @@ struct ScanOutcome {
 
 /// Global registry so every cache in a process (CLI run, experiments
 /// harness, tests) opening the same directory shares one store — one
-/// index image, one scope registry, one set of append handles.
+/// scope registry, one set of append handles.
 fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<LocalStore>>> {
     static REGISTRY: std::sync::OnceLock<Mutex<HashMap<PathBuf, Weak<LocalStore>>>> =
         std::sync::OnceLock::new();
@@ -128,7 +132,6 @@ fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<LocalStore>>> {
 pub struct LocalStore {
     root: PathBuf,
     opts: StoreOptions,
-    index: Arc<SharedIndex>,
     scopes: Mutex<HashMap<u128, (String, Weak<crate::scope::ScopeInner>)>>,
     /// Counters folded in from dropped scope handles.
     retired: Arc<Mutex<ScopeCounters>>,
@@ -148,23 +151,14 @@ impl LocalStore {
     /// and benches so handles within a process coalesce.
     pub fn open(dir: &Path, opts: StoreOptions) -> std::io::Result<Arc<LocalStore>> {
         std::fs::create_dir_all(dir)?;
-        let store = Arc::new(LocalStore {
+        Ok(Arc::new(LocalStore {
             root: dir.to_path_buf(),
             opts,
-            index: Arc::new(SharedIndex::open(dir)),
             scopes: Mutex::new(HashMap::new()),
             retired: Arc::new(Mutex::new(ScopeCounters::default())),
             gc_evicted_scopes: AtomicU64::new(0),
             gc_evicted_bytes: AtomicU64::new(0),
-        });
-        if store.index.damaged() {
-            // The index write was interrupted (torn tmp published, or the
-            // file otherwise unreadable). The index is advisory, so
-            // recovery is a rescan of the logs — which also rebuilds and
-            // re-persists a clean image.
-            let _ = store.verify();
-        }
-        Ok(store)
+        }))
     }
 
     /// Opens (or joins) the process-wide shared store for `dir` with
@@ -211,20 +205,18 @@ impl LocalStore {
             spec.fingerprint,
             &meta,
             self.opts,
-            Arc::clone(&self.index),
             Arc::clone(&self.retired),
         )?;
         reg.insert(spec.fingerprint, (meta, Arc::downgrade(&scope.inner)));
         Ok(scope)
     }
 
-    /// Flushes every live scope's write-back buffer and persists the
-    /// index.
+    /// Flushes every live scope's write-back buffer.
     pub fn flush_all(&self) -> std::io::Result<()> {
         for scope in self.live_scopes() {
             scope.flush()?;
         }
-        self.index.save()
+        Ok(())
     }
 
     /// Walks the sharded directories, collecting every scope log and
@@ -251,7 +243,12 @@ impl LocalStore {
                     continue;
                 };
                 let Ok(meta) = entry.metadata() else { continue };
-                out.logs.push(Scanned { fingerprint, path: entry.path(), bytes: meta.len() });
+                out.logs.push(Scanned {
+                    fingerprint,
+                    path: entry.path(),
+                    bytes: meta.len(),
+                    mtime: meta.modified().ok(),
+                });
             }
         }
         Ok(out)
@@ -270,8 +267,8 @@ impl LocalStore {
         Ok(out)
     }
 
-    /// Total bytes of every file under the root (logs, legacy files, the
-    /// index, stray temp files) — the quantity the GC budget bounds.
+    /// Total bytes of every file under the root (logs, legacy files, stray
+    /// temp files) — the quantity the GC budget bounds.
     pub fn disk_bytes(&self) -> std::io::Result<u64> {
         fn walk(dir: &Path) -> std::io::Result<u64> {
             let mut total = 0;
@@ -290,10 +287,10 @@ impl LocalStore {
         walk(&self.root)
     }
 
-    /// Evicts least-recently-used scope logs (legacy files first — they
-    /// predate recency tracking) until the whole directory fits
-    /// `budget_bytes`, then persists the reconciled index. Scopes with a
-    /// live handle in this process are never evicted.
+    /// Evicts least-recently-used scope logs — coldest mtime first,
+    /// legacy files before any of them — until the whole directory fits
+    /// `budget_bytes`. Scopes with a live handle in this process are never
+    /// evicted.
     pub fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport> {
         self.flush_all()?;
         let before_bytes = self.disk_bytes()?;
@@ -318,27 +315,19 @@ impl LocalStore {
         }
 
         if remaining > budget_bytes {
-            // Reconcile recency from the index with reality from the scan,
-            // then walk victims coldest-first. The snapshot is taken once
-            // for the whole pass, so concurrent touches cannot reorder the
-            // victim walk mid-run.
-            let scan = self.scan()?;
-            let snapshot = self.index.snapshot();
-            let mut victims: Vec<&Scanned> = scan.logs.iter().collect();
-            victims.sort_by_key(|s| {
-                (snapshot.scopes.get(&s.fingerprint).map(|r| r.used).unwrap_or(0), s.fingerprint)
-            });
-            let mut evicted: Vec<u128> = Vec::new();
+            // Walk victims coldest-first by the mtimes the scan read, so
+            // concurrent stamps cannot reorder the walk mid-run.
+            let mut victims = self.scan()?.logs;
+            victims.sort_by_key(|s| (s.mtime, s.fingerprint));
             for victim in victims {
                 if remaining <= budget_bytes {
                     break;
                 }
                 // Liveness is re-checked per victim *under the scope
-                // registry lock*, and the unlink plus index removal happen
-                // while it is held: `scope()` holds the same lock for its
-                // whole open, so a handle opened concurrently can neither
-                // lose its freshly (re)created log nor re-insert
-                // ("resurrect") the record this pass is dropping.
+                // registry lock*, and the unlink happens while it is held:
+                // `scope()` holds the same lock for its whole open, so a
+                // handle opened concurrently cannot lose its freshly
+                // (re)created log.
                 let reg = self.scopes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 if reg.get(&victim.fingerprint).is_some_and(|(_, w)| w.upgrade().is_some()) {
                     continue;
@@ -348,37 +337,28 @@ impl LocalStore {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                     Err(e) => return Err(e),
                 }
-                self.index.remove(victim.fingerprint);
                 drop(reg);
                 // Prune the shard directory if this was its last log.
                 if let Some(parent) = victim.path.parent() {
                     let _ = std::fs::remove_dir(parent);
                 }
-                evicted.push(victim.fingerprint);
                 remaining = remaining.saturating_sub(victim.bytes);
                 report.evicted_scopes += 1;
                 self.gc_evicted_scopes.fetch_add(1, Ordering::Relaxed);
                 self.gc_evicted_bytes.fetch_add(victim.bytes, Ordering::Relaxed);
             }
-            // A handle dropped mid-walk may still sync its record from its
-            // Drop after the liveness check saw it dead; sweep the evicted
-            // fingerprints once more so the image saved below cannot carry
-            // records for logs this pass deleted.
-            for fp in evicted {
-                self.index.remove(fp);
-            }
         }
 
-        self.index.save()?;
         report.after_bytes = self.disk_bytes()?;
         Ok(report)
     }
 
-    /// Sweeps orphaned temp files left by interrupted atomic rewrites.
-    /// A `<name>.tmp.<pid>` whose writer is still alive is in use and
-    /// left alone (as is this process's own); one whose writer is gone
-    /// will never be renamed into place and is deleted. Where process
-    /// liveness cannot be checked, only files older than a minute go.
+    /// Sweeps orphaned temp files that interrupted log rewrites left in
+    /// the shard directories. A `<name>.tmp.<pid>` whose writer is still
+    /// alive is in use and left alone (as is this process's own); one
+    /// whose writer is gone will never be renamed into place and is
+    /// deleted. Where process liveness cannot be checked, only files
+    /// older than a minute go.
     fn sweep_stale_tmp(&self) -> u64 {
         fn writer_is_dead(path: &Path, pid: u64) -> bool {
             if pid == std::process::id() as u64 {
@@ -413,38 +393,47 @@ impl LocalStore {
             }
             removed
         }
-        let mut removed = sweep_dir(&self.root);
-        if let Ok(entries) = std::fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                if entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
-                    removed += sweep_dir(&entry.path());
-                }
-            }
-        }
-        removed
+        let Ok(entries) = std::fs::read_dir(&self.root) else { return 0 };
+        entries
+            .flatten()
+            .filter(|e| e.file_type().is_ok_and(|t| t.is_dir()))
+            .map(|e| sweep_dir(&e.path()))
+            .sum()
     }
 
-    /// Structurally scans every scope log, counting damage, and rebuilds
-    /// the index from what the scan found (preserving recency stamps for
-    /// surviving scopes). Doubles as the store's crash-recovery
-    /// primitive: torn log tails are truncated, orphaned temp files from
-    /// interrupted rewrites are swept, and the rebuilt index replaces
-    /// whatever a torn index write left behind.
+    /// Structurally scans every scope log, counting damage. Doubles as
+    /// the store's crash-recovery primitive: torn log tails are truncated
+    /// and orphaned temp files from interrupted rewrites are swept.
     pub fn verify(&self) -> std::io::Result<VerifyReport> {
         // Flush first so the scan sees this process's own writes.
-        for scope in self.live_scopes() {
-            scope.flush()?;
+        self.flush_all()?;
+        self.survey(true)
+    }
+
+    /// [`LocalStore::verify`]'s counts without its repairs: a read-only
+    /// pass over the logs, for reporting. A torn tail counts as a
+    /// malformed line here instead of being truncated, and no temp file
+    /// is swept.
+    pub fn census(&self) -> std::io::Result<VerifyReport> {
+        self.survey(false)
+    }
+
+    /// The per-log tally behind [`LocalStore::verify`] and
+    /// [`LocalStore::census`]; `repair` adds verify's repairs.
+    fn survey(&self, repair: bool) -> std::io::Result<VerifyReport> {
+        let mut report = VerifyReport::default();
+        if repair {
+            report.stale_tmp_files = self.sweep_stale_tmp();
         }
-        let mut report =
-            VerifyReport { stale_tmp_files: self.sweep_stale_tmp(), ..VerifyReport::default() };
-        let mut rebuilt: HashMap<u128, ScopeRecord> = HashMap::new();
         let scan = self.scan()?;
         report.foreign_files = scan.foreign_files;
         for mut log in scan.logs {
             report.scopes += 1;
-            if let Ok(dropped @ 1..) = crate::scope::truncate_torn_tail(&log.path) {
-                report.repaired_logs += 1;
-                log.bytes = log.bytes.saturating_sub(dropped);
+            if repair {
+                if let Ok(dropped @ 1..) = crate::scope::truncate_torn_tail(&log.path) {
+                    report.repaired_logs += 1;
+                    log.bytes = log.bytes.saturating_sub(dropped);
+                }
             }
             report.bytes += log.bytes;
             let Ok(text) = std::fs::read_to_string(&log.path) else {
@@ -482,14 +471,8 @@ impl LocalStore {
             report.size_only_lines += mix.size_only_lines;
             report.measurement_lines += mix.measurement_lines;
             report.mix.push(mix);
-            rebuilt.insert(
-                log.fingerprint,
-                ScopeRecord { entries: seen.len() as u64, bytes: log.bytes, used: 0 },
-            );
         }
         report.legacy_files = self.scan_legacy()?.len() as u64;
-        self.index.rebuild(rebuilt);
-        self.index.save()?;
         Ok(report)
     }
 
@@ -507,22 +490,17 @@ impl LocalStore {
             };
             reclaimed += before.saturating_sub(after);
         }
-        self.index.save()?;
         Ok(reclaimed)
     }
 
-    /// Aggregate counters: index totals plus per-scope activity (live and
-    /// retired handles) plus GC work.
+    /// Aggregate counters: per-scope activity (live and retired handles)
+    /// plus GC work.
     pub fn store_stats(&self) -> StoreStats {
         let mut counters = *self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         for scope in self.live_scopes() {
             counters.absorb(&scope.counters());
         }
-        let snapshot = self.index.snapshot();
         StoreStats {
-            scopes: snapshot.scopes.len() as u64,
-            entries: snapshot.scopes.values().map(|r| r.entries).sum(),
-            disk_bytes: snapshot.scopes.values().map(|r| r.bytes).sum(),
             hits: counters.hits,
             misses: counters.misses,
             puts: counters.puts,
@@ -549,6 +527,5 @@ impl Drop for LocalStore {
         for scope in self.live_scopes() {
             let _ = scope.flush();
         }
-        let _ = self.index.save();
     }
 }

@@ -11,7 +11,7 @@
 //!   restarts the log instead of serving another module's sizes. Unknown
 //!   headers restart too.
 //! - **Line-scoped corruption tolerance.** Malformed lines are skipped
-//!   individually; a torn trailing line (crash mid-append) is terminated
+//!   individually; a torn trailing line (crash mid-append) is truncated
 //!   on open so later appends cannot splice into it.
 //! - **Restart by rename.** Restarts and compactions write a temp file
 //!   and atomically rename it over the log, so a concurrent process
@@ -33,9 +33,12 @@
 //! - **Compaction.** Duplicate and malformed bytes discovered at load are
 //!   tracked as *dead*; when they exceed a ratio of the log the open
 //!   compacts automatically, and [`Scope::compact`] does it on demand.
+//! - **Recency stamps.** Opening a handle and every flush set the log's
+//!   mtime to now, which is the order GC evicts in. Compaction rewrites
+//!   the same content, so the rewritten log keeps the old mtime; a
+//!   restart is a new log and takes the current time.
 
 use crate::format::{format_entry, parse_entry, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX};
-use crate::index::SharedIndex;
 use crate::StoreOptions;
 use optinline_ir::{CallSiteId, Measurement};
 use std::collections::{HashMap, VecDeque};
@@ -44,6 +47,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 /// Live counters of one scope handle (summed into
 /// [`StoreStats`](crate::StoreStats)).
@@ -184,12 +188,22 @@ fn load_log(file: File, header: &str, meta: &str) -> LoadOutcome {
     LoadOutcome { entries, dead_bytes, restart: false }
 }
 
+/// Sets a log's mtime to now: its recency in GC order. Errors are
+/// ignored because recency is advisory — a missed stamp can only make a
+/// log look colder than it is.
+fn stamp(file: &File) {
+    let _ = file.set_modified(SystemTime::now());
+}
+
 /// Writes a fresh log image (header, meta, entries) to a temp file and
-/// atomically renames it over `path`. Returns the new byte size.
+/// atomically renames it over `path`. A rewrite of the same content
+/// passes the old log's `mtime` so GC order survives it; `None` leaves
+/// the new log at the current time. Returns the new byte size.
 fn rewrite_log(
     path: &Path,
     meta: &str,
     entries: &[(Vec<CallSiteId>, Measurement)],
+    mtime: Option<SystemTime>,
 ) -> std::io::Result<u64> {
     let mut image = format!("{HEADER}\n{META_PREFIX}{meta}\n");
     for (key, value) in entries {
@@ -217,6 +231,9 @@ fn rewrite_log(
         }
         f.write_all(bytes)?;
         f.flush()?;
+        if let Some(mtime) = mtime {
+            let _ = f.set_modified(mtime);
+        }
     }
     if optinline_fault::armed() {
         // Crash point between the temp write and the publishing rename.
@@ -240,8 +257,6 @@ struct ScopeState {
     disk_bytes: u64,
     /// Reclaimable bytes (duplicates + damage) known in the log.
     dead_bytes: u64,
-    /// Distinct committed keys (best known; exact after compaction).
-    live_entries: u64,
 }
 
 pub(crate) struct ScopeInner {
@@ -249,7 +264,6 @@ pub(crate) struct ScopeInner {
     meta: String,
     path: PathBuf,
     opts: StoreOptions,
-    index: Arc<SharedIndex>,
     /// Store-owned accumulator this scope's counters fold into on drop,
     /// so store-level stats survive scope handles going away.
     retired: Arc<Mutex<ScopeCounters>>,
@@ -294,7 +308,6 @@ impl Scope {
         fingerprint: u128,
         meta: &str,
         opts: StoreOptions,
-        index: Arc<SharedIndex>,
         retired: Arc<Mutex<ScopeCounters>>,
     ) -> std::io::Result<Scope> {
         if let Some(parent) = path.parent() {
@@ -310,7 +323,7 @@ impl Scope {
                 if let Ok(f) = File::open(legacy) {
                     let out = load_log(f, LEGACY_HEADER, &meta);
                     if !out.restart && !out.entries.is_empty() {
-                        rewrite_log(&path, &meta, &out.entries)?;
+                        rewrite_log(&path, &meta, &out.entries, None)?;
                         imported = out.entries.len() as u64;
                         let _ = std::fs::remove_file(legacy);
                     }
@@ -337,7 +350,7 @@ impl Scope {
             // inode rather than splicing into the fresh one.
             entries.clear();
             dead_bytes = 0;
-            rewrite_log(&path, &meta, &[])?;
+            rewrite_log(&path, &meta, &[], None)?;
         }
 
         let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -350,7 +363,6 @@ impl Scope {
         // Imported entries are re-read from the fresh log, so `entries`
         // already includes them.
         let loaded = entries.len() as u64;
-        let live_entries = entries.len() as u64;
         let mut map = HashMap::with_capacity(entries.len());
         let mut order = VecDeque::with_capacity(entries.len());
         for (key, value) in entries {
@@ -373,7 +385,6 @@ impl Scope {
                 meta,
                 path,
                 opts,
-                index,
                 retired,
                 state: Mutex::new(ScopeState {
                     entries: map,
@@ -383,7 +394,6 @@ impl Scope {
                     file,
                     disk_bytes,
                     dead_bytes,
-                    live_entries,
                 }),
                 loaded,
                 imported,
@@ -402,9 +412,7 @@ impl Scope {
             if scope.inner.should_compact(&state) {
                 let _ = scope.inner.compact_locked(&mut state);
             }
-            let (live, bytes) = (state.live_entries, state.disk_bytes);
-            drop(state);
-            scope.inner.index.touch(fingerprint, live, bytes);
+            stamp(&state.file);
         }
         Ok(scope)
     }
@@ -446,7 +454,6 @@ impl Scope {
         state.entries.insert(key.clone(), value);
         if !upgraded {
             state.order.push_back(key);
-            state.live_entries += 1;
         }
         if state.entries.len() > inner.opts.max_resident_entries {
             if let Some(old) = state.order.pop_front() {
@@ -466,28 +473,15 @@ impl Scope {
         }
     }
 
-    /// Flushes the write-back buffer (one append syscall) and syncs the
-    /// scope's index record.
+    /// Flushes the write-back buffer (one append syscall).
     pub fn flush(&self) -> std::io::Result<()> {
-        let inner = &*self.inner;
-        let mut state = inner.lock();
-        inner.flush_locked(&mut state)?;
-        let (live, bytes) = (state.live_entries, state.disk_bytes);
-        drop(state);
-        inner.index.sync(inner.fingerprint, live, bytes);
-        Ok(())
+        self.inner.flush_locked(&mut self.inner.lock())
     }
 
     /// Rewrites the log dropping duplicate and malformed lines. Returns
     /// `(bytes_before, bytes_after)`.
     pub fn compact(&self) -> std::io::Result<(u64, u64)> {
-        let inner = &*self.inner;
-        let mut state = inner.lock();
-        let sizes = inner.compact_locked(&mut state)?;
-        let (live, bytes) = (state.live_entries, state.disk_bytes);
-        drop(state);
-        inner.index.sync(inner.fingerprint, live, bytes);
-        Ok(sizes)
+        self.inner.compact_locked(&mut self.inner.lock())
     }
 
     /// Entries resident in memory (a bounded subset of the log).
@@ -543,7 +537,8 @@ impl ScopeInner {
             && state.dead_bytes as f64 >= self.opts.compact_dead_ratio * state.disk_bytes as f64
     }
 
-    /// Appends the whole pending buffer in one write.
+    /// Appends the whole pending buffer in one write and stamps the log's
+    /// recency.
     fn flush_locked(&self, state: &mut ScopeState) -> std::io::Result<()> {
         if state.pending.is_empty() {
             return Ok(());
@@ -569,6 +564,7 @@ impl ScopeInner {
         }
         state.file.write_all(buf.as_bytes())?;
         state.file.flush()?;
+        stamp(&state.file);
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.flushed_lines.fetch_add(lines, Ordering::Relaxed);
         Ok(())
@@ -581,7 +577,8 @@ impl ScopeInner {
     /// exactly the legacy restart contract.
     fn compact_locked(&self, state: &mut ScopeState) -> std::io::Result<(u64, u64)> {
         self.flush_locked(state)?;
-        let before = state.file.metadata().map(|m| m.len()).unwrap_or(state.disk_bytes);
+        let old = state.file.metadata().ok();
+        let before = old.as_ref().map_or(state.disk_bytes, |m| m.len());
         // Re-read the log: the resident map is bounded, so only the disk
         // knows every committed entry.
         let out = load_log(File::open(&self.path)?, HEADER, &self.meta);
@@ -590,11 +587,11 @@ impl ScopeInner {
             // identity; leave it alone.
             return Ok((before, before));
         }
-        let after = rewrite_log(&self.path, &self.meta, &out.entries)?;
+        let mtime = old.and_then(|m| m.modified().ok());
+        let after = rewrite_log(&self.path, &self.meta, &out.entries, mtime)?;
         state.file = OpenOptions::new().append(true).open(&self.path)?;
         state.disk_bytes = after;
         state.dead_bytes = 0;
-        state.live_entries = out.entries.len() as u64;
         self.compactions.fetch_add(1, Ordering::Relaxed);
         self.compacted_bytes.fetch_add(before.saturating_sub(after), Ordering::Relaxed);
         Ok((before, after))
@@ -605,7 +602,8 @@ impl ScopeInner {
 /// is taken from the file's own meta line. Unreadable or foreign files
 /// are left untouched. Returns `(bytes_before, bytes_after)`.
 pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
-    let before = std::fs::metadata(path)?.len();
+    let old = std::fs::metadata(path)?;
+    let before = old.len();
     let Ok(text) = std::fs::read_to_string(path) else { return Ok((before, before)) };
     let mut lines = text.lines();
     if lines.next() != Some(HEADER) {
@@ -618,21 +616,13 @@ pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
     if out.restart {
         return Ok((before, before));
     }
-    let after = rewrite_log(path, meta, &out.entries)?;
+    let after = rewrite_log(path, meta, &out.entries, old.modified().ok())?;
     Ok((before, after))
 }
 
 impl Drop for ScopeInner {
     fn drop(&mut self) {
-        let mut state = self.lock();
-        let _ = self.flush_locked(&mut state);
-        let (live, bytes) = (state.live_entries, state.disk_bytes);
-        drop(state);
-        // `sync`, not `touch`: if a GC pass evicted this scope's log while
-        // the handle was being dropped, re-inserting the record would
-        // resurrect an index entry for a file that no longer exists.
-        self.index.sync(self.fingerprint, live, bytes);
-        let _ = self.index.save();
+        let _ = self.flush_locked(&mut self.lock());
         let counters = ScopeCounters {
             loaded: self.loaded,
             imported: self.imported,

@@ -1,12 +1,13 @@
 //! Integration tests of the local store: crash/corruption tolerance
 //! (ported from the legacy per-module cache), write batching, bounded
-//! resident memory, legacy import, compaction, size-budgeted GC, and a
-//! concurrent appenders-vs-compaction stress run.
+//! resident memory, legacy import, compaction, size-budgeted GC by log
+//! mtime, and a concurrent appenders-vs-compaction stress run.
 
 use optinline_ir::{CallSiteId, Measurement};
 use optinline_store::{scope_rel_path, LocalStore, ScopeSpec, StoreOptions, HEADER, LEGACY_HEADER};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, SystemTime};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("optinline-store-it-{tag}-{}", std::process::id()));
@@ -31,6 +32,28 @@ fn spec(fp: u128) -> ScopeSpec<'static> {
 fn log_path(root: &Path, fp: u128) -> PathBuf {
     let (shard, file) = scope_rel_path(fp);
     root.join(shard).join(file)
+}
+
+/// Sets a log's mtime — its recency in GC order.
+fn set_mtime(path: &Path, at: SystemTime) {
+    std::fs::File::options().append(true).open(path).unwrap().set_modified(at).unwrap();
+}
+
+fn mtime(path: &Path) -> SystemTime {
+    std::fs::metadata(path).unwrap().modified().unwrap()
+}
+
+/// Evicts one log at a time (a budget one byte under the directory) and
+/// returns the fingerprints in the order GC took them.
+fn eviction_order(store: &LocalStore, root: &Path, fps: &[u128]) -> Vec<u128> {
+    let mut order: Vec<u128> = Vec::new();
+    for _ in fps {
+        let report = store.gc(store.disk_bytes().unwrap() - 1).unwrap();
+        assert_eq!(report.evicted_scopes, 1, "{report:?}");
+        let gone = fps.iter().find(|fp| !order.contains(fp) && !log_path(root, **fp).exists());
+        order.push(*gone.unwrap());
+    }
+    order
 }
 
 #[test]
@@ -336,7 +359,7 @@ fn open_auto_compacts_when_dead_ratio_is_crossed() {
 #[test]
 fn gc_enforces_the_byte_budget_lru_first() {
     let dir = tmpdir("gc");
-    // Build 8 scopes with clearly ordered recency; drop all handles.
+    // Build 8 scopes; drop all handles.
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
         for fp in 1u128..=8 {
@@ -352,6 +375,13 @@ fn gc_enforces_the_byte_budget_lru_first() {
             }
             scope.flush().unwrap();
         }
+    }
+    // Recency is the logs' mtimes: give them an order unrelated to the
+    // fingerprints, coldest first.
+    let coldest_first = [5u128, 2, 8, 1, 7, 3, 6, 4];
+    let base = SystemTime::now() - Duration::from_secs(3600);
+    for (rank, &fp) in coldest_first.iter().enumerate() {
+        set_mtime(&log_path(&dir, fp), base + Duration::from_secs(rank as u64 * 60));
     }
     // Stray legacy file: coldest, evicted first.
     std::fs::write(
@@ -371,11 +401,67 @@ fn gc_enforces_the_byte_budget_lru_first() {
         report.after_bytes
     );
     assert_eq!(report.evicted_legacy, 1, "legacy file went first");
-    assert!(report.evicted_scopes >= 1);
-    // LRU order: the oldest fingerprints (touched first) die first, the
-    // newest survive.
-    assert!(!log_path(&dir, 1).exists(), "coldest scope evicted");
-    assert!(log_path(&dir, 8).exists(), "hottest scope survives");
+    let evicted = report.evicted_scopes as usize;
+    assert!((1..8).contains(&evicted), "{report:?}");
+    // LRU order: exactly the coldest mtimes died.
+    for (rank, &fp) in coldest_first.iter().enumerate() {
+        assert_eq!(!log_path(&dir, fp).exists(), rank < evicted, "scope {fp} at rank {rank}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reopening_or_flushing_a_scope_moves_it_behind_every_other_log() {
+    let dir = tmpdir("recency");
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    let fps = [0xa1u128, 0xb2, 0xc3, 0xd4];
+    for fp in fps {
+        store.scope(spec(fp)).unwrap().put(k(&[1]), m(1));
+    }
+    // A handle that stays open: its next flush is the use.
+    let flushed = store.scope(spec(0xc3)).unwrap();
+    let base = SystemTime::now() - Duration::from_secs(3600);
+    for (rank, fp) in fps.into_iter().enumerate() {
+        set_mtime(&log_path(&dir, fp), base + Duration::from_secs(rank as u64 * 60));
+    }
+
+    drop(store.scope(spec(0xa1)).unwrap());
+    flushed.put(k(&[2]), m(2));
+    flushed.flush().unwrap();
+    drop(flushed);
+    assert_eq!(eviction_order(&store, &dir, &fps), [0xb2, 0xd4, 0xa1, 0xc3]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn compaction_keeps_the_log_mtime() {
+    let dir = tmpdir("compact-mtime");
+    let duplicated = |fp| {
+        let path = log_path(&dir, fp);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, format!("{HEADER}\nmeta mod-a target=t sites=4\n100 -\n100 -\n"))
+            .unwrap();
+        path
+    };
+    let at = SystemTime::UNIX_EPOCH + Duration::from_secs(1_600_000_000);
+    let opts = StoreOptions { compact_min_dead_bytes: u64::MAX, ..StoreOptions::default() };
+    let store = LocalStore::open(&dir, opts).unwrap();
+
+    // A live handle with nothing to flush.
+    let live = duplicated(0x1c);
+    let scope = store.scope(spec(0x1c)).unwrap();
+    set_mtime(&live, at);
+    let (before, after) = scope.compact().unwrap();
+    assert!(after < before, "{before} -> {after}");
+    assert_eq!(mtime(&live), at, "a live log's compaction is not a use");
+    drop(scope);
+
+    // A closed log.
+    let closed = duplicated(0x2c);
+    set_mtime(&closed, at);
+    assert!(store.compact_all().unwrap() > 0);
+    assert_eq!(mtime(&closed), at, "a closed log's compaction is not a use");
+    assert_eq!(mtime(&live), at);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -396,7 +482,7 @@ fn gc_never_evicts_scopes_with_live_handles() {
 }
 
 #[test]
-fn verify_counts_damage_and_rebuilds_the_index() {
+fn verify_counts_damage() {
     let dir = tmpdir("verify");
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
@@ -404,12 +490,11 @@ fn verify_counts_damage_and_rebuilds_the_index() {
         scope.put(k(&[]), m(10));
         scope.put(k(&[2]), m(8));
     }
-    // Damage one log line and delete the index entirely.
+    // Damage one log line.
     let path = log_path(&dir, 0x51);
     let mut text = std::fs::read_to_string(&path).unwrap();
     text.push_str("garbage line\n");
     std::fs::write(&path, text).unwrap();
-    let _ = std::fs::remove_file(dir.join("index.v1"));
 
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
     let report = store.verify().unwrap();
@@ -417,9 +502,6 @@ fn verify_counts_damage_and_rebuilds_the_index() {
     assert_eq!(report.entries, 2);
     assert_eq!(report.malformed_lines, 1);
     assert!(!report.clean());
-    let stats = store.store_stats();
-    assert_eq!(stats.scopes, 1, "index rebuilt from the scan");
-    assert_eq!(stats.entries, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -504,8 +586,8 @@ fn shared_handles_coalesce_per_directory() {
 
 /// Two threads hammer the same scope with disjoint keys while a third
 /// repeatedly compacts and a fourth runs GC with an unlimited budget.
-/// Afterward: no committed entry lost, no torn line, index agrees with a
-/// scan.
+/// Afterward: no committed entry lost, no torn line, and the read-only
+/// census agrees with verify.
 #[test]
 fn concurrent_appenders_survive_compaction_and_gc() {
     let dir = tmpdir("stress");
@@ -566,9 +648,7 @@ fn concurrent_appenders_survive_compaction_and_gc() {
             assert_eq!(scope.get(&k(&[base + i])), Some(m(u64::from(base + i))));
         }
     }
-    // Index/scan agreement.
-    let stats = store.store_stats();
-    assert_eq!(stats.entries, u64::from(per_thread) * 2);
+    assert_eq!(store.census().unwrap(), report);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -645,8 +725,8 @@ fn explicit_flush_commits_buffered_puts_without_drop() {
 }
 
 /// Writers open scopes, put, and drop while a collector loops a tiny
-/// budget: eviction must never resurrect an index record for a deleted
-/// log, and scopes being (re)opened mid-pass must never lose fresh puts.
+/// budget: scopes being (re)opened mid-pass must never lose fresh puts,
+/// and the store must verify clean afterwards.
 #[test]
 fn concurrent_gc_and_put_never_resurrect_evicted_scopes() {
     let dir = tmpdir("gc-race");
@@ -694,18 +774,6 @@ fn concurrent_gc_and_put_never_resurrect_evicted_scopes() {
         h.join().unwrap();
     }
 
-    // No resurrection: every record the index still carries must have its
-    // log on disk (checked BEFORE verify, which would rebuild the index
-    // and mask the bug).
-    store.flush_all().unwrap();
-    let stats = store.store_stats();
-    let on_disk: u64 = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(Result::ok)
-        .filter(|e| e.file_type().map(|t| t.is_dir()).unwrap_or(false))
-        .map(|shard| std::fs::read_dir(shard.path()).map(|d| d.count() as u64).unwrap_or(0))
-        .sum();
-    assert_eq!(stats.scopes, on_disk, "index records exactly match logs on disk");
     let report = store.verify().unwrap();
     assert!(report.clean(), "no damage after the race: {report:?}");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -763,51 +831,6 @@ fn verify_repairs_a_torn_tail_it_finds() {
     assert_eq!(report.repaired_logs, 1, "the torn tail was truncated by the scan");
     assert!(report.clean(), "repair leaves no damage behind: {report:?}");
     assert_eq!(report.entries, 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn damaged_index_recovers_by_rescan_on_open() {
-    use optinline_store::INDEX_FILE;
-    let dir = tmpdir("index-recover");
-    let fp = 0x1dec_u128;
-    {
-        let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
-        scope.put(k(&[]), m(100));
-        scope.put(k(&[1]), m(90));
-        store.flush_all().unwrap();
-    }
-    // Tear the index as an interrupted atomic write would: a truncated
-    // image published over the real one.
-    let index_path = dir.join(INDEX_FILE);
-    let image = std::fs::read_to_string(&index_path).unwrap();
-    std::fs::write(&index_path, &image[..image.len() - 7]).unwrap();
-
-    // Reopen: the damage is detected and the index rebuilt by rescan.
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let stats = store.store_stats();
-    assert_eq!(stats.scopes, 1, "the rescued index knows the scope again");
-    assert_eq!(stats.entries, 2);
-    let reloaded = std::fs::read_to_string(&index_path).unwrap();
-    assert!(reloaded.starts_with("optinline-index v1\n"), "a clean image was re-persisted");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn an_unreadable_index_header_also_triggers_rescan() {
-    use optinline_store::INDEX_FILE;
-    let dir = tmpdir("index-header");
-    let fp = 0x1ded_u128;
-    {
-        let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
-        scope.put(k(&[]), m(77));
-        store.flush_all().unwrap();
-    }
-    std::fs::write(dir.join(INDEX_FILE), "garbage header\nwhatever\n").unwrap();
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(store.store_stats().scopes, 1, "rescan recovery found the log");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
