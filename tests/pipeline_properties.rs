@@ -7,7 +7,10 @@
 //! sizes, call densities, recursion, and opt-out probabilities.
 //!
 //! `pipeline_outputs_match_golden` pins what the whole `-Os` pipeline makes
-//! of that corpus, byte for byte, against `tests/golden/pipeline_outputs.txt`.
+//! of that corpus, byte for byte, against `tests/golden/pipeline_outputs.txt`,
+//! and `capped_simplify_cfg_outputs_match_golden` pins search-corpus
+//! compiles where simplify-cfg's sweep cap bound against
+//! `tests/golden/capped_outputs.txt`.
 
 mod common;
 
@@ -117,6 +120,109 @@ fn pipeline_outputs_match_golden() {
         }
     }
     common::assert_golden("pipeline_outputs.txt", &rows);
+}
+
+/// Search-corpus compiles (`spec_suite(Scale::Full)` file, configuration
+/// number for `seeded_config`) in which a single simplify-cfg run stopped
+/// at its 20-sweep cap before converging, and the pipeline still reached
+/// its fixpoint: the 52 cheapest of 89 such compiles among 96 seeded
+/// configurations of each of the 154 files search-cold draws from.
+const CAPPED_CASES: [(&str, u64); 52] = [
+    ("blender/10.ir", 0),
+    ("blender/10.ir", 4),
+    ("blender/10.ir", 29),
+    ("blender/10.ir", 30),
+    ("blender/10.ir", 90),
+    ("blender/11.ir", 54),
+    ("blender/13.ir", 92),
+    ("cactuBSSN/00.ir", 35),
+    ("cactuBSSN/00.ir", 73),
+    ("cactuBSSN/04.ir", 72),
+    ("cactuBSSN/05.ir", 53),
+    ("gcc/04.ir", 37),
+    ("gcc/05.ir", 17),
+    ("gcc/05.ir", 27),
+    ("gcc/09.ir", 0),
+    ("gcc/09.ir", 27),
+    ("gcc/09.ir", 33),
+    ("gcc/09.ir", 51),
+    ("gcc/09.ir", 72),
+    ("gcc/16.ir", 63),
+    ("gcc/17.ir", 34),
+    ("gcc/17.ir", 75),
+    ("gcc/17.ir", 82),
+    ("gcc/17.ir", 87),
+    ("gcc/17.ir", 91),
+    ("gcc/19.ir", 61),
+    ("gcc/19.ir", 81),
+    ("gcc/19.ir", 85),
+    ("gcc/20.ir", 60),
+    ("gcc/21.ir", 32),
+    ("imagick/01.ir", 10),
+    ("imagick/01.ir", 20),
+    ("imagick/01.ir", 46),
+    ("imagick/05.ir", 60),
+    ("leela/03.ir", 64),
+    ("mfc/00.ir", 46),
+    ("parest/07.ir", 70),
+    ("perlbench/00.ir", 20),
+    ("perlbench/10.ir", 64),
+    ("povray/00.ir", 10),
+    ("povray/00.ir", 39),
+    ("povray/02.ir", 22),
+    ("povray/02.ir", 25),
+    ("povray/02.ir", 38),
+    ("povray/02.ir", 78),
+    ("povray/03.ir", 16),
+    ("povray/03.ir", 37),
+    ("povray/04.ir", 62),
+    ("povray/06.ir", 43),
+    ("povray/08.ir", 25),
+    ("povray/08.ir", 52),
+    ("x264/04.ir", 66),
+];
+
+/// Configuration number `k` of the file named `name`: a xorshift stream
+/// seeded from the name's digest and `k` decides every inlinable site.
+fn seeded_config(module: &Module, name: &str, k: u64) -> InliningConfiguration {
+    let mut x = (optinline::callgraph::fnv128(name.as_bytes()) as u64)
+        ^ (k + 1).wrapping_mul(0x9E3779B97F4A7C15)
+        | 1;
+    module
+        .inlinable_sites()
+        .into_iter()
+        .map(|s| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let d = if x & 1 == 0 { Decision::Inline } else { Decision::NoInline };
+            (s, d)
+        })
+        .collect()
+}
+
+/// `optimize_os` on [`CAPPED_CASES`], pinned as `file config digest
+/// x86-size` rows against `tests/golden/capped_outputs.txt`: the compiles
+/// where simplify-cfg's sweep cap bound and the output still converged.
+#[test]
+fn capped_simplify_cfg_outputs_match_golden() {
+    let files: Vec<Module> = spec_suite(Scale::Full).into_iter().flat_map(|b| b.files).collect();
+    let mut rows = String::from("# file config digest x86-size\n");
+    for (name, k) in CAPPED_CASES {
+        let module = files.iter().find(|m| m.name == name).expect("suite file");
+        let config = seeded_config(module, name, k);
+        let mut m = module.clone();
+        let report = optinline::opt::optimize_os_report(
+            &mut m,
+            &ForcedDecisions::new(config.decisions().clone()),
+            PipelineOptions::default(),
+        );
+        assert!(report.stats.hit_fixpoint, "{name} config {k} did not converge");
+        let digest = common::module_digest(&m);
+        let size = text_size(&m, &X86Like);
+        rows.push_str(&format!("{name} {k} {digest} {size}\n"));
+    }
+    common::assert_golden("capped_outputs.txt", &rows);
 }
 
 #[test]
