@@ -10,7 +10,9 @@
 //!
 //! - the full `-Os` compile ([`optimize_os`] against [`optimize_os_sweep`]):
 //!   frozen pristine effect summary, 10-round cap, dead-function
-//!   elimination and a second drain;
+//!   elimination and a second drain, which [`optimize_os`] runs only when
+//!   the first hit its cap and the reference always runs, so every case
+//!   also checks that skipping it changes nothing;
 //! - the heuristics' drain ([`PassManager::run_to_fixpoint`] against
 //!   [`sweep_to_fixpoint`]) on the module after inlining the
 //!   configuration: the 3-round-capped [`cleanup_pipeline`] with a live
