@@ -227,25 +227,35 @@ pub fn lto(ctx: &Ctx, _cases: &[FileCase]) {
 /// several farm sizes.
 pub fn farm(ctx: &Ctx, cases: &[FileCase]) {
     use optinline_core::farm::{autotune_work, tree_work, PhasedWork};
-    // Measure the average compile-and-measure cost on a mid-sized module.
+    // Measure the compile-and-measure cost on the file with the most sites.
     let probe = cases
         .iter()
         .filter(|c| !c.evaluator.sites().is_empty())
         .max_by_key(|c| c.evaluator.sites().len())
         .expect("suite has non-trivial files");
-    let t0 = std::time::Instant::now();
-    let reps = 25u32;
-    for i in 0..reps {
-        let mut cfg = InliningConfiguration::clean_slate();
-        // Vary one decision per rep so the memo cache cannot short-circuit.
-        if let Some(&s) =
-            probe.evaluator.sites().iter().nth(i as usize % probe.evaluator.sites().len())
-        {
-            cfg.flip(s);
+    // One batch's per-compile cost. A single cold batch reads whatever the
+    // host was doing, so time one warm-up batch and take the median of
+    // `BATCHES` more.
+    const REPS: u32 = 25;
+    const BATCHES: usize = 15;
+    let batch = || {
+        let t0 = std::time::Instant::now();
+        for i in 0..REPS {
+            let mut cfg = InliningConfiguration::clean_slate();
+            // Vary one decision per rep so the memo cache cannot short-circuit.
+            if let Some(&s) =
+                probe.evaluator.sites().iter().nth(i as usize % probe.evaluator.sites().len())
+            {
+                cfg.flip(s);
+            }
+            let _ = probe.evaluator.compile(&cfg);
         }
-        let _ = probe.evaluator.compile(&cfg);
-    }
-    let cost_us = (t0.elapsed().as_micros() as u64 / reps as u64).max(1);
+        t0.elapsed().as_micros() as u64 / REPS as u64
+    };
+    batch();
+    let mut batches: Vec<u64> = (0..BATCHES).map(|_| batch()).collect();
+    batches.sort_unstable();
+    let cost_us = batches[BATCHES / 2].max(1);
 
     // Workload A: exhaustive search over every file within the 2^bits
     // budget (leaves ~= evaluations; combines are a small minority).
@@ -283,8 +293,8 @@ pub fn farm(ctx: &Ctx, cases: &[FileCase]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let _ = writeln!(
         out,
-        "measured compile cost: {cost_us} us per evaluation (compiled one at a time; host has \
-         {cores} cores)\n"
+        "measured compile cost: {cost_us} us per evaluation (median of {BATCHES} batches of \
+         {REPS} after a warm-up batch, compiled one at a time; host has {cores} cores)\n"
     );
     let _ = writeln!(
         out,
