@@ -1,18 +1,20 @@
 //! Criterion benches for the nine cleanup passes, each applied once to a
-//! fresh clone of one inlined module, and the incremental-autotuning
-//! ablation (full vs dirty-component rounds).
+//! fresh clone of one inlined module, simplify-cfg on one long
+//! straight-line chain, and the incremental-autotuning ablation (full vs
+//! dirty-component rounds).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::{site_components, Autotuner};
 use optinline_core::{InliningConfiguration, SizeEvaluator};
+use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
 use optinline_opt::{
     run_inliner, AlwaysInline, ConstFold, Cse, Dce, DeadArgElim, Gvn, Pass, Sccp, Simplify,
     SimplifyCfg, TailMerge,
 };
 use optinline_workloads::{generate_file, GenParams};
 
-fn inlined_module(n_internal: usize) -> optinline_ir::Module {
+fn inlined_module(n_internal: usize) -> Module {
     let mut m = generate_file(&GenParams {
         n_internal,
         call_density: 1.6,
@@ -21,6 +23,26 @@ fn inlined_module(n_internal: usize) -> optinline_ir::Module {
     });
     // Pre-inline so the passes see the post-expansion shapes they exist for.
     run_inliner(&mut m, &AlwaysInline);
+    m
+}
+
+/// One function whose body is a straight-line chain of `blocks` blocks,
+/// one instruction each, every block jumping to the next: the seam shape
+/// inlining leaves, at length. Below 20 blocks it stays under
+/// simplify-cfg's sweep cap even at one merge per sweep, so one run always
+/// ends at a single block.
+fn chain_module(blocks: usize) -> Module {
+    let mut m = Module::new("chain");
+    let f = m.declare_function("f", 1, Linkage::Public);
+    let mut b = FuncBuilder::new(&mut m, f);
+    let mut acc = b.param(0);
+    for _ in 1..blocks {
+        acc = b.bin(BinOp::Add, acc, acc);
+        let (next, _) = b.new_block(0);
+        b.jump(next, &[]);
+    }
+    acc = b.bin(BinOp::Add, acc, acc);
+    b.ret(Some(acc));
     m
 }
 
@@ -47,6 +69,13 @@ fn bench_individual_passes(c: &mut Criterion) {
             })
         });
     }
+    let chain = chain_module(16);
+    group.bench_function("simplify_cfg_long_chain", |b| {
+        b.iter(|| {
+            let mut m = chain.clone();
+            SimplifyCfg.run(&mut m)
+        })
+    });
     group.finish();
 }
 
