@@ -1,13 +1,13 @@
 //! Benches for the task-DAG search executor: worker-count scaling on one
-//! tree, cold vs warm hash-consing sessions, and cold vs warm persistent
-//! cache — the wall-clock side of the `results/perf_search.txt` numbers.
+//! tree, and cold vs warm persistent cache — the wall-clock side of the
+//! `results/perf_search.txt` numbers.
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_core::tree::{build_inlining_tree, evaluate_inlining_tree};
 use optinline_core::{
     evaluate_inlining_tree_dag, module_fingerprint, InliningConfiguration, PersistentCache,
-    PersistentEvaluator, SearchSession, SizeEvaluator, WorkerPool,
+    PersistentEvaluator, SizeEvaluator, WorkerPool,
 };
 use optinline_workloads::{generate_file, GenParams};
 
@@ -63,49 +63,6 @@ fn bench_worker_scaling(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// Hash-consing payoff: a repeated evaluation through a warm session
-/// collapses to its root constant, vs a cold session rebuilding everything.
-fn bench_session_warmth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("search_session");
-    group.sample_size(10);
-    let ev = SizeEvaluator::new(search_module(8, 3), Box::new(optinline_codegen::X86Like), false);
-    let graph = InlineGraph::from_module(ev.module());
-    let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
-    let pool = WorkerPool::new(2);
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            let session = SearchSession::new();
-            evaluate_inlining_tree_dag(
-                &tree,
-                &ev,
-                InliningConfiguration::clean_slate(),
-                &pool,
-                Some(&session),
-            )
-        })
-    });
-    let warm = SearchSession::new();
-    evaluate_inlining_tree_dag(
-        &tree,
-        &ev,
-        InliningConfiguration::clean_slate(),
-        &pool,
-        Some(&warm),
-    );
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            evaluate_inlining_tree_dag(
-                &tree,
-                &ev,
-                InliningConfiguration::clean_slate(),
-                &pool,
-                Some(&warm),
-            )
-        })
-    });
     group.finish();
 }
 
@@ -165,5 +122,5 @@ fn bench_persistent_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_worker_scaling, bench_session_warmth, bench_persistent_cache);
+criterion_group!(benches, bench_worker_scaling, bench_persistent_cache);
 criterion_main!(benches);

@@ -127,89 +127,6 @@ pub fn bridge_groups(graph: &InlineGraph) -> Vec<CallSiteId> {
         .collect()
 }
 
-/// Linear-time bridge groups via a DFS lowpoint computation (Tarjan),
-/// generalized to coupled groups: parallel edges of *different* groups
-/// cancel bridgeness, parallel edges of the *same* group act as one edge.
-///
-/// Equivalent to [`bridge_groups`] (property-tested); preferable on large
-/// graphs where the removal-recomputation approach's `O(G·E)` bites. Falls
-/// back to the naive computation when some group has copies spanning more
-/// than one endpoint pair, where classical lowpoints do not apply.
-pub fn bridge_groups_fast(graph: &InlineGraph) -> Vec<CallSiteId> {
-    use std::collections::HashMap;
-    // Collapse each group to its distinct undirected endpoint pairs.
-    let mut group_pairs: HashMap<CallSiteId, BTreeSet<(NodeRef, NodeRef)>> = HashMap::new();
-    for (site, a, b) in graph.live_edges() {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        group_pairs.entry(site).or_default().insert(key);
-    }
-    if group_pairs.values().any(|pairs| pairs.len() > 1) {
-        return bridge_groups(graph);
-    }
-    // Build a simple undirected graph: one logical edge per (pair, group);
-    // several groups on the same pair ⇒ the pair is never a bridge, but we
-    // keep them as parallel logical edges so lowpoints handle it naturally.
-    let nodes = graph.node_refs();
-    let index: HashMap<NodeRef, usize> =
-        nodes.iter().copied().enumerate().map(|(i, n)| (n, i)).collect();
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes.len()]; // (neighbor, edge id)
-    let mut edge_sites: Vec<CallSiteId> = Vec::new();
-    let mut self_loops: BTreeSet<CallSiteId> = BTreeSet::new();
-    for (site, pairs) in &group_pairs {
-        let (a, b) = *pairs.iter().next().expect("nonempty group");
-        if a == b {
-            self_loops.insert(*site);
-            continue;
-        }
-        let e = edge_sites.len();
-        edge_sites.push(*site);
-        adj[index[&a]].push((index[&b], e));
-        adj[index[&b]].push((index[&a], e));
-    }
-    let n = nodes.len();
-    let mut disc = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut bridges: Vec<CallSiteId> = Vec::new();
-    let mut timer = 0usize;
-    for root in 0..n {
-        if disc[root] != usize::MAX {
-            continue;
-        }
-        // Iterative DFS frames: (node, parent edge id, next adjacency idx).
-        let mut stack: Vec<(usize, usize, usize)> = vec![(root, usize::MAX, 0)];
-        disc[root] = timer;
-        low[root] = timer;
-        timer += 1;
-        while let Some(&mut (v, pe, ref mut i)) = stack.last_mut() {
-            if *i < adj[v].len() {
-                let (w, e) = adj[v][*i];
-                *i += 1;
-                if e == pe {
-                    continue; // don't traverse the tree edge back
-                }
-                if disc[w] == usize::MAX {
-                    disc[w] = timer;
-                    low[w] = timer;
-                    timer += 1;
-                    stack.push((w, e, 0));
-                } else {
-                    low[v] = low[v].min(disc[w]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&mut (p, _, _)) = stack.last_mut() {
-                    low[p] = low[p].min(low[v]);
-                    if low[v] > disc[p] {
-                        bridges.push(edge_sites[pe]);
-                    }
-                }
-            }
-        }
-    }
-    bridges.sort();
-    bridges
-}
-
 /// BFS distances (in edges, undirected) from `start` to every reachable
 /// node.
 pub fn bfs_distances(graph: &InlineGraph, start: NodeRef) -> BTreeMap<NodeRef, usize> {
@@ -490,47 +407,6 @@ mod tests {
         let sccs = bottom_up_sccs(&m);
         assert_eq!(sccs.len(), 1);
         assert_eq!(sccs[0], vec![f, g]);
-    }
-
-    #[test]
-    fn fast_bridges_match_naive_on_fixed_graphs() {
-        for g in [
-            fig5(),
-            fig4(),
-            InlineGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]),
-            InlineGraph::from_edges(2, &[(0, 1), (0, 1)]),
-            InlineGraph::from_edges(1, &[(0, 0)]),
-            InlineGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 3)]),
-        ] {
-            assert_eq!(bridge_groups_fast(&g), bridge_groups(&g));
-        }
-    }
-
-    #[test]
-    fn fast_bridges_match_naive_on_random_multigraphs() {
-        let mut x: u64 = 0x9E3779B97F4A7C15;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..60 {
-            let n = 2 + (next() % 7) as usize;
-            let m = 1 + (next() % 10) as usize;
-            let edges: Vec<(u32, u32)> =
-                (0..m).map(|_| ((next() % n as u64) as u32, (next() % n as u64) as u32)).collect();
-            let g = InlineGraph::from_edges(n, &edges);
-            assert_eq!(bridge_groups_fast(&g), bridge_groups(&g), "edges {edges:?}");
-        }
-    }
-
-    #[test]
-    fn fast_bridges_match_naive_after_inlining_creates_copies() {
-        // Coupled copies (multi-pair groups) force the naive fallback.
-        let mut g = InlineGraph::from_edges(4, &[(0, 1), (1, 2), (3, 1)]);
-        g.apply(CallSiteId::new(0), Decision::Inline);
-        assert_eq!(bridge_groups_fast(&g), bridge_groups(&g));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Stable fingerprinting for subproblem identity and persistent caches.
+//! Stable fingerprinting for evaluation identities and persistent caches.
 //!
 //! `std::hash::DefaultHasher` makes no cross-release stability promise, so
 //! anything written to disk (the persistent evaluation cache) or compared
 //! across processes needs its own hash. This is FNV-1a widened to 128 bits
 //! (two independent 64-bit lanes with distinct offset bases), which keeps
 //! accidental collisions out of reach for identity-critical uses like
-//! hash-consing keys.
+//! store scope addresses and the daemon's request dedup keys.
 
 /// Incremental 128-bit FNV-1a hasher (two independent 64-bit lanes).
 #[derive(Clone, Copy, Debug)]

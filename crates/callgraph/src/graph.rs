@@ -15,7 +15,6 @@
 //! Edges carry [`CallSiteId`]s; all edges with the same id form a *group*
 //! that shares one decision (coupled copies).
 
-use crate::fingerprint::Fnv128;
 use optinline_ir::{CallSiteId, FuncId, Module};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -296,49 +295,6 @@ impl InlineGraph {
         InlineGraph { nodes: kept_nodes, edges: kept_edges }
     }
 
-    /// The canonical form of the residual graph: sorted live node slots
-    /// plus sorted live `(site, from, to)` triples, as raw indices.
-    ///
-    /// Slot indices are stable under [`apply`](InlineGraph::apply) and
-    /// preserved by [`induced`](InlineGraph::induced), so two graphs with
-    /// equal canonical forms are the *same* residual subproblem — not merely
-    /// isomorphic ones over different function bodies. That exactness is
-    /// what lets the search layer key subproblem memoization on it.
-    pub fn canonical_form(&self) -> (Vec<u32>, Vec<(u32, u32, u32)>) {
-        let nodes: Vec<u32> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|_| i as u32))
-            .collect();
-        let mut edges: Vec<(u32, u32, u32)> =
-            self.edges.iter().flatten().map(|e| (e.site.as_u32(), e.from.0, e.to.0)).collect();
-        edges.sort_unstable();
-        (nodes, edges)
-    }
-
-    /// A stable 128-bit fingerprint of [`canonical_form`]
-    /// (order-independent, identical across processes and Rust releases —
-    /// unlike `DefaultHasher`). Suitable as a compact subproblem identity
-    /// for hash-consing and persistent caches.
-    ///
-    /// [`canonical_form`]: InlineGraph::canonical_form
-    pub fn canonical_hash(&self) -> u128 {
-        let (nodes, edges) = self.canonical_form();
-        let mut h = Fnv128::new();
-        h.write_u32(nodes.len() as u32);
-        for n in &nodes {
-            h.write_u32(*n);
-        }
-        h.write_u32(edges.len() as u32);
-        for (s, a, b) in &edges {
-            h.write_u32(*s);
-            h.write_u32(*a);
-            h.write_u32(*b);
-        }
-        h.finish()
-    }
-
     /// Undirected adjacency over live nodes/edges, as `node -> neighbours`
     /// (with multiplicity).
     pub fn undirected_adjacency(&self) -> BTreeMap<NodeRef, Vec<NodeRef>> {
@@ -472,36 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hash_is_order_independent_and_decision_sensitive() {
-        // Same decision set reached in different orders → same residual
-        // graph → same canonical identity.
-        let mut a = fig2();
-        a.apply(CallSiteId::new(0), Decision::NoInline);
-        a.apply(CallSiteId::new(2), Decision::NoInline);
-        let mut b = fig2();
-        b.apply(CallSiteId::new(2), Decision::NoInline);
-        b.apply(CallSiteId::new(0), Decision::NoInline);
-        assert_eq!(a.canonical_form(), b.canonical_form());
-        assert_eq!(a.canonical_hash(), b.canonical_hash());
-        // A different decision on the same site is a different subproblem.
-        let mut c = fig2();
-        c.apply(CallSiteId::new(0), Decision::Inline);
-        c.apply(CallSiteId::new(2), Decision::NoInline);
-        assert_ne!(a.canonical_hash(), c.canonical_hash());
-    }
-
-    #[test]
-    fn canonical_form_distinguishes_slot_identity_from_shape() {
-        // Two single-edge graphs with the same *shape* but different slots:
-        // isomorphic, but not the same subproblem — the canonical form must
-        // tell them apart (their functions differ).
-        let g1 = InlineGraph::from_edges(3, &[(0, 1)]);
-        let g2 = InlineGraph::from_edges(3, &[(1, 2)]);
-        assert_ne!(g1.canonical_form(), g2.canonical_form());
-        assert_ne!(g1.canonical_hash(), g2.canonical_hash());
-    }
-
-    #[test]
     fn induced_subgraph_keeps_canonical_identity() {
         // Extracting a component and deciding the other component's edges
         // to nothing must agree on the shared slots.
@@ -514,8 +440,8 @@ mod tests {
         let wider: BTreeSet<NodeRef> = comp.clone();
         // The induced half of `decided` matches the directly induced graph.
         assert_eq!(
-            decided.induced(&wider).canonical_form().1,
-            induced.canonical_form().1,
+            decided.induced(&wider).live_edges(),
+            induced.live_edges(),
             "edge sets must agree on the shared component"
         );
     }

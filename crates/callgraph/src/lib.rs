@@ -36,9 +36,9 @@ mod graph;
 mod select;
 
 pub use algo::{
-    bfs_distances, bottom_up_sccs, bridge_groups, bridge_groups_fast, coarse_components,
-    component_count, component_space_log2, connected_components, eccentricity, graph_stats,
-    naive_space_log2, GraphStats,
+    bfs_distances, bottom_up_sccs, bridge_groups, coarse_components, component_count,
+    component_space_log2, connected_components, eccentricity, graph_stats, naive_space_log2,
+    GraphStats,
 };
 pub use fingerprint::{fnv128, Fnv128};
 pub use graph::{Decision, InlineGraph, NodeRef};

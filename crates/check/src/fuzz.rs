@@ -85,7 +85,7 @@ pub struct FuzzReport {
     /// `-Os` compile and the heuristics' drain, worklist vs sweep).
     pub scheduling_comparisons: usize,
     /// Parallel DAG executor vs sequential Algorithm 1 comparisons
-    /// performed (worker counts × cold/warm sessions).
+    /// performed (one per worker count).
     pub parallel_comparisons: usize,
     /// Store-backed search vs no-persist reference comparisons performed
     /// (cold directory + warm reopen).

@@ -31,8 +31,7 @@
 //!   evaluator shapes and worker counts.
 //! - [`parcheck`] — the **parallel-search oracle**: the task-DAG search
 //!   executor must return the exact configuration and size the sequential
-//!   Algorithm 1 walk returns — at every worker count, cold or with a warm
-//!   hash-consing session.
+//!   Algorithm 1 walk returns, at every worker count.
 //! - [`storecheck`] — the **store oracle**: a search answering through
 //!   the persistent evaluation store must return the exact configuration
 //!   and size a no-persist run returns, on a cold directory and on a warm

@@ -189,9 +189,9 @@ impl Handler for CliHandler {
         }
     }
 
-    /// Drain-time flush: commit every scope's write-back buffer and the
-    /// index before the daemon exits, so batched puts survive the daemon
-    /// going away (the store half of the lost-write bugfix).
+    /// Drain-time flush: commit every scope's write-back buffer before the
+    /// daemon exits, so batched puts survive the daemon going away (the
+    /// store half of the lost-write bugfix).
     fn drained(&self) {
         if let Some(store) = &self.store {
             if let Err(e) = store.flush_all() {

@@ -3,8 +3,7 @@
 //!
 //! [`evaluate_inlining_tree`](crate::tree::evaluate_inlining_tree) recurses
 //! down an [`InliningTree`], which serializes sibling subtrees unless the
-//! recursion explicitly forks, and re-derives identical subproblems from
-//! scratch on every invocation. This module flattens the tree into tasks —
+//! recursion explicitly forks. This module flattens the tree into tasks —
 //! leaf compiles, binary combines, components combines — wired by explicit
 //! dependency edges, and drives the ready set over per-worker deques with
 //! work stealing on the existing [`WorkerPool`]:
@@ -19,24 +18,6 @@
 //!   (depth-first, cache-warm), steals are FIFO from the victim's cold end.
 //!   Completing a task decrements its parent's pending count; the driver
 //!   that completes the last child pushes the parent onto its own lane.
-//! - **Hash-consing.** Every subtree task carries a canonical subproblem
-//!   key — the evaluator's domain scope ([`Evaluator::memo_scope`]), a
-//!   stable 128-bit fingerprint of the subtree's induced shape and
-//!   decided-edge labeling (including the base's explicit decisions on the
-//!   subtree's own partition sites), and the canonical (inlined-site)
-//!   identity of the base configuration on its path. A [`SearchSession`]
-//!   memoizes finished subproblems on that key, so structurally identical
-//!   subtrees across rounds, strategy ablations, and autotuner restarts
-//!   collapse to constant tasks instead of re-evaluating. The scope makes
-//!   a session safe to share across *different modules* — site ids are
-//!   minted densely per module, so two modules' trees can collide on shape
-//!   and numbering alone; evaluators that cannot name their domain
-//!   (`memo_scope() == None`) simply skip session memoization. Warm hits
-//!   replay the memoized subtree decisions onto the caller's own base, so
-//!   even a session-warm result stays byte-identical to the sequential
-//!   walk. (Within one cold tree every path carries a distinct decision
-//!   set, so dedup hits measure *cross*-evaluation sharing — the
-//!   equality-saturation-style reuse the session exists for.)
 //!
 //! The executor is a scheduling layer only: every size number still comes
 //! from the [`Evaluator`], with all its memoization intact.
@@ -45,9 +26,7 @@ use crate::config::InliningConfiguration;
 use crate::evaluator::Evaluator;
 use crate::pool::WorkerPool;
 use crate::tree::InliningTree;
-use optinline_callgraph::{Decision, Fnv128};
-use optinline_ir::CallSiteId;
-use std::collections::HashMap;
+use optinline_callgraph::Decision;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -58,38 +37,21 @@ use std::time::Duration;
 /// [`EvaluatorStats`](crate::EvaluatorStats) for the merged surface).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Tasks materialized in the DAG (dedup-elided subtrees count once, as
-    /// their constant task).
+    /// Tasks materialized in the DAG.
     pub tasks: u64,
     /// Tasks executed from another lane's deque (work stealing).
     pub steals: u64,
-    /// Subproblems resolved from the session's hash-cons table instead of
-    /// being evaluated.
+    /// Always 0: the executor keeps no results across runs. The field
+    /// stays so the benchmark's `core.search.dedup_hits` keeps reading it.
     pub dedup_hits: u64,
 }
 
-/// The canonical identity of a subproblem: the evaluator's domain scope
-/// ([`Evaluator::memo_scope`]), the subtree's structural fingerprint, and
-/// the canonical (inlined-site) identity of the base configuration
-/// accumulated on the path to it.
-type SubKey = (u128, u128, Vec<CallSiteId>);
-
-/// Cross-evaluation memoization shared by DAG runs: finished subproblems
-/// keyed by their canonical identity, plus cumulative executor counters.
-///
-/// One session spans as many [`evaluate_inlining_tree_dag`] calls as the
-/// caller likes — autotuner restarts, repeated rounds, strategy ablations,
-/// even different modules (the experiment harness shares one session
-/// across a whole suite): keys carry the evaluator's
-/// [`memo_scope`](Evaluator::memo_scope), so domains never alias.
-/// Identical subproblems (same domain, same residual search structure,
-/// same canonical base) are evaluated once per session.
+/// Cumulative executor counters across the
+/// [`evaluate_inlining_tree_dag`] calls a caller passes it to.
 #[derive(Debug, Default)]
 pub struct SearchSession {
-    memo: Mutex<HashMap<SubKey, (InliningConfiguration, u64)>>,
     tasks: AtomicU64,
     steals: AtomicU64,
-    dedup_hits: AtomicU64,
 }
 
 impl SearchSession {
@@ -103,104 +65,9 @@ impl SearchSession {
         ExecutorStats {
             tasks: self.tasks.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
+            dedup_hits: 0,
         }
     }
-
-    /// Number of memoized subproblems.
-    pub fn memo_len(&self) -> usize {
-        self.memo.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    fn lookup(&self, key: &SubKey) -> Option<(InliningConfiguration, u64)> {
-        self.memo.lock().unwrap_or_else(std::sync::PoisonError::into_inner).get(key).cloned()
-    }
-
-    fn record(&self, key: SubKey, result: (InliningConfiguration, u64)) {
-        self.memo.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(key, result);
-    }
-}
-
-/// The structural fingerprint of a subproblem: a stable 128-bit digest
-/// over the subtree's exact shape and site labels, plus the base
-/// configuration's *explicit* decision (if any) on each of the subtree's
-/// own partition sites. Subtrees are built from residual call graphs, so
-/// equal fingerprints mean equal induced subgraphs *and* equal
-/// partition-edge labelings — the concrete identity hash-consing needs
-/// (shape-isomorphic subtrees over different sites must not collide).
-/// Folding in the base's decisions on subtree sites keeps [`replay`]
-/// exact: two bases in the same key class agree explicitly on every site
-/// the memoized result may have committed.
-fn tree_fingerprint(tree: &InliningTree, base: &InliningConfiguration) -> u128 {
-    fn absorb(tree: &InliningTree, base: &InliningConfiguration, h: &mut Fnv128) {
-        match tree {
-            InliningTree::Leaf => h.write_u8(0),
-            InliningTree::Binary { site, not_inlined, inlined } => {
-                h.write_u8(1);
-                h.write_u32(site.as_u32());
-                h.write_u8(match base.decisions().get(site) {
-                    None => 0,
-                    Some(Decision::NoInline) => 1,
-                    Some(Decision::Inline) => 2,
-                });
-                absorb(not_inlined, base, h);
-                absorb(inlined, base, h);
-            }
-            InliningTree::Components(children) => {
-                h.write_u8(2);
-                h.write_u32(children.len() as u32);
-                for c in children {
-                    absorb(c, base, h);
-                }
-            }
-        }
-    }
-    let mut h = Fnv128::new();
-    absorb(tree, base, &mut h);
-    h.finish()
-}
-
-fn subproblem_key(tree: &InliningTree, base: &InliningConfiguration, scope: u128) -> SubKey {
-    (scope, tree_fingerprint(tree, base), base.inlined_sites().into_iter().collect())
-}
-
-/// Rebuilds, from a memoized result, the exact configuration the
-/// sequential walk would return for `base`: start from the caller's own
-/// base and replay the explicit decisions the memoized run committed on
-/// the subtree's partition sites. The memoized configuration may carry
-/// entries from *its* recording base (ancestor `NoInline` decisions,
-/// foreign sites) that the caller's base never mentions — those stay out;
-/// entries the caller's base carries stay in. The subproblem key
-/// guarantees both bases agree explicitly on the subtree's own sites, so
-/// the replayed configuration is byte-identical to a fresh evaluation.
-fn replay(
-    tree: &InliningTree,
-    memoized: &InliningConfiguration,
-    mut base: InliningConfiguration,
-) -> InliningConfiguration {
-    fn walk(
-        tree: &InliningTree,
-        memoized: &InliningConfiguration,
-        out: &mut InliningConfiguration,
-    ) {
-        match tree {
-            InliningTree::Leaf => {}
-            InliningTree::Binary { site, not_inlined, inlined } => {
-                if let Some(&d) = memoized.decisions().get(site) {
-                    out.set(*site, d);
-                }
-                walk(not_inlined, memoized, out);
-                walk(inlined, memoized, out);
-            }
-            InliningTree::Components(children) => {
-                for c in children {
-                    walk(c, memoized, out);
-                }
-            }
-        }
-    }
-    walk(tree, memoized, &mut base);
-    base
 }
 
 /// What a task computes once its dependencies are settled.
@@ -213,8 +80,6 @@ enum TaskKind {
     /// Merge all child configurations into `base` (child order) and
     /// evaluate the merged configuration.
     Combine { base: InliningConfiguration },
-    /// Result known up front (session hash-cons hit).
-    Const { result: (InliningConfiguration, u64) },
 }
 
 struct Task {
@@ -225,51 +90,24 @@ struct Task {
     /// Unresolved dependencies; the task is ready at zero.
     pending: AtomicUsize,
     result: OnceLock<(InliningConfiguration, u64)>,
-    /// Record the finished result under this key in the session.
-    key: Option<SubKey>,
 }
 
-/// Flattens `tree` into `tasks`, returning the root task id. `session`
-/// short-circuits known subproblems into [`TaskKind::Const`] tasks;
-/// `scope` is the evaluator's memo scope (`None` disables memoization —
-/// the session then only accumulates counters).
+/// Flattens `tree` into `tasks`, returning the root task id.
 fn flatten(
     tree: &InliningTree,
     base: InliningConfiguration,
     parent: Option<usize>,
     tasks: &mut Vec<Task>,
-    session: Option<&SearchSession>,
-    scope: Option<u128>,
-    dedup_hits: &mut u64,
 ) -> usize {
-    let key = match (session, scope) {
-        (Some(_), Some(sc)) => Some(subproblem_key(tree, &base, sc)),
-        _ => None,
-    };
-    if let (Some(s), Some(k)) = (session, key.as_ref()) {
-        if let Some((memo_cfg, size)) = s.lookup(k) {
-            *dedup_hits += 1;
-            let id = tasks.len();
-            tasks.push(Task {
-                kind: TaskKind::Const { result: (replay(tree, &memo_cfg, base), size) },
-                children: Vec::new(),
-                parent,
-                pending: AtomicUsize::new(0),
-                result: OnceLock::new(),
-                key: None,
-            });
-            return id;
-        }
-    }
     let id = tasks.len();
-    // Reserve the slot first so children can name their parent.
+    // Reserve the slot first so children can name their parent; each
+    // branch below overwrites the placeholder kind.
     tasks.push(Task {
-        kind: TaskKind::Const { result: (InliningConfiguration::clean_slate(), 0) },
+        kind: TaskKind::Binary,
         children: Vec::new(),
         parent,
         pending: AtomicUsize::new(0),
         result: OnceLock::new(),
-        key,
     });
     match tree {
         InliningTree::Leaf => {
@@ -278,17 +116,15 @@ fn flatten(
         InliningTree::Binary { site, not_inlined, inlined } => {
             let base_no = base.clone().with(*site, Decision::NoInline);
             let base_in = base.with(*site, Decision::Inline);
-            let no = flatten(not_inlined, base_no, Some(id), tasks, session, scope, dedup_hits);
-            let yes = flatten(inlined, base_in, Some(id), tasks, session, scope, dedup_hits);
+            let no = flatten(not_inlined, base_no, Some(id), tasks);
+            let yes = flatten(inlined, base_in, Some(id), tasks);
             tasks[id].kind = TaskKind::Binary;
             tasks[id].children = vec![no, yes];
             tasks[id].pending = AtomicUsize::new(2);
         }
         InliningTree::Components(children) => {
-            let ids: Vec<usize> = children
-                .iter()
-                .map(|c| flatten(c, base.clone(), Some(id), tasks, session, scope, dedup_hits))
-                .collect();
+            let ids: Vec<usize> =
+                children.iter().map(|c| flatten(c, base.clone(), Some(id), tasks)).collect();
             let n = ids.len();
             tasks[id].kind = TaskKind::Combine { base };
             tasks[id].children = ids;
@@ -307,7 +143,6 @@ struct Run<'a> {
     steals: AtomicU64,
     aborted: AtomicBool,
     panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    session: Option<&'a SearchSession>,
 }
 
 impl Run<'_> {
@@ -321,7 +156,6 @@ impl Run<'_> {
             self.tasks[task.children[i]].result.get().expect("dependency settled before parent")
         };
         let result = match &task.kind {
-            TaskKind::Const { result } => result.clone(),
             TaskKind::Leaf { base } => {
                 let size = self.evaluator.size_of(base);
                 (base.clone(), size)
@@ -347,9 +181,6 @@ impl Run<'_> {
                 (merged, size)
             }
         };
-        if let (Some(session), Some(key)) = (self.session, &task.key) {
-            session.record(key.clone(), result.clone());
-        }
         task.result.set(result).expect("each task executes exactly once");
     }
 
@@ -422,11 +253,7 @@ impl Run<'_> {
 /// same inputs, at any worker count (including a zero-worker pool, where
 /// the caller drives every lane itself).
 ///
-/// `session`, when given, memoizes finished subproblems across calls
-/// (hash-consing) and accumulates [`ExecutorStats`]. Memo keys carry
-/// `evaluator.memo_scope()`, so one session is safe to share across
-/// evaluators over different modules; an evaluator with no scope
-/// (`None`) skips memoization and the session only counts its tasks.
+/// `session`, when given, accumulates this run's [`ExecutorStats`].
 pub fn evaluate_inlining_tree_dag(
     tree: &InliningTree,
     evaluator: &dyn Evaluator,
@@ -435,12 +262,9 @@ pub fn evaluate_inlining_tree_dag(
     session: Option<&SearchSession>,
 ) -> (InliningConfiguration, u64) {
     let mut tasks = Vec::new();
-    let mut dedup_hits = 0u64;
-    let scope = evaluator.memo_scope();
-    let root = flatten(tree, base, None, &mut tasks, session, scope, &mut dedup_hits);
+    let root = flatten(tree, base, None, &mut tasks);
     if let Some(s) = session {
         s.tasks.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-        s.dedup_hits.fetch_add(dedup_hits, Ordering::Relaxed);
     }
 
     // One lane per driver: the pool's workers plus the calling thread.
@@ -453,9 +277,8 @@ pub fn evaluate_inlining_tree_dag(
         steals: AtomicU64::new(0),
         aborted: AtomicBool::new(false),
         panic: Mutex::new(None),
-        session,
     };
-    // Seed the ready tasks (leaves and constants) round-robin across lanes
+    // Seed the ready tasks (the leaves) round-robin across lanes
     // so every driver starts with local work.
     let mut seeded = 0usize;
     for (id, task) in tasks.iter().enumerate() {
@@ -597,158 +420,33 @@ mod tests {
     }
 
     #[test]
-    fn session_dedups_repeated_evaluations() {
+    fn a_shared_session_counts_every_run_in_full() {
+        // A session only accumulates counters: a repeated search through it
+        // materializes and runs the whole DAG again, with the sequential
+        // walk's answer each time.
         let m = module_from_shape(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 7);
         let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
         let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
+        let seq = evaluate_inlining_tree(&tree, &ev, InliningConfiguration::clean_slate());
         let pool = WorkerPool::new(2);
         let session = SearchSession::new();
-        let first = evaluate_inlining_tree_dag(
-            &tree,
-            &ev,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        let cold = session.stats();
-        assert_eq!(cold.dedup_hits, 0, "a cold tree has all-distinct subproblems");
-        assert!(cold.tasks as u128 >= space_size(&tree));
-        let second = evaluate_inlining_tree_dag(
-            &tree,
-            &ev,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        assert_eq!(first, second);
-        let warm = session.stats();
-        assert_eq!(warm.dedup_hits, 1, "the whole repeated tree collapses to its root");
-        assert_eq!(warm.tasks, cold.tasks + 1, "one constant task on the warm run");
-    }
-
-    #[test]
-    fn session_shares_subproblems_across_different_bases() {
-        // The same subtree under bases that differ only in no-inline
-        // decisions on *foreign* sites has the same canonical identity
-        // (inlined sites only) — and the warm result must still be
-        // byte-identical to a fresh sequential walk under the new base.
-        let graph = InlineGraph::from_edges(2, &[(0, 1)]);
-        let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
-        struct Count(AtomicU64);
-        impl Evaluator for Count {
-            fn size_of(&self, c: &InliningConfiguration) -> u64 {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                50 + c.inlined_count() as u64
-            }
-            fn compilations(&self) -> u64 {
-                0
-            }
-            fn queries(&self) -> u64 {
-                self.0.load(Ordering::Relaxed)
-            }
-            fn memo_scope(&self) -> Option<u128> {
-                Some(0xC0)
-            }
-        }
-        let ev = Count(AtomicU64::new(0));
-        let pool = WorkerPool::new(0);
-        let session = SearchSession::new();
-        let base_a = InliningConfiguration::clean_slate();
-        // Same canonical base (no inlined sites), different explicit map.
-        let base_b =
-            InliningConfiguration::clean_slate().with(CallSiteId::new(9), Decision::NoInline);
-        let a = evaluate_inlining_tree_dag(&tree, &ev, base_a, &pool, Some(&session));
-        let queries_after_a = ev.queries();
-        let b = evaluate_inlining_tree_dag(&tree, &ev, base_b.clone(), &pool, Some(&session));
-        assert_eq!(a.1, b.1);
-        assert_eq!(ev.queries(), queries_after_a, "warm run must not evaluate");
-        assert_eq!(session.stats().dedup_hits, 1);
-        // Byte-identity: the warm result equals a fresh sequential walk
-        // under base_b, carrying base_b's explicit foreign entry.
-        let fresh = Count(AtomicU64::new(0));
-        let expected = evaluate_inlining_tree(&tree, &fresh, base_b);
-        assert_eq!(b, expected, "warm result must replay onto the caller's base");
-    }
-
-    #[test]
-    fn session_memo_is_scoped_per_evaluator_domain() {
-        // Two modules with identical call-graph shape — and therefore
-        // identical trees and densely minted site ids — but different
-        // bodies. Sharing one session across both must not let either
-        // module's memoized optimum answer the other's search.
-        let edges = &[(0usize, 1usize), (1, 2), (2, 3)][..];
-        let m1 = module_from_shape(4, edges, 21);
-        let m2 = module_from_shape(4, edges, 22);
-        let ev1 = SizeEvaluator::new(m1, Box::new(X86Like), false);
-        let ev2 = SizeEvaluator::new(m2, Box::new(X86Like), false);
-        assert_ne!(ev1.memo_scope(), ev2.memo_scope());
-        let tree1 =
-            build_inlining_tree(&InlineGraph::from_module(ev1.module()), PartitionStrategy::Paper);
-        let tree2 =
-            build_inlining_tree(&InlineGraph::from_module(ev2.module()), PartitionStrategy::Paper);
-        assert_eq!(tree1, tree2, "shapes must collide for this to be a real test");
-        let seq1 = evaluate_inlining_tree(&tree1, &ev1, InliningConfiguration::clean_slate());
-        let seq2 = evaluate_inlining_tree(&tree2, &ev2, InliningConfiguration::clean_slate());
-        let session = SearchSession::new();
-        let pool = WorkerPool::new(2);
-        let dag1 = evaluate_inlining_tree_dag(
-            &tree1,
-            &ev1,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        let dag2 = evaluate_inlining_tree_dag(
-            &tree2,
-            &ev2,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        assert_eq!(dag1, seq1);
-        assert_eq!(dag2, seq2, "module 2 must not inherit module 1's memoized results");
-        assert_eq!(session.stats().dedup_hits, 0, "distinct domains must never alias");
-    }
-
-    #[test]
-    fn anonymous_evaluators_skip_session_memoization() {
-        // An evaluator with no memo scope must not populate (or read) a
-        // shared session's table — only the counters move.
-        struct Flat2;
-        impl Evaluator for Flat2 {
-            fn size_of(&self, _c: &InliningConfiguration) -> u64 {
-                7
-            }
-            fn compilations(&self) -> u64 {
-                0
-            }
-            fn queries(&self) -> u64 {
-                0
-            }
-        }
-        let graph = InlineGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);
-        let pool = WorkerPool::new(0);
-        let session = SearchSession::new();
-        let a = evaluate_inlining_tree_dag(
-            &tree,
-            &Flat2,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        let b = evaluate_inlining_tree_dag(
-            &tree,
-            &Flat2,
-            InliningConfiguration::clean_slate(),
-            &pool,
-            Some(&session),
-        );
-        assert_eq!(a, b);
-        assert_eq!(session.memo_len(), 0, "no scope, no memo entries");
-        assert_eq!(session.stats().dedup_hits, 0);
-        assert!(session.stats().tasks > 0, "counters still accumulate");
+        let run = || {
+            evaluate_inlining_tree_dag(
+                &tree,
+                &ev,
+                InliningConfiguration::clean_slate(),
+                &pool,
+                Some(&session),
+            )
+        };
+        assert_eq!(run(), seq);
+        let first = session.stats();
+        assert!(first.tasks as u128 >= space_size(&tree));
+        assert_eq!(run(), seq);
+        let second = session.stats();
+        assert_eq!(second.tasks, 2 * first.tasks, "the second run repeats every task");
+        assert_eq!(second.dedup_hits, 0);
     }
 
     #[test]

@@ -44,18 +44,14 @@ pub trait Evaluator: Sync {
     fn queries(&self) -> u64;
 
     /// A stable identity for the evaluation domain this evaluator scores —
-    /// the (module, target, pipeline options) triple behind `size_of`.
-    /// [`SearchSession`](crate::SearchSession) memoization keys include it,
-    /// so one session can be shared across evaluators over *different*
-    /// modules (the experiment harness does exactly this) without results
-    /// leaking between domains: call sites are minted densely per module,
-    /// so without the scope two modules' residual trees can collide on
-    /// shape and site numbering alone.
+    /// the (module, target, pipeline options) triple behind `size_of`. The
+    /// CLI, the experiments harness and the benchmark address evaluation
+    /// store scopes by it, so two evaluators share stored answers exactly
+    /// when they score the same domain.
     ///
-    /// `None` — the default — opts the evaluator out of session
-    /// memoization entirely: an evaluator that cannot name its domain must
-    /// not populate a shared memo table. The module-backed evaluators all
-    /// return a domain fingerprint.
+    /// `None` — the default — means the evaluator cannot name its domain;
+    /// those callers then fall back to a module fingerprint. The
+    /// module-backed evaluators all return a domain fingerprint.
     fn memo_scope(&self) -> Option<u128> {
         None
     }
@@ -64,8 +60,8 @@ pub trait Evaluator: Sync {
 /// 128-bit fingerprint of an evaluation domain: the module's printed form,
 /// the target name, and the pipeline options. Any input that can move a
 /// `size_of` answer moves the fingerprint, which is exactly what
-/// [`Evaluator::memo_scope`] needs to keep shared [`SearchSession`]s
-/// (crate::SearchSession) sound.
+/// [`Evaluator::memo_scope`] needs to keep store scopes from serving
+/// another domain's answers.
 pub(crate) fn domain_fingerprint(
     module: &Module,
     target: &dyn Target,
@@ -139,9 +135,6 @@ pub struct EvaluatorStats {
     pub executor_tasks: u64,
     /// DAG tasks executed from another worker's deque (work stealing).
     pub executor_steals: u64,
-    /// Subproblems the search session resolved from its hash-cons table
-    /// instead of evaluating.
-    pub dedup_hits: u64,
     /// Size queries answered by the persistent on-disk cache.
     pub persist_hits: u64,
     /// Size queries the persistent cache had to forward to the evaluator.
@@ -185,8 +178,8 @@ impl EvaluatorStats {
         }
         if self.executor_tasks > 0 {
             line.push_str(&format!(
-                ", executor: {} tasks / {} steals / {} dedup hits",
-                self.executor_tasks, self.executor_steals, self.dedup_hits,
+                ", executor: {} tasks / {} steals",
+                self.executor_tasks, self.executor_steals,
             ));
         }
         if self.persist_hits + self.persist_misses + self.persist_loaded > 0 {
@@ -237,7 +230,6 @@ impl EvaluatorStats {
         self.cycle_compiles += other.cycle_compiles;
         self.executor_tasks += other.executor_tasks;
         self.executor_steals += other.executor_steals;
-        self.dedup_hits += other.dedup_hits;
         self.persist_hits += other.persist_hits;
         self.persist_misses += other.persist_misses;
         self.persist_loaded += other.persist_loaded;
@@ -253,7 +245,6 @@ impl EvaluatorStats {
     pub fn absorb_executor(&mut self, exec: crate::dag::ExecutorStats) {
         self.executor_tasks += exec.tasks;
         self.executor_steals += exec.steals;
-        self.dedup_hits += exec.dedup_hits;
     }
 
     /// Folds a persistent cache's counters into this snapshot.

@@ -19,8 +19,7 @@
 //! - [`cost_model_fingerprint`] and [`objective_scope`] extend the
 //!   persistent-identity family: cycles-carrying entries live in a scope
 //!   derived from the size domain *plus* the cost model, so size-only
-//!   and speed measurements never alias in the store or in a shared
-//!   [`SearchSession`](crate::SearchSession).
+//!   and speed measurements never alias in the store.
 //! - [`SpeedEvaluator`] adapts any measuring evaluator to the plain
 //!   [`Evaluator`] interface with cycles as the minimized scalar, so the
 //!   inlining-tree search, the DAG executor, and the autotuner run
@@ -87,7 +86,7 @@ pub fn cost_model_fingerprint(cost: &CostModel) -> u128 {
     h.finish()
 }
 
-/// The persistent-store / session-memo scope for measurements under
+/// The persistent-store scope for measurements under
 /// `objective`. Size keeps the evaluator's own domain fingerprint
 /// unchanged (warm caches stay warm); cycles-carrying objectives mix in
 /// an objective tag and the cost-model fingerprint, so size-only and

@@ -6,11 +6,10 @@
 //! fresh process. Every one of those runs re-pays the full compile bill
 //! unless results survive the process. [`PersistentCache`] keeps them on
 //! disk through [`optinline_store`]: one *scope* per evaluation domain
-//! (module text + target + pipeline options — the same `memo_scope`
-//! fingerprint that keys in-process session memoization), living in a
-//! sharded directory with batched appends, compaction, and size-budgeted
-//! GC. See the store crate (and DESIGN.md §5) for the layout and
-//! crash-safety argument.
+//! (module text + target + pipeline options — the evaluator's
+//! `memo_scope` fingerprint), living in a sharded directory with batched
+//! appends, compaction, and size-budgeted GC. See the store crate (and
+//! DESIGN.md §5) for the layout and crash-safety argument.
 //!
 //! What this module adds on top of the raw store:
 //!

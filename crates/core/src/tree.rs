@@ -41,37 +41,11 @@ pub enum InliningTree {
     Components(Vec<InliningTree>),
 }
 
-/// Builds the inlining tree of a graph (Algorithm 2).
+/// Builds the inlining tree of a graph (Algorithm 2): the unbounded form
+/// of [`try_build_inlining_tree`].
 pub fn build_inlining_tree(graph: &InlineGraph, strategy: PartitionStrategy) -> InliningTree {
-    if graph.group_count() == 0 {
-        return InliningTree::Leaf;
-    }
-    // Independent inlining components = undirected components that still
-    // contain undecided edges (edgeless leftovers need no exploration).
-    let comps: Vec<BTreeSet<_>> = connected_components(graph)
-        .into_iter()
-        .map(|nodes| nodes.into_iter().collect::<BTreeSet<_>>())
-        .filter(|nodes| {
-            graph.live_edges().iter().any(|(_, a, b)| nodes.contains(a) || nodes.contains(b))
-        })
-        .collect();
-    if comps.len() > 1 {
-        let children = comps
-            .into_iter()
-            .map(|nodes| build_inlining_tree(&graph.induced(&nodes), strategy))
-            .collect();
-        return InliningTree::Components(children);
-    }
-    let site = strategy.select(graph);
-    let mut g_no = graph.clone();
-    g_no.apply(site, Decision::NoInline);
-    let mut g_in = graph.clone();
-    g_in.apply(site, Decision::Inline);
-    InliningTree::Binary {
-        site,
-        not_inlined: Box::new(build_inlining_tree(&g_no, strategy)),
-        inlined: Box::new(build_inlining_tree(&g_in, strategy)),
-    }
+    try_build_inlining_tree(graph, strategy, u128::MAX)
+        .expect("no tree that fits in memory costs 2^128 evaluations")
 }
 
 /// Budget-bounded construction: returns `None` as soon as the tree's
@@ -99,6 +73,8 @@ fn try_build_inner(
         *budget = budget.checked_sub(1)?;
         return Some(InliningTree::Leaf);
     }
+    // Independent inlining components = undirected components that still
+    // contain undecided edges (edgeless leftovers need no exploration).
     let comps: Vec<BTreeSet<_>> = connected_components(graph)
         .into_iter()
         .map(|nodes| nodes.into_iter().collect::<BTreeSet<_>>())

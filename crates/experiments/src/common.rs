@@ -13,14 +13,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// The harness-wide hash-consing session for the task-DAG search
-/// executor: every exhaustive search in a run shares it, so repeated
-/// subproblems across experiments evaluate once, and the stats footer can
-/// report cumulative executor counters. Sharing one session across files
-/// is sound because memo keys carry each evaluator's
-/// [`memo_scope`](Evaluator::memo_scope) (a module/target fingerprint):
-/// two files whose residual trees collide on shape and site numbering
-/// still resolve in separate domains.
+/// The harness-wide counters of the task-DAG search executor: every
+/// exhaustive search in a run reports into it, so Figure 7 and the stats
+/// footer can show cumulative tasks and steals.
 pub fn search_session() -> &'static SearchSession {
     static SESSION: OnceLock<SearchSession> = OnceLock::new();
     SESSION.get_or_init(SearchSession::new)

@@ -87,8 +87,8 @@ pub fn fig7(ctx: &Ctx, optima: &[OptimalCase<'_>]) {
     let exec = crate::common::search_session().stats();
     let _ = writeln!(
         out,
-        "search executor:               {} tasks, {} steals, {} dedup hits",
-        exec.tasks, exec.steals, exec.dedup_hits
+        "search executor:               {} tasks, {} steals",
+        exec.tasks, exec.steals
     );
     let _ = writeln!(out, "\nshape target (paper): optimal on 46% of files; median non-optimal");
     let _ = writeln!(out, "overhead 2.37%; 16% of files >=5%, 8.5% >=10%; max 281%.");

@@ -1,12 +1,13 @@
 //! Property tests for the search and tuning extensions on generated
 //! modules: the incremental autotuner's exactness, the strategy ordering
-//! against the optimum, and the fast bridge algorithm. Each property runs
-//! over a fixed spread of generator seeds (deterministic corpus).
+//! against the optimum, and the evaluation budget of tree construction.
+//! Each property runs over a fixed spread of generator seeds
+//! (deterministic corpus).
 
 use optinline::core::autotune::site_components;
+use optinline::core::tree::{build_inlining_tree, space_size, try_build_inlining_tree};
 use optinline::prelude::*;
-use optinline::workloads::GenParams;
-use optinline_callgraph::{bridge_groups, bridge_groups_fast};
+use optinline::workloads::{samples, GenParams};
 use optinline_heuristics::TrialInliner;
 
 fn gen(seed: u64, n_internal: usize, clusters: usize) -> Module {
@@ -72,20 +73,26 @@ fn no_strategy_beats_the_exhaustive_optimum() {
 }
 
 #[test]
-fn fast_bridges_agree_with_naive_on_module_graphs() {
-    for case in 0..24u64 {
+fn tree_budget_admits_exactly_the_trees_own_space() {
+    // A budget of exactly the tree's evaluation count builds the unbounded
+    // tree; one evaluation less refuses it.
+    let generated = (0..6u64).map(|case| {
         let seed = case * 13 + 1;
-        let module = gen(seed, 3 + (seed % 6) as usize, 1 + (seed % 3) as usize);
-        let g = InlineGraph::from_module(&module);
-        assert_eq!(bridge_groups_fast(&g), bridge_groups(&g), "seed {seed}");
-        // Also after a few abstract decisions (copies can appear).
-        let mut g2 = g.clone();
-        let sites: Vec<_> = g2.undecided_sites().into_iter().collect();
-        for (i, s) in sites.into_iter().take(3).enumerate() {
-            let d = if i % 2 == 0 { Decision::Inline } else { Decision::NoInline };
-            g2.apply(s, d);
+        gen(seed, 3 + (seed % 4) as usize, 1 + (seed % 3) as usize)
+    });
+    let modules = [samples::fig4(), samples::fig5()].into_iter().chain(generated);
+    for module in modules {
+        let graph = InlineGraph::from_module(&module);
+        for strategy in
+            [PartitionStrategy::Paper, PartitionStrategy::FirstEdge, PartitionStrategy::Random(7)]
+        {
+            let tree = build_inlining_tree(&graph, strategy);
+            let space = space_size(&tree);
+            let at = try_build_inlining_tree(&graph, strategy, space);
+            assert_eq!(at.as_ref(), Some(&tree), "{} {strategy:?}", module.name);
+            let below = try_build_inlining_tree(&graph, strategy, space - 1);
+            assert_eq!(below, None, "{} {strategy:?}", module.name);
         }
-        assert_eq!(bridge_groups_fast(&g2), bridge_groups(&g2), "seed {seed}");
     }
 }
 
