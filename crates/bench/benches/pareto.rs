@@ -20,8 +20,8 @@ fn module_sized(n_internal: usize) -> optinline_ir::Module {
 }
 
 /// `measure(Size)` vs `measure(Speed)` on a cold evaluator: the speed
-/// objective adds a whole-module compile plus one interpreter pass per
-/// public entry, so this is the per-evaluation price of cycles.
+/// objective adds one interpreter pass per public entry of each compiled
+/// slice, so this is the per-evaluation price of cycles.
 fn bench_measure_objectives(c: &mut Criterion) {
     let mut group = c.benchmark_group("measure_objective");
     group.sample_size(10);

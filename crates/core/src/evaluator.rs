@@ -124,11 +124,11 @@ pub struct EvaluatorStats {
     /// Per-pass, analysis-cache, and scheduling counters aggregated over
     /// every compile this evaluator performed (rendered by `--pass-stats`).
     pub pipeline: PipelineStats,
-    /// Cycle measurements served (including cycles-cache hits); 0 for
-    /// size-only runs.
+    /// Cycle measurements served (including memo hits); 0 for size-only
+    /// runs.
     pub cycle_measures: u64,
-    /// Whole-module compiles performed *only* to measure cycles (the
-    /// cycles path never reuses a size compile's artifact).
+    /// Component-slice compiles that ran the interpreter: a cycles query's
+    /// memo miss, or the one recompile of an entry a size query made.
     pub cycle_compiles: u64,
     /// Tasks materialized by the task-DAG search executor (0 when the
     /// sequential walk ran).

@@ -10,12 +10,14 @@
 //!   (simulated cycles under the interpreter's [`CostModel`]), or
 //!   `Pareto` (both, as a dominance front — see
 //!   [`ParetoFront`](crate::ParetoFront)).
-//! - [`module_cycles`] defines the canonical cycles metric: compile the
-//!   whole module, then interpret every public non-stub function with
-//!   zero arguments in declaration order and sum their cycle counts
-//!   (saturating). Whole-module on purpose: the cost model's i-cache is
-//!   global, so the per-component decomposition that is exact for size
-//!   is *not* exact for cycles.
+//! - [`module_cycles`] defines the canonical cycles metric: interpret
+//!   every public non-stub function of the optimized module with zero
+//!   arguments, each in a fresh interpreter (its own i-cache, globals
+//!   and fuel), in declaration order, and sum their cycle counts
+//!   (saturating). A run never leaves its entry's call-graph component,
+//!   so the metric decomposes over components exactly as size does; the
+//!   evaluator measures it per component slice (see
+//!   [`SizeEvaluator`](crate::SizeEvaluator)).
 //! - [`cost_model_fingerprint`] and [`objective_scope`] extend the
 //!   persistent-identity family: cycles-carrying entries live in a scope
 //!   derived from the size domain *plus* the cost model, so size-only

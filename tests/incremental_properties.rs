@@ -3,6 +3,7 @@
 //! on *every* configuration, and on multi-component workloads it must do
 //! measurably less compile work.
 
+use optinline::core::{module_cycles, Objective};
 use optinline::prelude::*;
 use optinline::workloads::GenParams;
 
@@ -57,7 +58,9 @@ fn arb_decisions(module: &Module, seed: u64) -> InliningConfiguration {
 
 /// The tentpole's gate: the incremental evaluator is *exactly* the
 /// compiler evaluator, byte for byte, on arbitrary programs and
-/// arbitrary configurations (random, empty, and total).
+/// arbitrary configurations (random, empty, and total) — in size, and in
+/// the cycles both modes measure against one uncached whole-module
+/// compile.
 #[test]
 fn incremental_evaluator_is_byte_identical_to_full_compiles() {
     for case in 0..40u64 {
@@ -81,6 +84,14 @@ fn incremental_evaluator_is_byte_identical_to_full_compiles() {
                 full.size_of(config),
                 "case {case} config {i}: incremental diverges from full compile"
             );
+            let cycles = module_cycles(&full.compile(config), full.cost_model());
+            for (mode, ev) in [("incremental", &inc), ("whole-module", &full)] {
+                assert_eq!(
+                    ev.measure(config, Objective::Speed).cycles,
+                    cycles,
+                    "case {case} config {i}: {mode} cycles diverge from the full compile"
+                );
+            }
         }
     }
 }
