@@ -1,14 +1,22 @@
 //! Helpers shared by the integration tests that pin outputs against the
 //! files under `tests/golden/`.
 
+// Each test crate that includes this module uses only some of its helpers.
+#![allow(dead_code)]
+
 use std::path::Path;
 
 use optinline::ir::Module;
 
-/// The 128-bit FNV-1a digest of the module's printed form, as 32 hex
-/// digits: one short token that changes with any byte of the module.
+/// The 128-bit FNV-1a digest of `text`, as 32 hex digits: one short token
+/// that changes with any byte of it.
+pub fn digest(text: &str) -> String {
+    format!("{:032x}", optinline::callgraph::fnv128(text.as_bytes()))
+}
+
+/// [`digest`] of the module's printed form.
 pub fn module_digest(module: &Module) -> String {
-    format!("{:032x}", optinline::callgraph::fnv128(module.to_string().as_bytes()))
+    digest(&module.to_string())
 }
 
 /// Compares `actual` with `tests/golden/<name>` byte for byte.

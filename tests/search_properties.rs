@@ -3,9 +3,17 @@
 //! against the optimum, and the evaluation budget of tree construction.
 //! Each property runs over a fixed spread of generator seeds
 //! (deterministic corpus).
+//!
+//! `heuristic_decisions_match_golden` and `inlining_trees_match_golden` pin
+//! the baseline heuristic's decisions and the paper strategy's inlining
+//! trees on the search corpus and a range of fuzz-sampled modules against
+//! `tests/golden/heuristic_decisions.txt` and
+//! `tests/golden/inlining_trees.txt`.
+
+mod common;
 
 use optinline::core::autotune::site_components;
-use optinline::core::tree::{build_inlining_tree, space_size, try_build_inlining_tree};
+use optinline::core::tree::{build_inlining_tree, space_size, tree_stats, try_build_inlining_tree};
 use optinline::prelude::*;
 use optinline::workloads::{samples, GenParams};
 use optinline_heuristics::TrialInliner;
@@ -94,6 +102,51 @@ fn tree_budget_admits_exactly_the_trees_own_space() {
             assert_eq!(below, None, "{} {strategy:?}", module.name);
         }
     }
+}
+
+/// The golden corpus: every `spec_suite(Scale::Full)` file, then the
+/// modules `GenParams::fuzz_sample` draws for seeds `0..300`.
+fn golden_corpus() -> Vec<Module> {
+    let suite = spec_suite(Scale::Full).into_iter().flat_map(|b| b.files);
+    let fuzz =
+        (0..300u64).map(|seed| optinline::workloads::generate_file(&GenParams::fuzz_sample(seed)));
+    suite.chain(fuzz).collect()
+}
+
+/// `CostModelInliner::default()` on x86 over [`golden_corpus`], pinned as
+/// `module sites inlined digest` rows: the decided site count, how many of
+/// them inline, and the digest of the decision map's `Debug` form.
+#[test]
+fn heuristic_decisions_match_golden() {
+    let mut rows = String::from("# module sites inlined digest\n");
+    for module in golden_corpus() {
+        let decisions = CostModelInliner::default().decide(&module, &X86Like);
+        let inlined = decisions.values().filter(|&&d| d == Decision::Inline).count();
+        let digest = common::digest(&format!("{decisions:?}"));
+        rows.push_str(&format!("{} {} {inlined} {digest}\n", module.name, decisions.len()));
+    }
+    common::assert_golden("heuristic_decisions.txt", &rows);
+}
+
+/// The paper strategy's inlining tree over [`golden_corpus`] under a 2^10
+/// evaluation budget, pinned as `module space depth digest` rows (the
+/// digest of the tree's `Debug` form), or `module over` when the tree
+/// exceeds the budget.
+#[test]
+fn inlining_trees_match_golden() {
+    let mut rows = String::from("# module space depth digest\n");
+    for module in golden_corpus() {
+        let graph = InlineGraph::from_module(&module);
+        match try_build_inlining_tree(&graph, PartitionStrategy::Paper, 1 << 10) {
+            Some(tree) => {
+                let digest = common::digest(&format!("{tree:?}"));
+                let (space, depth) = (space_size(&tree), tree_stats(&tree).depth);
+                rows.push_str(&format!("{} {space} {depth} {digest}\n", module.name));
+            }
+            None => rows.push_str(&format!("{} over\n", module.name)),
+        }
+    }
+    common::assert_golden("inlining_trees.txt", &rows);
 }
 
 #[test]
