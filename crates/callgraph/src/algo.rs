@@ -3,62 +3,75 @@
 
 use crate::graph::{InlineGraph, NodeRef};
 use optinline_ir::{CallSiteId, FuncId, Module};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Union–find over arbitrary `NodeRef`s.
+/// Union–find over dense slot indices. `union(a, b)` hangs `a`'s root
+/// under `b`'s, so the roots, and with them the order components come out
+/// in, depend only on the sequence of unions.
 #[derive(Debug)]
 struct Dsu {
-    parent: HashMap<NodeRef, NodeRef>,
+    parent: Vec<u32>,
 }
 
 impl Dsu {
-    fn new(nodes: &[NodeRef]) -> Self {
-        Dsu { parent: nodes.iter().map(|&n| (n, n)).collect() }
+    fn new(slots: usize) -> Self {
+        Dsu { parent: (0..slots as u32).collect() }
     }
 
-    fn find(&mut self, x: NodeRef) -> NodeRef {
-        let p = self.parent[&x];
-        if p == x {
-            return x;
+    fn find(&mut self, x: usize) -> usize {
+        let mut root = x;
+        while self.parent[root] as usize != root {
+            root = self.parent[root] as usize;
         }
-        let r = self.find(p);
-        self.parent.insert(x, r);
-        r
+        let mut cur = x;
+        while cur != root {
+            let next = self.parent[cur] as usize;
+            self.parent[cur] = root as u32;
+            cur = next;
+        }
+        root
     }
 
-    fn union(&mut self, a: NodeRef, b: NodeRef) {
+    /// Joins the sets of `a` and `b`; `true` if they were apart.
+    fn union(&mut self, a: usize, b: usize) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent.insert(ra, rb);
+            self.parent[ra] = rb as u32;
         }
+        ra != rb
     }
 }
 
-/// Partitions the live nodes into undirected connected components.
-/// Isolated nodes form singleton components.
+/// Partitions the live nodes into undirected connected components, in
+/// order of their union–find roots. Isolated nodes form singleton
+/// components.
 pub fn connected_components(graph: &InlineGraph) -> Vec<Vec<NodeRef>> {
-    components_excluding(graph, None)
+    let mut dsu = Dsu::new(graph.slot_count());
+    for (_, from, to) in graph.iter_edges() {
+        dsu.union(from.index(), to.index());
+    }
+    let mut groups: Vec<Vec<NodeRef>> = vec![Vec::new(); graph.slot_count()];
+    for n in graph.node_refs() {
+        groups[dsu.find(n.index())].push(n);
+    }
+    groups.retain(|g| !g.is_empty());
+    groups
 }
 
 /// Number of undirected connected components.
 pub fn component_count(graph: &InlineGraph) -> usize {
-    connected_components(graph).len()
+    component_count_excluding(graph, None)
 }
 
-fn components_excluding(graph: &InlineGraph, skip: Option<CallSiteId>) -> Vec<Vec<NodeRef>> {
-    let nodes = graph.node_refs();
-    let mut dsu = Dsu::new(&nodes);
-    for (site, from, to) in graph.live_edges() {
-        if Some(site) == skip {
-            continue;
-        }
-        dsu.union(from, to);
-    }
-    let mut groups: BTreeMap<NodeRef, Vec<NodeRef>> = BTreeMap::new();
-    for n in nodes {
-        groups.entry(dsu.find(n)).or_default().push(n);
-    }
-    groups.into_values().collect()
+/// The number of components once `skip`'s whole group is removed: the
+/// live nodes minus the unions the remaining edges make.
+fn component_count_excluding(graph: &InlineGraph, skip: Option<CallSiteId>) -> usize {
+    let mut dsu = Dsu::new(graph.slot_count());
+    let unions = graph
+        .iter_edges()
+        .filter(|&(site, from, to)| Some(site) != skip && dsu.union(from.index(), to.index()))
+        .count();
+    graph.node_count() - unions
 }
 
 /// Partitions *all* of a module's functions into connected components of
@@ -72,19 +85,8 @@ fn components_excluding(graph: &InlineGraph, skip: Option<CallSiteId>) -> Vec<Ve
 /// `-Os` pipeline distributes componentwise. The incremental evaluator in
 /// `optinline-core` relies on exactly that guarantee.
 pub fn coarse_components(module: &Module) -> Vec<BTreeSet<FuncId>> {
-    let funcs: Vec<FuncId> = module.func_ids().collect();
-    // Index-based union–find over the function list.
-    let index: HashMap<FuncId, usize> = funcs.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let mut parent: Vec<usize> = (0..funcs.len()).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
+    let mut dsu = Dsu::new(module.func_count());
     for fid in module.func_ids() {
-        let a = index[&fid];
         // Union with every function a call instruction references: the
         // callee, and any `inline_path` provenance entries (an already
         // partially-inlined input references path functions it no longer
@@ -93,19 +95,15 @@ pub fn coarse_components(module: &Module) -> Vec<BTreeSet<FuncId>> {
             for inst in &block.insts {
                 if let optinline_ir::Inst::Call { callee, inline_path, .. } = inst {
                     for &target in std::iter::once(callee).chain(inline_path) {
-                        let b = index[&target];
-                        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                        if ra != rb {
-                            parent[ra] = rb;
-                        }
+                        dsu.union(fid.index(), target.index());
                     }
                 }
             }
         }
     }
     let mut groups: BTreeMap<usize, BTreeSet<FuncId>> = BTreeMap::new();
-    for (i, &fid) in funcs.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().insert(fid);
+    for fid in module.func_ids() {
+        groups.entry(dsu.find(fid.index())).or_default().insert(fid);
     }
     groups.into_values().collect()
 }
@@ -119,36 +117,65 @@ pub fn coarse_components(module: &Module) -> Vec<BTreeSet<FuncId>> {
 /// parallel pair of distinct sites is not a bridge; a coupled pair acting as
 /// the only link *is*).
 pub fn bridge_groups(graph: &InlineGraph) -> Vec<CallSiteId> {
-    let base = components_excluding(graph, None).len();
+    let base = component_count(graph);
     graph
         .undecided_sites()
         .into_iter()
-        .filter(|&site| components_excluding(graph, Some(site)).len() > base)
+        .filter(|&site| component_count_excluding(graph, Some(site)) > base)
         .collect()
+}
+
+/// Undirected adjacency by node slot: self-loops dropped, parallel edges
+/// kept. Tombstoned slots have no neighbours.
+pub(crate) fn dense_adjacency(graph: &InlineGraph) -> Vec<Vec<u32>> {
+    let mut adj = vec![Vec::new(); graph.slot_count()];
+    for (_, from, to) in graph.iter_edges() {
+        if from != to {
+            adj[from.index()].push(to.0);
+            adj[to.index()].push(from.0);
+        }
+    }
+    adj
+}
+
+/// The BFS over a [`dense_adjacency`]: distances (in edges) from `start`
+/// by slot, `usize::MAX` where `start` cannot reach, and the slots in the
+/// order the search reached them.
+fn bfs(adj: &[Vec<u32>], start: NodeRef) -> (Vec<usize>, Vec<usize>) {
+    let mut dist = vec![usize::MAX; adj.len()];
+    dist[start.index()] = 0;
+    let mut order = vec![start.index()];
+    let mut head = 0;
+    while let Some(&n) = order.get(head) {
+        head += 1;
+        for &m in &adj[n] {
+            let m = m as usize;
+            if dist[m] == usize::MAX {
+                dist[m] = dist[n] + 1;
+                order.push(m);
+            }
+        }
+    }
+    (dist, order)
+}
+
+/// Eccentricity of `node` over a [`dense_adjacency`]: the distance of the
+/// last node the BFS reaches.
+pub(crate) fn dense_eccentricity(adj: &[Vec<u32>], node: NodeRef) -> usize {
+    let (dist, order) = bfs(adj, node);
+    order.last().map_or(0, |&n| dist[n])
 }
 
 /// BFS distances (in edges, undirected) from `start` to every reachable
 /// node.
 pub fn bfs_distances(graph: &InlineGraph, start: NodeRef) -> BTreeMap<NodeRef, usize> {
-    let adj = graph.undirected_adjacency();
-    let mut dist = BTreeMap::new();
-    dist.insert(start, 0usize);
-    let mut q = VecDeque::from([start]);
-    while let Some(n) = q.pop_front() {
-        let d = dist[&n];
-        for &m in &adj[&n] {
-            if let std::collections::btree_map::Entry::Vacant(e) = dist.entry(m) {
-                e.insert(d + 1);
-                q.push_back(m);
-            }
-        }
-    }
-    dist
+    let (dist, order) = bfs(&dense_adjacency(graph), start);
+    order.into_iter().map(|n| (NodeRef(n as u32), dist[n])).collect()
 }
 
 /// Eccentricity of a node: its maximum BFS distance within its component.
 pub fn eccentricity(graph: &InlineGraph, node: NodeRef) -> usize {
-    bfs_distances(graph, node).into_values().max().unwrap_or(0)
+    dense_eccentricity(&dense_adjacency(graph), node)
 }
 
 /// Strongly connected components of a module's static call graph, returned

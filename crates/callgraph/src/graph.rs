@@ -145,7 +145,18 @@ impl InlineGraph {
 
     /// Live `(site, from, to)` triples.
     pub fn live_edges(&self) -> Vec<(CallSiteId, NodeRef, NodeRef)> {
-        self.edges.iter().flatten().map(|e| (e.site, e.from, e.to)).collect()
+        self.iter_edges().collect()
+    }
+
+    /// [`live_edges`](Self::live_edges) without collecting them.
+    pub(crate) fn iter_edges(&self) -> impl Iterator<Item = (CallSiteId, NodeRef, NodeRef)> + '_ {
+        self.edges.iter().flatten().map(|e| (e.site, e.from, e.to))
+    }
+
+    /// Node slots, live or tombstoned: one past the largest
+    /// [`NodeRef::index`].
+    pub(crate) fn slot_count(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Endpoints of every live edge in `site`'s group.

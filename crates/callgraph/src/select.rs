@@ -6,8 +6,8 @@
 //! the naïve `2^n` space (§3.2). The ablation benchmark
 //! `partition_strategy` quantifies this.
 
-use crate::algo::{bridge_groups, eccentricity};
-use crate::graph::InlineGraph;
+use crate::algo::{bridge_groups, dense_adjacency, dense_eccentricity};
+use crate::graph::{InlineGraph, NodeRef};
 use optinline_ir::CallSiteId;
 
 /// How the inlining-tree builder picks the next edge to label.
@@ -63,11 +63,16 @@ fn select_paper(graph: &InlineGraph) -> CallSiteId {
     if !bridges.is_empty() {
         // Bridge adjacent to the least eccentric vertex among bridge
         // endpoints; ties broken by the other endpoint's eccentricity so
-        // central bridges win and both halves shrink.
+        // central bridges win and both halves shrink. One adjacency serves
+        // every BFS, and each endpoint's eccentricity is computed once.
+        let adj = dense_adjacency(graph);
+        let mut memo: Vec<Option<usize>> = vec![None; adj.len()];
+        let mut ecc =
+            |n: NodeRef| *memo[n.index()].get_or_insert_with(|| dense_eccentricity(&adj, n));
         let mut best: Option<((usize, usize, CallSiteId), CallSiteId)> = None;
         for &site in &bridges {
             for (from, to) in graph.group_edges(site) {
-                let (e1, e2) = (eccentricity(graph, from), eccentricity(graph, to));
+                let (e1, e2) = (ecc(from), ecc(to));
                 let key = (e1.min(e2), e1.max(e2), site);
                 if best.is_none_or(|(k, _)| key < k) {
                     best = Some((key, site));
@@ -80,16 +85,21 @@ fn select_paper(graph: &InlineGraph) -> CallSiteId {
     // out-edge whose head has the least in-degree. Reducing high out-degrees
     // unblocks partitioning; low in-degree heads are the likeliest future
     // bridges.
+    let mut out_degree = vec![0usize; graph.slot_count()];
+    let mut in_degree = vec![0usize; graph.slot_count()];
+    for (_, from, to) in graph.iter_edges() {
+        out_degree[from.index()] += 1;
+        in_degree[to.index()] += 1;
+    }
     let u = graph
         .node_refs()
         .into_iter()
-        .max_by_key(|&n| (graph.out_degree(n), std::cmp::Reverse(n)))
+        .max_by_key(|&n| (out_degree[n.index()], std::cmp::Reverse(n)))
         .expect("graph has nodes");
     graph
-        .live_edges()
-        .into_iter()
+        .iter_edges()
         .filter(|&(_, from, _)| from == u)
-        .min_by_key(|&(site, _, to)| (graph.in_degree(to), site))
+        .min_by_key(|&(site, _, to)| (in_degree[to.index()], site))
         .map(|(site, _, _)| site)
         .unwrap_or_else(|| {
             // The max-out-degree node can only lack out-edges if every node
@@ -102,7 +112,6 @@ fn select_paper(graph: &InlineGraph) -> CallSiteId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::NodeRef;
 
     /// Figure 5a: F→G, G→K, K→L, L→H, H→I; sites s0..s4 in that order.
     fn fig5() -> InlineGraph {

@@ -12,7 +12,7 @@ use crate::inject::BuggyEvaluator;
 use crate::oracle::{check_semantics, Limits};
 use crate::parcheck::check_parallel_search;
 use crate::reduce::{reduce, Reduction};
-use crate::schedcheck::check_scheduling;
+use crate::schedcheck::{check_heuristic, check_scheduling};
 use crate::servecheck::check_serve_equivalence;
 use crate::sizecheck::check_sizes;
 use crate::storecheck::check_store_equivalence;
@@ -82,8 +82,11 @@ pub struct FuzzReport {
     /// Path × configuration size comparisons performed.
     pub size_comparisons: usize,
     /// Drain × configuration byte-identity comparisons performed (the
-    /// `-Os` compile and the heuristics' drain, worklist vs sweep).
+    /// `-Os` compile and the capped cleanup drain, worklist vs sweep).
     pub scheduling_comparisons: usize,
+    /// Baseline-heuristic decision comparisons performed (one per case:
+    /// pending-set drains vs whole-module sweeps between steps).
+    pub heuristic_comparisons: usize,
     /// Parallel DAG executor vs sequential Algorithm 1 comparisons
     /// performed (one per worker count).
     pub parallel_comparisons: usize,
@@ -148,7 +151,8 @@ impl FuzzReport {
         let _ = writeln!(
             out,
             "fuzz: {} cases, {} semantic comparisons ({} inconclusive), {} size comparisons, \
-             {} scheduling comparisons, {} parallel-search comparisons, {} store comparisons, \
+             {} scheduling comparisons, {} heuristic comparisons, \
+             {} parallel-search comparisons, {} store comparisons, \
              {} serve comparisons, {} cycle comparisons ({} configs moved cycles), \
              {} chaos assertions",
             self.cases,
@@ -156,6 +160,7 @@ impl FuzzReport {
             self.inconclusive,
             self.size_comparisons,
             self.scheduling_comparisons,
+            self.heuristic_comparisons,
             self.parallel_comparisons,
             self.store_comparisons,
             self.serve_comparisons,
@@ -374,6 +379,19 @@ pub fn run_fuzz(options: &FuzzOptions) -> std::io::Result<FuzzReport> {
                 &mut |m, c| {
                     !check_scheduling(m, std::slice::from_ref(&c.clone())).mismatches.is_empty()
                 },
+            )?);
+        }
+
+        report.heuristic_comparisons += 1;
+        if let Some(mismatch) = check_heuristic(&module) {
+            report.scheduling_failures.push(record_failure(
+                options,
+                "heuristic",
+                case_seed,
+                mismatch.to_string(),
+                &module,
+                &mismatch.config,
+                &mut |m, _| check_heuristic(m).is_some(),
             )?);
         }
 

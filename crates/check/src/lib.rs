@@ -21,9 +21,9 @@
 //! - [`schedcheck`] — the **scheduling oracle**: the worklist, the one
 //!   production pass scheduler, must produce byte-identical modules (and
 //!   sizes) to the whole-module sweep this crate keeps as its private
-//!   reference — for the full `-Os` compile and for the inlining
-//!   heuristics' 3-round-capped cleanup drain, on every module ×
-//!   configuration.
+//!   reference — for the full `-Os` compile and for the 3-round-capped
+//!   cleanup drain, on every module × configuration — and the baseline
+//!   heuristic's decisions must match a whole-module-sweep reference.
 //! - [`cyclecheck`] — the **cycles oracle**: `-Os` under any
 //!   configuration preserves observable behaviour while the simulated
 //!   cycle count may change (the former asserted, the latter recorded),

@@ -13,24 +13,34 @@
 //!   elimination and a second drain, which [`optimize_os`] runs only when
 //!   the first hit its cap and the reference always runs, so every case
 //!   also checks that skipping it changes nothing;
-//! - the heuristics' drain ([`PassManager::run_to_fixpoint`] against
+//! - the capped drain ([`PassManager::run_to_fixpoint`] against
 //!   [`sweep_to_fixpoint`]) on the module after inlining the
 //!   configuration: the 3-round-capped [`cleanup_pipeline`] with a live
 //!   effect summary, where the cap cuts dead-argument cascades short.
+//!   [`TrialInliner`](optinline_heuristics::TrialInliner) drains this way.
+//!
+//! A third comparison runs once per fuzz case, on the baseline heuristic's
+//! decisions: [`CostModelInliner::decide`] drains only the functions that can
+//! change after each bottom-up step (a `pending` set plus its transitive
+//! callers), and its private reference here sweeps the whole module after
+//! every step instead. The two must decide every site alike.
 //!
 //! This is the strongest check the pass manager admits: not "semantically
 //! equivalent", not "same size", but the same bytes — any divergence in
 //! visit order, analysis staleness, dirty-set propagation or mid-round
 //! joins shows up here before it can bias the paper's size measurements.
 
+use optinline_callgraph::{bottom_up_sccs, Decision};
 use optinline_codegen::{text_size, X86Like};
 use optinline_core::InliningConfiguration;
+use optinline_heuristics::{body_bytes, estimate, CostModelInliner, CostParams};
 use optinline_ir::analysis::EffectSummary;
-use optinline_ir::Module;
+use optinline_ir::{CallSiteId, FuncId, Inst, Module};
 use optinline_opt::{
     cleanup_pipeline, cleanup_pipeline_with, optimize_os, run_inliner, DeadFunctionElim,
     ForcedDecisions, InlineOracle, Pass, PassManager, PipelineOptions,
 };
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The cap the inlining heuristics drain their cleanup pipeline under.
@@ -124,6 +134,90 @@ pub fn check_scheduling(module: &Module, configs: &[InliningConfiguration]) -> S
     report
 }
 
+/// [`CostModelInliner::decide`] at default parameters on x86, with
+/// [`sweep_to_fixpoint`] over the whole module after every bottom-up step
+/// where production drains only the functions that can change.
+fn decide_whole_module(module: &Module) -> BTreeMap<CallSiteId, Decision> {
+    let params = CostParams::default();
+    let heuristic = cleanup_pipeline(PipelineOptions {
+        max_iterations: HEURISTIC_ROUNDS,
+        ..Default::default()
+    });
+    let mut work = module.clone();
+    let mut decisions: BTreeMap<CallSiteId, Decision> = BTreeMap::new();
+    let sccs = bottom_up_sccs(module);
+    let scc_of: BTreeMap<FuncId, usize> =
+        sccs.iter().enumerate().flat_map(|(i, scc)| scc.iter().map(move |&f| (f, i))).collect();
+    for scc in &sccs {
+        for &f in scc {
+            while let Some((inst, callee, site)) = first_undecided(&work, f, &decisions) {
+                let refused = !work.func(callee).inlinable
+                    || work.is_stub(callee)
+                    || scc_of.get(&callee) == scc_of.get(&f)
+                    || body_bytes(work.func(callee), &X86Like) > params.max_callee_bytes;
+                let decision = if refused {
+                    Decision::NoInline
+                } else {
+                    let live = work
+                        .iter_funcs()
+                        .flat_map(|(_, func)| func.call_edges())
+                        .filter(|&(_, c)| c == callee)
+                        .count();
+                    if estimate(&work, &params, &X86Like, f, &inst, live).cost <= params.threshold {
+                        Decision::Inline
+                    } else {
+                        Decision::NoInline
+                    }
+                };
+                decisions.insert(site, decision);
+                if decision == Decision::Inline {
+                    run_inliner(
+                        &mut work,
+                        &ForcedDecisions::new(BTreeMap::from([(site, decision)])),
+                    );
+                }
+            }
+            sweep_to_fixpoint(&heuristic, &mut work, HEURISTIC_ROUNDS);
+        }
+    }
+    let valid = module.inlinable_sites();
+    for &site in &valid {
+        decisions.entry(site).or_insert(Decision::NoInline);
+    }
+    decisions.retain(|s, _| valid.contains(s));
+    decisions
+}
+
+/// The first call in `f` whose site has no decision yet.
+fn first_undecided(
+    module: &Module,
+    f: FuncId,
+    decisions: &BTreeMap<CallSiteId, Decision>,
+) -> Option<(Inst, FuncId, CallSiteId)> {
+    module.func(f).blocks.iter().flat_map(|b| &b.insts).find_map(|inst| match inst {
+        Inst::Call { callee, site, .. } if !decisions.contains_key(site) => {
+            Some((inst.clone(), *callee, *site))
+        }
+        _ => None,
+    })
+}
+
+/// Compares [`CostModelInliner::decide`] with its whole-module reference
+/// on `module`. A mismatch carries the production decisions as its
+/// configuration and names the first site the two decide differently.
+pub(crate) fn check_heuristic(module: &Module) -> Option<SchedMismatch> {
+    let production = CostModelInliner::default().decide(module, &X86Like);
+    let reference = decide_whole_module(module);
+    let (site, want) = reference.iter().find(|&(s, d)| production.get(s) != Some(d))?;
+    Some(SchedMismatch {
+        detail: format!(
+            "heuristic: the whole-module reference decides {site} {want:?}, production {:?}",
+            production[site]
+        ),
+        config: InliningConfiguration::from_decisions(production),
+    })
+}
+
 impl SchedReport {
     /// Records one comparison of the `drain` named, and a mismatch if the
     /// worklist's module differs from the sweep's.
@@ -184,6 +278,14 @@ mod tests {
             let report = check_scheduling(&m, &configs);
             assert_eq!(report.comparisons, 4);
             assert!(report.mismatches.is_empty(), "seed {seed}: {}", report.mismatches[0]);
+        }
+    }
+
+    #[test]
+    fn the_heuristic_matches_its_whole_module_reference() {
+        for seed in 0..6u64 {
+            let m = generate_file(&GenParams::fuzz_sample(seed));
+            assert!(check_heuristic(&m).is_none(), "seed {seed}: {}", check_heuristic(&m).unwrap());
         }
     }
 

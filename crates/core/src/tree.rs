@@ -17,7 +17,9 @@
 
 use crate::config::InliningConfiguration;
 use crate::evaluator::Evaluator;
-use optinline_callgraph::{connected_components, Decision, InlineGraph, PartitionStrategy};
+use optinline_callgraph::{
+    connected_components, Decision, InlineGraph, NodeRef, PartitionStrategy,
+};
 use optinline_ir::CallSiteId;
 use std::collections::BTreeSet;
 
@@ -69,24 +71,26 @@ fn try_build_inner(
     strategy: PartitionStrategy,
     budget: &mut u128,
 ) -> Option<InliningTree> {
-    if graph.group_count() == 0 {
+    // One pass over the live edges: none means every site is decided, and
+    // their callers mark the components that still hold one.
+    let callers: BTreeSet<NodeRef> = graph.live_edges().into_iter().map(|(_, a, _)| a).collect();
+    if callers.is_empty() {
         *budget = budget.checked_sub(1)?;
         return Some(InliningTree::Leaf);
     }
     // Independent inlining components = undirected components that still
     // contain undecided edges (edgeless leftovers need no exploration).
-    let comps: Vec<BTreeSet<_>> = connected_components(graph)
+    let comps: Vec<Vec<NodeRef>> = connected_components(graph)
         .into_iter()
-        .map(|nodes| nodes.into_iter().collect::<BTreeSet<_>>())
-        .filter(|nodes| {
-            graph.live_edges().iter().any(|(_, a, b)| nodes.contains(a) || nodes.contains(b))
-        })
+        .filter(|nodes| nodes.iter().any(|n| callers.contains(n)))
         .collect();
     if comps.len() > 1 {
         *budget = budget.checked_sub(1)?; // the combining evaluation
         let children = comps
             .into_iter()
-            .map(|nodes| try_build_inner(&graph.induced(&nodes), strategy, budget))
+            .map(|nodes| {
+                try_build_inner(&graph.induced(&nodes.into_iter().collect()), strategy, budget)
+            })
             .collect::<Option<Vec<_>>>()?;
         return Some(InliningTree::Components(children));
     }
