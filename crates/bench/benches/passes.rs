@@ -1,4 +1,4 @@
-//! Criterion benches for the nine cleanup passes, each applied once to a
+//! Criterion benches for the seven cleanup passes, each applied once to a
 //! fresh clone of one inlined module, simplify-cfg on one long
 //! straight-line chain, and the incremental-autotuning ablation (full vs
 //! dirty-component rounds).
@@ -9,8 +9,7 @@ use optinline_core::autotune::{site_components, Autotuner};
 use optinline_core::{InliningConfiguration, SizeEvaluator};
 use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
 use optinline_opt::{
-    run_inliner, AlwaysInline, ConstFold, Cse, Dce, DeadArgElim, Gvn, Pass, Sccp, Simplify,
-    SimplifyCfg, TailMerge,
+    run_inliner, AlwaysInline, Cse, Dce, DeadArgElim, Gvn, Pass, Sccp, Simplify, SimplifyCfg,
 };
 use optinline_workloads::{generate_file, GenParams};
 
@@ -51,13 +50,11 @@ fn bench_individual_passes(c: &mut Criterion) {
     let module = inlined_module(16);
     // Pipeline order (`cleanup_pipeline`).
     let cases: Vec<(&str, Box<dyn Pass>)> = vec![
-        ("const_fold", Box::new(ConstFold)),
         ("simplify", Box::new(Simplify)),
         ("sccp", Box::new(Sccp)),
         ("cse", Box::new(Cse::default())),
         ("gvn", Box::new(Gvn)),
         ("simplify_cfg", Box::new(SimplifyCfg)),
-        ("tail_merge", Box::new(TailMerge)),
         ("dce", Box::new(Dce::default())),
         ("dead_arg_elim", Box::new(DeadArgElim)),
     ];

@@ -13,12 +13,10 @@
 //! | pass | role |
 //! |------|------|
 //! | [`InlinePass`] / [`run_inliner`] | executes an [`InlineOracle`]'s per-site decisions (coupled copies, depth-1 recursion bound) |
-//! | [`ConstFold`] | folds constant ops and constant branches |
-//! | [`Sccp`] | sparse conditional constant propagation across joins |
+//! | [`Sccp`] | folds constant ops and constant branches, propagating constants across joins |
 //! | [`Simplify`] | algebraic identities and light strength reduction |
 //! | [`Cse`] | local value numbering + store-to-load forwarding |
 //! | [`SimplifyCfg`] | merges/threads blocks, prunes params, drops unreachable code |
-//! | [`TailMerge`] | cross-jumping: deduplicates identical block tails |
 //! | [`Gvn`] | dominator-scoped value numbering (cross-block redundancy) |
 //! | [`Dce`] | deletes unobservable instructions (effect summaries) |
 //! | [`DeadArgElim`] | prunes unread parameters of internal functions |
@@ -26,6 +24,8 @@
 //!
 //! [`optimize_os`] wires them into the standard size pipeline used by every
 //! experiment; [`PassManager`] lets tests and benches compose custom ones.
+//! [`ConstFold`] and [`TailMerge`] are no-op passes kept only for the
+//! benchmark's per-pass replay; the pipeline no longer runs them.
 //!
 //! ```
 //! use optinline_ir::{Module, Linkage, FuncBuilder, BinOp};
@@ -60,23 +60,21 @@
 mod cse;
 mod dae;
 mod dce;
-mod fold;
 mod fx;
 mod gvn;
 mod inline;
 mod mergefunc;
 mod pass;
 mod pipeline;
+mod retired;
 mod sccp;
 mod simplify;
 mod simplify_cfg;
 mod subst;
-mod tailmerge;
 
 pub use cse::Cse;
 pub use dae::DeadArgElim;
 pub use dce::{Dce, DeadFunctionElim};
-pub use fold::ConstFold;
 pub use gvn::Gvn;
 pub use inline::{
     run_inliner, run_inliner_tracked, AlwaysInline, ForcedDecisions, InlineOracle, InlineOutcome,
@@ -91,8 +89,8 @@ pub use pipeline::{
     optimize_os_no_inline, optimize_os_report, optimize_os_report_with_summary, OsReport,
     PipelineOptions,
 };
+pub use retired::{ConstFold, TailMerge};
 pub use sccp::Sccp;
 pub use simplify::Simplify;
 pub use simplify_cfg::SimplifyCfg;
 pub use subst::Subst;
-pub use tailmerge::TailMerge;

@@ -9,14 +9,12 @@
 use crate::cse::Cse;
 use crate::dae::DeadArgElim;
 use crate::dce::{Dce, DeadFunctionElim};
-use crate::fold::ConstFold;
 use crate::gvn::Gvn;
 use crate::inline::{run_inliner_tracked, InlineOracle, NeverInline};
 use crate::pass::{Pass, PassManager, PipelineStats};
 use crate::sccp::Sccp;
 use crate::simplify::Simplify;
 use crate::simplify_cfg::SimplifyCfg;
-use crate::tailmerge::TailMerge;
 use optinline_ir::{AnalysisManager, FuncId, Module};
 
 /// Options for [`optimize_os`] and the cleanup pipelines. The cleanup
@@ -65,15 +63,7 @@ pub fn cleanup_pipeline_with(
         Some(s) => (Cse::with_summary(s.clone()), Dce::with_summary(s)),
         None => (Cse::default(), Dce::default()),
     };
-    pm.add(ConstFold)
-        .add(Simplify)
-        .add(Sccp)
-        .add(cse)
-        .add(Gvn)
-        .add(SimplifyCfg)
-        .add(TailMerge)
-        .add(dce)
-        .add(DeadArgElim);
+    pm.add(Simplify).add(Sccp).add(cse).add(Gvn).add(SimplifyCfg).add(dce).add(DeadArgElim);
     pm
 }
 

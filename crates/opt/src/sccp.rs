@@ -1,14 +1,15 @@
 //! Sparse conditional constant propagation (Wegman–Zadeck), adapted to
-//! block parameters.
+//! block parameters: the pipeline's constant folder.
 //!
-//! [`ConstFold`](crate::ConstFold) folds an operation only when its
-//! operands are literally `const` instructions; SCCP additionally
-//! propagates constants *through joins* — a block parameter is constant
-//! when every **executable** predecessor passes the same constant — and it
-//! discovers executability and constancy together, so code guarded by a
-//! branch it proves dead never poisons the lattice. This is the precision
-//! that makes inlined `if (flag) {...}` bodies collapse even when the flag
-//! flows through a join.
+//! SCCP folds every reachable operation whose operands are constant and
+//! every reachable branch on a constant condition. It also propagates constants *through joins* —
+//! a block parameter is constant when every **executable** predecessor
+//! passes the same constant — and it discovers executability and constancy
+//! together, so code guarded by a branch it proves dead never poisons the
+//! lattice. This is the folding that makes inlining pay off for size, the
+//! cascade of the paper's Listing 1: once a constant argument flows into an
+//! inlined body, comparisons fold, branches collapse, and DCE deletes whole
+//! regions, even when the flag flows through a join.
 //!
 //! Lattice per value: ⊤ (unknown yet) → constant *c* → ⊥ (varying).
 //!
@@ -230,7 +231,7 @@ mod tests {
     #[test]
     fn constants_propagate_through_joins() {
         // Both arms pass 5 to the join: the join param is provably 5 and
-        // the dependent add folds — beyond ConstFold's reach.
+        // the dependent add folds, although no operand is a literal `const`.
         let mut m = Module::new("m");
         let f = m.declare_function("f", 1, Linkage::Public);
         let mut b = FuncBuilder::new(&mut m, f);

@@ -2,7 +2,7 @@
 //! several cleanup passes cooperate — the cascades §1 of the paper calls
 //! "enabling other optimizations".
 
-use optinline::opt::{Pass, Sccp, TailMerge};
+use optinline::opt::{Sccp, SimplifyCfg};
 use optinline::prelude::*;
 
 /// Callee with a branch on its argument; both call sites pass constants
@@ -62,50 +62,17 @@ fn inline_then_sccp_collapses_per_copy_guards() {
     assert!(opt.is_stub(opt.func_by_name("select_arm").unwrap()));
 }
 
-/// Inlining the same callee at two sites in one caller leaves two identical
-/// tails; TailMerge + SimplifyCfg deduplicate them.
+/// The standard cleanup pipeline runs exactly these seven passes, in this
+/// order: SCCP is the only constant folder, and nothing merges tails.
 #[test]
-fn inline_then_tailmerge_deduplicates_cloned_tails() {
-    let mut m = Module::new("m");
-    let g = m.add_global("sink", 0);
-    let emit = m.declare_function("emit", 0, Linkage::Internal);
-    let main = m.declare_function("main", 1, Linkage::Public);
-    {
-        // A void effectful tail: store a constant, return.
-        let mut b = FuncBuilder::new(&mut m, emit);
-        let c = b.iconst(42);
-        b.store(g, c);
-        b.ret(None);
-    }
-    {
-        // Two arms; each calls emit() then returns a distinct const... the
-        // calls inline into IDENTICAL store-42 tails inside both arms.
-        let mut b = FuncBuilder::new(&mut m, main);
-        let p = b.param(0);
-        let (t, _) = b.new_block(0);
-        let (e, _) = b.new_block(0);
-        b.branch(p, t, &[], e, &[]);
-        b.switch_to(t);
-        b.call_void(emit, &[]);
-        let r1 = b.iconst(5);
-        b.ret(Some(r1));
-        b.switch_to(e);
-        b.call_void(emit, &[]);
-        let r2 = b.iconst(5);
-        b.ret(Some(r2));
-    }
-    let before = optinline::ir::interp::run_main(&m).unwrap();
-    let mut opt = m.clone();
-    optinline::opt::optimize_os(
-        &mut opt,
-        &optinline::opt::AlwaysInline,
-        PipelineOptions { verify_each: true, ..Default::default() },
+fn standard_pipeline_registers_seven_passes_in_order() {
+    let pm = optinline::opt::cleanup_pipeline(PipelineOptions::default());
+    let names: Vec<&str> = pm.passes().map(|p| p.name()).collect();
+    assert_eq!(
+        names,
+        ["simplify", "sccp", "cse", "gvn", "simplify-cfg", "dce", "dead-arg-elim"],
+        "the standard cleanup pipeline changed"
     );
-    let after = optinline::ir::interp::run_main(&opt).unwrap();
-    assert_eq!(before.observable(), after.observable());
-    let main_f = opt.func(opt.func_by_name("main").unwrap());
-    // Duplicate tails merged: at most entry + one shared tail remain.
-    assert!(main_f.blocks.len() <= 2, "tails not merged:\n{opt}");
 }
 
 /// The passes are individually available and composable outside the
@@ -118,7 +85,7 @@ fn passes_compose_in_custom_managers() {
     let before = optinline::ir::interp::run_main(&module).unwrap();
     let mut pm = optinline::opt::PassManager::new();
     pm.verify_each(true);
-    pm.add(Sccp).add(TailMerge).add(optinline::opt::Gvn).add(optinline::opt::Dce::default());
+    pm.add(Sccp).add(SimplifyCfg).add(optinline::opt::Gvn).add(optinline::opt::Dce::default());
     let mut m = module.clone();
     pm.run_to_fixpoint(&mut m);
     let after = optinline::ir::interp::run_main(&m).unwrap();
@@ -144,15 +111,21 @@ fn cleanup_never_grows_code() {
     }
 }
 
-/// TailMerge as a standalone pass keeps the verifier happy on every sample.
+/// Every pass of the standard cleanup pipeline, run alone, keeps the
+/// verifier happy and the observables unchanged on every paper sample.
 #[test]
-fn tailmerge_is_safe_on_all_samples() {
-    for mut m in optinline::workloads::paper_samples() {
-        let name = m.name.clone();
-        let before = optinline::ir::interp::run_main(&m).ok().map(|o| (o.ret, o.globals));
-        TailMerge.run(&mut m);
-        optinline::ir::verify_module(&m).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let after = optinline::ir::interp::run_main(&m).ok().map(|o| (o.ret, o.globals));
-        assert_eq!(before, after, "{name}");
+fn cleanup_passes_are_safe_on_all_samples() {
+    let pm = optinline::opt::cleanup_pipeline(PipelineOptions::default());
+    for module in optinline::workloads::paper_samples() {
+        let before = optinline::ir::interp::run_main(&module).ok().map(|o| (o.ret, o.globals));
+        for pass in pm.passes() {
+            let (name, pass_name) = (&module.name, pass.name());
+            let mut m = module.clone();
+            pass.run(&mut m);
+            optinline::ir::verify_module(&m)
+                .unwrap_or_else(|e| panic!("{pass_name} on {name}: {e}"));
+            let after = optinline::ir::interp::run_main(&m).ok().map(|o| (o.ret, o.globals));
+            assert_eq!(before, after, "{pass_name} on {name}");
+        }
     }
 }

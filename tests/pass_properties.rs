@@ -13,21 +13,18 @@
 mod common;
 
 use optinline::opt::{
-    ConstFold, Cse, Dce, DeadArgElim, DeadFunctionElim, Gvn, MergeFunctions, Pass, Sccp, Simplify,
-    SimplifyCfg, TailMerge,
+    Cse, Dce, DeadArgElim, DeadFunctionElim, Gvn, MergeFunctions, Pass, Sccp, Simplify, SimplifyCfg,
 };
 use optinline::prelude::*;
 use optinline::workloads::GenParams;
 
 fn passes() -> Vec<(&'static str, Box<dyn Pass>)> {
     vec![
-        ("const-fold", Box::new(ConstFold)),
         ("simplify", Box::new(Simplify)),
         ("sccp", Box::new(Sccp)),
         ("cse", Box::new(Cse::default())),
         ("gvn", Box::new(Gvn)),
         ("simplify-cfg", Box::new(SimplifyCfg)),
-        ("tail-merge", Box::new(TailMerge)),
         ("dce", Box::new(Dce::default())),
         ("dead-arg-elim", Box::new(DeadArgElim)),
         ("dead-function-elim", Box::new(DeadFunctionElim)),
@@ -105,12 +102,11 @@ fn each_pass_is_idempotent_at_its_own_fixpoint() {
 #[test]
 fn reducing_passes_never_grow_measured_size() {
     // The strictly-reducing passes are size-non-increasing in isolation.
-    // Enabler passes (const-fold, simplify, sccp) may trade a 3-byte op
+    // Enabler passes (simplify, sccp) may trade a 3-byte op
     // for a 5-byte constant and only pay off after cleanup, and
     // merge-functions leaves orphans until CFG cleanup; those are
     // excluded here and covered by the whole-pipeline property instead.
-    let reducing =
-        ["cse", "gvn", "simplify-cfg", "tail-merge", "dce", "dead-arg-elim", "dead-function-elim"];
+    let reducing = ["cse", "gvn", "simplify-cfg", "dce", "dead-arg-elim", "dead-function-elim"];
     for seed in seeds() {
         let module = generated_inlined(seed);
         let before = text_size(&module, &X86Like);
@@ -132,12 +128,11 @@ fn reducing_passes_never_grow_measured_size() {
     }
 }
 
-/// Tail duplication, the inverse of tail merging: in every function, each
-/// non-entry block without parameters whose definitions are used only
-/// inside it gets a copy with fresh value ids, and the first jump from
-/// another block to it is redirected to the copy. The result has exactly the
-/// duplicate tails tail merging exists to fold, which generated modules
-/// never have on their own.
+/// Tail duplication: in every function, each non-entry block without
+/// parameters whose definitions are used only inside it gets a copy with
+/// fresh value ids, and the first jump from another block to it is
+/// redirected to the copy. The result has duplicate tails, which generated
+/// modules never have on their own.
 fn duplicate_tails(module: &mut Module) {
     use optinline::ir::{BlockId, Inst};
     for fid in module.func_ids().collect::<Vec<_>>() {
@@ -188,28 +183,18 @@ fn duplicate_tails(module: &mut Module) {
     }
 }
 
-/// One application (`Pass::run`) of each of the nine cleanup passes to three
-/// shapes of each seed's module, pinned as `pass input seed changed digest
-/// size` rows: whether the pass reported a change, the digest of the printed
-/// module (`common::module_digest`), and its x86 text size. The inputs are
-/// the inlined module (`inlined`); the same after one simplify-cfg run, which
-/// threads the inliner's argument-passing jumps so that constant arguments
-/// meet their uses (`threaded`, the shape constant folding and DCE act on);
-/// and the inlined module with duplicated tails (`twinned`, the shape tail
-/// merging acts on). Every pass must change something somewhere.
+/// One application (`Pass::run`) of each of the seven cleanup passes to
+/// three shapes of each seed's module, pinned as `pass input seed changed
+/// digest size` rows: whether the pass reported a change, the digest of the
+/// printed module (`common::module_digest`), and its x86 text size. The
+/// inputs are the inlined module (`inlined`); the same after one
+/// simplify-cfg run, which threads the inliner's argument-passing jumps so
+/// that constant arguments meet their uses (`threaded`, the shape constant
+/// folding and DCE act on); and the inlined module with duplicated tails
+/// (`twinned`). Every pass must change something somewhere.
 #[test]
 fn cleanup_pass_outputs_match_golden() {
-    let cleanup = [
-        "const-fold",
-        "simplify",
-        "sccp",
-        "cse",
-        "gvn",
-        "simplify-cfg",
-        "tail-merge",
-        "dce",
-        "dead-arg-elim",
-    ];
+    let cleanup = ["simplify", "sccp", "cse", "gvn", "simplify-cfg", "dce", "dead-arg-elim"];
     let mut inputs: Vec<(&str, u64, Module)> = Vec::new();
     for seed in seeds() {
         let inlined = generated_inlined(seed);
