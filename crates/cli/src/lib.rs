@@ -46,6 +46,35 @@ use std::path::PathBuf;
 /// A boxed error with message context, the CLI's uniform failure type.
 pub type CliError = Box<dyn Error>;
 
+/// A `search` or `autotune` request refused before any work. The CLI and
+/// the daemon's handler both call [`cmd_search_measured`] and
+/// [`cmd_autotune_measured`], so one check covers both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RequestError {
+    /// `--bits` of 128 or more: the evaluation budget `2^bits` does not
+    /// fit the `u128` the tree builder counts in.
+    BitsOutOfRange(u32),
+    /// `--rounds 0`: the autotuner needs at least one round.
+    ZeroRounds,
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::BitsOutOfRange(bits) => write!(
+                f,
+                "--bits {bits} is out of range: the evaluation budget 2^bits needs bits below {}",
+                u128::BITS
+            ),
+            RequestError::ZeroRounds => {
+                f.write_str("--rounds 0 is out of range: autotuning needs at least one round")
+            }
+        }
+    }
+}
+
+impl Error for RequestError {}
+
 /// Which size target to measure against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TargetChoice {
@@ -436,11 +465,12 @@ pub fn cmd_search_measured(
     target: TargetChoice,
     eval: EvalOptions,
 ) -> Result<(String, Option<Measurement>), CliError> {
+    let budget = 1u128.checked_shl(bits).ok_or(RequestError::BitsOutOfRange(bits))?;
     let module = load_module(source)?;
     let n = module.inlinable_sites().len();
     let graph = InlineGraph::from_module(&module);
-    let tree = try_build_inlining_tree(&graph, PartitionStrategy::Paper, 1u128 << bits)
-        .ok_or_else(|| {
+    let tree =
+        try_build_inlining_tree(&graph, PartitionStrategy::Paper, budget).ok_or_else(|| {
             format!(
                 "recursively partitioned space exceeds 2^{bits} evaluations; \
                  raise --bits or use `autotune`"
@@ -603,6 +633,9 @@ pub fn cmd_autotune_measured(
     target: TargetChoice,
     eval: EvalOptions,
 ) -> Result<(String, Option<Measurement>), CliError> {
+    if rounds == 0 {
+        return Err(RequestError::ZeroRounds.into());
+    }
     let req = Request::new(load_module(source)?, target, eval, 17);
     if req.ev.sites().is_empty() {
         return Ok((NOTHING_TO_TUNE.into(), None));
@@ -674,7 +707,6 @@ fn tune_front(req: &Request, rounds: usize, init: InitChoice) -> Result<Report, 
         InitChoice::Heuristic => vec![heuristic.clone()],
         InitChoice::Both => vec![InliningConfiguration::clean_slate(), heuristic.clone()],
     };
-    let rounds = rounds.max(1);
     let ((outcome, baseline), tail) = req.leg(Objective::Pareto, true, |ev, _| {
         let outcome = Autotuner::new(ev, req.ev.sites().clone()).run_pareto(inits, rounds);
         (outcome, ev.measure(&heuristic, Objective::Pareto))
@@ -1046,6 +1078,29 @@ mod tests {
         if module.inlinable_sites().len() > 12 {
             let err = cmd_search(&src, 4, TargetChoice::X86, EvalOptions::default());
             assert!(err.is_err() || module.inlinable_sites().len() <= 12);
+        }
+    }
+
+    #[test]
+    fn search_rejects_bits_beyond_the_u128_budget() {
+        let src = demo_source();
+        for bits in [128, 130, u32::MAX] {
+            let err = cmd_search(&src, bits, TargetChoice::X86, EvalOptions::default())
+                .expect_err("an unrepresentable budget is refused");
+            assert_eq!(err.downcast_ref(), Some(&RequestError::BitsOutOfRange(bits)), "{err}");
+        }
+        // 2^127 is the largest budget and still searches.
+        cmd_search(&src, 127, TargetChoice::X86, EvalOptions::default()).unwrap();
+    }
+
+    #[test]
+    fn autotune_rejects_zero_rounds_under_every_objective() {
+        let src = demo_source();
+        for objective in [Objective::Size, Objective::Speed, Objective::Pareto] {
+            let eval = EvalOptions { objective, ..EvalOptions::default() };
+            let err = cmd_autotune(&src, 0, InitChoice::Both, TargetChoice::X86, eval)
+                .expect_err("zero rounds are refused");
+            assert_eq!(err.downcast_ref(), Some(&RequestError::ZeroRounds), "{objective:?}");
         }
     }
 

@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 use optinline_cli::serve::{remote_call, start_daemon, ServeConfig};
 use optinline_cli::{
     cmd_autotune, cmd_cache, cmd_gen, cmd_optimize, cmd_search, CacheAction, EvalOptions,
-    InitChoice, OptimizeOptions, StrategyChoice, TargetChoice,
+    InitChoice, OptimizeOptions, RequestError, StrategyChoice, TargetChoice,
 };
 use optinline_serve::{Client, ClientConfig, ClientError, Endpoint, RequestKind};
 
@@ -212,6 +212,51 @@ fn a_full_sweep_optimize_is_refused_with_an_error_event() {
 
     handle.drain();
     handle.join().expect("clean exit");
+}
+
+/// Sends `refused` to a fresh daemon and expects an `error` event with
+/// `reason`'s message, then a well-formed search on the same connection.
+fn refused_then_served(tag: &str, refused: RequestKind, reason: RequestError) {
+    let src = demo_source();
+    let sock = tmp(tag);
+    let handle = start_daemon(ServeConfig {
+        endpoint: Endpoint::Unix(sock.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon boots");
+    let mut client = Client::connect(&Endpoint::Unix(sock.clone())).expect("connect");
+    match client.call(refused, &mut |_| {}) {
+        Err(ClientError::Remote(msg)) => assert_eq!(msg, reason.to_string()),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    let served = client.call(search_kind(&src, 18), &mut |_| {}).expect("served search");
+    assert!(served.report.contains("optimal size:"), "{}", served.report);
+
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!(stats.errors, 1, "the refusal is counted as an error");
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn a_search_with_bits_beyond_the_u128_budget_is_refused() {
+    let kind = search_kind(&demo_source(), 130);
+    refused_then_served("bits.sock", kind, RequestError::BitsOutOfRange(130));
+}
+
+#[test]
+fn an_autotune_with_zero_rounds_is_refused() {
+    let kind = RequestKind::Autotune {
+        source: demo_source(),
+        target: "x86".to_string(),
+        rounds: 0,
+        init: "both".to_string(),
+        full_eval: false,
+        stats: false,
+        pass_stats: false,
+        objective: "size".to_string(),
+    };
+    refused_then_served("rounds.sock", kind, RequestError::ZeroRounds);
 }
 
 #[test]
