@@ -49,7 +49,8 @@
 //!
 //! `done` / `error` / `rejected` is always the final event for an id.
 //! `rejected` carries a machine-readable `reason` (`draining` |
-//! `deadline` | `cancelled`) so no request ever disappears silently —
+//! `deadline` | `cancelled` | `slow_reader` | `line_too_long`) so no
+//! request ever disappears silently —
 //! shed and cancelled work is still *answered*. `deduped:true`
 //! on `started` means the request joined an identical in-flight
 //! evaluation; its `done` then carries `evaluated:false` and the same
@@ -288,8 +289,11 @@ pub enum Event {
         id: u64,
         /// Machine-readable reason: `draining` (server refusing new
         /// work), `deadline` (queue-time budget expired before a slot
-        /// freed), or `cancelled` (every waiter disconnected and the
-        /// evaluation was stopped at a checkpoint).
+        /// freed), `cancelled` (every waiter disconnected and the
+        /// evaluation was stopped at a checkpoint), `slow_reader` (the
+        /// client fell a full outbound buffer behind), or `line_too_long`
+        /// (id 0: a request line exceeded the daemon's cap). The last two
+        /// are farewells: the daemon then closes the connection.
         reason: String,
     },
     /// Reply to `ping`.

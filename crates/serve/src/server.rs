@@ -8,7 +8,9 @@
 //! socket, all non-blocking, registered with `poll(2)` (the FFI shim in
 //! `net.rs`). Readiness drives everything: pending connects are
 //! accepted, readable sockets are drained into per-connection line
-//! buffers, and each complete line decodes into one request. Admin
+//! buffers, and each complete line decodes into one request; a line
+//! longer than [`MAX_LINE`] is answered `rejected{line_too_long}` and
+//! the connection closed, so those buffers stay bounded. Admin
 //! requests (`ping`, `stats`, `shutdown`) are answered inline on the
 //! poll thread. Evaluation requests are acknowledged with `queued` and
 //! pushed into the bounded admission structure — when it is full the
@@ -111,6 +113,13 @@ const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// The longest request line the daemon frames, newline excluded. A request
+/// carries its module's whole text; the longest line CI and the benchmark
+/// send is 14,064 bytes. A longer line is answered `rejected{line_too_long}`
+/// and the connection closed, so a client streaming bytes without a newline
+/// holds at most `MAX_LINE + READ_CHUNK` bytes of the daemon's memory.
+const MAX_LINE: usize = 4 << 20;
 
 /// How long the drain endgame keeps trying to flush outbound buffers
 /// before abandoning unread bytes — one stalled reader must not hold
@@ -855,7 +864,14 @@ fn read_ready(inner: &Arc<ServerInner>, c: &mut Conn) {
                 c.eof = true;
                 break;
             }
-            Ok(n) => c.rdbuf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                c.rdbuf.extend_from_slice(&chunk[..n]);
+                // Frame what is here before reading more: an over-long
+                // line is refused at `MAX_LINE + READ_CHUNK` bytes at most.
+                if c.rdbuf.len() > MAX_LINE {
+                    break;
+                }
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -869,10 +885,16 @@ fn read_ready(inner: &Arc<ServerInner>, c: &mut Conn) {
 
 /// Frames and handles complete lines out of `rdbuf`. Stops early when a
 /// request parks (the rest of the backlog waits with it) or the
-/// connection dooms. A trailing partial line stays buffered.
+/// connection dooms. A trailing partial line stays buffered. A line
+/// longer than [`MAX_LINE`], complete or not, ends the connection.
 fn process_lines(inner: &Arc<ServerInner>, c: &mut Conn) {
     while c.parked.is_none() && c.out.alive() {
-        let Some(at) = c.rdbuf[c.scanned..].iter().position(|&b| b == b'\n') else {
+        let found = c.rdbuf[c.scanned..].iter().position(|&b| b == b'\n');
+        if found.map_or(c.rdbuf.len(), |at| c.scanned + at) > MAX_LINE {
+            refuse_long_line(inner, c);
+            return;
+        }
+        let Some(at) = found else {
             c.scanned = c.rdbuf.len();
             break;
         };
@@ -889,6 +911,18 @@ fn process_lines(inner: &Arc<ServerInner>, c: &mut Conn) {
             }
         }
     }
+}
+
+/// Answers a line longer than [`MAX_LINE`] with `rejected{line_too_long}`
+/// (id 0: the line was never decoded), counted in `rejected`, and closes
+/// the connection once that farewell has had its flush: the rest of the
+/// stream cannot be framed.
+fn refuse_long_line(inner: &ServerInner, c: &mut Conn) {
+    inner.counters.rejected.fetch_add(1, Ordering::SeqCst);
+    c.out.send(&Event::Rejected { id: 0, reason: "line_too_long".to_string() });
+    c.rdbuf = Vec::new();
+    c.scanned = 0;
+    c.eof = true;
 }
 
 /// Decodes and answers one request line — the poll-loop half of request

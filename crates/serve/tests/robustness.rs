@@ -1,7 +1,7 @@
 //! Robustness tests for the daemon: deadline shedding, round-robin
 //! admission fairness, cooperative cancellation on waiter disconnect,
-//! dead-waiter reaping during dedup fan-out, and framing of lines that
-//! arrive over many reads. All against toy
+//! dead-waiter reaping during dedup fan-out, framing of lines that
+//! arrive over many reads, and the request-line cap. All against toy
 //! handlers; some clients speak the wire protocol raw so they can
 //! pipeline requests and disconnect at nasty moments.
 
@@ -420,4 +420,40 @@ fn lines_split_across_reads_are_framed_whole() {
     handle.drain();
     let stats = handle.join().expect("clean exit");
     assert_eq!(stats.completed, 2);
+}
+
+/// A client that streams bytes without a newline is refused once the line
+/// passes the daemon's cap (4 MiB) with `rejected{line_too_long}` (id 0)
+/// and disconnected; the daemon goes on serving other connections.
+#[test]
+fn an_over_long_line_is_rejected_and_the_connection_closed() {
+    const CAP: usize = 4 << 20;
+    let path = sock_path("longline");
+    let handler = OrderHandler { gate: Arc::default(), order: Arc::default() };
+    let handle = start_server(&path, Box::new(handler), ServeOptions::default());
+
+    let mut flood = RawConn::connect(&path);
+    flood.writer.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    flood.writer.write_all(&vec![b'x'; CAP + 1]).expect("raw write");
+    flood.writer.flush().expect("raw flush");
+    let mut line = String::new();
+    let n = flood.reader.read_line(&mut line).expect("the daemon answers the stream");
+    assert!(n > 0, "the daemon closed the connection without an answer");
+    let event = proto::decode_event(line.trim_end()).expect("decode event");
+    assert_eq!(event, Event::Rejected { id: 0, reason: "line_too_long".to_string() });
+    line.clear();
+    assert_eq!(flood.reader.read_line(&mut line).expect("read after refusal"), 0, "{line}");
+
+    let mut other = RawConn::connect(&path);
+    other.send(&Request::new(7, RequestKind::Ping));
+    assert_eq!(other.read_event(), Event::Pong { id: 7 });
+    let request = Request::new(8, search("(module after-flood)"));
+    other.send(&request);
+    assert!(matches!(other.read_terminal(8), Event::Done { .. }));
+
+    drop((flood, other));
+    handle.drain();
+    let stats = handle.join().expect("clean exit");
+    assert_eq!(stats.rejected, 1, "the refusal is counted: {stats:?}");
+    assert_eq!(stats.completed, 1);
 }
