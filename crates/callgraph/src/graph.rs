@@ -16,7 +16,7 @@
 //! that shares one decision (coupled copies).
 
 use optinline_ir::{CallSiteId, FuncId, Module};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A node handle in an [`InlineGraph`]. Handles are stable: nodes are
 /// tombstoned on merge, never reindexed.
@@ -186,16 +186,6 @@ impl InlineGraph {
             .collect()
     }
 
-    /// Directed out-degree of a node (live out-edges).
-    pub fn out_degree(&self, node: NodeRef) -> usize {
-        self.edges.iter().flatten().filter(|e| e.from == node).count()
-    }
-
-    /// Directed in-degree of a node (live in-edges).
-    pub fn in_degree(&self, node: NodeRef) -> usize {
-        self.edges.iter().flatten().filter(|e| e.to == node).count()
-    }
-
     /// Applies a decision to a site's whole group (see module docs).
     ///
     /// # Panics
@@ -305,22 +295,6 @@ impl InlineGraph {
             .collect();
         InlineGraph { nodes: kept_nodes, edges: kept_edges }
     }
-
-    /// Undirected adjacency over live nodes/edges, as `node -> neighbours`
-    /// (with multiplicity).
-    pub fn undirected_adjacency(&self) -> BTreeMap<NodeRef, Vec<NodeRef>> {
-        let mut adj: BTreeMap<NodeRef, Vec<NodeRef>> = BTreeMap::new();
-        for n in self.node_refs() {
-            adj.entry(n).or_default();
-        }
-        for e in self.edges.iter().flatten() {
-            if e.from != e.to {
-                adj.get_mut(&e.from).expect("live node").push(e.to);
-                adj.get_mut(&e.to).expect("live node").push(e.from);
-            }
-        }
-        adj
-    }
 }
 
 #[cfg(test)]
@@ -418,24 +392,6 @@ mod tests {
         g.apply(CallSiteId::new(0), Decision::Inline);
         g.apply(CallSiteId::new(1), Decision::Inline);
         assert_eq!(g.edge_count(), 0);
-    }
-
-    #[test]
-    fn degrees_reflect_live_edges() {
-        let g = fig2();
-        assert_eq!(g.out_degree(NodeRef(0)), 1);
-        assert_eq!(g.in_degree(NodeRef(1)), 2);
-        assert_eq!(g.out_degree(NodeRef(1)), 1);
-        assert_eq!(g.in_degree(NodeRef(2)), 1);
-    }
-
-    #[test]
-    fn undirected_adjacency_is_symmetric() {
-        let g = fig2();
-        let adj = g.undirected_adjacency();
-        assert!(adj[&NodeRef(0)].contains(&NodeRef(1)));
-        assert!(adj[&NodeRef(1)].contains(&NodeRef(0)));
-        assert_eq!(adj[&NodeRef(1)].len(), 3);
     }
 
     #[test]

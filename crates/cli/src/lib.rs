@@ -145,7 +145,7 @@ impl StrategyChoice {
             StrategyChoice::Never => baselines::never_inline(module),
             StrategyChoice::Always => baselines::always_inline(module),
             StrategyChoice::Heuristic => CostModelInliner::default().decide(module, target),
-            StrategyChoice::Trial => TrialInliner::default().decide(module, target),
+            StrategyChoice::Trial => TrialInliner.decide(module, target),
         };
         InliningConfiguration::from_decisions(map)
     }

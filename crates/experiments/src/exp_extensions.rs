@@ -29,7 +29,7 @@ pub fn trials(ctx: &Ctx, optima: &[OptimalCase<'_>]) {
     let subset = &optima[..optima.len().min(60)];
     for o in subset {
         let trial_cfg = InliningConfiguration::from_decisions(
-            TrialInliner::default().decide(o.case.evaluator.module(), &X86Like),
+            TrialInliner.decide(o.case.evaluator.module(), &X86Like),
         );
         let sites = o.case.evaluator.sites().clone();
         let (trial_size, tuned) = o.case.with_evaluator(|ev| {

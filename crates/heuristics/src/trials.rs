@@ -18,13 +18,10 @@ use optinline_opt::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The greedy trial-based strategy.
+/// The greedy trial-based strategy: a trial is kept when it strictly
+/// shrinks the module.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TrialInliner {
-    /// Keep a trial only if it shrinks the module by at least this many
-    /// bytes (0 = any strict improvement).
-    pub min_gain: u64,
-}
+pub struct TrialInliner;
 
 impl TrialInliner {
     /// Produces the trial strategy's configuration for `module`.
@@ -63,7 +60,7 @@ impl TrialInliner {
                     run_inliner(&mut trial, &oracle);
                     cleanup.run_to_fixpoint(&mut trial);
                     let trial_size = measure(&trial);
-                    if trial_size + self.min_gain <= current_size && trial_size < current_size {
+                    if trial_size < current_size {
                         decisions.insert(site, Decision::Inline);
                         work = trial;
                         current_size = trial_size;
@@ -135,13 +132,12 @@ mod tests {
     #[test]
     fn trials_inline_profitable_wrappers() {
         let m = wrapper_chain();
-        let decisions = TrialInliner::default().decide(&m, &X86Like);
+        let decisions = TrialInliner.decide(&m, &X86Like);
         assert!(decisions.values().any(|&d| d == Decision::Inline));
         // Trials measure, so the result can never be worse than no-inline.
         let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
-        let trial_cfg = InliningConfiguration::from_decisions(
-            TrialInliner::default().decide(ev.module(), &X86Like),
-        );
+        let trial_cfg =
+            InliningConfiguration::from_decisions(TrialInliner.decide(ev.module(), &X86Like));
         let none = ev.size_of(&InliningConfiguration::clean_slate());
         assert!(ev.size_of(&trial_cfg) <= none);
     }
@@ -169,26 +165,14 @@ mod tests {
             let v = b.call(fat, &[p]).unwrap();
             b.ret(Some(v));
         }
-        let decisions = TrialInliner::default().decide(&m, &X86Like);
+        let decisions = TrialInliner.decide(&m, &X86Like);
         assert!(decisions.values().all(|&d| d == Decision::NoInline));
-    }
-
-    #[test]
-    fn min_gain_raises_the_bar() {
-        let m = wrapper_chain();
-        let eager = TrialInliner { min_gain: 0 }.decide(&m, &X86Like);
-        let picky = TrialInliner { min_gain: 10_000 }.decide(&m, &X86Like);
-        let count = |d: &BTreeMap<CallSiteId, Decision>| {
-            d.values().filter(|&&x| x == Decision::Inline).count()
-        };
-        assert!(count(&picky) <= count(&eager));
-        assert_eq!(count(&picky), 0);
     }
 
     #[test]
     fn decisions_cover_every_site() {
         let m = wrapper_chain();
-        let decisions = TrialInliner::default().decide(&m, &X86Like);
+        let decisions = TrialInliner.decide(&m, &X86Like);
         assert_eq!(decisions.keys().copied().collect::<BTreeSet<_>>(), m.inlinable_sites());
     }
 }

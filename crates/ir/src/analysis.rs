@@ -219,25 +219,6 @@ pub fn use_counts(func: &Function) -> Vec<u32> {
     counts
 }
 
-/// Returns `true` if the function contains no loops (its reachable CFG is a
-/// DAG). Used by workload validation and size heuristics.
-pub fn is_acyclic(func: &Function) -> bool {
-    let n = func.blocks.len();
-    let mut state = vec![0u8; n];
-    fn dfs(func: &Function, b: BlockId, state: &mut [u8]) -> bool {
-        state[b.index()] = 1;
-        for s in func.block(b).term.successors() {
-            let seen = state[s.index()];
-            if seen == 1 || (seen == 0 && !dfs(func, s, state)) {
-                return false;
-            }
-        }
-        state[b.index()] = 2;
-        true
-    }
-    dfs(func, func.entry(), &mut state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,19 +347,5 @@ mod tests {
         let counts = use_counts(m.func(f));
         // Param v0 used once (branch cond); consts used once each (jump args).
         assert_eq!(counts[0], 1);
-    }
-
-    #[test]
-    fn acyclic_detects_loops() {
-        let (m, f) = diamond();
-        assert!(is_acyclic(m.func(f)));
-        let mut m2 = Module::new("m2");
-        let g = m2.declare_function("g", 0, Linkage::Public);
-        let mut b = FuncBuilder::new(&mut m2, g);
-        let (hdr, _) = b.new_block(0);
-        b.jump(hdr, &[]);
-        // hdr jumps to itself: a loop.
-        b.jump(hdr, &[]);
-        assert!(!is_acyclic(m2.func(g)));
     }
 }

@@ -248,15 +248,6 @@ impl Inst {
     pub fn is_call(&self) -> bool {
         matches!(self, Inst::Call { .. })
     }
-
-    /// Returns `true` if removing this instruction (when its result is
-    /// unused) could change observable behaviour, *ignoring* callee effects.
-    ///
-    /// Calls must additionally be checked against the callee's effect summary
-    /// (see [`crate::analysis::EffectSummary`]).
-    pub fn has_direct_side_effect(&self) -> bool {
-        matches!(self, Inst::Store { .. })
-    }
 }
 
 /// A jump target: destination block plus block arguments.
@@ -431,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn call_has_no_direct_side_effect_marker() {
+    fn only_calls_are_calls() {
         let call = Inst::Call {
             dst: None,
             callee: FuncId::new(0),
@@ -439,9 +430,8 @@ mod tests {
             site: CallSiteId::new(0),
             inline_path: vec![],
         };
-        assert!(!call.has_direct_side_effect());
         assert!(call.is_call());
         let store = Inst::Store { global: GlobalId::new(0), src: ValueId::new(0) };
-        assert!(store.has_direct_side_effect());
+        assert!(!store.is_call());
     }
 }

@@ -132,11 +132,6 @@ impl Module {
         &self.globals
     }
 
-    /// Returns an exclusive reference to the globals.
-    pub fn globals_mut(&mut self) -> &mut Vec<Global> {
-        &mut self.globals
-    }
-
     /// The set of *distinct* call-site ids currently present in the module
     /// whose callee is inlinable (body available and not opted out). These
     /// are the inlining candidates of §2.
@@ -252,7 +247,5 @@ mod tests {
         let g = m.add_global("counter", 42);
         assert_eq!(g, GlobalId::new(0));
         assert_eq!(m.globals()[0].init, 42);
-        m.globals_mut()[0].init = 7;
-        assert_eq!(m.globals()[0].init, 7);
     }
 }

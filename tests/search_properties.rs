@@ -66,9 +66,8 @@ fn no_strategy_beats_the_exhaustive_optimum() {
         let heuristic = InliningConfiguration::from_decisions(
             CostModelInliner::default().decide(ev.module(), &X86Like),
         );
-        let trial = InliningConfiguration::from_decisions(
-            TrialInliner::default().decide(ev.module(), &X86Like),
-        );
+        let trial =
+            InliningConfiguration::from_decisions(TrialInliner.decide(ev.module(), &X86Like));
         let tuner = Autotuner::new(&ev, ev.sites().clone());
         let tuned = Autotuner::combine([&tuner.clean_slate(3), &tuner.run(heuristic.clone(), 3)]);
         assert!(ev.size_of(&heuristic) >= optimal.size, "seed {seed}");
