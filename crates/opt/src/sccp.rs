@@ -2,14 +2,15 @@
 //! block parameters: the pipeline's constant folder.
 //!
 //! SCCP folds every reachable operation whose operands are constant and
-//! every reachable branch on a constant condition. It also propagates constants *through joins* —
-//! a block parameter is constant when every **executable** predecessor
-//! passes the same constant — and it discovers executability and constancy
-//! together, so code guarded by a branch it proves dead never poisons the
-//! lattice. This is the folding that makes inlining pay off for size, the
-//! cascade of the paper's Listing 1: once a constant argument flows into an
-//! inlined body, comparisons fold, branches collapse, and DCE deletes whole
-//! regions, even when the flag flows through a join.
+//! every reachable branch on a constant condition. It also propagates
+//! constants *through joins* — a block parameter is constant when every
+//! **executable** predecessor passes the same constant — and it discovers
+//! executability and constancy together, so code guarded by a branch it
+//! proves dead never poisons the lattice. This is the folding that makes
+//! inlining pay off for size, the cascade of the paper's Listing 1: once a
+//! constant argument flows into an inlined body, comparisons fold,
+//! branches collapse, and DCE deletes whole regions, even when the
+//! constant reaches its use through a join.
 //!
 //! Lattice per value: ⊤ (unknown yet) → constant *c* → ⊥ (varying).
 //!
