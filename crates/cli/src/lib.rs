@@ -29,8 +29,8 @@ use optinline_codegen::{text_size, Target, WasmLike, X86Like};
 use optinline_core::autotune::Autotuner;
 use optinline_core::tree::{evaluate_inlining_tree, space_size, try_build_inlining_tree};
 use optinline_core::{
-    cache_meta, evaluate_inlining_tree_dag, module_cycles, module_fingerprint, objective_scope,
-    Evaluator, InliningConfiguration, InliningTree, ParetoFront, PersistentCache,
+    cache_meta, domain_fingerprint, evaluate_inlining_tree_dag, module_cycles, module_fingerprint,
+    objective_scope, Evaluator, InliningConfiguration, InliningTree, ParetoFront, PersistentCache,
     PersistentEvaluator, SearchSession, SizeEvaluator, SpeedEvaluator, WorkerPool,
 };
 use optinline_heuristics::{baselines, CostModelInliner, TrialInliner};
@@ -39,6 +39,7 @@ use optinline_ir::{parse_module, Measurement, Module};
 pub use optinline_core::Objective;
 use optinline_opt::{optimize_os_report, ForcedDecisions, PipelineOptions};
 use optinline_store::LocalStore;
+use serve::HeuristicMap;
 use std::error::Error;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -270,17 +271,49 @@ pub fn cmd_optimize_measured(
     target: TargetChoice,
     opts: OptimizeOptions,
 ) -> Result<(String, String, Measurement), CliError> {
+    optimize_with(source, strategy, target, opts, None)
+}
+
+/// The heuristic baseline's configuration for `module`: read through the
+/// daemon's warm map when there is one, under the key `domain` returns
+/// (the module's evaluation-domain fingerprint); computed afresh
+/// in-process.
+fn heuristic_configuration(
+    module: &Module,
+    target: &dyn Target,
+    warm: Option<&HeuristicMap>,
+    domain: impl FnOnce() -> u128,
+) -> InliningConfiguration {
+    match warm {
+        Some(map) => map.configuration(domain(), module, target),
+        None => StrategyChoice::Heuristic.configuration(module, target),
+    }
+}
+
+/// The one body of `optimize`, in-process (`warm` is `None`) and served.
+pub(crate) fn optimize_with(
+    source: &str,
+    strategy: StrategyChoice,
+    target: TargetChoice,
+    opts: OptimizeOptions,
+    warm: Option<&HeuristicMap>,
+) -> Result<(String, String, Measurement), CliError> {
     let module = load_module(source)?;
-    let config = strategy.configuration(&module, target.as_dyn());
+    let t = target.as_dyn();
+    let config = match strategy {
+        StrategyChoice::Heuristic => heuristic_configuration(&module, t, warm, || {
+            domain_fingerprint(&module, t, PipelineOptions::default())
+        }),
+        other => other.configuration(&module, t),
+    };
     let mut optimized = module.clone();
     let report = optimize_os_report(
         &mut optimized,
         &ForcedDecisions::new(config.decisions().clone()),
         PipelineOptions::default(),
     );
-    let t = target.boxed();
-    let before = text_size(&module, t.as_ref());
-    let after = text_size(&optimized, t.as_ref());
+    let before = text_size(&module, t);
+    let after = text_size(&optimized, t);
     let mut out = String::new();
     let _ = writeln!(out, "strategy:        {strategy:?}");
     let _ = writeln!(out, "target:          {}", t.name());
@@ -320,22 +353,37 @@ pub fn cmd_optimize_measured(
 }
 
 /// One search or autotune request: the module's evaluator, the request's
-/// options, and the column the report aligns its values at.
-struct Request {
+/// options, the column the report aligns its values at, and the daemon's
+/// warm heuristic map (`None` in-process).
+struct Request<'w> {
     ev: SizeEvaluator,
     eval: EvalOptions,
     column: usize,
+    warm: Option<&'w HeuristicMap>,
 }
 
-impl Request {
-    fn new(module: Module, target: TargetChoice, eval: EvalOptions, column: usize) -> Self {
+impl<'w> Request<'w> {
+    fn new(
+        module: Module,
+        target: TargetChoice,
+        eval: EvalOptions,
+        column: usize,
+        warm: Option<&'w HeuristicMap>,
+    ) -> Self {
         let ev = SizeEvaluator::new(module, target.boxed(), eval.incremental);
-        Request { ev, eval, column }
+        Request { ev, eval, column, warm }
+    }
+
+    /// The evaluator's domain fingerprint (module text + target + pipeline
+    /// options): the key of the request's store scopes and of the warm
+    /// heuristic map.
+    fn domain(&self) -> u128 {
+        self.ev.memo_scope().expect("a SizeEvaluator always names its domain")
     }
 
     /// The heuristic baseline's configuration.
     fn heuristic(&self) -> InliningConfiguration {
-        StrategyChoice::Heuristic.configuration(self.ev.module(), self.ev.target())
+        heuristic_configuration(self.ev.module(), self.ev.target(), self.warm, || self.domain())
     }
 
     /// Runs `body` as one objective leg of the request: the one path by
@@ -363,16 +411,16 @@ impl Request {
         let cache = match (&self.eval.cache_dir, self.eval.no_persist) {
             (Some(dir), false) => {
                 let (module, target) = (self.ev.module(), self.ev.target().name());
-                let legacy = module_fingerprint(module, target);
-                let base = self.ev.memo_scope().unwrap_or(legacy);
-                let fp = objective_scope(base, objective, self.ev.cost_model());
+                let fp = objective_scope(self.domain(), objective, self.ev.cost_model());
                 // Recorded in the log and verified on reopen, so a
                 // fingerprint collision or stale file restarts the scope
                 // instead of serving another module's sizes.
                 let meta = cache_meta(module, target);
-                // Legacy flat files hold size-only entries under the size
-                // identity; they are only importable into the size scope.
-                let import = (!objective.wants_cycles()).then_some(legacy);
+                // Legacy flat files hold size-only entries under the older
+                // module fingerprint; they are only importable into the
+                // size scope.
+                let import =
+                    (!objective.wants_cycles()).then(|| module_fingerprint(module, target));
                 Some(PersistentCache::open_scoped(dir, fp, import, &meta)?)
             }
             _ => None,
@@ -465,6 +513,17 @@ pub fn cmd_search_measured(
     target: TargetChoice,
     eval: EvalOptions,
 ) -> Result<(String, Option<Measurement>), CliError> {
+    search_with(source, bits, target, eval, None)
+}
+
+/// The one body of `search`, in-process (`warm` is `None`) and served.
+pub(crate) fn search_with(
+    source: &str,
+    bits: u32,
+    target: TargetChoice,
+    eval: EvalOptions,
+    warm: Option<&HeuristicMap>,
+) -> Result<(String, Option<Measurement>), CliError> {
     let budget = 1u128.checked_shl(bits).ok_or(RequestError::BitsOutOfRange(bits))?;
     let module = load_module(source)?;
     let n = module.inlinable_sites().len();
@@ -476,7 +535,7 @@ pub fn cmd_search_measured(
                  raise --bits or use `autotune`"
             )
         })?;
-    let req = Request::new(module, target, eval, 20);
+    let req = Request::new(module, target, eval, 20, warm);
     let (body, tail, best) = match req.eval.objective {
         Objective::Pareto => search_front(&req, &tree)?,
         objective => search_scalar(&req, &tree, objective)?,
@@ -633,10 +692,22 @@ pub fn cmd_autotune_measured(
     target: TargetChoice,
     eval: EvalOptions,
 ) -> Result<(String, Option<Measurement>), CliError> {
+    autotune_with(source, rounds, init, target, eval, None)
+}
+
+/// The one body of `autotune`, in-process (`warm` is `None`) and served.
+pub(crate) fn autotune_with(
+    source: &str,
+    rounds: usize,
+    init: InitChoice,
+    target: TargetChoice,
+    eval: EvalOptions,
+    warm: Option<&HeuristicMap>,
+) -> Result<(String, Option<Measurement>), CliError> {
     if rounds == 0 {
         return Err(RequestError::ZeroRounds.into());
     }
-    let req = Request::new(load_module(source)?, target, eval, 17);
+    let req = Request::new(load_module(source)?, target, eval, 17, warm);
     if req.ev.sites().is_empty() {
         return Ok((NOTHING_TO_TUNE.into(), None));
     }

@@ -1,16 +1,22 @@
 //! `optinline serve` — the daemon side — and the `--connect` client side.
 //!
 //! The daemon is the CLI's own subcommands behind a socket: requests are
-//! executed by [`CliHandler`], which calls the very same `cmd_optimize` /
-//! `cmd_search` / `cmd_autotune` functions the in-process paths use, so a
-//! served answer is byte-identical to a local one by construction. The
-//! daemon owns the cache policy: every request shares one persistent
-//! store handle (`--cache-dir`), making the daemon a multi-tenant cache
-//! tier — clients do not send cache flags over the wire.
+//! executed by [`CliHandler`], which runs the very same `optimize` /
+//! `search` / `autotune` bodies the in-process paths use, so a served
+//! answer is byte-identical to a local one by construction. The daemon
+//! owns the cache policy: every request shares one persistent store
+//! handle (`--cache-dir`), making the daemon a multi-tenant cache tier —
+//! clients do not send cache flags over the wire. It also keeps each
+//! module's heuristic decisions warm across requests ([`HeuristicMap`]).
 
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use optinline_codegen::Target;
+use optinline_core::{cache_meta, InliningConfiguration};
+use optinline_ir::Module;
 use optinline_serve::{
     install_drain_handler, Client, ClientConfig, ClientError, Endpoint, Handler, Outcome, Reply,
     RequestKind, ServeOptions, Server, ServerHandle, ServerStats,
@@ -18,8 +24,8 @@ use optinline_serve::{
 use optinline_store::LocalStore;
 
 use crate::{
-    cmd_autotune_measured, cmd_optimize_measured, cmd_search_measured, CliError, EvalOptions,
-    InitChoice, Objective, OptimizeOptions, StrategyChoice, TargetChoice,
+    autotune_with, optimize_with, search_with, CliError, EvalOptions, InitChoice, Objective,
+    OptimizeOptions, StrategyChoice, TargetChoice,
 };
 
 /// Everything `optinline serve` needs to boot a daemon.
@@ -66,14 +72,186 @@ pub fn parse_endpoint(s: &str) -> Endpoint {
     }
 }
 
-/// Executes daemon requests by calling the CLI's own subcommand
-/// functions, with the daemon's cache policy applied to every request.
+/// Bytes of heuristic decisions one daemon keeps warm. A module with 50
+/// call sites is charged about 1 KiB, so the cap holds thousands.
+const HEURISTIC_MAP_BYTES: usize = 4 << 20;
+
+/// What an entry is charged besides its meta line and decisions: the key,
+/// the recency tick and byte count, the shared cell, the table slot.
+const ENTRY_BYTES: usize = 128;
+
+/// What each of a module's inlinable sites is charged for its decision: a
+/// `CallSiteId` and a `Decision` in a B-tree node, with the node's share
+/// of slack.
+const DECISION_BYTES: usize = 16;
+
+/// The daemon's warm heuristic decisions: a bounded map from a module's
+/// evaluation-domain fingerprint to the baseline heuristic's
+/// configuration for it. The key is
+/// [`domain_fingerprint`](optinline_core::domain_fingerprint) under the
+/// default pipeline options, which is `SizeEvaluator::memo_scope`, the
+/// value store scopes are named by.
+///
+/// The heuristic's `decide` is a pure function of the module and the
+/// target, so a hit serves exactly what a miss computes. As with a store
+/// scope, a hit is verified against the module's `cache_meta`; an entry
+/// whose meta differs (a fingerprint collision) is replaced, not served.
+/// Each entry fills single-flight through a `OnceLock`: requests for one
+/// module wait for one `decide`, and a `decide` that unwinds (a cancelled
+/// request) leaves the cell empty for the next request to fill. An entry
+/// is charged for its decisions when it is created, and entries are
+/// evicted least recently used once their charges pass a constant cap.
+pub struct HeuristicMap {
+    cap_bytes: usize,
+    state: Mutex<MapState>,
+}
+
+#[derive(Default)]
+struct MapState {
+    entries: HashMap<u128, Entry>,
+    /// Sum of the entries' charges.
+    bytes: usize,
+    /// Recency clock: bumped on every lookup.
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+struct Entry {
+    meta: String,
+    cell: Arc<OnceLock<InliningConfiguration>>,
+    last_used: u64,
+    bytes: usize,
+}
+
+/// A [`HeuristicMap`]'s counters, printed in `optinline serve`'s exit
+/// report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeuristicStats {
+    /// Modules held now.
+    pub entries: u64,
+    /// Lookups served without running the heuristic, including those that
+    /// waited for another request's fill.
+    pub hits: u64,
+    /// Lookups that ran the heuristic, including runs a cancellation cut
+    /// short.
+    pub misses: u64,
+    /// Entries dropped to stay under the byte cap.
+    pub evictions: u64,
+}
+
+impl std::fmt::Debug for HeuristicMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HeuristicMap")
+            .field("cap_bytes", &self.cap_bytes)
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
+}
+
+impl HeuristicMap {
+    fn with_cap(cap_bytes: usize) -> HeuristicMap {
+        HeuristicMap { cap_bytes, state: Mutex::default() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MapState> {
+        // `decide` runs outside the lock, and nothing under it panics.
+        self.state.lock().expect("heuristic map lock poisoned")
+    }
+
+    /// The map's counters.
+    pub fn stats(&self) -> HeuristicStats {
+        let state = self.lock();
+        HeuristicStats {
+            entries: state.entries.len() as u64,
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+        }
+    }
+
+    /// The heuristic's configuration for `module` on `target`, whose
+    /// evaluation domain is `fingerprint`: served from the map when it
+    /// holds a filled entry with the module's meta, computed and kept
+    /// otherwise.
+    pub(crate) fn configuration(
+        &self,
+        fingerprint: u128,
+        module: &Module,
+        target: &dyn Target,
+    ) -> InliningConfiguration {
+        let cell = self.cell(fingerprint, module, target);
+        let mut filled = false;
+        let config = cell
+            .get_or_init(|| {
+                self.lock().misses += 1;
+                filled = true;
+                StrategyChoice::Heuristic.configuration(module, target)
+            })
+            .clone();
+        if !filled {
+            self.lock().hits += 1;
+        }
+        config
+    }
+
+    /// The cell `fingerprint` names, marked most recently used. A missing
+    /// entry, or one whose meta differs from the module's, starts afresh.
+    fn cell(
+        &self,
+        fingerprint: u128,
+        module: &Module,
+        target: &dyn Target,
+    ) -> Arc<OnceLock<InliningConfiguration>> {
+        let meta = cache_meta(module, target.name());
+        let mut state = self.lock();
+        state.tick += 1;
+        let tick = state.tick;
+        if let Some(entry) = state.entries.get_mut(&fingerprint) {
+            if entry.meta == meta {
+                entry.last_used = tick;
+                return Arc::clone(&entry.cell);
+            }
+        }
+        let cell = Arc::new(OnceLock::new());
+        let bytes = ENTRY_BYTES + meta.len() + module.inlinable_sites().len() * DECISION_BYTES;
+        let entry = Entry { meta, cell: Arc::clone(&cell), last_used: tick, bytes };
+        if let Some(replaced) = state.entries.insert(fingerprint, entry) {
+            state.bytes -= replaced.bytes;
+        }
+        state.bytes += bytes;
+        state.evict(self.cap_bytes);
+        cell
+    }
+}
+
+impl MapState {
+    /// Drops least recently used entries until the charges fit `cap`.
+    fn evict(&mut self, cap: usize) {
+        while self.bytes > cap {
+            let Some(lru) = self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k)
+            else {
+                break;
+            };
+            if let Some(entry) = self.entries.remove(&lru) {
+                self.bytes -= entry.bytes;
+                self.evictions += 1;
+            }
+        }
+    }
+}
+
+/// Executes daemon requests by running the CLI's own subcommand bodies,
+/// with the daemon's cache policy applied to every request.
 pub struct CliHandler {
     cache_dir: Option<PathBuf>,
     cache_budget_bytes: Option<u64>,
     /// Held for the daemon's lifetime so the shared store persists across
     /// requests instead of closing after each one.
     store: Option<Arc<LocalStore>>,
+    /// The heuristic's decisions per module, kept across requests.
+    heuristics: Arc<HeuristicMap>,
 }
 
 impl std::fmt::Debug for CliHandler {
@@ -93,7 +271,14 @@ impl CliHandler {
             Some(dir) => Some(LocalStore::shared(dir)?),
             None => None,
         };
-        Ok(CliHandler { cache_dir, cache_budget_bytes, store })
+        let heuristics = Arc::new(HeuristicMap::with_cap(HEURISTIC_MAP_BYTES));
+        Ok(CliHandler { cache_dir, cache_budget_bytes, store, heuristics })
+    }
+
+    /// The handler's warm heuristic map, shared so that its counters can
+    /// be read while the handler serves and after the daemon exits.
+    pub fn heuristics(&self) -> Arc<HeuristicMap> {
+        Arc::clone(&self.heuristics)
     }
 
     fn eval_options(
@@ -128,6 +313,7 @@ impl Handler for CliHandler {
     fn handle(&self, kind: &RequestKind, progress: &dyn Fn(&str)) -> Result<Reply, String> {
         progress(&format!("evaluating {}", kind.name()));
         let as_msg = |e: CliError| e.to_string();
+        let warm = Some(&*self.heuristics);
         match kind {
             RequestKind::Optimize {
                 source,
@@ -147,7 +333,7 @@ impl Handler for CliHandler {
                 let objective = parse_objective(objective)?;
                 let opts = OptimizeOptions { pass_stats: *pass_stats, objective };
                 let (report, module, measurement) =
-                    cmd_optimize_measured(source, strategy, target, opts).map_err(as_msg)?;
+                    optimize_with(source, strategy, target, opts, warm).map_err(as_msg)?;
                 Ok(Reply { report, module: Some(module), measurement: Some(measurement) })
             }
             RequestKind::Search {
@@ -163,7 +349,7 @@ impl Handler for CliHandler {
                 let objective = parse_objective(objective)?;
                 let eval = self.eval_options(!*full_eval, *stats, *pass_stats, objective);
                 let (report, measurement) =
-                    cmd_search_measured(source, *bits, target, eval).map_err(as_msg)?;
+                    search_with(source, *bits, target, eval, warm).map_err(as_msg)?;
                 Ok(Reply { report, module: None, measurement })
             }
             RequestKind::Autotune {
@@ -181,7 +367,7 @@ impl Handler for CliHandler {
                 let objective = parse_objective(objective)?;
                 let eval = self.eval_options(!*full_eval, *stats, *pass_stats, objective);
                 let (report, measurement) =
-                    cmd_autotune_measured(source, *rounds as usize, init, target, eval)
+                    autotune_with(source, *rounds as usize, init, target, eval, warm)
                         .map_err(as_msg)?;
                 Ok(Reply { report, module: None, measurement })
             }
@@ -201,37 +387,45 @@ impl Handler for CliHandler {
     }
 }
 
-/// Binds a daemon with the CLI's handler to `config`'s endpoint.
-fn bind(config: ServeConfig) -> Result<Server, CliError> {
+/// Binds a daemon with the CLI's handler to `config`'s endpoint, and
+/// returns it with the handler's heuristic map.
+fn bind(config: ServeConfig) -> Result<(Server, Arc<HeuristicMap>), CliError> {
     let handler = CliHandler::new(config.cache_dir, config.cache_budget_bytes)?;
+    let heuristics = handler.heuristics();
     let mut opts =
         ServeOptions { max_concurrent: config.max_concurrent, ..ServeOptions::default() };
     if config.queue_capacity > 0 {
         opts.queue_capacity = config.queue_capacity;
     }
-    Ok(Server::bind(config.endpoint, Box::new(handler), opts)?)
+    Ok((Server::bind(config.endpoint, Box::new(handler), opts)?, heuristics))
 }
 
 /// Boots a daemon on a background thread and returns its handle —
 /// the building block tests and the equivalence oracle drive directly.
 pub fn start_daemon(config: ServeConfig) -> Result<ServerHandle, CliError> {
-    Ok(bind(config)?.start())
+    Ok(bind(config)?.0.start())
 }
 
 /// `optinline serve` — runs the daemon on the calling thread until a
 /// `shutdown` request or SIGTERM/SIGINT drains it; returns the final
-/// stats report.
+/// stats report: the server's counters, then the heuristic map's.
 pub fn cmd_serve(config: ServeConfig) -> Result<String, CliError> {
     let endpoint = config.endpoint.clone();
-    let server = bind(config)?.drain_on(install_drain_handler());
+    let (server, heuristics) = bind(config)?;
+    let server = server.drain_on(install_drain_handler());
     eprintln!("[serve] listening on {endpoint}");
     let stats = server.run()?;
-    Ok(render_server_stats(&stats))
+    let mut out = render_server_stats(&stats);
+    let warm = heuristics.stats();
+    let _ = writeln!(out, "heuristic entries:   {}", warm.entries);
+    let _ = writeln!(out, "heuristic hits:      {}", warm.hits);
+    let _ = writeln!(out, "heuristic misses:    {}", warm.misses);
+    let _ = writeln!(out, "heuristic evictions: {}", warm.evictions);
+    Ok(out)
 }
 
 /// Renders final daemon counters, one per line.
 pub fn render_server_stats(stats: &ServerStats) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "accepted:      {}", stats.accepted);
     let _ = writeln!(out, "rejected:      {}", stats.rejected);
@@ -277,5 +471,74 @@ pub fn remote_call(
             Ok(None)
         }
         Err(e) => Err(e.to_string().into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{cmd_gen, load_module};
+    use optinline_codegen::X86Like;
+    use optinline_core::domain_fingerprint;
+    use optinline_opt::PipelineOptions;
+
+    fn module(seed: u64) -> Module {
+        load_module(&cmd_gen(seed, 5, 2).expect("generation succeeds")).expect("generated IR loads")
+    }
+
+    fn fingerprint(m: &Module) -> u128 {
+        domain_fingerprint(m, &X86Like, PipelineOptions::default())
+    }
+
+    fn decided(m: &Module) -> InliningConfiguration {
+        StrategyChoice::Heuristic.configuration(m, &X86Like)
+    }
+
+    fn stats(entries: u64, hits: u64, misses: u64, evictions: u64) -> HeuristicStats {
+        HeuristicStats { entries, hits, misses, evictions }
+    }
+
+    #[test]
+    fn a_forged_fingerprint_replaces_the_entry_instead_of_serving_it() {
+        let (a, b) = (module(11), module(12));
+        assert_ne!(decided(&a), decided(&b), "the two modules must decide differently");
+        let map = HeuristicMap::with_cap(HEURISTIC_MAP_BYTES);
+        let forged = fingerprint(&a);
+        assert_eq!(map.configuration(forged, &a, &X86Like), decided(&a));
+        // b under a's key: the metas differ, so the entry starts afresh.
+        assert_eq!(map.configuration(forged, &b, &X86Like), decided(&b));
+        assert_eq!(map.stats(), stats(1, 0, 2, 0));
+        assert_eq!(map.configuration(forged, &b, &X86Like), decided(&b));
+        assert_eq!(map.configuration(forged, &a, &X86Like), decided(&a));
+        assert_eq!(map.stats(), stats(1, 1, 3, 0));
+    }
+
+    #[test]
+    fn the_byte_cap_evicts_the_least_recently_used_entry_first() {
+        let [a, b, c] = [11, 12, 13].map(module);
+        let charge = |m: &Module| {
+            let map = HeuristicMap::with_cap(usize::MAX);
+            map.configuration(fingerprint(m), m, &X86Like);
+            let bytes = map.lock().bytes;
+            bytes
+        };
+        // Room for a and either other module, not for all three.
+        let cap = charge(&a) + charge(&b).max(charge(&c));
+        let map = HeuristicMap::with_cap(cap);
+        let look =
+            |m: &Module| assert_eq!(map.configuration(fingerprint(m), m, &X86Like), decided(m));
+        look(&a);
+        look(&b);
+        look(&a);
+        // a was used after b, so c's entry pushes b out.
+        look(&c);
+        assert_eq!(map.stats(), stats(2, 1, 3, 1));
+        look(&a);
+        // b is computed again and pushes out c, now the least recent.
+        look(&b);
+        assert_eq!(map.stats(), stats(2, 2, 4, 2));
+        look(&a);
+        assert_eq!(map.stats(), stats(2, 3, 4, 2));
+        assert!(map.lock().bytes <= cap);
     }
 }

@@ -3,7 +3,9 @@
 //! files, and exit codes.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+
+use optinline_serve::{Client, Endpoint};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_optinline"))
@@ -194,4 +196,38 @@ fn corpus_writes_a_loadable_suite() {
     let one = std::fs::read_dir(dir.join("gcc")).unwrap().next().unwrap().unwrap().path();
     run_ok(&["stats", one.to_str().unwrap()]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_exit_report_counts_warm_heuristic_hits() {
+    let ir = tmp("warm.ir");
+    let sock = tmp("warm.sock");
+    let _ = std::fs::remove_file(&sock);
+    let (ir_path, sock_path) = (ir.to_str().unwrap(), sock.to_str().unwrap());
+    run_ok(&["gen", "--seed", "9", "--internal", "5", "-o", ir_path]);
+    let daemon = bin()
+        .args(["serve", "--socket", sock_path])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon starts");
+    for _ in 0..200 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    for _ in 0..2 {
+        let out = run_ok(&["search", ir_path, "--bits", "18", "--connect", sock_path]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("[daemon]"), "served, not a fallback: {err}");
+    }
+    Client::connect(&Endpoint::Unix(sock.clone())).unwrap().shutdown().unwrap();
+    let out = daemon.wait_with_output().expect("daemon exits");
+    assert!(out.status.success());
+    let report = String::from_utf8_lossy(&out.stdout);
+    for line in ["heuristic entries:   1", "heuristic hits:      1", "heuristic misses:    1"] {
+        assert!(report.lines().any(|l| l == line), "{line}: {report}");
+    }
+    std::fs::remove_file(&ir).ok();
 }

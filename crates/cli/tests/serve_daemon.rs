@@ -1,17 +1,25 @@
 //! Daemon lifecycle tests against the real evaluator: byte-identity
-//! between served and in-process results (cold and warm cache), dedup of
-//! identical concurrent requests, transparent fallback when no daemon
-//! answers, and drain-under-load leaving the store verify-clean.
+//! between served and in-process results (cold and warm cache, and on
+//! warm heuristic decisions), dedup of identical concurrent requests,
+//! transparent fallback when no daemon answers, and drain-under-load
+//! leaving the store verify-clean.
 
-use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
-use optinline_cli::serve::{remote_call, start_daemon, ServeConfig};
+use optinline_cli::serve::{
+    remote_call, start_daemon, CliHandler, HeuristicMap, HeuristicStats, ServeConfig,
+};
 use optinline_cli::{
     cmd_autotune, cmd_cache, cmd_gen, cmd_optimize, cmd_search, CacheAction, EvalOptions,
-    InitChoice, OptimizeOptions, RequestError, StrategyChoice, TargetChoice,
+    InitChoice, Objective, OptimizeOptions, RequestError, StrategyChoice, TargetChoice,
 };
-use optinline_serve::{Client, ClientConfig, ClientError, Endpoint, RequestKind};
+use optinline_ir::cancel::{self, CancelToken, Cancelled};
+use optinline_serve::{
+    Client, ClientConfig, ClientError, Endpoint, Handler, RequestKind, ServeOptions, Server,
+    ServerHandle,
+};
 
 fn tmp(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("optinline-serve-cli-{name}-{}", std::process::id()));
@@ -34,6 +42,32 @@ fn search_kind(source: &str, bits: u32) -> RequestKind {
         pass_stats: false,
         objective: "size".to_string(),
     }
+}
+
+fn heuristic_optimize_kind(source: &str, target: &str) -> RequestKind {
+    RequestKind::Optimize {
+        source: source.to_string(),
+        target: target.to_string(),
+        strategy: "heuristic".to_string(),
+        full_sweep: false,
+        pass_stats: false,
+        objective: "size".to_string(),
+    }
+}
+
+/// A daemon over the CLI's handler, as `start_daemon` boots it, with the
+/// handler's heuristic map in hand.
+fn daemon_with_map(sock: &Path) -> (ServerHandle, Arc<HeuristicMap>) {
+    let handler = CliHandler::new(None, None).expect("handler");
+    let map = handler.heuristics();
+    let endpoint = Endpoint::Unix(sock.to_path_buf());
+    let server =
+        Server::bind(endpoint, Box::new(handler), ServeOptions::default()).expect("daemon binds");
+    (server.start(), map)
+}
+
+fn map_stats(entries: u64, hits: u64, misses: u64) -> HeuristicStats {
+    HeuristicStats { entries, hits, misses, evictions: 0 }
 }
 
 #[test]
@@ -303,6 +337,127 @@ fn identical_concurrent_requests_evaluate_once() {
         "identical concurrent requests must collapse into one evaluation: {stats:?}"
     );
     assert_eq!(stats.dedup_joined, CLIENTS as u64 - 1);
+}
+
+/// Search, then optimize, then autotune on one module under every
+/// objective: after the first search every lookup is a hit, most of them
+/// from another request kind or objective, and every reply (with its
+/// `--pass-stats` table) matches the in-process run, which decides afresh.
+#[test]
+fn warm_heuristic_hits_serve_in_process_bytes_across_kinds_and_objectives() {
+    let src = demo_source();
+    let sock = tmp("warm.sock");
+    let (handle, map) = daemon_with_map(&sock);
+    let mut client = Client::connect(&Endpoint::Unix(sock)).expect("connect");
+    for objective in [Objective::Size, Objective::Speed, Objective::Pareto] {
+        let name = objective.to_string();
+        let kind = RequestKind::Search {
+            source: src.clone(),
+            target: "x86".to_string(),
+            bits: 18,
+            full_eval: false,
+            stats: false,
+            pass_stats: true,
+            objective: name.clone(),
+        };
+        let served = client.call(kind, &mut |_| {}).expect("served search");
+        let eval = EvalOptions { show_pass_stats: true, objective, ..EvalOptions::default() };
+        let local = cmd_search(&src, 18, TargetChoice::X86, eval.clone()).unwrap();
+        assert_eq!(served.report, local, "{name} search diverged");
+
+        let kind = RequestKind::Optimize {
+            source: src.clone(),
+            target: "x86".to_string(),
+            strategy: "heuristic".to_string(),
+            full_sweep: false,
+            pass_stats: true,
+            objective: name.clone(),
+        };
+        let served = client.call(kind, &mut |_| {}).expect("served optimize");
+        let opts = OptimizeOptions { pass_stats: true, objective };
+        let (report, module) =
+            cmd_optimize(&src, StrategyChoice::Heuristic, TargetChoice::X86, opts).unwrap();
+        assert_eq!(served.report, report, "{name} optimize diverged");
+        assert_eq!(served.module.as_deref(), Some(module.as_str()), "{name} module diverged");
+
+        let kind = RequestKind::Autotune {
+            source: src.clone(),
+            target: "x86".to_string(),
+            rounds: 2,
+            init: "both".to_string(),
+            full_eval: false,
+            stats: false,
+            pass_stats: true,
+            objective: name.clone(),
+        };
+        let served = client.call(kind, &mut |_| {}).expect("served autotune");
+        let local = cmd_autotune(&src, 2, InitChoice::Both, TargetChoice::X86, eval).unwrap();
+        assert_eq!(served.report, local, "{name} autotune diverged");
+    }
+    assert_eq!(map.stats(), map_stats(1, 8, 1));
+    handle.drain();
+    handle.join().expect("clean exit");
+}
+
+/// The search path keys the map by the evaluator's `memo_scope`, the
+/// optimize path by `domain_fingerprint`: per target they name one entry.
+#[test]
+fn x86_and_wasm_requests_on_one_text_get_separate_entries() {
+    let src = demo_source();
+    let handler = CliHandler::new(None, None).expect("handler");
+    let map = handler.heuristics();
+    for target in ["x86", "wasm"] {
+        let kind = RequestKind::Search {
+            source: src.clone(),
+            target: target.to_string(),
+            bits: 18,
+            full_eval: false,
+            stats: false,
+            pass_stats: false,
+            objective: "size".to_string(),
+        };
+        handler.handle(&kind, &|_| {}).expect("search");
+    }
+    assert_eq!(map.stats(), map_stats(2, 0, 2));
+    for target in ["x86", "wasm"] {
+        let served = handler.handle(&heuristic_optimize_kind(&src, target), &|_| {});
+        let target = TargetChoice::parse(target).unwrap();
+        let (report, _) =
+            cmd_optimize(&src, StrategyChoice::Heuristic, target, OptimizeOptions::default())
+                .unwrap();
+        assert_eq!(served.expect("optimize").report, report);
+    }
+    assert_eq!(map.stats(), map_stats(2, 2, 2));
+}
+
+#[test]
+fn a_request_cancelled_inside_decide_leaves_the_cell_empty() {
+    let src = demo_source();
+    let handler = CliHandler::new(None, None).expect("handler");
+    let map = handler.heuristics();
+    let kind = heuristic_optimize_kind(&src, "x86");
+    let token = CancelToken::new();
+    token.cancel();
+    let unwound = {
+        let _cancel = cancel::install(token);
+        catch_unwind(AssertUnwindSafe(|| handler.handle(&kind, &|_| {})))
+            .expect_err("the first checkpoint is inside decide's cleanup drains")
+    };
+    assert!(unwound.downcast_ref::<Cancelled>().is_some(), "cancelled, not a bug");
+    assert_eq!(map.stats(), map_stats(1, 0, 1), "decide started and unwound");
+    // The next request finds the cell empty and computes it.
+    let served = handler.handle(&kind, &|_| {}).expect("optimize");
+    let (report, _) = cmd_optimize(
+        &src,
+        StrategyChoice::Heuristic,
+        TargetChoice::X86,
+        OptimizeOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(served.report, report);
+    assert_eq!(map.stats(), map_stats(1, 0, 2));
+    handler.handle(&kind, &|_| {}).expect("optimize");
+    assert_eq!(map.stats(), map_stats(1, 1, 2));
 }
 
 #[test]

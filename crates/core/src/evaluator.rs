@@ -61,12 +61,10 @@ pub trait Evaluator: Sync {
 /// the target name, and the pipeline options. Any input that can move a
 /// `size_of` answer moves the fingerprint, which is exactly what
 /// [`Evaluator::memo_scope`] needs to keep store scopes from serving
-/// another domain's answers.
-pub(crate) fn domain_fingerprint(
-    module: &Module,
-    target: &dyn Target,
-    options: PipelineOptions,
-) -> u128 {
+/// another domain's answers. [`SizeEvaluator`](crate::SizeEvaluator)'s
+/// `memo_scope` is this value under the default pipeline options, so a
+/// caller holding only the module can name the same domain.
+pub fn domain_fingerprint(module: &Module, target: &dyn Target, options: PipelineOptions) -> u128 {
     let mut h = Fnv128::new();
     h.write(module.to_string().as_bytes());
     h.write_u8(0);

@@ -80,7 +80,7 @@ pub mod tree;
 pub use cache::{CacheStats, ShardedCache};
 pub use config::InliningConfiguration;
 pub use dag::{evaluate_inlining_tree_dag, ExecutorStats, SearchSession};
-pub use evaluator::{evaluation_identity, Evaluator, EvaluatorStats};
+pub use evaluator::{domain_fingerprint, evaluation_identity, Evaluator, EvaluatorStats};
 pub use incremental::SizeEvaluator;
 pub use measure::{
     cost_model_fingerprint, module_cycles, objective_scope, Objective, SpeedEvaluator,
