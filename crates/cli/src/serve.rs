@@ -41,8 +41,8 @@ pub struct ServeConfig {
     pub cache_budget_bytes: Option<u64>,
     /// Admission queue depth (`--queue`); 0 keeps the default.
     pub queue_capacity: usize,
-    /// Evaluation workers the daemon starts (`--max-concurrent`), so the
-    /// most evaluations running at once; 0 sizes from the worker pool.
+    /// The most evaluations running at once (`--max-concurrent`); 0 means
+    /// one per core.
     pub max_concurrent: usize,
 }
 

@@ -90,7 +90,7 @@ pub use pareto::{ParetoFront, ParetoPoint};
 pub use persist::{
     cache_meta, module_fingerprint, PersistStats, PersistentCache, PersistentEvaluator,
 };
-pub use pool::WorkerPool;
+pub use pool::{TaskGroup, WorkerPool};
 pub use tree::{
     build_inlining_tree, evaluate_inlining_tree, space_size, try_build_inlining_tree, InliningTree,
 };

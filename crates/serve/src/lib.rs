@@ -22,8 +22,9 @@
 //!   floats) — the entire wire subset, dependency-free.
 //! - [`proto`]: request/event framing over that subset, plus the
 //!   evaluation identity used for dedup.
-//! - [`Server`] / [`ServerHandle`]: bounded admission, a fixed set of
-//!   evaluation workers, dedup fan-out, graceful drain.
+//! - [`Server`] / [`ServerHandle`]: bounded admission, evaluations on
+//!   the worker pool's idle threads and the server's own lanes, dedup
+//!   fan-out, graceful drain.
 //! - [`Client`]: dial, stream events, distinguish "no daemon answered"
 //!   (fall back in-process) from mid-flight failures.
 //! - [`loadgen`]: a deterministic closed-loop load generator driving
