@@ -1,6 +1,7 @@
-//! Benches for the task-DAG search executor: worker-count scaling on one
-//! tree, and cold vs warm persistent cache — the wall-clock side of the
-//! `results/perf_search.txt` numbers.
+//! Benches for the parallel tree search (`evaluate_inlining_tree_dag`, the
+//! `dag` rows): worker-count scaling on one tree, and cold vs warm
+//! persistent cache — the wall-clock side of the `results/perf_search.txt`
+//! numbers.
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
@@ -21,7 +22,7 @@ fn search_module(n_internal: usize, clusters: usize) -> optinline_ir::Module {
     })
 }
 
-/// The sequential walk vs the DAG executor at 1, 2, and 8 workers, each
+/// The sequential walk vs the parallel search at 1, 2, and 8 workers, each
 /// iteration on a fresh evaluator so the memo cache cannot leak work
 /// across measurements.
 fn bench_worker_scaling(c: &mut Criterion) {

@@ -87,7 +87,7 @@ pub struct FuzzReport {
     /// Baseline-heuristic decision comparisons performed (one per case:
     /// pending-set drains vs whole-module sweeps between steps).
     pub heuristic_comparisons: usize,
-    /// Parallel DAG executor vs sequential Algorithm 1 comparisons
+    /// Parallel tree search vs sequential Algorithm 1 comparisons
     /// performed (one per worker count).
     pub parallel_comparisons: usize,
     /// Store-backed search vs no-persist reference comparisons performed
@@ -118,7 +118,7 @@ pub struct FuzzReport {
     /// Scheduling-oracle failures (worklist vs whole-module sweep
     /// divergence).
     pub scheduling_failures: Vec<FailureRecord>,
-    /// Parallel-search-oracle failures (DAG executor vs sequential walk).
+    /// Parallel-search-oracle failures (parallel search vs sequential walk).
     pub parallel_failures: Vec<FailureRecord>,
     /// Store-oracle failures (persistent store vs no-persist run).
     pub store_failures: Vec<FailureRecord>,

@@ -29,8 +29,8 @@
 //!   cycle count may change (the former asserted, the latter recorded),
 //!   and the `(size, cycles)` measurement is exactly reproducible across
 //!   evaluator shapes and worker counts.
-//! - [`parcheck`] — the **parallel-search oracle**: the task-DAG search
-//!   executor must return the exact configuration and size the sequential
+//! - [`parcheck`] — the **parallel-search oracle**: the parallel tree
+//!   search must return the exact configuration and size the sequential
 //!   Algorithm 1 walk returns, at every worker count.
 //! - [`storecheck`] — the **store oracle**: a search answering through
 //!   the persistent evaluation store must return the exact configuration

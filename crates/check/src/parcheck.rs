@@ -1,14 +1,15 @@
-//! The **parallel-search oracle**: the task-DAG executor must be a pure
-//! scheduling optimization — for every module, the optimal configuration
-//! *and* size it returns must be byte-identical to the sequential
-//! Algorithm 1 walk, at every worker count.
+//! The **parallel-search oracle**: the parallel tree search must be a
+//! pure scheduling optimization — for every module, the optimal
+//! configuration *and* size it returns must be byte-identical to the
+//! sequential Algorithm 1 walk, at every worker count.
 //!
 //! Determinism here is not free: a naive parallel reduction would break
 //! ties by completion order, silently returning a different (equally
 //! sized) optimum from run to run and poisoning every downstream
-//! comparison. The executor instead resolves each `Binary` node from its
-//! recorded child results with the sequential prefer-`not_inlined` rule;
-//! this oracle is the fuzz-scale proof that it worked.
+//! comparison. The parallel search instead reads each node's subtree
+//! results back in child order, whichever thread computed them, and
+//! applies the sequential prefer-`not_inlined` rule; this oracle is the
+//! fuzz-scale proof that it worked.
 
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::X86Like;
@@ -48,8 +49,8 @@ pub struct ParReport {
     pub mismatches: Vec<ParMismatch>,
 }
 
-/// Runs the task-DAG executor against the sequential walk on `module` at
-/// several seeded worker counts. Returns `None` when the module's search tree exceeds the per-case budget (or
+/// Runs the parallel tree search against the sequential walk on `module`
+/// at several seeded worker counts. Returns `None` when the module's search tree exceeds the per-case budget (or
 /// has no tree at all) — a skip, not a pass.
 pub fn check_parallel_search(module: &Module, seed: u64) -> Option<ParReport> {
     let graph = InlineGraph::from_module(module);
@@ -83,9 +84,9 @@ fn mismatch(
     got: &(InliningConfiguration, u64),
 ) -> ParMismatch {
     let detail = if expected.1 != got.1 {
-        format!("sizes diverge: sequential {} vs DAG {}", expected.1, got.1)
+        format!("sizes diverge: sequential {} vs parallel {}", expected.1, got.1)
     } else {
-        format!("equal sizes but different optima: sequential {} vs DAG {}", expected.0, got.0)
+        format!("equal sizes but different optima: sequential {} vs parallel {}", expected.0, got.0)
     };
     ParMismatch { workers, detail }
 }

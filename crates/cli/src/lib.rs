@@ -57,7 +57,13 @@ pub enum RequestError {
     BitsOutOfRange(u32),
     /// `--rounds 0`: the autotuner needs at least one round.
     ZeroRounds,
+    /// `--jobs` above 256: a search runs one thread per job, and 256 is the
+    /// largest compile farm the experiments model.
+    JobsOutOfRange(usize),
 }
+
+/// The most `--jobs` a search accepts (see [`RequestError::JobsOutOfRange`]).
+const MAX_JOBS: usize = 256;
 
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -70,6 +76,10 @@ impl std::fmt::Display for RequestError {
             RequestError::ZeroRounds => {
                 f.write_str("--rounds 0 is out of range: autotuning needs at least one round")
             }
+            RequestError::JobsOutOfRange(jobs) => write!(
+                f,
+                "--jobs {jobs} is out of range: a search runs one thread per job, at most {MAX_JOBS}"
+            ),
         }
     }
 }
@@ -163,10 +173,11 @@ pub struct EvalOptions {
     /// Append the aggregated per-pass / analysis-cache table
     /// (`--pass-stats`).
     pub show_pass_stats: bool,
-    /// Worker count for the task-DAG search executor (`--jobs`). `None`
-    /// uses the process-wide pool; `Some(1)` takes the sequential
-    /// `evaluate_inlining_tree` path exactly; `Some(n)` drives the DAG
-    /// with `n` lanes (the caller plus `n - 1` pool workers).
+    /// Thread count for the parallel tree search (`--jobs`). `None` uses
+    /// the process-wide pool; `Some(1)` takes the sequential
+    /// `evaluate_inlining_tree` path exactly; `Some(n)` forks the search
+    /// over the caller plus a private pool of `n - 1` workers. A search
+    /// refuses more than 256 ([`RequestError::JobsOutOfRange`]).
     pub jobs: Option<usize>,
     /// Directory for the persistent cross-run evaluation cache
     /// (`--cache-dir`). `None` disables persistence.
@@ -525,6 +536,9 @@ pub(crate) fn search_with(
     warm: Option<&HeuristicMap>,
 ) -> Result<(String, Option<Measurement>), CliError> {
     let budget = 1u128.checked_shl(bits).ok_or(RequestError::BitsOutOfRange(bits))?;
+    if let Some(jobs) = eval.jobs.filter(|&jobs| jobs > MAX_JOBS) {
+        return Err(RequestError::JobsOutOfRange(jobs).into());
+    }
     let module = load_module(source)?;
     let n = module.inlinable_sites().len();
     let graph = InlineGraph::from_module(&module);
@@ -623,9 +637,9 @@ fn search_front(req: &Request, tree: &InliningTree) -> Result<Report, CliError> 
 }
 
 /// Dispatches a tree evaluation according to `--jobs`: `Some(1)` is the
-/// sequential Algorithm 1 walk, anything else the task-DAG executor — on a
-/// private pool of `n - 1` workers for `Some(n)`, on the process-wide pool
-/// for `None`. Either way the result is byte-identical.
+/// sequential Algorithm 1 walk, anything else the parallel tree search — on
+/// a private pool of `n - 1` workers for `Some(n)`, on the process-wide
+/// pool for `None`. Either way the result is byte-identical.
 fn run_search(
     tree: &InliningTree,
     evaluator: &dyn Evaluator,
@@ -1165,6 +1179,14 @@ mod tests {
     }
 
     #[test]
+    fn search_rejects_more_jobs_than_the_largest_farm() {
+        let src = demo_source();
+        let eval = EvalOptions { jobs: Some(MAX_JOBS + 1), ..EvalOptions::default() };
+        let err = cmd_search(&src, 18, TargetChoice::X86, eval).expect_err("257 jobs are refused");
+        assert_eq!(err.downcast_ref(), Some(&RequestError::JobsOutOfRange(257)), "{err}");
+    }
+
+    #[test]
     fn autotune_rejects_zero_rounds_under_every_objective() {
         let src = demo_source();
         for objective in [Objective::Size, Objective::Speed, Objective::Pareto] {
@@ -1214,7 +1236,7 @@ mod tests {
     #[test]
     fn search_output_is_identical_across_job_counts() {
         // --jobs 1 takes the sequential Algorithm 1 path; every other
-        // setting flattens into the task-DAG executor. The report must be
+        // setting forks the search through a pool. The report must be
         // byte-identical regardless.
         // Memo misses are single-flight, so "compilations done" matches too.
         let src = demo_source();

@@ -82,29 +82,18 @@ pub struct ParetoOutcome {
 pub struct Autotuner<'e> {
     evaluator: &'e dyn Evaluator,
     sites: BTreeSet<CallSiteId>,
-    parallel: bool,
 }
 
 impl std::fmt::Debug for Autotuner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Autotuner")
-            .field("sites", &self.sites.len())
-            .field("parallel", &self.parallel)
-            .finish()
+        f.debug_struct("Autotuner").field("sites", &self.sites.len()).finish()
     }
 }
 
 impl<'e> Autotuner<'e> {
     /// Creates an autotuner over the given site domain.
     pub fn new(evaluator: &'e dyn Evaluator, sites: BTreeSet<CallSiteId>) -> Self {
-        Autotuner { evaluator, sites, parallel: true }
-    }
-
-    /// Disables probe parallelism (deterministic ordering for debugging;
-    /// results are identical either way because probes are independent).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
+        Autotuner { evaluator, sites }
     }
 
     /// Runs one round against `base` (Algorithm 3 generalized to an
@@ -117,17 +106,14 @@ impl<'e> Autotuner<'e> {
             flipped.flip(site);
             (self.evaluator.size_of(&flipped) < base_size).then_some(site)
         };
-        let keep: Vec<CallSiteId> = if self.parallel {
-            // Probes fan out over the worker pool's shared atomic cursor:
-            // unlike static chunking, a thread whose probes all hit the memo
-            // cache immediately claims more, so one expensive chunk cannot
-            // serialize the round. Per-index result slots keep the kept-flip
-            // order deterministic (site order, as in the sequential path).
-            let sites: Vec<CallSiteId> = self.sites.iter().copied().collect();
-            crate::pool::WorkerPool::global().map(&sites, probe).into_iter().flatten().collect()
-        } else {
-            self.sites.iter().filter_map(probe).collect()
-        };
+        // Probes fan out over the worker pool's shared atomic cursor: unlike
+        // static chunking, a thread whose probes all hit the memo cache
+        // immediately claims more, so one expensive chunk cannot serialize
+        // the round. Per-index result slots keep the kept flips in site
+        // order whichever thread probed them.
+        let sites: Vec<CallSiteId> = self.sites.iter().copied().collect();
+        let keep: Vec<CallSiteId> =
+            crate::pool::WorkerPool::global().map(&sites, probe).into_iter().flatten().collect();
         let mut tuned = base.clone();
         for site in &keep {
             tuned.flip(*site);
@@ -208,11 +194,7 @@ impl<'e> Autotuner<'e> {
                     c.is_none() || dirty.contains(&c)
                 })
                 .collect();
-            let sub = Autotuner {
-                evaluator: self.evaluator,
-                sites: probe_sites.clone(),
-                parallel: self.parallel,
-            };
+            let sub = Autotuner { evaluator: self.evaluator, sites: probe_sites.clone() };
             let (tuned, flips) = sub.tune_round(&base);
             let size = self.evaluator.size_of(&tuned);
             // Only components that changed this round can yield new flips
@@ -432,7 +414,7 @@ mod tests {
     #[test]
     fn clean_slate_round_keeps_only_improving_flips() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let (tuned, flips) = tuner.tune_round(&InliningConfiguration::clean_slate());
         // s0 (-8) and s2 (-2) improve independently; s1 (+5) does not.
         assert_eq!(flips, 2);
@@ -447,7 +429,7 @@ mod tests {
     #[test]
     fn second_round_escapes_the_interaction_trap() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let out = tuner.clean_slate(4);
         // Round 2 should flip s2 back off: 96 → 92.
         assert!(out.rounds.len() >= 2);
@@ -460,7 +442,7 @@ mod tests {
     #[test]
     fn fixpoint_stops_early() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let out = tuner.clean_slate(10);
         assert!(out.rounds.len() < 10);
         assert_eq!(out.last().flips, 0);
@@ -469,7 +451,7 @@ mod tests {
     #[test]
     fn heuristic_initialization_is_respected() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let init: InliningConfiguration =
             [(s(0), Decision::Inline), (s(1), Decision::Inline), (s(2), Decision::Inline)]
                 .into_iter()
@@ -481,19 +463,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
+    fn sessions_on_fresh_evaluators_agree() {
+        // Probes run on whichever threads the pool has; the outcome must
+        // not depend on which.
         let ev1 = Landscape::default();
         let ev2 = Landscape::default();
-        let seq = Autotuner::new(&ev1, sites()).sequential().clean_slate(3);
-        let par = Autotuner::new(&ev2, sites()).clean_slate(3);
-        assert_eq!(seq.best().size, par.best().size);
-        assert_eq!(seq.best().config, par.best().config);
+        let first = Autotuner::new(&ev1, sites()).clean_slate(3);
+        let second = Autotuner::new(&ev2, sites()).clean_slate(3);
+        assert_eq!(first.best().size, second.best().size);
+        assert_eq!(first.best().config, second.best().config);
     }
 
     #[test]
     fn combine_takes_the_per_file_minimum() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let a = tuner.clean_slate(1);
         let b = tuner.clean_slate(4);
         let best = Autotuner::combine([&a, &b]);
@@ -503,7 +487,7 @@ mod tests {
     #[test]
     fn round_evaluation_budget_is_n_plus_2() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let out = tuner.clean_slate(1);
         assert_eq!(out.rounds[0].evaluations, 3 + 2);
     }
@@ -511,7 +495,7 @@ mod tests {
     #[test]
     fn empty_site_set_is_a_fixpoint_immediately() {
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, BTreeSet::new()).sequential();
+        let tuner = Autotuner::new(&ev, BTreeSet::new());
         let out = tuner.clean_slate(5);
         assert_eq!(out.rounds.len(), 1);
         assert_eq!(out.last().flips, 0);
@@ -530,7 +514,7 @@ mod tests {
         // Size landscape: s0 and s2 shrink. Runtime model: flipping s2 on
         // doubles the cycles. A 5% budget must keep s0 and reject s2.
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let cycles = |c: &InliningConfiguration| -> Option<u64> {
             Some(if c.decision(s(2)) == Decision::Inline { 2000 } else { 1000 })
         };
@@ -548,8 +532,8 @@ mod tests {
     fn guarded_tuning_without_runtime_signal_matches_plain() {
         let ev1 = Landscape::default();
         let ev2 = Landscape::default();
-        let plain = Autotuner::new(&ev1, sites()).sequential().clean_slate(3);
-        let guarded = Autotuner::new(&ev2, sites()).sequential().run_guarded(
+        let plain = Autotuner::new(&ev1, sites()).clean_slate(3);
+        let guarded = Autotuner::new(&ev2, sites()).run_guarded(
             InliningConfiguration::clean_slate(),
             3,
             &|_| None,
@@ -604,11 +588,11 @@ mod tests {
         // plain size comparison: the front collapses to the optimum the
         // scalar tuner finds.
         let ev = Landscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let out = tuner.run_pareto([], 4);
         assert_eq!(out.front.len(), 1);
         assert_eq!(out.front.min_size().unwrap().measurement.size, 92);
-        let scalar = Autotuner::new(&Landscape::default(), sites()).sequential().clean_slate(4);
+        let scalar = Autotuner::new(&Landscape::default(), sites()).clean_slate(4);
         // Same decisions up to canonical form (explicit vs default
         // NoInline entries differ between the two construction paths).
         assert_eq!(
@@ -620,7 +604,7 @@ mod tests {
     #[test]
     fn pareto_tuning_holds_size_cycles_trade_offs() {
         let ev = MeasuredLandscape::default();
-        let tuner = Autotuner::new(&ev, sites()).sequential();
+        let tuner = Autotuner::new(&ev, sites());
         let out = tuner.run_pareto([], 5);
         // Smallest binary: s0 inlined (92 bytes, 108 cycles). Fastest:
         // s1 inlined (105 bytes, 95 cycles). Both must be on the front.
@@ -639,7 +623,7 @@ mod tests {
     fn pareto_tuning_is_reproducible() {
         let run = || {
             let ev = MeasuredLandscape::default();
-            Autotuner::new(&ev, sites()).sequential().run_pareto([], 5)
+            Autotuner::new(&ev, sites()).run_pareto([], 5)
         };
         let (a, b) = (run(), run());
         assert_eq!(a.front, b.front);
@@ -656,8 +640,8 @@ mod tests {
     fn incremental_matches_full_rounds() {
         let ev1 = Landscape::default();
         let ev2 = Landscape::default();
-        let full = Autotuner::new(&ev1, sites()).sequential().clean_slate(4);
-        let incr = Autotuner::new(&ev2, sites()).sequential().run_incremental(
+        let full = Autotuner::new(&ev1, sites()).clean_slate(4);
+        let incr = Autotuner::new(&ev2, sites()).run_incremental(
             &landscape_components(),
             InliningConfiguration::clean_slate(),
             4,
@@ -672,7 +656,7 @@ mod tests {
     #[test]
     fn incremental_probes_fewer_sites_after_round_one() {
         let ev = Landscape::default();
-        let incr = Autotuner::new(&ev, sites()).sequential().run_incremental(
+        let incr = Autotuner::new(&ev, sites()).run_incremental(
             &landscape_components(),
             InliningConfiguration::clean_slate(),
             4,
@@ -690,13 +674,13 @@ mod tests {
         // Pass a partition covering only s1: s0/s2 fall outside and must be
         // probed each round regardless.
         let partial: Vec<BTreeSet<CallSiteId>> = vec![[s(1)].into_iter().collect()];
-        let incr = Autotuner::new(&ev, sites()).sequential().run_incremental(
+        let incr = Autotuner::new(&ev, sites()).run_incremental(
             &partial,
             InliningConfiguration::clean_slate(),
             4,
         );
         let full_ev = Landscape::default();
-        let full = Autotuner::new(&full_ev, sites()).sequential().clean_slate(4);
+        let full = Autotuner::new(&full_ev, sites()).clean_slate(4);
         assert_eq!(incr.best().size, full.best().size);
     }
 }

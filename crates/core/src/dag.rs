@@ -1,53 +1,56 @@
-//! The task-DAG search executor: Algorithm 1 as an explicit dependency
-//! graph instead of a recursive walk.
+//! The parallel tree search: Algorithm 1's recursion, forked through the
+//! [`WorkerPool`].
 //!
-//! [`evaluate_inlining_tree`](crate::tree::evaluate_inlining_tree) recurses
-//! down an [`InliningTree`], which serializes sibling subtrees unless the
-//! recursion explicitly forks. This module flattens the tree into tasks —
-//! leaf compiles, binary combines, components combines — wired by explicit
-//! dependency edges, and drives the ready set over per-worker deques with
-//! work stealing on the existing [`WorkerPool`]:
+//! The subtrees of a `Binary` node, and the children of a `Components`
+//! node, decide disjoint sites (§3.2), so they can be searched at the same
+//! time. [`evaluate_inlining_tree_dag`] is
+//! [`evaluate_inlining_tree`](crate::tree::evaluate_inlining_tree)'s own
+//! recursion with each node's subtrees sent through [`WorkerPool::map`]:
+//! the forking thread searches them itself while idle threads take the
+//! rest, and a thread that waits for a subtree runs other queued forks.
+//! The tree search, the autotuner's probes and the daemon's requests are
+//! all scheduled by that one pool.
 //!
-//! - **Determinism.** A `Binary` node resolves from its *recorded* child
-//!   results (prefer `not_inlined` when `size_no <= size_yes`, Algorithm 1
-//!   line 8), never from completion order; a `Components` node merges child
-//!   configurations in child order. The result is byte-identical to the
-//!   sequential walk at any worker count — the parallel-search oracle in
-//!   `optinline-check` asserts exactly that.
-//! - **Work stealing.** Each driver owns a deque: own-lane pops are LIFO
-//!   (depth-first, cache-warm), steals are FIFO from the victim's cold end.
-//!   Completing a task decrements its parent's pending count; the driver
-//!   that completes the last child pushes the parent onto its own lane.
+//! - **Determinism.** `map` returns results in child order whichever
+//!   thread computed them, so a `Binary` node keeps `not_inlined` when
+//!   `size_no <= size_in` (Algorithm 1 line 8) and a `Components` node
+//!   merges child configurations in child order. The result is
+//!   byte-identical to the sequential walk at any worker count — the
+//!   parallel-search oracle in `optinline-check` asserts exactly that.
+//! - **Cancellation and panics.** `map` runs a subtree under its forker's
+//!   cancel token on any thread and resurfaces the first panic at the
+//!   forker, so a cancelled request or a panicking evaluator unwinds the
+//!   whole search, and the pool keeps serving.
 //!
-//! The executor is a scheduling layer only: every size number still comes
-//! from the [`Evaluator`], with all its memoization intact.
+//! The search is a scheduling layer only: every size number still comes
+//! from the [`Evaluator`], with all its memoization intact. (The `_dag`
+//! in the name is historical: the CLI, the experiments and optbench call
+//! the search by it.)
 
 use crate::config::InliningConfiguration;
 use crate::evaluator::Evaluator;
 use crate::pool::WorkerPool;
 use crate::tree::InliningTree;
 use optinline_callgraph::Decision;
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use optinline_ir::CallSiteId;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::ThreadId;
 
-/// Counters the executor reports after a run (see
+/// Counters the parallel search reports after a run (see
 /// [`EvaluatorStats`](crate::EvaluatorStats) for the merged surface).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Tasks materialized in the DAG.
+    /// Tree nodes visited.
     pub tasks: u64,
-    /// Tasks executed from another lane's deque (work stealing).
+    /// Subtrees run by a thread other than the one that forked them.
     pub steals: u64,
-    /// Always 0: the executor keeps no results across runs. The field
-    /// stays so the benchmark's `core.search.dedup_hits` keeps reading it.
+    /// Always 0: the search keeps no results across runs. The field stays
+    /// so the benchmark's `core.search.dedup_hits` keeps reading it.
     pub dedup_hits: u64,
 }
 
-/// Cumulative executor counters across the
-/// [`evaluate_inlining_tree_dag`] calls a caller passes it to.
+/// Cumulative search counters across the [`evaluate_inlining_tree_dag`]
+/// calls a caller passes it to.
 #[derive(Debug, Default)]
 pub struct SearchSession {
     tasks: AtomicU64,
@@ -70,188 +73,82 @@ impl SearchSession {
     }
 }
 
-/// What a task computes once its dependencies are settled.
-enum TaskKind {
-    /// Evaluate the base configuration as-is.
-    Leaf { base: InliningConfiguration },
-    /// Pick the smaller child, preferring `not_inlined` on ties
-    /// (children: `[not_inlined, inlined]`).
-    Binary,
-    /// Merge all child configurations into `base` (child order) and
-    /// evaluate the merged configuration.
-    Combine { base: InliningConfiguration },
-}
-
-struct Task {
-    kind: TaskKind,
-    /// Dependency task ids, in deterministic child order.
-    children: Vec<usize>,
-    parent: Option<usize>,
-    /// Unresolved dependencies; the task is ready at zero.
-    pending: AtomicUsize,
-    result: OnceLock<(InliningConfiguration, u64)>,
-}
-
-/// Flattens `tree` into `tasks`, returning the root task id.
-fn flatten(
-    tree: &InliningTree,
-    base: InliningConfiguration,
-    parent: Option<usize>,
-    tasks: &mut Vec<Task>,
-) -> usize {
-    let id = tasks.len();
-    // Reserve the slot first so children can name their parent; each
-    // branch below overwrites the placeholder kind.
-    tasks.push(Task {
-        kind: TaskKind::Binary,
-        children: Vec::new(),
-        parent,
-        pending: AtomicUsize::new(0),
-        result: OnceLock::new(),
-    });
-    match tree {
-        InliningTree::Leaf => {
-            tasks[id].kind = TaskKind::Leaf { base };
-        }
-        InliningTree::Binary { site, not_inlined, inlined } => {
-            let base_no = base.clone().with(*site, Decision::NoInline);
-            let base_in = base.with(*site, Decision::Inline);
-            let no = flatten(not_inlined, base_no, Some(id), tasks);
-            let yes = flatten(inlined, base_in, Some(id), tasks);
-            tasks[id].kind = TaskKind::Binary;
-            tasks[id].children = vec![no, yes];
-            tasks[id].pending = AtomicUsize::new(2);
-        }
-        InliningTree::Components(children) => {
-            let ids: Vec<usize> =
-                children.iter().map(|c| flatten(c, base.clone(), Some(id), tasks)).collect();
-            let n = ids.len();
-            tasks[id].kind = TaskKind::Combine { base };
-            tasks[id].children = ids;
-            tasks[id].pending = AtomicUsize::new(n);
-        }
-    }
-    id
-}
-
-/// Everything the lane drivers share during one run.
-struct Run<'a> {
-    tasks: &'a [Task],
-    lanes: Vec<Mutex<VecDeque<usize>>>,
+/// What every node of one search shares.
+struct Search<'a> {
     evaluator: &'a dyn Evaluator,
-    completed: AtomicUsize,
-    steals: AtomicU64,
-    aborted: AtomicBool,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
+    pool: &'a WorkerPool,
+    session: Option<&'a SearchSession>,
 }
 
-impl Run<'_> {
-    fn execute(&self, id: usize) {
-        // Checkpoint here, not in `drive`: the unwind is caught per-task
-        // and converted into the abort flag, so every lane exits before
-        // the panic resurfaces at the call site.
+impl Search<'_> {
+    /// Algorithm 1 at one node, as in the sequential walk, with the node's
+    /// subtrees forked through the pool. `forker` is the thread that
+    /// forked this subtree.
+    fn walk(
+        &self,
+        tree: &InliningTree,
+        base: InliningConfiguration,
+        forker: ThreadId,
+    ) -> (InliningConfiguration, u64) {
         optinline_ir::cancel::checkpoint();
-        let task = &self.tasks[id];
-        let child = |i: usize| {
-            self.tasks[task.children[i]].result.get().expect("dependency settled before parent")
-        };
-        let result = match &task.kind {
-            TaskKind::Leaf { base } => {
-                let size = self.evaluator.size_of(base);
-                (base.clone(), size)
+        let me = std::thread::current().id();
+        if let Some(s) = self.session {
+            s.tasks.fetch_add(1, Ordering::Relaxed);
+            if me != forker {
+                s.steals.fetch_add(1, Ordering::Relaxed);
             }
-            TaskKind::Binary => {
-                // Resolve from recorded results, preferring `not_inlined`
-                // on ties — identical to Algorithm 1's sequential rule,
-                // independent of which child finished first.
-                let (c_no, s_no) = child(0);
-                let (c_in, s_in) = child(1);
-                if s_no <= s_in {
-                    (c_no.clone(), *s_no)
-                } else {
-                    (c_in.clone(), *s_in)
-                }
+        }
+        match tree {
+            InliningTree::Leaf => {
+                let size = self.evaluator.size_of(&base);
+                (base, size)
             }
-            TaskKind::Combine { base } => {
-                let mut merged = base.clone();
-                for i in 0..task.children.len() {
-                    merged.merge(&child(i).0);
-                }
-                let size = self.evaluator.size_of(&merged);
-                (merged, size)
+            InliningTree::Binary { site, not_inlined, inlined } => {
+                self.binary(*site, [not_inlined, inlined], &base, me)
             }
-        };
-        task.result.set(result).expect("each task executes exactly once");
+            InliningTree::Components(children) => self.components(children, base, me),
+        }
     }
 
-    /// Completes `id`: publishes the result, then readies the parent if
-    /// this was its last unsettled dependency. The result store above
-    /// happens-before the `AcqRel` decrement, so a parent that observes
-    /// zero pending sees every child's result.
-    fn settle(&self, id: usize, lane: &Mutex<VecDeque<usize>>) {
-        if let Some(parent) = self.tasks[id].parent {
-            if self.tasks[parent].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                lane.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push_back(parent);
-            }
-        }
-        self.completed.fetch_add(1, Ordering::Release);
+    /// A `Binary` node: both labelings of `site`, forked; the smaller wins.
+    fn binary(
+        &self,
+        site: CallSiteId,
+        [not_inlined, inlined]: [&InliningTree; 2],
+        base: &InliningConfiguration,
+        me: ThreadId,
+    ) -> (InliningConfiguration, u64) {
+        let branches = [(not_inlined, Decision::NoInline), (inlined, Decision::Inline)];
+        let mut found = self.pool.map(&branches, |&(subtree, decision)| {
+            self.walk(subtree, base.clone().with(site, decision), me)
+        });
+        // Ties keep `not_inlined` (Algorithm 1 line 8).
+        found.swap_remove(usize::from(found[0].1 > found[1].1))
     }
 
-    /// Claims a task: own lane LIFO first (depth-first, cache-warm), then
-    /// FIFO steals from the other lanes' cold ends.
-    fn claim(&self, own: usize) -> Option<usize> {
-        if let Some(id) =
-            self.lanes[own].lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop_back()
-        {
-            return Some(id);
+    /// A `Components` node: the children forked, their configurations
+    /// merged in child order, and the merge measured.
+    fn components(
+        &self,
+        children: &[InliningTree],
+        base: InliningConfiguration,
+        me: ThreadId,
+    ) -> (InliningConfiguration, u64) {
+        let found = self.pool.map(children, |child| self.walk(child, base.clone(), me));
+        let mut merged = base;
+        for (config, _) in &found {
+            merged.merge(config);
         }
-        let n = self.lanes.len();
-        for off in 1..n {
-            let victim = (own + off) % n;
-            let stolen = self.lanes[victim]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_front();
-            if let Some(id) = stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    fn drive(&self, own: usize) {
-        while self.completed.load(Ordering::Acquire) < self.tasks.len() {
-            if self.aborted.load(Ordering::Acquire) {
-                return;
-            }
-            match self.claim(own) {
-                Some(id) => {
-                    let ok = catch_unwind(AssertUnwindSafe(|| self.execute(id))).map_err(|p| {
-                        self.panic
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .get_or_insert(p);
-                        self.aborted.store(true, Ordering::Release);
-                    });
-                    if ok.is_err() {
-                        return;
-                    }
-                    self.settle(id, &self.lanes[own]);
-                }
-                // Every unfinished DAG has a ready or in-flight task, so
-                // this only waits out another lane's in-flight work.
-                None => std::thread::park_timeout(Duration::from_micros(50)),
-            }
-        }
+        let size = self.evaluator.size_of(&merged);
+        (merged, size)
     }
 }
 
-/// Evaluates `tree` through the task-DAG executor on `pool`, returning an
-/// optimal configuration and its size — byte-identical to
+/// Evaluates `tree` on `pool`, returning an optimal configuration and its
+/// size — byte-identical to
 /// [`evaluate_inlining_tree`](crate::tree::evaluate_inlining_tree) on the
 /// same inputs, at any worker count (including a zero-worker pool, where
-/// the caller drives every lane itself).
+/// the calling thread searches every subtree itself).
 ///
 /// `session`, when given, accumulates this run's [`ExecutorStats`].
 pub fn evaluate_inlining_tree_dag(
@@ -261,56 +158,18 @@ pub fn evaluate_inlining_tree_dag(
     pool: &WorkerPool,
     session: Option<&SearchSession>,
 ) -> (InliningConfiguration, u64) {
-    let mut tasks = Vec::new();
-    let root = flatten(tree, base, None, &mut tasks);
-    if let Some(s) = session {
-        s.tasks.fetch_add(tasks.len() as u64, Ordering::Relaxed);
-    }
-
-    // One lane per driver: the pool's workers plus the calling thread.
-    let drivers = pool.threads() + 1;
-    let run = Run {
-        tasks: &tasks,
-        lanes: (0..drivers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        evaluator,
-        completed: AtomicUsize::new(0),
-        steals: AtomicU64::new(0),
-        aborted: AtomicBool::new(false),
-        panic: Mutex::new(None),
-    };
-    // Seed the ready tasks (the leaves) round-robin across lanes
-    // so every driver starts with local work.
-    let mut seeded = 0usize;
-    for (id, task) in tasks.iter().enumerate() {
-        if task.pending.load(Ordering::Relaxed) == 0 {
-            run.lanes[seeded % drivers]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(id);
-            seeded += 1;
-        }
-    }
-
-    let lane_ids: Vec<usize> = (0..drivers).collect();
-    pool.map(&lane_ids, |&lane| run.drive(lane));
-
-    if let Some(p) = run.panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take() {
-        resume_unwind(p);
-    }
-    if let Some(s) = session {
-        s.steals.fetch_add(run.steals.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-    tasks[root].result.get().cloned().expect("root task settled")
+    Search { evaluator, pool, session }.walk(tree, base, std::thread::current().id())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{build_inlining_tree, evaluate_inlining_tree, space_size};
+    use crate::tree::{build_inlining_tree, evaluate_inlining_tree, tree_stats};
     use crate::SizeEvaluator;
     use optinline_callgraph::{InlineGraph, PartitionStrategy};
     use optinline_codegen::X86Like;
-    use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
+    use optinline_ir::{BinOp, CallSiteId, FuncBuilder, Linkage, Module};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A module realizing a call-graph shape with varied bodies.
     fn module_from_shape(n_funcs: usize, edges: &[(usize, usize)], seed: u64) -> Module {
@@ -422,8 +281,8 @@ mod tests {
     #[test]
     fn a_shared_session_counts_every_run_in_full() {
         // A session only accumulates counters: a repeated search through it
-        // materializes and runs the whole DAG again, with the sequential
-        // walk's answer each time.
+        // visits the whole tree again, with the sequential walk's answer
+        // each time.
         let m = module_from_shape(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 7);
         let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
@@ -442,18 +301,20 @@ mod tests {
         };
         assert_eq!(run(), seq);
         let first = session.stats();
-        assert!(first.tasks as u128 >= space_size(&tree));
+        let shape = tree_stats(&tree);
+        let nodes = shape.leaves + shape.binary_nodes + shape.components_nodes;
+        assert_eq!(first.tasks as u128, nodes, "one task per tree node");
         assert_eq!(run(), seq);
         let second = session.stats();
-        assert_eq!(second.tasks, 2 * first.tasks, "the second run repeats every task");
+        assert_eq!(second.tasks, 2 * first.tasks, "the second run visits every node again");
         assert_eq!(second.dedup_hits, 0);
     }
 
     #[test]
     fn steals_are_observed_with_multiple_lanes() {
-        // A components-heavy tree seeds many independent leaves; with
-        // several lanes at least the counters must be consistent (steals
-        // can be zero on a 1-CPU machine, but tasks must all run).
+        // A components-heavy tree forks many independent subtrees; with
+        // several workers at least the counters must be consistent (steals
+        // can be zero on a 1-CPU machine, but every node must be visited).
         let m = module_from_shape(6, &[(0, 1), (2, 3), (4, 5)], 11);
         let ev = SizeEvaluator::new(m, Box::new(X86Like), false);
         let graph = InlineGraph::from_module(ev.module());
@@ -471,7 +332,53 @@ mod tests {
         assert_eq!(seq, dag);
         let s = session.stats();
         assert!(s.tasks > 0);
+        assert!(s.steals < s.tasks, "the root is never stolen");
         assert_eq!(s.dedup_hits, 0);
+    }
+
+    #[test]
+    fn a_thousand_deep_chain_fits_a_pool_threads_stack() {
+        // The shape of tree.rs's deep `space_size` test, far deeper than any
+        // tree a search budget admits, searched on a thread with the 2 MiB
+        // stack that pool workers and the daemon's lanes get.
+        struct Weights;
+        impl Evaluator for Weights {
+            fn size_of(&self, c: &InliningConfiguration) -> u64 {
+                let weight = |s: &CallSiteId| [3u64, 0, 5, 1, 4][s.index() % 5];
+                2_000 + c.inlined_sites().iter().map(weight).sum::<u64>() - c.inlined_count() as u64
+            }
+            fn compilations(&self) -> u64 {
+                0
+            }
+            fn queries(&self) -> u64 {
+                0
+            }
+        }
+        let mut tree = InliningTree::Leaf;
+        for i in 0..1_000u32 {
+            tree = InliningTree::Binary {
+                site: CallSiteId::new(i),
+                not_inlined: Box::new(InliningTree::Leaf),
+                inlined: Box::new(tree),
+            };
+        }
+        let seq = evaluate_inlining_tree(&tree, &Weights, InliningConfiguration::clean_slate());
+        for workers in [0, 1] {
+            let tree = &tree;
+            let dag = std::thread::scope(|scope| {
+                std::thread::Builder::new()
+                    .stack_size(2 << 20)
+                    .spawn_scoped(scope, || {
+                        let pool = WorkerPool::new(workers);
+                        let clean = InliningConfiguration::clean_slate();
+                        evaluate_inlining_tree_dag(tree, &Weights, clean, &pool, None)
+                    })
+                    .expect("spawn the searching thread")
+                    .join()
+                    .expect("the search fits the stack")
+            });
+            assert_eq!(dag, seq, "workers {workers}");
+        }
     }
 
     #[test]

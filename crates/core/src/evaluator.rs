@@ -128,10 +128,11 @@ pub struct EvaluatorStats {
     /// Component-slice compiles that ran the interpreter: a cycles query's
     /// memo miss, or the one recompile of an entry a size query made.
     pub cycle_compiles: u64,
-    /// Tasks materialized by the task-DAG search executor (0 when the
-    /// sequential walk ran).
+    /// Tree nodes the parallel tree search visited (0 when the sequential
+    /// walk ran).
     pub executor_tasks: u64,
-    /// DAG tasks executed from another worker's deque (work stealing).
+    /// Subtrees the parallel tree search ran on a thread other than the
+    /// one that forked them.
     pub executor_steals: u64,
     /// Size queries answered by the persistent on-disk cache.
     pub persist_hits: u64,
@@ -239,7 +240,7 @@ impl EvaluatorStats {
         self.store_gc_evicted_bytes += other.store_gc_evicted_bytes;
     }
 
-    /// Folds the task-DAG executor's counters into this snapshot.
+    /// Folds the parallel tree search's counters into this snapshot.
     pub fn absorb_executor(&mut self, exec: crate::dag::ExecutorStats) {
         self.executor_tasks += exec.tasks;
         self.executor_steals += exec.steals;

@@ -24,7 +24,7 @@
 //!   and speed measurements never alias in the store.
 //! - [`SpeedEvaluator`] adapts any measuring evaluator to the plain
 //!   [`Evaluator`] interface with cycles as the minimized scalar, so the
-//!   inlining-tree search, the DAG executor, and the autotuner run
+//!   inlining-tree search (sequential and parallel) and the autotuner run
 //!   unchanged against the speed objective.
 
 use crate::config::InliningConfiguration;
@@ -131,7 +131,7 @@ pub fn module_cycles(module: &Module, cost: &CostModel) -> Option<u64> {
 
 /// Adapts a measuring evaluator to the speed objective behind the plain
 /// [`Evaluator`] interface: `size_of` returns *cycles*, so the inlining
-/// tree search, the DAG executor, and the autotuner minimize runtime
+/// tree search (sequential and parallel) and the autotuner minimize runtime
 /// without a second code path. Ties still resolve by the searches'
 /// prefer-not-inlined rule, so speed searches are as deterministic as
 /// size searches.

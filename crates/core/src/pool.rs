@@ -1,15 +1,17 @@
 //! A persistent work-stealing executor (std-only): `map` fan-out plus
 //! top-level tasks.
 //!
-//! The DAG tree search ([`crate::evaluate_inlining_tree_dag`]) and the autotuner
-//! ([`crate::autotune`]) both fan work out across threads. Spawning scoped
-//! threads at every recursion node pays a thread-creation tax per node and
-//! statically splits work that is wildly uneven (one subtree may compile
-//! 100× more modules than its sibling). This pool fixes both:
+//! It is the process's one scheduler. The parallel tree search
+//! ([`crate::evaluate_inlining_tree_dag`]) forks every tree node's subtrees
+//! through `map`, the autotuner ([`crate::autotune`]) its probes, and the
+//! serving daemon runs its requests as tasks. Spawning scoped threads at
+//! every recursion node would pay a thread-creation tax per node and
+//! statically split work that is wildly uneven (one subtree may compile
+//! 100× more modules than its sibling). This pool avoids both:
 //!
 //! - **Persistent workers.** `available_parallelism() - 1` threads are
 //!   started once (lazily, via [`WorkerPool::global`]) and reused for every
-//!   `map`, task-DAG lane and task in the process.
+//!   `map` and task in the process.
 //! - **Help-first semantics.** The caller always participates: `map`
 //!   claims items from a shared atomic index alongside the helpers. A
 //!   blocked caller *helps* — it pops and runs other queued helper jobs
@@ -18,6 +20,13 @@
 //! - **Dynamic balancing.** `map` hands out items one atomic increment at a
 //!   time instead of pre-chunking, so a thread that drew cheap items simply
 //!   claims more; nobody idles behind a straggler.
+//! - **A map's items are its caller's work.** Every helper job runs under
+//!   the caller's cancel token ([`optinline_ir::cancel::current`]), or
+//!   with the running thread's own token masked when the caller has none,
+//!   so cancelling a request stops its items on every thread and never
+//!   another request's. Each helper wakes the caller as it exits, so a
+//!   caller waiting for it resumes at once. After an item panics the
+//!   remaining items are skipped, and the panic resurfaces at the caller.
 //!
 //! # Tasks and lanes
 //!
@@ -179,6 +188,132 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 
+/// `map`'s loop when nothing is fanned out: a plain loop, not an iterator
+/// chain, whose adapters are a stack frame each in a debug build, and the
+/// tree search recurses through it.
+fn in_turn<T, R>(items: &[T], f: &impl Fn(&T) -> R) -> Vec<R> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(f(item));
+    }
+    out
+}
+
+/// A `map` result slot.
+struct Slot<R>(UnsafeCell<Option<R>>);
+// SAFETY: each slot is written by exactly one claimant (the unique thread
+// that won its index from the cursor) and read only after `done` counts
+// it and every helper has exited.
+unsafe impl<R: Send> Sync for Slot<R> {}
+
+/// One `map` call's state, shared with its helper jobs.
+struct MapShared<'a, T, R, F> {
+    items: &'a [T],
+    f: &'a F,
+    slots: Vec<Slot<R>>,
+    next: AtomicUsize,
+    done: AtomicUsize,
+    exited: AtomicUsize,
+    failed: AtomicBool,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
+}
+
+impl<'a, T: Sync, R: Send, F: Fn(&T) -> R + Sync> MapShared<'a, T, R, F> {
+    fn new(items: &'a [T], f: &'a F) -> Self {
+        MapShared {
+            items,
+            f,
+            slots: (0..items.len()).map(|_| Slot(UnsafeCell::new(None))).collect(),
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            exited: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Claims and runs items until the cursor runs out.
+    fn drive(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.items.len() {
+                break;
+            }
+            // Once an item panicked the map's outcome is that panic: the
+            // rest are counted done without running.
+            if !self.failed.load(Ordering::Relaxed) {
+                // SAFETY: this thread won index `i` from the cursor, so it
+                // is the slot's only writer, and nobody reads it before
+                // `done` counts it.
+                let run = || unsafe { *self.slots[i].0.get() = Some((self.f)(&self.items[i])) };
+                if let Err(p) = catch_unwind(AssertUnwindSafe(run)) {
+                    self.failed.store(true, Ordering::Relaxed);
+                    lock_ignore_poison(&self.panic).get_or_insert(p);
+                }
+            }
+            self.done.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Queues `helpers` jobs that drive `self` under the caller's cancel
+    /// token, and wake the caller as they exit.
+    fn push_helpers(&self, pool: &WorkerPool, helpers: usize) -> Vec<u64> {
+        let ptr = SendPtr(self as *const Self);
+        let token = optinline_ir::cancel::current();
+        let caller = std::thread::current();
+        (0..helpers)
+            .map(|_| {
+                let (token, caller) = (token.clone(), caller.clone());
+                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    // Capture the whole SendPtr, not the raw field.
+                    let ptr = ptr;
+                    // SAFETY: `map` keeps the state in place until this
+                    // job has counted itself in `exited`.
+                    let s = unsafe { &*ptr.0 };
+                    {
+                        let _token = match token {
+                            Some(token) => optinline_ir::cancel::install(token),
+                            None => optinline_ir::cancel::suspend(),
+                        };
+                        s.drive();
+                    }
+                    s.exited.fetch_add(1, Ordering::Release);
+                    // `s` may be gone now; the handle is the job's own.
+                    caller.unpark();
+                });
+                // SAFETY: `map` blocks until `exited == helpers`, which each
+                // job signals only after its last use of the borrowed state.
+                pool.push(unsafe { erase(job) })
+            })
+            .collect()
+    }
+
+    /// Waits for the helpers, then returns the results or the first panic.
+    /// The state stays where the helpers found it until they exit.
+    fn finish(&self, pool: &WorkerPool, ids: Vec<u64>) -> Vec<R> {
+        // Helpers still sitting in the queue would find the cursor
+        // exhausted anyway; reclaim and run them inline so the wait below
+        // cannot depend on queue drain order.
+        let helpers = ids.len();
+        for id in ids {
+            if let Some(job) = pool.reclaim(id) {
+                job();
+            }
+        }
+        pool.help_until(|| {
+            self.done.load(Ordering::Acquire) == self.items.len()
+                && self.exited.load(Ordering::Acquire) == helpers
+        });
+        if let Some(p) = lock_ignore_poison(&self.panic).take() {
+            resume_unwind(p);
+        }
+        // SAFETY: every item is done and every helper has exited, so no
+        // other thread touches the slots any more.
+        let take = |slot: &Slot<R>| unsafe { (*slot.0.get()).take() };
+        self.slots.iter().map(|slot| take(slot).expect("every map slot written")).collect()
+    }
+}
+
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 impl WorkerPool {
@@ -193,10 +328,9 @@ impl WorkerPool {
     }
 
     /// Creates a pool with exactly `threads` workers. `threads == 0` is
-    /// valid: every `map` job then runs on the calling thread (reclaimed
-    /// from the queue or executed through the help loop), which keeps
-    /// single-core behaviour identical, just sequential, and tasks run on
-    /// their group's lanes only.
+    /// valid: every `map` then runs its items on the calling thread, which
+    /// keeps single-core behaviour identical, just sequential, and tasks
+    /// run on their group's lanes only.
     pub fn new(threads: usize) -> Self {
         let inner = Arc::new(PoolInner {
             queues: Mutex::new(Queues::default()),
@@ -226,95 +360,26 @@ impl WorkerPool {
     /// caller and up to `threads` helper jobs, so uneven per-item cost
     /// balances dynamically. Results land in per-index slots: the output
     /// is deterministic (ordered like `items`) regardless of which thread
-    /// computed what. The first panic from `f` resurfaces after all
-    /// helpers have settled.
+    /// computed what. A helper job runs its items under the caller's
+    /// cancel token (see the module docs). The first panic from `f` skips
+    /// the items nobody has claimed yet and resurfaces after all helpers
+    /// have settled.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        struct Slot<R>(UnsafeCell<Option<R>>);
-        // Each slot is written by exactly one claimant (the unique thread
-        // that won index i from the cursor) and read only after `done`
-        // reaches the item count.
-        unsafe impl<R: Send> Sync for Slot<R> {}
-
-        struct MapShared<'a, T, R, F> {
-            items: &'a [T],
-            f: &'a F,
-            slots: &'a [Slot<R>],
-            next: AtomicUsize,
-            done: AtomicUsize,
-            exited: AtomicUsize,
-            panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
+        if items.len() <= 1 || self.threads == 0 {
+            return in_turn(items, &f);
         }
-
-        fn drive<T, R, F: Fn(&T) -> R>(s: &MapShared<'_, T, R, F>) {
-            loop {
-                let i = s.next.fetch_add(1, Ordering::Relaxed);
-                if i >= s.items.len() {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| (s.f)(&s.items[i]))) {
-                    Ok(v) => unsafe { *s.slots[i].0.get() = Some(v) },
-                    Err(p) => {
-                        let mut slot = s.panic.lock().unwrap();
-                        slot.get_or_insert(p);
-                    }
-                }
-                s.done.fetch_add(1, Ordering::Release);
-            }
-        }
-
-        if items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let slots: Vec<Slot<R>> = (0..items.len()).map(|_| Slot(UnsafeCell::new(None))).collect();
-        let shared = MapShared {
-            items,
-            f: &f,
-            slots: &slots,
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            exited: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        };
-        let helpers = self.threads.min(items.len() - 1);
-        let ptr = SendPtr(&shared as *const MapShared<'_, T, R, F>);
-        let ids: Vec<u64> = (0..helpers)
-            .map(|_| {
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let ptr = ptr; // capture the whole SendPtr, not the raw field
-                    let s = unsafe { &*ptr.0 };
-                    drive(s);
-                    s.exited.fetch_add(1, Ordering::Release);
-                });
-                // Safety: `map` blocks below until `exited == helpers`,
-                // which each job signals only after its last use of the
-                // borrowed state.
-                self.push(unsafe { erase(job) })
-            })
-            .collect();
-
-        drive(&shared);
-        // Helpers still sitting in the queue would find the cursor
-        // exhausted anyway; reclaim and run them inline so the wait below
-        // cannot depend on queue drain order.
-        for id in ids {
-            if let Some(job) = self.reclaim(id) {
-                job();
-            }
-        }
-        self.help_until(|| {
-            shared.done.load(Ordering::Acquire) == items.len()
-                && shared.exited.load(Ordering::Acquire) == helpers
-        });
-
-        if let Some(p) = shared.panic.lock().unwrap().take() {
-            resume_unwind(p);
-        }
-        slots.into_iter().map(|s| s.0.into_inner().expect("every map slot written")).collect()
+        // The tree search recurses through here once per tree level: each
+        // step is a method, so only `shared` and `ids` stay on the stack
+        // while `drive` runs items.
+        let shared = MapShared::new(items, &f);
+        let ids = shared.push_helpers(self, self.threads.min(items.len() - 1));
+        shared.drive();
+        shared.finish(self, ids)
     }
 
     /// A new group for [`offer`](Self::offer) and
@@ -369,26 +434,16 @@ impl WorkerPool {
     }
 
     /// Runs queued helper jobs (any `map`'s — that's the stealing) until
-    /// `ready` holds, parking briefly when there are none. It never
-    /// starts a task: the caller is inside a task or a `map` already, and
-    /// tasks never nest.
-    ///
-    /// Stolen jobs run under `catch_unwind`: `map` must not unwind past its
-    /// completion flags (the borrow-erasure safety contract). Every helper
-    /// job captures and reports its own panics, so the guard is a
-    /// backstop.
+    /// `ready` holds, parking when there are none: until a helper of the
+    /// waiting `map` exits and wakes it, or for 50 µs, to look for new
+    /// jobs. It never starts a task: the caller is inside a task or a
+    /// `map` already, and tasks never nest. A stolen job carries its own
+    /// `map`'s cancel token, so it runs under that one, not this thread's.
     fn help_until(&self, ready: impl Fn() -> bool) {
         while !ready() {
             let job = self.inner.lock().helpers.pop_front();
             match job {
-                Some((_, job)) => {
-                    // Stolen jobs may belong to a *different* request than
-                    // the one this thread is helping for; mask the thread's
-                    // cancel token so one request's cancellation cannot
-                    // unwind another request's work.
-                    let _mask = optinline_ir::cancel::suspend();
-                    drop(catch_unwind(AssertUnwindSafe(job)));
-                }
+                Some((_, job)) => run_job(job),
                 None => std::thread::park_timeout(Duration::from_micros(50)),
             }
         }
@@ -408,8 +463,10 @@ fn worker_loop(inner: &PoolInner) {
     }
 }
 
-/// Runs one job on a worker or lane. Helper jobs capture their own
-/// panics; a task's panic stops here, so the thread keeps serving.
+/// Runs one job on a worker, a lane or a waiting `map` caller. Helper jobs
+/// capture their own panics, so for them this is a backstop: `map` must
+/// not unwind past its completion flags (the borrow-erasure safety
+/// contract). A task's panic stops here, so the thread keeps serving.
 fn run_job(job: Job) {
     drop(catch_unwind(AssertUnwindSafe(job)));
 }
@@ -623,6 +680,66 @@ mod tests {
         });
         let ran_on = rx.recv_timeout(Duration::from_secs(10)).expect("the worker ran the task");
         assert_ne!(ran_on, caller, "the waiting map caller started a task");
+    }
+
+    #[test]
+    fn cancelling_the_callers_token_unwinds_items_another_thread_runs() {
+        use optinline_ir::cancel::{self, CancelToken, Cancelled};
+        let pool = WorkerPool::new(1);
+        let token = CancelToken::new();
+        let _installed = cancel::install(token.clone());
+        let started = AtomicUsize::new(0);
+        let unwound = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(&[0u32, 1], |_| {
+                // Both items start before the cancel, so one runs on the
+                // worker, which has no token of its own.
+                started.fetch_add(1, Ordering::SeqCst);
+                let start = std::time::Instant::now();
+                while started.load(Ordering::SeqCst) < 2 {
+                    assert!(start.elapsed() < Duration::from_secs(10), "no thread helped the map");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                token.cancel();
+                let polled = catch_unwind(|| {
+                    let start = std::time::Instant::now();
+                    while start.elapsed() < Duration::from_secs(5) {
+                        cancel::checkpoint();
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                });
+                if let Err(payload) = polled {
+                    unwound.fetch_add(1, Ordering::SeqCst);
+                    resume_unwind(payload);
+                }
+            })
+        }));
+        let payload = outcome.expect_err("the cancelled map unwinds");
+        assert!(payload.downcast_ref::<Cancelled>().is_some(), "the payload is Cancelled");
+        assert_eq!(unwound.load(Ordering::SeqCst), 2, "an item kept running after the cancel");
+    }
+
+    #[test]
+    fn items_after_a_panic_are_skipped() {
+        // The only worker is held, so the caller claims every item itself.
+        let pool = WorkerPool::new(1);
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let (busy, is_busy) = std::sync::mpsc::channel();
+        pool.offer(pool.task_group(), move || {
+            busy.send(()).unwrap();
+            let _ = held.recv();
+        });
+        is_busy.recv_timeout(Duration::from_secs(10)).expect("the worker took the task");
+        let ran = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(&[0u32, 1, 2], |&i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                assert_ne!(i, 0, "boom on 0");
+            })
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "items ran after the panic");
+        drop(hold);
     }
 
     #[test]

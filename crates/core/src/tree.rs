@@ -9,9 +9,11 @@
 //! - [`build_inlining_tree`] is the paper's Algorithm 2 (tree construction
 //!   with a pluggable partition-edge strategy);
 //! - [`evaluate_inlining_tree`] is Algorithm 1 (optimal configuration by
-//!   bottom-up propagation) as a sequential walk; the task-DAG executor
-//!   ([`evaluate_inlining_tree_dag`](crate::evaluate_inlining_tree_dag))
-//!   runs the same algorithm in parallel;
+//!   bottom-up propagation) as a sequential walk, the reference that
+//!   `--jobs 1`, the parallel-search oracle and the goldens compare
+//!   against; [`evaluate_inlining_tree_dag`](crate::evaluate_inlining_tree_dag)
+//!   is the same recursion with each node's subtrees forked through the
+//!   worker pool;
 //! - [`space_size`] is the evaluation count: leaves plus one extra
 //!   evaluation per components node.
 

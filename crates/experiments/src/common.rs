@@ -13,9 +13,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// The harness-wide counters of the task-DAG search executor: every
-/// exhaustive search in a run reports into it, so Figure 7 and the stats
-/// footer can show cumulative tasks and steals.
+/// The harness-wide counters of the parallel tree search: every exhaustive
+/// search in a run reports into it, so Figure 7 and the stats footer can
+/// show cumulative tasks (tree nodes) and steals.
 pub fn search_session() -> &'static SearchSession {
     static SESSION: OnceLock<SearchSession> = OnceLock::new();
     SESSION.get_or_init(SearchSession::new)

@@ -4,20 +4,22 @@
 //! polls. Workers don't thread the token through every call — they
 //! install it in a thread-local with [`install`] and sprinkle
 //! [`checkpoint`] calls at round boundaries (pass-manager rounds, tree
-//! partitions, DAG tasks). When the installed token is cancelled, the
+//! nodes, autotuner rounds). When the installed token is cancelled, the
 //! next checkpoint panics with a [`Cancelled`] payload; whoever wrapped
 //! the evaluation in `catch_unwind` (the serve executor does) downcasts
 //! the payload to tell "cancelled" apart from a genuine panic.
 //!
-//! Unwinding is safe at every checkpoint because both evaluation drivers
-//! already contain panics for fault tolerance: the worker pool's `map`
-//! resurfaces a closure panic only after every borrowed job has settled,
-//! and the DAG runner catches per-task panics into an abort flag.
+//! Unwinding is safe at every checkpoint because the worker pool already
+//! contains panics for fault tolerance: its `map` resurfaces an item's
+//! panic at its caller only after every borrowed job has settled, and the
+//! parallel tree search forks through that `map`.
 //!
-//! One subtlety: a worker that *helps* — steals queued jobs belonging to
-//! other requests while waiting for its own — must not apply its own
-//! request's token to stolen work. [`suspend`] masks the thread-local
-//! for exactly that window.
+//! An evaluation's work may run on other threads: `map` reads its
+//! caller's token with [`current`] and installs it around every item
+//! another thread takes, so a cancelled request stops there too. A thread
+//! that has no token for that work — a `map` whose caller had none — runs
+//! it under [`suspend`], which masks whatever token the thread itself
+//! holds, so one request's cancellation never unwinds another's work.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,9 +79,14 @@ pub fn install(token: CancelToken) -> InstallGuard {
     InstallGuard { prev: Some(prev) }
 }
 
+/// This thread's installed token, if any: the one [`checkpoint`] polls.
+pub fn current() -> Option<CancelToken> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
 /// Masks this thread's installed token for the guard's lifetime: used
-/// around *stolen* work, so a helper running another request's job
-/// cannot cancel it with its own request's token.
+/// around work taken from another thread whose owner had no token, so
+/// the helping thread's own token cannot cancel it.
 pub fn suspend() -> InstallGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().take());
     InstallGuard { prev: Some(prev) }
@@ -127,6 +134,17 @@ mod tests {
             checkpoint();
         }
         assert!(std::panic::catch_unwind(checkpoint).is_err(), "restored after mask");
+    }
+
+    #[test]
+    fn current_reads_the_installed_token_and_sees_the_mask() {
+        assert!(current().is_none());
+        let token = CancelToken::new();
+        let _guard = install(token.clone());
+        token.cancel();
+        assert!(current().is_some_and(|t| t.is_cancelled()), "the installed token");
+        let _mask = suspend();
+        assert!(current().is_none(), "masked");
     }
 
     #[test]
