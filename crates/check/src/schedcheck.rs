@@ -9,10 +9,13 @@
 //! produce a *byte-identical* module (textual IR and measured size):
 //!
 //! - the full `-Os` compile ([`optimize_os`] against [`optimize_os_sweep`]):
-//!   frozen pristine effect summary, 10-round cap, dead-function
-//!   elimination and a second drain, which [`optimize_os`] runs only when
-//!   the first hit its cap and the reference always runs, so every case
-//!   also checks that skipping it changes nothing;
+//!   frozen pristine effect summary, dead-function elimination right after
+//!   inlining, 10-round cap, dead-function elimination again and a second
+//!   drain, which [`optimize_os`] runs only when the first hit its cap and
+//!   the reference runs whenever an elimination stubbed something, so
+//!   every such case also checks that skipping it changes nothing. Both
+//!   sides stub before the first drain, so the comparison stays byte for
+//!   byte, stubs' parameter lists included;
 //! - the capped drain ([`PassManager::run_to_fixpoint`] against
 //!   [`sweep_to_fixpoint`]) on the module after inlining the
 //!   configuration: the 3-round-capped [`cleanup_pipeline`] with a live
@@ -87,9 +90,11 @@ pub fn sweep_to_fixpoint(pm: &PassManager, module: &mut Module, max_iterations: 
 }
 
 /// [`optimize_os`] with its cleanup drains replaced by
-/// [`sweep_to_fixpoint`]: inline per `oracle`, sweep the cleanup pipeline
-/// (with the frozen pristine effect summary) to a fixpoint, drop dead
-/// functions, sweep again. Returns the number of call sites expanded.
+/// [`sweep_to_fixpoint`]: inline per `oracle`, drop the functions inlining
+/// left dead, sweep the cleanup pipeline (with the frozen pristine effect
+/// summary) to a fixpoint, drop dead functions again, and sweep again if
+/// either elimination dropped something. Returns the number of call sites
+/// expanded.
 pub fn optimize_os_sweep(
     module: &mut Module,
     oracle: &dyn InlineOracle,
@@ -97,9 +102,10 @@ pub fn optimize_os_sweep(
 ) -> usize {
     let summary = EffectSummary::compute(module);
     let inlined = run_inliner(module, oracle);
+    let stubbed = DeadFunctionElim.run(module);
     let pm = cleanup_pipeline_with(options, Some(summary));
     sweep_to_fixpoint(&pm, module, options.max_iterations);
-    if DeadFunctionElim.run(module) {
+    if DeadFunctionElim.run(module) || stubbed {
         sweep_to_fixpoint(&pm, module, options.max_iterations);
     }
     inlined

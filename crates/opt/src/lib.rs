@@ -20,7 +20,7 @@
 //! | [`Gvn`] | dominator-scoped value numbering (cross-block redundancy) |
 //! | [`Dce`] | deletes unobservable instructions (effect summaries) |
 //! | [`DeadArgElim`] | prunes unread parameters of internal functions |
-//! | [`DeadFunctionElim`] | stubs out uncalled internal functions |
+//! | [`DeadFunctionElim`] | stubs out uncalled internal functions: right after inlining, so the cleanup never visits them, and again after it |
 //!
 //! [`optimize_os`] wires them into the standard size pipeline used by every
 //! experiment; [`PassManager`] lets tests and benches compose custom ones.

@@ -1,10 +1,37 @@
-//! The standard `-Os`-like pipeline: inline per the oracle, then iterate
-//! the scalar/CFG cleanup passes to a fixpoint, then delete dead functions,
-//! cleaning up again only if the first cleanup stopped at its round cap.
+//! The standard `-Os`-like pipeline: inline per the oracle, stub the
+//! functions inlining left unreachable, iterate the scalar/CFG cleanup
+//! passes to a fixpoint over the rest, then stub the functions cleanup left
+//! dead, cleaning up again only if the first cleanup stopped at its round
+//! cap.
 //!
 //! This is the `CompileAndMeasureSize` building block of the paper's
 //! Algorithms 1 and 3: given a module and an inlining configuration, produce
 //! the final module whose `.text` size the evaluator measures.
+//!
+//! # Cleaning only what survives inlining
+//!
+//! Dead-function elimination runs before the cleanup drain as well as after
+//! it, so the drain never visits a callee whose last call site the inliner
+//! just expanded. Cleaning every function first and stubbing afterwards
+//! would give the same code, for three reasons:
+//!
+//! - no cleanup pass adds a call edge, so a function that is unreachable
+//!   after inlining is still unreachable at the end, where the late run
+//!   would stub it anyway;
+//! - each pass decides from the function's own body, its linkage, stub and
+//!   inlinable flags, and the frozen pristine effect summary;
+//! - the one cross-function write is dead-argument elimination rewriting a
+//!   callee's callers, and it never connects a reachable function with an
+//!   unreachable one: every caller of an unreachable function is
+//!   unreachable, and rewriting an unreachable caller of a reachable callee
+//!   changes only that caller.
+//!
+//! So every reachable function is changed by the same passes in the same
+//! rounds and ends byte-identical. The one visible difference is a stub's
+//! parameter list: [`Module::stub_out`] keeps the current parameter count,
+//! so an early stub keeps its declared parameters where dead-argument
+//! elimination could first have pruned a dead body's parameters. Stubs emit
+//! 0 bytes and are never called or run.
 
 use crate::cse::Cse;
 use crate::dae::DeadArgElim;
@@ -41,8 +68,9 @@ pub struct OsReport {
     /// Call sites the inliner expanded.
     pub inlined: usize,
     /// Per-pass, analysis-cache, and fixpoint accounting of the cleanup
-    /// drain before dead-function elimination, plus the drain after it
-    /// when the first one hit its round cap.
+    /// drain over the functions that survive inlining, plus the drain
+    /// after the second dead-function elimination when the first one hit
+    /// its round cap.
     pub stats: PipelineStats,
 }
 
@@ -72,8 +100,9 @@ pub fn cleanup_pipeline(options: PipelineOptions) -> PassManager {
     cleanup_pipeline_with(options, None)
 }
 
-/// Runs the full size pipeline: inline per `oracle`, clean up to a
-/// fixpoint, drop dead functions, and clean up once more if the first
+/// Runs the full size pipeline: inline per `oracle`, stub the functions
+/// inlining left unreachable, clean up the rest to a fixpoint, stub the
+/// functions cleanup left dead, and clean up once more if the first
 /// cleanup hit its round cap before converging.
 ///
 /// Returns the number of call sites the inliner expanded.
@@ -117,7 +146,8 @@ pub fn optimize_os_report_with_summary(
 /// The fully instrumented pipeline: like [`optimize_os`], but invokes
 /// `observer(pass_name, module)` after every stage that changed the module
 /// — the inliner (as `"inline"`), each changing cleanup-pass application,
-/// and dead-function elimination (as `"dead-function-elim"`).
+/// and each of the two dead-function eliminations (as
+/// `"dead-function-elim"`).
 ///
 /// This is the hook the `optinline-check` semantic oracle uses to attribute
 /// an observable-behaviour divergence to the specific pass that introduced
@@ -146,31 +176,43 @@ fn optimize_os_observed(
     if options.verify_each {
         optinline_ir::assert_verified(module);
     }
+    // Callees whose last call site was just expanded are already dead:
+    // stub them now rather than clean bodies the late run would throw
+    // away (the module docs say why the result is the same).
+    let stubbed_early = DeadFunctionElim.run(module);
+    if stubbed_early {
+        observer("dead-function-elim", module);
+    }
     let pm = cleanup_pipeline_with(options, Some(summary.clone()));
     let mut stats = pm.fresh_stats();
-    // A pristine (or freshly inlined-into) module has cleanup
-    // opportunities everywhere, so the first drain seeds every function —
-    // byte-identity with the sweep demands it — and the dirty set
-    // collapses to the inliner-touched neighbourhood after round one.
+    // A freshly inlined-into module has cleanup opportunities everywhere,
+    // so the first drain seeds every function that is not a stub —
+    // byte-identity with the sweep demands it, and a stub is a fixpoint of
+    // every pass — and the dirty set collapses to the inliner-touched
+    // neighbourhood after round one.
     let mut am = AnalysisManager::with_frozen_effects(summary);
-    let all: Vec<FuncId> = module.func_ids().collect();
+    let live: Vec<FuncId> = module.func_ids().filter(|&f| !module.is_stub(f)).collect();
     let first =
-        pm.run_worklist_observed(module, &mut am, all.iter().copied(), observer, &mut stats);
-    if DeadFunctionElim.run(module) {
+        pm.run_worklist_observed(module, &mut am, live.iter().copied(), observer, &mut stats);
+    let stubbed_late = DeadFunctionElim.run(module);
+    if stubbed_late {
         observer("dead-function-elim", module);
-        // A converged drain leaves every function at a fixpoint of every
-        // pass. Each pass decides from the function's own body, its
-        // linkage, stub and inlinable flags, and the frozen summary
-        // (dead-argument elimination from the callee's own parameter uses;
-        // it only rewrites callers), and dead-function elimination changes
-        // only the functions it stubs, each a fixpoint of every pass. So
-        // only a drain its round cap cut short leaves work for another.
-        if !first.hit_fixpoint {
-            // Stubbed bodies invalidate whatever was cached about them;
-            // the frozen effect summary survives by design.
-            am.invalidate_all();
-            pm.run_worklist_observed(module, &mut am, all, observer, &mut stats);
-        }
+    }
+    // A converged drain leaves every function at a fixpoint of every pass.
+    // Each pass decides from the function's own body, its linkage, stub
+    // and inlinable flags, and the frozen summary (dead-argument
+    // elimination from the callee's own parameter uses; it only rewrites
+    // callers), and dead-function elimination changes only the functions
+    // it stubs, each a fixpoint of every pass. So only a drain its round
+    // cap cut short leaves work for another. It runs only if either
+    // elimination stubbed something — the condition one elimination after
+    // the drain gives — so a capped compile ends as it would had every
+    // function been cleaned first.
+    if !first.hit_fixpoint && (stubbed_early || stubbed_late) {
+        // Stubbed bodies invalidate whatever was cached about them; the
+        // frozen effect summary survives by design.
+        am.invalidate_all();
+        pm.run_worklist_observed(module, &mut am, live, observer, &mut stats);
     }
     OsReport { inlined: outcome.expanded, stats }
 }
@@ -380,17 +422,18 @@ mod tests {
         let mut compiled = m.clone();
         let report = optimize_os_report(&mut compiled, &oracle, PipelineOptions::default());
         assert!(compiled.is_stub(bar), "dead-function elimination must stub the callee");
-        // The first drain alone, from public pieces.
+        // Inline, stub, and the first drain alone, from public pieces.
         let mut first = m.clone();
         let summary = EffectSummary::compute(&first);
         run_inliner_tracked(&mut first, &oracle);
+        assert!(DeadFunctionElim.run(&mut first), "inlining leaves the callee dead");
         let pm = cleanup_pipeline_with(PipelineOptions::default(), Some(summary.clone()));
         let mut stats = pm.fresh_stats();
         let mut am = AnalysisManager::with_frozen_effects(summary);
-        let all: Vec<FuncId> = first.func_ids().collect();
-        let fp = pm.run_worklist(&mut first, &mut am, all, &mut stats);
+        let live: Vec<FuncId> = first.func_ids().filter(|&f| !first.is_stub(f)).collect();
+        let fp = pm.run_worklist(&mut first, &mut am, live, &mut stats);
         assert!(fp.hit_fixpoint);
-        assert!(DeadFunctionElim.run(&mut first));
+        assert!(!DeadFunctionElim.run(&mut first), "nothing died during the drain");
         assert_eq!(report.stats.function_visits, stats.function_visits);
         assert_eq!(report.stats, stats);
         assert_eq!(compiled.to_string(), first.to_string());
@@ -403,22 +446,82 @@ mod tests {
         let options = PipelineOptions { max_iterations: 1, ..Default::default() };
         let mut compiled = m.clone();
         let report = optimize_os_report(&mut compiled, &oracle, options);
-        // Drain, dead-function elimination, drain again: the sequence
-        // optbench's replay builds from public pieces.
-        let mut replay = m.clone();
-        let summary = EffectSummary::compute(&replay);
-        run_inliner_tracked(&mut replay, &oracle);
+        // Inline, stub, drain, and drain again although the elimination
+        // after the capped drain finds nothing: the callee it would have
+        // stubbed was stubbed before the drain.
+        let mut rebuilt = m.clone();
+        let summary = EffectSummary::compute(&rebuilt);
+        run_inliner_tracked(&mut rebuilt, &oracle);
+        assert!(DeadFunctionElim.run(&mut rebuilt));
         let pm = cleanup_pipeline_with(options, Some(summary.clone()));
         let mut stats = pm.fresh_stats();
         let mut am = AnalysisManager::with_frozen_effects(summary);
-        let all: Vec<FuncId> = replay.func_ids().collect();
-        let first = pm.run_worklist(&mut replay, &mut am, all.iter().copied(), &mut stats);
+        let live: Vec<FuncId> = rebuilt.func_ids().filter(|&f| !rebuilt.is_stub(f)).collect();
+        let first = pm.run_worklist(&mut rebuilt, &mut am, live.iter().copied(), &mut stats);
         assert!(!first.hit_fixpoint, "one round must not be enough");
-        assert!(DeadFunctionElim.run(&mut replay));
+        assert!(!DeadFunctionElim.run(&mut rebuilt));
         am.invalidate_all();
-        pm.run_worklist(&mut replay, &mut am, all, &mut stats);
+        pm.run_worklist(&mut rebuilt, &mut am, live, &mut stats);
         assert_eq!(report.stats, stats);
-        assert_eq!(compiled.to_string(), replay.to_string());
+        assert_eq!(compiled.to_string(), rebuilt.to_string());
+    }
+
+    /// `main(x) = bar(x, 7) + 1` with `bar(a, unused) = a * a`.
+    fn one_call_with_an_unused_argument() -> (Module, optinline_ir::CallSiteId) {
+        let mut m = Module::new("m");
+        let bar = m.declare_function("bar", 2, Linkage::Internal);
+        let main = m.declare_function("main", 1, Linkage::Public);
+        {
+            let mut b = FuncBuilder::new(&mut m, bar);
+            let a = b.param(0);
+            let r = b.bin(BinOp::Mul, a, a);
+            b.ret(Some(r));
+        }
+        let mut b = FuncBuilder::new(&mut m, main);
+        let x = b.param(0);
+        let seven = b.iconst(7);
+        let (v, site) = b.call_with_site(bar, &[x, seven]);
+        let one = b.iconst(1);
+        let r = b.bin(BinOp::Add, v, one);
+        b.ret(Some(r));
+        (m, site)
+    }
+
+    #[test]
+    fn a_callee_dead_after_inlining_is_stubbed_before_the_drain() {
+        let (m, site) = one_call_with_an_unused_argument();
+        let bar = m.func_by_name("bar").unwrap();
+        let main = m.func_by_name("main").unwrap();
+        let oracle = ForcedDecisions::new([(site, Decision::Inline)].into_iter().collect());
+        let mut compiled = m.clone();
+        let report = optimize_os_report(&mut compiled, &oracle, PipelineOptions::default());
+        assert_eq!(report.inlined, 1);
+        let summary = EffectSummary::compute(&m);
+        let pm = cleanup_pipeline_with(PipelineOptions::default(), Some(summary.clone()));
+        let drain = |seed: Vec<FuncId>| {
+            let mut inlined = m.clone();
+            run_inliner_tracked(&mut inlined, &oracle);
+            let mut stats = pm.fresh_stats();
+            let mut am = AnalysisManager::with_frozen_effects(summary.clone());
+            assert!(pm.run_worklist(&mut inlined, &mut am, seed, &mut stats).hit_fixpoint);
+            (inlined, stats)
+        };
+        // The cleanup never visits `bar`: it makes the visits of a drain
+        // seeded with `main` alone.
+        let (_, main_only) = drain(vec![main]);
+        assert_eq!(report.stats.function_visits, main_only.function_visits);
+        // `bar`'s stub keeps both declared parameters, where cleaning
+        // everything first lets dead-argument elimination prune one.
+        let (mut reference, _) = drain(m.func_ids().collect());
+        assert!(DeadFunctionElim.run(&mut reference));
+        assert!(compiled.is_stub(bar) && reference.is_stub(bar));
+        assert_eq!(compiled.func(bar).param_count(), 2);
+        assert_eq!(reference.func(bar).param_count(), 1);
+        // `main` is what cleaning everything first makes of it.
+        assert_eq!(
+            compiled.display_func(main).to_string(),
+            reference.display_func(main).to_string()
+        );
     }
 
     #[test]
