@@ -38,6 +38,7 @@ use optinline_ir::{parse_module, Measurement, Module};
 
 pub use optinline_core::Objective;
 use optinline_opt::{optimize_os_report, ForcedDecisions, PipelineOptions};
+use optinline_serve::{Reply, RequestKind};
 use optinline_store::LocalStore;
 use serve::HeuristicMap;
 use std::error::Error;
@@ -47,9 +48,11 @@ use std::path::PathBuf;
 /// A boxed error with message context, the CLI's uniform failure type.
 pub type CliError = Box<dyn Error>;
 
-/// A `search` or `autotune` request refused before any work. The CLI and
-/// the daemon's handler both call [`cmd_search_measured`] and
-/// [`cmd_autotune_measured`], so one check covers both.
+/// A `search` or `autotune` request refused before any work. The checks
+/// sit in the command bodies, which the CLI and the daemon's handler both
+/// reach through [`Evaluation`] and library callers through
+/// [`cmd_search_measured`] and [`cmd_autotune_measured`], so one check
+/// covers them all.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestError {
     /// `--bits` of 128 or more: the evaluation budget `2^bits` does not
@@ -57,8 +60,9 @@ pub enum RequestError {
     BitsOutOfRange(u32),
     /// `--rounds 0`: the autotuner needs at least one round.
     ZeroRounds,
-    /// `--jobs` above 256: a search runs one thread per job, and 256 is the
-    /// largest compile farm the experiments model.
+    /// `--jobs 0` or above 256: a search runs one thread per job, needs at
+    /// least the caller's, and 256 is the largest compile farm the
+    /// experiments model.
     JobsOutOfRange(usize),
 }
 
@@ -78,7 +82,8 @@ impl std::fmt::Display for RequestError {
             }
             RequestError::JobsOutOfRange(jobs) => write!(
                 f,
-                "--jobs {jobs} is out of range: a search runs one thread per job, at most {MAX_JOBS}"
+                "--jobs {jobs} is out of range: a search runs one thread per job, \
+                 at least 1, at most {MAX_JOBS}"
             ),
         }
     }
@@ -221,6 +226,20 @@ pub struct OptimizeOptions {
     pub objective: Objective,
 }
 
+/// The running process's own settings for `search` and `autotune`. They
+/// never travel on the wire: a daemon applies its own.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LocalSettings {
+    /// `--jobs` ([`EvalOptions::jobs`]).
+    pub jobs: Option<usize>,
+    /// `--cache-dir` ([`EvalOptions::cache_dir`]).
+    pub cache_dir: Option<PathBuf>,
+    /// `--no-persist` ([`EvalOptions::no_persist`]).
+    pub no_persist: bool,
+    /// `--cache-budget-bytes` ([`EvalOptions::cache_budget_bytes`]).
+    pub cache_budget_bytes: Option<u64>,
+}
+
 /// Parses a module from textual IR, verifying it.
 pub fn load_module(source: &str) -> Result<Module, CliError> {
     let module = parse_module(source)?;
@@ -302,7 +321,7 @@ fn heuristic_configuration(
 }
 
 /// The one body of `optimize`, in-process (`warm` is `None`) and served.
-pub(crate) fn optimize_with(
+fn optimize_with(
     source: &str,
     strategy: StrategyChoice,
     target: TargetChoice,
@@ -528,7 +547,7 @@ pub fn cmd_search_measured(
 }
 
 /// The one body of `search`, in-process (`warm` is `None`) and served.
-pub(crate) fn search_with(
+fn search_with(
     source: &str,
     bits: u32,
     target: TargetChoice,
@@ -536,7 +555,7 @@ pub(crate) fn search_with(
     warm: Option<&HeuristicMap>,
 ) -> Result<(String, Option<Measurement>), CliError> {
     let budget = 1u128.checked_shl(bits).ok_or(RequestError::BitsOutOfRange(bits))?;
-    if let Some(jobs) = eval.jobs.filter(|&jobs| jobs > MAX_JOBS) {
+    if let Some(jobs) = eval.jobs.filter(|&jobs| jobs == 0 || jobs > MAX_JOBS) {
         return Err(RequestError::JobsOutOfRange(jobs).into());
     }
     let module = load_module(source)?;
@@ -710,7 +729,7 @@ pub fn cmd_autotune_measured(
 }
 
 /// The one body of `autotune`, in-process (`warm` is `None`) and served.
-pub(crate) fn autotune_with(
+fn autotune_with(
     source: &str,
     rounds: usize,
     init: InitChoice,
@@ -806,6 +825,112 @@ fn tune_front(req: &Request, rounds: usize, init: InitChoice) -> Result<Report, 
         let _ = writeln!(out, "  - {} :: {}", fmt_measurement(p.measurement), p.config);
     }
     Ok((out, tail, outcome.front.min_size().map(|p| p.measurement)))
+}
+
+/// An `optimize`, `search` or `autotune` request decoded into the typed
+/// arguments of its command body: the one way from a [`RequestKind`] to
+/// the bodies, for the CLI and for the daemon's handler alike.
+#[derive(Debug)]
+pub struct Evaluation<'a> {
+    source: &'a str,
+    target: TargetChoice,
+    /// The request's options; `optimize` reads its pass-stats flag and
+    /// objective.
+    eval: EvalOptions,
+    command: Command,
+}
+
+/// What each command takes besides the module, target and options.
+#[derive(Debug)]
+enum Command {
+    Optimize(StrategyChoice),
+    Search(u32),
+    Autotune(usize, InitChoice),
+}
+
+impl<'a> Evaluation<'a> {
+    /// Decodes `kind`'s spellings, with `local`'s settings for `search` and
+    /// `autotune`. A spelling no command accepts, an `optimize` asking for
+    /// the removed full sweep, and an admin kind are refused here, before
+    /// any work, with one message whether the request runs in-process or
+    /// served.
+    pub fn decode(kind: &'a RequestKind, local: &LocalSettings) -> Result<Self, CliError> {
+        let (source, target, objective, full_eval, stats, pass_stats, command) = match kind {
+            RequestKind::Optimize { full_sweep: true, .. } => {
+                return Err("the full-sweep scheduler was removed: optimize always drains \
+                            the change-driven worklist"
+                    .into());
+            }
+            RequestKind::Optimize { source, target, strategy, pass_stats, objective, .. } => {
+                let command = Command::Optimize(StrategyChoice::parse(strategy)?);
+                (source, target, objective, false, false, *pass_stats, command)
+            }
+            RequestKind::Search {
+                source,
+                target,
+                bits,
+                full_eval,
+                stats,
+                pass_stats,
+                objective,
+            } => {
+                (source, target, objective, *full_eval, *stats, *pass_stats, Command::Search(*bits))
+            }
+            RequestKind::Autotune {
+                source,
+                target,
+                rounds,
+                init,
+                full_eval,
+                stats,
+                pass_stats,
+                objective,
+            } => {
+                let command = Command::Autotune(*rounds as usize, InitChoice::parse(init)?);
+                (source, target, objective, *full_eval, *stats, *pass_stats, command)
+            }
+            other => return Err(format!("request kind {:?} is not evaluable", other.name()).into()),
+        };
+        let target = TargetChoice::parse(target)?;
+        let objective = Objective::parse(objective).ok_or_else(|| {
+            format!("unknown objective `{objective}` (expected size|speed|pareto)")
+        })?;
+        let eval = EvalOptions {
+            incremental: !full_eval,
+            show_stats: stats,
+            show_pass_stats: pass_stats,
+            jobs: local.jobs,
+            cache_dir: local.cache_dir.clone(),
+            no_persist: local.no_persist,
+            cache_budget_bytes: local.cache_budget_bytes,
+            objective,
+        };
+        Ok(Evaluation { source, target, eval, command })
+    }
+
+    /// Runs the command body. `warm` is the daemon's heuristic map;
+    /// in-process runs pass `None`.
+    pub fn run(self, warm: Option<&HeuristicMap>) -> Result<Reply, CliError> {
+        let Evaluation { source, target, eval, command } = self;
+        Ok(match command {
+            Command::Optimize(strategy) => {
+                let opts =
+                    OptimizeOptions { pass_stats: eval.show_pass_stats, objective: eval.objective };
+                let (report, module, measurement) =
+                    optimize_with(source, strategy, target, opts, warm)?;
+                Reply { report, module: Some(module), measurement: Some(measurement) }
+            }
+            Command::Search(bits) => {
+                let (report, measurement) = search_with(source, bits, target, eval, warm)?;
+                Reply { report, module: None, measurement }
+            }
+            Command::Autotune(rounds, init) => {
+                let (report, measurement) =
+                    autotune_with(source, rounds, init, target, eval, warm)?;
+                Reply { report, module: None, measurement }
+            }
+        })
+    }
 }
 
 /// `optinline run` — interpret the module's `main`.
@@ -1184,6 +1309,15 @@ mod tests {
         let eval = EvalOptions { jobs: Some(MAX_JOBS + 1), ..EvalOptions::default() };
         let err = cmd_search(&src, 18, TargetChoice::X86, eval).expect_err("257 jobs are refused");
         assert_eq!(err.downcast_ref(), Some(&RequestError::JobsOutOfRange(257)), "{err}");
+    }
+
+    #[test]
+    fn search_rejects_zero_jobs() {
+        let src = demo_source();
+        let eval = EvalOptions { jobs: Some(0), ..EvalOptions::default() };
+        let err = cmd_search(&src, 18, TargetChoice::X86, eval).expect_err("0 jobs are refused");
+        assert_eq!(err.downcast_ref(), Some(&RequestError::JobsOutOfRange(0)), "{err}");
+        assert!(err.to_string().ends_with("at least 1, at most 256"), "{err}");
     }
 
     #[test]

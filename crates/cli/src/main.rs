@@ -4,9 +4,8 @@ use optinline_cli::serve::{
     cmd_serve, default_socket_path, parse_endpoint, remote_call, ServeConfig,
 };
 use optinline_cli::{
-    cmd_autotune, cmd_cache, cmd_cfg, cmd_check, cmd_check_chaos, cmd_corpus, cmd_demo_reduce,
-    cmd_gen, cmd_link, cmd_optimize, cmd_print, cmd_run, cmd_search, cmd_stats, CacheAction,
-    CliError, EvalOptions, InitChoice, Objective, OptimizeOptions, StrategyChoice, TargetChoice,
+    cmd_cache, cmd_cfg, cmd_check, cmd_check_chaos, cmd_corpus, cmd_demo_reduce, cmd_gen, cmd_link,
+    cmd_print, cmd_run, cmd_stats, CacheAction, CliError, Evaluation, LocalSettings,
 };
 use optinline_serve::{loadgen, ClientConfig, Outcome, RequestKind};
 
@@ -141,33 +140,56 @@ impl Args {
         self.flags.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
-    fn eval_options(&self) -> Result<EvalOptions, CliError> {
-        let jobs = match self.flag("jobs") {
-            Some(j) => {
-                let n: usize = j.parse()?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                Some(n)
-            }
-            None => None,
-        };
-        Ok(EvalOptions {
-            incremental: self.flag("full-eval").is_none(),
-            show_stats: self.flag("stats").is_some(),
-            show_pass_stats: self.flag("pass-stats").is_some(),
-            jobs,
-            cache_dir: self.flag("cache-dir").map(std::path::PathBuf::from),
-            no_persist: self.flag("no-persist").is_some(),
-            cache_budget_bytes: self.cache_budget_bytes()?,
-            objective: self.objective()?,
+    /// The request `optimize`, `search` or `autotune` spells in argv, with
+    /// the input file as its source. Every default is spelled here, once,
+    /// for in-process and served runs alike.
+    fn request(&self, cmd: &str) -> Result<RequestKind, CliError> {
+        let text = |name, default: &str| self.flag(name).unwrap_or(default).to_string();
+        let source = self.input()?;
+        let (target, objective) = (text("target", "x86"), text("objective", "size"));
+        let full_eval = self.flag("full-eval").is_some();
+        let stats = self.flag("stats").is_some();
+        let pass_stats = self.flag("pass-stats").is_some();
+        Ok(match cmd {
+            "optimize" => RequestKind::Optimize {
+                source,
+                target,
+                strategy: text("strategy", "heuristic"),
+                full_sweep: false,
+                pass_stats,
+                objective,
+            },
+            "search" => RequestKind::Search {
+                source,
+                target,
+                bits: self.flag("bits").unwrap_or("16").parse()?,
+                full_eval,
+                stats,
+                pass_stats,
+                objective,
+            },
+            "autotune" => RequestKind::Autotune {
+                source,
+                target,
+                rounds: self.flag("rounds").unwrap_or("4").parse()?,
+                init: text("init", "both"),
+                full_eval,
+                stats,
+                pass_stats,
+                objective,
+            },
+            other => return Err(format!("`{other}` sends no evaluation request").into()),
         })
     }
 
-    fn objective(&self) -> Result<Objective, CliError> {
-        let s = self.flag("objective").unwrap_or("size");
-        Objective::parse(s)
-            .ok_or_else(|| format!("unknown objective `{s}` (expected size|speed|pareto)").into())
+    /// The settings that stay in this process (see [`LocalSettings`]).
+    fn local(&self) -> Result<LocalSettings, CliError> {
+        Ok(LocalSettings {
+            jobs: self.flag("jobs").map(str::parse).transpose()?,
+            cache_dir: self.flag("cache-dir").map(std::path::PathBuf::from),
+            no_persist: self.flag("no-persist").is_some(),
+            cache_budget_bytes: self.cache_budget_bytes()?,
+        })
     }
 
     fn cache_budget_bytes(&self) -> Result<Option<u64>, CliError> {
@@ -177,16 +199,11 @@ impl Args {
         }
     }
 
-    /// Sends the request `kind` builds to the daemon named by `--connect`,
-    /// if any, and prints its report. `None` means no daemon answered: the
-    /// caller runs the request in-process.
-    fn served(&self, kind: impl FnOnce() -> RequestKind) -> Result<Option<Outcome>, CliError> {
+    /// Sends `kind` to the daemon named by `--connect`, if any. `None`
+    /// means no daemon answered: the caller runs the request in-process.
+    fn served(&self, kind: &RequestKind) -> Result<Option<Outcome>, CliError> {
         let Some(ep) = self.flag("connect") else { return Ok(None) };
-        let outcome = remote_call(&parse_endpoint(ep), kind(), &self.client_config()?)?;
-        if let Some(outcome) = &outcome {
-            print!("{}", outcome.report);
-        }
-        Ok(outcome)
+        remote_call(&parse_endpoint(ep), kind.clone(), &self.client_config()?)
     }
 
     /// Client-side robustness knobs for `--connect` calls. The retry
@@ -204,13 +221,6 @@ impl Args {
             ),
             retry_seed: std::process::id() as u64,
             ..ClientConfig::default()
-        })
-    }
-
-    fn optimize_options(&self) -> Result<OptimizeOptions, CliError> {
-        Ok(OptimizeOptions {
-            pass_stats: self.flag("pass-stats").is_some(),
-            objective: self.objective()?,
         })
     }
 
@@ -253,69 +263,21 @@ fn run_command(cmd: &str, args: &Args) -> Result<(), CliError> {
             print!("{}", cmd_stats(&args.input()?)?);
             Ok(())
         }
-        "optimize" => {
-            let strategy = StrategyChoice::parse(args.flag("strategy").unwrap_or("heuristic"))?;
-            let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
-            let opts = args.optimize_options()?;
-            let source = args.input()?;
-            let served = args.served(|| RequestKind::Optimize {
-                source: source.clone(),
-                target: args.flag("target").unwrap_or("x86").to_string(),
-                strategy: args.flag("strategy").unwrap_or("heuristic").to_string(),
-                full_sweep: false,
-                pass_stats: opts.pass_stats,
-                objective: args.flag("objective").unwrap_or("size").to_string(),
-            })?;
-            if let Some(outcome) = served {
-                if args.flag("out").is_some() {
-                    args.write_or_print(outcome.module.as_deref().unwrap_or_default())?;
+        "optimize" | "search" | "autotune" => {
+            let kind = args.request(cmd)?;
+            // Decoded before dialing, so a misspelled value fails here with
+            // the message a daemon would send.
+            let request = Evaluation::decode(&kind, &args.local()?)?;
+            let (report, module) = match args.served(&kind)? {
+                Some(outcome) => (outcome.report, outcome.module),
+                None => {
+                    let reply = request.run(None)?;
+                    (reply.report, reply.module)
                 }
-                return Ok(());
-            }
-            let (report, module_text) = cmd_optimize(&source, strategy, target, opts)?;
+            };
             print!("{report}");
             if args.flag("out").is_some() {
-                args.write_or_print(&module_text)?;
-            }
-            Ok(())
-        }
-        "search" => {
-            let bits: u32 = args.flag("bits").unwrap_or("16").parse()?;
-            let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
-            let eval = args.eval_options()?;
-            let source = args.input()?;
-            let served = args.served(|| RequestKind::Search {
-                source: source.clone(),
-                target: args.flag("target").unwrap_or("x86").to_string(),
-                bits,
-                full_eval: !eval.incremental,
-                stats: eval.show_stats,
-                pass_stats: eval.show_pass_stats,
-                objective: args.flag("objective").unwrap_or("size").to_string(),
-            })?;
-            if served.is_none() {
-                print!("{}", cmd_search(&source, bits, target, eval)?);
-            }
-            Ok(())
-        }
-        "autotune" => {
-            let rounds: usize = args.flag("rounds").unwrap_or("4").parse()?;
-            let init = InitChoice::parse(args.flag("init").unwrap_or("both"))?;
-            let target = TargetChoice::parse(args.flag("target").unwrap_or("x86"))?;
-            let eval = args.eval_options()?;
-            let source = args.input()?;
-            let served = args.served(|| RequestKind::Autotune {
-                source: source.clone(),
-                target: args.flag("target").unwrap_or("x86").to_string(),
-                rounds: rounds as u32,
-                init: args.flag("init").unwrap_or("both").to_string(),
-                full_eval: !eval.incremental,
-                stats: eval.show_stats,
-                pass_stats: eval.show_pass_stats,
-                objective: args.flag("objective").unwrap_or("size").to_string(),
-            })?;
-            if served.is_none() {
-                print!("{}", cmd_autotune(&source, rounds, init, target, eval)?);
+                args.write_or_print(module.as_deref().unwrap_or_default())?;
             }
             Ok(())
         }

@@ -1,13 +1,13 @@
 //! `optinline serve` — the daemon side — and the `--connect` client side.
 //!
 //! The daemon is the CLI's own subcommands behind a socket: requests are
-//! executed by [`CliHandler`], which runs the very same `optimize` /
-//! `search` / `autotune` bodies the in-process paths use, so a served
-//! answer is byte-identical to a local one by construction. The daemon
-//! owns the cache policy: every request shares one persistent store
-//! handle (`--cache-dir`), making the daemon a multi-tenant cache tier —
-//! clients do not send cache flags over the wire. It also keeps each
-//! module's heuristic decisions warm across requests ([`HeuristicMap`]).
+//! executed by [`CliHandler`], which hands each one to the decoder the
+//! in-process commands use ([`Evaluation`]), so a served answer is
+//! byte-identical to a local one by construction. The daemon owns the
+//! cache policy: every request shares one persistent store handle
+//! (`--cache-dir`), making the daemon a multi-tenant cache tier — clients
+//! do not send cache flags over the wire. It also keeps each module's
+//! heuristic decisions warm across requests ([`HeuristicMap`]).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -23,10 +23,7 @@ use optinline_serve::{
 };
 use optinline_store::LocalStore;
 
-use crate::{
-    autotune_with, optimize_with, search_with, CliError, EvalOptions, InitChoice, Objective,
-    OptimizeOptions, StrategyChoice, TargetChoice,
-};
+use crate::{CliError, Evaluation, LocalSettings, StrategyChoice};
 
 /// Everything `optinline serve` needs to boot a daemon.
 #[derive(Clone, Debug)]
@@ -245,8 +242,8 @@ impl MapState {
 /// Executes daemon requests by running the CLI's own subcommand bodies,
 /// with the daemon's cache policy applied to every request.
 pub struct CliHandler {
-    cache_dir: Option<PathBuf>,
-    cache_budget_bytes: Option<u64>,
+    /// The daemon's cache directory and budget, applied to every request.
+    local: LocalSettings,
     /// Held for the daemon's lifetime so the shared store persists across
     /// requests instead of closing after each one.
     store: Option<Arc<LocalStore>>,
@@ -256,7 +253,7 @@ pub struct CliHandler {
 
 impl std::fmt::Debug for CliHandler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CliHandler").field("cache_dir", &self.cache_dir).finish_non_exhaustive()
+        f.debug_struct("CliHandler").field("local", &self.local).finish_non_exhaustive()
     }
 }
 
@@ -272,7 +269,8 @@ impl CliHandler {
             None => None,
         };
         let heuristics = Arc::new(HeuristicMap::with_cap(HEURISTIC_MAP_BYTES));
-        Ok(CliHandler { cache_dir, cache_budget_bytes, store, heuristics })
+        let local = LocalSettings { cache_dir, cache_budget_bytes, ..LocalSettings::default() };
+        Ok(CliHandler { local, store, heuristics })
     }
 
     /// The handler's warm heuristic map, shared so that its counters can
@@ -280,99 +278,14 @@ impl CliHandler {
     pub fn heuristics(&self) -> Arc<HeuristicMap> {
         Arc::clone(&self.heuristics)
     }
-
-    fn eval_options(
-        &self,
-        incremental: bool,
-        stats: bool,
-        pass_stats: bool,
-        objective: Objective,
-    ) -> EvalOptions {
-        EvalOptions {
-            incremental,
-            show_stats: stats,
-            show_pass_stats: pass_stats,
-            jobs: None,
-            cache_dir: self.cache_dir.clone(),
-            no_persist: false,
-            cache_budget_bytes: self.cache_budget_bytes,
-            objective,
-        }
-    }
-}
-
-/// Parses a wire-format objective spelling. The decode layer only checks
-/// that the field is a string, so an unknown spelling is refused here,
-/// with an `error` event.
-fn parse_objective(s: &str) -> Result<Objective, String> {
-    Objective::parse(s)
-        .ok_or_else(|| format!("unknown objective `{s}` (expected size|speed|pareto)"))
 }
 
 impl Handler for CliHandler {
     fn handle(&self, kind: &RequestKind, progress: &dyn Fn(&str)) -> Result<Reply, String> {
         progress(&format!("evaluating {}", kind.name()));
-        let as_msg = |e: CliError| e.to_string();
-        let warm = Some(&*self.heuristics);
-        match kind {
-            RequestKind::Optimize {
-                source,
-                target,
-                strategy,
-                full_sweep,
-                pass_stats,
-                objective,
-            } => {
-                if *full_sweep {
-                    return Err("the full-sweep scheduler was removed: optimize always drains \
-                                the change-driven worklist"
-                        .to_string());
-                }
-                let strategy = StrategyChoice::parse(strategy).map_err(as_msg)?;
-                let target = TargetChoice::parse(target).map_err(as_msg)?;
-                let objective = parse_objective(objective)?;
-                let opts = OptimizeOptions { pass_stats: *pass_stats, objective };
-                let (report, module, measurement) =
-                    optimize_with(source, strategy, target, opts, warm).map_err(as_msg)?;
-                Ok(Reply { report, module: Some(module), measurement: Some(measurement) })
-            }
-            RequestKind::Search {
-                source,
-                target,
-                bits,
-                full_eval,
-                stats,
-                pass_stats,
-                objective,
-            } => {
-                let target = TargetChoice::parse(target).map_err(as_msg)?;
-                let objective = parse_objective(objective)?;
-                let eval = self.eval_options(!*full_eval, *stats, *pass_stats, objective);
-                let (report, measurement) =
-                    search_with(source, *bits, target, eval, warm).map_err(as_msg)?;
-                Ok(Reply { report, module: None, measurement })
-            }
-            RequestKind::Autotune {
-                source,
-                target,
-                rounds,
-                init,
-                full_eval,
-                stats,
-                pass_stats,
-                objective,
-            } => {
-                let target = TargetChoice::parse(target).map_err(as_msg)?;
-                let init = InitChoice::parse(init).map_err(as_msg)?;
-                let objective = parse_objective(objective)?;
-                let eval = self.eval_options(!*full_eval, *stats, *pass_stats, objective);
-                let (report, measurement) =
-                    autotune_with(source, *rounds as usize, init, target, eval, warm)
-                        .map_err(as_msg)?;
-                Ok(Reply { report, module: None, measurement })
-            }
-            other => Err(format!("request kind {:?} is not evaluable", other.name())),
-        }
+        Evaluation::decode(kind, &self.local)
+            .and_then(|request| request.run(Some(&self.heuristics)))
+            .map_err(|e| e.to_string())
     }
 
     /// Drain-time flush: commit every scope's write-back buffer before the

@@ -105,6 +105,44 @@ fn flags_a_command_does_not_list_are_refused() {
 }
 
 #[test]
+fn rounds_are_read_at_the_width_the_wire_carries() {
+    let ir = tmp("rounds.ir");
+    run_ok(&["gen", "--seed", "3", "--internal", "4", "-o", ir.to_str().unwrap()]);
+    let path = ir.to_str().unwrap();
+    // One past u32::MAX would reach a daemon as 0; in-process it is now
+    // refused the same way.
+    let out = bin()
+        .args(["autotune", path, "--init", "clean", "--rounds", "4294967296"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("number too large to fit in target type"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused request must not run");
+    // The widest value the wire carries still runs (the clean-slate climb
+    // on this module stops at its fixpoint).
+    run_ok(&["autotune", path, "--init", "clean", "--rounds", "4294967295"]);
+    std::fs::remove_file(&ir).ok();
+}
+
+#[test]
+fn a_misspelled_value_fails_before_dialing() {
+    let ir = tmp("spelling.ir");
+    let sock = tmp("nobody.sock");
+    run_ok(&["gen", "--seed", "3", "--internal", "4", "-o", ir.to_str().unwrap()]);
+    let out = bin()
+        .args(["search", ir.to_str().unwrap(), "--objective", "fast"])
+        .args(["--connect", sock.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown objective `fast` (expected size|speed|pareto)"), "{stderr}");
+    assert!(!stderr.contains("no daemon"), "the request must fail before any dial: {stderr}");
+    std::fs::remove_file(&ir).ok();
+}
+
+#[test]
 fn optimized_output_file_parses_again() {
     let ir = tmp("opt.ir");
     let out_ir = tmp("opt_out.ir");
