@@ -112,8 +112,9 @@ impl FileCase {
         let file = module.name.clone();
         let evaluator = SizeEvaluator::new(module, Box::new(X86Like), incremental);
         let cache = cache_dir.and_then(|dir| {
+            let fp = evaluator.memo_scope().expect("a SizeEvaluator always names its domain");
+            // Names an older release's flat per-module file, imported once.
             let legacy = module_fingerprint(evaluator.module(), evaluator.target().name());
-            let fp = evaluator.memo_scope().unwrap_or(legacy);
             let meta = cache_meta(evaluator.module(), evaluator.target().name());
             PersistentCache::open_scoped(dir, fp, Some(legacy), &meta)
                 .map_err(|e| eprintln!("warning: cache disabled for {file}: {e}"))
