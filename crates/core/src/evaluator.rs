@@ -410,4 +410,42 @@ mod tests {
         assert!(s.compile_time > Duration::ZERO);
         assert!(!s.render().is_empty());
     }
+
+    /// The exact `--stats` line with every optional part showing, and
+    /// `merge` into an empty snapshot carrying every rendered counter.
+    #[test]
+    fn rendered_line_is_pinned() {
+        let stats = EvaluatorStats {
+            queries: 40,
+            compiles: 12,
+            cache_hits: 28,
+            cache_misses: 12,
+            compile_time: Duration::from_micros(2500),
+            full_module_equivalents: 3.25,
+            fixpoint_cap_hits: 1,
+            cycle_measures: 9,
+            cycle_compiles: 4,
+            executor_tasks: 17,
+            executor_steals: 3,
+            persist_hits: 5,
+            persist_misses: 7,
+            persist_loaded: 11,
+            store_appends: 2,
+            store_flushed_lines: 8,
+            store_imported: 6,
+            store_compacted_bytes: 512,
+            store_gc_evicted_scopes: 1,
+            store_gc_evicted_bytes: 4096,
+            ..EvaluatorStats::default()
+        };
+        let line = "40 queries, 12 compiles (3.25 full-module equivalents), 28 cache hits / 12 \
+                    misses, 2.5ms compiling, 1 fixpoint cap hits, cycles: 9 measures / 4 \
+                    compiles, executor: 17 tasks / 3 steals, persist: 5 hits / 7 misses / 11 \
+                    loaded, store: 2 appends (8 lines) / 6 imported / 512 bytes compacted, store \
+                    gc: 1 scopes / 4096 bytes evicted";
+        assert_eq!(stats.render(), line);
+        let mut merged = EvaluatorStats::default();
+        merged.merge(&stats);
+        assert_eq!(merged.render(), line);
+    }
 }

@@ -758,6 +758,32 @@ mod tests {
         }
     }
 
+    /// The exact `stats` line: every counter under its wire name, keys
+    /// sorted, each value distinct so a swapped name shows.
+    #[test]
+    fn encoded_stats_line_is_pinned() {
+        let stats = ServerStats {
+            accepted: 101,
+            rejected: 102,
+            evaluations: 103,
+            dedup_joined: 104,
+            completed: 105,
+            errors: 106,
+            shed_deadline: 107,
+            cancelled: 108,
+            queue_depth: 109,
+            in_flight: 110,
+            open_connections: 111,
+            peak_connections: 112,
+            slow_reader_disconnects: 113,
+            poll_wakeups: 114,
+        };
+        assert_eq!(
+            encode_event(&Event::Stats { id: 7, stats }),
+            r#"{"accepted":101,"cancelled":108,"completed":105,"dedup_joined":104,"errors":106,"evaluations":103,"event":"stats","id":7,"in_flight":110,"open_connections":111,"peak_connections":112,"poll_wakeups":114,"queue_depth":109,"rejected":102,"shed_deadline":107,"slow_reader_disconnects":113}"#
+        );
+    }
+
     #[test]
     fn identity_covers_every_reply_shaping_field() {
         let base = search("m");

@@ -4,7 +4,9 @@
 //! mtime, and a concurrent appenders-vs-compaction stress run.
 
 use optinline_ir::{CallSiteId, Measurement};
-use optinline_store::{scope_rel_path, LocalStore, ScopeSpec, StoreOptions, HEADER, LEGACY_HEADER};
+use optinline_store::{
+    scope_rel_path, LocalStore, ScopeSpec, StoreOptions, StoreStats, HEADER, LEGACY_HEADER,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
@@ -478,6 +480,54 @@ fn gc_never_evicts_scopes_with_live_handles() {
     assert!(held.path().exists(), "open scope survives even a zero budget");
     assert_eq!(report.evicted_scopes, 0);
     assert_eq!(held.get(&k(&[3])), Some(m(3)));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn store_stats_sum_live_and_dropped_scopes_and_count_gc() {
+    let dir = tmpdir("store-stats");
+    // An earlier process left one entry for the scope that stays open.
+    LocalStore::open(&dir, StoreOptions::default())
+        .unwrap()
+        .scope(spec(0x51))
+        .unwrap()
+        .put(k(&[9]), m(90));
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    let live = store.scope(spec(0x51)).unwrap();
+    live.put(k(&[1]), m(10));
+    live.put(k(&[2]), m(20));
+    live.flush().unwrap();
+    assert_eq!(live.get(&k(&[9])), Some(m(90)));
+    assert_eq!(live.get(&k(&[3])), None);
+    let gone = store.scope(spec(0x52)).unwrap();
+    gone.put(k(&[5]), m(50));
+    gone.flush().unwrap();
+    assert_eq!(gone.get(&k(&[5])), Some(m(50)));
+    assert_eq!(gone.get(&k(&[6])), None);
+    drop(gone);
+    let gone_bytes = std::fs::metadata(log_path(&dir, 0x52)).unwrap().len();
+
+    let report = store.gc(0).unwrap();
+    assert_eq!(report.evicted_scopes, 1, "only the dropped scope's log can go");
+    assert!(!log_path(&dir, 0x52).exists());
+    // The dropped handle's counters reach the snapshot through the
+    // store's retired accumulator, the live one's from its handle.
+    assert_eq!(
+        store.store_stats(),
+        StoreStats {
+            hits: 2,
+            misses: 2,
+            puts: 3,
+            appends: 2,
+            flushed_lines: 3,
+            loaded: 1,
+            gc_evicted_scopes: 1,
+            gc_evicted_bytes: gone_bytes,
+            ..StoreStats::default()
+        }
+    );
+    drop(live);
+    assert_eq!(store.store_stats().puts, 3, "a drop moves counters, never doubles them");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
