@@ -298,8 +298,7 @@ fn chaos_serve(seed: u64, report: &mut ChaosReport) {
     report.comparisons += 1;
     match handle.join() {
         Ok(stats) => {
-            let terminal = stats.completed + stats.errors + stats.shed_deadline + stats.cancelled;
-            if terminal != stats.accepted {
+            if stats.terminal() != stats.accepted {
                 report.mismatches.push(ChaosMismatch {
                     stage: "serve-accounting",
                     detail: format!(

@@ -321,8 +321,7 @@ pub fn check_serve_equivalence(module: &Module, seed: u64) -> Option<ServeReport
             // Every accepted request must land in exactly one terminal
             // counter: completed, errored, shed past its deadline, or
             // cancelled by its waiters vanishing.
-            let terminal = stats.completed + stats.errors + stats.shed_deadline + stats.cancelled;
-            if terminal != stats.accepted {
+            if stats.terminal() != stats.accepted {
                 report.mismatches.push(ServeMismatch {
                     stage: "drain",
                     detail: format!(

@@ -482,10 +482,10 @@ impl<'w> Request<'w> {
         }
         if self.eval.show_stats {
             let mut stats = self.ev.stats();
-            stats.absorb_executor(session.stats());
+            stats.executor = session.stats();
             if let Some(c) = &cache {
-                stats.absorb_persist(c.stats());
-                stats.absorb_store(c.store_stats());
+                stats.persist = c.stats();
+                stats.store = c.store_stats();
             }
             let _ = writeln!(tail, "{:<w$}{}", "evaluator:", stats.render(), w = self.column);
         }

@@ -36,8 +36,8 @@ use optinline_ir::CallSiteId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::ThreadId;
 
-/// Counters the parallel search reports after a run (see
-/// [`EvaluatorStats`](crate::EvaluatorStats) for the merged surface).
+/// Counters the parallel search reports after a run (held as
+/// [`EvaluatorStats::executor`](crate::EvaluatorStats::executor)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Tree nodes visited.
@@ -47,6 +47,15 @@ pub struct ExecutorStats {
     /// Always 0: the search keeps no results across runs. The field stays
     /// so the benchmark's `core.search.dedup_hits` keeps reading it.
     pub dedup_hits: u64,
+}
+
+impl ExecutorStats {
+    /// Adds `other` into `self`, field by field.
+    pub fn absorb(&mut self, other: &ExecutorStats) {
+        self.tasks += other.tasks;
+        self.steals += other.steals;
+        self.dedup_hits += other.dedup_hits;
+    }
 }
 
 /// Cumulative search counters across the [`evaluate_inlining_tree_dag`]

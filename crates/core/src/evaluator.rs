@@ -10,11 +10,13 @@
 //! [`Evaluator`] trait.
 
 use crate::config::InliningConfiguration;
+use crate::dag::ExecutorStats;
 use crate::measure::Objective;
 use optinline_callgraph::Fnv128;
 use optinline_codegen::Target;
 use optinline_ir::{Measurement, Module};
 use optinline_opt::{PipelineOptions, PipelineStats};
+use optinline_store::StoreStats;
 use std::time::Duration;
 
 /// Anything that can score an inlining configuration.
@@ -49,9 +51,11 @@ pub trait Evaluator: Sync {
     /// store scopes by it, so two evaluators share stored answers exactly
     /// when they score the same domain.
     ///
-    /// `None` — the default — means the evaluator cannot name its domain;
-    /// those callers then fall back to a module fingerprint. The
-    /// module-backed evaluators all return a domain fingerprint.
+    /// `None` — the default — means the evaluator cannot name its domain.
+    /// The module-backed evaluators all return a domain fingerprint, and
+    /// the CLI and the experiments harness open stores only over them, so
+    /// they take the value as given; only the benchmark's cache opener
+    /// still falls back to a module fingerprint on `None`.
     fn memo_scope(&self) -> Option<u128> {
         None
     }
@@ -102,8 +106,6 @@ pub struct EvaluatorStats {
     pub cache_hits: u64,
     /// Memo-cache misses.
     pub cache_misses: u64,
-    /// Entries resident per cache shard.
-    pub shard_loads: Vec<usize>,
     /// Compilations per call-graph component (empty in whole-module mode,
     /// which has no component structure).
     pub per_component_compiles: Vec<u64>,
@@ -128,31 +130,17 @@ pub struct EvaluatorStats {
     /// Component-slice compiles that ran the interpreter: a cycles query's
     /// memo miss, or the one recompile of an entry a size query made.
     pub cycle_compiles: u64,
-    /// Tree nodes the parallel tree search visited (0 when the sequential
-    /// walk ran).
-    pub executor_tasks: u64,
-    /// Subtrees the parallel tree search ran on a thread other than the
-    /// one that forked them.
-    pub executor_steals: u64,
-    /// Size queries answered by the persistent on-disk cache.
-    pub persist_hits: u64,
-    /// Size queries the persistent cache had to forward to the evaluator.
-    pub persist_misses: u64,
-    /// Entries recovered from disk when the persistent cache was opened.
-    pub persist_loaded: u64,
-    /// Batched append writes the evaluation store performed (one syscall
-    /// each; compare against `persist_misses` to see the batching win).
-    pub store_appends: u64,
-    /// Entry lines carried by those appends.
-    pub store_flushed_lines: u64,
-    /// Entries imported from legacy per-module cache files.
-    pub store_imported: u64,
-    /// Bytes the store reclaimed by compacting its logs.
-    pub store_compacted_bytes: u64,
-    /// Scope logs evicted by size-budgeted store GC.
-    pub store_gc_evicted_scopes: u64,
-    /// Bytes reclaimed by size-budgeted store GC.
-    pub store_gc_evicted_bytes: u64,
+    /// The parallel tree search's counters (zero when the sequential walk
+    /// ran).
+    pub executor: ExecutorStats,
+    /// The request's store scope, when a store is open: its hits, misses
+    /// and loaded entries are the `persist:` part of the rendering.
+    pub persist: StoreStats,
+    /// The whole store the scope lives in: its appends, imports,
+    /// compaction and GC are the `store:` parts of the rendering. Its hits,
+    /// misses and loads include the scope's and are not rendered, so
+    /// holding both snapshots never counts a lookup twice.
+    pub store: StoreStats,
 }
 
 impl EvaluatorStats {
@@ -175,51 +163,44 @@ impl EvaluatorStats {
                 self.cycle_measures, self.cycle_compiles,
             ));
         }
-        if self.executor_tasks > 0 {
+        if self.executor.tasks > 0 {
             line.push_str(&format!(
                 ", executor: {} tasks / {} steals",
-                self.executor_tasks, self.executor_steals,
+                self.executor.tasks, self.executor.steals,
             ));
         }
-        if self.persist_hits + self.persist_misses + self.persist_loaded > 0 {
+        let persist = &self.persist;
+        if persist.hits + persist.misses + persist.loaded > 0 {
             line.push_str(&format!(
                 ", persist: {} hits / {} misses / {} loaded",
-                self.persist_hits, self.persist_misses, self.persist_loaded,
+                persist.hits, persist.misses, persist.loaded,
             ));
         }
-        if self.store_appends + self.store_imported + self.store_compacted_bytes > 0 {
+        let store = &self.store;
+        if store.appends + store.imported + store.compacted_bytes > 0 {
             line.push_str(&format!(
                 ", store: {} appends ({} lines) / {} imported / {} bytes compacted",
-                self.store_appends,
-                self.store_flushed_lines,
-                self.store_imported,
-                self.store_compacted_bytes,
+                store.appends, store.flushed_lines, store.imported, store.compacted_bytes,
             ));
         }
-        if self.store_gc_evicted_scopes + self.store_gc_evicted_bytes > 0 {
+        if store.gc_evicted_scopes + store.gc_evicted_bytes > 0 {
             line.push_str(&format!(
                 ", store gc: {} scopes / {} bytes evicted",
-                self.store_gc_evicted_scopes, self.store_gc_evicted_bytes,
+                store.gc_evicted_scopes, store.gc_evicted_bytes,
             ));
         }
         line
     }
 
     /// Adds every counter of `other` into this snapshot — the suite-wide
-    /// aggregate of many evaluators. Shard loads add per shard; per-component
-    /// compile counts are concatenated, since different evaluators'
-    /// components are different components.
+    /// aggregate of many evaluators. Per-component compile counts are
+    /// concatenated, since different evaluators' components are different
+    /// components.
     pub fn merge(&mut self, other: &EvaluatorStats) {
         self.queries += other.queries;
         self.compiles += other.compiles;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        if self.shard_loads.len() < other.shard_loads.len() {
-            self.shard_loads.resize(other.shard_loads.len(), 0);
-        }
-        for (mine, theirs) in self.shard_loads.iter_mut().zip(&other.shard_loads) {
-            *mine += theirs;
-        }
         self.per_component_compiles.extend_from_slice(&other.per_component_compiles);
         self.compile_time += other.compile_time;
         self.full_module_equivalents += other.full_module_equivalents;
@@ -227,44 +208,9 @@ impl EvaluatorStats {
         self.pipeline.absorb(&other.pipeline);
         self.cycle_measures += other.cycle_measures;
         self.cycle_compiles += other.cycle_compiles;
-        self.executor_tasks += other.executor_tasks;
-        self.executor_steals += other.executor_steals;
-        self.persist_hits += other.persist_hits;
-        self.persist_misses += other.persist_misses;
-        self.persist_loaded += other.persist_loaded;
-        self.store_appends += other.store_appends;
-        self.store_flushed_lines += other.store_flushed_lines;
-        self.store_imported += other.store_imported;
-        self.store_compacted_bytes += other.store_compacted_bytes;
-        self.store_gc_evicted_scopes += other.store_gc_evicted_scopes;
-        self.store_gc_evicted_bytes += other.store_gc_evicted_bytes;
-    }
-
-    /// Folds the parallel tree search's counters into this snapshot.
-    pub fn absorb_executor(&mut self, exec: crate::dag::ExecutorStats) {
-        self.executor_tasks += exec.tasks;
-        self.executor_steals += exec.steals;
-    }
-
-    /// Folds a persistent cache's counters into this snapshot.
-    pub fn absorb_persist(&mut self, persist: crate::persist::PersistStats) {
-        self.persist_hits += persist.hits;
-        self.persist_misses += persist.misses;
-        self.persist_loaded += persist.loaded;
-    }
-
-    /// Folds the evaluation store's *store-level* counters into this
-    /// snapshot. Per-scope hit/miss/loaded counts are already covered by
-    /// [`EvaluatorStats::absorb_persist`], so only the I/O-shape counters
-    /// (appends, imports, compaction, GC) are taken here — absorbing both
-    /// never double-counts.
-    pub fn absorb_store(&mut self, store: optinline_store::StoreStats) {
-        self.store_appends += store.appends;
-        self.store_flushed_lines += store.flushed_lines;
-        self.store_imported += store.imported;
-        self.store_compacted_bytes += store.compacted_bytes;
-        self.store_gc_evicted_scopes += store.gc_evicted_scopes;
-        self.store_gc_evicted_bytes += store.gc_evicted_bytes;
+        self.executor.absorb(&other.executor);
+        self.persist.absorb(&other.persist);
+        self.store.absorb(&other.store);
     }
 }
 
@@ -425,17 +371,17 @@ mod tests {
             fixpoint_cap_hits: 1,
             cycle_measures: 9,
             cycle_compiles: 4,
-            executor_tasks: 17,
-            executor_steals: 3,
-            persist_hits: 5,
-            persist_misses: 7,
-            persist_loaded: 11,
-            store_appends: 2,
-            store_flushed_lines: 8,
-            store_imported: 6,
-            store_compacted_bytes: 512,
-            store_gc_evicted_scopes: 1,
-            store_gc_evicted_bytes: 4096,
+            executor: ExecutorStats { tasks: 17, steals: 3, dedup_hits: 0 },
+            persist: StoreStats { hits: 5, misses: 7, loaded: 11, ..StoreStats::default() },
+            store: StoreStats {
+                appends: 2,
+                flushed_lines: 8,
+                imported: 6,
+                compacted_bytes: 512,
+                gc_evicted_scopes: 1,
+                gc_evicted_bytes: 4096,
+                ..StoreStats::default()
+            },
             ..EvaluatorStats::default()
         };
         let line = "40 queries, 12 compiles (3.25 full-module equivalents), 28 cache hits / 12 \

@@ -271,7 +271,6 @@ impl SizeEvaluator {
             compiles: self.compiles.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            shard_loads: cache.shard_loads,
             per_component_compiles: self
                 .per_component_compiles
                 .iter()

@@ -38,18 +38,6 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Counters for a [`PersistentCache`]'s lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Entries recovered from disk when the cache was opened (including
-    /// any imported from a legacy per-module file).
-    pub loaded: u64,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the wrapped evaluator.
-    pub misses: u64,
-}
-
 /// A stable fingerprint identifying (module, target): the identity older
 /// releases named their flat per-module cache files with. Still computed
 /// so the store can find and import (or ignore) those files.
@@ -143,10 +131,10 @@ impl PersistentCache {
         &self.store
     }
 
-    /// Lifetime counters of this scope.
-    pub fn stats(&self) -> PersistStats {
-        let c = self.scope.counters();
-        PersistStats { loaded: c.loaded, hits: c.hits, misses: c.misses }
+    /// Lifetime counters of this scope: `loaded` includes any entries
+    /// imported from a legacy per-module file, and the GC fields are zero.
+    pub fn stats(&self) -> StoreStats {
+        self.scope.counters()
     }
 
     /// Aggregate counters of the whole backing store.
@@ -262,7 +250,10 @@ mod tests {
         assert_eq!(c.get(&k(&[1, 5, 9])), Some(m(321)));
         assert_eq!(c.get(&k(&[2])), Some(m(77)));
         assert_eq!(c.get(&k(&[3])), None);
-        assert_eq!(c.stats(), PersistStats { loaded: 3, hits: 3, misses: 1 });
+        assert_eq!(
+            c.stats(),
+            StoreStats { loaded: 3, hits: 3, misses: 1, ..StoreStats::default() }
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -171,7 +171,7 @@ pub fn aggregate_stats(cases: &[FileCase]) -> EvaluatorStats {
     for c in cases {
         agg.merge(&c.evaluator.stats());
         if let Some(cache) = &c.cache {
-            agg.absorb_persist(cache.stats());
+            agg.persist.absorb(&cache.stats());
         }
     }
     agg
@@ -181,11 +181,11 @@ pub fn aggregate_stats(cases: &[FileCase]) -> EvaluatorStats {
 /// work across the suite so far.
 pub fn stats_footer(cases: &[FileCase]) -> String {
     let mut stats = aggregate_stats(cases);
-    stats.absorb_executor(search_session().stats());
+    stats.executor = search_session().stats();
     // All cases share one store (same directory), so its store-wide I/O
     // counters fold in exactly once.
     if let Some(cache) = cases.iter().find_map(|c| c.cache.as_ref()) {
-        stats.absorb_store(cache.store_stats());
+        stats.store = cache.store_stats();
     }
     format!("evaluator: {}", stats.render())
 }
@@ -267,13 +267,13 @@ mod tests {
             (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
         // Two baseline queries per case, all against cold scopes.
         let stats = aggregate_stats(&cases);
-        assert_eq!(stats.persist_hits + stats.persist_misses, 4);
-        assert_eq!(stats.persist_loaded, 0);
+        assert_eq!(stats.persist.hits + stats.persist.misses, 4);
+        assert_eq!(stats.persist.loaded, 0);
         drop(cases);
         let warm: Vec<FileCase> =
             (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
         let stats = aggregate_stats(&warm);
-        assert_eq!((stats.persist_hits, stats.persist_misses), (4, 0));
+        assert_eq!((stats.persist.hits, stats.persist.misses), (4, 0));
         assert_eq!(stats.compiles, 0, "a warm harness run answers from disk");
         drop(warm);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -14,9 +14,9 @@
 //! decoded, and reported as percentiles across all requests.
 //!
 //! The report also snapshots the daemon's counters afterwards and checks
-//! the accounting invariant (`accepted == completed + errors +
-//! shed_deadline + cancelled`) — with the generator's own load finished,
-//! an unbalanced ledger means the server leaked a request.
+//! the accounting invariant (`accepted ==` [`ServerStats::terminal`]) —
+//! with the generator's own load finished, an unbalanced ledger means the
+//! server leaked a request.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -138,7 +138,7 @@ impl LoadReport {
     /// reached exactly one terminal counter. `None` if no stats
     /// snapshot was available.
     pub fn balanced(&self) -> Option<bool> {
-        self.server.map(|s| s.accepted == s.completed + s.errors + s.shed_deadline + s.cancelled)
+        self.server.map(|s| s.accepted == s.terminal())
     }
 
     /// Renders the report in the stable, greppable key=value layout the

@@ -376,6 +376,35 @@ pub struct ServerStats {
     pub poll_wakeups: u64,
 }
 
+impl ServerStats {
+    /// Accepted requests that have ended, `completed + errors +
+    /// shed_deadline + cancelled`: `accepted` once none is queued or running.
+    pub fn terminal(&self) -> u64 {
+        self.completed + self.errors + self.shed_deadline + self.cancelled
+    }
+}
+
+/// Each [`ServerStats`] counter with its wire name, in declaration order:
+/// the one list [`encode_event`] writes and [`decode_event`] reads.
+fn server_counters(s: &mut ServerStats) -> [(&'static str, &mut u64); 14] {
+    [
+        ("accepted", &mut s.accepted),
+        ("rejected", &mut s.rejected),
+        ("evaluations", &mut s.evaluations),
+        ("dedup_joined", &mut s.dedup_joined),
+        ("completed", &mut s.completed),
+        ("errors", &mut s.errors),
+        ("shed_deadline", &mut s.shed_deadline),
+        ("cancelled", &mut s.cancelled),
+        ("queue_depth", &mut s.queue_depth),
+        ("in_flight", &mut s.in_flight),
+        ("open_connections", &mut s.open_connections),
+        ("peak_connections", &mut s.peak_connections),
+        ("slow_reader_disconnects", &mut s.slow_reader_disconnects),
+        ("poll_wakeups", &mut s.poll_wakeups),
+    ]
+}
+
 fn get_u64(obj: &Object, key: &str) -> Result<u64, String> {
     let v = obj.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
     let n = v.as_int().ok_or_else(|| format!("field {key:?} must be an integer"))?;
@@ -512,23 +541,10 @@ pub fn encode_event(event: &Event) -> String {
         }
         Event::Pong { id } => (*id, "pong"),
         Event::Stats { id, stats } => {
-            obj.insert("accepted".into(), Value::Int(stats.accepted as i64));
-            obj.insert("rejected".into(), Value::Int(stats.rejected as i64));
-            obj.insert("evaluations".into(), Value::Int(stats.evaluations as i64));
-            obj.insert("dedup_joined".into(), Value::Int(stats.dedup_joined as i64));
-            obj.insert("completed".into(), Value::Int(stats.completed as i64));
-            obj.insert("errors".into(), Value::Int(stats.errors as i64));
-            obj.insert("shed_deadline".into(), Value::Int(stats.shed_deadline as i64));
-            obj.insert("cancelled".into(), Value::Int(stats.cancelled as i64));
-            obj.insert("queue_depth".into(), Value::Int(stats.queue_depth as i64));
-            obj.insert("in_flight".into(), Value::Int(stats.in_flight as i64));
-            obj.insert("open_connections".into(), Value::Int(stats.open_connections as i64));
-            obj.insert("peak_connections".into(), Value::Int(stats.peak_connections as i64));
-            obj.insert(
-                "slow_reader_disconnects".into(),
-                Value::Int(stats.slow_reader_disconnects as i64),
-            );
-            obj.insert("poll_wakeups".into(), Value::Int(stats.poll_wakeups as i64));
+            let mut stats = *stats;
+            for (name, n) in server_counters(&mut stats) {
+                obj.insert(name.into(), Value::Int(*n as i64));
+            }
             (*id, "stats")
         }
         Event::ShuttingDown { id } => (*id, "shutting_down"),
@@ -556,25 +572,13 @@ pub fn decode_event(line: &str) -> Result<Event, String> {
         "error" => Ok(Event::Error { id, message: get_str(&obj, "message")? }),
         "rejected" => Ok(Event::Rejected { id, reason: get_str(&obj, "reason")? }),
         "pong" => Ok(Event::Pong { id }),
-        "stats" => Ok(Event::Stats {
-            id,
-            stats: ServerStats {
-                accepted: get_u64(&obj, "accepted")?,
-                rejected: get_u64(&obj, "rejected")?,
-                evaluations: get_u64(&obj, "evaluations")?,
-                dedup_joined: get_u64(&obj, "dedup_joined")?,
-                completed: get_u64(&obj, "completed")?,
-                errors: get_u64(&obj, "errors")?,
-                shed_deadline: get_u64(&obj, "shed_deadline")?,
-                cancelled: get_u64(&obj, "cancelled")?,
-                queue_depth: get_u64(&obj, "queue_depth")?,
-                in_flight: get_u64(&obj, "in_flight")?,
-                open_connections: get_u64(&obj, "open_connections")?,
-                peak_connections: get_u64(&obj, "peak_connections")?,
-                slow_reader_disconnects: get_u64(&obj, "slow_reader_disconnects")?,
-                poll_wakeups: get_u64(&obj, "poll_wakeups")?,
-            },
-        }),
+        "stats" => {
+            let mut stats = ServerStats::default();
+            for (name, n) in server_counters(&mut stats) {
+                *n = get_u64(&obj, name)?;
+            }
+            Ok(Event::Stats { id, stats })
+        }
         "shutting_down" => Ok(Event::ShuttingDown { id }),
         other => Err(format!("unknown event {other:?}")),
     }

@@ -203,7 +203,7 @@ fn slow_reader_is_disconnected_not_waited_on() {
     assert_eq!(stats.completed, 0, "nobody was left to complete");
     assert_eq!(
         stats.accepted,
-        stats.completed + stats.errors + stats.shed_deadline + stats.cancelled,
+        stats.terminal(),
         "slow-reader disconnects keep the terminal ledger balanced"
     );
 }
@@ -298,10 +298,7 @@ fn full_queue_parks_pipelined_requests_until_space_frees() {
     assert_eq!(stats.completed, 6, "every pipelined request completed");
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.rejected, 0, "parking is not rejection");
-    assert_eq!(
-        stats.accepted,
-        stats.completed + stats.errors + stats.shed_deadline + stats.cancelled
-    );
+    assert_eq!(stats.accepted, stats.terminal());
 }
 
 /// One `Client` must serve an arbitrary number of sequential requests

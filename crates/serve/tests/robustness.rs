@@ -183,7 +183,7 @@ fn expired_queued_work_is_shed_with_a_typed_event() {
     assert_eq!(stats.completed, 1);
     assert_eq!(
         stats.accepted,
-        stats.completed + stats.errors + stats.shed_deadline + stats.cancelled,
+        stats.terminal(),
         "every accepted request reaches exactly one terminal counter"
     );
     assert_eq!(*order.lock().unwrap(), vec!["(module blocker)"], "shed work never evaluates");
@@ -333,10 +333,7 @@ fn dead_joiners_are_reaped_without_disturbing_the_leader() {
     assert_eq!(stats.completed, 1, "only the live waiter completes");
     assert_eq!(stats.cancelled, 1, "the dead joiner is accounted as cancelled");
     assert_eq!(stats.evaluations, 1, "one evaluation served both");
-    assert_eq!(
-        stats.accepted,
-        stats.completed + stats.errors + stats.shed_deadline + stats.cancelled
-    );
+    assert_eq!(stats.accepted, stats.terminal());
 }
 
 /// Client and daemon ship in one binary, so nothing decodes older lines:

@@ -24,7 +24,11 @@
 //! - **compaction**: logs are rewritten without duplicate or damaged lines
 //!   when dead bytes cross a ratio, or on demand;
 //! - **size-budgeted GC**: least-recently-used scope logs are evicted
-//!   until the directory fits a byte budget ([`LocalStore::gc`]).
+//!   until the directory fits a byte budget ([`LocalStore::gc`]);
+//! - **one counter type**: [`StoreStats`] counts a scope handle and the
+//!   whole store alike. A dropped handle folds its counters into the
+//!   store's, so [`LocalStore::store_stats`] covers every handle the
+//!   process opened, plus GC's evictions.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,7 +42,7 @@ pub use format::{
     HEADER, LEGACY_EXT, LEGACY_HEADER, LOG_EXT, META_PREFIX,
 };
 pub use local::{GcReport, LocalStore, ScopeFormatMix, ScopeSpec, VerifyReport};
-pub use scope::{Scope, ScopeCounters};
+pub use scope::Scope;
 
 /// Tuning knobs of a [`LocalStore`].
 #[derive(Clone, Copy, Debug)]
@@ -71,8 +75,10 @@ impl Default for StoreOptions {
     }
 }
 
-/// Aggregate counters of a store (merged into the evaluator's `--stats`
-/// output upstream).
+/// The store's counters, for one scope handle ([`Scope::counters`], GC
+/// fields zero) or for the whole store ([`LocalStore::store_stats`]). The
+/// layers above hold this snapshot as it is: the evaluator's `--stats`
+/// line renders a scope's and the store's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups answered from the store this process.
@@ -99,4 +105,22 @@ pub struct StoreStats {
     pub gc_evicted_scopes: u64,
     /// Bytes reclaimed by size-budgeted GC.
     pub gc_evicted_bytes: u64,
+}
+
+impl StoreStats {
+    /// Adds `other` into `self`, field by field.
+    pub fn absorb(&mut self, other: &StoreStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.puts += other.puts;
+        self.appends += other.appends;
+        self.flushed_lines += other.flushed_lines;
+        self.loaded += other.loaded;
+        self.imported += other.imported;
+        self.resident_evictions += other.resident_evictions;
+        self.compactions += other.compactions;
+        self.compacted_bytes += other.compacted_bytes;
+        self.gc_evicted_scopes += other.gc_evicted_scopes;
+        self.gc_evicted_bytes += other.gc_evicted_bytes;
+    }
 }

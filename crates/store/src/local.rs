@@ -7,12 +7,11 @@ use crate::format::{
     fingerprint_of, log_file_stem, parse_entry, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT,
     META_PREFIX,
 };
-use crate::scope::{Scope, ScopeCounters};
+use crate::scope::Scope;
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::CallSiteId;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::SystemTime;
 
@@ -133,10 +132,8 @@ pub struct LocalStore {
     root: PathBuf,
     opts: StoreOptions,
     scopes: Mutex<HashMap<u128, (String, Weak<crate::scope::ScopeInner>)>>,
-    /// Counters folded in from dropped scope handles.
-    retired: Arc<Mutex<ScopeCounters>>,
-    gc_evicted_scopes: AtomicU64,
-    gc_evicted_bytes: AtomicU64,
+    /// Counters folded in from dropped scope handles, plus GC's.
+    retired: Arc<Mutex<StoreStats>>,
 }
 
 impl std::fmt::Debug for LocalStore {
@@ -155,9 +152,7 @@ impl LocalStore {
             root: dir.to_path_buf(),
             opts,
             scopes: Mutex::new(HashMap::new()),
-            retired: Arc::new(Mutex::new(ScopeCounters::default())),
-            gc_evicted_scopes: AtomicU64::new(0),
-            gc_evicted_bytes: AtomicU64::new(0),
+            retired: Arc::new(Mutex::new(StoreStats::default())),
         }))
     }
 
@@ -310,7 +305,7 @@ impl LocalStore {
                 std::fs::remove_file(&path)?;
                 remaining = remaining.saturating_sub(bytes);
                 report.evicted_legacy += 1;
-                self.gc_evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.retired().gc_evicted_bytes += bytes;
             }
         }
 
@@ -344,8 +339,9 @@ impl LocalStore {
                 }
                 remaining = remaining.saturating_sub(victim.bytes);
                 report.evicted_scopes += 1;
-                self.gc_evicted_scopes.fetch_add(1, Ordering::Relaxed);
-                self.gc_evicted_bytes.fetch_add(victim.bytes, Ordering::Relaxed);
+                let mut retired = self.retired();
+                retired.gc_evicted_scopes += 1;
+                retired.gc_evicted_bytes += victim.bytes;
             }
         }
 
@@ -496,24 +492,15 @@ impl LocalStore {
     /// Aggregate counters: per-scope activity (live and retired handles)
     /// plus GC work.
     pub fn store_stats(&self) -> StoreStats {
-        let mut counters = *self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut stats = *self.retired();
         for scope in self.live_scopes() {
-            counters.absorb(&scope.counters());
+            stats.absorb(&scope.counters());
         }
-        StoreStats {
-            hits: counters.hits,
-            misses: counters.misses,
-            puts: counters.puts,
-            appends: counters.appends,
-            flushed_lines: counters.flushed_lines,
-            loaded: counters.loaded,
-            imported: counters.imported,
-            resident_evictions: counters.resident_evictions,
-            compactions: counters.compactions,
-            compacted_bytes: counters.compacted_bytes,
-            gc_evicted_scopes: self.gc_evicted_scopes.load(Ordering::Relaxed),
-            gc_evicted_bytes: self.gc_evicted_bytes.load(Ordering::Relaxed),
-        }
+        stats
+    }
+
+    fn retired(&self) -> std::sync::MutexGuard<'_, StoreStats> {
+        self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn live_scopes(&self) -> Vec<Scope> {

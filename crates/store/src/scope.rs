@@ -39,7 +39,7 @@
 //!   restart is a new log and takes the current time.
 
 use crate::format::{format_entry, parse_entry, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX};
-use crate::StoreOptions;
+use crate::{StoreOptions, StoreStats};
 use optinline_ir::{CallSiteId, Measurement};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -48,48 +48,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
-
-/// Live counters of one scope handle (summed into
-/// [`StoreStats`](crate::StoreStats)).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ScopeCounters {
-    /// Entries recovered from disk when the scope was opened.
-    pub loaded: u64,
-    /// Entries imported from a legacy per-module cache file.
-    pub imported: u64,
-    /// Lookups answered from the resident map.
-    pub hits: u64,
-    /// Lookups that fell through to the caller.
-    pub misses: u64,
-    /// Fresh entries recorded.
-    pub puts: u64,
-    /// Batched append writes performed (one syscall each).
-    pub appends: u64,
-    /// Entry lines those appends carried.
-    pub flushed_lines: u64,
-    /// Resident-map entries displaced by the memory bound.
-    pub resident_evictions: u64,
-    /// Log rewrites performed (auto + explicit).
-    pub compactions: u64,
-    /// Bytes reclaimed by those rewrites.
-    pub compacted_bytes: u64,
-}
-
-impl ScopeCounters {
-    /// Adds `other` into `self`, field by field.
-    pub fn absorb(&mut self, other: &ScopeCounters) {
-        self.loaded += other.loaded;
-        self.imported += other.imported;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.puts += other.puts;
-        self.appends += other.appends;
-        self.flushed_lines += other.flushed_lines;
-        self.resident_evictions += other.resident_evictions;
-        self.compactions += other.compactions;
-        self.compacted_bytes += other.compacted_bytes;
-    }
-}
 
 /// Truncates a partial trailing line (a crash mid-append leaves bytes
 /// after the last newline) down to the last newline-terminated prefix.
@@ -266,7 +224,7 @@ pub(crate) struct ScopeInner {
     opts: StoreOptions,
     /// Store-owned accumulator this scope's counters fold into on drop,
     /// so store-level stats survive scope handles going away.
-    retired: Arc<Mutex<ScopeCounters>>,
+    retired: Arc<Mutex<StoreStats>>,
     state: Mutex<ScopeState>,
     loaded: u64,
     imported: u64,
@@ -308,7 +266,7 @@ impl Scope {
         fingerprint: u128,
         meta: &str,
         opts: StoreOptions,
-        retired: Arc<Mutex<ScopeCounters>>,
+        retired: Arc<Mutex<StoreStats>>,
     ) -> std::io::Result<Scope> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -509,25 +467,31 @@ impl Scope {
         &self.inner.meta
     }
 
-    /// Snapshot of the handle's counters.
-    pub fn counters(&self) -> ScopeCounters {
-        let i = &*self.inner;
-        ScopeCounters {
-            loaded: i.loaded,
-            imported: i.imported,
-            hits: i.hits.load(Ordering::Relaxed),
-            misses: i.misses.load(Ordering::Relaxed),
-            puts: i.puts.load(Ordering::Relaxed),
-            appends: i.appends.load(Ordering::Relaxed),
-            flushed_lines: i.flushed_lines.load(Ordering::Relaxed),
-            resident_evictions: i.resident_evictions.load(Ordering::Relaxed),
-            compactions: i.compactions.load(Ordering::Relaxed),
-            compacted_bytes: i.compacted_bytes.load(Ordering::Relaxed),
-        }
+    /// Snapshot of the handle's counters. The GC fields are zero: GC is
+    /// store-wide work, which
+    /// [`LocalStore::store_stats`](crate::LocalStore::store_stats) counts.
+    pub fn counters(&self) -> StoreStats {
+        self.inner.counters()
     }
 }
 
 impl ScopeInner {
+    fn counters(&self) -> StoreStats {
+        StoreStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            puts: self.puts.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
+            flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
+            loaded: self.loaded,
+            imported: self.imported,
+            resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
+            compacted_bytes: self.compacted_bytes.load(Ordering::Relaxed),
+            ..StoreStats::default()
+        }
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, ScopeState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -623,18 +587,7 @@ pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
 impl Drop for ScopeInner {
     fn drop(&mut self) {
         let _ = self.flush_locked(&mut self.lock());
-        let counters = ScopeCounters {
-            loaded: self.loaded,
-            imported: self.imported,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            appends: self.appends.load(Ordering::Relaxed),
-            flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
-            resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            compacted_bytes: self.compacted_bytes.load(Ordering::Relaxed),
-        };
+        let counters = self.counters();
         self.retired.lock().unwrap_or_else(std::sync::PoisonError::into_inner).absorb(&counters);
     }
 }
