@@ -133,8 +133,9 @@ pub struct EvaluatorStats {
     /// The parallel tree search's counters (zero when the sequential walk
     /// ran).
     pub executor: ExecutorStats,
-    /// The request's store scope, when a store is open: its hits, misses
-    /// and loaded entries are the `persist:` part of the rendering.
+    /// The store scope the queries went through, when a store is open
+    /// (summed over the scopes in an aggregate): its hits, misses and
+    /// loaded entries are the `persist:` part of the rendering.
     pub persist: StoreStats,
     /// The whole store the scope lives in: its appends, imports,
     /// compaction and GC are the `store:` parts of the rendering. Its hits,

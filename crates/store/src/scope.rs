@@ -467,9 +467,8 @@ impl Scope {
         &self.inner.meta
     }
 
-    /// Snapshot of the handle's counters. The GC fields are zero: GC is
-    /// store-wide work, which
-    /// [`LocalStore::store_stats`](crate::LocalStore::store_stats) counts.
+    /// Snapshot of the handle's counters. GC is store-wide, so its fields
+    /// stay zero ([`LocalStore::store_stats`](crate::LocalStore::store_stats)).
     pub fn counters(&self) -> StoreStats {
         self.inner.counters()
     }
