@@ -175,11 +175,11 @@ fn align_up(size: u64, align: u64) -> u64 {
     size.div_ceil(align) * align
 }
 
-/// Number of locally defined values in the reachable blocks of a function
-/// (parameters included) — the codegen's register pressure proxy.
+/// Number of locally defined values in the blocks of a function that
+/// `reach` marks (parameters included) — the codegen's register pressure
+/// proxy. Pass [`reachable_blocks`] of the function to count what it emits.
 /// Constants are excluded: they rematerialize instead of spilling.
-pub fn defined_values(func: &Function) -> u64 {
-    let reach = reachable_blocks(func);
+pub fn defined_values(func: &Function, reach: &[bool]) -> u64 {
     let mut defs = 0u64;
     for (bid, block) in func.iter_blocks() {
         if !reach[bid.index()] {
@@ -203,7 +203,7 @@ pub fn function_size(module: &Module, target: &dyn Target, fid: FuncId) -> u64 {
     }
     let func = module.func(fid);
     let reach = reachable_blocks(func);
-    let mut size = target.function_overhead(defined_values(func));
+    let mut size = target.function_overhead(defined_values(func, &reach));
     for (bid, block) in func.iter_blocks() {
         if !reach[bid.index()] {
             continue;
@@ -356,7 +356,7 @@ mod tests {
             last = b.bin(BinOp::Add, last, last);
         }
         b.ret(Some(last));
-        let defs = defined_values(m.func(f));
+        let defs = defined_values(m.func(f), &reachable_blocks(m.func(f)));
         // 30 adds (consts excluded from pressure).
         assert_eq!(defs, 30);
         assert_eq!(X86Like.function_overhead(defs), 6 + (30 - 24) * 3);

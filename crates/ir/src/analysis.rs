@@ -1,6 +1,10 @@
 //! Intra- and inter-procedural analyses shared by the optimizer, verifier,
-//! and code generator: CFG reachability, predecessors, dominators, effect
-//! summaries, and reachable-function computation.
+//! and code generator: CFG reachability, reverse postorder, dominators,
+//! use counts, effect summaries, and reachable-function computation.
+//!
+//! The per-function walks come in two forms: one that returns a fresh
+//! vector, and an `_into` form that fills caller-owned buffers, for the
+//! passes that keep their tables across calls.
 
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId, ValueId};
@@ -10,8 +14,19 @@ use std::collections::BTreeSet;
 
 /// Returns the set of blocks reachable from the entry block.
 pub fn reachable_blocks(func: &Function) -> Vec<bool> {
-    let mut seen = vec![false; func.blocks.len()];
-    let mut stack = vec![func.entry()];
+    let mut seen = Vec::new();
+    reachable_blocks_into(func, &mut seen, &mut Vec::new());
+    seen
+}
+
+/// [`reachable_blocks`] into caller-owned buffers: `seen` receives the
+/// answer and `stack` is working space. Both are cleared first, so one
+/// pair serves any number of functions without allocating again.
+pub fn reachable_blocks_into(func: &Function, seen: &mut Vec<bool>, stack: &mut Vec<BlockId>) {
+    seen.clear();
+    seen.resize(func.blocks.len(), false);
+    stack.clear();
+    stack.push(func.entry());
     seen[0] = true;
     while let Some(b) = stack.pop() {
         for s in func.block(b).term.successors() {
@@ -21,54 +36,86 @@ pub fn reachable_blocks(func: &Function) -> Vec<bool> {
             }
         }
     }
-    seen
 }
 
-/// Returns, for each block, the list of predecessor blocks (with
-/// multiplicity: a two-way branch to the same block contributes twice).
-pub fn predecessors(func: &Function) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); func.blocks.len()];
-    for (id, block) in func.iter_blocks() {
-        for s in block.term.successors() {
-            preds[s.index()].push(id);
+/// Writes the blocks reachable from the entry into `order` in reverse
+/// postorder of a depth-first walk that takes a branch's then-arm first.
+/// `seen` and `stack` are working space, and `seen` ends as the reachable
+/// set. All three are cleared first.
+pub fn reverse_postorder_into(
+    func: &Function,
+    order: &mut Vec<BlockId>,
+    seen: &mut Vec<bool>,
+    stack: &mut Vec<(BlockId, usize)>,
+) {
+    order.clear();
+    seen.clear();
+    seen.resize(func.blocks.len(), false);
+    stack.clear();
+    stack.push((func.entry(), 0));
+    seen[0] = true;
+    while let Some(top) = stack.last_mut() {
+        let (b, next) = *top;
+        match func.block(b).term.successors().nth(next) {
+            Some(s) => {
+                top.1 += 1;
+                if !seen[s.index()] {
+                    seen[s.index()] = true;
+                    stack.push((s, 0));
+                }
+            }
+            None => {
+                order.push(b);
+                stack.pop();
+            }
         }
     }
-    preds
+    order.reverse();
+}
+
+/// Every block's predecessors in one flat array (compressed sparse rows):
+/// block `b`'s are `preds[start[b]..start[b + 1]]`, in ascending source
+/// order and with multiplicity, so a branch with both arms to `b` lists its
+/// source twice. `start` has one entry per block plus one.
+fn predecessor_rows(func: &Function) -> (Vec<u32>, Vec<BlockId>) {
+    let n = func.blocks.len();
+    let mut start = vec![0u32; n + 1];
+    for block in &func.blocks {
+        for s in block.term.successors() {
+            start[s.index()] += 1;
+        }
+    }
+    // Running sums: `start[b]` becomes the end of `b`'s row. Filling each
+    // row from its end, sources in descending order, leaves `start[b]` at
+    // the row's beginning and each row in ascending source order.
+    for b in 1..=n {
+        start[b] += start[b - 1];
+    }
+    let mut preds = vec![BlockId::new(0); start[n] as usize];
+    for (src, block) in func.blocks.iter().enumerate().rev() {
+        for s in block.term.successors() {
+            start[s.index()] -= 1;
+            preds[start[s.index()] as usize] = BlockId::new(src as u32);
+        }
+    }
+    (start, preds)
 }
 
 /// Immediate dominators, computed with the Cooper–Harvey–Kennedy iterative
-/// algorithm over a reverse-postorder numbering.
+/// algorithm over a reverse-postorder numbering, with the predecessors in
+/// one flat array.
 ///
 /// Entry dominates itself. Unreachable blocks get `None`.
 pub fn immediate_dominators(func: &Function) -> Vec<Option<BlockId>> {
     let n = func.blocks.len();
-    // Reverse postorder.
     let mut order = Vec::with_capacity(n);
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut stack: Vec<(BlockId, usize)> = vec![(func.entry(), 0)];
-    state[0] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = func.block(b).term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if state[s.index()] == 0 {
-                state[s.index()] = 1;
-                stack.push((s, 0));
-            }
-        } else {
-            state[b.index()] = 2;
-            order.push(b);
-            stack.pop();
-        }
-    }
-    order.reverse();
+    reverse_postorder_into(func, &mut order, &mut Vec::new(), &mut Vec::new());
     let mut rpo_num = vec![usize::MAX; n];
     for (i, b) in order.iter().enumerate() {
         rpo_num[b.index()] = i;
     }
 
-    let preds = predecessors(func);
+    let (start, preds) = predecessor_rows(func);
     let mut idom: Vec<Option<BlockId>> = vec![None; n];
     idom[0] = Some(func.entry());
     let mut changed = true;
@@ -76,7 +123,7 @@ pub fn immediate_dominators(func: &Function) -> Vec<Option<BlockId>> {
         changed = false;
         for &b in order.iter().skip(1) {
             let mut new_idom: Option<BlockId> = None;
-            for &p in &preds[b.index()] {
+            for &p in &preds[start[b.index()] as usize..start[b.index() + 1] as usize] {
                 if idom[p.index()].is_none() {
                     continue;
                 }
@@ -204,10 +251,19 @@ pub fn reachable_functions(module: &Module) -> BTreeSet<FuncId> {
 
 /// Counts uses of every value in a function (dense by value id).
 pub fn use_counts(func: &Function) -> Vec<u32> {
-    let mut counts = vec![0u32; func.value_bound() as usize];
+    let mut counts = Vec::new();
+    use_counts_into(func, &mut counts);
+    counts
+}
+
+/// [`use_counts`] into a caller-owned buffer, cleared and resized to the
+/// function's value bound first.
+pub fn use_counts_into(func: &Function, counts: &mut Vec<u32>) {
+    counts.clear();
+    counts.resize(func.value_bound() as usize, 0);
     let mut bump = |v: ValueId| {
-        if (v.index()) < counts.len() {
-            counts[v.index()] += 1;
+        if let Some(count) = counts.get_mut(v.index()) {
+            *count += 1;
         }
     };
     for b in &func.blocks {
@@ -216,7 +272,6 @@ pub fn use_counts(func: &Function) -> Vec<u32> {
         }
         b.term.for_each_use(&mut bump);
     }
-    counts
 }
 
 #[cfg(test)]
@@ -224,6 +279,7 @@ mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::function::Linkage;
+    use crate::inst::{JumpTarget, Terminator};
 
     fn diamond() -> (Module, FuncId) {
         let mut m = Module::new("m");
@@ -264,12 +320,140 @@ mod tests {
         assert_eq!(seen, vec![true, false]);
     }
 
+    /// A xorshift generator: the CFG tests need reproducible shapes, not
+    /// statistical quality.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A random CFG of `n` blocks. Terminators are drawn so that
+    /// self-loops, branches with both arms to one block, exits and (with
+    /// few edges per block) unreachable blocks all occur.
+    fn random_cfg(rng: &mut Rng, n: usize) -> Function {
+        let mut f = Function::new("f", 1, Linkage::Public);
+        for _ in 1..n {
+            f.add_block(Vec::new());
+        }
+        let cond = f.params()[0];
+        for b in 0..n {
+            let kind = rng.below(8);
+            let mut pick = || JumpTarget::new(BlockId::new(rng.below(n) as u32));
+            let term = match kind {
+                0 => Terminator::Return(None),
+                1 => Terminator::Unreachable,
+                2 => Terminator::Jump(JumpTarget::new(BlockId::new(b as u32))),
+                3 => {
+                    let t = pick();
+                    Terminator::Branch { cond, then_to: t.clone(), else_to: t }
+                }
+                4 | 5 => Terminator::Jump(pick()),
+                _ => Terminator::Branch { cond, then_to: pick(), else_to: pick() },
+            };
+            f.blocks[b].term = term;
+        }
+        f
+    }
+
+    /// The predecessors of `b`, one entry per edge, in source order.
+    fn naive_preds(f: &Function, b: usize) -> Vec<BlockId> {
+        let mut preds = Vec::new();
+        for (p, block) in f.blocks.iter().enumerate() {
+            for s in block.term.successors() {
+                if s.index() == b {
+                    preds.push(BlockId::new(p as u32));
+                }
+            }
+        }
+        preds
+    }
+
+    /// Reachability by a fixpoint over edges, and immediate dominators from
+    /// the textbook dominator-set fixpoint: dom(entry) = {entry} and
+    /// dom(b) = {b} ∪ ⋂ dom(p) over b's reachable predecessors p. A
+    /// block's immediate dominator is the strict dominator with the most
+    /// dominators of its own.
+    fn naive_dominators(f: &Function) -> (Vec<bool>, Vec<Option<BlockId>>) {
+        let n = f.blocks.len();
+        let mut reach = vec![false; n];
+        reach[0] = true;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in 0..n {
+                for s in f.blocks[b].term.successors() {
+                    if reach[b] && !reach[s.index()] {
+                        reach[s.index()] = true;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let mut dom: Vec<Vec<bool>> = (0..n)
+            .map(|b| if b == 0 { (0..n).map(|c| c == 0).collect() } else { vec![true; n] })
+            .collect();
+        changed = true;
+        while changed {
+            changed = false;
+            for b in (1..n).filter(|&b| reach[b]) {
+                let mut next = vec![true; n];
+                for p in naive_preds(f, b).into_iter().filter(|p| reach[p.index()]) {
+                    for (c, bit) in next.iter_mut().enumerate() {
+                        *bit &= dom[p.index()][c];
+                    }
+                }
+                next[b] = true;
+                if next != dom[b] {
+                    dom[b] = next;
+                    changed = true;
+                }
+            }
+        }
+        let size = |d: usize| dom[d].iter().filter(|&&x| x).count();
+        let idom = (0..n)
+            .map(|b| match b {
+                _ if !reach[b] => None,
+                0 => Some(BlockId::new(0)),
+                _ => (0..n)
+                    .filter(|&d| d != b && dom[b][d])
+                    .max_by_key(|&d| size(d))
+                    .map(|d| BlockId::new(d as u32)),
+            })
+            .collect();
+        (reach, idom)
+    }
+
     #[test]
-    fn predecessors_of_diamond_join() {
-        let (m, f) = diamond();
-        let preds = predecessors(m.func(f));
-        assert_eq!(preds[3].len(), 2);
-        assert_eq!(preds[0].len(), 0);
+    fn dominators_and_reachability_match_a_naive_fixpoint_on_random_cfgs() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut self_loops, mut same_arms, mut unreachable) = (0, 0, 0);
+        for case in 0..400 {
+            let f = random_cfg(&mut rng, 1 + case % 14);
+            let (reach, idom) = naive_dominators(&f);
+            let (start, preds) = predecessor_rows(&f);
+            for b in 0..f.blocks.len() {
+                let row = &preds[start[b] as usize..start[b + 1] as usize];
+                assert_eq!(row, naive_preds(&f, b), "case {case}, preds of b{b}: {f:?}");
+            }
+            assert_eq!(immediate_dominators(&f), idom, "case {case}: {f:?}");
+            let facts = crate::CfgFacts::compute(&f);
+            assert_eq!(facts.idom, idom, "case {case}");
+            assert_eq!(facts.reachable, reach, "case {case}");
+            assert_eq!(reachable_blocks(&f), reach, "case {case}");
+            for (b, block) in f.blocks.iter().enumerate() {
+                let succs: Vec<BlockId> = block.term.successors().collect();
+                self_loops += succs.iter().filter(|s| s.index() == b).count();
+                same_arms += usize::from(succs.len() == 2 && succs[0] == succs[1]);
+            }
+            unreachable += reach.iter().filter(|&&r| !r).count();
+        }
+        assert!(self_loops > 0 && same_arms > 0 && unreachable > 0);
     }
 
     #[test]

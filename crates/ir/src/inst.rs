@@ -336,13 +336,18 @@ impl Terminator {
         }
     }
 
-    /// Returns the successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(t) => vec![t.block],
-            Terminator::Branch { then_to, else_to, .. } => vec![then_to.block, else_to.block],
-            Terminator::Return(_) | Terminator::Unreachable => vec![],
-        }
+    /// Returns the successor blocks of this terminator, then-arm first,
+    /// without allocating. A branch whose arms go to one block yields it
+    /// twice.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match self {
+            Terminator::Jump(t) => (Some(t.block), None),
+            Terminator::Branch { then_to, else_to, .. } => {
+                (Some(then_to.block), Some(else_to.block))
+            }
+            Terminator::Return(_) | Terminator::Unreachable => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Calls `f` with a mutable reference to each jump target.
@@ -417,8 +422,8 @@ mod tests {
             then_to: JumpTarget::new(BlockId::new(1)),
             else_to: JumpTarget::new(BlockId::new(2)),
         };
-        assert_eq!(t.successors(), vec![BlockId::new(1), BlockId::new(2)]);
-        assert_eq!(Terminator::Return(None).successors(), vec![]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId::new(1), BlockId::new(2)]);
+        assert_eq!(Terminator::Return(None).successors().count(), 0);
     }
 
     #[test]
