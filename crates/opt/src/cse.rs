@@ -6,14 +6,16 @@
 //! memory state.
 //!
 //! The two per-block tables (available expressions, known memory) are
-//! [`FxHashMap`]s allocated once per function and cleared at each block,
-//! and blocks are rewritten in place.
+//! [`FxHashMap`]s cleared at each block. They and the substitution live in
+//! one per-thread scratch, cleared at the start of every call (see the
+//! crate docs), and blocks are rewritten in place.
 
 use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::analysis::EffectSummary;
 use optinline_ir::{AnalysisManager, BinOp, FuncId, GlobalId, Inst, Module, ValueId};
+use std::cell::RefCell;
 
 /// The local-CSE pass.
 ///
@@ -47,7 +49,7 @@ impl Pass for Cse {
             Some(s) => s,
             None => am.effects(module),
         };
-        if cse_function(module, fid, effects) {
+        if SCRATCH.with_borrow_mut(|scratch| cse_function(module, fid, effects, scratch)) {
             // Deduplicating a load changes the (recomputed) read set, so
             // the effect summary is not preserved; blocks and calls are.
             PassResult::changed(fid, PreservedAnalyses::none().plus_cfg().plus_call_graph())
@@ -63,12 +65,29 @@ enum Key {
     Const(i64),
 }
 
-fn cse_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bool {
+/// This thread's CSE tables. Each call clears them before use, so a call
+/// reads nothing an earlier one left but the capacity.
+#[derive(Default)]
+struct Scratch {
+    subst: Subst,
+    available: FxHashMap<Key, ValueId>,
+    memory: FxHashMap<GlobalId, ValueId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+fn cse_function(
+    module: &mut Module,
+    fid: FuncId,
+    effects: &EffectSummary,
+    scratch: &mut Scratch,
+) -> bool {
+    let Scratch { subst, available, memory } = scratch;
     let func = module.func_mut(fid);
-    let mut subst = Subst::new();
+    subst.clear();
     let mut changed = false;
-    let mut available: FxHashMap<Key, ValueId> = FxHashMap::default();
-    let mut memory: FxHashMap<GlobalId, ValueId> = FxHashMap::default();
     for block in &mut func.blocks {
         available.clear();
         memory.clear();

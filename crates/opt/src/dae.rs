@@ -9,8 +9,9 @@
 //! shifting later inlining trade-offs.
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
-use optinline_ir::analysis::use_counts;
+use optinline_ir::analysis::use_counts_into;
 use optinline_ir::{AnalysisManager, FuncId, Inst, Linkage, Module};
+use std::cell::RefCell;
 
 /// The dead-argument elimination pass.
 ///
@@ -35,8 +36,8 @@ impl Pass for DeadArgElim {
         fid: FuncId,
         am: &mut AnalysisManager,
     ) -> PassResult {
-        let callers = am.callers(module)[fid.index()].clone();
-        match prune_function(module, fid, &callers) {
+        let callers = &am.callers(module)[fid.index()];
+        match SCRATCH.with_borrow_mut(|scratch| prune_function(module, fid, callers, scratch)) {
             // Dropping a parameter and its arguments touches no block
             // structure, no memory operation, and no call edge.
             Some(changed) => PassResult::changed_many(changed, PreservedAnalyses::all()),
@@ -45,9 +46,27 @@ impl Pass for DeadArgElim {
     }
 }
 
+/// This thread's use counts and dead-parameter list, refilled on every
+/// call.
+#[derive(Default)]
+struct Scratch {
+    counts: Vec<u32>,
+    dead: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 /// Prunes dead parameters of `fid`, rewriting call sites in `callers`.
 /// Returns the functions actually modified (`fid` first), or `None`.
-fn prune_function(module: &mut Module, fid: FuncId, callers: &[FuncId]) -> Option<Vec<FuncId>> {
+fn prune_function(
+    module: &mut Module,
+    fid: FuncId,
+    callers: &[FuncId],
+    scratch: &mut Scratch,
+) -> Option<Vec<FuncId>> {
+    let Scratch { counts, dead } = scratch;
     {
         let func = module.func(fid);
         // Public functions keep their ABI; stubs have nothing to prune.
@@ -60,15 +79,17 @@ fn prune_function(module: &mut Module, fid: FuncId, callers: &[FuncId]) -> Optio
             return None;
         }
     }
-    let counts = use_counts(module.func(fid));
-    let dead: Vec<usize> = module
-        .func(fid)
-        .params()
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| counts[p.index()] == 0)
-        .map(|(i, _)| i)
-        .collect();
+    use_counts_into(module.func(fid), counts);
+    dead.clear();
+    dead.extend(
+        module
+            .func(fid)
+            .params()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| counts[p.index()] == 0)
+            .map(|(i, _)| i),
+    );
     if dead.is_empty() {
         return None;
     }

@@ -10,8 +10,9 @@
 //!   Figure 11 case study.
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
-use optinline_ir::analysis::{reachable_functions, use_counts, EffectSummary};
+use optinline_ir::analysis::{reachable_functions, use_counts_into, EffectSummary};
 use optinline_ir::{AnalysisManager, FuncId, Inst, Module};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// The dead-instruction elimination pass.
@@ -49,7 +50,7 @@ impl Pass for Dce {
             Some(s) => s,
             None => am.effects(module),
         };
-        if dce_function(module, fid, effects) {
+        if COUNTS.with_borrow_mut(|counts| dce_function(module, fid, effects, counts)) {
             // Unused loads and pure calls are deleted — the recomputed
             // effect summary and the call graph both change; blocks don't.
             PassResult::changed(fid, PreservedAnalyses::none().plus_cfg())
@@ -59,11 +60,21 @@ impl Pass for Dce {
     }
 }
 
-fn dce_function(module: &mut Module, fid: FuncId, effects: &EffectSummary) -> bool {
+thread_local! {
+    /// This thread's use counts, refilled on every sweep of every call.
+    static COUNTS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+fn dce_function(
+    module: &mut Module,
+    fid: FuncId,
+    effects: &EffectSummary,
+    counts: &mut Vec<u32>,
+) -> bool {
     let mut changed = false;
     // Deleting one instruction can orphan its operands; iterate locally.
     loop {
-        let counts = use_counts(module.func(fid));
+        use_counts_into(module.func(fid), counts);
         let func = module.func_mut(fid);
         let mut progressed = false;
         for block in &mut func.blocks {

@@ -13,12 +13,15 @@
 //! maps to exactly one value while it is visible. Entering a block records
 //! the stack's height as its mark; leaving it pops the keys above the mark
 //! out of the map. The dominator tree is kept as first-child/next-sibling
-//! links, and blocks are rewritten in place.
+//! links, and blocks are rewritten in place. The links, the map, the
+//! stacks and the substitution live in one per-thread scratch, cleared at
+//! the start of every call (see the crate docs).
 
 use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::{AnalysisManager, BinOp, BlockId, FuncId, Inst, Module, ValueId};
+use std::cell::RefCell;
 
 /// The global value-numbering pass.
 ///
@@ -40,7 +43,7 @@ impl Pass for Gvn {
         fid: FuncId,
         am: &mut AnalysisManager,
     ) -> PassResult {
-        if gvn_function(module, fid, am) {
+        if SCRATCH.with_borrow_mut(|scratch| gvn_function(module, fid, am, scratch)) {
             // Pure redundancy elimination: no blocks, memory ops, or calls
             // are added or removed.
             PassResult::changed(fid, PreservedAnalyses::all())
@@ -72,7 +75,35 @@ fn canonical_key(op: BinOp, lhs: ValueId, rhs: ValueId) -> Key {
 /// No block: the end of a child/sibling list.
 const NONE: u32 = u32::MAX;
 
-fn gvn_function(module: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> bool {
+/// One step of the dominator-tree walk.
+enum Step {
+    Enter(BlockId),
+    Leave(usize),
+}
+
+/// This thread's GVN tables. Each call clears them before use, so a call
+/// reads nothing an earlier one left but the capacity.
+#[derive(Default)]
+struct Scratch {
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    subst: Subst,
+    available: FxHashMap<Key, ValueId>,
+    scope: Vec<Key>,
+    stack: Vec<Step>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+fn gvn_function(
+    module: &mut Module,
+    fid: FuncId,
+    am: &mut AnalysisManager,
+    scratch: &mut Scratch,
+) -> bool {
+    let Scratch { first_child, next_sibling, subst, available, scope, stack } = scratch;
     let facts = am.cfg_facts(module, fid);
     let reach = &facts.reachable;
     let idom = &facts.idom;
@@ -81,8 +112,10 @@ fn gvn_function(module: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> b
     // Dominator-tree children as first-child/next-sibling links. Blocks are
     // linked in increasing id order, each at the head of its parent's list,
     // so a list runs from the highest id down.
-    let mut first_child = vec![NONE; n];
-    let mut next_sibling = vec![NONE; n];
+    first_child.clear();
+    first_child.resize(n, NONE);
+    next_sibling.clear();
+    next_sibling.resize(n, NONE);
     for b in 1..n {
         if !reach[b] {
             continue;
@@ -98,17 +131,13 @@ fn gvn_function(module: &mut Module, fid: FuncId, am: &mut AnalysisManager) -> b
     // Pre-order walk with an explicit step stack: entering a block pushes
     // its new keys on the shared key stack, leaving pops them back to the
     // block's mark.
-    let mut subst = Subst::new();
-    let mut available: FxHashMap<Key, ValueId> = FxHashMap::default();
-    let mut scope: Vec<Key> = Vec::new();
+    subst.clear();
+    available.clear();
+    scope.clear();
+    stack.clear();
     let mut changed = false;
-
-    enum Step {
-        Enter(BlockId),
-        Leave(usize),
-    }
     let func = module.func_mut(fid);
-    let mut stack = vec![Step::Enter(func.entry())];
+    stack.push(Step::Enter(func.entry()));
     while let Some(step) = stack.pop() {
         match step {
             Step::Leave(mark) => {

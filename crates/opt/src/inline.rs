@@ -177,23 +177,24 @@ fn find_candidate(
 }
 
 /// Expands the call at `(bid, idx)` in function `f`.
+///
+/// The callee's blocks are cloned once and renumbered in place: values move
+/// up by the caller's value bound, blocks up past the caller's blocks and
+/// the continuation block, and returns become jumps to the continuation.
 fn inline_call(module: &mut Module, f: FuncId, bid: BlockId, idx: usize) {
-    let (dst, callee, args, path) = {
-        let func = module.func(f);
-        match &func.block(bid).insts[idx] {
-            Inst::Call { dst, callee, args, inline_path, .. } => {
-                (*dst, *callee, args.clone(), inline_path.clone())
-            }
-            other => panic!("inline_call on non-call instruction {other:?}"),
-        }
+    let callee = match &module.func(f).block(bid).insts[idx] {
+        Inst::Call { callee, .. } => *callee,
+        other => panic!("inline_call on non-call instruction {other:?}"),
     };
-    let callee_body = module.func(callee).clone();
-    let mut child_path = path;
-    child_path.push(callee);
+    // Cloned before the caller changes: a self-recursive call copies the
+    // caller's own body as it was.
+    let callee_func = module.func(callee);
+    let (mut body, callee_bound, callee_entry) =
+        (callee_func.blocks.clone(), callee_func.value_bound(), callee_func.entry());
 
     let caller = module.func_mut(f);
     let vbase = caller.value_bound();
-    caller.reserve_values(vbase + callee_body.value_bound());
+    caller.reserve_values(vbase + callee_bound);
     let remap_v = |v: ValueId| ValueId::new(vbase + v.as_u32());
 
     let cont_id = BlockId::new(caller.blocks.len() as u32);
@@ -204,62 +205,56 @@ fn inline_call(module: &mut Module, f: FuncId, bid: BlockId, idx: usize) {
     // The call's result value becomes `cont`'s block parameter, so existing
     // uses keep their id.
     let call_block = caller.block_mut(bid);
+    let tail = call_block.insts.split_off(idx + 1);
+    let Some(Inst::Call { dst, args, inline_path, .. }) = call_block.insts.pop() else {
+        unreachable!("checked to be a call above")
+    };
     let mut cont = Block::new(dst.map(|d| vec![d]).unwrap_or_default());
-    cont.insts = call_block.insts.split_off(idx + 1);
-    let removed = call_block.insts.pop();
-    debug_assert!(matches!(removed, Some(Inst::Call { .. })));
+    cont.insts = tail;
     cont.term = std::mem::replace(&mut call_block.term, Terminator::Unreachable);
-    call_block.term = Terminator::Jump(JumpTarget::with_args(remap_b(callee_body.entry()), args));
+    call_block.term = Terminator::Jump(JumpTarget::with_args(remap_b(callee_entry), args));
     caller.blocks.push(cont);
+    let mut child_path = inline_path;
+    child_path.push(callee);
 
-    // Clone the callee's blocks.
-    for src in &callee_body.blocks {
-        let mut block = Block::new(src.params.iter().map(|&p| remap_v(p)).collect());
-        for inst in &src.insts {
-            let mut inst = inst.clone();
-            match &mut inst {
-                Inst::Const { dst, .. } => *dst = remap_v(*dst),
-                Inst::Bin { dst, .. } => *dst = remap_v(*dst),
-                Inst::Load { dst, .. } => *dst = remap_v(*dst),
+    for block in &mut body {
+        for p in &mut block.params {
+            *p = remap_v(*p);
+        }
+        for inst in &mut block.insts {
+            match inst {
+                Inst::Const { dst, .. } | Inst::Bin { dst, .. } | Inst::Load { dst, .. } => {
+                    *dst = remap_v(*dst)
+                }
                 Inst::Call { dst, inline_path, .. } => {
                     if let Some(d) = dst {
                         *d = remap_v(*d);
                     }
-                    *inline_path = {
-                        let mut p = child_path.clone();
-                        p.extend(inline_path.iter().copied());
-                        p
-                    };
+                    inline_path.splice(0..0, child_path.iter().copied());
                 }
                 Inst::Store { .. } => {}
             }
             inst.map_uses(remap_v);
-            block.insts.push(inst);
         }
-        block.term = match &src.term {
-            Terminator::Return(v) => {
-                let ret_args = match (dst, v) {
-                    (Some(_), Some(rv)) => vec![remap_v(*rv)],
-                    (Some(_), None) => {
-                        // Caller expects a value; a valueless return supplies
-                        // a defined default.
-                        let zero = caller.new_value();
-                        block.insts.push(Inst::Const { dst: zero, value: 0 });
-                        vec![zero]
-                    }
-                    (None, _) => vec![],
-                };
-                Terminator::Jump(JumpTarget::with_args(cont_id, ret_args))
-            }
-            other => {
-                let mut t = other.clone();
-                t.map_uses(remap_v);
-                t.for_each_target_mut(|jt| jt.block = remap_b(jt.block));
-                t
-            }
-        };
-        caller.blocks.push(block);
+        if let Terminator::Return(v) = block.term {
+            let ret_args = match (dst, v) {
+                (Some(_), Some(rv)) => vec![remap_v(rv)],
+                (Some(_), None) => {
+                    // Caller expects a value; a valueless return supplies a
+                    // defined default.
+                    let zero = caller.new_value();
+                    block.insts.push(Inst::Const { dst: zero, value: 0 });
+                    vec![zero]
+                }
+                (None, _) => vec![],
+            };
+            block.term = Terminator::Jump(JumpTarget::with_args(cont_id, ret_args));
+        } else {
+            block.term.map_uses(remap_v);
+            block.term.for_each_target_mut(|jt| jt.block = remap_b(jt.block));
+        }
     }
+    caller.blocks.append(&mut body);
 }
 
 #[cfg(test)]

@@ -53,6 +53,27 @@
 //! assert!(m.is_stub(m.func_by_name("add1").unwrap()));
 //! assert!(text_size(&m, &X86Like) > 0);
 //! ```
+//!
+//! # Per-thread scratch
+//!
+//! A search compiles tens of thousands of slices, each through about a
+//! dozen function visits per pass, so the passes do not allocate their
+//! working tables per visit. Each cleanup pass module (GVN, SCCP,
+//! simplify-cfg, CSE, DCE, dead-argument elimination, simplify) keeps them
+//! in one private `thread_local!` scratch: dense per-value and per-block
+//! vectors, Fx hash maps, a [`Subst`], use counts and reachability. The rule:
+//!
+//! - one scratch per pass module, private to it;
+//! - cleared or refilled before it is read, in every call, so it carries
+//!   nothing from one call to the next but capacity and no output reads
+//!   what the thread ran before (`tests/pass_properties.rs` compares every
+//!   pass after a large function with a fresh thread);
+//! - its capacity is bounded by the largest function that thread has
+//!   cleaned, and it lives as long as the thread.
+//!
+//! No pass calls another pass, so a scratch is never borrowed twice, and a
+//! pass that panics releases its borrow as it unwinds; the next call clears
+//! what it left.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

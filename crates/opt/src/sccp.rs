@@ -23,12 +23,22 @@
 //! executable. A terminator has at most two targets, so the mask names
 //! every edge, including both edges of a branch whose arms go to the same
 //! block.
+//!
+//! The solve sweeps the reachable blocks in reverse postorder, so outside
+//! loops one sweep settles every value and a second confirms it. The
+//! rewrite walks blocks in index order instead: it numbers the constants it
+//! materializes for block parameters, so its order fixes the fresh value
+//! ids, and index order is the order the pipeline's goldens pin. The
+//! tables, the order and the substitution live in one per-thread scratch,
+//! cleared at the start of every call (see the crate docs).
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
+use optinline_ir::analysis::{reverse_postorder_into, use_counts_into};
 use optinline_ir::{
     AnalysisManager, BlockId, FuncId, Inst, JumpTarget, Module, Terminator, ValueId,
 };
+use std::cell::RefCell;
 
 /// The SCCP pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,7 +55,7 @@ impl Pass for Sccp {
         fid: FuncId,
         _am: &mut AnalysisManager,
     ) -> PassResult {
-        if sccp_function(module, fid) {
+        if SCRATCH.with_borrow_mut(|scratch| sccp_function(module, fid, scratch)) {
             // Proven branches become jumps (CFG changes); materialized
             // constants are pure, and loads/stores/calls are never touched.
             PassResult::changed(fid, PreservedAnalyses::none().plus_effects().plus_call_graph())
@@ -73,17 +83,40 @@ impl Lattice {
     }
 }
 
-fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
+/// This thread's SCCP tables. Each call clears them before use, so a call
+/// reads nothing an earlier one left but the capacity.
+#[derive(Default)]
+struct Scratch {
+    value: Vec<Lattice>,
+    exec_edge: Vec<u8>,
+    exec_block: Vec<bool>,
+    rpo: Vec<BlockId>,
+    seen: Vec<bool>,
+    dfs: Vec<(BlockId, usize)>,
+    counts: Vec<u32>,
+    subst: Subst,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+fn sccp_function(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { value, exec_edge, exec_block, rpo, seen, dfs, counts, subst } = scratch;
     let func = module.func(fid);
     let n_blocks = func.blocks.len();
     if n_blocks == 0 {
         return false;
     }
-    let mut value: Vec<Lattice> = vec![Lattice::Top; func.value_bound() as usize];
+    value.clear();
+    value.resize(func.value_bound() as usize, Lattice::Top);
     // Executable CFG edges: bit `idx` of `exec_edge[from]` marks the
     // terminator's `idx`-th target.
-    let mut exec_edge: Vec<u8> = vec![0; n_blocks];
-    let mut exec_block = vec![false; n_blocks];
+    exec_edge.clear();
+    exec_edge.resize(n_blocks, 0);
+    exec_block.clear();
+    exec_block.resize(n_blocks, false);
+    reverse_postorder_into(func, rpo, seen, dfs);
 
     // Function parameters vary (callers differ).
     for &p in func.params() {
@@ -96,8 +129,10 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
     };
 
     // Chaotic iteration: re-evaluate whole executable blocks until the
-    // lattice stabilizes. Simpler than SSA worklists and plenty fast at our
-    // function sizes; monotonicity bounds the iteration count.
+    // lattice stabilizes, in reverse postorder so that outside loops a
+    // block's operands are final before it is read. Every transfer is
+    // monotone and each update meets with the old value, so any sweep order
+    // reaches the same fixpoint; monotonicity bounds the iteration count.
     let mut changed_lattice = true;
     let mut guard = 0usize;
     let sweep_cap = 4 * (func.value_bound() as usize + n_blocks) + 16;
@@ -105,7 +140,8 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
         changed_lattice = false;
         guard += 1;
         assert!(guard <= sweep_cap, "SCCP failed to stabilize");
-        for b in 0..n_blocks {
+        for &bid in rpo.iter() {
+            let b = bid.index();
             if !exec_block[b] {
                 continue;
             }
@@ -114,7 +150,7 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
                 let new = match inst {
                     Inst::Const { value: v, .. } => Lattice::Const(*v),
                     Inst::Bin { op, lhs, rhs, .. } => {
-                        match (lookup(&value, *lhs), lookup(&value, *rhs)) {
+                        match (lookup(value, *lhs), lookup(value, *rhs)) {
                             (Lattice::Const(a), Lattice::Const(b)) => Lattice::Const(op.eval(a, b)),
                             (Lattice::Bottom, _) | (_, Lattice::Bottom) => Lattice::Bottom,
                             _ => Lattice::Top,
@@ -155,16 +191,16 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
                 }
             };
             match &block.term {
-                Terminator::Jump(t) => flow(t, 0, &mut value, &mut changed_lattice),
-                Terminator::Branch { cond, then_to, else_to } => match lookup(&value, *cond) {
+                Terminator::Jump(t) => flow(t, 0, value, &mut changed_lattice),
+                Terminator::Branch { cond, then_to, else_to } => match lookup(value, *cond) {
                     Lattice::Const(c) => {
                         let t = if c != 0 { then_to } else { else_to };
                         let idx = if c != 0 { 0 } else { 1 };
-                        flow(t, idx, &mut value, &mut changed_lattice);
+                        flow(t, idx, value, &mut changed_lattice);
                     }
                     Lattice::Bottom => {
-                        flow(then_to, 0, &mut value, &mut changed_lattice);
-                        flow(else_to, 1, &mut value, &mut changed_lattice);
+                        flow(then_to, 0, value, &mut changed_lattice);
+                        flow(else_to, 1, value, &mut changed_lattice);
                     }
                     Lattice::Top => {}
                 },
@@ -177,12 +213,14 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
     // replace provably-constant block params with materialized constants
     // (the param itself stays; dead-param pruning cleans it up later).
     // Only params that still have uses get a constant — that keeps the
-    // pass idempotent. Executable blocks are reachable: each was entered
-    // along a CFG edge from an executable block.
-    let counts = optinline_ir::analysis::use_counts(func);
+    // pass idempotent. Blocks are rewritten in index order, whatever order
+    // the solve swept them in, so fresh value ids follow block index.
+    // Executable blocks are reachable: each was entered along a CFG edge
+    // from an executable block.
+    use_counts_into(func, counts);
     let func = module.func_mut(fid);
     let mut rewrote = false;
-    let mut subst = Subst::new();
+    subst.clear();
     for (b, &executable) in exec_block.iter().enumerate() {
         if !executable {
             continue;
@@ -210,10 +248,11 @@ fn sccp_function(module: &mut Module, fid: FuncId) -> bool {
                 rewrote = true;
             }
         }
-        if let Terminator::Branch { cond, then_to, else_to } = &block.term {
-            if let Lattice::Const(c) = lookup(&value, *cond) {
-                let t = if c != 0 { then_to.clone() } else { else_to.clone() };
-                block.term = Terminator::Jump(t);
+        if let Terminator::Branch { cond, then_to, else_to } = &mut block.term {
+            if let Lattice::Const(c) = lookup(value, *cond) {
+                let taken = if c != 0 { then_to } else { else_to };
+                let target = JumpTarget::with_args(taken.block, std::mem::take(&mut taken.args));
+                block.term = Terminator::Jump(target);
                 rewrote = true;
             }
         }

@@ -6,6 +6,7 @@
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
 use optinline_ir::{AnalysisManager, BinOp, FuncId, Inst, Module, ValueId};
+use std::cell::RefCell;
 
 /// The instruction-simplification pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -22,7 +23,7 @@ impl Pass for Simplify {
         fid: FuncId,
         _am: &mut AnalysisManager,
     ) -> PassResult {
-        if simplify_function(module, fid) {
+        if SCRATCH.with_borrow_mut(|scratch| simplify_function(module, fid, scratch)) {
             // Only pure `Bin` instructions are rewritten or deleted: block
             // structure, memory traffic, and calls all survive.
             PassResult::changed(fid, PreservedAnalyses::all())
@@ -86,9 +87,24 @@ fn simplify_bin(
     None
 }
 
-fn simplify_function(module: &mut Module, fid: FuncId) -> bool {
+/// This thread's constant table and substitution. Each call clears them
+/// before use, so a call reads nothing an earlier one left but the
+/// capacity.
+#[derive(Default)]
+struct Scratch {
+    consts: Vec<Option<i64>>,
+    subst: Subst,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+fn simplify_function(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { consts, subst } = scratch;
     let func = module.func_mut(fid);
-    let mut consts: Vec<Option<i64>> = vec![None; func.value_bound() as usize];
+    consts.clear();
+    consts.resize(func.value_bound() as usize, None);
     for block in &func.blocks {
         for inst in &block.insts {
             if let Inst::Const { dst, value } = inst {
@@ -96,7 +112,7 @@ fn simplify_function(module: &mut Module, fid: FuncId) -> bool {
             }
         }
     }
-    let mut subst = Subst::new();
+    subst.clear();
     let mut changed = false;
     for block in &mut func.blocks {
         block.insts.retain_mut(|inst| {
@@ -106,7 +122,7 @@ fn simplify_function(module: &mut Module, fid: FuncId) -> bool {
             // Uses may refer to already-substituted values within this
             // sweep; resolve so identity checks see through copies.
             let (lhs, rhs) = (subst.resolve(lhs), subst.resolve(rhs));
-            match simplify_bin(&consts, dst, op, lhs, rhs) {
+            match simplify_bin(consts, dst, op, lhs, rhs) {
                 None => *inst = Inst::Bin { dst, op, lhs, rhs },
                 Some(Outcome::Value(v)) => {
                     subst.insert(dst, v);

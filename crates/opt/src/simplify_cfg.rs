@@ -16,11 +16,18 @@
 //! order cannot change the result: a merge only concatenates instruction
 //! lists in chain order, unreachable removal keeps the surviving blocks'
 //! order, and no step creates a value.
+//!
+//! The steps' edge counts, reachability, use counts, substitution and
+//! forwarding snapshot live in one per-thread scratch, each refilled before
+//! a step reads it (see the crate docs).
 
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
-use optinline_ir::analysis::{reachable_blocks, use_counts};
-use optinline_ir::{AnalysisManager, BlockId, FuncId, Module, Terminator};
+use optinline_ir::analysis::{reachable_blocks_into, use_counts_into};
+use optinline_ir::{
+    AnalysisManager, BlockId, FuncId, Function, JumpTarget, Module, Terminator, ValueId,
+};
+use std::cell::RefCell;
 
 /// The CFG simplification pass.
 #[derive(Clone, Copy, Debug, Default)]
@@ -37,7 +44,7 @@ impl Pass for SimplifyCfg {
         fid: FuncId,
         _am: &mut AnalysisManager,
     ) -> PassResult {
-        if simplify_cfg_function(module, fid) {
+        if SCRATCH.with_borrow_mut(|scratch| simplify_cfg_function(module, fid, scratch)) {
             // Blocks are merged, threaded, and deleted — dropping an
             // unreachable block can delete loads, stores, and calls with
             // it, so nothing is preserved.
@@ -48,16 +55,52 @@ impl Pass for SimplifyCfg {
     }
 }
 
-fn simplify_cfg_function(module: &mut Module, fid: FuncId) -> bool {
+/// A forwarding block `B(params): jump C(args)` as it was before any edge
+/// moved: its target, and where its params, then its jump arguments, sit
+/// in [`Scratch::forwarded`].
+#[derive(Clone, Copy)]
+struct Forward {
+    dest: BlockId,
+    start: u32,
+    params: u32,
+    args: u32,
+}
+
+/// This thread's simplify-cfg tables. Each step refills the tables it reads
+/// before reading them, so a call reads nothing an earlier one left but the
+/// capacity.
+#[derive(Default)]
+struct Scratch {
+    /// Incoming edges per block (a branch with both arms to `B` counts 2).
+    edges: Vec<usize>,
+    /// Each block's last edge source: its only one wherever `edges` is 1.
+    source: Vec<usize>,
+    candidates: Vec<usize>,
+    reach: Vec<bool>,
+    stack: Vec<BlockId>,
+    uses: Vec<u32>,
+    subst: Subst,
+    dead: Vec<usize>,
+    forwards: Vec<Option<Forward>>,
+    forwarded: Vec<ValueId>,
+    incoming: Vec<ValueId>,
+    remap: Vec<BlockId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+fn simplify_cfg_function(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
     let mut changed = false;
     for _ in 0..20 {
         let mut progressed = false;
         progressed |= collapse_trivial_branches(module, fid);
-        progressed |= forward_single_pred_params(module, fid);
-        progressed |= prune_dead_params(module, fid);
-        progressed |= merge_straight_line(module, fid);
-        progressed |= thread_empty_jumps(module, fid);
-        progressed |= remove_unreachable(module, fid);
+        progressed |= forward_single_pred_params(module, fid, scratch);
+        progressed |= prune_dead_params(module, fid, scratch);
+        progressed |= merge_straight_line(module, fid, scratch);
+        progressed |= thread_empty_jumps(module, fid, scratch);
+        progressed |= remove_unreachable(module, fid, scratch);
         if !progressed {
             break;
         }
@@ -71,9 +114,11 @@ fn collapse_trivial_branches(module: &mut Module, fid: FuncId) -> bool {
     let func = module.func_mut(fid);
     let mut changed = false;
     for block in &mut func.blocks {
-        if let Terminator::Branch { then_to, else_to, .. } = &block.term {
+        if let Terminator::Branch { then_to, else_to, .. } = &mut block.term {
             if then_to == else_to {
-                block.term = Terminator::Jump(then_to.clone());
+                let target =
+                    JumpTarget::with_args(then_to.block, std::mem::take(&mut then_to.args));
+                block.term = Terminator::Jump(target);
                 changed = true;
             }
         }
@@ -81,19 +126,20 @@ fn collapse_trivial_branches(module: &mut Module, fid: FuncId) -> bool {
     changed
 }
 
-/// Counts incoming edges per block (branch with both arms to B counts 2),
-/// and records each block's last edge source: its only one wherever the
-/// count is 1.
-fn incoming_edges(func: &optinline_ir::Function) -> (Vec<usize>, Vec<usize>) {
-    let mut counts = vec![0usize; func.blocks.len()];
-    let mut source = vec![0usize; func.blocks.len()];
+/// Counts incoming edges per block into `counts` (branch with both arms to
+/// B counts 2), and records each block's last edge source in `source`: its
+/// only one wherever the count is 1.
+fn incoming_edges(func: &Function, counts: &mut Vec<usize>, source: &mut Vec<usize>) {
+    counts.clear();
+    counts.resize(func.blocks.len(), 0);
+    source.clear();
+    source.resize(func.blocks.len(), 0);
     for (src, block) in func.blocks.iter().enumerate() {
         for s in block.term.successors() {
             counts[s.index()] += 1;
             source[s.index()] = src;
         }
     }
-    (counts, source)
 }
 
 /// A reachable non-entry block with exactly one incoming edge takes its
@@ -104,19 +150,21 @@ fn incoming_edges(func: &optinline_ir::Function) -> (Vec<usize>, Vec<usize>) {
 /// forwarded parameter), so the result is the same as substituting after
 /// each block. A chain could only close into a cycle through blocks that
 /// are unreachable, and those are skipped.
-fn forward_single_pred_params(module: &mut Module, fid: FuncId) -> bool {
+fn forward_single_pred_params(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { edges: counts, source, candidates, reach, stack, subst, .. } = scratch;
     let func = module.func_mut(fid);
-    let (counts, source) = incoming_edges(func);
-    let candidates: Vec<usize> = (1..func.blocks.len())
-        .filter(|&b| counts[b] == 1 && !func.blocks[b].params.is_empty())
-        .collect();
+    incoming_edges(func, counts, source);
+    candidates.clear();
+    candidates.extend(
+        (1..func.blocks.len()).filter(|&b| counts[b] == 1 && !func.blocks[b].params.is_empty()),
+    );
     if candidates.is_empty() {
         return false;
     }
-    let reach = reachable_blocks(func);
-    let mut subst = Subst::new();
+    reachable_blocks_into(func, reach, stack);
+    subst.clear();
     let mut changed = false;
-    for b in candidates {
+    for &b in candidates.iter() {
         let pred = source[b];
         if !reach[b] || pred == b {
             // Unreachable, or a self-loop whose parameter genuinely varies
@@ -124,7 +172,7 @@ fn forward_single_pred_params(module: &mut Module, fid: FuncId) -> bool {
             continue;
         }
         // Pull the args off the unique incoming edge.
-        let mut args: Option<Vec<optinline_ir::ValueId>> = None;
+        let mut args: Option<Vec<ValueId>> = None;
         func.blocks[pred].term.for_each_target_mut(|t| {
             if t.block == BlockId::new(b as u32) {
                 args = Some(std::mem::take(&mut t.args));
@@ -145,18 +193,21 @@ fn forward_single_pred_params(module: &mut Module, fid: FuncId) -> bool {
 
 /// Drops block parameters that are never used anywhere, together with the
 /// matching argument on every incoming edge.
-fn prune_dead_params(module: &mut Module, fid: FuncId) -> bool {
+fn prune_dead_params(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { uses: counts, dead, .. } = scratch;
     let func = module.func_mut(fid);
-    let counts = use_counts(func);
+    use_counts_into(func, counts);
     let mut changed = false;
     for b in 1..func.blocks.len() {
-        let dead: Vec<usize> = func.blocks[b]
-            .params
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| counts[p.index()] == 0)
-            .map(|(i, _)| i)
-            .collect();
+        dead.clear();
+        dead.extend(
+            func.blocks[b]
+                .params
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| counts[p.index()] == 0)
+                .map(|(i, _)| i),
+        );
         if dead.is_empty() {
             continue;
         }
@@ -193,10 +244,11 @@ fn prune_dead_params(module: &mut Module, fid: FuncId) -> bool {
 /// and an `unreachable` terminator, so no other block's incoming-edge count
 /// moves and `counts` stays exact for every block still reachable; the
 /// sweep's `remove_unreachable` deletes the emptied blocks.
-fn merge_straight_line(module: &mut Module, fid: FuncId) -> bool {
+fn merge_straight_line(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { edges: counts, source, reach, stack, .. } = scratch;
     let func = module.func_mut(fid);
-    let reach = reachable_blocks(func);
-    let (counts, _) = incoming_edges(func);
+    reachable_blocks_into(func, reach, stack);
+    incoming_edges(func, counts, source);
     let mut changed = false;
     for (a, &live) in reach.iter().enumerate() {
         if !live {
@@ -217,20 +269,21 @@ fn merge_straight_line(module: &mut Module, fid: FuncId) -> bool {
     changed
 }
 
-/// A forwarding block's relevant pieces: its params, the jump target, and
-/// the jump arguments.
-type Forward = (Vec<optinline_ir::ValueId>, BlockId, Vec<optinline_ir::ValueId>);
-
 /// Retargets edges that point at an empty block `B(params): jump C(args)`
 /// directly to `C`, substituting `B`'s params in `args` per edge.
-fn thread_empty_jumps(module: &mut Module, fid: FuncId) -> bool {
+fn thread_empty_jumps(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { uses: counts, forwards, forwarded, incoming, .. } = scratch;
     let func = module.func_mut(fid);
     let n = func.blocks.len();
-    let counts = use_counts(func);
-    // Collect forwarding blocks first (immutable scan). A block forwards
-    // only if its params have no uses beyond its own jump arguments —
-    // otherwise bypassing it would leave dangling uses downstream.
-    let mut forwards: Vec<Option<Forward>> = vec![None; n];
+    use_counts_into(func, counts);
+    // Collect forwarding blocks first (immutable scan), so every edge
+    // threads through a forwarder as it was before any edge moved. A block
+    // forwards only if its params have no uses beyond its own jump
+    // arguments — otherwise bypassing it would leave dangling uses
+    // downstream.
+    forwards.clear();
+    forwards.resize(n, None);
+    forwarded.clear();
     for (b, block) in func.blocks.iter().enumerate() {
         if !block.insts.is_empty() {
             continue;
@@ -244,7 +297,14 @@ fn thread_empty_jumps(module: &mut Module, fid: FuncId) -> bool {
                 counts[p.index()] != in_args
             });
             if !params_escape {
-                forwards[b] = Some((block.params.clone(), t.block, t.args.clone()));
+                forwards[b] = Some(Forward {
+                    dest: t.block,
+                    start: forwarded.len() as u32,
+                    params: block.params.len() as u32,
+                    args: t.args.len() as u32,
+                });
+                forwarded.extend(&block.params);
+                forwarded.extend(&t.args);
             }
         }
     }
@@ -256,18 +316,21 @@ fn thread_empty_jumps(module: &mut Module, fid: FuncId) -> bool {
             if b == src {
                 return;
             }
-            if let Some((params, dest, dest_args)) = &forwards[b] {
+            if let Some(fwd) = forwards[b] {
                 // Don't thread into the forwarding block itself, and skip
                 // chains that would need the forwarder's params after it.
-                if dest.index() == src || dest.index() == b {
+                if fwd.dest.index() == src || fwd.dest.index() == b {
                     return;
                 }
-                let incoming = std::mem::take(&mut t.args);
-                let map = |v: optinline_ir::ValueId| {
+                let (params, rest) = forwarded[fwd.start as usize..].split_at(fwd.params as usize);
+                let dest_args = &rest[..fwd.args as usize];
+                incoming.clear();
+                incoming.append(&mut t.args);
+                let map = |v: ValueId| {
                     params.iter().position(|p| *p == v).map(|i| incoming[i]).unwrap_or(v)
                 };
-                t.block = *dest;
-                t.args = dest_args.iter().map(|&v| map(v)).collect();
+                t.block = fwd.dest;
+                t.args.extend(dest_args.iter().map(|&v| map(v)));
                 changed = true;
             }
         });
@@ -276,13 +339,15 @@ fn thread_empty_jumps(module: &mut Module, fid: FuncId) -> bool {
 }
 
 /// Deletes unreachable blocks and compacts block ids.
-fn remove_unreachable(module: &mut Module, fid: FuncId) -> bool {
+fn remove_unreachable(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { reach, stack, remap, .. } = scratch;
     let func = module.func_mut(fid);
-    let reach = reachable_blocks(func);
+    reachable_blocks_into(func, reach, stack);
     if reach.iter().all(|&r| r) {
         return false;
     }
-    let mut remap = vec![BlockId::new(0); func.blocks.len()];
+    remap.clear();
+    remap.resize(func.blocks.len(), BlockId::new(0));
     let mut next = 0u32;
     for (i, &r) in reach.iter().enumerate() {
         if r {
@@ -290,12 +355,12 @@ fn remove_unreachable(module: &mut Module, fid: FuncId) -> bool {
             next += 1;
         }
     }
-    let mut old_blocks = std::mem::take(&mut func.blocks);
-    for (i, block) in old_blocks.drain(..).enumerate() {
-        if reach[i] {
-            func.blocks.push(block);
-        }
-    }
+    let mut i = 0;
+    func.blocks.retain(|_| {
+        let keep = reach[i];
+        i += 1;
+        keep
+    });
     for block in &mut func.blocks {
         block.term.for_each_target_mut(|t| t.block = remap[t.block.index()]);
     }

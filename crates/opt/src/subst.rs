@@ -44,6 +44,13 @@ impl Subst {
         *slot = Some(new);
     }
 
+    /// Drops every replacement and keeps the table's capacity, so a pass
+    /// can reuse one substitution across functions.
+    pub fn clear(&mut self) {
+        self.map.clear();
+        self.len = 0;
+    }
+
     /// Returns `true` if no replacements are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -108,6 +115,17 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.resolve(ValueId::new(4)), ValueId::new(3));
         assert_eq!(s.resolve(ValueId::new(0)), ValueId::new(0));
+    }
+
+    #[test]
+    fn clear_forgets_every_replacement() {
+        let mut s = Subst::new();
+        s.insert(ValueId::new(7), ValueId::new(2));
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.resolve(ValueId::new(7)), ValueId::new(7));
+        s.insert(ValueId::new(1), ValueId::new(0));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
