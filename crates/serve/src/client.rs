@@ -367,14 +367,7 @@ impl Client {
                 | Event::Done { .. }
                 | Event::Error { .. }
                 | Event::Rejected { .. }) => {
-                    let eid = match &terminal {
-                        Event::Pong { id }
-                        | Event::Done { id, .. }
-                        | Event::Error { id, .. }
-                        | Event::Rejected { id, .. } => *id,
-                        _ => unreachable!(),
-                    };
-                    if let Some(p) = self.pending.get_mut(&eid) {
+                    if let Some(p) = self.pending.get_mut(&terminal.id()) {
                         p.terminal = Some(terminal);
                     }
                     // An untracked id is stale fan-out from before a

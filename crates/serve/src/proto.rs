@@ -336,6 +336,24 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// The id of the request this event answers (0 when the request line
+    /// itself could not be read).
+    pub fn id(&self) -> u64 {
+        match self {
+            Event::Queued { id }
+            | Event::Started { id, .. }
+            | Event::Progress { id, .. }
+            | Event::Done { id, .. }
+            | Event::Error { id, .. }
+            | Event::Rejected { id, .. }
+            | Event::Pong { id }
+            | Event::Stats { id, .. }
+            | Event::ShuttingDown { id } => *id,
+        }
+    }
+}
+
 /// Server-side counters, exposed over the `stats` request. Dedup is
 /// observable here: N identical concurrent requests show as
 /// `evaluations + dedup_joined = N` with `evaluations = 1`.
@@ -362,7 +380,9 @@ pub struct ServerStats {
     pub cancelled: u64,
     /// Requests waiting in the admission queue right now.
     pub queue_depth: u64,
-    /// Leader evaluations executing right now.
+    /// Evaluation slots held right now: leader evaluations executing, plus
+    /// popped jobs whose dedup check has not yet run (a joiner gives its
+    /// slot back there).
     pub in_flight: u64,
     /// Connections the poll loop holds open right now.
     pub open_connections: u64,
@@ -378,7 +398,8 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Accepted requests that have ended, `completed + errors +
-    /// shed_deadline + cancelled`: `accepted` once none is queued or running.
+    /// shed_deadline + cancelled`: `accepted` once `queue_depth` and
+    /// `in_flight` read 0, and never more than `accepted - queue_depth`.
     pub fn terminal(&self) -> u64 {
         self.completed + self.errors + self.shed_deadline + self.cancelled
     }
@@ -507,17 +528,17 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
 /// Encodes an event as one line (no trailing newline).
 pub fn encode_event(event: &Event) -> String {
     let mut obj = Object::new();
-    let (id, name) = match event {
-        Event::Queued { id } => (*id, "queued"),
-        Event::Started { id, deduped } => {
+    let name = match event {
+        Event::Queued { .. } => "queued",
+        Event::Started { deduped, .. } => {
             obj.insert("deduped".into(), Value::Bool(*deduped));
-            (*id, "started")
+            "started"
         }
-        Event::Progress { id, note } => {
+        Event::Progress { note, .. } => {
             obj.insert("note".into(), Value::Str(note.clone()));
-            (*id, "progress")
+            "progress"
         }
-        Event::Done { id, report, module, measurement, evaluated } => {
+        Event::Done { report, module, measurement, evaluated, .. } => {
             obj.insert("report".into(), Value::Str(report.clone()));
             if let Some(m) = module {
                 obj.insert("module".into(), Value::Str(m.clone()));
@@ -529,27 +550,27 @@ pub fn encode_event(event: &Event) -> String {
                 }
             }
             obj.insert("evaluated".into(), Value::Bool(*evaluated));
-            (*id, "done")
+            "done"
         }
-        Event::Error { id, message } => {
+        Event::Error { message, .. } => {
             obj.insert("message".into(), Value::Str(message.clone()));
-            (*id, "error")
+            "error"
         }
-        Event::Rejected { id, reason } => {
+        Event::Rejected { reason, .. } => {
             obj.insert("reason".into(), Value::Str(reason.clone()));
-            (*id, "rejected")
+            "rejected"
         }
-        Event::Pong { id } => (*id, "pong"),
-        Event::Stats { id, stats } => {
+        Event::Pong { .. } => "pong",
+        Event::Stats { stats, .. } => {
             let mut stats = *stats;
             for (name, n) in server_counters(&mut stats) {
                 obj.insert(name.into(), Value::Int(*n as i64));
             }
-            (*id, "stats")
+            "stats"
         }
-        Event::ShuttingDown { id } => (*id, "shutting_down"),
+        Event::ShuttingDown { .. } => "shutting_down",
     };
-    obj.insert("id".into(), Value::Int(id as i64));
+    obj.insert("id".into(), Value::Int(event.id() as i64));
     obj.insert("event".into(), Value::Str(name.into()));
     json::encode(&obj)
 }

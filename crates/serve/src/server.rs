@@ -35,10 +35,10 @@
 //! task group: they help running searches with their `map` jobs first,
 //! then start the server's queued requests. A thread waiting inside a
 //! `map` never starts a request, so requests never nest. The queue still
-//! decides order, shedding and parking, and `running` caps evaluations at
-//! `max_concurrent` (default: one per core); a task that finds every slot
-//! taken leaves its job queued, and each freed slot offers a task while
-//! jobs wait.
+//! decides order, shedding and parking, and the `in_flight` gauge caps
+//! evaluation slots at `max_concurrent` (default: one per core); a task
+//! that finds every slot taken leaves its job queued, and each freed slot
+//! offers a task while jobs wait.
 //!
 //! It is not one dedicated thread per core because every thread that
 //! allocates keeps its own allocator arena resident: on a two-core host
@@ -47,13 +47,28 @@
 //!
 //! A starting job's 128-bit evaluation identity is checked against the
 //! in-flight table: a hit makes this request a *joiner* (its `started`
-//! event is queued and it is recorded as a waiter, both under the table's
-//! lock, and the thread moves on), a miss makes it the *leader* of a
-//! fresh evaluation, and the thread that popped it runs the injected
-//! [`Handler`] itself. Progress notes and the final result fan out to
-//! every waiter recorded by completion time. A panic in the handler is
-//! caught and reported as an `error` event so joiners are never
-//! stranded, and the thread goes on serving.
+//! event is queued, it is recorded as a waiter and its slot is given
+//! back, all under the state lock, and the thread moves on), a miss makes
+//! it the *leader* of a fresh evaluation, and the thread that popped it
+//! runs the injected [`Handler`] itself. Progress notes and the final
+//! result fan out to every waiter recorded by completion time. A panic in
+//! the handler is caught and reported as an `error` event so joiners are
+//! never stranded, and the thread goes on serving.
+//!
+//! # Bookkeeping
+//!
+//! One mutex, `state`, holds all of the daemon's request bookkeeping: the
+//! per-connection sub-queues, the in-flight table and the [`ServerStats`]
+//! that `stats` replies and the drain report copy. Its `queue_depth` and
+//! `in_flight` are the live gauges admission and the slot cap read, and
+//! every counter moves in the critical section that changes what it
+//! counts: `accepted` with the push, shed and dead-connection jobs where
+//! they leave the queue, reaped waiters where they leave their flight,
+//! and terminal counts where the leader removes its flight, before any
+//! terminal event is queued. So each snapshot is one instant's ledger:
+//! `terminal() + queue_depth <= accepted`, with equality once nothing is
+//! in flight. No path takes `state` while holding it; events are queued
+//! under a connection's own buffer lock, which never waits on `state`.
 //!
 //! # Outbound buffering and slow readers
 //!
@@ -112,7 +127,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
@@ -261,6 +276,21 @@ struct Flight {
     cancel: CancelToken,
 }
 
+impl Flight {
+    /// Removes the waiters `gone` picks, cancelling the flight when its
+    /// last waiter goes. Returns how many left, for the caller to count
+    /// as cancelled.
+    fn reap(&mut self, gone: impl Fn(&Waiter) -> bool) -> u64 {
+        let before = self.waiters.len();
+        self.waiters.retain(|w| !gone(w));
+        let removed = before - self.waiters.len();
+        if removed > 0 && self.waiters.is_empty() {
+            self.cancel.cancel();
+        }
+        removed as u64
+    }
+}
+
 /// A connection's outbound side, shared between the poll loop (which
 /// owns the socket and does every actual write) and the evaluating
 /// threads (which only ever append events here). Bounded: a reader that
@@ -284,22 +314,6 @@ struct Out {
     waker: Arc<Waker>,
     /// Context string for fault-injection filtering (the endpoint).
     ctx: Arc<str>,
-}
-
-/// The id a terminal farewell should carry when `event` overflowed the
-/// buffer: the same request the undeliverable event belonged to.
-fn event_id(event: &Event) -> u64 {
-    match event {
-        Event::Queued { id }
-        | Event::Started { id, .. }
-        | Event::Progress { id, .. }
-        | Event::Done { id, .. }
-        | Event::Error { id, .. }
-        | Event::Rejected { id, .. }
-        | Event::Pong { id }
-        | Event::Stats { id, .. }
-        | Event::ShuttingDown { id } => *id,
-    }
 }
 
 impl Out {
@@ -354,10 +368,11 @@ impl Out {
             // imposing a frame-size ceiling.
             if !buf.is_empty() && buf.len() + line.len() > self.cap {
                 // Slow reader: replace everything it has not taken with
-                // a typed farewell it might, and doom the connection.
+                // a typed farewell it might, and doom the connection. The
+                // farewell answers the request the undeliverable event did.
                 buf.clear();
                 let mut farewell = proto::encode_event(&Event::Rejected {
-                    id: event_id(event),
+                    id: event.id(),
                     reason: "slow_reader".to_string(),
                 });
                 farewell.push('\n');
@@ -375,20 +390,27 @@ impl Out {
     }
 }
 
-/// Round-robin per-connection admission: each connection owns a
-/// sub-queue; `pop_fair` serves connections in rotation so one chatty
-/// connection cannot starve the rest. `queued` is the global bound.
+/// All of the daemon's request bookkeeping, under the one `state` lock:
+/// the round-robin admission queue, the in-flight table and the counters
+/// `stats` replies copy. `stats.queue_depth` and `stats.in_flight` are the
+/// gauges admission and the slot cap read.
 #[derive(Default)]
-struct QueueState {
+struct State {
+    /// Each connection's sub-queue; `pop_fair` serves connections in
+    /// rotation so one chatty connection cannot starve the rest.
     per_conn: HashMap<u64, VecDeque<Job>>,
     /// Rotation order; invariant: a connection appears here exactly once
     /// iff its sub-queue is non-empty.
     rr: VecDeque<u64>,
-    queued: usize,
-    running: usize,
+    /// In-flight evaluations by identity.
+    flights: HashMap<u128, Flight>,
+    /// The generation stamp of the next flight.
+    next_gen: u64,
+    stats: ServerStats,
 }
 
-impl QueueState {
+impl State {
+    /// Admits one job, counting it `accepted`.
     fn push(&mut self, job: Job) {
         let conn = job.out.conn;
         let q = self.per_conn.entry(conn).or_default();
@@ -396,7 +418,8 @@ impl QueueState {
             self.rr.push_back(conn);
         }
         q.push_back(job);
-        self.queued += 1;
+        self.stats.queue_depth += 1;
+        self.stats.accepted += 1;
     }
 
     /// One job from the connection at the head of the rotation; the
@@ -411,64 +434,64 @@ impl QueueState {
             self.rr.push_back(conn);
         }
         if job.is_some() {
-            self.queued -= 1;
+            self.stats.queue_depth -= 1;
         }
         job
     }
 
-    /// Sweeps every sub-queue: deadline-expired jobs into `shed`,
-    /// dead-connection jobs into `dead` (a backstop — `drop_conn`
-    /// normally gets them first).
-    fn take_expired(&mut self, now: Instant, shed: &mut Vec<Job>, dead: &mut Vec<Job>) {
-        if self.queued == 0 {
-            return;
+    /// Sweeps every sub-queue, counting what it removes: deadline-expired
+    /// jobs are shed into `shed`, to be answered once the lock is dropped,
+    /// and dead-connection jobs are dropped as cancelled (a backstop —
+    /// `drop_conn` normally gets them first). Returns whether any job left.
+    fn sweep(&mut self, now: Instant, shed: &mut Vec<Job>) -> bool {
+        if self.stats.queue_depth == 0 {
+            return false;
         }
-        let before = shed.len() + dead.len();
+        let (mut kept, shed_before) = (0, shed.len());
         for q in self.per_conn.values_mut() {
             let mut keep = VecDeque::with_capacity(q.len());
             while let Some(job) = q.pop_front() {
                 if !job.out.alive() {
-                    dead.push(job);
-                } else if job.deadline.is_some_and(|d| d <= now) {
+                    continue;
+                }
+                if job.deadline.is_some_and(|d| d <= now) {
                     shed.push(job);
                 } else {
                     keep.push_back(job);
                 }
             }
+            kept += keep.len() as u64;
             *q = keep;
         }
-        let removed = shed.len() + dead.len() - before;
-        if removed > 0 {
-            self.queued -= removed;
-            self.per_conn.retain(|_, q| !q.is_empty());
-            let per_conn = &self.per_conn;
-            self.rr.retain(|c| per_conn.contains_key(c));
+        let removed = self.stats.queue_depth - kept;
+        if removed == 0 {
+            return false;
         }
+        let expired = (shed.len() - shed_before) as u64;
+        self.stats.queue_depth = kept;
+        self.stats.shed_deadline += expired;
+        self.stats.cancelled += removed - expired;
+        self.per_conn.retain(|_, q| !q.is_empty());
+        let per_conn = &self.per_conn;
+        self.rr.retain(|c| per_conn.contains_key(c));
+        true
     }
 
-    /// Drops every queued job belonging to `conn`; returns how many.
-    fn drop_conn(&mut self, conn: u64) -> u64 {
-        let dropped = self.per_conn.remove(&conn).map_or(0, |q| q.len());
-        self.queued -= dropped;
-        self.rr.retain(|c| *c != conn);
-        dropped as u64
+    /// Connection-death cleanup: drops its queued jobs and removes its
+    /// waiters from every flight (cancelling flights that empty), each
+    /// counted as cancelled, and closes its connection gauges.
+    fn drop_conn(&mut self, out: &Out) {
+        if let Some(q) = self.per_conn.remove(&out.conn) {
+            self.stats.queue_depth -= q.len() as u64;
+            self.stats.cancelled += q.len() as u64;
+            self.rr.retain(|c| *c != out.conn);
+        }
+        for flight in self.flights.values_mut() {
+            self.stats.cancelled += flight.reap(|w| w.out.conn == out.conn);
+        }
+        self.stats.slow_reader_disconnects += u64::from(out.overflowed());
+        self.stats.open_connections -= 1;
     }
-}
-
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    evaluations: AtomicU64,
-    dedup_joined: AtomicU64,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    shed_deadline: AtomicU64,
-    cancelled: AtomicU64,
-    open_connections: AtomicU64,
-    peak_connections: AtomicU64,
-    slow_reader_disconnects: AtomicU64,
-    poll_wakeups: AtomicU64,
 }
 
 struct ServerInner {
@@ -479,17 +502,14 @@ struct ServerInner {
     queue_capacity: usize,
     max_concurrent: usize,
     out_buffer_cap: usize,
-    state: Mutex<QueueState>,
+    /// The queue, the in-flight table and the counters: see [`State`].
+    state: Mutex<State>,
     /// The pool that runs evaluations, and this server's group in it.
     pool: &'static WorkerPool,
     group: TaskGroup,
     /// Set once the drain has finished every job: the lanes return.
     stopped: AtomicBool,
-    in_flight: Mutex<HashMap<u128, Flight>>,
     draining: AtomicBool,
-    counters: Counters,
-    next_conn: AtomicU64,
-    next_gen: AtomicU64,
     /// Endpoint display string, threaded into every `Out` as the
     /// fault-injection context.
     ctx: Arc<str>,
@@ -505,12 +525,8 @@ impl std::fmt::Debug for ServerInner {
 }
 
 impl ServerInner {
-    fn lock_state(&self) -> MutexGuard<'_, QueueState> {
+    fn lock_state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_in_flight(&self) -> MutexGuard<'_, HashMap<u128, Flight>> {
-        self.in_flight.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn draining(&self) -> bool {
@@ -533,33 +549,8 @@ impl ServerInner {
         self.pool.wake_lanes(self.group);
     }
 
-    fn count_cancelled(&self, n: u64) {
-        if n > 0 {
-            self.counters.cancelled.fetch_add(n, Ordering::SeqCst);
-        }
-    }
-
     fn server_stats(&self) -> ServerStats {
-        let (queue_depth, in_flight) = {
-            let s = self.lock_state();
-            (s.queued as u64, s.running as u64)
-        };
-        ServerStats {
-            accepted: self.counters.accepted.load(Ordering::SeqCst),
-            rejected: self.counters.rejected.load(Ordering::SeqCst),
-            evaluations: self.counters.evaluations.load(Ordering::SeqCst),
-            dedup_joined: self.counters.dedup_joined.load(Ordering::SeqCst),
-            completed: self.counters.completed.load(Ordering::SeqCst),
-            errors: self.counters.errors.load(Ordering::SeqCst),
-            shed_deadline: self.counters.shed_deadline.load(Ordering::SeqCst),
-            cancelled: self.counters.cancelled.load(Ordering::SeqCst),
-            queue_depth,
-            in_flight,
-            open_connections: self.counters.open_connections.load(Ordering::SeqCst),
-            peak_connections: self.counters.peak_connections.load(Ordering::SeqCst),
-            slow_reader_disconnects: self.counters.slow_reader_disconnects.load(Ordering::SeqCst),
-            poll_wakeups: self.counters.poll_wakeups.load(Ordering::Relaxed),
-        }
+        self.lock_state().stats
     }
 
     /// Non-blocking admission: refused jobs come back to the caller,
@@ -572,14 +563,20 @@ impl ServerInner {
         if self.draining() {
             return Admit::Draining(job);
         }
-        if s.queued >= self.queue_capacity {
+        if s.stats.queue_depth >= self.queue_capacity as u64 {
             return Admit::Full(job);
         }
         s.push(job);
         drop(s);
-        self.counters.accepted.fetch_add(1, Ordering::SeqCst);
         self.offer();
         Admit::Admitted
+    }
+
+    /// Refuses a request that was never admitted: counted in `rejected`,
+    /// then answered with `rejected{reason}`.
+    fn refuse(&self, out: &Out, id: u64, reason: &str) {
+        self.lock_state().stats.rejected += 1;
+        out.send(&Event::Rejected { id, reason: reason.to_string() });
     }
 
     /// Offers the pool a task that starts the next queued job. Called
@@ -593,31 +590,19 @@ impl ServerInner {
         });
     }
 
-    /// Releases a slot once its job is settled (a joiner's right after
-    /// the dedup check). A task that found every slot taken left its job
+    /// Releases a slot in the critical section `s` holds, once its job is
+    /// settled (a joiner's right after the dedup check, a leader's after
+    /// its fan-out). A task that found every slot taken left its job
     /// queued, so while jobs wait the freed slot offers a task for one.
-    fn finish_slot(&self) {
-        let reoffer = {
-            let mut s = self.lock_state();
-            s.running -= 1;
-            s.queued > 0
-        };
+    fn finish_slot(&self, mut s: MutexGuard<'_, State>) {
+        s.stats.in_flight -= 1;
+        let reoffer = s.stats.queue_depth > 0;
+        drop(s);
         if reoffer {
             self.offer();
         }
         // The poll loop may be waiting on this for drain completion.
         self.waker.wake();
-    }
-
-    /// Answers the jobs a sweep took out of the queue: expired ones with
-    /// `rejected{deadline}`, dead-connection ones as cancelled. Called
-    /// after the state lock is dropped.
-    fn answer_swept(&self, shed: &mut Vec<Job>, dead: &mut Vec<Job>) {
-        for job in shed.drain(..) {
-            self.counters.shed_deadline.fetch_add(1, Ordering::SeqCst);
-            job.out.send(&Event::Rejected { id: job.id, reason: "deadline".to_string() });
-        }
-        self.count_cancelled(dead.drain(..).len() as u64);
     }
 
     /// One offered task: starts the next queued job on this thread if a
@@ -626,19 +611,20 @@ impl ServerInner {
     /// jobs out of the sub-queues in the same critical section, so an
     /// expired job is never evaluated.
     fn start_next(&self) {
-        let (mut shed, mut dead) = (Vec::new(), Vec::new());
-        let job = {
+        let mut shed = Vec::new();
+        let (swept, job) = {
             let mut s = self.lock_state();
-            s.take_expired(Instant::now(), &mut shed, &mut dead);
-            let job = if s.running < self.max_concurrent { s.pop_fair() } else { None };
-            s.running += usize::from(job.is_some());
-            job
+            let swept = s.sweep(Instant::now(), &mut shed);
+            let free = s.stats.in_flight < self.max_concurrent as u64;
+            let job = if free { s.pop_fair() } else { None };
+            s.stats.in_flight += u64::from(job.is_some());
+            (swept, job)
         };
-        if job.is_some() || !shed.is_empty() || !dead.is_empty() {
+        if job.is_some() || swept {
             // Queue space was freed: let the poll loop retry parked jobs.
             self.waker.wake();
-            self.answer_swept(&mut shed, &mut dead);
         }
+        answer_shed(shed);
         if let Some(job) = job {
             self.launch(job);
         }
@@ -653,64 +639,43 @@ impl ServerInner {
         let Some(identity) = kind.identity() else {
             // Admin kinds are answered at the connection layer and never
             // reach the queue; refuse defensively rather than panic.
-            self.counters.errors.fetch_add(1, Ordering::SeqCst);
+            let mut s = self.lock_state();
+            s.stats.errors += 1;
             out.send(&Event::Error {
                 id,
                 message: format!("request kind {:?} is not evaluable", kind.name()),
             });
-            self.finish_slot();
-            return;
+            return self.finish_slot(s);
         };
         let waiter = Waiter { id, out: Arc::clone(&out) };
-        let lead = {
-            let mut inflight = self.lock_in_flight();
-            match inflight.get_mut(&identity) {
-                Some(flight) if !flight.cancel.is_cancelled() => {
-                    // Queued before the waiter is visible: the leader's
-                    // fan-out takes the waiters under this lock, so the
-                    // joiner's terminal event cannot overtake its
-                    // `started`.
-                    out.send(&Event::Started { id, deduped: true });
-                    flight.waiters.push(waiter);
-                    None
-                }
-                _ => {
-                    let gen = self.next_gen.fetch_add(1, Ordering::SeqCst);
-                    let flight = Flight { gen, waiters: vec![waiter], cancel: CancelToken::new() };
-                    let token = flight.cancel.clone();
-                    inflight.insert(identity, flight);
-                    Some((gen, token))
-                }
+        let mut guard = self.lock_state();
+        let s = &mut *guard;
+        let (gen, token) = match s.flights.get_mut(&identity) {
+            Some(flight) if !flight.cancel.is_cancelled() => {
+                // Queued before the waiter is visible: the leader's
+                // fan-out takes the waiters under this lock, so the
+                // joiner's terminal event cannot overtake its `started`.
+                out.send(&Event::Started { id, deduped: true });
+                flight.waiters.push(waiter);
+                s.stats.dedup_joined += 1;
+                // A joiner holds no slot: its result arrives with the
+                // leader's.
+                return self.finish_slot(guard);
+            }
+            _ => {
+                let gen = s.next_gen;
+                s.next_gen += 1;
+                let flight = Flight { gen, waiters: vec![waiter], cancel: CancelToken::new() };
+                let token = flight.cancel.clone();
+                s.flights.insert(identity, flight);
+                s.stats.evaluations += 1;
+                (gen, token)
             }
         };
-        let Some((gen, token)) = lead else {
-            self.counters.dedup_joined.fetch_add(1, Ordering::SeqCst);
-            // A joiner holds no slot: its result arrives with the leader's.
-            self.finish_slot();
-            return;
-        };
+        drop(guard);
         // The leader's later events all go out from this thread.
         out.send(&Event::Started { id, deduped: false });
-        self.counters.evaluations.fetch_add(1, Ordering::SeqCst);
         self.execute(identity, gen, token, &kind);
-    }
-
-    /// Removes waiters (by `(conn, id)`) from the given flight if the
-    /// generation still matches, cancelling the flight when its last
-    /// waiter goes. Returns how many were removed.
-    fn reap_waiters(&self, identity: u128, gen: u64, dead: &[(u64, u64)]) -> u64 {
-        let mut inflight = self.lock_in_flight();
-        let Some(flight) = inflight.get_mut(&identity) else { return 0 };
-        if flight.gen != gen {
-            return 0;
-        }
-        let before = flight.waiters.len();
-        flight.waiters.retain(|w| !dead.contains(&(w.out.conn, w.id)));
-        let removed = (before - flight.waiters.len()) as u64;
-        if removed > 0 && flight.waiters.is_empty() {
-            flight.cancel.cancel();
-        }
-        removed
     }
 
     /// Runs the handler as the leader of `(identity, gen)` and fans the
@@ -728,7 +693,8 @@ impl ServerInner {
                 // skips it — and if it was the last one, the flight is
                 // cancelled.
                 let waiters = self
-                    .lock_in_flight()
+                    .lock_state()
+                    .flights
                     .get(&identity)
                     .filter(|f| f.gen == gen)
                     .map(|f| f.waiters.clone())
@@ -740,7 +706,11 @@ impl ServerInner {
                     }
                 }
                 if !dead.is_empty() {
-                    self.count_cancelled(self.reap_waiters(identity, gen, &dead));
+                    let mut guard = self.lock_state();
+                    let s = &mut *guard;
+                    if let Some(flight) = s.flights.get_mut(&identity).filter(|f| f.gen == gen) {
+                        s.stats.cancelled += flight.reap(|w| dead.contains(&(w.out.conn, w.id)));
+                    }
                 }
             };
             self.handler.handle(kind, &progress)
@@ -756,30 +726,30 @@ impl ServerInner {
             Err(payload) if payload.downcast_ref::<Cancelled>().is_some() => Terminal::Cancelled,
             Err(_) => Terminal::Fail("evaluation panicked; see server log".to_string()),
         };
+        // Every waiter lands in exactly one terminal counter.
+        let counter: fn(&mut ServerStats) -> &mut u64 = match &terminal {
+            Terminal::Reply(_) => |s| &mut s.completed,
+            Terminal::Fail(_) => |s| &mut s.errors,
+            Terminal::Cancelled => |s| &mut s.cancelled,
+        };
         let waiters = {
-            let mut inflight = self.lock_in_flight();
-            match inflight.get(&identity) {
+            let mut s = self.lock_state();
+            let waiters = match s.flights.get(&identity) {
                 // Only this generation's entry belongs to this leader: a
                 // successor flight at the same identity is left alone.
                 Some(flight) if flight.gen == gen => {
-                    inflight.remove(&identity).map(|f| f.waiters).unwrap_or_default()
+                    s.flights.remove(&identity).map(|f| f.waiters).unwrap_or_default()
                 }
                 _ => Vec::new(),
-            }
+            };
+            // Counted before any event is queued: a client holding its
+            // terminal event must find it in a `stats` snapshot.
+            *counter(&mut s.stats) += waiters.len() as u64;
+            waiters
         };
         let mut evaluated = true;
+        let mut unsent = 0;
         for w in &waiters {
-            // Every waiter lands in exactly one terminal counter, counted
-            // before the event is queued: a client holding its terminal
-            // event must find it in a `stats` snapshot. A failed send
-            // moves the count to cancelled — the client disconnected and
-            // never got an answer.
-            let counter = match &terminal {
-                Terminal::Reply(_) => &self.counters.completed,
-                Terminal::Fail(_) => &self.counters.errors,
-                Terminal::Cancelled => &self.counters.cancelled,
-            };
-            counter.fetch_add(1, Ordering::SeqCst);
             let sent = match &terminal {
                 Terminal::Reply(reply) => w.out.send(&Event::Done {
                     id: w.id,
@@ -798,39 +768,23 @@ impl ServerInner {
                     w.out.send(&Event::Rejected { id: w.id, reason: "cancelled".to_string() })
                 }
             };
-            if !sent {
-                self.counters.cancelled.fetch_add(1, Ordering::SeqCst);
-                counter.fetch_sub(1, Ordering::SeqCst);
-            }
+            unsent += u64::from(!sent);
             evaluated = false;
         }
-        self.finish_slot();
+        // A failed send moves its count to cancelled: the client
+        // disconnected and never got an answer.
+        let mut s = self.lock_state();
+        *counter(&mut s.stats) -= unsent;
+        s.stats.cancelled += unsent;
+        self.finish_slot(s);
     }
+}
 
-    /// Connection-death cleanup: drop its queued jobs, remove its
-    /// waiters from every flight (cancelling flights that empty), and
-    /// refuse all future events to it.
-    fn reap_connection(&self, conn: u64, out: &Out) {
-        out.mark_dead();
-        let dropped = {
-            let mut s = self.lock_state();
-            s.drop_conn(conn)
-        };
-        self.count_cancelled(dropped);
-        let mut reaped = 0u64;
-        {
-            let mut inflight = self.lock_in_flight();
-            for flight in inflight.values_mut() {
-                let before = flight.waiters.len();
-                flight.waiters.retain(|w| w.out.conn != conn);
-                let removed = (before - flight.waiters.len()) as u64;
-                if removed > 0 && flight.waiters.is_empty() {
-                    flight.cancel.cancel();
-                }
-                reaped += removed;
-            }
-        }
-        self.count_cancelled(reaped);
+/// Answers the expired jobs a sweep shed, with `rejected{deadline}`;
+/// called after the state lock is dropped (the sweep counted them).
+fn answer_shed(shed: Vec<Job>) {
+    for job in shed {
+        job.out.send(&Event::Rejected { id: job.id, reason: "deadline".to_string() });
     }
 }
 
@@ -868,6 +822,7 @@ fn accept_ready(
     inner: &Arc<ServerInner>,
     listener: &Listener,
     conns: &mut HashMap<u64, Conn>,
+    next_conn: &mut u64,
 ) -> std::io::Result<()> {
     while let Some(stream) = listener.accept()? {
         // Poll-loop fault site: an injected accept failure drops the
@@ -883,7 +838,8 @@ fn accept_ready(
             stream.shutdown();
             continue;
         }
-        let conn = inner.next_conn.fetch_add(1, Ordering::SeqCst);
+        let conn = *next_conn;
+        *next_conn += 1;
         let out = Arc::new(Out::new(
             conn,
             inner.out_buffer_cap,
@@ -894,8 +850,9 @@ fn accept_ready(
             conn,
             Conn { stream, out, rdbuf: Vec::new(), scanned: 0, parked: None, eof: false },
         );
-        let open = inner.counters.open_connections.fetch_add(1, Ordering::SeqCst) + 1;
-        inner.counters.peak_connections.fetch_max(open, Ordering::SeqCst);
+        let stats = &mut inner.lock_state().stats;
+        stats.open_connections += 1;
+        stats.peak_connections = stats.peak_connections.max(stats.open_connections);
     }
     Ok(())
 }
@@ -964,8 +921,7 @@ fn process_lines(inner: &Arc<ServerInner>, c: &mut Conn) {
 /// the connection once that farewell has had its flush: the rest of the
 /// stream cannot be framed.
 fn refuse_long_line(inner: &ServerInner, c: &mut Conn) {
-    inner.counters.rejected.fetch_add(1, Ordering::SeqCst);
-    c.out.send(&Event::Rejected { id: 0, reason: "line_too_long".to_string() });
+    inner.refuse(&c.out, 0, "line_too_long");
     c.rdbuf = Vec::new();
     c.scanned = 0;
     c.eof = true;
@@ -1005,10 +961,7 @@ fn handle_line(inner: &Arc<ServerInner>, c: &mut Conn, line: &str) {
             let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             match inner.try_admit(Job { id, kind, out: Arc::clone(&c.out), deadline }) {
                 Admit::Admitted => {}
-                Admit::Draining(job) => {
-                    inner.counters.rejected.fetch_add(1, Ordering::SeqCst);
-                    c.out.send(&Event::Rejected { id: job.id, reason: "draining".to_string() });
-                }
+                Admit::Draining(job) => inner.refuse(&c.out, job.id, "draining"),
                 Admit::Full(job) => c.parked = Some(job),
             }
         }
@@ -1024,15 +977,11 @@ fn retry_parked(inner: &Arc<ServerInner>, c: &mut Conn) {
         // Never admitted, so this is a pre-admission refusal (the
         // `rejected` counter) — the accepted-side ledger must not see a
         // request it never accepted.
-        inner.counters.rejected.fetch_add(1, Ordering::SeqCst);
-        c.out.send(&Event::Rejected { id: job.id, reason: "deadline".to_string() });
+        inner.refuse(&c.out, job.id, "deadline");
     } else {
         match inner.try_admit(job) {
             Admit::Admitted => {}
-            Admit::Draining(job) => {
-                inner.counters.rejected.fetch_add(1, Ordering::SeqCst);
-                c.out.send(&Event::Rejected { id: job.id, reason: "draining".to_string() });
-            }
+            Admit::Draining(job) => inner.refuse(&c.out, job.id, "draining"),
             Admit::Full(job) => {
                 c.parked = Some(job);
                 return;
@@ -1100,6 +1049,7 @@ fn event_loop(
     listener.set_nonblocking(true)?;
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut next_conn = 0;
     let mut fds: Vec<PollFd> = Vec::new();
     let mut keys: Vec<Key> = Vec::new();
     let mut flush_deadline: Option<Instant> = None;
@@ -1124,9 +1074,9 @@ fn event_loop(
         // every slot is busy, only this tick sheds expired queued work.
         if last_sweep.elapsed() >= POLL_TICK {
             last_sweep = Instant::now();
-            let (mut shed, mut dead) = (Vec::new(), Vec::new());
-            inner.lock_state().take_expired(last_sweep, &mut shed, &mut dead);
-            inner.answer_swept(&mut shed, &mut dead);
+            let mut shed = Vec::new();
+            inner.lock_state().sweep(last_sweep, &mut shed);
+            answer_shed(shed);
         }
 
         // Queue space may have freed (or the drain landed): settle
@@ -1144,7 +1094,7 @@ fn event_loop(
         if inner.draining() && conns.values().all(|c| c.parked.is_none()) {
             let work_done = {
                 let s = inner.lock_state();
-                s.queued == 0 && s.running == 0
+                s.stats.queue_depth == 0 && s.stats.in_flight == 0
             };
             if work_done {
                 let deadline =
@@ -1179,7 +1129,7 @@ fn event_loop(
         }
 
         poll_fds(&mut fds, POLL_TICK.as_millis() as i32)?;
-        inner.counters.poll_wakeups.fetch_add(1, Ordering::Relaxed);
+        inner.lock_state().stats.poll_wakeups += 1;
 
         for (i, key) in keys.iter().enumerate() {
             let revents = fds[i].revents;
@@ -1190,7 +1140,7 @@ fn event_loop(
                 Key::Waker => inner.waker.drain(),
                 Key::Listener => {
                     if let Some(l) = &listener {
-                        accept_ready(inner, l, &mut conns)?;
+                        accept_ready(inner, l, &mut conns, &mut next_conn)?;
                     }
                 }
                 Key::Conn(id) => {
@@ -1217,15 +1167,14 @@ fn event_loop(
         // Close what finished: EOF, write failure, or a slow-reader
         // doom (its farewell just got its one best-effort flush above —
         // waiting on a stalled peer is not an option).
-        conns.retain(|&id, c| {
+        conns.retain(|_, c| {
             let done = c.eof || !c.out.alive();
             if done {
-                if c.out.overflowed() {
-                    inner.counters.slow_reader_disconnects.fetch_add(1, Ordering::SeqCst);
-                }
-                inner.reap_connection(id, &c.out);
+                // Refuse all future events to it before its queued jobs
+                // and waiters go.
+                c.out.mark_dead();
+                inner.lock_state().drop_conn(&c.out);
                 c.stream.shutdown();
-                inner.counters.open_connections.fetch_sub(1, Ordering::SeqCst);
             }
             !done
         });
@@ -1260,15 +1209,11 @@ impl Server {
             queue_capacity: opts.queue_capacity.max(1),
             max_concurrent: opts.effective_concurrency(pool),
             out_buffer_cap: opts.out_buffer_cap.max(1),
-            state: Mutex::new(QueueState::default()),
+            state: Mutex::new(State::default()),
             pool,
             group: pool.task_group(),
             stopped: AtomicBool::new(false),
-            in_flight: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
-            counters: Counters::default(),
-            next_conn: AtomicU64::new(0),
-            next_gen: AtomicU64::new(0),
             ctx: Arc::from(endpoint.to_string()),
             waker,
         });

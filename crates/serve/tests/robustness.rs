@@ -120,27 +120,13 @@ impl RawConn {
         loop {
             match self.read_event() {
                 e @ (Event::Done { .. } | Event::Error { .. } | Event::Rejected { .. })
-                    if event_id(&e) == id =>
+                    if e.id() == id =>
                 {
                     return e;
                 }
                 _ => {}
             }
         }
-    }
-}
-
-fn event_id(e: &Event) -> u64 {
-    match e {
-        Event::Queued { id }
-        | Event::Started { id, .. }
-        | Event::Progress { id, .. }
-        | Event::Done { id, .. }
-        | Event::Error { id, .. }
-        | Event::Rejected { id, .. }
-        | Event::Pong { id }
-        | Event::Stats { id, .. }
-        | Event::ShuttingDown { id } => *id,
     }
 }
 

@@ -4,7 +4,7 @@
 //! deterministic. Full-stack equivalence against the real evaluator
 //! lives in `optinline-check` and the CLI tests.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -170,6 +170,70 @@ fn round_trips_every_request_kind_over_a_unix_socket() {
     let final_stats = handle.join().expect("clean exit");
     assert_eq!(final_stats.completed, 2);
     assert!(!path.exists(), "socket file removed after drain");
+}
+
+/// Every `stats` reply is one instant's ledger: while two clients stream
+/// pipelined requests, no snapshot counts a request as ended or queued
+/// that it has not counted as accepted, and once the clients have their
+/// answers and no slot is held, everything accepted has ended.
+#[test]
+fn every_stats_snapshot_is_a_consistent_ledger() {
+    const CLIENTS: usize = 2;
+    const REQUESTS: usize = 300;
+    const WINDOW: usize = 8;
+    let path = sock_path("ledger");
+    let (handler, _, _) = TestHandler::plain();
+    let server =
+        Server::bind(Endpoint::Unix(path.clone()), handler, ServeOptions::default()).expect("bind");
+    let handle = server.start();
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&Endpoint::Unix(path)).expect("connect");
+                let mut pending = VecDeque::new();
+                for i in 0..REQUESTS {
+                    // Five identities shared by both clients, so some
+                    // requests join a flight instead of leading one.
+                    let kind = search(&format!("(module m{})", (i + c) % 5), 4);
+                    pending.push_back(client.start(kind).expect("start"));
+                    if pending.len() == WINDOW {
+                        let id = pending.pop_front().unwrap();
+                        client.finish(id, &mut |_| {}).expect("served");
+                    }
+                }
+                for id in pending {
+                    client.finish(id, &mut |_| {}).expect("served");
+                }
+            })
+        })
+        .collect();
+
+    let mut poller = Client::connect(&Endpoint::Unix(path.clone())).expect("connect");
+    let start = Instant::now();
+    let mut snapshots = 0;
+    let last = loop {
+        let answered = clients.iter().all(|c| c.is_finished());
+        let s = poller.server_stats().expect("stats");
+        snapshots += 1;
+        assert!(s.terminal() + s.queue_depth <= s.accepted, "snapshot {snapshots}: {s:?}");
+        if answered && s.in_flight == 0 {
+            break s;
+        }
+        assert!(start.elapsed() < Duration::from_secs(30), "still busy: {s:?}");
+    };
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    assert_eq!(last.accepted, (CLIENTS * REQUESTS) as u64, "{last:?}");
+    assert_eq!(last.terminal(), last.accepted, "{last:?}");
+    assert_eq!(last.completed, last.accepted, "{last:?}");
+    assert_eq!(last.evaluations + last.dedup_joined, last.accepted, "{last:?}");
+    assert_eq!(last.queue_depth, 0, "{last:?}");
+
+    handle.drain();
+    handle.join().expect("clean exit");
 }
 
 #[test]
