@@ -58,8 +58,11 @@ pub enum RequestError {
     /// `--bits` of 128 or more: the evaluation budget `2^bits` does not
     /// fit the `u128` the tree builder counts in.
     BitsOutOfRange(u32),
-    /// `--rounds 0`: the autotuner needs at least one round.
-    ZeroRounds,
+    /// `--rounds 0` or above 256: the autotuner needs at least one round,
+    /// and its hill climb can keep flipping sites in every round, so an
+    /// unbounded count could pin an evaluation slot indefinitely. 256 is
+    /// 64 times the paper's 4-round runs.
+    RoundsOutOfRange(usize),
     /// `--jobs 0` or above 256: a search runs one thread per job, needs at
     /// least the caller's, and 256 is the largest compile farm the
     /// experiments model.
@@ -69,6 +72,10 @@ pub enum RequestError {
 /// The most `--jobs` a search accepts (see [`RequestError::JobsOutOfRange`]).
 const MAX_JOBS: usize = 256;
 
+/// The most `--rounds` an autotune accepts (see
+/// [`RequestError::RoundsOutOfRange`]).
+const MAX_ROUNDS: usize = 256;
+
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -77,9 +84,11 @@ impl std::fmt::Display for RequestError {
                 "--bits {bits} is out of range: the evaluation budget 2^bits needs bits below {}",
                 u128::BITS
             ),
-            RequestError::ZeroRounds => {
-                f.write_str("--rounds 0 is out of range: autotuning needs at least one round")
-            }
+            RequestError::RoundsOutOfRange(rounds) => write!(
+                f,
+                "--rounds {rounds} is out of range: autotuning runs at least 1, \
+                 at most {MAX_ROUNDS}"
+            ),
             RequestError::JobsOutOfRange(jobs) => write!(
                 f,
                 "--jobs {jobs} is out of range: a search runs one thread per job, \
@@ -737,8 +746,8 @@ fn autotune_with(
     eval: EvalOptions,
     warm: Option<&HeuristicMap>,
 ) -> Result<(String, Option<Measurement>), CliError> {
-    if rounds == 0 {
-        return Err(RequestError::ZeroRounds.into());
+    if !(1..=MAX_ROUNDS).contains(&rounds) {
+        return Err(RequestError::RoundsOutOfRange(rounds).into());
     }
     let req = Request::new(load_module(source)?, target, eval, 17, warm);
     if req.ev.sites().is_empty() {
@@ -1327,8 +1336,21 @@ mod tests {
             let eval = EvalOptions { objective, ..EvalOptions::default() };
             let err = cmd_autotune(&src, 0, InitChoice::Both, TargetChoice::X86, eval)
                 .expect_err("zero rounds are refused");
-            assert_eq!(err.downcast_ref(), Some(&RequestError::ZeroRounds), "{objective:?}");
+            let expected = RequestError::RoundsOutOfRange(0);
+            assert_eq!(err.downcast_ref(), Some(&expected), "{objective:?}");
         }
+    }
+
+    #[test]
+    fn autotune_runs_256_rounds_and_refuses_257() {
+        let src = demo_source();
+        let tune = |rounds| {
+            cmd_autotune(&src, rounds, InitChoice::Clean, TargetChoice::X86, EvalOptions::default())
+        };
+        tune(MAX_ROUNDS).unwrap();
+        let err = tune(MAX_ROUNDS + 1).expect_err("257 rounds are refused");
+        assert_eq!(err.downcast_ref(), Some(&RequestError::RoundsOutOfRange(257)), "{err}");
+        assert!(err.to_string().ends_with("at least 1, at most 256"), "{err}");
     }
 
     #[test]

@@ -119,9 +119,17 @@ fn rounds_are_read_at_the_width_the_wire_carries() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("number too large to fit in target type"), "{stderr}");
     assert!(out.stdout.is_empty(), "a refused request must not run");
-    // The widest value the wire carries still runs (the clean-slate climb
-    // on this module stops at its fixpoint).
-    run_ok(&["autotune", path, "--init", "clean", "--rounds", "4294967295"]);
+    // The widest value the wire carries parses, and is refused by the
+    // typed rounds bound before any work.
+    let out = bin()
+        .args(["autotune", path, "--init", "clean", "--rounds", "4294967295"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let refusal = "--rounds 4294967295 is out of range: autotuning runs at least 1, at most 256";
+    assert!(stderr.contains(refusal), "{stderr}");
+    assert!(out.stdout.is_empty(), "a refused request must not run");
     std::fs::remove_file(&ir).ok();
 }
 

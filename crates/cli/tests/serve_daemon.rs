@@ -290,7 +290,7 @@ fn an_autotune_with_zero_rounds_is_refused() {
         pass_stats: false,
         objective: "size".to_string(),
     };
-    refused_then_served("rounds.sock", kind, RequestError::ZeroRounds);
+    refused_then_served("rounds.sock", kind, RequestError::RoundsOutOfRange(0));
 }
 
 #[test]
