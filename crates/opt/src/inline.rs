@@ -11,9 +11,7 @@
 //! one decision covers every copy (§2). Recursive inlining is bounded to
 //! depth one via the `inline_path` recorded on cloned calls (§3.2).
 
-use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use optinline_callgraph::Decision;
-use optinline_ir::AnalysisManager;
 use optinline_ir::{
     Block, BlockId, CallSiteId, FuncId, Inst, JumpTarget, Module, Terminator, ValueId,
 };
@@ -105,49 +103,6 @@ pub fn run_inliner_tracked(module: &mut Module, oracle: &dyn InlineOracle) -> In
         }
     }
     outcome
-}
-
-/// The inliner as a [`Pass`] (applies the held decisions once, to fixpoint).
-#[derive(Debug)]
-pub struct InlinePass<O> {
-    oracle: O,
-}
-
-impl<O: InlineOracle> InlinePass<O> {
-    /// Wraps an oracle as a pass.
-    pub fn new(oracle: O) -> Self {
-        InlinePass { oracle }
-    }
-}
-
-impl<O: InlineOracle> Pass for InlinePass<O> {
-    fn name(&self) -> &'static str {
-        "inline"
-    }
-
-    fn run_on_function(
-        &self,
-        module: &mut Module,
-        fid: FuncId,
-        _am: &mut AnalysisManager,
-    ) -> PassResult {
-        let mut expanded = 0usize;
-        while let Some((bid, idx)) = find_candidate(module, fid, &self.oracle) {
-            inline_call(module, fid, bid, idx);
-            expanded += 1;
-            assert!(expanded < 1_000_000, "inliner expansion runaway");
-        }
-        if expanded > 0 {
-            // New blocks, new (cloned) calls, possibly new memory ops.
-            PassResult::changed(fid, PreservedAnalyses::none())
-        } else {
-            PassResult::unchanged()
-        }
-    }
-
-    fn run(&self, module: &mut Module) -> bool {
-        run_inliner(module, &self.oracle) > 0
-    }
 }
 
 fn find_candidate(

@@ -12,7 +12,7 @@
 //!
 //! | pass | role |
 //! |------|------|
-//! | [`InlinePass`] / [`run_inliner`] | executes an [`InlineOracle`]'s per-site decisions (coupled copies, depth-1 recursion bound) |
+//! | [`run_inliner`] | executes an [`InlineOracle`]'s per-site decisions (coupled copies, depth-1 recursion bound) |
 //! | [`Sccp`] | folds constant ops and constant branches, propagating constants across joins |
 //! | [`Simplify`] | algebraic identities and light strength reduction |
 //! | [`Cse`] | local value numbering + store-to-load forwarding |
@@ -99,7 +99,7 @@ pub use dce::{Dce, DeadFunctionElim};
 pub use gvn::Gvn;
 pub use inline::{
     run_inliner, run_inliner_tracked, AlwaysInline, ForcedDecisions, InlineOracle, InlineOutcome,
-    InlinePass, NeverInline,
+    NeverInline,
 };
 pub use mergefunc::{functions_structurally_equal, MergeFunctions};
 pub use pass::{

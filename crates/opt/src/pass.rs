@@ -12,7 +12,7 @@
 //! rewrites callers) and which analyses remain valid for them. The
 //! whole-module [`run`](Pass::run) is a derived convenience — a sweep over
 //! `run_on_function` — that module-scope passes (dead-function elimination,
-//! function merging, the inliner-as-a-pass) override.
+//! function merging) override.
 //!
 //! ## The scheduler
 //!
