@@ -19,11 +19,8 @@
 
 use crate::config::InliningConfiguration;
 use crate::evaluator::Evaluator;
-use optinline_callgraph::{
-    connected_components, Decision, InlineGraph, NodeRef, PartitionStrategy,
-};
+use optinline_callgraph::{inlining_components, Decision, InlineGraph, PartitionStrategy};
 use optinline_ir::CallSiteId;
-use std::collections::BTreeSet;
 
 /// A node of the inlining tree (§3.2's three node kinds).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,36 +70,27 @@ fn try_build_inner(
     strategy: PartitionStrategy,
     budget: &mut u128,
 ) -> Option<InliningTree> {
-    // One pass over the live edges: none means every site is decided, and
-    // their callers mark the components that still hold one.
-    let callers: BTreeSet<NodeRef> = graph.live_edges().into_iter().map(|(_, a, _)| a).collect();
-    if callers.is_empty() {
+    if graph.edge_count() == 0 {
+        // Every site on this path is decided.
         *budget = budget.checked_sub(1)?;
         return Some(InliningTree::Leaf);
     }
-    // Independent inlining components = undirected components that still
-    // contain undecided edges (edgeless leftovers need no exploration).
-    let comps: Vec<Vec<NodeRef>> = connected_components(graph)
-        .into_iter()
-        .filter(|nodes| nodes.iter().any(|n| callers.contains(n)))
-        .collect();
-    if comps.len() > 1 {
+    if let Some(components) = inlining_components(graph) {
         *budget = budget.checked_sub(1)?; // the combining evaluation
-        let children = comps
-            .into_iter()
-            .map(|nodes| {
-                try_build_inner(&graph.induced(&nodes.into_iter().collect()), strategy, budget)
-            })
+        let children = components
+            .iter()
+            .map(|component| try_build_inner(component, strategy, budget))
             .collect::<Option<Vec<_>>>()?;
         return Some(InliningTree::Components(children));
     }
     let site = strategy.select(graph);
-    let mut g_no = graph.clone();
-    g_no.apply(site, Decision::NoInline);
-    let not_inlined = try_build_inner(&g_no, strategy, budget)?;
-    let mut g_in = graph.clone();
-    g_in.apply(site, Decision::Inline);
-    let inlined = try_build_inner(&g_in, strategy, budget)?;
+    // One copy serves both children: the second reuses the first's buffers.
+    let mut child = graph.clone();
+    child.apply(site, Decision::NoInline);
+    let not_inlined = try_build_inner(&child, strategy, budget)?;
+    child.clone_from(graph);
+    child.apply(site, Decision::Inline);
+    let inlined = try_build_inner(&child, strategy, budget)?;
     Some(InliningTree::Binary {
         site,
         not_inlined: Box::new(not_inlined),
