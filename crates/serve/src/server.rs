@@ -442,33 +442,35 @@ impl State {
     /// Sweeps every sub-queue, counting what it removes: deadline-expired
     /// jobs are shed into `shed`, to be answered once the lock is dropped,
     /// and dead-connection jobs are dropped as cancelled (a backstop —
-    /// `drop_conn` normally gets them first). Returns whether any job left.
+    /// `drop_conn` normally gets them first). Only a sub-queue that loses a
+    /// job is rebuilt, in place and in order. Returns whether any job left.
     fn sweep(&mut self, now: Instant, shed: &mut Vec<Job>) -> bool {
         if self.stats.queue_depth == 0 {
             return false;
         }
-        let (mut kept, shed_before) = (0, shed.len());
+        let expired = |job: &Job| job.deadline.is_some_and(|d| d <= now);
+        let (mut removed, shed_before) = (0, shed.len());
         for q in self.per_conn.values_mut() {
-            let mut keep = VecDeque::with_capacity(q.len());
-            while let Some(job) = q.pop_front() {
+            if !q.iter().any(|job| !job.out.alive() || expired(job)) {
+                continue;
+            }
+            for _ in 0..q.len() {
+                let job = q.pop_front().expect("one pop per queued job");
                 if !job.out.alive() {
-                    continue;
-                }
-                if job.deadline.is_some_and(|d| d <= now) {
+                    removed += 1;
+                } else if expired(&job) {
+                    removed += 1;
                     shed.push(job);
                 } else {
-                    keep.push_back(job);
+                    q.push_back(job);
                 }
             }
-            kept += keep.len() as u64;
-            *q = keep;
         }
-        let removed = self.stats.queue_depth - kept;
         if removed == 0 {
             return false;
         }
         let expired = (shed.len() - shed_before) as u64;
-        self.stats.queue_depth = kept;
+        self.stats.queue_depth -= removed;
         self.stats.shed_deadline += expired;
         self.stats.cancelled += removed - expired;
         self.per_conn.retain(|_, q| !q.is_empty());
