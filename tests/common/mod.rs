@@ -7,6 +7,16 @@
 use std::path::Path;
 
 use optinline::ir::Module;
+use optinline::workloads::{spec_suite, GenParams, Scale};
+
+/// The golden corpus: every `spec_suite(Scale::Full)` file, then the
+/// modules `GenParams::fuzz_sample` draws for seeds `0..300`.
+pub fn golden_corpus() -> Vec<Module> {
+    let suite = spec_suite(Scale::Full).into_iter().flat_map(|b| b.files);
+    let fuzz =
+        (0..300u64).map(|seed| optinline::workloads::generate_file(&GenParams::fuzz_sample(seed)));
+    suite.chain(fuzz).collect()
+}
 
 /// The 128-bit FNV-1a digest of `text`, as 32 hex digits: one short token
 /// that changes with any byte of it.

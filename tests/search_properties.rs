@@ -103,22 +103,13 @@ fn tree_budget_admits_exactly_the_trees_own_space() {
     }
 }
 
-/// The golden corpus: every `spec_suite(Scale::Full)` file, then the
-/// modules `GenParams::fuzz_sample` draws for seeds `0..300`.
-fn golden_corpus() -> Vec<Module> {
-    let suite = spec_suite(Scale::Full).into_iter().flat_map(|b| b.files);
-    let fuzz =
-        (0..300u64).map(|seed| optinline::workloads::generate_file(&GenParams::fuzz_sample(seed)));
-    suite.chain(fuzz).collect()
-}
-
-/// `CostModelInliner::default()` on x86 over [`golden_corpus`], pinned as
+/// `CostModelInliner::default()` on x86 over [`common::golden_corpus`], pinned as
 /// `module sites inlined digest` rows: the decided site count, how many of
 /// them inline, and the digest of the decision map's `Debug` form.
 #[test]
 fn heuristic_decisions_match_golden() {
     let mut rows = String::from("# module sites inlined digest\n");
-    for module in golden_corpus() {
+    for module in common::golden_corpus() {
         let decisions = CostModelInliner::default().decide(&module, &X86Like);
         let inlined = decisions.values().filter(|&&d| d == Decision::Inline).count();
         let digest = common::digest(&format!("{decisions:?}"));
@@ -127,13 +118,13 @@ fn heuristic_decisions_match_golden() {
     common::assert_golden("heuristic_decisions.txt", &rows);
 }
 
-/// `strategy`'s inlining tree for each module of [`golden_corpus`] under a
+/// `strategy`'s inlining tree for each module of [`common::golden_corpus`] under a
 /// 2^10 evaluation budget, as `module space depth digest` rows (the digest
 /// of the tree's `Debug` form), or `module over` when the tree exceeds the
 /// budget.
 fn inlining_tree_rows(strategy: PartitionStrategy) -> String {
     let mut rows = String::new();
-    for module in golden_corpus() {
+    for module in common::golden_corpus() {
         let graph = InlineGraph::from_module(&module);
         match try_build_inlining_tree(&graph, strategy, 1 << 10) {
             Some(tree) => {
@@ -173,7 +164,8 @@ fn strategy_trees_match_golden() {
 /// the same trees built each on a fresh thread.
 #[test]
 fn tree_builds_leave_nothing_for_the_next_build() {
-    let graphs: Vec<InlineGraph> = golden_corpus().iter().map(InlineGraph::from_module).collect();
+    let graphs: Vec<InlineGraph> =
+        common::golden_corpus().iter().map(InlineGraph::from_module).collect();
     let width = |g: &InlineGraph| g.node_count() + g.edge_count();
     let widest = graphs.iter().max_by_key(|g| width(g)).expect("a graph");
     let small: Vec<&InlineGraph> =
