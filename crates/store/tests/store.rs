@@ -909,3 +909,131 @@ fn verify_sweeps_orphaned_tmp_files_but_spares_live_ones() {
     let _ = std::fs::remove_file(&own);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// What opening one hand-written log leaves behind: the handle's load
+/// counters, its resident entries, the log's bytes after the open, and
+/// what a compaction then rewrites.
+#[derive(Debug, PartialEq)]
+struct Opened {
+    loaded: u64,
+    resident_evictions: u64,
+    len: usize,
+    /// `get` of each [`PROBES`] key, in order.
+    resident: Vec<Option<Measurement>>,
+    log: String,
+    compact: (u64, u64),
+}
+
+/// The keys the log shapes below write.
+const PROBES: [&[u32]; 4] = [&[], &[1], &[1, 3], &[9]];
+
+/// Opens a scope over `log` with room for two resident entries, so a
+/// third loaded entry evicts the oldest.
+fn open_log_shape(tag: &str, log: &[u8]) -> Opened {
+    let dir = tmpdir(tag);
+    let fp = 0x5aa9e_u128;
+    let path = log_path(&dir, fp);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, log).unwrap();
+    let opts = StoreOptions { max_resident_entries: 2, ..StoreOptions::default() };
+    let store = LocalStore::open(&dir, opts).unwrap();
+    let scope = store.scope(spec(fp)).unwrap();
+    let counters = scope.counters();
+    let opened = Opened {
+        loaded: counters.loaded,
+        resident_evictions: counters.resident_evictions,
+        len: scope.len(),
+        resident: PROBES.iter().map(|key| scope.get(&k(key))).collect(),
+        log: String::from_utf8(std::fs::read(&path).unwrap()).unwrap(),
+        compact: scope.compact().unwrap(),
+    };
+    drop(scope);
+    std::fs::remove_dir_all(&dir).unwrap();
+    opened
+}
+
+/// Every log shape a crash, an editor or a second writer can leave, as
+/// the open loads it and a compaction rewrites it. These pin the bytes
+/// the loader must treat alike however it reads the log.
+#[test]
+fn log_shapes_load_and_compact_as_pinned() {
+    let fresh = format!("{HEADER}\nmeta mod-a target=t sites=4\n");
+    let len = |s: &str| s.len() as u64;
+
+    // A torn tail after valid entries: truncated at open, three entries
+    // loaded, the oldest evicted from the two resident slots.
+    let intact = format!("{fresh}100 -\n80 s1,s3\n70 s9\n");
+    let torn = format!("{intact}60 s2,s");
+    assert_eq!(
+        open_log_shape("shape-torn", torn.as_bytes()),
+        Opened {
+            loaded: 3,
+            resident_evictions: 1,
+            len: 2,
+            resident: vec![None, None, Some(m(80)), Some(m(70))],
+            log: intact.clone(),
+            compact: (len(&intact), len(&intact)),
+        }
+    );
+
+    // One line with no newline (a crash while stamping a fresh header):
+    // all of it is a torn write, and the open restamps the log.
+    assert_eq!(
+        open_log_shape("shape-oneline", HEADER.as_bytes()),
+        Opened {
+            loaded: 0,
+            resident_evictions: 0,
+            len: 0,
+            resident: vec![None; 4],
+            log: fresh.clone(),
+            compact: (len(&fresh), len(&fresh)),
+        }
+    );
+
+    // A header with no meta line: its identity is unrecorded, so it
+    // restarts.
+    assert_eq!(
+        open_log_shape("shape-header", format!("{HEADER}\n").as_bytes()),
+        Opened {
+            loaded: 0,
+            resident_evictions: 0,
+            len: 0,
+            resident: vec![None; 4],
+            log: fresh.clone(),
+            compact: (len(&fresh), len(&fresh)),
+        }
+    );
+
+    // CRLF line endings: each line loads without its `\r`, the open
+    // leaves the bytes alone, and compaction rewrites them with `\n`.
+    let crlf = format!("{HEADER}\r\nmeta mod-a target=t sites=4\r\n100 -\r\n80 s1,s3\r\n");
+    let lf = format!("{fresh}100 -\n80 s1,s3\n");
+    assert_eq!(
+        open_log_shape("shape-crlf", crlf.as_bytes()),
+        Opened {
+            loaded: 2,
+            resident_evictions: 0,
+            len: 2,
+            resident: vec![Some(m(100)), None, Some(m(80)), None],
+            log: crlf.clone(),
+            compact: (len(&crlf), len(&lf)),
+        }
+    );
+
+    // A duplicate and a cycles upgrade: the first line of each key keeps
+    // its place, the upgrade's value replaces the size-only one, and
+    // compaction drops the two dead lines.
+    let dup = format!("{fresh}100 -\n80 s1\n100 -\n80+900 s1\n");
+    let compacted = format!("{fresh}100 -\n80+900 s1\n");
+    assert_eq!(
+        open_log_shape("shape-dup", dup.as_bytes()),
+        Opened {
+            loaded: 2,
+            resident_evictions: 0,
+            len: 2,
+            resident: vec![Some(m(100)), Some(Measurement::with_cycles(80, 900)), None, None],
+            log: dup.clone(),
+            compact: (len(&dup), len(&compacted)),
+        }
+    );
+}
