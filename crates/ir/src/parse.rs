@@ -3,6 +3,11 @@
 //! [`parse_module`] accepts exactly the syntax emitted by the
 //! [`Display`](std::fmt::Display) impl on [`Module`], making the pair a
 //! round-trip (tested by property tests in the workspace).
+//!
+//! The lexer scans bytes and its tokens borrow identifiers and strings
+//! from the source, so a parse allocates little beyond the module it
+//! builds. `tests/parse_properties.rs` pins its answers, errors included,
+//! on the golden corpus and seeded mutations of it.
 
 use crate::function::Linkage;
 use crate::ids::{BlockId, CallSiteId, FuncId, GlobalId, ValueId};
@@ -29,107 +34,113 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token, borrowing identifier and string text from the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
-    Str(String),
+    Str(&'a str),
     Punct(char),
 }
 
-struct Lexer {
-    toks: Vec<(Tok, usize)>,
+struct Lexer<'a> {
+    toks: Vec<(Tok<'a>, usize)>,
     pos: usize,
 }
 
-fn lex(src: &str) -> Result<Vec<(Tok, usize)>, ParseError> {
-    let mut toks = Vec::new();
+/// Splits `src` into tokens with their 1-based lines. The scan walks
+/// bytes: every delimiter is ASCII, so a multi-byte char is decoded only
+/// where it must be whitespace to be legal.
+fn lex(src: &str) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
+    let bytes = src.as_bytes();
+    // Printed modules run about four bytes a token.
+    let mut toks = Vec::with_capacity(src.len() / 3);
     let mut line = 1usize;
-    let mut chars = src.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'\n' => {
                 line += 1;
-                chars.next();
+                i += 1;
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
+            // `char::is_whitespace` over ASCII, less the newline.
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => i += 1,
+            b'#' => {
                 // Comment to end of line.
-                for c in chars.by_ref() {
-                    if c == '\n' {
+                match bytes[i..].iter().position(|&c| c == b'\n') {
+                    Some(at) => {
                         line += 1;
-                        break;
+                        i += at + 1;
+                    }
+                    None => i = bytes.len(),
+                }
+            }
+            b'"' => {
+                let start = i + 1;
+                match bytes[start..].iter().position(|&c| c == b'"' || c == b'\n') {
+                    Some(len) if bytes[start + len] == b'"' => {
+                        toks.push((Tok::Str(&src[start..start + len]), line));
+                        i = start + len + 1;
+                    }
+                    _ => {
+                        return Err(ParseError {
+                            line,
+                            message: "unterminated string literal".into(),
+                        })
                     }
                 }
             }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\n') | None => {
-                            return Err(ParseError {
-                                line,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(c) => s.push(c),
-                    }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let start = i;
+                i += 1;
+                while bytes
+                    .get(i)
+                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
+                {
+                    i += 1;
                 }
-                toks.push((Tok::Str(s), line));
+                toks.push((Tok::Ident(&src[start..i]), line));
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                toks.push((Tok::Ident(s), line));
-            }
-            c if c.is_ascii_digit() || c == '-' => {
-                let negative = c == '-';
-                let mut s = String::new();
-                s.push(c);
-                chars.next();
-                if negative && !chars.peek().is_some_and(|c| c.is_ascii_digit()) {
+            b if b.is_ascii_digit() || b == b'-' => {
+                let start = i;
+                i += 1;
+                if b == b'-' && !bytes.get(i).is_some_and(u8::is_ascii_digit) {
                     return Err(ParseError { line, message: "expected digit after '-'".into() });
                 }
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_digit() {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                    i += 1;
                 }
+                let s = &src[start..i];
                 let v = s.parse::<i64>().map_err(|_| ParseError {
                     line,
                     message: format!("integer literal out of range: {s}"),
                 })?;
                 toks.push((Tok::Int(v), line));
             }
-            '{' | '}' | '(' | ')' | '[' | ']' | ',' | ':' | '=' | '@' => {
-                toks.push((Tok::Punct(c), line));
-                chars.next();
+            b'{' | b'}' | b'(' | b')' | b'[' | b']' | b',' | b':' | b'=' | b'@' => {
+                toks.push((Tok::Punct(char::from(b)), line));
+                i += 1;
             }
-            other => {
-                return Err(ParseError { line, message: format!("unexpected character {other:?}") })
+            _ => {
+                // `i` sits on a char boundary: only whole chars and ASCII
+                // bytes are ever stepped over.
+                let c = src[i..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+                if !c.is_whitespace() {
+                    return Err(ParseError {
+                        line,
+                        message: format!("unexpected character {c:?}"),
+                    });
+                }
+                i += c.len_utf8();
             }
         }
     }
     Ok(toks)
 }
 
-impl Lexer {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+impl<'a> Lexer<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
     fn line(&self) -> usize {
@@ -140,12 +151,8 @@ impl Lexer {
         ParseError { line: self.line(), message: message.into() }
     }
 
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|(t, _)| t.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
+    fn next(&mut self) -> Result<Tok<'a>, ParseError> {
+        let t = self.peek().ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
         Ok(t)
     }
@@ -157,7 +164,7 @@ impl Lexer {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next()? {
             Tok::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -189,7 +196,7 @@ impl Lexer {
     }
 }
 
-fn parse_prefixed_id(lex: &Lexer, s: &str, prefix: char) -> Result<u32, ParseError> {
+fn parse_prefixed_id(lex: &Lexer<'_>, s: &str, prefix: char) -> Result<u32, ParseError> {
     let rest = s
         .strip_prefix(prefix)
         .ok_or_else(|| lex.err(format!("expected `{prefix}N` identifier, found `{s}`")))?;
@@ -197,12 +204,12 @@ fn parse_prefixed_id(lex: &Lexer, s: &str, prefix: char) -> Result<u32, ParseErr
         .map_err(|_| lex.err(format!("expected `{prefix}N` identifier, found `{s}`")))
 }
 
-fn parse_value(lex: &mut Lexer) -> Result<ValueId, ParseError> {
+fn parse_value(lex: &mut Lexer<'_>) -> Result<ValueId, ParseError> {
     let s = lex.expect_ident()?;
-    Ok(ValueId::new(parse_prefixed_id(lex, &s, 'v')?))
+    Ok(ValueId::new(parse_prefixed_id(lex, s, 'v')?))
 }
 
-fn parse_value_list(lex: &mut Lexer) -> Result<Vec<ValueId>, ParseError> {
+fn parse_value_list(lex: &mut Lexer<'_>) -> Result<Vec<ValueId>, ParseError> {
     lex.expect_punct('(')?;
     let mut vals = Vec::new();
     if matches!(lex.peek(), Some(Tok::Punct(')'))) {
@@ -220,32 +227,32 @@ fn parse_value_list(lex: &mut Lexer) -> Result<Vec<ValueId>, ParseError> {
     Ok(vals)
 }
 
-fn parse_target(lex: &mut Lexer) -> Result<JumpTarget, ParseError> {
+fn parse_target(lex: &mut Lexer<'_>) -> Result<JumpTarget, ParseError> {
     let s = lex.expect_ident()?;
-    let block = BlockId::new(parse_prefixed_id(lex, &s, 'b')?);
+    let block = BlockId::new(parse_prefixed_id(lex, s, 'b')?);
     let args = parse_value_list(lex)?;
     Ok(JumpTarget { block, args })
 }
 
-struct FnContext<'a> {
-    funcs_by_name: &'a HashMap<String, FuncId>,
-    globals_by_name: &'a HashMap<String, GlobalId>,
+struct FnContext<'a, 's> {
+    funcs_by_name: &'a HashMap<&'s str, FuncId>,
+    globals_by_name: &'a HashMap<&'s str, GlobalId>,
 }
 
 fn parse_call_tail(
-    lex: &mut Lexer,
-    ctx: &FnContext<'_>,
+    lex: &mut Lexer<'_>,
+    ctx: &FnContext<'_, '_>,
     dst: Option<ValueId>,
 ) -> Result<Inst, ParseError> {
     let callee_name = lex.expect_ident()?;
     let callee = *ctx
         .funcs_by_name
-        .get(&callee_name)
+        .get(callee_name)
         .ok_or_else(|| lex.err(format!("unknown function `{callee_name}`")))?;
     let args = parse_value_list(lex)?;
     lex.expect_keyword("site")?;
     let s = lex.expect_ident()?;
-    let site = CallSiteId::new(parse_prefixed_id(lex, &s, 's')?);
+    let site = CallSiteId::new(parse_prefixed_id(lex, s, 's')?);
     let mut inline_path = Vec::new();
     if lex.eat_keyword("path") {
         lex.expect_punct('[')?;
@@ -253,7 +260,7 @@ fn parse_call_tail(
             let name = lex.expect_ident()?;
             let f = *ctx
                 .funcs_by_name
-                .get(&name)
+                .get(name)
                 .ok_or_else(|| lex.err(format!("unknown function `{name}` in path")))?;
             inline_path.push(f);
         }
@@ -262,11 +269,11 @@ fn parse_call_tail(
     Ok(Inst::Call { dst, callee, args, site, inline_path })
 }
 
-fn parse_global_ref(lex: &mut Lexer, ctx: &FnContext<'_>) -> Result<GlobalId, ParseError> {
+fn parse_global_ref(lex: &mut Lexer<'_>, ctx: &FnContext<'_, '_>) -> Result<GlobalId, ParseError> {
     lex.expect_punct('@')?;
     let name = lex.expect_ident()?;
     ctx.globals_by_name
-        .get(&name)
+        .get(name)
         .copied()
         .ok_or_else(|| lex.err(format!("unknown global `@{name}`")))
 }
@@ -290,36 +297,34 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
 
     // Pre-scan: collect function names in declaration order so call
     // instructions can reference functions defined later in the file.
-    let mut funcs_by_name: HashMap<String, FuncId> = HashMap::new();
-    let mut decl_order: Vec<(String, Linkage, bool)> = Vec::new();
+    let mut funcs_by_name: HashMap<&str, FuncId> = HashMap::new();
+    let mut decl_order: Vec<(&str, Linkage, bool)> = Vec::new();
     {
         let mut i = lex.pos;
         while i < lex.toks.len() {
-            if let (Tok::Ident(kw), line) = &lex.toks[i] {
+            if let (Tok::Ident(kw), line) = lex.toks[i] {
                 if kw == "fn" {
                     if i == 0 {
                         return Err(ParseError {
-                            line: *line,
+                            line,
                             message: "`fn` must be preceded by `public` or `internal`".into(),
                         });
                     }
-                    let linkage = match &lex.toks[i - 1].0 {
-                        Tok::Ident(l) if l == "public" => Linkage::Public,
-                        Tok::Ident(l) if l == "internal" => Linkage::Internal,
+                    let linkage = match lex.toks[i - 1].0 {
+                        Tok::Ident("public") => Linkage::Public,
+                        Tok::Ident("internal") => Linkage::Internal,
                         _ => {
                             return Err(ParseError {
-                                line: lex.toks[i].1,
+                                line,
                                 message: "`fn` must be preceded by `public` or `internal`".into(),
                             })
                         }
                     };
-                    if let Some((Tok::Ident(name), line)) = lex.toks.get(i + 1).cloned() {
-                        let inlinable = !matches!(
-                            lex.toks.get(i + 2).map(|(t, _)| t),
-                            Some(Tok::Ident(s)) if s == "noinline"
-                        );
+                    if let Some(&(Tok::Ident(name), line)) = lex.toks.get(i + 1) {
+                        let inlinable =
+                            !matches!(lex.toks.get(i + 2), Some((Tok::Ident("noinline"), _)));
                         if funcs_by_name
-                            .insert(name.clone(), FuncId::new(decl_order.len() as u32))
+                            .insert(name, FuncId::new(decl_order.len() as u32))
                             .is_some()
                         {
                             return Err(ParseError {
@@ -336,7 +341,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     }
 
     let mut module = Module::new(name);
-    let mut globals_by_name: HashMap<String, GlobalId> = HashMap::new();
+    let mut globals_by_name: HashMap<&str, GlobalId> = HashMap::new();
     let mut max_site: Option<u32> = None;
     let mut defined = vec![false; decl_order.len()];
 
@@ -346,29 +351,29 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
                 lex.next()?;
                 break;
             }
-            Some(Tok::Ident(kw)) if kw == "global" => {
+            Some(Tok::Ident("global")) => {
                 lex.next()?;
                 lex.expect_punct('@')?;
                 let gname = lex.expect_ident()?;
                 lex.expect_punct('=')?;
                 let init = lex.expect_int()?;
-                if globals_by_name.contains_key(&gname) {
+                if globals_by_name.contains_key(gname) {
                     return Err(lex.err(format!("duplicate global `@{gname}`")));
                 }
-                let id = module.add_global(gname.clone(), init);
+                let id = module.add_global(gname, init);
                 globals_by_name.insert(gname, id);
             }
-            Some(Tok::Ident(kw)) if kw == "public" || kw == "internal" => {
+            Some(Tok::Ident("public" | "internal")) => {
                 lex.next()?;
                 lex.expect_keyword("fn")?;
                 let fname = lex.expect_ident()?;
-                let fid = funcs_by_name[&fname];
+                let fid = funcs_by_name[fname];
                 lex.eat_keyword("noinline");
                 lex.expect_punct('{')?;
                 // Declare any functions not yet materialized, in order, so
                 // ids match the pre-scan.
                 while module.func_count() <= fid.index() {
-                    let (n, l, inl) = decl_order[module.func_count()].clone();
+                    let (n, l, inl) = decl_order[module.func_count()];
                     let id = module.declare_function(n, 0, l);
                     module.func_mut(id).inlinable = inl;
                 }
@@ -386,7 +391,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     // Materialize trailing declared-but-unreached functions (cannot normally
     // happen, but keeps ids consistent with the pre-scan).
     while module.func_count() < decl_order.len() {
-        let (n, l, inl) = decl_order[module.func_count()].clone();
+        let (n, l, inl) = decl_order[module.func_count()];
         let id = module.declare_function(n, 0, l);
         module.func_mut(id).inlinable = inl;
     }
@@ -397,8 +402,8 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
 }
 
 fn parse_function_body(
-    lex: &mut Lexer,
-    ctx: &FnContext<'_>,
+    lex: &mut Lexer<'_>,
+    ctx: &FnContext<'_, '_>,
     module: &mut Module,
     fid: FuncId,
     max_site: &mut Option<u32>,
@@ -412,7 +417,7 @@ fn parse_function_body(
         }
         // Block header: bN(params):
         let s = lex.expect_ident()?;
-        let bid = BlockId::new(parse_prefixed_id(lex, &s, 'b')?);
+        let bid = BlockId::new(parse_prefixed_id(lex, s, 'b')?);
         let params = parse_value_list(lex)?;
         lex.expect_punct(':')?;
         for p in &params {
@@ -439,12 +444,11 @@ fn parse_function_body(
         // Instructions until a terminator keyword.
         loop {
             let checkpoint = lex.pos;
-            let tok = lex.next()?;
-            let word = match &tok {
-                Tok::Ident(s) => s.clone(),
+            let word = match lex.next()? {
+                Tok::Ident(s) => s,
                 other => return Err(lex.err(format!("expected instruction, found {other:?}"))),
             };
-            match word.as_str() {
+            match word {
                 "jump" => {
                     let t = parse_target(lex)?;
                     module.func_mut(fid).block_mut(bid).term = Terminator::Jump(t);
@@ -494,7 +498,7 @@ fn parse_function_body(
                     max_value = max_value.max(dst.as_u32() + 1);
                     lex.expect_punct('=')?;
                     let op = lex.expect_ident()?;
-                    let inst = match op.as_str() {
+                    let inst = match op {
                         "const" => {
                             let v = lex.expect_int()?;
                             Inst::Const { dst, value: v }
