@@ -4,10 +4,9 @@
 //! reading the logs.
 
 use crate::format::{
-    fingerprint_of, log_file_stem, parse_entry, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT,
-    META_PREFIX,
+    fingerprint_of, log_file_stem, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT, META_PREFIX,
 };
-use crate::scope::Scope;
+use crate::scope::{intact_len, log_lines, parse_entry_bytes, Scope};
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::CallSiteId;
 use std::collections::HashMap;
@@ -425,23 +424,28 @@ impl LocalStore {
         report.foreign_files = scan.foreign_files;
         for mut log in scan.logs {
             report.scopes += 1;
-            if repair {
-                if let Ok(dropped @ 1..) = crate::scope::truncate_torn_tail(&log.path) {
-                    report.repaired_logs += 1;
-                    log.bytes = log.bytes.saturating_sub(dropped);
-                }
-            }
-            report.bytes += log.bytes;
-            let Ok(text) = std::fs::read_to_string(&log.path) else {
+            let Ok(mut bytes) = std::fs::read(&log.path) else {
+                report.bytes += log.bytes;
                 report.unreadable_logs += 1;
                 continue;
             };
-            let mut lines = text.lines();
-            if lines.next() != Some(HEADER) {
+            let intact = intact_len(&bytes);
+            let cut = || -> std::io::Result<()> {
+                std::fs::OpenOptions::new().write(true).open(&log.path)?.set_len(intact as u64)
+            };
+            if repair && intact < bytes.len() && cut().is_ok() {
+                report.repaired_logs += 1;
+                log.bytes = log.bytes.saturating_sub((bytes.len() - intact) as u64);
+                bytes.truncate(intact);
+            }
+            report.bytes += log.bytes;
+            let mut lines = log_lines(&bytes);
+            if lines.next() != Some(HEADER.as_bytes()) {
                 report.unreadable_logs += 1;
                 continue;
             }
-            if !lines.next().is_some_and(|l| l.starts_with(META_PREFIX)) {
+            let meta = lines.next().and_then(|l| std::str::from_utf8(l).ok());
+            if !meta.is_some_and(|l| l.starts_with(META_PREFIX)) {
                 report.unreadable_logs += 1;
                 continue;
             }
@@ -449,7 +453,7 @@ impl LocalStore {
                 std::collections::HashSet::new();
             let mut mix = ScopeFormatMix { fingerprint: log.fingerprint, ..Default::default() };
             for line in lines {
-                match parse_entry(line) {
+                match parse_entry_bytes(line) {
                     Some((key, value)) => {
                         if value.cycles.is_some() {
                             mix.measurement_lines += 1;

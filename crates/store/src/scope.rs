@@ -10,9 +10,10 @@
 //!   caller's identity; a mismatch (FNV filename collision, stale file)
 //!   restarts the log instead of serving another module's sizes. Unknown
 //!   headers restart too.
-//! - **Line-scoped corruption tolerance.** Malformed lines are skipped
-//!   individually; a torn trailing line (crash mid-append) is truncated
-//!   on open so later appends cannot splice into it.
+//! - **Line-scoped corruption tolerance.** Malformed lines, a line that
+//!   is not UTF-8 among them, are skipped individually; a torn trailing
+//!   line (crash mid-append) is truncated on open so later appends cannot
+//!   splice into it.
 //! - **Restart by rename.** Restarts and compactions write a temp file
 //!   and atomically rename it over the log, so a concurrent process
 //!   holding an append handle keeps writing the unlinked inode — entries
@@ -20,6 +21,11 @@
 //!
 //! What's new over the legacy cache:
 //!
+//! - **One handle, one read.** An open reads the whole log once through
+//!   the read+append handle the scope keeps, repairs a torn tail inside
+//!   that buffer, and loads its lines straight into the resident map and
+//!   its FIFO order. The same loader reads logs for compaction and the
+//!   legacy import.
 //! - **Write batching.** `put` appends to an in-memory buffer flushed as
 //!   one `write` syscall when it reaches a line/byte threshold, on
 //!   [`Scope::flush`], and on drop — collapsing the legacy
@@ -43,107 +49,106 @@ use crate::{StoreOptions, StoreStats};
 use optinline_ir::{CallSiteId, Measurement};
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-/// Truncates a partial trailing line (a crash mid-append leaves bytes
-/// after the last newline) down to the last newline-terminated prefix.
-/// The torn entry was never durably recorded, so dropping its bytes is
-/// recovery, not data loss — and unlike terminating the line in place,
-/// truncation leaves nothing behind for `verify` to count as damage.
-/// Returns the number of bytes dropped (0 when the tail is intact).
-pub(crate) fn truncate_torn_tail(path: &Path) -> std::io::Result<u64> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let len = f.metadata()?.len();
-    if len == 0 {
-        return Ok(0);
-    }
-    // Scan backwards in chunks for the last newline; the common case
-    // (intact tail) touches exactly one byte.
-    let mut end = len;
-    let mut buf = [0u8; 4096];
-    while end > 0 {
-        let start = end.saturating_sub(buf.len() as u64);
-        let chunk = &mut buf[..(end - start) as usize];
-        f.seek(SeekFrom::Start(start))?;
-        f.read_exact(chunk)?;
-        if let Some(at) = chunk.iter().rposition(|&b| b == b'\n') {
-            let keep = start + at as u64 + 1;
-            if keep == len {
-                return Ok(0);
-            }
-            f.set_len(keep)?;
-            return Ok(len - keep);
-        }
-        end = start;
-    }
-    // No newline at all: the whole file is one torn write (a crash while
-    // stamping a fresh header). Restart from empty.
-    f.set_len(0)?;
-    Ok(len)
+/// The length of a log image without a partial trailing line (a crash
+/// mid-append leaves bytes after the last newline): up to its last
+/// newline, or 0 when it has none (a crash while stamping a fresh
+/// header). The torn entry was never durably recorded, so dropping its
+/// bytes is recovery, not data loss — and unlike terminating the line in
+/// place, truncation leaves nothing behind for `verify` to count as
+/// damage.
+pub(crate) fn intact_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1)
 }
 
-/// What a log parse recovered.
-struct LoadOutcome {
-    /// Entries in first-seen order (duplicates resolved to the first).
-    entries: Vec<(Vec<CallSiteId>, Measurement)>,
+/// A log image's lines as `BufRead::lines` splits text: at each `\n`,
+/// less a `\r` right before it; the last line may lack its newline.
+pub(crate) fn log_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes.split_inclusive(|&b| b == b'\n').map(|line| match line.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => line,
+    })
+}
+
+/// Parses one entry line; a line that is not UTF-8 is as damaged as any
+/// other malformed line.
+pub(crate) fn parse_entry_bytes(line: &[u8]) -> Option<(Vec<CallSiteId>, Measurement)> {
+    std::str::from_utf8(line).ok().and_then(parse_entry)
+}
+
+/// A log's entries as a read recovered them.
+#[derive(Default)]
+struct Loaded {
+    /// One value per key: the first line's, or a later line's that
+    /// upgrades it with cycles.
+    entries: HashMap<Vec<CallSiteId>, Measurement>,
+    /// Keys in first-seen order: the resident FIFO, and the order a
+    /// rewrite keeps.
+    order: VecDeque<Vec<CallSiteId>>,
     /// Bytes of duplicate or malformed lines — reclaimable by compaction.
     dead_bytes: u64,
-    /// The file must be restarted (unknown header or foreign meta).
-    restart: bool,
 }
 
-/// Parses a log under `header`, skipping malformed lines and charging
-/// duplicates/damage to `dead_bytes`.
-fn load_log(file: File, header: &str, meta: &str) -> LoadOutcome {
-    let mut lines = BufReader::new(file).lines();
-    match lines.next() {
-        Some(Ok(h)) if h == header => {}
-        None => return LoadOutcome { entries: Vec::new(), dead_bytes: 0, restart: false },
-        _ => return LoadOutcome { entries: Vec::new(), dead_bytes: 0, restart: true },
+impl Loaded {
+    fn in_order(&self) -> impl Iterator<Item = (&[CallSiteId], Measurement)> {
+        self.order.iter().map(|key| (key.as_slice(), self.entries[key]))
     }
+}
+
+/// Parses a log image under `header`, skipping malformed lines one at a
+/// time and charging duplicates and damage to `dead_bytes`. `None` means
+/// the log must restart: an unknown header, or a meta line that is
+/// missing, foreign or not UTF-8. An empty image is an empty log.
+fn load_log(bytes: &[u8], header: &str, meta: &str) -> Option<Loaded> {
+    let mut lines = log_lines(bytes);
     match lines.next() {
-        Some(Ok(m)) if m.strip_prefix(META_PREFIX) == Some(meta) => {}
-        // Header-only file (crash between the two writes): empty, but the
-        // identity is unrecorded — restart to stamp it.
-        _ => return LoadOutcome { entries: Vec::new(), dead_bytes: 0, restart: true },
+        Some(h) if h == header.as_bytes() => {}
+        None => return Some(Loaded::default()),
+        _ => return None,
     }
-    let mut seen: HashMap<Vec<CallSiteId>, usize> = HashMap::new();
-    let mut entries: Vec<(Vec<CallSiteId>, Measurement)> = Vec::new();
-    let mut dead_bytes = 0u64;
-    for line in lines.map_while(Result::ok) {
-        match parse_entry(&line) {
-            Some((key, value)) => {
-                if let Some(&at) = seen.get(&key) {
-                    // A later duplicate. Sizes are deterministic, so the
-                    // values agree on what they both carry — but a later
-                    // line may *upgrade* a size-only entry with cycles
-                    // (measured after the size landed). Keep the richer
-                    // value; either way one of the two lines is dead.
-                    let old = entries[at].1;
-                    if old.cycles.is_none() && value.cycles.is_some() {
-                        entries[at].1 = value;
-                        dead_bytes += format_entry(&key, old).len() as u64 + 1;
-                    } else {
-                        dead_bytes += line.len() as u64 + 1;
-                    }
-                } else {
-                    seen.insert(key.clone(), entries.len());
-                    entries.push((key, value));
+    // A header-only file (crash between the two writes) is empty, but its
+    // identity is unrecorded: restart to stamp it.
+    lines.next()?.strip_prefix(META_PREFIX.as_bytes()).filter(|m| *m == meta.as_bytes())?;
+    let most = bytes.iter().filter(|&&b| b == b'\n').count();
+    let mut log = Loaded {
+        entries: HashMap::with_capacity(most),
+        order: VecDeque::with_capacity(most),
+        dead_bytes: 0,
+    };
+    for line in lines {
+        let dead = match parse_entry_bytes(line) {
+            Some((key, value)) => match log.entries.get_mut(&key) {
+                // A later duplicate. Sizes are deterministic, so the values
+                // agree on what they both carry — but a later line may
+                // *upgrade* a size-only entry with cycles (measured after
+                // the size landed). Keep the richer value; either way one
+                // of the two lines is dead.
+                Some(old) if old.cycles.is_none() && value.cycles.is_some() => {
+                    let old = std::mem::replace(old, value);
+                    format_entry(&key, old).len()
                 }
-            }
-            None => dead_bytes += line.len() as u64 + 1,
-        }
+                Some(_) => line.len(),
+                None => {
+                    log.order.push_back(key.clone());
+                    log.entries.insert(key, value);
+                    continue;
+                }
+            },
+            None => line.len(),
+        };
+        log.dead_bytes += dead as u64 + 1;
     }
-    LoadOutcome { entries, dead_bytes, restart: false }
+    Some(log)
+}
+
+/// Opens a log for reading and appending: the one handle a scope holds.
+fn open_log(path: &Path) -> std::io::Result<File> {
+    OpenOptions::new().read(true).append(true).open(path)
 }
 
 /// Sets a log's mtime to now: its recency in GC order. Errors are
@@ -157,15 +162,15 @@ fn stamp(file: &File) {
 /// atomically renames it over `path`. A rewrite of the same content
 /// passes the old log's `mtime` so GC order survives it; `None` leaves
 /// the new log at the current time. Returns the new byte size.
-fn rewrite_log(
+fn rewrite_log<'a>(
     path: &Path,
     meta: &str,
-    entries: &[(Vec<CallSiteId>, Measurement)],
+    entries: impl IntoIterator<Item = (&'a [CallSiteId], Measurement)>,
     mtime: Option<SystemTime>,
 ) -> std::io::Result<u64> {
     let mut image = format!("{HEADER}\n{META_PREFIX}{meta}\n");
     for (key, value) in entries {
-        image.push_str(&format_entry(key, *value));
+        image.push_str(&format_entry(key, value));
         image.push('\n');
     }
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
@@ -268,69 +273,69 @@ impl Scope {
         opts: StoreOptions,
         retired: Arc<Mutex<StoreStats>>,
     ) -> std::io::Result<Scope> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
         let meta = sanitize_meta(meta);
-
-        // Legacy migration: a matching v2 per-module file seeds the new
-        // log and is removed; anything else is left untouched.
         let mut imported = 0u64;
-        if !path.exists() {
-            if let Some(legacy) = legacy_path.filter(|p| p.exists()) {
-                if let Ok(f) = File::open(legacy) {
-                    let out = load_log(f, LEGACY_HEADER, &meta);
-                    if !out.restart && !out.entries.is_empty() {
-                        rewrite_log(&path, &meta, &out.entries, None)?;
-                        imported = out.entries.len() as u64;
-                        let _ = std::fs::remove_file(legacy);
+        let mut file = match open_log(&path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if let Some(parent) = path.parent() {
+                    std::fs::create_dir_all(parent)?;
+                }
+                // Legacy migration: a matching v2 per-module file seeds the
+                // new log and is removed; anything else is left untouched.
+                if let Some((legacy, Ok(bytes))) = legacy_path.map(|p| (p, std::fs::read(p))) {
+                    if let Some(log) = load_log(&bytes, LEGACY_HEADER, &meta) {
+                        if !log.entries.is_empty() {
+                            rewrite_log(&path, &meta, log.in_order(), None)?;
+                            imported = log.entries.len() as u64;
+                            let _ = std::fs::remove_file(legacy);
+                        }
                     }
                 }
+                OpenOptions::new().read(true).append(true).create(true).open(&path)?
             }
-        }
-
-        // Crash recovery before anything reads the log: drop a torn
-        // trailing line so it neither loads as damage nor splices with
-        // the next append.
-        truncate_torn_tail(&path)?;
-
-        let (mut entries, mut dead_bytes, restart) = match File::open(&path) {
-            Ok(f) => {
-                let out = load_log(f, HEADER, &meta);
-                (out.entries, out.dead_bytes, out.restart)
-            }
-            Err(_) => (Vec::new(), 0, false),
+            Err(e) => return Err(e),
         };
-        if restart {
-            // Unknown header or foreign meta: the bytes belong to a
-            // different format or module. Restart via temp + rename so a
-            // process still appending to the old file writes the unlinked
-            // inode rather than splicing into the fresh one.
-            entries.clear();
-            dead_bytes = 0;
-            rewrite_log(&path, &meta, &[], None)?;
+
+        // One read of the whole log. Crash recovery comes first: a torn
+        // trailing line is cut from the file and the buffer alike, so it
+        // neither loads as damage nor splices with the next append.
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let intact = intact_len(&bytes);
+        if intact < bytes.len() {
+            file.set_len(intact as u64)?;
+            bytes.truncate(intact);
         }
 
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata().map(|m| m.len() == 0).unwrap_or(true) {
-            write!(file, "{HEADER}\n{META_PREFIX}{meta}\n")?;
-            file.flush()?;
-        }
-        let disk_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-
-        // Imported entries are re-read from the fresh log, so `entries`
+        // Imported entries are re-read from the fresh log, so the load
         // already includes them.
-        let loaded = entries.len() as u64;
-        let mut map = HashMap::with_capacity(entries.len());
-        let mut order = VecDeque::with_capacity(entries.len());
-        for (key, value) in entries {
-            map.insert(key.clone(), value);
-            order.push_back(key);
+        let (log, mut disk_bytes) = match load_log(&bytes, HEADER, &meta) {
+            Some(log) => (log, bytes.len() as u64),
+            None => {
+                // Unknown header or foreign meta: the bytes belong to a
+                // different format or module. Restart via temp + rename so
+                // a process still appending to the old file writes the
+                // unlinked inode rather than splicing into the fresh one;
+                // this handle is on that inode too, so reopen it.
+                rewrite_log(&path, &meta, [], None)?;
+                file = open_log(&path)?;
+                (Loaded::default(), file.metadata().map_or(0, |m| m.len()))
+            }
+        };
+        drop(bytes);
+        if disk_bytes == 0 {
+            let fresh = format!("{HEADER}\n{META_PREFIX}{meta}\n");
+            file.write_all(fresh.as_bytes())?;
+            disk_bytes = fresh.len() as u64;
         }
+
+        let loaded = log.entries.len() as u64;
+        let Loaded { mut entries, mut order, dead_bytes } = log;
         let mut evicted_at_load = 0u64;
-        while map.len() > opts.max_resident_entries {
+        while entries.len() > opts.max_resident_entries {
             if let Some(old) = order.pop_front() {
-                map.remove(&old);
+                entries.remove(&old);
                 evicted_at_load += 1;
             } else {
                 break;
@@ -345,7 +350,7 @@ impl Scope {
                 opts,
                 retired,
                 state: Mutex::new(ScopeState {
-                    entries: map,
+                    entries,
                     order,
                     pending: String::new(),
                     pending_lines: 0,
@@ -544,15 +549,14 @@ impl ScopeInner {
         let before = old.as_ref().map_or(state.disk_bytes, |m| m.len());
         // Re-read the log: the resident map is bounded, so only the disk
         // knows every committed entry.
-        let out = load_log(File::open(&self.path)?, HEADER, &self.meta);
-        if out.restart {
+        let Some(log) = load_log(&std::fs::read(&self.path)?, HEADER, &self.meta) else {
             // Another process restarted the file under a different
             // identity; leave it alone.
             return Ok((before, before));
-        }
+        };
         let mtime = old.and_then(|m| m.modified().ok());
-        let after = rewrite_log(&self.path, &self.meta, &out.entries, mtime)?;
-        state.file = OpenOptions::new().append(true).open(&self.path)?;
+        let after = rewrite_log(&self.path, &self.meta, log.in_order(), mtime)?;
+        state.file = open_log(&self.path)?;
         state.disk_bytes = after;
         state.dead_bytes = 0;
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -567,19 +571,13 @@ impl ScopeInner {
 pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
     let old = std::fs::metadata(path)?;
     let before = old.len();
-    let Ok(text) = std::fs::read_to_string(path) else { return Ok((before, before)) };
-    let mut lines = text.lines();
-    if lines.next() != Some(HEADER) {
-        return Ok((before, before));
-    }
-    let Some(meta) = lines.next().and_then(|l| l.strip_prefix(META_PREFIX)) else {
+    let Ok(bytes) = std::fs::read(path) else { return Ok((before, before)) };
+    let meta = log_lines(&bytes).nth(1).and_then(|l| std::str::from_utf8(l).ok());
+    let Some(meta) = meta.and_then(|l| l.strip_prefix(META_PREFIX)) else {
         return Ok((before, before));
     };
-    let out = load_log(File::open(path)?, HEADER, meta);
-    if out.restart {
-        return Ok((before, before));
-    }
-    let after = rewrite_log(path, meta, &out.entries, old.modified().ok())?;
+    let Some(log) = load_log(&bytes, HEADER, meta) else { return Ok((before, before)) };
+    let after = rewrite_log(path, meta, log.in_order(), old.modified().ok())?;
     Ok((before, after))
 }
 

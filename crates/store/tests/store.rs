@@ -1037,3 +1037,57 @@ fn log_shapes_load_and_compact_as_pinned() {
         }
     );
 }
+
+/// One byte that is not UTF-8 damages its own line only: the open loads
+/// every other entry, `census` and `verify` count the line as malformed,
+/// and compaction drops just that line. A header or meta line that is not
+/// UTF-8 still makes the log unreadable, and the open restarts it.
+#[test]
+fn a_non_utf8_byte_damages_only_its_line() {
+    let dir = tmpdir("non-utf8");
+    let fp = 0xff_u128;
+    let path = log_path(&dir, fp);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let damaged: &[u8] = b"80 s\xff2\n";
+    let mut log = format!("{HEADER}\nmeta mod-a target=t sites=4\n100 -\n90 s1\n").into_bytes();
+    log.extend_from_slice(damaged);
+    log.extend_from_slice(b"70 s3\n60 s1,s3\n50 s9\n");
+    std::fs::write(&path, &log).unwrap();
+
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    for report in [store.census().unwrap(), store.verify().unwrap()] {
+        assert_eq!(
+            (report.entries, report.malformed_lines, report.unreadable_logs),
+            (5, 1, 0),
+            "{report:?}"
+        );
+        assert!(!report.clean());
+    }
+    let scope = store.scope(spec(fp)).unwrap();
+    assert_eq!(scope.counters().loaded, 5, "loading continues past the damaged line");
+    for (key, size) in [(&[][..], 100), (&[1], 90), (&[3], 70), (&[1, 3], 60), (&[9], 50)] {
+        assert_eq!(scope.get(&k(key)), Some(m(size)), "{key:?}");
+    }
+    let (before, after) = scope.compact().unwrap();
+    assert_eq!(before - after, damaged.len() as u64, "compaction drops only the damaged line");
+    drop(scope);
+    assert!(store.verify().unwrap().clean());
+    let scope = store.scope(spec(fp)).unwrap();
+    assert_eq!(scope.counters().loaded, 5, "every entry survived the compaction");
+    drop(scope);
+
+    for head in [
+        b"optinline-store v1\xff\nmeta mod-a target=t sites=4\n".as_slice(),
+        b"optinline-store v1\nmeta mod-a target=t\xff sites=4\n".as_slice(),
+    ] {
+        std::fs::write(&path, [head, b"100 -\n"].concat()).unwrap();
+        let report = store.census().unwrap();
+        assert_eq!((report.entries, report.unreadable_logs), (0, 1), "{report:?}");
+        let scope = store.scope(spec(fp)).unwrap();
+        assert_eq!(scope.counters().loaded, 0, "a log with an unreadable head restarts");
+        drop(scope);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, format!("{HEADER}\nmeta mod-a target=t sites=4\n"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
