@@ -55,7 +55,7 @@ impl Mutation {
             Mutation::DropLine(n) | Mutation::RepeatLine(n) => {
                 let copies = if matches!(self, Mutation::DropLine(_)) { 0 } else { 2 };
                 let line_copies =
-                    |(i, line)| std::iter::repeat(line).take(if i == n { copies } else { 1 });
+                    |(i, line)| std::iter::repeat_n(line, if i == n { copies } else { 1 });
                 text.split_inclusive('\n').enumerate().flat_map(line_copies).collect()
             }
             Mutation::Cut(at) => text[..at].to_string(),
