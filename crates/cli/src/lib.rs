@@ -29,8 +29,8 @@ use optinline_codegen::{text_size, Target, WasmLike, X86Like};
 use optinline_core::autotune::Autotuner;
 use optinline_core::tree::{evaluate_inlining_tree, space_size, try_build_inlining_tree};
 use optinline_core::{
-    cache_meta, domain_fingerprint, evaluate_inlining_tree_dag, module_cycles, module_fingerprint,
-    objective_scope, Evaluator, InliningConfiguration, InliningTree, ParetoFront, PersistentCache,
+    cache_meta, domain_fingerprint, evaluate_inlining_tree_dag, module_cycles, objective_scope,
+    Evaluator, InliningConfiguration, InliningTree, ParetoFront, PersistentCache,
     PersistentEvaluator, SearchSession, SizeEvaluator, SpeedEvaluator, WorkerPool,
 };
 use optinline_heuristics::{baselines, CostModelInliner, TrialInliner};
@@ -449,17 +449,15 @@ impl<'w> Request<'w> {
     ) -> Result<(R, String), CliError> {
         let cache = match (&self.eval.cache_dir, self.eval.no_persist) {
             (Some(dir), false) => {
-                let (module, target) = (self.ev.module(), self.ev.target().name());
                 let fp = objective_scope(self.domain(), objective, self.ev.cost_model());
                 // Recorded in the log and verified on reopen, so a
                 // fingerprint collision or stale file restarts the scope
                 // instead of serving another module's sizes.
-                let meta = cache_meta(module, target);
+                let meta = cache_meta(self.ev.module(), self.ev.target().name());
                 // Legacy flat files hold size-only entries under the older
                 // module fingerprint; they are only importable into the
                 // size scope.
-                let import =
-                    (!objective.wants_cycles()).then(|| module_fingerprint(module, target));
+                let import = (!objective.wants_cycles()).then(|| self.ev.legacy_fingerprint());
                 Some(PersistentCache::open_scoped(dir, fp, import, &meta)?)
             }
             _ => None,

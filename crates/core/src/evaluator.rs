@@ -69,10 +69,23 @@ pub trait Evaluator: Sync {
 /// `memo_scope` is this value under the default pipeline options, so a
 /// caller holding only the module can name the same domain.
 pub fn domain_fingerprint(module: &Module, target: &dyn Target, options: PipelineOptions) -> u128 {
+    domain_of(module_hash(module, target.name()), options)
+}
+
+/// The FNV state over a module's printed form and a target name:
+/// [`module_fingerprint`](crate::module_fingerprint) finishes it, and
+/// [`domain_fingerprint`] continues it with the pipeline options, so one
+/// printing of the module can give both.
+pub(crate) fn module_hash(module: &Module, target_name: &str) -> Fnv128 {
     let mut h = Fnv128::new();
     h.write(module.to_string().as_bytes());
     h.write_u8(0);
-    h.write(target.name().as_bytes());
+    h.write(target_name.as_bytes());
+    h
+}
+
+/// [`domain_fingerprint`] from a [`module_hash`].
+pub(crate) fn domain_of(mut h: Fnv128, options: PipelineOptions) -> u128 {
     h.write_u8(0);
     h.write(format!("{options:?}").as_bytes());
     h.finish()

@@ -74,7 +74,7 @@
 
 use crate::cache::ShardedCache;
 use crate::config::InliningConfiguration;
-use crate::evaluator::{domain_fingerprint, Evaluator, EvaluatorStats};
+use crate::evaluator::{domain_of, module_hash, Evaluator, EvaluatorStats};
 use crate::measure::{module_cycles, Objective};
 use optinline_callgraph::{coarse_components, Decision};
 use optinline_codegen::{text_size, Target};
@@ -172,7 +172,9 @@ pub struct SizeEvaluator {
     compile_nanos: AtomicU64,
     module_insts: u64,
     pipeline_stats: Mutex<PipelineStats>,
-    scope: OnceLock<u128>,
+    /// The legacy and domain fingerprints, from one printing of the
+    /// module.
+    fingerprints: OnceLock<(u128, u128)>,
 }
 
 impl std::fmt::Debug for SizeEvaluator {
@@ -231,7 +233,7 @@ impl SizeEvaluator {
             compile_nanos: AtomicU64::new(0),
             module_insts,
             pipeline_stats: Mutex::new(PipelineStats::default()),
-            scope: OnceLock::new(),
+            fingerprints: OnceLock::new(),
         }
     }
 
@@ -260,6 +262,21 @@ impl SizeEvaluator {
     /// cycles-scope identity).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
+    }
+
+    /// [`module_fingerprint`](crate::module_fingerprint) of the module
+    /// under this evaluator's target: the name an older release gave the
+    /// module's flat cache file, which a size scope imports. It comes from
+    /// the same printing of the module as [`Evaluator::memo_scope`].
+    pub fn legacy_fingerprint(&self) -> u128 {
+        self.fingerprints().0
+    }
+
+    fn fingerprints(&self) -> (u128, u128) {
+        *self.fingerprints.get_or_init(|| {
+            let h = module_hash(&self.module, self.target.name());
+            (h.finish(), domain_of(h, PipelineOptions::default()))
+        })
     }
 
     /// Snapshot of the observability counters.
@@ -459,9 +476,7 @@ impl Evaluator for SizeEvaluator {
     fn memo_scope(&self) -> Option<u128> {
         // One domain for both modes: the decomposition is proven size- and
         // cycles-identical to whole-module compiles.
-        Some(*self.scope.get_or_init(|| {
-            domain_fingerprint(&self.module, self.target.as_ref(), PipelineOptions::default())
-        }))
+        Some(self.fingerprints().1)
     }
 }
 

@@ -29,9 +29,8 @@
 //!   from the store, forward misses, record every fresh result.
 
 use crate::config::InliningConfiguration;
-use crate::evaluator::Evaluator;
+use crate::evaluator::{module_hash, Evaluator};
 use crate::measure::Objective;
-use optinline_callgraph::Fnv128;
 use optinline_ir::{CallSiteId, Measurement, Module};
 use optinline_store::{LocalStore, Scope, ScopeSpec, StoreStats};
 use std::collections::BTreeSet;
@@ -42,11 +41,7 @@ use std::sync::Arc;
 /// releases named their flat per-module cache files with. Still computed
 /// so the store can find and import (or ignore) those files.
 pub fn module_fingerprint(module: &Module, target_name: &str) -> u128 {
-    let mut h = Fnv128::new();
-    h.write(module.to_string().as_bytes());
-    h.write_u8(0);
-    h.write(target_name.as_bytes());
-    h.finish()
+    module_hash(module, target_name).finish()
 }
 
 /// The identity tag recorded on a scope log and verified at every open.

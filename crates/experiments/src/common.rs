@@ -3,8 +3,8 @@
 
 use optinline_codegen::X86Like;
 use optinline_core::{
-    cache_meta, module_fingerprint, Evaluator, EvaluatorStats, InliningConfiguration,
-    PersistentCache, PersistentEvaluator, SearchSession, SizeEvaluator,
+    cache_meta, Evaluator, EvaluatorStats, InliningConfiguration, PersistentCache,
+    PersistentEvaluator, SearchSession, SizeEvaluator,
 };
 use optinline_heuristics::CostModelInliner;
 use optinline_ir::Module;
@@ -114,7 +114,7 @@ impl FileCase {
         let cache = cache_dir.and_then(|dir| {
             let fp = evaluator.memo_scope().expect("a SizeEvaluator always names its domain");
             // Names an older release's flat per-module file, imported once.
-            let legacy = module_fingerprint(evaluator.module(), evaluator.target().name());
+            let legacy = evaluator.legacy_fingerprint();
             let meta = cache_meta(evaluator.module(), evaluator.target().name());
             PersistentCache::open_scoped(dir, fp, Some(legacy), &meta)
                 .map_err(|e| eprintln!("warning: cache disabled for {file}: {e}"))
