@@ -1,7 +1,8 @@
 //! Benches for the content-addressed evaluation store: batched vs
 //! one-write-per-put append throughput, scope-open latency on clean vs
-//! duplicate-heavy logs, and size-budgeted GC — the wall-clock side of
-//! the `results/perf_store.txt` numbers.
+//! duplicate-heavy logs (and on a log of serve-warm's mean size), and
+//! size-budgeted GC — the wall-clock side of the `results/perf_store.txt`
+//! numbers.
 
 use optinline_bench::{criterion_group, criterion_main, Criterion};
 use optinline_ir::{CallSiteId, Measurement};
@@ -55,15 +56,15 @@ fn bench_put_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Populates one scope with `PUTS` entries; with `dup`, every entry line
-/// is then doubled directly in the log (what repeated cross-process
+/// Populates one scope with `entries` entries; with `dup`, every entry
+/// line is then doubled directly in the log (what repeated cross-process
 /// re-puts leave behind), so half the file is dead weight.
-fn seed_scope(dir: &Path, fp: u128, dup: bool) {
+fn seed_scope(dir: &Path, fp: u128, entries: u32, dup: bool) {
     let opts = StoreOptions { compact_min_dead_bytes: u64::MAX, ..Default::default() };
     let log_path = {
         let store = LocalStore::open(dir, opts).expect("store opens");
         let scope = store.scope(spec(fp)).expect("scope opens");
-        for i in 0..PUTS {
+        for i in 0..entries {
             scope.put(key(i), Measurement::size_only(u64::from(i)));
         }
         scope.flush().expect("flush succeeds");
@@ -82,13 +83,17 @@ fn seed_scope(dir: &Path, fp: u128, dup: bool) {
 /// Scope-open latency: parse-and-load a clean log vs one where half the
 /// lines are superseded duplicates (the state compaction exists to fix),
 /// with auto-compaction disabled so the measurement sees the raw cost.
+/// `clean83` is a clean log of the mean size a serve-warm scope open
+/// reads: 83 entries.
 fn bench_open_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_open");
     group.sample_size(10);
     let opts = StoreOptions { compact_min_dead_bytes: u64::MAX, ..Default::default() };
-    for (name, dup) in [("clean", false), ("dead50", true)] {
+    for (name, entries, dup) in
+        [("clean83", 83, false), ("clean", PUTS, false), ("dead50", PUTS, true)]
+    {
         let dir = tmpdir(name);
-        seed_scope(&dir, 0xbeef, dup);
+        seed_scope(&dir, 0xbeef, entries, dup);
         group.bench_function(name, |b| {
             b.iter(|| {
                 let store = LocalStore::open(&dir, opts).expect("store opens");
