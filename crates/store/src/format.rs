@@ -19,8 +19,8 @@
 //! `cycles: None`) and old readers skip the new lines as malformed —
 //! degrading to a smaller cache, never a wrong answer. Parsing is
 //! tolerant: any malformed line (bad integer, unsorted or garbled site
-//! list, stray bytes) is skipped individually, so a damaged log degrades
-//! to a smaller log, never an error.
+//! list, stray bytes, bytes that are not UTF-8) is skipped individually,
+//! so a damaged log degrades to a smaller log, never an error.
 
 use optinline_ir::{CallSiteId, Measurement};
 
@@ -69,6 +69,21 @@ pub fn parse_entry(line: &str) -> Option<(Vec<CallSiteId>, Measurement)> {
         }
     }
     Some((sites, value))
+}
+
+/// [`parse_entry`] over a line's bytes: a line that is not UTF-8 is as
+/// damaged as any other malformed line.
+pub(crate) fn parse_entry_bytes(line: &[u8]) -> Option<(Vec<CallSiteId>, Measurement)> {
+    std::str::from_utf8(line).ok().and_then(parse_entry)
+}
+
+/// A log image's lines as `BufRead::lines` splits text: at each `\n`,
+/// less a `\r` right before it; the last line may lack its newline.
+pub(crate) fn log_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes.split_inclusive(|&b| b == b'\n').map(|line| match line.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => line,
+    })
 }
 
 /// Formats an entry line (without the trailing newline). A size-only
@@ -176,6 +191,20 @@ mod tests {
             assert_eq!(log_file_stem(name), None, "{name:?} is not a scope log");
         }
         assert_eq!(log_file_stem("cafebabe.log"), Some("cafebabe"));
+    }
+
+    #[test]
+    fn log_lines_split_as_bufread_lines_does() {
+        for text in ["", "a", "a\n", "a\r\nb", "a\rb\n\n", "a\r", "\n\r\n", "80 s\u{ff}2\r\n"] {
+            let expected: Vec<String> =
+                std::io::BufRead::lines(text.as_bytes()).map(Result::unwrap).collect();
+            let lines: Vec<&[u8]> = log_lines(text.as_bytes()).collect();
+            assert_eq!(
+                lines,
+                expected.iter().map(String::as_bytes).collect::<Vec<_>>(),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

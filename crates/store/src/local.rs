@@ -4,9 +4,10 @@
 //! reading the logs.
 
 use crate::format::{
-    fingerprint_of, log_file_stem, sanitize_meta, scope_rel_path, HEADER, LEGACY_EXT, META_PREFIX,
+    fingerprint_of, log_file_stem, log_lines, parse_entry_bytes, sanitize_meta, scope_rel_path,
+    HEADER, LEGACY_EXT, META_PREFIX,
 };
-use crate::scope::{intact_len, log_lines, parse_entry_bytes, Scope};
+use crate::scope::{intact_len, Scope};
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::CallSiteId;
 use std::collections::HashMap;

@@ -44,7 +44,9 @@
 //!   the same content, so the rewritten log keeps the old mtime; a
 //!   restart is a new log and takes the current time.
 
-use crate::format::{format_entry, parse_entry, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX};
+use crate::format::{
+    format_entry, log_lines, parse_entry_bytes, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX,
+};
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::{CallSiteId, Measurement};
 use std::collections::{HashMap, VecDeque};
@@ -64,21 +66,6 @@ use std::time::SystemTime;
 /// damage.
 pub(crate) fn intact_len(bytes: &[u8]) -> usize {
     bytes.iter().rposition(|&b| b == b'\n').map_or(0, |at| at + 1)
-}
-
-/// A log image's lines as `BufRead::lines` splits text: at each `\n`,
-/// less a `\r` right before it; the last line may lack its newline.
-pub(crate) fn log_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
-    bytes.split_inclusive(|&b| b == b'\n').map(|line| match line.strip_suffix(b"\n") {
-        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
-        None => line,
-    })
-}
-
-/// Parses one entry line; a line that is not UTF-8 is as damaged as any
-/// other malformed line.
-pub(crate) fn parse_entry_bytes(line: &[u8]) -> Option<(Vec<CallSiteId>, Measurement)> {
-    std::str::from_utf8(line).ok().and_then(parse_entry)
 }
 
 /// A log's entries as a read recovered them.
