@@ -3,7 +3,7 @@
 //! graph-algorithm primitives the search leans on.
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use optinline_callgraph::{bridge_groups, connected_components, InlineGraph};
+use optinline_callgraph::{bridge_groups, site_components, InlineGraph};
 use optinline_codegen::X86Like;
 use optinline_core::autotune::Autotuner;
 use optinline_core::{InliningConfiguration, SizeEvaluator};
@@ -67,10 +67,10 @@ fn bench_graph_algorithms(c: &mut Criterion) {
     let mut group = c.benchmark_group("graph_algorithms");
     for n in [10usize, 40, 100] {
         let module = module_sized(n);
-        let graph = InlineGraph::from_module(&module);
-        group.bench_with_input(BenchmarkId::new("components", n), &graph, |b, g| {
-            b.iter(|| connected_components(g))
+        group.bench_with_input(BenchmarkId::new("site_components", n), &module, |b, m| {
+            b.iter(|| site_components(m))
         });
+        let graph = InlineGraph::from_module(&module);
         group.bench_with_input(BenchmarkId::new("bridge_groups", n), &graph, |b, g| {
             b.iter(|| bridge_groups(g))
         });

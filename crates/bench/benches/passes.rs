@@ -4,8 +4,9 @@
 //! dirty-component rounds).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use optinline_callgraph::site_components;
 use optinline_codegen::X86Like;
-use optinline_core::autotune::{site_components, Autotuner};
+use optinline_core::autotune::Autotuner;
 use optinline_core::{InliningConfiguration, SizeEvaluator};
 use optinline_ir::{BinOp, FuncBuilder, Linkage, Module};
 use optinline_opt::{

@@ -63,18 +63,19 @@ fn unions(graph: &InlineGraph, skip: Option<CallSiteId>, dsu: &mut Dsu) -> usize
         .count()
 }
 
-/// Partitions the live nodes into undirected connected components, in
-/// order of their union–find roots. Isolated nodes form singleton
-/// components.
-pub fn connected_components(graph: &InlineGraph) -> Vec<Vec<NodeRef>> {
+/// Partitions a module's inlinable sites by undirected call-graph
+/// component, in order of the components' union–find roots; components
+/// without a site are left out. This is the input
+/// `Autotuner::run_incremental` needs.
+pub fn site_components(module: &Module) -> Vec<BTreeSet<CallSiteId>> {
+    let graph = InlineGraph::from_module(module);
     let mut dsu = Dsu::default();
-    unions(graph, None, &mut dsu);
-    let mut groups: Vec<Vec<NodeRef>> = vec![Vec::new(); graph.slot_count()];
-    for n in graph.live_nodes() {
-        groups[dsu.find(n.index())].push(n);
+    unions(&graph, None, &mut dsu);
+    let mut parts: BTreeMap<usize, BTreeSet<CallSiteId>> = BTreeMap::new();
+    for e in graph.edges() {
+        parts.entry(dsu.find(e.from.index())).or_default().insert(e.site);
     }
-    groups.retain(|g| !g.is_empty());
-    groups
+    parts.into_values().collect()
 }
 
 /// Number of undirected connected components.
@@ -86,11 +87,11 @@ pub fn component_count(graph: &InlineGraph) -> usize {
 /// the full call graph: every call edge counts, inlinable or not, taken
 /// undirected. Functions without any call edges form singleton components.
 ///
-/// This is deliberately coarser than [`connected_components`] on an
-/// [`InlineGraph`] (which only sees inlinable edges): whole-module analyses
-/// such as dead-function reachability and effect summaries propagate along
-/// *every* call edge, so only this coarse partition guarantees that the
-/// `-Os` pipeline distributes componentwise. The incremental evaluator in
+/// This is deliberately coarser than [`site_components`], which only sees
+/// inlinable edges: whole-module analyses such as dead-function
+/// reachability and effect summaries propagate along *every* call edge, so
+/// only this coarse partition guarantees that the `-Os` pipeline
+/// distributes componentwise. The incremental evaluator in
 /// `optinline-core` relies on exactly that guarantee.
 pub fn coarse_components(module: &Module) -> Vec<BTreeSet<FuncId>> {
     let mut dsu = Dsu::new(module.func_count());
@@ -247,19 +248,6 @@ impl Adjacency {
     }
 }
 
-/// BFS distances (in edges, undirected) from `start` to every reachable
-/// node.
-pub fn bfs_distances(graph: &InlineGraph, start: NodeRef) -> BTreeMap<NodeRef, usize> {
-    let mut adj = Adjacency::new(graph);
-    adj.bfs(start);
-    adj.queue.iter().map(|&n| (NodeRef(n), adj.dist[n as usize] as usize)).collect()
-}
-
-/// Eccentricity of a node: its maximum BFS distance within its component.
-pub fn eccentricity(graph: &InlineGraph, node: NodeRef) -> usize {
-    Adjacency::new(graph).eccentricity(node) as usize
-}
-
 /// Strongly connected components of a module's static call graph, returned
 /// in *bottom-up* order (callees before callers). This is the traversal
 /// order LLVM's inliner uses and our baseline heuristic mirrors.
@@ -343,64 +331,6 @@ pub fn bottom_up_sccs(module: &Module) -> Vec<Vec<FuncId>> {
     sccs
 }
 
-/// Summary statistics of a module's inlinable call graph (used by reports
-/// and the Figure 3 experiment).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Number of functions.
-    pub functions: usize,
-    /// Number of inlinable call sites.
-    pub inlinable_sites: usize,
-    /// Undirected connected components of the inlinable graph.
-    pub components: usize,
-    /// Sizes (site counts) of each component, descending.
-    pub component_site_counts: Vec<usize>,
-}
-
-/// Computes [`GraphStats`] for a module.
-pub fn graph_stats(module: &Module) -> GraphStats {
-    let g = InlineGraph::from_module(module);
-    let comps = connected_components(&g);
-    let mut per_comp: Vec<usize> = comps
-        .iter()
-        .map(|nodes| {
-            let set: BTreeSet<NodeRef> = nodes.iter().copied().collect();
-            let sites: BTreeSet<CallSiteId> = g
-                .live_edges()
-                .into_iter()
-                .filter(|(_, a, b)| set.contains(a) || set.contains(b))
-                .map(|(s, _, _)| s)
-                .collect();
-            sites.len()
-        })
-        .collect();
-    per_comp.sort_unstable_by(|a, b| b.cmp(a));
-    GraphStats {
-        functions: g.node_count(),
-        inlinable_sites: g.group_count(),
-        components: comps.len(),
-        component_site_counts: per_comp,
-    }
-}
-
-/// log2 of the naïve search-space size: one bit per inlinable site (§3.1).
-pub fn naive_space_log2(module: &Module) -> u32 {
-    module.inlinable_sites().len() as u32
-}
-
-/// log2 of the component-partitioned space `Σ_c 2^|E_c|` (§3.1, Figure 4) —
-/// returned as an `f64` because sums of powers are not powers.
-pub fn component_space_log2(module: &Module) -> f64 {
-    let stats = graph_stats(module);
-    let total: f64 =
-        stats.component_site_counts.iter().filter(|&&s| s > 0).map(|&s| 2f64.powi(s as i32)).sum();
-    if total <= 1.0 {
-        0.0
-    } else {
-        total.log2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,10 +351,10 @@ mod tests {
 
     #[test]
     fn fig4_has_two_components() {
-        let comps = connected_components(&fig4());
-        assert_eq!(comps.len(), 2);
-        let sizes: Vec<usize> = comps.iter().map(|c| c.len()).collect();
-        assert!(sizes.contains(&3) && sizes.contains(&2));
+        assert_eq!(component_count(&fig4()), 2);
+        let parts = inlining_components(&fig4()).expect("both components hold an edge");
+        let sizes: Vec<usize> = parts.iter().map(InlineGraph::node_count).collect();
+        assert_eq!(sizes, [3, 2]);
     }
 
     #[test]
@@ -432,7 +362,7 @@ mod tests {
         // Figure 4 plus an isolated node 5 and a self-loop on node 6.
         let g = InlineGraph::from_edges(7, &[(0, 1), (3, 4), (1, 2), (6, 6)]);
         let parts = inlining_components(&g).expect("three components hold an edge");
-        let nodes: Vec<Vec<NodeRef>> = parts.iter().map(InlineGraph::node_refs).collect();
+        let nodes: Vec<Vec<NodeRef>> = parts.iter().map(|p| p.live_nodes().collect()).collect();
         let n = |i: u32| NodeRef(i);
         assert_eq!(nodes, [vec![n(0), n(1), n(2)], vec![n(3), n(4)], vec![n(6)]]);
         let s = CallSiteId::new;
@@ -483,13 +413,13 @@ mod tests {
 
     #[test]
     fn bfs_and_eccentricity_on_chain() {
-        let g = fig5();
+        let mut adj = Adjacency::new(&fig5());
         // Chain F-G-K-L-H-I: end nodes have eccentricity 5, middle 3.
-        assert_eq!(eccentricity(&g, NodeRef(0)), 5);
-        assert_eq!(eccentricity(&g, NodeRef(2)), 3);
-        let d = bfs_distances(&g, NodeRef(0));
-        assert_eq!(d[&NodeRef(5)], 5);
-        assert_eq!(d[&NodeRef(0)], 0);
+        assert_eq!(adj.eccentricity(NodeRef(0)), 5);
+        assert_eq!(adj.eccentricity(NodeRef(2)), 3);
+        adj.bfs(NodeRef(0));
+        assert_eq!(adj.dist, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(adj.queue, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -567,32 +497,23 @@ mod tests {
     }
 
     #[test]
-    fn graph_stats_and_space_sizes() {
+    fn site_components_group_sites_by_component() {
+        // main calls x and y, main2 calls z: two components, one per caller.
         let mut m = Module::new("m");
-        let x = m.declare_function("x", 0, Linkage::Internal);
-        let y = m.declare_function("y", 0, Linkage::Internal);
-        let main = m.declare_function("main", 0, Linkage::Public);
-        let main2 = m.declare_function("main2", 0, Linkage::Public);
-        for f in [x, y] {
+        let callees: Vec<FuncId> =
+            ["x", "y", "z"].map(|n| m.declare_function(n, 0, Linkage::Internal)).to_vec();
+        for &f in &callees {
+            FuncBuilder::new(&mut m, f).ret(None);
+        }
+        for (name, called) in [("main", &callees[..2]), ("main2", &callees[2..])] {
+            let f = m.declare_function(name, 0, Linkage::Public);
             let mut b = FuncBuilder::new(&mut m, f);
+            for &c in called {
+                b.call_void(c, &[]);
+            }
             b.ret(None);
         }
-        {
-            let mut b = FuncBuilder::new(&mut m, main);
-            b.call_void(x, &[]);
-            b.ret(None);
-        }
-        {
-            let mut b = FuncBuilder::new(&mut m, main2);
-            b.call_void(y, &[]);
-            b.ret(None);
-        }
-        let stats = graph_stats(&m);
-        assert_eq!(stats.functions, 4);
-        assert_eq!(stats.inlinable_sites, 2);
-        assert_eq!(stats.components, 2);
-        assert_eq!(naive_space_log2(&m), 2);
-        // 2^1 + 2^1 = 4 => log2 = 2.
-        assert!((component_space_log2(&m) - 2.0).abs() < 1e-9);
+        let s = CallSiteId::new;
+        assert_eq!(site_components(&m), [BTreeSet::from([s(0), s(1)]), BTreeSet::from([s(2)])]);
     }
 }

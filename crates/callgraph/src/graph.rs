@@ -125,11 +125,6 @@ impl InlineGraph {
     }
 
     /// Live node handles.
-    pub fn node_refs(&self) -> Vec<NodeRef> {
-        self.live_nodes().collect()
-    }
-
-    /// [`node_refs`](Self::node_refs) without collecting them.
     pub(crate) fn live_nodes(&self) -> impl Iterator<Item = NodeRef> + '_ {
         self.live.iter().enumerate().filter(|&(_, &live)| live).map(|(i, _)| NodeRef(i as u32))
     }
@@ -168,11 +163,6 @@ impl InlineGraph {
     /// [`NodeRef::index`].
     pub(crate) fn slot_count(&self) -> usize {
         self.live.len()
-    }
-
-    /// Endpoints of every live edge in `site`'s group.
-    pub fn group_edges(&self, site: CallSiteId) -> Vec<(NodeRef, NodeRef)> {
-        self.edges.iter().filter(|e| e.site == site).map(|e| (e.from, e.to)).collect()
     }
 
     /// Applies a decision to a site's whole group (see module docs).
@@ -302,7 +292,7 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         // Edges now: B→C (s1), D→B (s2), AB→C (s1 copy).
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.group_edges(CallSiteId::new(1)).len(), 2);
+        assert_eq!(g.edges().iter().filter(|e| e.site == CallSiteId::new(1)).count(), 2);
         // A's scope includes B: it holds the copy of B's call to C.
         assert!(g.live_edges().contains(&(CallSiteId::new(1), NodeRef(0), NodeRef(2))));
     }
@@ -334,7 +324,7 @@ mod tests {
         g.apply(CallSiteId::new(0), Decision::Inline);
         // Group s1 now has two copies: B→C and A→C. Inline them together.
         g.apply(CallSiteId::new(1), Decision::Inline);
-        assert!(g.group_edges(CallSiteId::new(1)).is_empty());
+        assert!(g.edges().iter().all(|e| e.site != CallSiteId::new(1)));
         // D→B remains.
         assert_eq!(g.edge_count(), 1);
     }

@@ -36,9 +36,8 @@ mod graph;
 mod select;
 
 pub use algo::{
-    bfs_distances, bottom_up_sccs, bridge_groups, coarse_components, component_count,
-    component_space_log2, connected_components, eccentricity, graph_stats, inlining_components,
-    naive_space_log2, GraphStats,
+    bottom_up_sccs, bridge_groups, coarse_components, component_count, inlining_components,
+    site_components,
 };
 pub use fingerprint::{fnv128, Fnv128};
 pub use graph::{Decision, InlineGraph, NodeRef};

@@ -154,8 +154,8 @@ mod tests {
         // cycle 1→2→3→1 (no bridges). Node 0 has max out-degree 3.
         let g = InlineGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]);
         let site = PartitionStrategy::Paper.select(&g);
-        let (from, _) = g.group_edges(site)[0];
-        assert_eq!(from, NodeRef(0));
+        let edge = g.edges().iter().find(|e| e.site == site).expect("the site's edge");
+        assert_eq!(edge.from, NodeRef(0));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 
 use crate::common::{Ctx, FileCase};
 use crate::exp_roofline::OptimalCase;
+use optinline_callgraph::site_components;
 use optinline_codegen::X86Like;
 use optinline_core::analysis::RooflineStats;
-use optinline_core::autotune::{site_components, Autotuner};
+use optinline_core::autotune::Autotuner;
 use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_heuristics::TrialInliner;
 use std::fmt::Write as _;
