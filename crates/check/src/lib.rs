@@ -75,7 +75,7 @@ pub use inject::BuggyEvaluator;
 pub use oracle::{check_semantics, observe, Behaviour, Limits, OracleReport, SemanticDivergence};
 pub use parcheck::{check_parallel_search, ParMismatch, ParReport};
 pub use reduce::{reduce, Reduction};
-pub use schedcheck::{check_scheduling, SchedMismatch, SchedReport};
+pub use schedcheck::{check_scheduling, drain_to_fixpoint, SchedMismatch, SchedReport};
 pub use servecheck::{check_serve_equivalence, ServeMismatch, ServeReport};
 pub use sizecheck::{check_sizes, SizeMismatch, SizeReport};
 pub use storecheck::{check_store_equivalence, StoreMismatch, StoreReport};

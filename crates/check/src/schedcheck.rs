@@ -16,11 +16,11 @@
 //!   every such case also checks that skipping it changes nothing. Both
 //!   sides stub before the first drain, so the comparison stays byte for
 //!   byte, stubs' parameter lists included;
-//! - the capped drain ([`PassManager::run_to_fixpoint`] against
+//! - the capped drain ([`drain_to_fixpoint`] against
 //!   [`sweep_to_fixpoint`]) on the module after inlining the
 //!   configuration: the 3-round-capped [`cleanup_pipeline`] with a live
-//!   effect summary, where the cap cuts dead-argument cascades short.
-//!   [`TrialInliner`](optinline_heuristics::TrialInliner) drains this way.
+//!   effect summary, where the cap cuts dead-argument cascades short. Both
+//!   baseline inliners drain this way, seeded with fewer functions.
 //!
 //! A third comparison runs once per fuzz case, on the baseline heuristic's
 //! decisions: [`CostModelInliner::decide`] drains only the functions that can
@@ -38,9 +38,9 @@ use optinline_codegen::{text_size, X86Like};
 use optinline_core::InliningConfiguration;
 use optinline_heuristics::{body_bytes, estimate, CostModelInliner, CostParams};
 use optinline_ir::analysis::EffectSummary;
-use optinline_ir::{CallSiteId, FuncId, Inst, Module};
+use optinline_ir::{AnalysisManager, CallSiteId, FuncId, Inst, Module};
 use optinline_opt::{
-    cleanup_pipeline, cleanup_pipeline_with, optimize_os, run_inliner, DeadFunctionElim,
+    cleanup_pipeline, cleanup_pipeline_with, optimize_os, run_inliner, DeadFunctionElim, Fixpoint,
     ForcedDecisions, InlineOracle, Pass, PassManager, PipelineOptions,
 };
 use std::collections::BTreeMap;
@@ -89,6 +89,13 @@ pub fn sweep_to_fixpoint(pm: &PassManager, module: &mut Module, max_iterations: 
     }
 }
 
+/// The worklist drain the sweep is the reference for: `pm` seeded with
+/// every function, with a fresh live [`AnalysisManager`].
+pub fn drain_to_fixpoint(pm: &PassManager, module: &mut Module) -> Fixpoint {
+    let all: Vec<FuncId> = module.func_ids().collect();
+    pm.run_worklist(module, &mut AnalysisManager::new(), all, &mut pm.fresh_stats())
+}
+
 /// [`optimize_os`] with its cleanup drains replaced by
 /// [`sweep_to_fixpoint`]: inline per `oracle`, drop the functions inlining
 /// left dead, sweep the cleanup pipeline (with the frozen pristine effect
@@ -132,7 +139,7 @@ pub fn check_scheduling(module: &Module, configs: &[InliningConfiguration]) -> S
         let mut inlined = module.clone();
         run_inliner(&mut inlined, &oracle);
         let mut worklist = inlined.clone();
-        heuristic.run_to_fixpoint(&mut worklist);
+        drain_to_fixpoint(&heuristic, &mut worklist);
         let mut sweep = inlined;
         sweep_to_fixpoint(&heuristic, &mut sweep, HEURISTIC_ROUNDS);
         report.compare("heuristic drain", config, &sweep, &worklist);

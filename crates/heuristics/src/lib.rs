@@ -40,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 mod cost;
+mod drain;
 mod llvm_like;
 mod trials;
 

@@ -17,51 +17,14 @@
 //! Decisions are recorded per original [`CallSiteId`]; cloned copies share
 //! the original's decision (coupled, §2 of the paper).
 //!
-//! ## Cleanup between steps
-//!
-//! After each function's step the module is drained through the cleanup
-//! pipeline (3-round cap, fresh live [`AnalysisManager`]), so the next
-//! estimate sees folded bodies. The drain is seeded with only the
-//! functions that can change: a `pending` set, plus every transitive
-//! caller of a pending function. `pending` starts as every function; the
-//! function whose step just ran joins it; after a converged drain it
-//! becomes the direct callers of every function whose
-//! [`EffectSummary::may_write`] bit differs across the drain, and after a
-//! drain the cap stopped it becomes every function again.
-//!
-//! The seeded drain makes the same changes, in the same rounds and the same
-//! [`FuncId`] order, as a drain seeded with every function, so the module
-//! after every step is byte-identical. The invariant is: every function
-//! outside `pending` is at a fixpoint of every cleanup pass, under the
-//! current module and the current live effect summary.
-//!
-//! - A pass reads another function in only two ways. CSE and DCE read each
-//!   direct callee's write bit. Dead-argument elimination rewrites a
-//!   callee's callers, and the worklist's mid-round rule already joins
-//!   those callers as changed. Every other input of a pass is the visited
-//!   function's own body and flags.
-//! - No cleanup pass adds a store or a call, so during a drain a write bit
-//!   can only fall (checked by a `debug_assert`).
-//! - Inlining a site into f leaves every bit as it was, because f already
-//!   inherited its callee's writes. Inlining at f's step changes only f:
-//!   its undecided sites exist nowhere else, because same-SCC edges are
-//!   never inlined and f's callers, the only functions its body could have
-//!   been copied into, come later in the bottom-up walk.
-//! - So take a function outside the seed. None of its transitive callees
-//!   changes in round 1, so no bit it reads can fall, and every visit to it
-//!   is a no-op. A no-op visit changes no state, so skipping it changes
-//!   nothing else either.
-//! - A drain that converged leaves a function off its fixpoint only when a
-//!   direct callee's bit fell after that function's last visit; a drain
-//!   the cap stopped may leave any function off its fixpoint. That is the
-//!   rule for the next `pending`.
+//! After each function's step the module is drained ([`drain`](crate::drain)).
 
 use crate::cost::{estimate, CostParams};
+use crate::drain::{cleanup, drain_pending, first_undecided};
 use optinline_callgraph::{bottom_up_sccs, Decision};
 use optinline_codegen::Target;
-use optinline_ir::analysis::EffectSummary;
-use optinline_ir::{AnalysisManager, CallSiteId, FuncId, Inst, Module};
-use optinline_opt::{cleanup_pipeline, run_inliner, ForcedDecisions, PassManager, PipelineOptions};
+use optinline_ir::{CallSiteId, FuncId, Module};
+use optinline_opt::{run_inliner, ForcedDecisions};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The baseline strategy, parameterized by its cost model.
@@ -82,7 +45,7 @@ impl CostModelInliner {
     pub fn decide(&self, module: &Module, target: &dyn Target) -> BTreeMap<CallSiteId, Decision> {
         let mut work = module.clone();
         let mut decisions: BTreeMap<CallSiteId, Decision> = BTreeMap::new();
-        let cleanup = heuristic_cleanup();
+        let cleanup = cleanup();
 
         let sccs = bottom_up_sccs(module);
         let scc_of: BTreeMap<FuncId, usize> =
@@ -106,7 +69,7 @@ impl CostModelInliner {
                         Decision::NoInline
                     } else {
                         let live = live_calls_to(&work, callee);
-                        let breakdown = estimate(&work, &self.params, target, f, &inst, live);
+                        let breakdown = estimate(&work, &self.params, target, f, inst, live);
                         if breakdown.cost <= self.params.threshold {
                             Decision::Inline
                         } else {
@@ -136,62 +99,6 @@ impl CostModelInliner {
         decisions.retain(|s, _| valid.contains(s));
         decisions
     }
-}
-
-/// Function simplification between inlining steps, as LLVM's bottom-up
-/// pipeline does: cost estimates must see *folded* bodies, or every
-/// absorbed callee looks bloated to its own callers.
-fn heuristic_cleanup() -> PassManager {
-    cleanup_pipeline(PipelineOptions { max_iterations: 3, ..Default::default() })
-}
-
-/// Drains `cleanup` over `pending` and every transitive caller of a
-/// pending function, then leaves in `pending` the functions the drain may
-/// have left off a cleanup fixpoint (see the module docs for why this is
-/// byte-identical to draining every function).
-fn drain_pending(cleanup: &PassManager, work: &mut Module, pending: &mut BTreeSet<FuncId>) {
-    let mut call_graph = AnalysisManager::new();
-    let callers = call_graph.callers(work);
-    let mut seed = pending.clone();
-    let mut stack: Vec<FuncId> = seed.iter().copied().collect();
-    while let Some(g) = stack.pop() {
-        for &caller in &callers[g.index()] {
-            if seed.insert(caller) {
-                stack.push(caller);
-            }
-        }
-    }
-    let before = EffectSummary::compute(work);
-    let mut stats = cleanup.fresh_stats();
-    let fp = cleanup.run_worklist(work, &mut AnalysisManager::new(), seed, &mut stats);
-    let after = EffectSummary::compute(work);
-    pending.clear();
-    for g in work.func_ids() {
-        debug_assert!(before.may_write(g) || !after.may_write(g), "a cleanup pass made {g} write");
-        if before.may_write(g) != after.may_write(g) {
-            pending.extend(&callers[g.index()]);
-        }
-    }
-    if !fp.hit_fixpoint {
-        pending.extend(work.func_ids());
-    }
-}
-
-fn first_undecided(
-    module: &Module,
-    f: FuncId,
-    decisions: &BTreeMap<CallSiteId, Decision>,
-) -> Option<(Inst, FuncId, CallSiteId)> {
-    for block in &module.func(f).blocks {
-        for inst in &block.insts {
-            if let Inst::Call { callee, site, .. } = inst {
-                if !decisions.contains_key(site) {
-                    return Some((inst.clone(), *callee, *site));
-                }
-            }
-        }
-    }
-    None
 }
 
 fn live_calls_to(module: &Module, callee: FuncId) -> usize {
@@ -320,136 +227,6 @@ mod tests {
         let mut baseline = m.clone();
         optimize_os_no_inline(&mut baseline, PipelineOptions::default());
         assert!(text_size(&tuned, &X86Like) < text_size(&baseline, &X86Like));
-    }
-
-    /// A module whose callers read their callees' write bits, in `FuncId`
-    /// order `h1 h2 f1 f2 g1 g2`, at a cleanup fixpoint except for `f1` and
-    /// `f2`, whose one call each has just been inlined:
-    ///
-    /// - `h1(p)` stores only when `p != 0`, and `f1` inlined `h1(0)`, so
-    ///   `f1` stops writing in the drain's first round;
-    /// - `h2(p, q)` stores only when `p != q`, and `f2` inlined `h2(t, t)`:
-    ///   its branch folds only after simplify-cfg has forwarded both
-    ///   arguments, so `f2` stops writing in the second round;
-    /// - `g1` holds an unused call to `f1`;
-    /// - `g2` loads a global on both sides of a used call to `f2`.
-    fn falling_bits() -> (Module, [FuncId; 4]) {
-        let mut m = Module::new("m");
-        let a = m.add_global("a", 0);
-        let b = m.add_global("b", 0);
-        let h1 = m.declare_function("h1", 1, Linkage::Internal);
-        let h2 = m.declare_function("h2", 2, Linkage::Internal);
-        let f1 = m.declare_function("f1", 0, Linkage::Internal);
-        let f2 = m.declare_function("f2", 0, Linkage::Internal);
-        let g1 = m.declare_function("g1", 0, Linkage::Public);
-        let g2 = m.declare_function("g2", 0, Linkage::Public);
-        for (h, n_params) in [(h1, 1), (h2, 2)] {
-            let mut fb = FuncBuilder::new(&mut m, h);
-            let p = fb.param(0);
-            let q = if n_params == 1 { fb.iconst(0) } else { fb.param(1) };
-            let c = fb.bin(BinOp::Ne, p, q);
-            let (store, _) = fb.new_block(0);
-            let (done, _) = fb.new_block(0);
-            fb.branch(c, store, &[], done, &[]);
-            fb.switch_to(store);
-            fb.store(a, p);
-            fb.jump(done, &[]);
-            fb.ret(None);
-        }
-        let mut sites = Vec::new();
-        {
-            let mut fb = FuncBuilder::new(&mut m, f1);
-            let zero = fb.iconst(0);
-            sites.push(fb.call_void(h1, &[zero]));
-            fb.ret(None);
-        }
-        {
-            let mut fb = FuncBuilder::new(&mut m, f2);
-            let x = fb.load(b);
-            let one = fb.iconst(1);
-            let t = fb.bin(BinOp::Add, x, one);
-            sites.push(fb.call_void(h2, &[t, t]));
-            fb.ret(Some(x));
-        }
-        {
-            let mut fb = FuncBuilder::new(&mut m, g1);
-            fb.call_void(f1, &[]);
-            fb.ret(None);
-        }
-        {
-            let mut fb = FuncBuilder::new(&mut m, g2);
-            let before = fb.load(a);
-            let r = fb.call(f2, &[]).unwrap();
-            let after = fb.load(a);
-            let sum = fb.bin(BinOp::Add, before, after);
-            let v = fb.bin(BinOp::Add, sum, r);
-            fb.ret(Some(v));
-        }
-        assert!(heuristic_cleanup().run_to_fixpoint(&mut m).hit_fixpoint);
-        let inline = sites.into_iter().map(|s| (s, Decision::Inline)).collect();
-        run_inliner(&mut m, &ForcedDecisions::new(inline));
-        (m, [f1, f2, g1, g2])
-    }
-
-    #[test]
-    fn a_pending_drain_equals_the_whole_module_drain() {
-        // Test A: g1's unused call to f1 goes in round 1 only if g1, a
-        // caller of the pending f1, is in the seed.
-        let (m, [f1, f2, g1, _]) = falling_bits();
-        let cleanup = heuristic_cleanup();
-        let mut whole = m.clone();
-        cleanup.run_to_fixpoint(&mut whole);
-        let mut seeded = m.clone();
-        drain_pending(&cleanup, &mut seeded, &mut BTreeSet::from([f1, f2]));
-        assert_ne!(whole.func(g1), m.func(g1), "the drain must change g1");
-        assert_eq!(seeded, whole);
-    }
-
-    #[test]
-    fn a_drain_leaves_off_its_fixpoint_only_what_it_returns_pending() {
-        // Test B: f2 stops writing in round 2, after g2's only visit, so
-        // the loads around g2's call to f2 merge only in a later drain.
-        let (mut m, [f1, f2, _, g2]) = falling_bits();
-        let cleanup = heuristic_cleanup();
-        let mut pending = BTreeSet::from([f1, f2]);
-        drain_pending(&cleanup, &mut m, &mut pending);
-        let mut again = m.clone();
-        cleanup.run_to_fixpoint(&mut again);
-        assert_ne!(again.func(g2), m.func(g2), "the next drain must change g2");
-        for f in m.func_ids().filter(|f| !pending.contains(f)) {
-            assert_eq!(again.func(f), m.func(f), "{f} changed but was not pending");
-        }
-    }
-
-    #[test]
-    fn a_drain_the_cap_stops_leaves_every_function_pending() {
-        // Test C: c5 ignores its parameter, and each c_k only forwards its
-        // own to c_{k+1}. Dead-argument elimination prunes one link per
-        // round, because each caller comes earlier in `FuncId` order.
-        let mut m = Module::new("m");
-        let main = m.declare_function("main", 0, Linkage::Public);
-        let chain: Vec<FuncId> =
-            (1..=5).map(|k| m.declare_function(format!("c{k}"), 1, Linkage::Internal)).collect();
-        {
-            let mut fb = FuncBuilder::new(&mut m, main);
-            let x = fb.iconst(7);
-            let v = fb.call(chain[0], &[x]).unwrap();
-            fb.ret(Some(v));
-        }
-        for (k, &c) in chain.iter().enumerate() {
-            let mut fb = FuncBuilder::new(&mut m, c);
-            let p = fb.param(0);
-            let v = match chain.get(k + 1) {
-                Some(&next) => fb.call(next, &[p]).unwrap(),
-                None => fb.iconst(0),
-            };
-            fb.ret(Some(v));
-        }
-        let cleanup = heuristic_cleanup();
-        assert!(!cleanup.run_to_fixpoint(&mut m.clone()).hit_fixpoint, "the cap must stop it");
-        let mut pending = BTreeSet::from([chain[4]]);
-        drain_pending(&cleanup, &mut m, &mut pending);
-        assert_eq!(pending, m.func_ids().collect());
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! all sites against one fixed base and is embarrassingly parallel.
 //! The experiments use it as a second comparator.
 
+use crate::drain::{cleanup, drain_pending, first_undecided};
 use optinline_callgraph::{bottom_up_sccs, Decision};
 use optinline_codegen::{text_size, Target};
-use optinline_ir::{CallSiteId, Inst, Module};
-use optinline_opt::{
-    cleanup_pipeline, run_inliner, DeadFunctionElim, ForcedDecisions, Pass, PipelineOptions,
-};
+use optinline_ir::{CallSiteId, FuncId, Module};
+use optinline_opt::{run_inliner, DeadFunctionElim, ForcedDecisions, Pass};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The greedy trial-based strategy: a trial is kept when it strictly
@@ -26,44 +25,48 @@ pub struct TrialInliner;
 impl TrialInliner {
     /// Produces the trial strategy's configuration for `module`.
     ///
-    /// Cost: one cleanup-pipeline run per inlinable call site (sequential,
-    /// by construction — each decision changes the next trial's baseline).
+    /// Cost: one cleanup drain per inlinable call site (sequential, by
+    /// construction — each decision changes the next trial's baseline),
+    /// seeded with only the functions the trial can change.
     pub fn decide(&self, module: &Module, target: &dyn Target) -> BTreeMap<CallSiteId, Decision> {
         let mut decisions: BTreeMap<CallSiteId, Decision> = BTreeMap::new();
         let mut work = module.clone();
-        let cleanup = cleanup_pipeline(PipelineOptions { max_iterations: 3, ..Default::default() });
-        cleanup.run_to_fixpoint(&mut work);
+        let cleanup = cleanup();
+        let mut pending: BTreeSet<FuncId> = work.func_ids().collect();
+        drain_pending(&cleanup, &mut work, &mut pending);
         // Measurement must include dead-function elimination (on a scratch
         // copy — `work` keeps every body so later trials can still clone
         // them), or single-caller collapses would never look profitable.
-        let measure = |m: &Module| -> u64 {
+        let measure = |m: &Module, pending: &BTreeSet<FuncId>| -> u64 {
             let mut scratch = m.clone();
             if DeadFunctionElim.run(&mut scratch) {
-                cleanup.run_to_fixpoint(&mut scratch);
+                drain_pending(&cleanup, &mut scratch, &mut pending.clone());
             }
             text_size(&scratch, target)
         };
-        let mut current_size = measure(&work);
-
+        let mut current_size = measure(&work, &pending);
         for scc in bottom_up_sccs(module) {
             for f in scc {
-                while let Some((site, callee)) = first_undecided(&work, f, &decisions) {
+                while let Some((_, callee, site)) = first_undecided(&work, f, &decisions) {
                     if !work.func(callee).inlinable || work.is_stub(callee) {
                         decisions.insert(site, Decision::NoInline);
                         continue;
                     }
-                    // The trial: inline this one site on a scratch copy,
-                    // clean up, measure.
+                    // The trial: inline this one site, in every function
+                    // holding a copy of it, on a scratch copy; clean up; measure.
                     let mut trial = work.clone();
-                    let oracle =
-                        ForcedDecisions::new([(site, Decision::Inline)].into_iter().collect());
+                    let mut trial_pending = pending.clone();
+                    let holders = work.iter_funcs().filter(|(_, func)| {
+                        func.call_edges().iter().any(|&(copy, _)| copy == site)
+                    });
+                    trial_pending.extend(holders.map(|(g, _)| g));
+                    let oracle = ForcedDecisions::new(BTreeMap::from([(site, Decision::Inline)]));
                     run_inliner(&mut trial, &oracle);
-                    cleanup.run_to_fixpoint(&mut trial);
-                    let trial_size = measure(&trial);
+                    drain_pending(&cleanup, &mut trial, &mut trial_pending);
+                    let trial_size = measure(&trial, &trial_pending);
                     if trial_size < current_size {
                         decisions.insert(site, Decision::Inline);
-                        work = trial;
-                        current_size = trial_size;
+                        (work, pending, current_size) = (trial, trial_pending, trial_size);
                     } else {
                         decisions.insert(site, Decision::NoInline);
                     }
@@ -77,23 +80,6 @@ impl TrialInliner {
         decisions.retain(|s, _| valid.contains(s));
         decisions
     }
-}
-
-fn first_undecided(
-    module: &Module,
-    f: optinline_ir::FuncId,
-    decisions: &BTreeMap<CallSiteId, Decision>,
-) -> Option<(CallSiteId, optinline_ir::FuncId)> {
-    for block in &module.func(f).blocks {
-        for inst in &block.insts {
-            if let Inst::Call { callee, site, .. } = inst {
-                if !decisions.contains_key(site) {
-                    return Some((*site, *callee));
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -20,8 +20,6 @@
 //! pipeline in pass-major order, each round visiting only *dirty*
 //! functions — the seed set on round one, then exactly the functions
 //! something changed in the previous round.
-//! [`PassManager::run_to_fixpoint`] is a drain of the same loop seeded
-//! with every function.
 //!
 //! The reference it must match byte for byte is the whole-module sweep:
 //! every pass over every function, repeated until a sweep changes nothing.
@@ -292,19 +290,6 @@ impl PassManager {
         self.passes.iter().map(|p| p.as_ref())
     }
 
-    /// Drains the pipeline over the whole module: the worklist seeded with
-    /// every function, a fresh (live) [`AnalysisManager`], and throwaway
-    /// counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `verify_each` is enabled and a pass breaks the IR.
-    pub fn run_to_fixpoint(&self, module: &mut Module) -> Fixpoint {
-        let all: Vec<FuncId> = module.func_ids().collect();
-        let mut stats = self.fresh_stats();
-        self.run_worklist(module, &mut AnalysisManager::new(), all, &mut stats)
-    }
-
     /// The change-driven scheduler: rounds of the pass sequence over only
     /// the *dirty* functions. Round one visits `seed`; each later round
     /// visits exactly the functions something changed (including callers
@@ -458,8 +443,8 @@ mod tests {
         let mut pm = PassManager::new();
         pm.add(CountingPass { fires: Default::default(), budget: 3 });
         let mut m = Module::new("m");
-        m.declare_function("main", 0, Linkage::Public);
-        let fp = pm.run_to_fixpoint(&mut m);
+        let f = m.declare_function("main", 0, Linkage::Public);
+        let fp = pm.run_worklist(&mut m, &mut AnalysisManager::new(), [f], &mut pm.fresh_stats());
         // Changes on iterations 1 and 2, not on 3.
         assert_eq!(fp.iterations, 2);
         assert!(fp.hit_fixpoint);
@@ -471,8 +456,8 @@ mod tests {
         pm.max_iterations(2);
         pm.add(CountingPass { fires: Default::default(), budget: usize::MAX });
         let mut m = Module::new("m");
-        m.declare_function("main", 0, Linkage::Public);
-        let fp = pm.run_to_fixpoint(&mut m);
+        let f = m.declare_function("main", 0, Linkage::Public);
+        let fp = pm.run_worklist(&mut m, &mut AnalysisManager::new(), [f], &mut pm.fresh_stats());
         assert_eq!(fp.iterations, 2);
         assert!(!fp.hit_fixpoint, "cap exhaustion must be surfaced");
     }

@@ -4,6 +4,7 @@
 
 use optinline::opt::{Sccp, SimplifyCfg};
 use optinline::prelude::*;
+use optinline_check::drain_to_fixpoint;
 
 /// Callee with a branch on its argument; both call sites pass constants
 /// that select *different* arms. After inlining, SCCP must collapse each
@@ -87,7 +88,7 @@ fn passes_compose_in_custom_managers() {
     pm.verify_each(true);
     pm.add(Sccp).add(SimplifyCfg).add(optinline::opt::Gvn).add(optinline::opt::Dce::default());
     let mut m = module.clone();
-    pm.run_to_fixpoint(&mut m);
+    drain_to_fixpoint(&pm, &mut m);
     let after = optinline::ir::interp::run_main(&m).unwrap();
     assert_eq!(before.observable(), after.observable());
     assert!(text_size(&m, &X86Like) <= text_size(&module, &X86Like));
@@ -105,7 +106,7 @@ fn cleanup_never_grows_code() {
         let before = text_size(&module, &X86Like);
         let mut m = module.clone();
         let pm = optinline::opt::cleanup_pipeline(PipelineOptions::default());
-        pm.run_to_fixpoint(&mut m);
+        drain_to_fixpoint(&pm, &mut m);
         let after = text_size(&m, &X86Like);
         assert!(after <= before, "seed {seed}: cleanup grew {before} -> {after}");
     }
