@@ -204,9 +204,19 @@ fn parse_prefixed_id(lex: &Lexer<'_>, s: &str, prefix: char) -> Result<u32, Pars
         .map_err(|_| lex.err(format!("expected `{prefix}N` identifier, found `{s}`")))
 }
 
-fn parse_value(lex: &mut Lexer<'_>) -> Result<ValueId, ParseError> {
+/// A value or site id: below `u32::MAX`, because a function's value bound
+/// and a module's site bound are one past the largest id.
+fn parse_dense_id(lex: &mut Lexer<'_>, prefix: char) -> Result<u32, ParseError> {
+    let line = lex.line();
     let s = lex.expect_ident()?;
-    Ok(ValueId::new(parse_prefixed_id(lex, s, 'v')?))
+    match parse_prefixed_id(lex, s, prefix)? {
+        u32::MAX => Err(ParseError { line, message: format!("id `{s}` is out of range") }),
+        id => Ok(id),
+    }
+}
+
+fn parse_value(lex: &mut Lexer<'_>) -> Result<ValueId, ParseError> {
+    Ok(ValueId::new(parse_dense_id(lex, 'v')?))
 }
 
 fn parse_value_list(lex: &mut Lexer<'_>) -> Result<Vec<ValueId>, ParseError> {
@@ -251,8 +261,7 @@ fn parse_call_tail(
         .ok_or_else(|| lex.err(format!("unknown function `{callee_name}`")))?;
     let args = parse_value_list(lex)?;
     lex.expect_keyword("site")?;
-    let s = lex.expect_ident()?;
-    let site = CallSiteId::new(parse_prefixed_id(lex, s, 's')?);
+    let site = CallSiteId::new(parse_dense_id(lex, 's')?);
     let mut inline_path = Vec::new();
     if lex.eat_keyword("path") {
         lex.expect_punct('[')?;
@@ -640,6 +649,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("duplicate function"));
+    }
+
+    #[test]
+    fn rejects_ids_at_u32_max_on_their_line() {
+        for (line, id) in [
+            ("v4294967295 = const 1", "v4294967295"),
+            ("call main() site s4294967295", "s4294967295"),
+        ] {
+            let text = format!(
+                "module \"t\" {{\n  public fn main {{\n  b0():\n    {line}\n    ret\n  }}\n}}"
+            );
+            let err = parse_module(&text).unwrap_err();
+            assert_eq!(err, ParseError { line: 4, message: format!("id `{id}` is out of range") });
+        }
     }
 
     #[test]
