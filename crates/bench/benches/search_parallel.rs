@@ -7,7 +7,7 @@ use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_core::tree::{build_inlining_tree, evaluate_inlining_tree};
 use optinline_core::{
-    evaluate_inlining_tree_dag, module_fingerprint, InliningConfiguration, PersistentCache,
+    domain_fingerprint, evaluate_inlining_tree_dag, InliningConfiguration, PersistentCache,
     PersistentEvaluator, SizeEvaluator, WorkerPool,
 };
 use optinline_workloads::{generate_file, GenParams};
@@ -75,7 +75,7 @@ fn bench_persistent_cache(c: &mut Criterion) {
     group.sample_size(10);
     let dir = std::env::temp_dir().join(format!("optinline-bench-persist-{}", std::process::id()));
     let module = search_module(8, 3);
-    let fp = module_fingerprint(&module, "x86-like");
+    let fp = domain_fingerprint(&module, &optinline_codegen::X86Like, Default::default());
     let meta = format!("{} target=x86-like sites={}", module.name, module.inlinable_sites().len());
     let graph = InlineGraph::from_module(&module);
     let tree = build_inlining_tree(&graph, PartitionStrategy::Paper);

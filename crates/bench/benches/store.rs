@@ -6,7 +6,7 @@
 
 use optinline_bench::{criterion_group, criterion_main, Criterion};
 use optinline_ir::{CallSiteId, Measurement};
-use optinline_store::{LocalStore, ScopeSpec, StoreOptions};
+use optinline_store::{LocalStore, StoreOptions};
 use std::path::{Path, PathBuf};
 
 const META: &str = "bench-mod target=x86-like sites=16";
@@ -24,10 +24,6 @@ fn key(i: u32) -> Vec<CallSiteId> {
     (0..16).filter(|b| i & (1 << b) != 0).map(CallSiteId::new).collect()
 }
 
-fn spec(fp: u128) -> ScopeSpec<'static> {
-    ScopeSpec { fingerprint: fp, meta: META, legacy_fingerprint: None }
-}
-
 /// One write-back buffer flush per ~64 lines vs one `write` syscall per
 /// put: the batching payoff the store exists for.
 fn bench_put_throughput(c: &mut Criterion) {
@@ -43,7 +39,7 @@ fn bench_put_throughput(c: &mut Criterion) {
                 // its own empty log, so no state leaks across samples.
                 fp += 1;
                 let store = LocalStore::open(&dir, opts).expect("store opens");
-                let scope = store.scope(spec(fp)).expect("scope opens");
+                let scope = store.scope(fp, META).expect("scope opens");
                 for i in 0..PUTS {
                     scope.put(key(i), Measurement::size_only(u64::from(i)));
                 }
@@ -63,7 +59,7 @@ fn seed_scope(dir: &Path, fp: u128, entries: u32, dup: bool) {
     let opts = StoreOptions { compact_min_dead_bytes: u64::MAX, ..Default::default() };
     let log_path = {
         let store = LocalStore::open(dir, opts).expect("store opens");
-        let scope = store.scope(spec(fp)).expect("scope opens");
+        let scope = store.scope(fp, META).expect("scope opens");
         for i in 0..entries {
             scope.put(key(i), Measurement::size_only(u64::from(i)));
         }
@@ -97,7 +93,7 @@ fn bench_open_latency(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let store = LocalStore::open(&dir, opts).expect("store opens");
-                let scope = store.scope(spec(0xbeef)).expect("scope opens");
+                let scope = store.scope(0xbeef, META).expect("scope opens");
                 scope.len()
             })
         });
@@ -115,7 +111,7 @@ fn bench_gc(c: &mut Criterion) {
     {
         let store = LocalStore::open(&template, StoreOptions::default()).expect("store opens");
         for fp in 1u128..=16 {
-            let scope = store.scope(spec(fp)).expect("scope opens");
+            let scope = store.scope(fp, META).expect("scope opens");
             for i in 0..64u32 {
                 scope.put(key(i), Measurement::size_only(u64::from(i)));
             }

@@ -33,7 +33,7 @@ use optinline_ir::{CallSiteId, Measurement};
 use optinline_serve::{
     Client, ClientConfig, ClientError, Endpoint, Handler, Reply, RequestKind, ServeOptions, Server,
 };
-use optinline_store::{LocalStore, ScopeSpec, StoreOptions};
+use optinline_store::{LocalStore, StoreOptions};
 
 /// Concurrent clients fired per serve half.
 const CLIENTS: usize = 6;
@@ -346,7 +346,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
         std::env::temp_dir().join(format!("optinline-chaos-store-{}-{seed:x}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let fingerprint = 0xc4a0_5000u128 + (seed as u128 & 0xff);
-    let spec = ScopeSpec { fingerprint, meta: "chaos target=t sites=4", legacy_fingerprint: None };
+    let meta = "chaos target=t sites=4";
     let mut fail = |detail: String| {
         report.mismatches.push(ChaosMismatch { stage: "store-recovery", detail });
     };
@@ -357,7 +357,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
             Ok(s) => s,
             Err(e) => return fail(format!("store failed to open: {e}")),
         };
-        let scope = match store.scope(spec) {
+        let scope = match store.scope(fingerprint, meta) {
             Ok(s) => s,
             Err(e) => return fail(format!("scope failed to open: {e}")),
         };
@@ -382,7 +382,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
         ));
         let _guard = arm_scoped(plan);
         if let Ok(store) = LocalStore::open(&dir, StoreOptions::default()) {
-            if let Ok(scope) = store.scope(spec) {
+            if let Ok(scope) = store.scope(fingerprint, meta) {
                 // This entry is sacrificed to the torn append — recovery
                 // may drop it (it was never durable), but must stay clean.
                 scope.put(key(&[3]), Measurement::size_only(70));
@@ -413,7 +413,7 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
         }
         // The durably flushed entries must still be served.
         report.comparisons += 1;
-        match store.scope(spec) {
+        match store.scope(fingerprint, meta) {
             Ok(scope) => {
                 for (ids, size) in [(&[][..], 100), (&[1][..], 90), (&[1, 2][..], 80)] {
                     if scope.get(&key(ids)) != Some(Measurement::size_only(size)) {

@@ -13,10 +13,11 @@ use optinline_callgraph::{InlineGraph, PartitionStrategy};
 use optinline_codegen::X86Like;
 use optinline_core::tree::{evaluate_inlining_tree, try_build_inlining_tree};
 use optinline_core::{
-    cache_meta, module_fingerprint, Evaluator, InliningConfiguration, PersistentCache,
+    cache_meta, domain_fingerprint, Evaluator, InliningConfiguration, PersistentCache,
     PersistentEvaluator, SizeEvaluator,
 };
 use optinline_ir::Module;
+use optinline_opt::PipelineOptions;
 use std::fmt;
 
 /// Evaluation budget per fuzzed module: trees costing more than this many
@@ -78,7 +79,7 @@ pub fn check_store_equivalence(module: &Module, seed: u64) -> Option<StoreReport
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let fp = module_fingerprint(module, "x86-like");
+    let fp = domain_fingerprint(module, &X86Like, PipelineOptions::default());
     let meta = cache_meta(module, "x86-like");
     let mut report = StoreReport::default();
     for warm in [false, true] {

@@ -48,11 +48,12 @@ use std::path::PathBuf;
 /// A boxed error with message context, the CLI's uniform failure type.
 pub type CliError = Box<dyn Error>;
 
-/// A `search` or `autotune` request refused before any work. The checks
-/// sit in the command bodies, which the CLI and the daemon's handler both
-/// reach through [`Evaluation`] and library callers through
+/// A request refused before any work. The budget checks sit in the
+/// command bodies, which the CLI and the daemon's handler both reach
+/// through [`Evaluation`] and library callers through
 /// [`cmd_search_measured`] and [`cmd_autotune_measured`], so one check
-/// covers them all.
+/// covers them all; the retired wire flags are refused by
+/// [`Evaluation::decode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RequestError {
     /// `--bits` of 128 or more: the evaluation budget `2^bits` does not
@@ -67,6 +68,12 @@ pub enum RequestError {
     /// least the caller's, and 256 is the largest compile farm the
     /// experiments model.
     JobsOutOfRange(usize),
+    /// `full_sweep: true` on an `optimize`: the whole-module sweep
+    /// scheduler was removed.
+    FullSweepRemoved,
+    /// `full_eval: true` on a `search` or `autotune`: whole-module
+    /// evaluation was removed, and both always evaluate per component.
+    FullEvalRemoved,
 }
 
 /// The most `--jobs` a search accepts (see [`RequestError::JobsOutOfRange`]).
@@ -93,6 +100,14 @@ impl std::fmt::Display for RequestError {
                 f,
                 "--jobs {jobs} is out of range: a search runs one thread per job, \
                  at least 1, at most {MAX_JOBS}"
+            ),
+            RequestError::FullSweepRemoved => f.write_str(
+                "the full-sweep scheduler was removed: optimize always drains the change-driven \
+                 worklist",
+            ),
+            RequestError::FullEvalRemoved => f.write_str(
+                "whole-module evaluation was removed: search and autotune always evaluate per \
+                 component",
             ),
         }
     }
@@ -176,12 +191,9 @@ impl StrategyChoice {
     }
 }
 
-/// Evaluator selection and reporting options for `search` / `autotune`.
+/// Reporting, execution and store options for `search` / `autotune`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Run the size evaluator in component mode (default); `false`
-    /// selects whole-module compiles (`--full-eval`).
-    pub incremental: bool,
     /// Append the evaluator's counter line to the report (`--stats`).
     pub show_stats: bool,
     /// Append the aggregated per-pass / analysis-cache table
@@ -211,7 +223,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            incremental: true,
             show_stats: false,
             show_pass_stats: false,
             jobs: None,
@@ -409,7 +420,7 @@ impl<'w> Request<'w> {
         column: usize,
         warm: Option<&'w HeuristicMap>,
     ) -> Self {
-        let ev = SizeEvaluator::new(module, target.boxed(), eval.incremental);
+        let ev = SizeEvaluator::new(module, target.boxed(), true);
         Request { ev, eval, column, warm }
     }
 
@@ -430,10 +441,9 @@ impl<'w> Request<'w> {
     ///
     /// With persistence on, the leg opens the objective's store scope,
     /// addressed by the evaluator's `memo_scope` fingerprint (module text +
-    /// target + pipeline options): size keeps that historical scope, into
-    /// which an older release's flat per-module file is imported once,
-    /// while cycles-carrying objectives get a scope derived from it plus
-    /// the cost model, so size-only and speed entries never alias. `body`
+    /// target + pipeline options): size keeps that historical scope, while
+    /// cycles-carrying objectives get a scope derived from it plus the
+    /// cost model, so size-only and speed entries never alias. `body`
     /// gets the evaluator answering from that scope first, with simulated
     /// cycles as the minimized scalar for cycles-carrying objectives
     /// ([`SpeedEvaluator`]; `measure` passes through it unchanged), and a
@@ -454,11 +464,7 @@ impl<'w> Request<'w> {
                 // fingerprint collision or stale file restarts the scope
                 // instead of serving another module's sizes.
                 let meta = cache_meta(self.ev.module(), self.ev.target().name());
-                // Legacy flat files hold size-only entries under the older
-                // module fingerprint; they are only importable into the
-                // size scope.
-                let import = (!objective.wants_cycles()).then(|| self.ev.legacy_fingerprint());
-                Some(PersistentCache::open_scoped(dir, fp, import, &meta)?)
+                Some(PersistentCache::open(dir, fp, &meta)?)
             }
             _ => None,
         };
@@ -857,44 +863,38 @@ enum Command {
 
 impl<'a> Evaluation<'a> {
     /// Decodes `kind`'s spellings, with `local`'s settings for `search` and
-    /// `autotune`. A spelling no command accepts, an `optimize` asking for
-    /// the removed full sweep, and an admin kind are refused here, before
-    /// any work, with one message whether the request runs in-process or
-    /// served.
+    /// `autotune`. A spelling no command accepts, a retired flag set
+    /// (`full_sweep` on an `optimize`, `full_eval` on a `search` or
+    /// `autotune`), and an admin kind are refused here, before any work,
+    /// with one message whether the request runs in-process or served.
     pub fn decode(kind: &'a RequestKind, local: &LocalSettings) -> Result<Self, CliError> {
-        let (source, target, objective, full_eval, stats, pass_stats, command) = match kind {
+        let (source, target, objective, stats, pass_stats, command) = match kind {
             RequestKind::Optimize { full_sweep: true, .. } => {
-                return Err("the full-sweep scheduler was removed: optimize always drains \
-                            the change-driven worklist"
-                    .into());
+                return Err(RequestError::FullSweepRemoved.into());
+            }
+            RequestKind::Search { full_eval: true, .. }
+            | RequestKind::Autotune { full_eval: true, .. } => {
+                return Err(RequestError::FullEvalRemoved.into());
             }
             RequestKind::Optimize { source, target, strategy, pass_stats, objective, .. } => {
                 let command = Command::Optimize(StrategyChoice::parse(strategy)?);
-                (source, target, objective, false, false, *pass_stats, command)
+                (source, target, objective, false, *pass_stats, command)
             }
-            RequestKind::Search {
-                source,
-                target,
-                bits,
-                full_eval,
-                stats,
-                pass_stats,
-                objective,
-            } => {
-                (source, target, objective, *full_eval, *stats, *pass_stats, Command::Search(*bits))
+            RequestKind::Search { source, target, bits, stats, pass_stats, objective, .. } => {
+                (source, target, objective, *stats, *pass_stats, Command::Search(*bits))
             }
             RequestKind::Autotune {
                 source,
                 target,
                 rounds,
                 init,
-                full_eval,
                 stats,
                 pass_stats,
                 objective,
+                ..
             } => {
                 let command = Command::Autotune(*rounds as usize, InitChoice::parse(init)?);
-                (source, target, objective, *full_eval, *stats, *pass_stats, command)
+                (source, target, objective, *stats, *pass_stats, command)
             }
             other => return Err(format!("request kind {:?} is not evaluable", other.name()).into()),
         };
@@ -903,7 +903,6 @@ impl<'a> Evaluation<'a> {
             format!("unknown objective `{objective}` (expected size|speed|pareto)")
         })?;
         let eval = EvalOptions {
-            incremental: !full_eval,
             show_stats: stats,
             show_pass_stats: pass_stats,
             jobs: local.jobs,
@@ -1142,7 +1141,6 @@ pub fn cmd_cache(
                 report.before_bytes, report.after_bytes
             );
             let _ = writeln!(out, "evicted scopes:  {}", report.evicted_scopes);
-            let _ = writeln!(out, "evicted legacy:  {}", report.evicted_legacy);
         }
         CacheAction::Verify => {
             let report = store.verify()?;
@@ -1152,7 +1150,6 @@ pub fn cmd_cache(
             let _ = writeln!(out, "duplicate lines: {}", report.duplicate_lines);
             let _ = writeln!(out, "malformed lines: {}", report.malformed_lines);
             let _ = writeln!(out, "unreadable logs: {}", report.unreadable_logs);
-            let _ = writeln!(out, "legacy files:    {}", report.legacy_files);
             let _ = writeln!(out, "foreign files:   {}", report.foreign_files);
             let _ = writeln!(out, "size-only lines: {}", report.size_only_lines);
             let _ = writeln!(out, "measured lines:  {}", report.measurement_lines);
@@ -1234,27 +1231,50 @@ mod tests {
     }
 
     #[test]
-    fn search_stats_line_and_full_eval_agree() {
-        let src = demo_source();
-        let inc = cmd_search(
-            &src,
-            18,
-            TargetChoice::X86,
-            EvalOptions { incremental: true, show_stats: true, ..Default::default() },
-        )
-        .unwrap();
-        let full = cmd_search(
-            &src,
-            18,
-            TargetChoice::X86,
-            EvalOptions { incremental: false, show_stats: true, ..Default::default() },
-        )
-        .unwrap();
-        assert!(inc.contains("evaluator:"), "{inc}");
-        assert!(full.contains("evaluator:"), "{full}");
-        let optimal =
-            |r: &str| r.lines().find(|l| l.starts_with("optimal size:")).map(str::to_owned);
-        assert_eq!(optimal(&inc), optimal(&full), "evaluators disagree on the optimum");
+    fn retired_wire_flags_are_refused_before_any_work() {
+        let text = |s: &str| s.to_string();
+        let refused = [
+            (
+                RequestKind::Optimize {
+                    source: demo_source(),
+                    target: text("x86"),
+                    strategy: text("heuristic"),
+                    full_sweep: true,
+                    pass_stats: false,
+                    objective: text("size"),
+                },
+                RequestError::FullSweepRemoved,
+            ),
+            (
+                RequestKind::Search {
+                    source: demo_source(),
+                    target: text("x86"),
+                    bits: 18,
+                    full_eval: true,
+                    stats: false,
+                    pass_stats: false,
+                    objective: text("size"),
+                },
+                RequestError::FullEvalRemoved,
+            ),
+            (
+                RequestKind::Autotune {
+                    source: demo_source(),
+                    target: text("x86"),
+                    rounds: 2,
+                    init: text("both"),
+                    full_eval: true,
+                    stats: false,
+                    pass_stats: false,
+                    objective: text("speed"),
+                },
+                RequestError::FullEvalRemoved,
+            ),
+        ];
+        for (kind, reason) in refused {
+            let err = Evaluation::decode(&kind, &LocalSettings::default()).expect_err("refused");
+            assert_eq!(err.downcast_ref(), Some(&reason), "{err}");
+        }
     }
 
     #[test]
@@ -1527,7 +1547,7 @@ mod tests {
     /// they were used, because recency and counts live in the logs.
     #[test]
     fn stores_sharing_a_directory_agree_on_counts_and_gc_order() {
-        use optinline_store::{scope_rel_path, ScopeSpec, StoreOptions};
+        use optinline_store::{scope_rel_path, StoreOptions};
         let dir = std::env::temp_dir().join(format!("optinline-cli-shared-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let a = LocalStore::open(&dir, StoreOptions::default()).unwrap();
@@ -1536,9 +1556,8 @@ mod tests {
         // can put Z first.
         let (z, y, x) = (3u128, 2u128, 1u128);
         for (store, fingerprint) in [(&a, z), (&b, y), (&a, x)] {
-            let spec =
-                ScopeSpec { fingerprint, meta: "m target=t sites=1", legacy_fingerprint: None };
-            store.scope(spec).unwrap().put(Vec::new(), Measurement::size_only(100));
+            let scope = store.scope(fingerprint, "m target=t sites=1").unwrap();
+            scope.put(Vec::new(), Measurement::size_only(100));
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         let stats = cmd_cache(CacheAction::Stats, &dir, None).unwrap();
@@ -1569,35 +1588,49 @@ mod tests {
     }
 
     #[test]
-    fn search_imports_legacy_flat_cache_files() {
+    fn a_pre_store_sizes_file_at_the_root_is_left_alone() {
         use optinline_core::{cache_meta, module_fingerprint};
         let src = demo_source();
-        let dir = std::env::temp_dir().join(format!("optinline-cli-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // A pre-store flat v2 file with the module's true identity: one
-        // absurd entry for the all-no-inline key, which the search will
-        // then trust instead of compiling.
+        let tmp = |tag: &str| {
+            let dir = std::env::temp_dir()
+                .join(format!("optinline-cli-stray-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        };
+        let (dir, empty) = (tmp("sizes"), tmp("empty"));
+        // A pre-store flat cache file under the module's own name and
+        // identity, with one absurd entry for the all-no-inline key.
         let module = load_module(&src).unwrap();
         let fp = module_fingerprint(&module, "x86-like");
-        let meta = cache_meta(&module, "x86-like");
-        let sanitized = meta.replace(['\n', '\r'], " ");
-        std::fs::write(
-            dir.join(format!("{fp:032x}.sizes")),
-            format!("optinline-cache v2\nmeta {sanitized}\n424242 -\n"),
-        )
-        .unwrap();
-        let opts =
-            EvalOptions { show_stats: true, cache_dir: Some(dir.clone()), ..Default::default() };
-        let report = cmd_search(&src, 18, TargetChoice::X86, opts).unwrap();
-        assert!(
-            report.contains("no inlining:        424242 B"),
-            "legacy entry must be served: {report}"
-        );
-        assert!(report.contains("imported"), "{report}");
-        // The flat file is retired into the sharded layout.
-        assert!(!dir.join(format!("{fp:032x}.sizes")).exists());
+        let meta = cache_meta(&module, "x86-like").replace(['\n', '\r'], " ");
+        let stray = dir.join(format!("{fp:032x}.sizes"));
+        let body = format!("optinline-cache v2\nmeta {meta}\n424242 -\n");
+        std::fs::write(&stray, &body).unwrap();
+        // The sequential walk, so the `--stats` counters repeat exactly.
+        let search = |dir: &std::path::Path| {
+            let opts = EvalOptions {
+                show_stats: true,
+                jobs: Some(1),
+                cache_dir: Some(dir.to_path_buf()),
+                ..Default::default()
+            };
+            cmd_search(&src, 18, TargetChoice::X86, opts).unwrap()
+        };
+        // Everything but the wall-clock token of the `--stats` line.
+        let masked = |report: &str| -> Vec<String> {
+            let untimed = |part: &&str| !part.ends_with(" compiling");
+            let mask = |line: &str| line.split(", ").filter(untimed).collect::<Vec<_>>().join(", ");
+            report.lines().map(mask).collect()
+        };
+        let report = search(&dir);
+        assert_eq!(masked(&report), masked(&search(&empty)), "compiles as in an empty store");
+        assert!(!report.contains("424242"), "the file is never read: {report}");
+        assert_eq!(std::fs::read_to_string(&stray).unwrap(), body, "nor deleted");
+        let bytes = |dir: &std::path::Path| LocalStore::shared(dir).unwrap().disk_bytes().unwrap();
+        assert_eq!(bytes(&dir), bytes(&empty) + body.len() as u64, "but counted on disk");
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&empty).unwrap();
     }
 
     #[test]

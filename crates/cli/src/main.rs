@@ -21,11 +21,11 @@ usage:
                                [-o out.ir] [--connect EP]
   optinline search   <file.ir> [--bits N] [--target x86|wasm]
                                [--objective size|speed|pareto]
-                               [--full-eval] [--stats] [--pass-stats]
+                               [--stats] [--pass-stats]
                                [--jobs N] [--cache-dir DIR] [--no-persist]
                                [--cache-budget-bytes N] [--connect EP]
   optinline autotune <file.ir> [--rounds N] [--init clean|heuristic|both]
-                               [--target x86|wasm] [--full-eval] [--stats]
+                               [--target x86|wasm] [--stats]
                                [--objective size|speed|pareto]
                                [--pass-stats] [--cache-dir DIR] [--no-persist]
                                [--cache-budget-bytes N] [--connect EP]
@@ -73,12 +73,11 @@ fn command_flags(cmd: &str) -> Option<[&'static str; 2]> {
         "stats" | "run" => ["", ""],
         "optimize" => ["strategy target pass-stats objective out", CLIENT_FLAGS],
         "search" => [
-            "bits target objective full-eval stats pass-stats jobs cache-dir no-persist \
-             cache-budget-bytes",
+            "bits target objective stats pass-stats jobs cache-dir no-persist cache-budget-bytes",
             CLIENT_FLAGS,
         ],
         "autotune" => [
-            "rounds init target full-eval stats objective pass-stats cache-dir no-persist \
+            "rounds init target stats objective pass-stats cache-dir no-persist \
              cache-budget-bytes",
             CLIENT_FLAGS,
         ],
@@ -107,8 +106,7 @@ impl Args {
         let mut flags = Vec::new();
         let mut argv = argv.peekable();
         // Flags that take no value; present means "on".
-        const BOOLEAN: &[&str] =
-            &["stats", "full-eval", "reduce", "demo-reduce", "pass-stats", "no-persist"];
+        const BOOLEAN: &[&str] = &["stats", "reduce", "demo-reduce", "pass-stats", "no-persist"];
         let accepted = command_flags(cmd);
         let check = |name: &str, spelled: &str| match accepted {
             Some(lists) if !lists.iter().flat_map(|l| l.split_whitespace()).any(|f| f == name) => {
@@ -147,7 +145,6 @@ impl Args {
         let text = |name, default: &str| self.flag(name).unwrap_or(default).to_string();
         let source = self.input()?;
         let (target, objective) = (text("target", "x86"), text("objective", "size"));
-        let full_eval = self.flag("full-eval").is_some();
         let stats = self.flag("stats").is_some();
         let pass_stats = self.flag("pass-stats").is_some();
         Ok(match cmd {
@@ -163,7 +160,7 @@ impl Args {
                 source,
                 target,
                 bits: self.flag("bits").unwrap_or("16").parse()?,
-                full_eval,
+                full_eval: false,
                 stats,
                 pass_stats,
                 objective,
@@ -173,7 +170,7 @@ impl Args {
                 target,
                 rounds: self.flag("rounds").unwrap_or("4").parse()?,
                 init: text("init", "both"),
-                full_eval,
+                full_eval: false,
                 stats,
                 pass_stats,
                 objective,

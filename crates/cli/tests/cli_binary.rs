@@ -88,10 +88,14 @@ fn flags_a_command_does_not_list_are_refused() {
     for (args, flag, cmd) in [
         // A misspelled value flag used to be silently ignored.
         (vec!["search", path, "--bit", "20"], "--bit", "search"),
-        // A removed boolean flag, after the file and before it (where it
-        // would otherwise have consumed the file name as its value).
+        // Removed boolean flags, after the file and before it (where they
+        // would otherwise have consumed the file name as their value).
         (vec!["optimize", path, "--full-sweep"], "--full-sweep", "optimize"),
         (vec!["optimize", "--full-sweep", path], "--full-sweep", "optimize"),
+        (vec!["search", path, "--full-eval"], "--full-eval", "search"),
+        (vec!["search", "--full-eval", path], "--full-eval", "search"),
+        (vec!["autotune", path, "--full-eval"], "--full-eval", "autotune"),
+        (vec!["autotune", "--full-eval", path], "--full-eval", "autotune"),
         // `-o` is a flag too.
         (vec!["stats", path, "-o", "x.ir"], "-o", "stats"),
     ] {

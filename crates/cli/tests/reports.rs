@@ -2,9 +2,9 @@
 //! under `tests/golden/`.
 //!
 //! Every objective (size, speed, pareto) of both commands is rendered on
-//! one generated module under six option sets: the defaults,
-//! `--full-eval`, `--stats`, `--pass-stats`, and `--stats` against a cold
-//! and then a warm evaluation store. The nothing-to-tune and over-`--bits`
+//! one generated module under five option sets: the defaults, `--stats`,
+//! `--pass-stats`, and `--stats` against a cold and then a warm
+//! evaluation store. The nothing-to-tune and over-`--bits`
 //! error paths are pinned too. Searches run with `jobs: Some(1)`; the only
 //! masked byte range is the wall-clock token of `--stats` lines
 //! (`…, 1.2ms compiling, …`).
@@ -107,7 +107,7 @@ fn assert_golden(reports: &[(String, String)]) {
     );
 }
 
-/// The six pinned renderings of one command under one objective.
+/// The five pinned renderings of one command under one objective.
 fn check(command: Command, objective: Objective) {
     let src = demo_source();
     let prefix = format!("{}-{}", command.name(), objective.name());
@@ -116,7 +116,6 @@ fn check(command: Command, objective: Objective) {
     let stored = EvalOptions { show_stats: true, cache_dir: Some(store.clone()), ..base.clone() };
     let variants = [
         ("default", base.clone()),
-        ("full-eval", EvalOptions { incremental: false, ..base.clone() }),
         ("stats", EvalOptions { show_stats: true, ..base.clone() }),
         ("pass-stats", EvalOptions { show_pass_stats: true, ..base.clone() }),
         ("cold-store", stored.clone()),

@@ -278,6 +278,32 @@ fn a_search_with_bits_beyond_the_u128_budget_is_refused() {
     refused_then_served("bits.sock", kind, RequestError::BitsOutOfRange(130));
 }
 
+/// Whole-module evaluation is gone, but the wire keeps `full_eval`: a
+/// request that sets it is refused with the in-process message.
+#[test]
+fn a_full_eval_search_or_autotune_is_refused() {
+    let mut search = search_kind(&demo_source(), 18);
+    let mut autotune = RequestKind::Autotune {
+        source: demo_source(),
+        target: "x86".to_string(),
+        rounds: 2,
+        init: "both".to_string(),
+        full_eval: false,
+        stats: false,
+        pass_stats: false,
+        objective: "size".to_string(),
+    };
+    for kind in [&mut search, &mut autotune] {
+        if let RequestKind::Search { full_eval, .. } | RequestKind::Autotune { full_eval, .. } =
+            kind
+        {
+            *full_eval = true;
+        }
+    }
+    refused_then_served("full-eval-search.sock", search, RequestError::FullEvalRemoved);
+    refused_then_served("full-eval-tune.sock", autotune, RequestError::FullEvalRemoved);
+}
+
 #[test]
 fn an_autotune_with_zero_rounds_is_refused() {
     let kind = RequestKind::Autotune {

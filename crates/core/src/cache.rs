@@ -48,22 +48,13 @@ struct Shard<K, V> {
     misses: u64,
 }
 
-/// Aggregate hit/miss counts and the per-shard entry distribution.
+/// Aggregate hit/miss counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries currently resident in each shard.
-    pub shard_loads: Vec<usize>,
-}
-
-impl CacheStats {
-    /// Total entries across shards.
-    pub fn entries(&self) -> usize {
-        self.shard_loads.iter().sum()
-    }
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
@@ -126,19 +117,17 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         value
     }
 
-    /// Snapshot of the hit/miss counters and per-shard loads.
+    /// Snapshot of the hit/miss counters.
     ///
-    /// Each shard is read atomically (counters and load come from one lock
-    /// acquisition), so per-shard figures are internally consistent; the
-    /// totals are exact once concurrent probes have quiesced.
+    /// Each shard's counters are read under its lock, so they agree with
+    /// each other; the totals are exact once concurrent probes have
+    /// quiesced.
     pub fn stats(&self) -> CacheStats {
-        let mut stats =
-            CacheStats { shard_loads: Vec::with_capacity(SHARDS), ..Default::default() };
+        let mut stats = CacheStats::default();
         for s in &self.shards {
             let s = s.lock().unwrap();
             stats.hits += s.hits;
             stats.misses += s.misses;
-            stats.shard_loads.push(s.map.len());
         }
         stats
     }
@@ -160,6 +149,15 @@ impl<K, V> fmt::Debug for ShardedCache<K, V> {
 mod tests {
     use super::*;
 
+    /// Entries resident in each shard.
+    fn shard_loads<K, V>(c: &ShardedCache<K, V>) -> Vec<usize> {
+        c.shards.iter().map(|s| s.lock().unwrap().map.len()).collect()
+    }
+
+    fn entries<K, V>(c: &ShardedCache<K, V>) -> usize {
+        shard_loads(c).iter().sum()
+    }
+
     #[test]
     fn insert_then_get_hits() {
         let c: ShardedCache<u64, u64> = ShardedCache::new();
@@ -167,7 +165,7 @@ mod tests {
         assert_eq!(c.get_or_compute(1, |_| unreachable!("resident")), 10);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(s.entries(), 1);
+        assert_eq!(entries(&c), 1);
     }
 
     #[test]
@@ -176,11 +174,10 @@ mod tests {
         for k in 0..256 {
             c.get_or_compute(k, |_| ());
         }
-        let s = c.stats();
-        assert_eq!(s.entries(), 256);
+        assert_eq!(entries(&c), 256);
         // With 256 keys over 16 shards a fully collapsed distribution would
         // mean the hash ignores the key; require at least a few nonempty.
-        assert!(s.shard_loads.iter().filter(|&&n| n > 0).count() >= 4);
+        assert!(shard_loads(&c).iter().filter(|&&n| n > 0).count() >= 4);
     }
 
     #[test]
@@ -198,7 +195,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(c.stats().entries(), 400);
+        assert_eq!(entries(&c), 400);
     }
 
     #[test]
@@ -226,7 +223,7 @@ mod tests {
         assert_eq!(s.hits, THREADS * PER_THREAD);
         assert_eq!(s.misses, THREADS * PER_THREAD);
         assert_eq!(s.hits + s.misses, 2 * THREADS * PER_THREAD);
-        assert_eq!(s.entries(), (THREADS * PER_THREAD) as usize);
+        assert_eq!(entries(&c), (THREADS * PER_THREAD) as usize);
     }
 
     #[test]

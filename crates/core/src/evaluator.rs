@@ -69,26 +69,21 @@ pub trait Evaluator: Sync {
 /// `memo_scope` is this value under the default pipeline options, so a
 /// caller holding only the module can name the same domain.
 pub fn domain_fingerprint(module: &Module, target: &dyn Target, options: PipelineOptions) -> u128 {
-    domain_of(module_hash(module, target.name()), options)
+    let mut h = module_hash(module, target.name());
+    h.write_u8(0);
+    h.write(format!("{options:?}").as_bytes());
+    h.finish()
 }
 
 /// The FNV state over a module's printed form and a target name:
 /// [`module_fingerprint`](crate::module_fingerprint) finishes it, and
-/// [`domain_fingerprint`] continues it with the pipeline options, so one
-/// printing of the module can give both.
+/// [`domain_fingerprint`] continues it with the pipeline options.
 pub(crate) fn module_hash(module: &Module, target_name: &str) -> Fnv128 {
     let mut h = Fnv128::new();
     h.write(module.to_string().as_bytes());
     h.write_u8(0);
     h.write(target_name.as_bytes());
     h
-}
-
-/// [`domain_fingerprint`] from a [`module_hash`].
-pub(crate) fn domain_of(mut h: Fnv128, options: PipelineOptions) -> u128 {
-    h.write_u8(0);
-    h.write(format!("{options:?}").as_bytes());
-    h.finish()
 }
 
 /// 128-bit identity of a *request* against an evaluation service: a
@@ -119,9 +114,6 @@ pub struct EvaluatorStats {
     pub cache_hits: u64,
     /// Memo-cache misses.
     pub cache_misses: u64,
-    /// Compilations per call-graph component (empty in whole-module mode,
-    /// which has no component structure).
-    pub per_component_compiles: Vec<u64>,
     /// Total wall-clock time spent inside compile-and-measure.
     pub compile_time: Duration,
     /// Compile work in units of one full-module compilation: each compile
@@ -150,8 +142,8 @@ pub struct EvaluatorStats {
     /// (summed over the scopes in an aggregate): its hits, misses and
     /// loaded entries are the `persist:` part of the rendering.
     pub persist: StoreStats,
-    /// The whole store the scope lives in: its appends, imports,
-    /// compaction and GC are the `store:` parts of the rendering. Its hits,
+    /// The whole store the scope lives in: its appends, compaction and GC
+    /// are the `store:` parts of the rendering. Its hits,
     /// misses and loads include the scope's and are not rendered, so
     /// holding both snapshots never counts a lookup twice.
     pub store: StoreStats,
@@ -177,11 +169,10 @@ impl EvaluatorStats {
                 self.cycle_measures, self.cycle_compiles,
             ));
         }
+        // Tasks only: the steal count follows thread timing, and a
+        // rendering must repeat from run to run.
         if self.executor.tasks > 0 {
-            line.push_str(&format!(
-                ", executor: {} tasks / {} steals",
-                self.executor.tasks, self.executor.steals,
-            ));
+            line.push_str(&format!(", executor: {} tasks", self.executor.tasks));
         }
         let persist = &self.persist;
         if persist.hits + persist.misses + persist.loaded > 0 {
@@ -191,10 +182,10 @@ impl EvaluatorStats {
             ));
         }
         let store = &self.store;
-        if store.appends + store.imported + store.compacted_bytes > 0 {
+        if store.appends + store.compacted_bytes > 0 {
             line.push_str(&format!(
-                ", store: {} appends ({} lines) / {} imported / {} bytes compacted",
-                store.appends, store.flushed_lines, store.imported, store.compacted_bytes,
+                ", store: {} appends ({} lines) / {} bytes compacted",
+                store.appends, store.flushed_lines, store.compacted_bytes,
             ));
         }
         if store.gc_evicted_scopes + store.gc_evicted_bytes > 0 {
@@ -207,15 +198,12 @@ impl EvaluatorStats {
     }
 
     /// Adds every counter of `other` into this snapshot — the suite-wide
-    /// aggregate of many evaluators. Per-component compile counts are
-    /// concatenated, since different evaluators' components are different
-    /// components.
+    /// aggregate of many evaluators.
     pub fn merge(&mut self, other: &EvaluatorStats) {
         self.queries += other.queries;
         self.compiles += other.compiles;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.per_component_compiles.extend_from_slice(&other.per_component_compiles);
         self.compile_time += other.compile_time;
         self.full_module_equivalents += other.full_module_equivalents;
         self.fixpoint_cap_hits += other.fixpoint_cap_hits;
@@ -390,7 +378,6 @@ mod tests {
             store: StoreStats {
                 appends: 2,
                 flushed_lines: 8,
-                imported: 6,
                 compacted_bytes: 512,
                 gc_evicted_scopes: 1,
                 gc_evicted_bytes: 4096,
@@ -400,9 +387,9 @@ mod tests {
         };
         let line = "40 queries, 12 compiles (3.25 full-module equivalents), 28 cache hits / 12 \
                     misses, 2.5ms compiling, 1 fixpoint cap hits, cycles: 9 measures / 4 \
-                    compiles, executor: 17 tasks / 3 steals, persist: 5 hits / 7 misses / 11 \
-                    loaded, store: 2 appends (8 lines) / 6 imported / 512 bytes compacted, store \
-                    gc: 1 scopes / 4096 bytes evicted";
+                    compiles, executor: 17 tasks, persist: 5 hits / 7 misses / 11 loaded, \
+                    store: 2 appends (8 lines) / 512 bytes compacted, store gc: 1 scopes / 4096 \
+                    bytes evicted";
         assert_eq!(stats.render(), line);
         let mut merged = EvaluatorStats::default();
         merged.merge(&stats);

@@ -19,19 +19,21 @@
 //! size query made recompiles that slice once to interpret it. A size
 //! query never interprets.
 //!
-//! - In **component mode** (`incremental = true`, the default everywhere)
-//!   the components are the connected components of the full call graph
-//!   ([`coarse_components`]), each extracted once as a standalone slice
-//!   ([`extract_slice`]); zero-site components form the constant part.
+//! - In **component mode** (`incremental = true`, what every search and
+//!   autotune runs) the components are the connected components of the
+//!   full call graph ([`coarse_components`]), each extracted once as a
+//!   standalone slice ([`extract_slice`]); zero-site components form the
+//!   constant part.
 //!   Two configurations that differ only inside component A reuse every
 //!   other component's result verbatim; the tree search's `Components`
 //!   recursion and the autotuner's one-flip probes hit exactly that
 //!   pattern, so most compiles shrink from whole-module to one-component
 //!   work.
-//! - In **whole-module mode** (`incremental = false`, `--full-eval`) there
-//!   is one always-active component holding the whole, unsliced module and
-//!   no constant part: every miss compiles the whole module, one memo probe
-//!   per query.
+//! - In **whole-module mode** (`incremental = false`) there is one
+//!   always-active component holding the whole, unsliced module and no
+//!   constant part: every miss compiles the whole module, one memo probe
+//!   per query. The size oracle, the tests and the case-study experiments
+//!   build it as a reference.
 //!
 //! The memo lives in a [`ShardedCache`], so concurrent hits from the
 //! parallel search do not serialize on one lock, and a miss is
@@ -74,7 +76,7 @@
 
 use crate::cache::ShardedCache;
 use crate::config::InliningConfiguration;
-use crate::evaluator::{domain_of, module_hash, Evaluator, EvaluatorStats};
+use crate::evaluator::{domain_fingerprint, Evaluator, EvaluatorStats};
 use crate::measure::{module_cycles, Objective};
 use optinline_callgraph::{coarse_components, Decision};
 use optinline_codegen::{text_size, Target};
@@ -163,18 +165,15 @@ pub struct SizeEvaluator {
     compiles: AtomicU64,
     cycle_measures: AtomicU64,
     cycle_compiles: AtomicU64,
-    /// Compiles per active component; empty in whole-module mode, which
-    /// has no component structure to report.
-    per_component_compiles: Vec<AtomicU64>,
     /// Σ pristine instruction counts over all compiles, for the
     /// full-module-equivalents metric.
     compiled_insts: AtomicU64,
     compile_nanos: AtomicU64,
     module_insts: u64,
     pipeline_stats: Mutex<PipelineStats>,
-    /// The legacy and domain fingerprints, from one printing of the
-    /// module.
-    fingerprints: OnceLock<(u128, u128)>,
+    /// The domain fingerprint, from the first printing of the module that
+    /// asks for it.
+    domain: OnceLock<u128>,
 }
 
 impl std::fmt::Debug for SizeEvaluator {
@@ -213,7 +212,6 @@ impl SizeEvaluator {
         } else {
             active.push(Component::new(module.clone(), sites.clone(), module_insts));
         }
-        let tracked = if incremental { active.len() } else { 0 };
         SizeEvaluator {
             module,
             target,
@@ -228,12 +226,11 @@ impl SizeEvaluator {
             compiles: AtomicU64::new(0),
             cycle_measures: AtomicU64::new(0),
             cycle_compiles: AtomicU64::new(0),
-            per_component_compiles: (0..tracked).map(|_| AtomicU64::new(0)).collect(),
             compiled_insts: AtomicU64::new(0),
             compile_nanos: AtomicU64::new(0),
             module_insts,
             pipeline_stats: Mutex::new(PipelineStats::default()),
-            fingerprints: OnceLock::new(),
+            domain: OnceLock::new(),
         }
     }
 
@@ -264,21 +261,6 @@ impl SizeEvaluator {
         &self.cost
     }
 
-    /// [`module_fingerprint`](crate::module_fingerprint) of the module
-    /// under this evaluator's target: the name an older release gave the
-    /// module's flat cache file, which a size scope imports. It comes from
-    /// the same printing of the module as [`Evaluator::memo_scope`].
-    pub fn legacy_fingerprint(&self) -> u128 {
-        self.fingerprints().0
-    }
-
-    fn fingerprints(&self) -> (u128, u128) {
-        *self.fingerprints.get_or_init(|| {
-            let h = module_hash(&self.module, self.target.name());
-            (h.finish(), domain_of(h, PipelineOptions::default()))
-        })
-    }
-
     /// Snapshot of the observability counters.
     pub fn stats(&self) -> EvaluatorStats {
         let cache = self.cache.stats();
@@ -288,11 +270,6 @@ impl SizeEvaluator {
             compiles: self.compiles.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            per_component_compiles: self
-                .per_component_compiles
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
             compile_time: Duration::from_nanos(self.compile_nanos.load(Ordering::Relaxed)),
             full_module_equivalents: self.compiled_insts.load(Ordering::Relaxed) as f64
                 / self.module_insts as f64,
@@ -381,9 +358,6 @@ impl SizeEvaluator {
             let comp = &self.active[*idx];
             let (size, measured) =
                 self.measure_slice(&comp.slice, &comp.summary, inlined, comp.insts, cycles);
-            if let Some(count) = self.per_component_compiles.get(*idx) {
-                count.fetch_add(1, Ordering::Relaxed);
-            }
             Arc::new(SliceAnswer::new(size, measured))
         })
     }
@@ -476,7 +450,9 @@ impl Evaluator for SizeEvaluator {
     fn memo_scope(&self) -> Option<u128> {
         // One domain for both modes: the decomposition is proven size- and
         // cycles-identical to whole-module compiles.
-        Some(self.fingerprints().1)
+        Some(*self.domain.get_or_init(|| {
+            domain_fingerprint(&self.module, self.target.as_ref(), PipelineOptions::default())
+        }))
     }
 }
 
@@ -541,10 +517,9 @@ mod tests {
         // Flip only component 0's site: exactly one new slice compile.
         incr.size_of(&base.with(sites[0], Decision::Inline));
         assert_eq!(incr.compilations(), after_base + 1);
+        // The headline: compile work stayed well under 2 full-module
+        // compiles.
         let s = incr.stats();
-        assert_eq!(s.per_component_compiles, vec![2, 1]);
-        // Both queries did full-coverage lookups; only 4 of 5 missed... the
-        // headline: compile work stayed well under 2 full-module compiles.
         assert!(s.full_module_equivalents < 2.0, "{}", s.full_module_equivalents);
     }
 
@@ -559,7 +534,6 @@ mod tests {
         let s = full.stats();
         assert_eq!((s.queries, s.compiles, s.cache_hits, s.cache_misses), (3, 2, 1, 2));
         assert_eq!(s.full_module_equivalents, 2.0, "each miss is one whole-module compile");
-        assert!(s.per_component_compiles.is_empty(), "no component structure to report");
     }
 
     #[test]
@@ -827,7 +801,7 @@ mod tests {
         assert_ne!(speed_fp, domain);
         // A fresh whole-module evaluator behind the store scope `fp`.
         let measure = |fp: u128, objective: Objective| {
-            let cache = PersistentCache::open_scoped(&dir, fp, None, &meta).unwrap();
+            let cache = PersistentCache::open(&dir, fp, &meta).unwrap();
             let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), false);
             let measured =
                 PersistentEvaluator::new(&ev, &cache, ev.sites().clone()).measure(&cfg, objective);
@@ -868,12 +842,11 @@ mod tests {
 
     #[test]
     fn persistent_evaluator_warm_starts_without_compiling() {
-        use crate::persist::module_fingerprint;
         let dir =
             std::env::temp_dir().join(format!("optinline-sizeev-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (m, sites) = two_component_module();
-        let fp = module_fingerprint(&m, "x86-like");
+        let fp = domain_fingerprint(&m, &X86Like, PipelineOptions::default());
         let meta = cache_meta(&m, "x86-like");
         let cfg = InliningConfiguration::clean_slate().with(sites[0], Decision::Inline);
         let cold_size;

@@ -18,11 +18,7 @@
 //!   whole-module memo key of [`SizeEvaluator`](crate::SizeEvaluator), so a
 //!   hit is exactly a compile avoided.
 //! - **Identity derivation.** [`cache_meta`] builds the human-auditable
-//!   identity tag recorded on (and verified against) every scope log, and
-//!   [`module_fingerprint`] still computes the fingerprint older releases
-//!   used for their flat per-module files — passed to the store as the
-//!   *legacy* identity so those files are imported once (when their meta
-//!   matches) or cleanly ignored (when it doesn't), never misread.
+//!   identity tag recorded on (and verified against) every scope log.
 //! - **[`PersistentEvaluator`]**, the only store-backed [`Evaluator`]: the
 //!   adapter the CLI layers under `search`/`autotune` and the experiments
 //!   harness under its cases when a cache directory is given — answer
@@ -32,21 +28,20 @@ use crate::config::InliningConfiguration;
 use crate::evaluator::{module_hash, Evaluator};
 use crate::measure::Objective;
 use optinline_ir::{CallSiteId, Measurement, Module};
-use optinline_store::{LocalStore, Scope, ScopeSpec, StoreStats};
+use optinline_store::{LocalStore, Scope, StoreStats};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-/// A stable fingerprint identifying (module, target): the identity older
-/// releases named their flat per-module cache files with. Still computed
-/// so the store can find and import (or ignore) those files.
+/// A stable fingerprint identifying (module, target), without the
+/// pipeline options [`domain_fingerprint`](crate::domain_fingerprint)
+/// adds. No store scope is addressed by it any more; it is kept because
+/// the benchmark's cache opener imports it, and goes once that stops.
 pub fn module_fingerprint(module: &Module, target_name: &str) -> u128 {
     module_hash(module, target_name).finish()
 }
 
 /// The identity tag recorded on a scope log and verified at every open.
-/// Deliberately the same format the legacy per-module files carried, so
-/// their metas verify during import.
 pub fn cache_meta(module: &Module, target_name: &str) -> String {
     format!("{} target={} sites={}", module.name, target_name, module.inlinable_sites().len())
 }
@@ -64,31 +59,28 @@ impl PersistentCache {
     /// `meta` names what the scope is for (module, target, site count) and
     /// is verified against the recorded identity: a mismatch — an FNV
     /// fingerprint collision, or a stale file — restarts the scope instead
-    /// of serving another module's sizes. The same fingerprint doubles as
-    /// the legacy identity, so an old flat `<fingerprint>.sizes` file in
-    /// `dir` is imported when its meta matches.
+    /// of serving another module's sizes.
     pub fn open(dir: &Path, fingerprint: u128, meta: &str) -> std::io::Result<Self> {
-        Self::open_scoped(dir, fingerprint, Some(fingerprint), meta)
-    }
-
-    /// Opens the cache for an explicit (scope, legacy) identity pair:
-    /// `fingerprint` is the content address (the evaluator's
-    /// `memo_scope`), `legacy_fingerprint` the name an older release's
-    /// flat file would carry (usually [`module_fingerprint`]), or `None`
-    /// to skip import probing.
-    pub fn open_scoped(
-        dir: &Path,
-        fingerprint: u128,
-        legacy_fingerprint: Option<u128>,
-        meta: &str,
-    ) -> std::io::Result<Self> {
         let store = LocalStore::shared(dir)?;
-        let scope = store.scope(ScopeSpec { fingerprint, meta, legacy_fingerprint })?;
+        let scope = store.scope(fingerprint, meta)?;
         Ok(PersistentCache { store, scope })
     }
 
+    /// [`PersistentCache::open`] under its former signature. The third
+    /// argument named a pre-store flat cache file to import; that import
+    /// is gone, so the argument is ignored. The benchmark's cache opener
+    /// still calls this, so it stays until that caller moves to `open`.
+    pub fn open_scoped(
+        dir: &Path,
+        fingerprint: u128,
+        _legacy: Option<u128>,
+        meta: &str,
+    ) -> std::io::Result<Self> {
+        Self::open(dir, fingerprint, meta)
+    }
+
     /// Looks up the measurement recorded for a canonical inlined-site set.
-    /// Legacy size-only entries surface as `cycles: None`.
+    /// Size-only entries surface as `cycles: None`.
     pub fn get(&self, key: &[CallSiteId]) -> Option<Measurement> {
         self.scope.get(key)
     }
@@ -126,8 +118,7 @@ impl PersistentCache {
         &self.store
     }
 
-    /// Lifetime counters of this scope: `loaded` includes any entries
-    /// imported from a legacy per-module file, and the GC fields are zero.
+    /// Lifetime counters of this scope; the GC fields are zero.
     pub fn stats(&self) -> StoreStats {
         self.scope.counters()
     }
@@ -208,7 +199,7 @@ impl<E: Evaluator + std::fmt::Debug> Evaluator for PersistentEvaluator<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optinline_store::{HEADER, LEGACY_HEADER};
+    use optinline_store::HEADER;
     use std::fs::OpenOptions;
     use std::io::{Read, Seek, SeekFrom};
     use std::path::PathBuf;
@@ -289,32 +280,6 @@ mod tests {
         drop(c);
         let c = PersistentCache::open(&dir, 7, "mod-t").unwrap();
         assert_eq!(c.get(&k(&[2])), Some(m(22)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_v2_file_is_imported_with_line_level_tolerance() {
-        // An old release's flat per-module file: well-formed lines are
-        // imported; bad integer, unsorted sites, garbage bytes, and
-        // malformed ids are each dropped independently.
-        let dir = tmpdir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = dir.join(format!("{:032x}.sizes", 9u128));
-        std::fs::write(
-            &legacy,
-            format!(
-                "{LEGACY_HEADER}\nmeta mod-c\n77 s1,s2\nnot a number s3\n\
-                 88 s9,s4\n\u{1F4A3}\n99 -\n55 sX\n"
-            ),
-        )
-        .unwrap();
-        let c = PersistentCache::open(&dir, 9, "mod-c").unwrap();
-        assert_eq!(c.stats().loaded, 2);
-        assert_eq!(c.get(&k(&[1, 2])), Some(m(77)));
-        assert_eq!(c.get(&k(&[])), Some(m(99)));
-        assert_eq!(c.get(&k(&[9, 4])), None);
-        assert_eq!(c.get(&k(&[4, 9])), None);
-        assert!(!legacy.exists(), "imported legacy file is retired");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

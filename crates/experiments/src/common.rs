@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 
 /// The harness-wide counters of the parallel tree search: every exhaustive
 /// search in a run reports into it, so Figure 7 and the stats footer can
-/// show cumulative tasks (tree nodes) and steals.
+/// show cumulative tasks (tree nodes).
 pub fn search_session() -> &'static SearchSession {
     static SESSION: OnceLock<SearchSession> = OnceLock::new();
     SESSION.get_or_init(SearchSession::new)
@@ -31,9 +31,6 @@ pub struct Ctx {
     pub exhaustive_bits: u32,
     /// Where reports are written.
     pub out_dir: PathBuf,
-    /// Run the size evaluator in component mode (default) instead of
-    /// whole-module mode (`--full-eval`).
-    pub incremental: bool,
     /// Directory for the persistent evaluation store (`--cache-dir`, or
     /// the `OPTINLINE_CACHE_DIR` environment variable): a second harness
     /// run answers every repeated size query from disk. `None` disables
@@ -42,14 +39,12 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    /// Default context: full scale, `2^14` exhaustive budget, `results/`,
-    /// incremental evaluation.
+    /// Default context: full scale, `2^14` exhaustive budget, `results/`.
     pub fn new() -> Self {
         Ctx {
             scale: Scale::Full,
             exhaustive_bits: 14,
             out_dir: PathBuf::from("results"),
-            incremental: true,
             cache_dir: std::env::var_os("OPTINLINE_CACHE_DIR").map(PathBuf::from),
         }
     }
@@ -84,8 +79,7 @@ pub struct FileCase {
     pub bench: &'static str,
     /// File (module) name.
     pub file: String,
-    /// Size evaluator (x86-like target; incremental or full per
-    /// [`Ctx::incremental`]).
+    /// Size evaluator (x86-like target, component mode).
     pub evaluator: SizeEvaluator,
     /// The file's scope in the persistent evaluation store, when the
     /// harness runs with a cache directory.
@@ -103,20 +97,13 @@ impl FileCase {
     /// evaluator gets a persistent scope in one shared store, addressed by
     /// its `memo_scope` identity — the same addressing the CLI uses, so
     /// harness and CLI runs share warm entries.
-    pub fn new(
-        bench: &'static str,
-        module: Module,
-        incremental: bool,
-        cache_dir: Option<&Path>,
-    ) -> FileCase {
+    pub fn new(bench: &'static str, module: Module, cache_dir: Option<&Path>) -> FileCase {
         let file = module.name.clone();
-        let evaluator = SizeEvaluator::new(module, Box::new(X86Like), incremental);
+        let evaluator = SizeEvaluator::new(module, Box::new(X86Like), true);
         let cache = cache_dir.and_then(|dir| {
             let fp = evaluator.memo_scope().expect("a SizeEvaluator always names its domain");
-            // Names an older release's flat per-module file, imported once.
-            let legacy = evaluator.legacy_fingerprint();
             let meta = cache_meta(evaluator.module(), evaluator.target().name());
-            PersistentCache::open_scoped(dir, fp, Some(legacy), &meta)
+            PersistentCache::open(dir, fp, &meta)
                 .map_err(|e| eprintln!("warning: cache disabled for {file}: {e}"))
                 .ok()
         });
@@ -154,12 +141,12 @@ impl FileCase {
 
 /// Loads the suite and precomputes per-file baselines (see
 /// [`FileCase::new`] for the cache directory).
-pub fn load_cases(scale: Scale, incremental: bool, cache_dir: Option<&Path>) -> Vec<FileCase> {
+pub fn load_cases(scale: Scale, cache_dir: Option<&Path>) -> Vec<FileCase> {
     let suite: Vec<Benchmark> = spec_suite(scale);
     let mut cases = Vec::new();
     for bench in suite {
         for module in bench.files {
-            cases.push(FileCase::new(bench.name, module, incremental, cache_dir));
+            cases.push(FileCase::new(bench.name, module, cache_dir));
         }
     }
     cases
@@ -244,7 +231,7 @@ mod tests {
     fn pareto_cycle_counters_reach_the_footer() {
         let module =
             optinline_workloads::generate_file(&optinline_workloads::GenParams::named("footer", 5));
-        let cases = vec![FileCase::new("bench", module, true, None)];
+        let cases = vec![FileCase::new("bench", module, None)];
         assert!(!stats_footer(&cases).contains("cycles:"), "size-only so far");
         let measured =
             cases[0].with_evaluator(|ev| ev.measure(&cases[0].heuristic, Objective::Pareto));
@@ -264,14 +251,14 @@ mod tests {
             ))
         };
         let cases: Vec<FileCase> =
-            (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
+            (0..2).map(|seed| FileCase::new("bench", module(seed), Some(&dir))).collect();
         // Two baseline queries per case, all against cold scopes.
         let stats = aggregate_stats(&cases);
         assert_eq!(stats.persist.hits + stats.persist.misses, 4);
         assert_eq!(stats.persist.loaded, 0);
         drop(cases);
         let warm: Vec<FileCase> =
-            (0..2).map(|seed| FileCase::new("bench", module(seed), true, Some(&dir))).collect();
+            (0..2).map(|seed| FileCase::new("bench", module(seed), Some(&dir))).collect();
         let stats = aggregate_stats(&warm);
         assert_eq!((stats.persist.hits, stats.persist.misses), (4, 0));
         assert_eq!(stats.compiles, 0, "a warm harness run answers from disk");

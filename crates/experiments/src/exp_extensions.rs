@@ -97,8 +97,7 @@ pub fn scalability(ctx: &Ctx, cases: &[FileCase]) {
         cases.iter().filter(|c| !c.evaluator.sites().is_empty()).collect();
     big.sort_by_key(|c| std::cmp::Reverse(c.evaluator.sites().len()));
     let amalgamation = optinline_workloads::amalgamation(ctx.scale);
-    let amalgamation_ev =
-        optinline_core::SizeEvaluator::new(amalgamation, Box::new(X86Like), ctx.incremental);
+    let amalgamation_ev = optinline_core::SizeEvaluator::new(amalgamation, Box::new(X86Like), true);
     // Suite rows, then the amalgamation (`None`).
     for row in big.into_iter().take(12).map(Some).chain([None]) {
         let (name, sized) = match row {

@@ -85,11 +85,7 @@ pub fn fig7(ctx: &Ctx, optima: &[OptimalCase<'_>]) {
         "compile work so far:           {compiles} compiles = {work:.1} full-module equivalents"
     );
     let exec = crate::common::search_session().stats();
-    let _ = writeln!(
-        out,
-        "search executor:               {} tasks, {} steals",
-        exec.tasks, exec.steals
-    );
+    let _ = writeln!(out, "search executor:               {} tasks", exec.tasks);
     let _ = writeln!(out, "\nshape target (paper): optimal on 46% of files; median non-optimal");
     let _ = writeln!(out, "overhead 2.37%; 16% of files >=5%, 8.5% >=10%; max 281%.");
     ctx.report("fig7_roofline", &out);

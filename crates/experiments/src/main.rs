@@ -55,10 +55,9 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [--small] [--bits N] [--out DIR] [--full-eval] [--cache-dir DIR] \
+        "usage: experiments [--small] [--bits N] [--out DIR] [--cache-dir DIR] \
          <experiment|all>...\n"
     );
-    eprintln!("  --full-eval  whole-module compiles instead of per-component ones");
     eprintln!("  --cache-dir  persistent evaluation store (also: OPTINLINE_CACHE_DIR env var)\n");
     eprintln!("experiments:");
     for (name, desc) in EXPERIMENTS {
@@ -74,7 +73,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--small" => ctx.scale = Scale::Small,
-            "--full-eval" => ctx.incremental = false,
             "--bits" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 ctx.exhaustive_bits = v.parse().unwrap_or_else(|_| usage());
@@ -97,7 +95,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     eprintln!("[generating suite + baselines ({:?} scale)...]", ctx.scale);
-    let cases = common::load_cases(ctx.scale, ctx.incremental, ctx.cache_dir.as_deref());
+    let cases = common::load_cases(ctx.scale, ctx.cache_dir.as_deref());
     eprintln!(
         "[{} files, {} inlinable sites, {:.1}s]",
         cases.len(),
@@ -164,10 +162,6 @@ fn main() {
             other => unreachable!("unknown experiment {other}"),
         }
     }
-    eprintln!(
-        "\n[{} {}]",
-        if ctx.incremental { "incremental" } else { "full-module" },
-        common::stats_footer(&cases)
-    );
+    eprintln!("\n[{}]", common::stats_footer(&cases));
     eprintln!("[total {:.1}s]", t0.elapsed().as_secs_f64());
 }

@@ -122,7 +122,10 @@ pub enum RequestKind {
         target: String,
         /// Give up beyond `2^bits` unpruned points.
         bits: u32,
-        /// Whole-module compiles instead of the incremental evaluator.
+        /// Must be `false`: whole-module evaluation was removed, and the
+        /// CLI's handler refuses `true` with an `error` event. The field
+        /// stays on the wire and in the identity so existing request
+        /// builders keep compiling and encoding unchanged.
         full_eval: bool,
         /// Append the evaluator counter line to the report.
         stats: bool,
@@ -141,7 +144,7 @@ pub enum RequestKind {
         rounds: u32,
         /// `clean` | `heuristic` | `both`.
         init: String,
-        /// Whole-module compiles instead of the incremental evaluator.
+        /// Must be `false`, as for [`RequestKind::Search`].
         full_eval: bool,
         /// Append the evaluator counter line to the report.
         stats: bool,

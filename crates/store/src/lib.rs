@@ -2,20 +2,21 @@
 //!
 //! The search layers above this crate are affordable only because size
 //! evaluations are massively reusable; this crate is where that reuse is
-//! made durable and *bounded*. It replaces the flat per-module append-only
-//! cache files with a store rooted at one directory:
+//! made durable and *bounded*. The store is rooted at one directory:
 //!
 //! ```text
 //! <root>/ab/cdef...0123.log  scope log, sharded by fingerprint prefix
-//! <root>/<fp-hex32>.sizes    legacy v2 per-module file (imported/ignored)
 //! ```
+//!
+//! Any other file under the root is left alone: never read, never
+//! deleted, but counted in [`LocalStore::disk_bytes`].
 //!
 //! A *scope* is one evaluation domain — module text + target + pipeline
 //! options, fingerprinted by the evaluator's `memo_scope` — and its log
-//! maps canonical inlined-site sets to measured sizes. On top of the
-//! legacy cache's guarantees (identity verification, line-scoped
-//! corruption tolerance, torn-tail truncation, restart by atomic rename),
-//! the store adds:
+//! maps canonical inlined-site sets to measured sizes. Each log keeps
+//! four guarantees (identity verification, line-scoped corruption
+//! tolerance, torn-tail truncation, restart by atomic rename), and the
+//! store adds:
 //!
 //! - **recency** kept as each log's mtime, stamped when a scope handle
 //!   opens and after each flush — the logs are the store's only state;
@@ -39,17 +40,16 @@ mod scope;
 
 pub use format::{
     fingerprint_of, format_entry, log_file_stem, parse_entry, sanitize_meta, scope_rel_path,
-    HEADER, LEGACY_EXT, LEGACY_HEADER, LOG_EXT, META_PREFIX,
+    HEADER, LOG_EXT, META_PREFIX,
 };
-pub use local::{GcReport, LocalStore, ScopeFormatMix, ScopeSpec, VerifyReport};
+pub use local::{GcReport, LocalStore, ScopeFormatMix, VerifyReport};
 pub use scope::Scope;
 
 /// Tuning knobs of a [`LocalStore`].
 #[derive(Clone, Copy, Debug)]
 pub struct StoreOptions {
     /// Flush the write-back buffer once it holds this many entry lines.
-    /// `1` degenerates to the legacy one-write-per-put behavior (useful as
-    /// a bench baseline).
+    /// `1` degenerates to one write per put (useful as a bench baseline).
     pub flush_every_lines: usize,
     /// Flush the write-back buffer once it holds this many bytes.
     pub flush_bytes: usize,
@@ -93,8 +93,6 @@ pub struct StoreStats {
     pub flushed_lines: u64,
     /// Entries recovered from disk at scope opens.
     pub loaded: u64,
-    /// Entries imported from legacy per-module cache files.
-    pub imported: u64,
     /// Resident-map entries displaced by the memory bound.
     pub resident_evictions: u64,
     /// Log compactions performed.
@@ -116,7 +114,6 @@ impl StoreStats {
         self.appends += other.appends;
         self.flushed_lines += other.flushed_lines;
         self.loaded += other.loaded;
-        self.imported += other.imported;
         self.resident_evictions += other.resident_evictions;
         self.compactions += other.compactions;
         self.compacted_bytes += other.compacted_bytes;

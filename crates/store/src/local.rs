@@ -5,7 +5,7 @@
 
 use crate::format::{
     fingerprint_of, log_file_stem, log_lines, parse_entry_bytes, sanitize_meta, scope_rel_path,
-    HEADER, LEGACY_EXT, META_PREFIX,
+    HEADER, META_PREFIX,
 };
 use crate::scope::{intact_len, Scope};
 use crate::{StoreOptions, StoreStats};
@@ -14,20 +14,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::SystemTime;
-
-/// Identity of a scope to open: the content fingerprint, the
-/// human-auditable meta tag verified against the log, and optionally the
-/// fingerprint an older release would have used for its flat per-module
-/// file (enables one-time import).
-#[derive(Clone, Copy, Debug)]
-pub struct ScopeSpec<'a> {
-    /// Content fingerprint (module text + target + pipeline options).
-    pub fingerprint: u128,
-    /// Identity tag recorded on (and verified against) the log.
-    pub meta: &'a str,
-    /// Legacy per-module fingerprint whose `.sizes` file may be imported.
-    pub legacy_fingerprint: Option<u128>,
-}
 
 /// Result of a size-budgeted GC pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,8 +27,6 @@ pub struct GcReport {
     pub after_bytes: u64,
     /// Scope logs deleted, LRU first.
     pub evicted_scopes: u64,
-    /// Legacy per-module files deleted (evicted before any scope log).
-    pub evicted_legacy: u64,
 }
 
 /// Per-scope entry-format tally: how many lines still speak the old
@@ -52,7 +36,7 @@ pub struct GcReport {
 pub struct ScopeFormatMix {
     /// The scope's fingerprint.
     pub fingerprint: u128,
-    /// Entry lines in the legacy bare-size form (`<size> <sites>`).
+    /// Entry lines in the bare-size form (`<size> <sites>`).
     pub size_only_lines: u64,
     /// Entry lines carrying cycles (`<size>+<cycles> <sites>`).
     pub measurement_lines: u64,
@@ -73,8 +57,6 @@ pub struct VerifyReport {
     pub malformed_lines: u64,
     /// Log-named files whose header or meta line is unreadable.
     pub unreadable_logs: u64,
-    /// Legacy `.sizes` files still awaiting import at the root.
-    pub legacy_files: u64,
     /// Unrecognized files inside shard directories (editor droppings,
     /// stray temp files) — skipped, never touched, never fatal.
     pub foreign_files: u64,
@@ -94,8 +76,8 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// Whether the scan found no damage (duplicates and pending legacy
-    /// files are normal operation, not damage).
+    /// Whether the scan found no damage (duplicates are normal
+    /// operation, not damage).
     pub fn clean(&self) -> bool {
         self.malformed_lines == 0 && self.unreadable_logs == 0
     }
@@ -175,34 +157,26 @@ impl LocalStore {
         &self.root
     }
 
-    /// Opens (or joins) the scope for `spec`, verifying its identity. A
-    /// live handle for the same fingerprint **and** meta is shared; a live
-    /// handle under a different meta is dropped from the registry and the
-    /// log restarted — the legacy filename-collision contract, applied
-    /// in-process.
-    pub fn scope(&self, spec: ScopeSpec<'_>) -> std::io::Result<Scope> {
-        let meta = sanitize_meta(spec.meta);
+    /// Opens (or joins) the scope for `fingerprint`, the content address
+    /// (module text, target and pipeline options), verifying `meta`, the
+    /// identity tag recorded on the log. A live handle for the same
+    /// fingerprint **and** meta is shared; a live handle under a different
+    /// meta is dropped from the registry and the log restarted — the
+    /// fingerprint-collision contract of [`Scope`], applied in-process.
+    pub fn scope(&self, fingerprint: u128, meta: &str) -> std::io::Result<Scope> {
+        let meta = sanitize_meta(meta);
         let mut reg = self.scopes.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((known_meta, weak)) = reg.get(&spec.fingerprint) {
+        if let Some((known_meta, weak)) = reg.get(&fingerprint) {
             if let Some(inner) = weak.upgrade() {
                 if *known_meta == meta {
                     return Ok(Scope { inner });
                 }
             }
         }
-        let (shard, file) = scope_rel_path(spec.fingerprint);
+        let (shard, file) = scope_rel_path(fingerprint);
         let path = self.root.join(shard).join(file);
-        let legacy =
-            spec.legacy_fingerprint.map(|fp| self.root.join(format!("{fp:032x}.{LEGACY_EXT}")));
-        let scope = Scope::open(
-            path,
-            legacy.as_deref(),
-            spec.fingerprint,
-            &meta,
-            self.opts,
-            Arc::clone(&self.retired),
-        )?;
-        reg.insert(spec.fingerprint, (meta, Arc::downgrade(&scope.inner)));
+        let scope = Scope::open(path, fingerprint, &meta, self.opts, Arc::clone(&self.retired))?;
+        reg.insert(fingerprint, (meta, Arc::downgrade(&scope.inner)));
         Ok(scope)
     }
 
@@ -249,21 +223,8 @@ impl LocalStore {
         Ok(out)
     }
 
-    /// Legacy `.sizes` files still sitting flat at the root.
-    fn scan_legacy(&self) -> std::io::Result<Vec<(PathBuf, u64)>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.is_file() && path.extension().and_then(|e| e.to_str()) == Some(LEGACY_EXT) {
-                out.push((path, entry.metadata()?.len()));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Total bytes of every file under the root (logs, legacy files, stray
-    /// temp files) — the quantity the GC budget bounds.
+    /// Total bytes of every file under the root (logs, stray temp files,
+    /// anything else left there) — the quantity the GC budget bounds.
     pub fn disk_bytes(&self) -> std::io::Result<u64> {
         fn walk(dir: &Path) -> std::io::Result<u64> {
             let mut total = 0;
@@ -282,10 +243,10 @@ impl LocalStore {
         walk(&self.root)
     }
 
-    /// Evicts least-recently-used scope logs — coldest mtime first,
-    /// legacy files before any of them — until the whole directory fits
-    /// `budget_bytes`. Scopes with a live handle in this process are never
-    /// evicted.
+    /// Evicts least-recently-used scope logs — coldest mtime first —
+    /// until the whole directory fits `budget_bytes`. Scopes with a live
+    /// handle in this process are never evicted, and files that are not
+    /// scope logs are never touched.
     pub fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport> {
         self.flush_all()?;
         let before_bytes = self.disk_bytes()?;
@@ -296,18 +257,6 @@ impl LocalStore {
             ..GcReport::default()
         };
         let mut remaining = before_bytes;
-
-        if remaining > budget_bytes {
-            for (path, bytes) in self.scan_legacy()? {
-                if remaining <= budget_bytes {
-                    break;
-                }
-                std::fs::remove_file(&path)?;
-                remaining = remaining.saturating_sub(bytes);
-                report.evicted_legacy += 1;
-                self.retired().gc_evicted_bytes += bytes;
-            }
-        }
 
         if remaining > budget_bytes {
             // Walk victims coldest-first by the mtimes the scan read, so
@@ -473,7 +422,6 @@ impl LocalStore {
             report.measurement_lines += mix.measurement_lines;
             report.mix.push(mix);
         }
-        report.legacy_files = self.scan_legacy()?.len() as u64;
         Ok(report)
     }
 

@@ -3,8 +3,7 @@
 //!
 //! A *scope* is one evaluation domain — (module text, target, pipeline
 //! options), fingerprinted upstream — and its log maps canonical
-//! inlined-site sets to measured sizes. The handle preserves the legacy
-//! cache's hard-won guarantees:
+//! inlined-site sets to measured sizes. The handle keeps three guarantees:
 //!
 //! - **Identity verification.** The log's `meta` line must match the
 //!   caller's identity; a mismatch (FNV filename collision, stale file)
@@ -19,17 +18,16 @@
 //!   holding an append handle keeps writing the unlinked inode — entries
 //!   can be lost to a racing rewrite, never interleaved mid-file.
 //!
-//! What's new over the legacy cache:
+//! On top of them:
 //!
 //! - **One handle, one read.** An open reads the whole log once through
 //!   the read+append handle the scope keeps, repairs a torn tail inside
 //!   that buffer, and loads its lines straight into the resident map and
-//!   its FIFO order. The same loader reads logs for compaction and the
-//!   legacy import.
+//!   its FIFO order. The same loader reads logs for compaction.
 //! - **Write batching.** `put` appends to an in-memory buffer flushed as
 //!   one `write` syscall when it reaches a line/byte threshold, on
-//!   [`Scope::flush`], and on drop — collapsing the legacy
-//!   one-syscall-per-probe pattern into amortized bulk appends.
+//!   [`Scope::flush`], and on drop — amortized bulk appends instead of
+//!   one syscall per probe.
 //! - **Bounded resident memory.** The in-memory map is a *cache* of the
 //!   log, bounded at [`StoreOptions::max_resident_entries`] (FIFO
 //!   eviction), so a long autotune run no longer grows resident memory
@@ -45,7 +43,7 @@
 //!   restart is a new log and takes the current time.
 
 use crate::format::{
-    format_entry, log_lines, parse_entry_bytes, sanitize_meta, HEADER, LEGACY_HEADER, META_PREFIX,
+    format_entry, log_lines, parse_entry_bytes, sanitize_meta, HEADER, META_PREFIX,
 };
 use crate::{StoreOptions, StoreStats};
 use optinline_ir::{CallSiteId, Measurement};
@@ -87,14 +85,14 @@ impl Loaded {
     }
 }
 
-/// Parses a log image under `header`, skipping malformed lines one at a
-/// time and charging duplicates and damage to `dead_bytes`. `None` means
-/// the log must restart: an unknown header, or a meta line that is
-/// missing, foreign or not UTF-8. An empty image is an empty log.
-fn load_log(bytes: &[u8], header: &str, meta: &str) -> Option<Loaded> {
+/// Parses a log image, skipping malformed lines one at a time and
+/// charging duplicates and damage to `dead_bytes`. `None` means the log
+/// must restart: an unknown header, or a meta line that is missing,
+/// foreign or not UTF-8. An empty image is an empty log.
+fn load_log(bytes: &[u8], meta: &str) -> Option<Loaded> {
     let mut lines = log_lines(bytes);
     match lines.next() {
-        Some(h) if h == header.as_bytes() => {}
+        Some(h) if h == HEADER.as_bytes() => {}
         None => return Some(Loaded::default()),
         _ => return None,
     }
@@ -219,7 +217,6 @@ pub(crate) struct ScopeInner {
     retired: Arc<Mutex<StoreStats>>,
     state: Mutex<ScopeState>,
     loaded: u64,
-    imported: u64,
     hits: AtomicU64,
     misses: AtomicU64,
     puts: AtomicU64,
@@ -248,36 +245,20 @@ pub struct Scope {
 
 impl Scope {
     /// Opens (or creates) the scope log at `path`, verifying `meta`
-    /// against the recorded identity and importing `legacy_path` (an old
-    /// per-module `optinline-cache v2` file) when the new log does not
-    /// exist yet and the legacy identity matches — a mismatched legacy
-    /// file is cleanly ignored, never misread.
+    /// against the recorded identity.
     pub(crate) fn open(
         path: PathBuf,
-        legacy_path: Option<&Path>,
         fingerprint: u128,
         meta: &str,
         opts: StoreOptions,
         retired: Arc<Mutex<StoreStats>>,
     ) -> std::io::Result<Scope> {
         let meta = sanitize_meta(meta);
-        let mut imported = 0u64;
         let mut file = match open_log(&path) {
             Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 if let Some(parent) = path.parent() {
                     std::fs::create_dir_all(parent)?;
-                }
-                // Legacy migration: a matching v2 per-module file seeds the
-                // new log and is removed; anything else is left untouched.
-                if let Some((legacy, Ok(bytes))) = legacy_path.map(|p| (p, std::fs::read(p))) {
-                    if let Some(log) = load_log(&bytes, LEGACY_HEADER, &meta) {
-                        if !log.entries.is_empty() {
-                            rewrite_log(&path, &meta, log.in_order(), None)?;
-                            imported = log.entries.len() as u64;
-                            let _ = std::fs::remove_file(legacy);
-                        }
-                    }
                 }
                 OpenOptions::new().read(true).append(true).create(true).open(&path)?
             }
@@ -295,9 +276,7 @@ impl Scope {
             bytes.truncate(intact);
         }
 
-        // Imported entries are re-read from the fresh log, so the load
-        // already includes them.
-        let (log, mut disk_bytes) = match load_log(&bytes, HEADER, &meta) {
+        let (log, mut disk_bytes) = match load_log(&bytes, &meta) {
             Some(log) => (log, bytes.len() as u64),
             None => {
                 // Unknown header or foreign meta: the bytes belong to a
@@ -346,7 +325,6 @@ impl Scope {
                     dead_bytes,
                 }),
                 loaded,
-                imported,
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 puts: AtomicU64::new(0),
@@ -475,7 +453,6 @@ impl ScopeInner {
             appends: self.appends.load(Ordering::Relaxed),
             flushed_lines: self.flushed_lines.load(Ordering::Relaxed),
             loaded: self.loaded,
-            imported: self.imported,
             resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             compacted_bytes: self.compacted_bytes.load(Ordering::Relaxed),
@@ -529,14 +506,14 @@ impl ScopeInner {
     /// duplicates and damage dropped. Holding the state lock for the whole
     /// rewrite means no in-process appender can interleave; a concurrent
     /// *process* keeps the old inode (entries lost, never corrupted),
-    /// exactly the legacy restart contract.
+    /// exactly the restart contract.
     fn compact_locked(&self, state: &mut ScopeState) -> std::io::Result<(u64, u64)> {
         self.flush_locked(state)?;
         let old = state.file.metadata().ok();
         let before = old.as_ref().map_or(state.disk_bytes, |m| m.len());
         // Re-read the log: the resident map is bounded, so only the disk
         // knows every committed entry.
-        let Some(log) = load_log(&std::fs::read(&self.path)?, HEADER, &self.meta) else {
+        let Some(log) = load_log(&std::fs::read(&self.path)?, &self.meta) else {
             // Another process restarted the file under a different
             // identity; leave it alone.
             return Ok((before, before));
@@ -563,7 +540,7 @@ pub(crate) fn compact_closed_log(path: &Path) -> std::io::Result<(u64, u64)> {
     let Some(meta) = meta.and_then(|l| l.strip_prefix(META_PREFIX)) else {
         return Ok((before, before));
     };
-    let Some(log) = load_log(&bytes, HEADER, meta) else { return Ok((before, before)) };
+    let Some(log) = load_log(&bytes, meta) else { return Ok((before, before)) };
     let after = rewrite_log(path, meta, log.in_order(), old.modified().ok())?;
     Ok((before, after))
 }

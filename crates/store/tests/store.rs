@@ -1,12 +1,9 @@
-//! Integration tests of the local store: crash/corruption tolerance
-//! (ported from the legacy per-module cache), write batching, bounded
-//! resident memory, legacy import, compaction, size-budgeted GC by log
-//! mtime, and a concurrent appenders-vs-compaction stress run.
+//! Integration tests of the local store: crash/corruption tolerance,
+//! write batching, bounded resident memory, compaction, size-budgeted GC
+//! by log mtime, and a concurrent appenders-vs-compaction stress run.
 
 use optinline_ir::{CallSiteId, Measurement};
-use optinline_store::{
-    scope_rel_path, LocalStore, ScopeSpec, StoreOptions, StoreStats, HEADER, LEGACY_HEADER,
-};
+use optinline_store::{scope_rel_path, LocalStore, StoreOptions, StoreStats, HEADER};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
@@ -26,9 +23,7 @@ fn m(size: u64) -> Measurement {
     Measurement::size_only(size)
 }
 
-fn spec(fp: u128) -> ScopeSpec<'static> {
-    ScopeSpec { fingerprint: fp, meta: "mod-a target=t sites=4", legacy_fingerprint: None }
-}
+const META: &str = "mod-a target=t sites=4";
 
 /// Absolute path of the sharded log for `fp` under `root`.
 fn log_path(root: &Path, fp: u128) -> PathBuf {
@@ -63,12 +58,12 @@ fn round_trips_across_reopen() {
     let dir = tmpdir("roundtrip");
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(0xa1)).unwrap();
+        let scope = store.scope(0xa1, META).unwrap();
         scope.put(k(&[]), m(100));
         scope.put(k(&[1, 3]), m(80));
     }
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(0xa1)).unwrap();
+    let scope = store.scope(0xa1, META).unwrap();
     assert_eq!(scope.counters().loaded, 2);
     assert_eq!(scope.get(&k(&[])), Some(m(100)));
     assert_eq!(scope.get(&k(&[1, 3])), Some(m(80)));
@@ -80,8 +75,8 @@ fn round_trips_across_reopen() {
 fn distinct_fingerprints_use_distinct_sharded_logs() {
     let dir = tmpdir("distinct");
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let a = store.scope(spec(0x0100_0000_0000_0000_0000_0000_0000_0001_u128)).unwrap();
-    let b = store.scope(spec(0x0200_0000_0000_0000_0000_0000_0000_0002_u128)).unwrap();
+    let a = store.scope(0x0100_0000_0000_0000_0000_0000_0000_0001_u128, META).unwrap();
+    let b = store.scope(0x0200_0000_0000_0000_0000_0000_0000_0002_u128, META).unwrap();
     a.put(k(&[]), m(1));
     b.put(k(&[]), m(2));
     store.flush_all().unwrap();
@@ -111,7 +106,7 @@ fn corrupt_lines_are_skipped_individually() {
     )
     .unwrap();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 3, "only well-formed, sorted lines survive");
     assert_eq!(scope.get(&k(&[])), Some(m(100)));
     assert_eq!(scope.get(&k(&[1, 3])), Some(m(80)));
@@ -130,14 +125,14 @@ fn truncated_final_line_is_skipped_and_terminated() {
         .unwrap();
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         assert_eq!(scope.counters().loaded, 1, "the torn tail is not data");
         assert_eq!(scope.get(&k(&[])), Some(m(100)));
         // A fresh put after the torn tail must not splice into it.
         scope.put(k(&[7]), m(60));
     }
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.get(&k(&[7])), Some(m(60)), "post-crash appends survive reopen");
     assert_eq!(scope.get(&k(&[])), Some(m(100)));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -151,7 +146,7 @@ fn unknown_header_restarts_the_file() {
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, "optinline-store v99\nmeta mod-a target=t sites=4\n100 -\n").unwrap();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 0, "foreign format is never trusted");
     assert_eq!(scope.get(&k(&[])), None);
     let text = std::fs::read_to_string(&path).unwrap();
@@ -168,7 +163,7 @@ fn meta_mismatch_restarts_the_file() {
     std::fs::write(&path, format!("{HEADER}\nmeta other-module target=x sites=9\n100 -\n"))
         .unwrap();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 0, "another module's sizes must not be served");
     assert_eq!(scope.get(&k(&[])), None);
     let text = std::fs::read_to_string(&path).unwrap();
@@ -180,64 +175,11 @@ fn meta_mismatch_restarts_the_file() {
 fn same_fingerprint_different_meta_in_process_restarts() {
     let dir = tmpdir("collide");
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let a = store.scope(spec(0x11)).unwrap();
+    let a = store.scope(0x11, META).unwrap();
     a.put(k(&[]), m(100));
     a.flush().unwrap();
-    let b = store
-        .scope(ScopeSpec {
-            fingerprint: 0x11,
-            meta: "other target=y sites=1",
-            legacy_fingerprint: None,
-        })
-        .unwrap();
+    let b = store.scope(0x11, "other target=y sites=1").unwrap();
     assert_eq!(b.get(&k(&[])), None, "a colliding identity never sees foreign entries");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn legacy_v2_file_with_matching_meta_is_imported_and_removed() {
-    let dir = tmpdir("import");
-    let legacy_fp = 0xfeed_u128;
-    let legacy_path = dir.join(format!("{legacy_fp:032x}.sizes"));
-    std::fs::write(
-        &legacy_path,
-        format!("{LEGACY_HEADER}\nmeta mod-a target=t sites=4\n100 -\n80 s1,s3\n"),
-    )
-    .unwrap();
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store
-        .scope(ScopeSpec {
-            fingerprint: 0xabcd,
-            meta: "mod-a target=t sites=4",
-            legacy_fingerprint: Some(legacy_fp),
-        })
-        .unwrap();
-    assert_eq!(scope.counters().imported, 2);
-    assert_eq!(scope.get(&k(&[])), Some(m(100)));
-    assert_eq!(scope.get(&k(&[1, 3])), Some(m(80)));
-    assert!(!legacy_path.exists(), "imported legacy file is retired");
-    assert!(log_path(&dir, 0xabcd).exists());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn legacy_v2_file_with_foreign_meta_is_ignored_untouched() {
-    let dir = tmpdir("import-skip");
-    let legacy_fp = 0xdead_u128;
-    let legacy_path = dir.join(format!("{legacy_fp:032x}.sizes"));
-    let legacy_body = format!("{LEGACY_HEADER}\nmeta other target=z sites=2\n100 -\n");
-    std::fs::write(&legacy_path, &legacy_body).unwrap();
-    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store
-        .scope(ScopeSpec {
-            fingerprint: 0xabce,
-            meta: "mod-a target=t sites=4",
-            legacy_fingerprint: Some(legacy_fp),
-        })
-        .unwrap();
-    assert_eq!(scope.counters().imported, 0, "foreign legacy identity is never misread");
-    assert_eq!(scope.get(&k(&[])), None);
-    assert_eq!(std::fs::read_to_string(&legacy_path).unwrap(), legacy_body, "left untouched");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -246,7 +188,7 @@ fn puts_are_batched_into_few_appends() {
     let dir = tmpdir("batch");
     let opts = StoreOptions { flush_every_lines: 8, ..StoreOptions::default() };
     let store = LocalStore::open(&dir, opts).unwrap();
-    let scope = store.scope(spec(0xba)).unwrap();
+    let scope = store.scope(0xba, META).unwrap();
     for i in 0..20 {
         scope.put(k(&[i]), m(100 + u64::from(i)));
     }
@@ -256,11 +198,11 @@ fn puts_are_batched_into_few_appends() {
     assert_eq!(c.flushed_lines, 20, "every committed line reaches disk");
     assert_eq!(c.appends, 3, "20 puts at 8 lines/flush = 2 threshold flushes + 1 final");
 
-    // The legacy behavior for comparison: flush_every_lines = 1.
+    // One write per put for comparison: flush_every_lines = 1.
     let unbatched =
         LocalStore::open(&dir, StoreOptions { flush_every_lines: 1, ..StoreOptions::default() })
             .unwrap();
-    let scope1 = unbatched.scope(spec(0xbb)).unwrap();
+    let scope1 = unbatched.scope(0xbb, META).unwrap();
     for i in 0..20 {
         scope1.put(k(&[i]), m(100 + u64::from(i)));
     }
@@ -273,12 +215,12 @@ fn pending_entries_survive_via_drop_flush() {
     let dir = tmpdir("dropflush");
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(0xdf)).unwrap();
+        let scope = store.scope(0xdf, META).unwrap();
         scope.put(k(&[4]), m(44));
         assert_eq!(scope.counters().appends, 0, "still buffered");
     }
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(0xdf)).unwrap();
+    let scope = store.scope(0xdf, META).unwrap();
     assert_eq!(scope.get(&k(&[4])), Some(m(44)), "drop flushed the buffer");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -289,7 +231,7 @@ fn resident_map_is_bounded_but_disk_keeps_everything() {
     let opts = StoreOptions { max_resident_entries: 4, ..StoreOptions::default() };
     {
         let store = LocalStore::open(&dir, opts).unwrap();
-        let scope = store.scope(spec(0xb0)).unwrap();
+        let scope = store.scope(0xb0, META).unwrap();
         for i in 0..10 {
             scope.put(k(&[i]), m(u64::from(i)));
         }
@@ -297,7 +239,7 @@ fn resident_map_is_bounded_but_disk_keeps_everything() {
         assert!(scope.counters().resident_evictions >= 6);
     }
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(0xb0)).unwrap();
+    let scope = store.scope(0xb0, META).unwrap();
     assert_eq!(scope.counters().loaded, 10, "evicted entries were still committed");
     for i in 0..10 {
         assert_eq!(scope.get(&k(&[i])), Some(m(u64::from(i))));
@@ -320,7 +262,7 @@ fn compaction_drops_duplicates_and_preserves_entries() {
     // Generous thresholds so open does NOT auto-compact; we drive it.
     let opts = StoreOptions { compact_min_dead_bytes: u64::MAX, ..StoreOptions::default() };
     let store = LocalStore::open(&dir, opts).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     let (b, a) = scope.compact().unwrap();
     assert_eq!(b, before);
     assert!(a < b, "duplicates reclaimed: {b} -> {a}");
@@ -332,7 +274,7 @@ fn compaction_drops_duplicates_and_preserves_entries() {
     drop(scope);
     drop(store);
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -350,7 +292,7 @@ fn open_auto_compacts_when_dead_ratio_is_crossed() {
     std::fs::write(&path, &body).unwrap();
     let before = std::fs::metadata(&path).unwrap().len();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     let after = std::fs::metadata(&path).unwrap().len();
     assert!(after < before / 10, "mostly-dead log shrank on open: {before} -> {after}");
     assert_eq!(scope.counters().compactions, 1);
@@ -365,13 +307,7 @@ fn gc_enforces_the_byte_budget_lru_first() {
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
         for fp in 1u128..=8 {
-            let scope = store
-                .scope(ScopeSpec {
-                    fingerprint: fp,
-                    meta: "mod-a target=t sites=4",
-                    legacy_fingerprint: None,
-                })
-                .unwrap();
+            let scope = store.scope(fp, META).unwrap();
             for i in 0..50 {
                 scope.put(k(&[i]), m(u64::from(i)));
             }
@@ -385,12 +321,11 @@ fn gc_enforces_the_byte_budget_lru_first() {
     for (rank, &fp) in coldest_first.iter().enumerate() {
         set_mtime(&log_path(&dir, fp), base + Duration::from_secs(rank as u64 * 60));
     }
-    // Stray legacy file: coldest, evicted first.
-    std::fs::write(
-        dir.join(format!("{:032x}.sizes", 0x99u128)),
-        format!("{LEGACY_HEADER}\nmeta old target=t sites=1\n1 -\n"),
-    )
-    .unwrap();
+    // A stray file at the root (here a pre-store flat cache file) counts
+    // toward the budget but is never GC's to delete.
+    let stray = dir.join(format!("{:032x}.sizes", 0x99u128));
+    let stray_body = "optinline-cache v2\nmeta old target=t sites=1\n1 -\n";
+    std::fs::write(&stray, stray_body).unwrap();
 
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
     let full = store.disk_bytes().unwrap();
@@ -402,7 +337,7 @@ fn gc_enforces_the_byte_budget_lru_first() {
         "post-GC size {} must fit budget {budget}",
         report.after_bytes
     );
-    assert_eq!(report.evicted_legacy, 1, "legacy file went first");
+    assert_eq!(std::fs::read_to_string(&stray).unwrap(), stray_body, "stray file untouched");
     let evicted = report.evicted_scopes as usize;
     assert!((1..8).contains(&evicted), "{report:?}");
     // LRU order: exactly the coldest mtimes died.
@@ -418,16 +353,16 @@ fn reopening_or_flushing_a_scope_moves_it_behind_every_other_log() {
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
     let fps = [0xa1u128, 0xb2, 0xc3, 0xd4];
     for fp in fps {
-        store.scope(spec(fp)).unwrap().put(k(&[1]), m(1));
+        store.scope(fp, META).unwrap().put(k(&[1]), m(1));
     }
     // A handle that stays open: its next flush is the use.
-    let flushed = store.scope(spec(0xc3)).unwrap();
+    let flushed = store.scope(0xc3, META).unwrap();
     let base = SystemTime::now() - Duration::from_secs(3600);
     for (rank, fp) in fps.into_iter().enumerate() {
         set_mtime(&log_path(&dir, fp), base + Duration::from_secs(rank as u64 * 60));
     }
 
-    drop(store.scope(spec(0xa1)).unwrap());
+    drop(store.scope(0xa1, META).unwrap());
     flushed.put(k(&[2]), m(2));
     flushed.flush().unwrap();
     drop(flushed);
@@ -451,7 +386,7 @@ fn compaction_keeps_the_log_mtime() {
 
     // A live handle with nothing to flush.
     let live = duplicated(0x1c);
-    let scope = store.scope(spec(0x1c)).unwrap();
+    let scope = store.scope(0x1c, META).unwrap();
     set_mtime(&live, at);
     let (before, after) = scope.compact().unwrap();
     assert!(after < before, "{before} -> {after}");
@@ -471,7 +406,7 @@ fn compaction_keeps_the_log_mtime() {
 fn gc_never_evicts_scopes_with_live_handles() {
     let dir = tmpdir("gc-live");
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let held = store.scope(spec(0x77)).unwrap();
+    let held = store.scope(0x77, META).unwrap();
     for i in 0..50 {
         held.put(k(&[i]), m(u64::from(i)));
     }
@@ -489,17 +424,17 @@ fn store_stats_sum_live_and_dropped_scopes_and_count_gc() {
     // An earlier process left one entry for the scope that stays open.
     LocalStore::open(&dir, StoreOptions::default())
         .unwrap()
-        .scope(spec(0x51))
+        .scope(0x51, META)
         .unwrap()
         .put(k(&[9]), m(90));
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let live = store.scope(spec(0x51)).unwrap();
+    let live = store.scope(0x51, META).unwrap();
     live.put(k(&[1]), m(10));
     live.put(k(&[2]), m(20));
     live.flush().unwrap();
     assert_eq!(live.get(&k(&[9])), Some(m(90)));
     assert_eq!(live.get(&k(&[3])), None);
-    let gone = store.scope(spec(0x52)).unwrap();
+    let gone = store.scope(0x52, META).unwrap();
     gone.put(k(&[5]), m(50));
     gone.flush().unwrap();
     assert_eq!(gone.get(&k(&[5])), Some(m(50)));
@@ -536,7 +471,7 @@ fn verify_counts_damage() {
     let dir = tmpdir("verify");
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(0x51)).unwrap();
+        let scope = store.scope(0x51, META).unwrap();
         scope.put(k(&[]), m(10));
         scope.put(k(&[2]), m(8));
     }
@@ -569,7 +504,7 @@ fn mixed_format_logs_round_trip_and_verify_reports_the_mix() {
     )
     .unwrap();
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.get(&k(&[])), Some(m(100)), "old lines decode as size-only");
     assert_eq!(
         scope.get(&k(&[1, 3])),
@@ -589,7 +524,7 @@ fn mixed_format_logs_round_trip_and_verify_reports_the_mix() {
 
     // Compaction preserves both grammars byte-for-byte per entry.
     store.compact_all().unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.get(&k(&[1, 3])), Some(Measurement::with_cycles(80, 900)));
     assert_eq!(scope.get(&k(&[2])), Some(Measurement::with_cycles(60, 500)));
     assert_eq!(scope.get(&k(&[9])), Some(m(70)));
@@ -602,7 +537,7 @@ fn size_only_entries_upgrade_to_measurements_but_never_downgrade() {
     let fp = 0x40_u128;
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         scope.put(k(&[1]), m(80));
         // A later measurement of the same key carries cycles: upgraded.
         scope.put(k(&[1]), Measurement::with_cycles(80, 900));
@@ -615,12 +550,12 @@ fn size_only_entries_upgrade_to_measurements_but_never_downgrade() {
     // one wins) and a compaction (the dead size-only line is dropped).
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
     {
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         assert_eq!(scope.counters().loaded, 1);
         assert_eq!(scope.get(&k(&[1])), Some(Measurement::with_cycles(80, 900)));
     }
     store.compact_all().unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.get(&k(&[1])), Some(Measurement::with_cycles(80, 900)));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -644,7 +579,7 @@ fn concurrent_appenders_survive_compaction_and_gc() {
     let per_thread: u32 = 400;
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(0x57)).unwrap();
+        let scope = store.scope(0x57, META).unwrap();
         let writer = |base: u32| {
             let scope = scope.clone();
             move || {
@@ -692,7 +627,7 @@ fn concurrent_appenders_survive_compaction_and_gc() {
     let report = store.verify().unwrap();
     assert!(report.clean(), "no torn or malformed lines: {report:?}");
     assert_eq!(report.entries, u64::from(per_thread) * 2, "no committed entry lost");
-    let scope = store.scope(spec(0x57)).unwrap();
+    let scope = store.scope(0x57, META).unwrap();
     for base in [0u32, 10_000] {
         for i in 0..per_thread {
             assert_eq!(scope.get(&k(&[base + i])), Some(m(u64::from(base + i))));
@@ -711,7 +646,7 @@ fn foreign_files_in_shard_dirs_are_skipped_and_counted() {
     let fp = 0xf0_u128;
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         scope.put(k(&[]), m(100));
         scope.put(k(&[1]), m(90));
     }
@@ -728,7 +663,7 @@ fn foreign_files_in_shard_dirs_are_skipped_and_counted() {
     assert_eq!(report.scopes, 1, "only the real log is a scope");
     assert_eq!(report.entries, 2);
     assert_eq!(report.foreign_files, 3, "every stray counted");
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.get(&k(&[])), Some(m(100)));
     drop(scope);
 
@@ -754,7 +689,7 @@ fn explicit_flush_commits_buffered_puts_without_drop() {
         ..StoreOptions::default()
     };
     let store = LocalStore::open(&dir, opts).unwrap();
-    let scope = store.scope(spec(0xf1)).unwrap();
+    let scope = store.scope(0xf1, META).unwrap();
     scope.put(k(&[]), m(100));
     scope.put(k(&[2]), m(80));
     let on_disk = std::fs::read_to_string(log_path(&dir, 0xf1)).unwrap();
@@ -767,7 +702,7 @@ fn explicit_flush_commits_buffered_puts_without_drop() {
     // A second cold reader (fresh store, same directory) sees them while
     // the writing handles are still alive.
     let cold = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let cold_scope = cold.scope(spec(0xf1)).unwrap();
+    let cold_scope = cold.scope(0xf1, META).unwrap();
     assert_eq!(cold_scope.counters().loaded, 2, "durable without any drop");
     drop(cold_scope);
     drop(scope);
@@ -787,13 +722,7 @@ fn concurrent_gc_and_put_never_resurrect_evicted_scopes() {
         move || {
             for r in 0..rounds {
                 let fp = lane * 0x1_0000 + u128::from(r % 7);
-                let scope = store
-                    .scope(ScopeSpec {
-                        fingerprint: fp,
-                        meta: "mod-a target=t sites=4",
-                        legacy_fingerprint: None,
-                    })
-                    .unwrap();
+                let scope = store.scope(fp, META).unwrap();
                 for i in 0..20 {
                     scope.put(k(&[r * 100 + i]), m(u64::from(i)));
                 }
@@ -836,7 +765,7 @@ fn torn_tail_recovery_leaves_verify_clean() {
     let path = log_path(&dir, fp);
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         scope.put(k(&[]), m(100));
         scope.put(k(&[2]), m(90));
         scope.flush().unwrap();
@@ -849,7 +778,7 @@ fn torn_tail_recovery_leaves_verify_clean() {
     // Reopen truncates the torn bytes instead of terminating them, so a
     // subsequent structural scan finds zero damage.
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 2, "the torn entry was never data");
     let report = store.verify().unwrap();
     assert!(report.clean(), "verify must be clean after crash recovery: {report:?}");
@@ -867,7 +796,7 @@ fn verify_repairs_a_torn_tail_it_finds() {
     let path = log_path(&dir, fp);
     {
         let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         scope.put(k(&[]), m(100));
         scope.flush().unwrap();
     }
@@ -889,7 +818,7 @@ fn verify_sweeps_orphaned_tmp_files_but_spares_live_ones() {
     let dir = tmpdir("tmp-sweep");
     let fp = 0x5e1f_u128;
     let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     scope.put(k(&[]), m(10));
     scope.flush().unwrap();
 
@@ -937,7 +866,7 @@ fn open_log_shape(tag: &str, log: &[u8]) -> Opened {
     std::fs::write(&path, log).unwrap();
     let opts = StoreOptions { max_resident_entries: 2, ..StoreOptions::default() };
     let store = LocalStore::open(&dir, opts).unwrap();
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     let counters = scope.counters();
     let opened = Opened {
         loaded: counters.loaded,
@@ -1063,7 +992,7 @@ fn a_non_utf8_byte_damages_only_its_line() {
         );
         assert!(!report.clean());
     }
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 5, "loading continues past the damaged line");
     for (key, size) in [(&[][..], 100), (&[1], 90), (&[3], 70), (&[1, 3], 60), (&[9], 50)] {
         assert_eq!(scope.get(&k(key)), Some(m(size)), "{key:?}");
@@ -1072,7 +1001,7 @@ fn a_non_utf8_byte_damages_only_its_line() {
     assert_eq!(before - after, damaged.len() as u64, "compaction drops only the damaged line");
     drop(scope);
     assert!(store.verify().unwrap().clean());
-    let scope = store.scope(spec(fp)).unwrap();
+    let scope = store.scope(fp, META).unwrap();
     assert_eq!(scope.counters().loaded, 5, "every entry survived the compaction");
     drop(scope);
 
@@ -1083,7 +1012,7 @@ fn a_non_utf8_byte_damages_only_its_line() {
         std::fs::write(&path, [head, b"100 -\n"].concat()).unwrap();
         let report = store.census().unwrap();
         assert_eq!((report.entries, report.unreadable_logs), (0, 1), "{report:?}");
-        let scope = store.scope(spec(fp)).unwrap();
+        let scope = store.scope(fp, META).unwrap();
         assert_eq!(scope.counters().loaded, 0, "a log with an unreadable head restarts");
         drop(scope);
         let text = std::fs::read_to_string(&path).unwrap();

@@ -5,7 +5,7 @@
 
 mod common;
 
-use optinline::core::{domain_fingerprint, module_cycles, module_fingerprint, Objective};
+use optinline::core::{domain_fingerprint, module_cycles, Objective};
 use optinline::prelude::*;
 use optinline::workloads::GenParams;
 
@@ -162,20 +162,17 @@ fn autotune(ev: &SizeEvaluator) -> (u64, f64) {
     (outcome.best().size, ev.stats().full_module_equivalents)
 }
 
-/// `SizeEvaluator` derives its legacy fingerprint and its domain
-/// fingerprint from one printing of the module. Over the golden corpus and
-/// both targets each must equal its free function, or store scopes and
-/// legacy imports would move.
+/// `SizeEvaluator` derives its domain fingerprint from one printing of
+/// the module. Over the golden corpus and both targets it must equal the
+/// free function, or store scopes would move.
 #[test]
 fn evaluator_fingerprints_match_the_free_functions() {
     for module in common::golden_corpus() {
         let targets: [Box<dyn Target>; 2] = [Box::new(X86Like), Box::new(WasmLike)];
         for target in targets {
-            let legacy = module_fingerprint(&module, target.name());
             let domain = domain_fingerprint(&module, target.as_ref(), PipelineOptions::default());
             let ev = SizeEvaluator::new(module.clone(), target, false);
             assert_eq!(ev.memo_scope(), Some(domain), "{} {}", module.name, ev.target().name());
-            assert_eq!(ev.legacy_fingerprint(), legacy, "{} {}", module.name, ev.target().name());
         }
     }
 }
