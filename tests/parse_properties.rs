@@ -9,7 +9,7 @@
 
 mod common;
 
-use optinline::ir::{parse_module, Module, ParseError};
+use optinline::ir::{parse_module, verify_module, Module, ParseError};
 use optinline::workloads::rng::StdRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -87,20 +87,45 @@ fn printed_corpus_modules_parse_back_unchanged() {
     }
 }
 
-#[test]
-fn mutated_modules_parse_to_golden_outcomes() {
-    let mut rows = String::from("# module mutation outcome\n");
+/// Calls `visit` with each corpus module's name, each seeded mutation's
+/// label, and what parsing the mutated text gave.
+fn for_each_mutation(mut visit: impl FnMut(&str, &str, Result<Module, ParseError>)) {
     for (i, module) in common::golden_corpus().iter().enumerate() {
         let text = module.to_string();
         let mut rng = StdRng::seed_from_u64(0x9a55_0000 + i as u64);
         for mutation in Mutation::draw(&text, &mut rng) {
             let label = mutation.label();
-            let outcome = match parse(&mutation.apply(&text), &format!("{} {label}", module.name)) {
-                Ok(m) => format!("Ok {}", common::module_digest(&m)),
-                Err(e) => format!("Err {} {}", e.line, e.message),
-            };
-            rows.push_str(&format!("{} {label} {outcome}\n", module.name));
+            let parsed = parse(&mutation.apply(&text), &format!("{} {label}", module.name));
+            visit(&module.name, &label, parsed);
         }
     }
+}
+
+#[test]
+fn mutated_modules_parse_to_golden_outcomes() {
+    let mut rows = String::from("# module mutation outcome\n");
+    for_each_mutation(|name, label, parsed| {
+        let outcome = match parsed {
+            Ok(m) => format!("Ok {}", common::module_digest(&m)),
+            Err(e) => format!("Err {} {}", e.line, e.message),
+        };
+        rows.push_str(&format!("{name} {label} {outcome}\n"));
+    });
     common::assert_golden("parse_outcomes.txt", &rows);
+}
+
+#[test]
+fn mutated_modules_verify_to_golden_outcomes() {
+    let mut rows = String::from("# module mutation outcome\n");
+    for_each_mutation(|name, label, parsed| {
+        let Ok(module) = parsed else { return };
+        let verified = catch_unwind(AssertUnwindSafe(|| verify_module(&module)))
+            .unwrap_or_else(|_| panic!("verify_module panicked on {name} {label}"));
+        let outcome = match verified {
+            Ok(()) => "Ok".to_string(),
+            Err(e) => format!("Err {e}"),
+        };
+        rows.push_str(&format!("{name} {label} {outcome}\n"));
+    });
+    common::assert_golden("verify_outcomes.txt", &rows);
 }
