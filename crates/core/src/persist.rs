@@ -51,6 +51,11 @@ pub fn cache_meta(module: &Module, target_name: &str) -> String {
 pub struct PersistentCache {
     store: Arc<LocalStore>,
     scope: Scope,
+    /// The scope's counters when this cache took it: a held scope has
+    /// counted earlier requests.
+    base: StoreStats,
+    /// What a fresh open would have loaded when this cache took it.
+    loaded: u64,
 }
 
 impl PersistentCache {
@@ -63,7 +68,8 @@ impl PersistentCache {
     pub fn open(dir: &Path, fingerprint: u128, meta: &str) -> std::io::Result<Self> {
         let store = LocalStore::shared(dir)?;
         let scope = store.scope(fingerprint, meta)?;
-        Ok(PersistentCache { store, scope })
+        let (base, loaded) = (scope.counters(), scope.logged());
+        Ok(PersistentCache { store, scope, base, loaded })
     }
 
     /// [`PersistentCache::open`] under its former signature. The third
@@ -118,9 +124,12 @@ impl PersistentCache {
         &self.store
     }
 
-    /// Lifetime counters of this scope; the GC fields are zero.
+    /// This cache's own lookups and puts on its scope, with `loaded` the
+    /// entries a fresh open would have loaded when the cache opened —
+    /// whether the store opened the scope for it or kept it open from an
+    /// earlier request. The GC fields are zero.
     pub fn stats(&self) -> StoreStats {
-        self.scope.counters()
+        StoreStats { loaded: self.loaded, ..self.scope.counters().since(&self.base) }
     }
 
     /// Aggregate counters of the whole backing store.

@@ -41,6 +41,25 @@ pub fn sanitize_meta(meta: &str) -> String {
 /// skipped (never trusted, never fatal). A bare `<size>` value decodes to
 /// a size-only measurement; `<size>+<cycles>` carries both metrics.
 pub fn parse_entry(line: &str) -> Option<(Vec<CallSiteId>, Measurement)> {
+    let mut sites = Vec::new();
+    let value = parse_entry_into(line.as_bytes(), &mut sites)?;
+    Some((sites, value))
+}
+
+/// [`parse_entry`] over a line's bytes, appending the key's sites to
+/// `sites` instead of a fresh vector: the loaders parse every line
+/// straight into a table's arena. A damaged line (a line that is not
+/// UTF-8 among them) returns `None` and leaves `sites` as it was.
+pub(crate) fn parse_entry_into(line: &[u8], sites: &mut Vec<CallSiteId>) -> Option<Measurement> {
+    let start = sites.len();
+    let value = std::str::from_utf8(line).ok().and_then(|line| parse_str_into(line, sites));
+    if value.is_none() {
+        sites.truncate(start);
+    }
+    value
+}
+
+fn parse_str_into(line: &str, sites: &mut Vec<CallSiteId>) -> Option<Measurement> {
     let (value_str, sites_str) = line.trim_end().split_once(' ')?;
     let value = match value_str.split_once('+') {
         Some((size_str, cycles_str)) => {
@@ -48,25 +67,19 @@ pub fn parse_entry(line: &str) -> Option<(Vec<CallSiteId>, Measurement)> {
         }
         None => Measurement::size_only(value_str.parse().ok()?),
     };
-    let mut sites = Vec::new();
     if sites_str != "-" {
+        let start = sites.len();
         for part in sites_str.split(',') {
-            let id: u32 = part.strip_prefix('s')?.parse().ok()?;
-            sites.push(CallSiteId::new(id));
-        }
-        // Canonical entries are strictly sorted; anything else is a
-        // damaged line.
-        if !sites.windows(2).all(|w| w[0] < w[1]) {
-            return None;
+            let id = CallSiteId::new(part.strip_prefix('s')?.parse().ok()?);
+            // Canonical entries are strictly sorted; anything else is a
+            // damaged line.
+            if sites.len() > start && sites[sites.len() - 1] >= id {
+                return None;
+            }
+            sites.push(id);
         }
     }
-    Some((sites, value))
-}
-
-/// [`parse_entry`] over a line's bytes: a line that is not UTF-8 is as
-/// damaged as any other malformed line.
-pub(crate) fn parse_entry_bytes(line: &[u8]) -> Option<(Vec<CallSiteId>, Measurement)> {
-    std::str::from_utf8(line).ok().and_then(parse_entry)
+    Some(value)
 }
 
 /// A log image's lines as `BufRead::lines` splits text: at each `\n`,
@@ -81,15 +94,39 @@ pub(crate) fn log_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
 /// Formats an entry line (without the trailing newline). A size-only
 /// measurement writes the bare-size form.
 pub fn format_entry(key: &[CallSiteId], value: Measurement) -> String {
-    let value_str = match value.cycles {
-        Some(cycles) => format!("{}+{cycles}", value.size),
-        None => value.size.to_string(),
-    };
-    if key.is_empty() {
-        return format!("{value_str} -");
+    let mut line = String::with_capacity(entry_len(key, value));
+    push_entry(&mut line, key, value);
+    line
+}
+
+/// Appends [`format_entry`]'s line to `out`.
+pub(crate) fn push_entry(out: &mut String, key: &[CallSiteId], value: Measurement) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{}", value.size);
+    if let Some(cycles) = value.cycles {
+        let _ = write!(out, "+{cycles}");
     }
-    let sites: Vec<String> = key.iter().map(|s| s.to_string()).collect();
-    format!("{value_str} {}", sites.join(","))
+    if key.is_empty() {
+        out.push_str(" -");
+    }
+    for (i, site) in key.iter().enumerate() {
+        out.push(if i == 0 { ' ' } else { ',' });
+        let _ = write!(out, "{site}");
+    }
+}
+
+/// The length of [`format_entry`]'s line, without formatting it.
+pub(crate) fn entry_len(key: &[CallSiteId], value: Measurement) -> usize {
+    fn digits(n: u64) -> usize {
+        n.checked_ilog10().map_or(1, |d| d as usize + 1)
+    }
+    let value_len = digits(value.size) + value.cycles.map_or(0, |c| 1 + digits(c));
+    // ` -`, or each site as `s<id>` after a space or a comma.
+    let sites_len: usize = match key {
+        [] => 2,
+        _ => key.iter().map(|s| 2 + digits(u64::from(s.as_u32()))).sum(),
+    };
+    value_len + sites_len
 }
 
 /// The sharded relative path of a scope log: `ab/cdef...0123.log`, so one
@@ -132,6 +169,36 @@ mod tests {
                 assert_eq!(parse_entry(&line), Some((key, value)));
             }
         }
+    }
+
+    #[test]
+    fn entry_len_is_the_formatted_length() {
+        for value in [
+            Measurement::size_only(0),
+            Measurement::size_only(9),
+            Measurement::with_cycles(10, 0),
+            Measurement::with_cycles(u64::MAX, 99_999),
+        ] {
+            for key in [k(&[]), k(&[0]), k(&[9, 10]), k(&[1, 99, 100, u32::MAX])] {
+                assert_eq!(entry_len(&key, value), format_entry(&key, value).len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_damaged_line_leaves_the_arena_as_it_was() {
+        let mut sites = k(&[7]);
+        for bad in ["12 s1,s4,s2", "12 s1,sX", "12 s3,s3", "x s1"] {
+            assert_eq!(parse_entry_into(bad.as_bytes(), &mut sites), None, "{bad:?}");
+            assert_eq!(sites, k(&[7]));
+        }
+        assert_eq!(
+            parse_entry_into(b"5+6 s1,s2", &mut sites),
+            Some(Measurement::with_cycles(5, 6))
+        );
+        assert_eq!(sites, k(&[7, 1, 2]));
+        assert_eq!(parse_entry_into(&[b'1', b' ', b's', 0xff], &mut sites), None);
+        assert_eq!(sites, k(&[7, 1, 2]));
     }
 
     #[test]

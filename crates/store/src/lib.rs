@@ -26,10 +26,14 @@
 //!   when dead bytes cross a ratio, or on demand;
 //! - **size-budgeted GC**: least-recently-used scope logs are evicted
 //!   until the directory fits a byte budget ([`LocalStore::gc`]);
-//! - **one counter type**: [`StoreStats`] counts a scope handle and the
-//!   whole store alike. A dropped handle folds its counters into the
-//!   store's, so [`LocalStore::store_stats`] covers every handle the
-//!   process opened, plus GC's evictions.
+//! - **held scopes**: a scope whose log held entries when it opened stays
+//!   open after its last handle drops, under a byte cap, and serves the
+//!   next request for it after one `stat` shows its log unchanged
+//!   ([`LocalStore`]'s module docs);
+//! - **one counter type**: [`StoreStats`] counts a scope and the whole
+//!   store alike. A closed scope folds its counters into the store's, so
+//!   [`LocalStore::store_stats`] covers every scope the process opened,
+//!   plus GC's evictions.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,7 +46,9 @@ pub use format::{
     fingerprint_of, format_entry, log_file_stem, parse_entry, sanitize_meta, scope_rel_path,
     HEADER, LOG_EXT, META_PREFIX,
 };
-pub use local::{GcReport, LocalStore, ScopeFormatMix, VerifyReport};
+pub use local::{
+    GcReport, LocalStore, ScopeFormatMix, VerifyReport, HELD_BYTES, HELD_HANDLE_BYTES,
+};
 pub use scope::Scope;
 
 /// Tuning knobs of a [`LocalStore`].
@@ -75,8 +81,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// The store's counters, for one scope handle ([`Scope::counters`], GC
-/// fields zero) or for the whole store ([`LocalStore::store_stats`]). The
+/// The store's counters, for one scope ([`Scope::counters`], GC fields
+/// zero) or for the whole store ([`LocalStore::store_stats`]). The
 /// layers above hold this snapshot as it is: the evaluator's `--stats`
 /// line renders a scope's and the store's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,5 +125,23 @@ impl StoreStats {
         self.compacted_bytes += other.compacted_bytes;
         self.gc_evicted_scopes += other.gc_evicted_scopes;
         self.gc_evicted_bytes += other.gc_evicted_bytes;
+    }
+
+    /// What was counted since the snapshot `earlier` of the same
+    /// counters, field by field.
+    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
+        StoreStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            puts: self.puts - earlier.puts,
+            appends: self.appends - earlier.appends,
+            flushed_lines: self.flushed_lines - earlier.flushed_lines,
+            loaded: self.loaded - earlier.loaded,
+            resident_evictions: self.resident_evictions - earlier.resident_evictions,
+            compactions: self.compactions - earlier.compactions,
+            compacted_bytes: self.compacted_bytes - earlier.compacted_bytes,
+            gc_evicted_scopes: self.gc_evicted_scopes - earlier.gc_evicted_scopes,
+            gc_evicted_bytes: self.gc_evicted_bytes - earlier.gc_evicted_bytes,
+        }
     }
 }
