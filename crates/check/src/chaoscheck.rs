@@ -16,7 +16,10 @@
 //! - **Store half.** A store is built, crash artifacts are inflicted —
 //!   torn log tails, orphaned temp files, injected torn appends — and
 //!   after every crash/restart cycle `verify` must come back clean and
-//!   every durably flushed entry must still be served.
+//!   every durably flushed entry must still be served. A last cycle tears
+//!   and then GC-unlinks a log that another store holds open: the holder
+//!   must serve what a fresh open would — the durable entries after the
+//!   tear, none after the unlink — and leave the store verify-clean.
 //!
 //! The case seed fixes the fault plan, the request mix, and the surgery
 //! schedule, but not which replies survive: client deadlines and read
@@ -424,6 +427,44 @@ fn chaos_store(seed: u64, report: &mut ChaosReport) {
                 }
             }
             Err(e) => return fail(format!("cycle {cycle}: scope reopen failed: {e}")),
+        }
+    }
+
+    // A store that holds the scope open while another one tears its log,
+    // then evicts it. Each time the holder's next handle must serve what
+    // a fresh open would, and the directory must verify clean.
+    let (holder, other) = match (
+        LocalStore::open(&dir, StoreOptions::default()),
+        LocalStore::open(&dir, StoreOptions::default()),
+    ) {
+        (Ok(holder), Ok(other)) => (holder, other),
+        _ => return fail("held cycle: stores failed to open".to_string()),
+    };
+    if holder.scope(fingerprint, meta).is_err() || holder.held().0 != 1 {
+        return fail("held cycle: the warm scope was not held".to_string());
+    }
+    let durable: [(&[u32], u64); 3] = [(&[], 100), (&[1], 90), (&[1, 2], 80)];
+    for (step, want) in [("tear", Some(&durable)), ("gc", None)] {
+        if want.is_some() {
+            inflict(0, &log);
+        } else if !other.gc(0).is_ok_and(|r| r.evicted_scopes == 1) {
+            return fail("held cycle: the other store could not evict the held log".to_string());
+        }
+        report.comparisons += 1;
+        let served = match holder.scope(fingerprint, meta) {
+            Ok(scope) => durable.iter().all(|&(ids, size)| {
+                let expect = want.map(|_| Measurement::size_only(size));
+                scope.get(&key(ids)) == expect
+            }),
+            Err(e) => return fail(format!("held cycle: scope after {step} failed: {e}")),
+        };
+        if !served {
+            return fail(format!("held cycle: the held scope hid the other store's {step}"));
+        }
+        match holder.verify() {
+            Ok(v) if v.clean() => report.recoveries += 1,
+            Ok(v) => return fail(format!("held cycle: verify not clean after {step}: {v:?}")),
+            Err(e) => return fail(format!("held cycle: verify failed after {step}: {e}")),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -1020,3 +1020,144 @@ fn a_non_utf8_byte_damages_only_its_line() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Writes a log for `fp` holding `entries` (`<size> <key>` pairs) the way
+/// another process would have left it, without opening a store on it.
+fn write_log(root: &Path, fp: u128, entries: &[(&[u32], u64)]) {
+    let path = log_path(root, fp);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    let mut text = format!("{HEADER}\nmeta {META}\n");
+    for (key, size) in entries {
+        text.push_str(&optinline_store::format_entry(&k(key), m(*size)));
+        text.push('\n');
+    }
+    std::fs::write(path, text).unwrap();
+}
+
+/// What a scope handle serves: the entries its log holds as it knows them,
+/// its resident count, and `get` of each [`PROBES`] key and of `[7]`.
+fn served(scope: &optinline_store::Scope) -> (u64, usize, Vec<Option<Measurement>>) {
+    let keys = PROBES.iter().copied().chain([&[7u32][..]]);
+    (scope.logged(), scope.len(), keys.map(|key| scope.get(&k(key))).collect())
+}
+
+/// A second store on the same directory stands in for another process.
+/// Whatever it does to a log the first store holds — append, compact,
+/// restart under a foreign meta, tear the tail, GC-unlink — the first
+/// store's next `scope()` serves exactly what a fresh open would, and
+/// with nothing done it serves the held scope without reading the log.
+#[test]
+fn a_held_scope_serves_what_a_fresh_open_would_after_another_store_changes_its_log() {
+    let dir = tmpdir("held-foreign");
+    let fp = 0x4e1d_u128;
+    let path = log_path(&dir, fp);
+    write_log(&dir, fp, &[(&[], 100), (&[1], 90), (&[1, 3], 80)]);
+    let held = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    drop(held.scope(fp, META).unwrap());
+    assert_eq!(held.held().0, 1, "a scope warm at open is held");
+    let loads = |store: &LocalStore| store.store_stats().loaded;
+    let before = loads(&held);
+    drop(held.scope(fp, META).unwrap());
+    assert_eq!(loads(&held), before, "an unchanged log is served from the held scope");
+
+    let other = || LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    let change = |what: &str| match what {
+        "append" => other().scope(fp, META).unwrap().put(k(&[7]), m(70)),
+        "compact" => {
+            let store = other();
+            let scope = store.scope(fp, META).unwrap();
+            scope.put(k(&[9]), m(60));
+            scope.put(k(&[9]), Measurement::with_cycles(60, 600));
+            drop(scope);
+            assert!(store.compact_all().unwrap() > 0);
+        }
+        "torn tail" => {
+            let mut log = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+            std::io::Write::write_all(&mut log, b"50 s2,s").unwrap();
+        }
+        "foreign meta" => drop(other().scope(fp, "other target=x sites=9").unwrap()),
+        "gc unlink" => assert_eq!(other().gc(0).unwrap().evicted_scopes, 1),
+        _ => unreachable!(),
+    };
+    for what in ["append", "compact", "torn tail", "foreign meta", "gc unlink"] {
+        // Hold the scope as its log now stands, then let the other store
+        // change the log.
+        write_log(&dir, fp, &[(&[], 100), (&[1], 90), (&[1, 3], 80)]);
+        drop(held.scope(fp, META).unwrap());
+        drop(held.scope(fp, META).unwrap());
+        change(what);
+        let after_change = held.scope(fp, META).unwrap();
+        let got = served(&after_change);
+        drop(after_change);
+        let fresh = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(got, served(&fresh.scope(fp, META).unwrap()), "after {what}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn gc_evicts_an_idle_held_scope_and_spares_one_in_use() {
+    let dir = tmpdir("held-gc");
+    for fp in [0x61_u128, 0x62] {
+        write_log(&dir, fp, &[(&[], 100), (&[2], 90)]);
+    }
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    let in_use = store.scope(0x61, META).unwrap();
+    drop(store.scope(0x62, META).unwrap());
+    assert_eq!(store.held().0, 2);
+    let idle_bytes = std::fs::metadata(log_path(&dir, 0x62)).unwrap().len();
+
+    let report = store.gc(0).unwrap();
+    assert_eq!(report.evicted_scopes, 1, "{report:?}");
+    assert!(log_path(&dir, 0x61).exists(), "a held scope in use survives a zero budget");
+    assert!(!log_path(&dir, 0x62).exists(), "an idle held scope is evicted");
+    assert_eq!(store.held().0, 1);
+    let stats = store.store_stats();
+    assert_eq!((stats.gc_evicted_scopes, stats.gc_evicted_bytes), (1, idle_bytes));
+    assert_eq!(in_use.get(&k(&[2])), Some(m(90)));
+    let reopened = store.scope(0x62, META).unwrap();
+    assert_eq!((reopened.counters().loaded, reopened.get(&k(&[2]))), (0, None));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn only_a_scope_warm_at_open_is_held() {
+    let dir = tmpdir("held-cold");
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    let cold = store.scope(0x70, META).unwrap();
+    cold.put(k(&[1]), m(10));
+    drop(cold);
+    assert_eq!(store.held().0, 0, "a scope cold at open closes with its last handle");
+    let warm = store.scope(0x70, META).unwrap();
+    assert_eq!(warm.counters().loaded, 1, "so the next handle opens the log afresh");
+    drop(warm);
+    assert_eq!(store.held().0, 1);
+    let again = store.scope(0x70, META).unwrap();
+    assert_eq!(again.get(&k(&[1])), Some(m(10)));
+    assert_eq!(store.store_stats().loaded, 1, "the warm scope was held, not reloaded");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_hold_is_capped_least_recently_used_first() {
+    let dir = tmpdir("held-cap");
+    let most = (optinline_store::HELD_BYTES / optinline_store::HELD_HANDLE_BYTES) as u128;
+    let fps: Vec<u128> = (1..=most + 40).collect();
+    for &fp in &fps {
+        write_log(&dir, fp, &[(&[1], 10)]);
+    }
+    let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+    for &fp in &fps {
+        drop(store.scope(fp, META).unwrap());
+        let (scopes, bytes) = store.held();
+        assert!(bytes <= optinline_store::HELD_BYTES, "{scopes} scopes charged {bytes} bytes");
+        // One descriptor per held scope.
+        assert!(scopes as u128 <= most, "{scopes} held scopes");
+    }
+    let loaded = store.store_stats().loaded;
+    drop(store.scope(*fps.last().unwrap(), META).unwrap());
+    assert_eq!(store.store_stats().loaded, loaded, "the most recent scope is still held");
+    drop(store.scope(fps[0], META).unwrap());
+    assert_eq!(store.store_stats().loaded, loaded + 1, "the least recent one was closed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
