@@ -1,8 +1,8 @@
 //! Benches for the content-addressed evaluation store: batched vs
 //! one-write-per-put append throughput, scope-open latency on clean vs
-//! duplicate-heavy logs (and on a log of serve-warm's mean size), and
-//! size-budgeted GC — the wall-clock side of the `results/perf_store.txt`
-//! numbers.
+//! duplicate-heavy logs (and on a log of serve-warm's mean size, opened
+//! afresh or served from the scope the store holds), and size-budgeted
+//! GC — the wall-clock side of the `results/perf_store.txt` numbers.
 
 use optinline_bench::{criterion_group, criterion_main, Criterion};
 use optinline_ir::{CallSiteId, Measurement};
@@ -80,7 +80,10 @@ fn seed_scope(dir: &Path, fp: u128, entries: u32, dup: bool) {
 /// lines are superseded duplicates (the state compaction exists to fix),
 /// with auto-compaction disabled so the measurement sees the raw cost.
 /// `clean83` is a clean log of the mean size a serve-warm scope open
-/// reads: 83 entries.
+/// reads: 83 entries, opened by a fresh store each iteration. `held83`
+/// asks one store for the same scope again each iteration: the store
+/// holds it open, so the cost is the registry lookup, the `stat` that
+/// checks the log is unchanged and the recency stamp.
 fn bench_open_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_open");
     group.sample_size(10);
@@ -99,6 +102,17 @@ fn bench_open_latency(c: &mut Criterion) {
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
+    let dir = tmpdir("held83");
+    seed_scope(&dir, 0xbeef, 83, false);
+    let store = LocalStore::open(&dir, opts).expect("store opens");
+    drop(store.scope(0xbeef, META).expect("scope opens"));
+    assert_eq!(store.held().0, 1, "a warm scope is held");
+    group.bench_function("held83", |b| {
+        b.iter(|| store.scope(0xbeef, META).expect("scope opens").len())
+    });
+    assert_eq!(store.store_stats().loaded, 83, "every iteration reused the held scope");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
     group.finish();
 }
 
