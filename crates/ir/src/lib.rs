@@ -76,7 +76,7 @@ pub mod parse;
 pub mod slice;
 pub mod verify;
 
-pub use analysis_manager::{AnalysisCacheStats, AnalysisManager, CfgFacts, PreservedAnalyses};
+pub use analysis_manager::{AnalysisCacheStats, AnalysisManager, PreservedAnalyses};
 pub use builder::FuncBuilder;
 pub use display::{FuncDisplay, InstDisplay};
 pub use function::{Block, Function, Linkage};
@@ -87,4 +87,4 @@ pub use measure::Measurement;
 pub use module::{Global, Module};
 pub use parse::{parse_module, ParseError};
 pub use slice::extract_slice;
-pub use verify::{assert_verified, verify_function, verify_module, VerifyError};
+pub use verify::{assert_verified, verify_module, VerifyError};

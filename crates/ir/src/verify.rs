@@ -3,7 +3,7 @@
 //! Run [`verify_module`] after construction or transformation; every pass in
 //! `optinline-opt` is checked against it in tests.
 
-use crate::analysis::{dominates, immediate_dominators, reachable_blocks};
+use crate::analysis::Dominators;
 use crate::function::Function;
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::{Inst, JumpTarget, Terminator};
@@ -34,34 +34,40 @@ impl fmt::Display for VerifyError {
 
 impl Error for VerifyError {}
 
-/// Verifies every function in the module plus inter-procedural invariants
-/// (call arity, callee existence, global indices).
+/// Verifies every function in the module, in id order.
+///
+/// Checks performed on each function:
+/// - every block id referenced by a terminator exists;
+/// - jump-target argument counts match destination parameter counts;
+/// - no value is defined twice (SSA single assignment);
+/// - every use of a value in a reachable block is dominated by its
+///   definition;
+/// - value ids stay below the function's dense bound;
+/// - calls name existing functions, with their parameter count;
+/// - global indices are in range.
+///
+/// One definition table and one [`Dominators`] serve every function.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    let mut defs = Vec::new();
+    let mut doms = Dominators::default();
     for (id, _) in module.iter_funcs() {
-        verify_function(module, id)?;
+        verify_function(module, id, &mut defs, &mut doms)?;
     }
     Ok(())
 }
 
-/// Verifies a single function.
-///
-/// Checks performed:
-/// - every block id referenced by a terminator exists;
-/// - jump-target argument counts match destination parameter counts;
-/// - no value is defined twice (SSA single assignment);
-/// - every use of a value is dominated by its definition;
-/// - value ids stay below the function's dense bound;
-/// - call arity matches the callee's parameter count;
-/// - global indices are in range.
-///
-/// # Errors
-///
-/// Returns the first violation found.
-pub fn verify_function(module: &Module, id: FuncId) -> Result<(), VerifyError> {
+/// Verifies one function (see [`verify_module`]), filling `defs` and
+/// `doms` with its definitions and dominators.
+fn verify_function(
+    module: &Module,
+    id: FuncId,
+    defs: &mut Vec<Def>,
+    doms: &mut Dominators,
+) -> Result<(), VerifyError> {
     let func = module.func(id);
     let err = |block: Option<BlockId>, message: String| VerifyError { func: id, block, message };
 
@@ -72,7 +78,7 @@ pub fn verify_function(module: &Module, id: FuncId) -> Result<(), VerifyError> {
     // Definitions: block params and instruction results, unique. The
     // table is sized by the definitions, never by a value id (ids come
     // from module text), and sorted by value for lookups.
-    let defs = definitions(func).map_err(|(bid, message)| err(Some(bid), message))?;
+    definitions(func, defs).map_err(|(bid, message)| err(Some(bid), message))?;
 
     // Structural checks on terminators and calls.
     let check_target = |bid: BlockId, t: &JumpTarget| -> Result<(), VerifyError> {
@@ -126,11 +132,11 @@ pub fn verify_function(module: &Module, id: FuncId) -> Result<(), VerifyError> {
         }
     }
 
-    // Dominance: every use in a reachable block must be dominated by its def.
-    let reachable = reachable_blocks(func);
-    let idom = immediate_dominators(func);
+    // Dominance: every use in a reachable block must be dominated by its
+    // def, which an unreachable block's def never is.
+    doms.compute(func);
     for (bid, block) in func.iter_blocks() {
-        if !reachable[bid.index()] {
+        if !doms.reachable(bid) {
             continue;
         }
         // A use at position `at` (instruction `k` is at `k + 1`, the
@@ -148,7 +154,7 @@ pub fn verify_function(module: &Module, id: FuncId) -> Result<(), VerifyError> {
                     // Defined later in the same block.
                     Err(err(Some(bid), format!("use of {v} before its definition")))
                 }
-            } else if !reachable[def.block.index()] || !dominates(&idom, def.block, bid) {
+            } else if !doms.dominates(def.block, bid) {
                 Err(err(Some(bid), format!("use of {v} not dominated by its definition")))
             } else {
                 Ok(())
@@ -182,16 +188,12 @@ struct Def {
     order: u32,
 }
 
-/// Every definition of `func`, sorted by value. Fails on the first
-/// definition, in block and instruction order, whose value exceeds the
-/// function's dense bound or was defined before: the block and message
-/// to report.
-fn definitions(func: &Function) -> Result<Vec<Def>, (BlockId, String)> {
-    let count: usize = func
-        .iter_blocks()
-        .map(|(_, b)| b.params.len() + b.insts.iter().filter(|i| i.def().is_some()).count())
-        .sum();
-    let mut defs = Vec::with_capacity(count);
+/// Fills `defs` with every definition of `func`, sorted by value. Fails
+/// on the first definition, in block and instruction order, whose value
+/// exceeds the function's dense bound or was defined before: the block
+/// and message to report.
+fn definitions(func: &Function, defs: &mut Vec<Def>) -> Result<(), (BlockId, String)> {
+    defs.clear();
     for (bid, block) in func.iter_blocks() {
         let results = block.insts.iter().enumerate().filter_map(|(k, inst)| Some((inst.def()?, k)));
         let params = block.params.iter().map(|&p| (p, 0));
@@ -213,7 +215,7 @@ fn definitions(func: &Function) -> Result<Vec<Def>, (BlockId, String)> {
         }
     }
     match first_bad {
-        None => Ok(defs),
+        None => Ok(()),
         Some((def, true)) => Err((def.block, format!("{} exceeds dense value bound", def.value))),
         Some((def, false)) => Err((def.block, format!("{} defined more than once", def.value))),
     }

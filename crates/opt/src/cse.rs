@@ -51,8 +51,8 @@ impl Pass for Cse {
         };
         if SCRATCH.with_borrow_mut(|scratch| cse_function(module, fid, effects, scratch)) {
             // Deduplicating a load changes the (recomputed) read set, so
-            // the effect summary is not preserved; blocks and calls are.
-            PassResult::changed(fid, PreservedAnalyses::none().plus_cfg().plus_call_graph())
+            // the effect summary is not preserved; calls are.
+            PassResult::changed(fid, PreservedAnalyses::none().plus_call_graph())
         } else {
             PassResult::unchanged()
         }

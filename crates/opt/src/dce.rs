@@ -52,8 +52,8 @@ impl Pass for Dce {
         };
         if COUNTS.with_borrow_mut(|counts| dce_function(module, fid, effects, counts)) {
             // Unused loads and pure calls are deleted — the recomputed
-            // effect summary and the call graph both change; blocks don't.
-            PassResult::changed(fid, PreservedAnalyses::none().plus_cfg())
+            // effect summary and the call graph both change.
+            PassResult::changed(fid, PreservedAnalyses::none())
         } else {
             PassResult::unchanged()
         }

@@ -12,23 +12,23 @@
 //! misses and is removed when the scope that inserted it ends, so each key
 //! maps to exactly one value while it is visible. Entering a block records
 //! the stack's height as its mark; leaving it pops the keys above the mark
-//! out of the map. The dominator tree is kept as first-child/next-sibling
-//! links, and blocks are rewritten in place. The links, the map, the
-//! stacks and the substitution live in one per-thread scratch, cleared at
-//! the start of every call (see the crate docs).
+//! out of the map. Each call computes the function's dominators into a
+//! [`Dominators`] and keeps the tree as first-child/next-sibling links,
+//! and blocks are rewritten in place. The dominators, the links, the map,
+//! the stacks and the substitution live in one per-thread scratch,
+//! refilled or cleared in every call (see the crate docs).
 
 use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use crate::subst::Subst;
+use optinline_ir::analysis::Dominators;
 use optinline_ir::{AnalysisManager, BinOp, BlockId, FuncId, Inst, Module, ValueId};
 use std::cell::RefCell;
 
 /// The global value-numbering pass.
 ///
-/// The dominator tree it walks comes from the [`AnalysisManager`]'s cached
-/// CFG facts — the pass itself never changes the CFG, so in a pipeline the
-/// facts stay valid until a structural pass (fold/SCCP/simplify-cfg/…)
-/// touches the function again.
+/// It reads nothing through the [`AnalysisManager`]: the dominator tree it
+/// walks is its own function's, computed afresh on every call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Gvn;
 
@@ -41,11 +41,11 @@ impl Pass for Gvn {
         &self,
         module: &mut Module,
         fid: FuncId,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> PassResult {
-        if SCRATCH.with_borrow_mut(|scratch| gvn_function(module, fid, am, scratch)) {
-            // Pure redundancy elimination: no blocks, memory ops, or calls
-            // are added or removed.
+        if SCRATCH.with_borrow_mut(|scratch| gvn_function(module, fid, scratch)) {
+            // Pure redundancy elimination: no memory ops or calls are
+            // added or removed.
             PassResult::changed(fid, PreservedAnalyses::all())
         } else {
             PassResult::unchanged()
@@ -81,10 +81,11 @@ enum Step {
     Leave(usize),
 }
 
-/// This thread's GVN tables. Each call clears them before use, so a call
-/// reads nothing an earlier one left but the capacity.
+/// This thread's GVN tables. Each call refills or clears them before use,
+/// so a call reads nothing an earlier one left but the capacity.
 #[derive(Default)]
 struct Scratch {
+    doms: Dominators,
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
     subst: Subst,
@@ -97,34 +98,23 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-fn gvn_function(
-    module: &mut Module,
-    fid: FuncId,
-    am: &mut AnalysisManager,
-    scratch: &mut Scratch,
-) -> bool {
-    let Scratch { first_child, next_sibling, subst, available, scope, stack } = scratch;
-    let facts = am.cfg_facts(module, fid);
-    let reach = &facts.reachable;
-    let idom = &facts.idom;
+fn gvn_function(module: &mut Module, fid: FuncId, scratch: &mut Scratch) -> bool {
+    let Scratch { doms, first_child, next_sibling, subst, available, scope, stack } = scratch;
     let n = module.func(fid).blocks.len();
+    doms.compute(module.func(fid));
 
     // Dominator-tree children as first-child/next-sibling links. Blocks are
     // linked in increasing id order, each at the head of its parent's list,
-    // so a list runs from the highest id down.
+    // so a list runs from the highest id down. Only the entry is its own
+    // dominator, and unreachable blocks have none.
     first_child.clear();
     first_child.resize(n, NONE);
     next_sibling.clear();
     next_sibling.resize(n, NONE);
-    for b in 1..n {
-        if !reach[b] {
-            continue;
-        }
-        if let Some(d) = idom[b] {
-            if d.index() != b {
-                next_sibling[b] = first_child[d.index()];
-                first_child[d.index()] = b as u32;
-            }
+    for (b, sibling) in next_sibling.iter_mut().enumerate().skip(1) {
+        if let Some(d) = doms.idom(BlockId::new(b as u32)) {
+            *sibling = first_child[d.index()];
+            first_child[d.index()] = b as u32;
         }
     }
 

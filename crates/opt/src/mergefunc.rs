@@ -9,8 +9,8 @@
 //! independence property the recursively partitioned search relies on
 //! (§3.2) — exactly the kind of second-order interaction §6 of the paper
 //! warns about for performance search. The integration tests demonstrate
-//! the violation; `PipelineOptions` keeps the pass opt-in so the search
-//! stays exact by default.
+//! the violation; the standard pipeline never registers the pass, so the
+//! search stays exact.
 
 use crate::fx::FxHashMap;
 use crate::pass::{Pass, PassResult, PreservedAnalyses};
@@ -83,10 +83,10 @@ impl Pass for MergeFunctions {
         // The twin computation is whole-module, but the rewrite is scoped
         // to `fid`'s own call instructions, keeping the per-function
         // contract. Redirected calls change the call graph (and possibly
-        // the transitive effect summary's keying); block structure stays.
+        // the transitive effect summary's keying).
         let redirects = compute_redirects(module);
         if redirects.iter().any(Option::is_some) && redirect_calls_in(module, fid, &redirects) {
-            PassResult::changed(fid, PreservedAnalyses::none().plus_cfg())
+            PassResult::changed(fid, PreservedAnalyses::none())
         } else {
             PassResult::unchanged()
         }

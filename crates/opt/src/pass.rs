@@ -112,8 +112,8 @@ pub trait Pass: fmt::Debug + Send + Sync {
         let mut any = false;
         for fid in module.func_ids() {
             let res = self.run_on_function(module, fid, &mut am);
-            for &f in &res.changed_functions {
-                am.invalidate_function(f, res.preserved);
+            if res.any_changed() {
+                am.invalidate(res.preserved);
                 any = true;
             }
         }
@@ -363,8 +363,8 @@ impl PassManager {
                     if res.any_changed() {
                         pass_changed = true;
                         stats.per_pass[pi].changed += res.changed_functions.len() as u64;
+                        am.invalidate(res.preserved);
                         for &f in &res.changed_functions {
-                            am.invalidate_function(f, res.preserved);
                             next.insert(f);
                             if round.insert(f) {
                                 stats.function_visits += 1;
