@@ -112,7 +112,8 @@ struct ScanOutcome {
 /// Global registry so every cache in a process (CLI run, experiments
 /// harness, tests) opening the same directory shares one store — one
 /// scope registry, one set of append handles. A store is found by the
-/// path it was first asked for as well as by its canonical path.
+/// path it was first asked for as well as by its canonical path. Dropped
+/// stores' entries go whenever an entry is added.
 fn registry() -> &'static Mutex<HashMap<PathBuf, Weak<LocalStore>>> {
     static REGISTRY: std::sync::OnceLock<Mutex<HashMap<PathBuf, Weak<LocalStore>>>> =
         std::sync::OnceLock::new();
@@ -130,7 +131,8 @@ pub const HELD_HANDLE_BYTES: u64 = 16 << 10;
 /// The scopes a store has open, under one lock.
 #[derive(Default)]
 struct Scopes {
-    /// Every scope opened and not yet closed, with its verified meta.
+    /// Every scope opened and not yet closed, with its verified meta;
+    /// closed scopes' entries go whenever an entry is added.
     open: HashMap<u128, (String, Weak<ScopeInner>)>,
     /// The scopes kept open past their last handle, with the tick of
     /// their last use.
@@ -203,6 +205,7 @@ impl LocalStore {
         std::fs::create_dir_all(dir)?;
         let key = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
         let mut reg = reg();
+        reg.retain(|_, store| store.strong_count() > 0);
         let store = match reg.get(&key).and_then(Weak::upgrade) {
             Some(store) => store,
             None => {
@@ -252,6 +255,7 @@ impl LocalStore {
             reg.held.insert(fingerprint, (Arc::clone(&scope.inner), tick));
             reg.trim();
         }
+        reg.open.retain(|_, (_, inner)| inner.strong_count() > 0);
         reg.open.insert(fingerprint, (meta, Arc::downgrade(&scope.inner)));
         Ok(scope)
     }
@@ -556,5 +560,70 @@ impl Drop for LocalStore {
         for scope in self.live_scopes() {
             let _ = scope.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optinline_ir::{CallSiteId, Measurement};
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("optinline-local-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    /// A scope closes with its last handle unless it is held; a closed
+    /// scope must not stay in the store's table.
+    #[test]
+    fn closed_scopes_leave_only_held_scopes_registered() {
+        let dir = tmpdir("closed");
+        let store = LocalStore::open(&dir, StoreOptions::default()).unwrap();
+        for fp in [1, 2] {
+            let cold = store.scope(fp, "m").unwrap();
+            cold.put(vec![CallSiteId::new(0)], Measurement::size_only(1));
+        }
+        drop(store.scope(1, "m").unwrap());
+        for fp in 100..2100 {
+            drop(store.scope(fp, "m").unwrap());
+        }
+        drop(store.scope(2, "m").unwrap());
+        let reg = store.lock_scopes();
+        let mut registered: Vec<u128> = reg.open.keys().copied().collect();
+        let mut held: Vec<u128> = reg.held.keys().copied().collect();
+        registered.sort_unstable();
+        held.sort_unstable();
+        assert_eq!(held, [1, 2], "scopes warm at open are held");
+        assert_eq!(registered, held, "2,000 closed scopes left entries behind");
+        drop(reg);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A dropped shared store leaves the process-wide registry under both
+    /// the path it was asked for and its canonical path.
+    #[test]
+    fn dropped_shared_stores_leave_the_registry() {
+        let base = tmpdir("registry");
+        std::fs::create_dir_all(base.join("sub")).unwrap();
+        let spelled = |i: usize| base.join("sub").join("..").join(format!("store-{i}"));
+        let canonical: Vec<PathBuf> = (0..8)
+            .map(|i| {
+                drop(LocalStore::shared(&spelled(i)).unwrap());
+                spelled(i).canonicalize().unwrap()
+            })
+            .collect();
+        let live = LocalStore::shared(&spelled(8)).unwrap();
+        let reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for (i, canonical) in canonical.iter().enumerate() {
+            assert_ne!(&spelled(i), canonical);
+            assert!(!reg.contains_key(&spelled(i)), "store {i} as spelled");
+            assert!(!reg.contains_key(canonical), "store {i} canonical");
+        }
+        assert!(reg.contains_key(&spelled(8)));
+        drop(reg);
+        drop(live);
+        let _ = std::fs::remove_dir_all(&base);
     }
 }
