@@ -16,6 +16,7 @@ use optinline_cli::{
     InitChoice, Objective, OptimizeOptions, RequestError, StrategyChoice, TargetChoice,
 };
 use optinline_ir::cancel::{self, CancelToken, Cancelled};
+use optinline_ir::parse::ID_LIMIT;
 use optinline_serve::{
     Client, ClientConfig, ClientError, Endpoint, Handler, RequestKind, ServeOptions, Server,
     ServerHandle,
@@ -244,6 +245,52 @@ fn a_full_sweep_optimize_is_refused_with_an_error_event() {
     assert_eq!(stats.errors, 1, "the refusal is counted as an error");
     assert_eq!(stats.completed, 1);
 
+    handle.drain();
+    handle.join().expect("clean exit");
+}
+
+/// A value or site id at the parser's cap is a parse error on its line,
+/// in-process and served (an `error` event with the in-process message);
+/// one just below the cap is answered, with the in-process report.
+#[test]
+fn ids_at_the_parser_cap_are_refused_served_as_in_process() {
+    let sock = tmp("id-cap.sock");
+    let handle = start_daemon(ServeConfig {
+        endpoint: Endpoint::Unix(sock.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("daemon boots");
+    let mut client = Client::connect(&Endpoint::Unix(sock.clone())).expect("connect");
+    for id in [ID_LIMIT, ID_LIMIT - 1] {
+        for (word, line) in [
+            (format!("v{id}"), format!("v{id} = const 1")),
+            (format!("s{id}"), format!("call main() site s{id}")),
+        ] {
+            let src = format!(
+                "module \"cap\" {{\n  public fn main {{\n  b0():\n    {line}\n    ret\n  }}\n}}\n"
+            );
+            let local = cmd_optimize(
+                &src,
+                StrategyChoice::Heuristic,
+                TargetChoice::X86,
+                Default::default(),
+            );
+            let served = client.call(heuristic_optimize_kind(&src, "x86"), &mut |_| {});
+            match (local, served) {
+                (Err(local), Err(ClientError::Remote(msg))) if id == ID_LIMIT => {
+                    let local = local.to_string();
+                    assert!(local.ends_with(&format!("line 4: id `{word}` is out of range")));
+                    assert_eq!(msg, local);
+                }
+                (Ok((report, _)), Ok(served)) if id < ID_LIMIT => {
+                    assert_eq!(served.report, report, "{line}");
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+    let stats = client.server_stats().expect("stats");
+    assert_eq!((stats.errors, stats.completed), (2, 2));
     handle.drain();
     handle.join().expect("clean exit");
 }

@@ -149,7 +149,7 @@ fn inline_call(module: &mut Module, f: FuncId, bid: BlockId, idx: usize) {
 
     let caller = module.func_mut(f);
     let vbase = caller.value_bound();
-    caller.reserve_values(vbase + callee_bound);
+    caller.reserve_values(vbase.checked_add(callee_bound).expect("inlined value ids fit a u32"));
     let remap_v = |v: ValueId| ValueId::new(vbase + v.as_u32());
 
     let cont_id = BlockId::new(caller.blocks.len() as u32);
