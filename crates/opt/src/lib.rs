@@ -61,7 +61,8 @@
 //! working tables per visit. Each cleanup pass module (GVN, SCCP,
 //! simplify-cfg, CSE, DCE, dead-argument elimination, simplify) keeps them
 //! in one private `thread_local!` scratch: dense per-value and per-block
-//! vectors, Fx hash maps, a [`Subst`], use counts and reachability. The rule:
+//! vectors, Fx hash maps, a [`Subst`], use counts, reachability, and GVN's
+//! [`Dominators`](optinline_ir::analysis::Dominators). The rule:
 //!
 //! - one scratch per pass module, private to it;
 //! - cleared or refilled before it is read, in every call, so it carries
