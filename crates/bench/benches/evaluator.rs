@@ -1,15 +1,13 @@
 //! Criterion benches for the size evaluator: whole-module vs
-//! component-scoped compiles on the
-//! autotuner's flip-one-site access pattern, and memo-cache contention
-//! under parallel queries (sharded vs a single global lock).
+//! component-scoped compiles on the autotuner's flip-one-site access
+//! pattern, and the memo's hit path under parallel queries (N threads
+//! querying one warmed evaluator).
 
 use optinline_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optinline_codegen::X86Like;
-use optinline_core::{Evaluator, InliningConfiguration, ShardedCache, SizeEvaluator};
+use optinline_core::{Evaluator, InliningConfiguration, SizeEvaluator};
 use optinline_ir::Module;
 use optinline_workloads::{generate_file, GenParams};
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 fn clustered_module(clusters: usize) -> Module {
     generate_file(&GenParams {
@@ -60,57 +58,39 @@ fn bench_full_vs_incremental(c: &mut Criterion) {
     group.finish();
 }
 
-/// A minimal single-lock memo map, the design the sharded cache replaced.
-struct GlobalLockCache(Mutex<HashMap<u64, u64>>);
-
-impl GlobalLockCache {
-    fn get_or_insert(&self, k: u64) -> u64 {
-        let mut map = self.0.lock().unwrap();
-        *map.entry(k).or_insert(k.wrapping_mul(0x9E37))
-    }
-}
-
 fn bench_cache_contention(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_contention");
     group.sample_size(10);
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(8);
-    const OPS_PER_THREAD: u64 = 2_000;
-    const KEYSPACE: u64 = 512;
-    group.bench_function(BenchmarkId::new("single_lock", format!("{threads}thr")), |b| {
+    const ROUNDS_PER_THREAD: usize = 100;
+    let module = clustered_module(8);
+    let probes = probe_sequence(&module);
+    // Warmed once: every query below finds every component's answer
+    // filled, so the group times the memo's lookups, not compiles.
+    let ev = SizeEvaluator::new(module, Box::new(X86Like), true);
+    let warm: u64 = probes.iter().map(|p| ev.size_of(p)).sum();
+    let compiled = ev.compilations();
+    let label = format!("{threads}thr_{}probes", probes.len());
+    group.bench_function(BenchmarkId::new("warm_hits", label), |b| {
         b.iter(|| {
-            let cache = GlobalLockCache(Mutex::new(HashMap::new()));
             std::thread::scope(|s| {
-                for t in 0..threads as u64 {
-                    let cache = &cache;
+                for t in 0..threads {
+                    let (ev, probes) = (&ev, &probes);
                     s.spawn(move || {
-                        let mut acc = 0u64;
-                        for i in 0..OPS_PER_THREAD {
-                            acc ^= cache.get_or_insert((t.wrapping_mul(31) + i) % KEYSPACE);
+                        for round in 0..ROUNDS_PER_THREAD {
+                            // Threads start at different probes, so they
+                            // do not query one key in lockstep.
+                            let start = (t * 7 + round) % probes.len();
+                            let (tail, head) = probes.split_at(start);
+                            let sum: u64 = head.iter().chain(tail).map(|p| ev.size_of(p)).sum();
+                            assert_eq!(sum, warm);
                         }
-                        acc
                     });
                 }
             });
         })
     });
-    group.bench_function(BenchmarkId::new("sharded", format!("{threads}thr")), |b| {
-        b.iter(|| {
-            let cache: ShardedCache<u64, u64> = ShardedCache::new();
-            std::thread::scope(|s| {
-                for t in 0..threads as u64 {
-                    let cache = &cache;
-                    s.spawn(move || {
-                        let mut acc = 0u64;
-                        for i in 0..OPS_PER_THREAD {
-                            let k = (t.wrapping_mul(31) + i) % KEYSPACE;
-                            acc ^= cache.get_or_compute(k, |k| k.wrapping_mul(0x9E37));
-                        }
-                        acc
-                    });
-                }
-            });
-        })
-    });
+    assert_eq!(ev.compilations(), compiled, "every timed query hits");
     group.finish();
 }
 

@@ -39,11 +39,6 @@ impl Fnv128 {
         }
     }
 
-    /// Absorbs a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Absorbs a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -94,14 +89,5 @@ mod tests {
         h.write(b"he");
         h.write(b"llo");
         assert_eq!(h.finish(), fnv128(b"hello"));
-    }
-
-    #[test]
-    fn integer_writes_are_width_tagged_by_encoding() {
-        let mut a = Fnv128::new();
-        a.write_u32(7);
-        let mut b = Fnv128::new();
-        b.write_u64(7);
-        assert_ne!(a.finish(), b.finish());
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::algo::UNSET;
 use optinline_ir::{CallSiteId, Module};
-use std::collections::BTreeSet;
 
 /// A node handle in an [`InlineGraph`]. Handles are stable: nodes are
 /// tombstoned on merge, never reindexed.
@@ -139,16 +138,6 @@ impl InlineGraph {
         self.edges.len()
     }
 
-    /// Distinct undecided call sites (edge groups), in id order.
-    pub fn undecided_sites(&self) -> BTreeSet<CallSiteId> {
-        self.edges.iter().map(|e| e.site).collect()
-    }
-
-    /// Number of distinct undecided sites.
-    pub fn group_count(&self) -> usize {
-        self.undecided_sites().len()
-    }
-
     /// Live `(site, from, to)` triples.
     pub fn live_edges(&self) -> Vec<(CallSiteId, NodeRef, NodeRef)> {
         self.edges.iter().map(|e| (e.site, e.from, e.to)).collect()
@@ -245,6 +234,7 @@ impl InlineGraph {
 mod tests {
     use super::*;
     use optinline_ir::{FuncBuilder, Linkage};
+    use std::collections::BTreeSet;
 
     /// The Figure 2 call graph: A→B, B→C, D→B.
     fn fig2() -> InlineGraph {
@@ -280,7 +270,8 @@ mod tests {
         g.apply(CallSiteId::new(0), Decision::NoInline);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.undecided_sites().len(), 2);
+        let sites: BTreeSet<CallSiteId> = g.live_edges().iter().map(|e| e.0).collect();
+        assert_eq!(sites.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 2. [`SizeEvaluator`]'s component mode (the §3.2 exactness argument,
 //!    mechanically enforced),
 //! 3. both modes probed *concurrently* through the [`WorkerPool`]
-//!    (sharded-cache races, single-flight misses, stats accounting).
+//!    (memo races, single-flight once-cell fills, stats accounting).
 //!
 //! Each configuration is queried twice sequentially (miss path, then hit
 //! path) and once concurrently, so a cache returning a stale or misfiled

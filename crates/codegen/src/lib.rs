@@ -252,7 +252,6 @@ pub fn size_report(module: &Module, target: &dyn Target) -> SizeReport {
 mod tests {
     use super::*;
     use optinline_ir::{FuncBuilder, Linkage};
-    use std::collections::BTreeSet;
 
     fn leaf_module() -> (Module, FuncId) {
         let mut m = Module::new("m");
@@ -281,8 +280,7 @@ mod tests {
     #[test]
     fn stubs_have_zero_size() {
         let (mut m, f) = leaf_module();
-        let dead: BTreeSet<_> = [f].into_iter().collect();
-        m.stub_out(&dead);
+        m.stub_out([f]);
         assert_eq!(text_size(&m, &X86Like), 0);
     }
 

@@ -64,15 +64,6 @@ impl PhasedWork {
         self.phases.iter().map(|p| makespan(p, workers)).sum()
     }
 
-    /// The parallel speedup at `workers` machines.
-    pub fn speedup(&self, workers: usize) -> f64 {
-        let m = self.makespan(workers);
-        if m == 0 {
-            return 1.0;
-        }
-        self.total() as f64 / m as f64
-    }
-
     /// Smallest worker count achieving within `slack` (e.g. `1.05`) of the
     /// asymptotic (infinite-worker) makespan.
     pub fn saturation_point(&self, slack: f64) -> usize {
@@ -151,7 +142,7 @@ mod tests {
     fn speedup_saturates_at_phase_width() {
         // 4 rounds of 18 tasks: beyond 18 workers nothing improves.
         let w = autotune_work(16, 4, 100);
-        assert!(w.speedup(18) > w.speedup(4));
+        assert!(w.makespan(18) < w.makespan(4));
         assert_eq!(w.makespan(18), w.makespan(1000));
         assert_eq!(w.makespan(1000), 4 * 100);
     }

@@ -14,9 +14,9 @@
 //! where each component's answer is memoized on the *relevant subset* of
 //! decisions (the configuration's inlined sites inside component `c`), so
 //! the tree search and the autotuner never pay twice for the same point.
-//! One memo entry holds both metrics: a query that wants cycles and misses
+//! One memo entry holds both metrics: a cycles query that fills an entry
 //! compiles the slice once and measures both; one that finds an entry a
-//! size query made recompiles that slice once to interpret it. A size
+//! size query filled recompiles that slice once to interpret it. A size
 //! query never interprets.
 //!
 //! - In **component mode** (`incremental = true`, what every search and
@@ -35,11 +35,15 @@
 //!   per query. The size oracle, the tests and the case-study experiments
 //!   build it as a reference.
 //!
-//! The memo lives in a [`ShardedCache`], so concurrent hits from the
-//! parallel search do not serialize on one lock, and a miss is
-//! single-flight: the first caller of a key compiles while concurrent
-//! callers of the same key wait for its value, so compiles equal distinct
-//! keys whatever the thread timing.
+//! The memo is split over 16 independently locked shards, so concurrent
+//! hits from the parallel search do not serialize on one lock. A shard
+//! lock is held only to find or add an answer. Each answer keeps one
+//! [`OnceLock`] per metric, filled outside the lock by the first query
+//! that needs it while concurrent queries wait for it, so compiles equal
+//! distinct keys whatever the thread timing; a fill that unwinds (a
+//! cancelled request) leaves its cell empty for the next query. Each
+//! zero-site slice of the constant part keeps an answer of the same type
+//! outside the map.
 //!
 //! # Why the decomposition is exact
 //!
@@ -74,7 +78,6 @@
 //! modes against the uncached whole-module reference
 //! ([`SizeEvaluator::full_size_of`], [`SizeEvaluator::compile`]).
 
-use crate::cache::ShardedCache;
 use crate::config::InliningConfiguration;
 use crate::evaluator::{domain_fingerprint, Evaluator, EvaluatorStats};
 use crate::measure::{module_cycles, Objective};
@@ -87,10 +90,18 @@ use optinline_opt::{
     optimize_os_report, optimize_os_report_with_summary, ForcedDecisions, PipelineOptions,
     PipelineStats,
 };
-use std::collections::BTreeSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Number of memo shards (a power of two, so shard selection is a mask).
+const SHARDS: usize = 16;
+
+/// Why a memo shard lock can fail: a thread panicked while holding it.
+const POISONED: &str = "a thread panicked while holding a memo shard lock";
 
 /// One call-graph component, ready to compile in isolation.
 struct Component {
@@ -99,8 +110,10 @@ struct Component {
     slice: Module,
     /// Effect summary of the pristine slice (equals the restriction of the
     /// whole-module summary, since no call edge leaves a coarse component);
-    /// computed once here instead of per compile.
-    summary: EffectSummary,
+    /// computed once here instead of per compile. A zero-site component
+    /// compiles at most twice, so it has none and each compile computes it,
+    /// and building an evaluator costs no more for its zero-site slices.
+    summary: Option<EffectSummary>,
     /// Inlinable call sites inside this component.
     sites: BTreeSet<CallSiteId>,
     /// Pristine instruction count — the component's share of compile work.
@@ -109,26 +122,31 @@ struct Component {
 
 impl Component {
     fn new(slice: Module, sites: BTreeSet<CallSiteId>, insts: u64) -> Self {
-        let summary = EffectSummary::compute(&slice);
+        let summary = (!sites.is_empty()).then(|| EffectSummary::compute(&slice));
         Component { slice, summary, sites, insts }
     }
 }
 
-/// One memoized answer for a slice (or for the whole constant part): its
-/// size, and its cycles once a query has asked for them.
+/// One memoized answer for a slice: a once-cell per metric. The size is
+/// filled by the first query to reach the answer, the cycles by that fill
+/// when its query wanted them, else by the first cycles query. `None` in
+/// the cycles cell is an answer too ("nothing executable").
+#[derive(Default)]
 struct SliceAnswer {
-    size: u64,
-    /// Filled by the compile that made the answer when that query wanted
-    /// cycles, else lazily by the first cycles query, which recompiles
-    /// the slice; single-flight either way. `None` inside is an answer too
-    /// ("nothing executable").
+    size: OnceLock<u64>,
     cycles: OnceLock<Option<u64>>,
 }
 
-impl SliceAnswer {
-    fn new(size: u64, cycles: Option<Option<u64>>) -> Self {
-        SliceAnswer { size, cycles: cycles.map_or_else(OnceLock::new, OnceLock::from) }
-    }
+/// A memo key: an active component's index and its inlined sites.
+type MemoKey = (usize, BTreeSet<CallSiteId>);
+
+/// One memo shard: its answers and its lookup outcomes, behind one lock so
+/// a lookup and its count are one step.
+#[derive(Default)]
+struct MemoShard {
+    answers: HashMap<MemoKey, Arc<SliceAnswer>>,
+    hits: u64,
+    misses: u64,
 }
 
 /// Adds one part's cycles to a running total under [`module_cycles`]'s
@@ -152,14 +170,14 @@ pub struct SizeEvaluator {
     /// Components that contain at least one inlinable site (in
     /// whole-module mode: the whole module, sites or not).
     active: Vec<Component>,
-    /// Pristine slices of zero-site components: their size and cycles are
-    /// the same under every configuration, so they compile once, lazily,
-    /// and are interpreted at most once, when a query first wants cycles.
-    constant_slices: Vec<Module>,
-    constant_part: OnceLock<SliceAnswer>,
-    /// The per-component memo; each entry carries both metrics (see
-    /// [`SliceAnswer`]), so cycles reuse the size memo's keys and hits.
-    cache: ShardedCache<(usize, BTreeSet<CallSiteId>), Arc<SliceAnswer>>,
+    /// Zero-site components, each with its one answer: their size and
+    /// cycles are the same under every configuration, so each compiles
+    /// once, lazily, and is interpreted at most once, when a query first
+    /// wants cycles.
+    constant_slices: Vec<(Component, SliceAnswer)>,
+    /// The per-component memo; each answer carries both metrics, so cycles
+    /// reuse the size memo's keys and hits.
+    memo: [Mutex<MemoShard>; SHARDS],
     cost: CostModel,
     queries: AtomicU64,
     compiles: AtomicU64,
@@ -199,14 +217,14 @@ impl SizeEvaluator {
         let mut active = Vec::new();
         let mut constant_slices = Vec::new();
         if incremental {
-            for comp in coarse_components(&module) {
-                let slice = extract_slice(&module, &comp);
-                let comp_sites = slice.inlinable_sites();
-                if comp_sites.is_empty() {
-                    constant_slices.push(slice);
+            for funcs in coarse_components(&module) {
+                let slice = extract_slice(&module, &funcs);
+                let (comp_sites, insts) = (slice.inlinable_sites(), slice.inst_count() as u64);
+                let comp = Component::new(slice, comp_sites, insts);
+                if comp.sites.is_empty() {
+                    constant_slices.push((comp, SliceAnswer::default()));
                 } else {
-                    let insts = slice.inst_count() as u64;
-                    active.push(Component::new(slice, comp_sites, insts));
+                    active.push(comp);
                 }
             }
         } else {
@@ -219,8 +237,7 @@ impl SizeEvaluator {
             incremental,
             active,
             constant_slices,
-            constant_part: OnceLock::new(),
-            cache: ShardedCache::new(),
+            memo: std::array::from_fn(|_| Mutex::default()),
             cost: CostModel::default(),
             queries: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
@@ -263,13 +280,18 @@ impl SizeEvaluator {
 
     /// Snapshot of the observability counters.
     pub fn stats(&self) -> EvaluatorStats {
-        let cache = self.cache.stats();
+        let (mut cache_hits, mut cache_misses) = (0, 0);
+        for shard in &self.memo {
+            let shard = shard.lock().expect(POISONED);
+            cache_hits += shard.hits;
+            cache_misses += shard.misses;
+        }
         let pipeline = self.pipeline_stats.lock().unwrap().clone();
         EvaluatorStats {
             queries: self.queries.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
+            cache_hits,
+            cache_misses,
             compile_time: Duration::from_nanos(self.compile_nanos.load(Ordering::Relaxed)),
             full_module_equivalents: self.compiled_insts.load(Ordering::Relaxed) as f64
                 / self.module_insts as f64,
@@ -301,42 +323,20 @@ impl SizeEvaluator {
         text_size(&self.compile(config), self.target.as_ref())
     }
 
-    /// Compiles one pristine slice under `inlined` (a canonical subset of
-    /// the slice's own sites) and returns the optimized slice.
-    fn compile_slice(
-        &self,
-        slice: &Module,
-        summary: &EffectSummary,
-        inlined: &BTreeSet<CallSiteId>,
-    ) -> Module {
-        let mut m = slice.clone();
+    /// Compiles `comp`'s pristine slice under `inlined` (a canonical subset
+    /// of the component's sites) and returns the optimized slice.
+    fn compile_slice(&self, comp: &Component, inlined: &BTreeSet<CallSiteId>) -> Module {
+        let mut m = comp.slice.clone();
         let oracle = ForcedDecisions::new(inlined.iter().map(|&s| (s, Decision::Inline)).collect());
-        let report = optimize_os_report_with_summary(
-            &mut m,
-            &oracle,
-            PipelineOptions::default(),
-            summary.clone(),
-        );
+        let options = PipelineOptions::default();
+        let report = match &comp.summary {
+            Some(summary) => {
+                optimize_os_report_with_summary(&mut m, &oracle, options, summary.clone())
+            }
+            None => optimize_os_report(&mut m, &oracle, options),
+        };
         self.pipeline_stats.lock().unwrap().absorb(&report.stats);
         m
-    }
-
-    /// Compiles one pristine slice under `inlined`, counted as compile work
-    /// of `insts` instructions, and measures its size — plus its cycles
-    /// when `cycles`.
-    fn measure_slice(
-        &self,
-        slice: &Module,
-        summary: &EffectSummary,
-        inlined: &BTreeSet<CallSiteId>,
-        insts: u64,
-        cycles: bool,
-    ) -> (u64, Option<Option<u64>>) {
-        let start = Instant::now();
-        let optimized = self.compile_slice(slice, summary, inlined);
-        let size = text_size(&optimized, self.target.as_ref());
-        self.record_compile(start, insts);
-        (size, cycles.then(|| self.interpret(&optimized)))
     }
 
     /// The cycles of an optimized slice, counted as one cycle compile.
@@ -345,83 +345,70 @@ impl SizeEvaluator {
         module_cycles(optimized, &self.cost)
     }
 
-    /// The answer of component `idx` under the decision subset relevant to
-    /// it, memoized (single-flight). A miss measures cycles too when
-    /// `cycles`.
-    fn component(
+    /// The memo's answer for `key`, added empty when absent. A found answer,
+    /// filled or being filled, counts a hit; an added one counts a miss.
+    fn answer(&self, key: &MemoKey) -> Arc<SliceAnswer> {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        let mut shard = self.memo[hasher.finish() as usize & (SHARDS - 1)].lock().expect(POISONED);
+        if let Some(found) = shard.answers.get(key).cloned() {
+            shard.hits += 1;
+            return found;
+        }
+        shard.misses += 1;
+        Arc::clone(shard.answers.entry(key.clone()).or_default())
+    }
+
+    /// Reads `answer`, `comp`'s answer under `inlined`: the size, and the
+    /// cycles when `cycles` (else `None`). An empty cell is filled by the
+    /// first query that needs it while concurrent ones wait: the fill that
+    /// compiles for the size measures the cycles too when `cycles`, and a
+    /// cycles query on an answer a size query filled recompiles once. A
+    /// fill that unwinds (a cancelled request) leaves its cell empty.
+    fn read(
         &self,
-        idx: usize,
-        inlined: BTreeSet<CallSiteId>,
+        comp: &Component,
+        inlined: &BTreeSet<CallSiteId>,
+        answer: &SliceAnswer,
         cycles: bool,
-    ) -> Arc<SliceAnswer> {
-        self.cache.get_or_compute((idx, inlined), |(idx, inlined)| {
-            let comp = &self.active[*idx];
-            let (size, measured) =
-                self.measure_slice(&comp.slice, &comp.summary, inlined, comp.insts, cycles);
-            Arc::new(SliceAnswer::new(size, measured))
-        })
-    }
-
-    /// The configuration-independent contribution of zero-site components,
-    /// compiled once on first use (size 0 and cycles `None` in whole-module
-    /// mode). The first use measures cycles too when `cycles`.
-    fn constant_part(&self, cycles: bool) -> &SliceAnswer {
-        self.constant_part.get_or_init(|| {
-            let mut size = 0;
-            let mut total = None;
-            for slice in &self.constant_slices {
-                let summary = EffectSummary::compute(slice);
-                let insts = slice.inst_count() as u64;
-                let (part, measured) =
-                    self.measure_slice(slice, &summary, &BTreeSet::new(), insts, cycles);
-                size += part;
-                total = add_cycles(total, measured.flatten());
+    ) -> (u64, Option<u64>) {
+        let size = *answer.size.get_or_init(|| {
+            let start = Instant::now();
+            let optimized = self.compile_slice(comp, inlined);
+            let size = text_size(&optimized, self.target.as_ref());
+            self.compile_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            self.compiles.fetch_add(1, Ordering::Relaxed);
+            self.compiled_insts.fetch_add(comp.insts, Ordering::Relaxed);
+            if cycles {
+                answer.cycles.get_or_init(|| self.interpret(&optimized));
             }
-            SliceAnswer::new(size, cycles.then_some(total))
-        })
+            size
+        });
+        let measured = cycles.then(|| {
+            *answer.cycles.get_or_init(|| self.interpret(&self.compile_slice(comp, inlined)))
+        });
+        (size, measured.flatten())
     }
 
-    /// The constant part's cycles when its first use was a size query:
-    /// each zero-site slice recompiled once and interpreted.
-    fn constant_cycles(&self) -> Option<u64> {
-        self.constant_slices.iter().fold(None, |total, slice| {
-            let summary = EffectSummary::compute(slice);
-            let optimized = self.compile_slice(slice, &summary, &BTreeSet::new());
-            add_cycles(total, self.interpret(&optimized))
-        })
-    }
-
-    /// Sums the constant part and every active component's answer under
-    /// `config`: the size, and the cycles when `cycles` (else `None`).
+    /// Sums every constant slice's and every active component's answer
+    /// under `config`: the size, and the cycles when `cycles` (else
+    /// `None`).
     fn evaluate(&self, config: &InliningConfiguration, cycles: bool) -> (u64, Option<u64>) {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let inlined = config.inlined_sites();
-        let constant = self.constant_part(cycles);
-        let mut size = constant.size;
-        let mut total = None;
-        if cycles {
-            total = *constant.cycles.get_or_init(|| self.constant_cycles());
+        let (mut size, mut total) = (0, None);
+        let mut add = |(part, measured): (u64, Option<u64>)| {
+            size += part;
+            total = add_cycles(total, measured);
+        };
+        for (comp, answer) in &self.constant_slices {
+            add(self.read(comp, &BTreeSet::new(), answer, cycles));
         }
+        let inlined = config.inlined_sites();
         for (idx, comp) in self.active.iter().enumerate() {
-            let subset: BTreeSet<CallSiteId> = inlined.intersection(&comp.sites).copied().collect();
-            let answer = self.component(idx, subset, cycles);
-            size += answer.size;
-            if cycles {
-                // An entry a size query made: recompile its slice once.
-                let part = *answer.cycles.get_or_init(|| {
-                    let subset = inlined.intersection(&comp.sites).copied().collect();
-                    self.interpret(&self.compile_slice(&comp.slice, &comp.summary, &subset))
-                });
-                total = add_cycles(total, part);
-            }
+            let key = (idx, inlined.intersection(&comp.sites).copied().collect());
+            add(self.read(comp, &key.1, &self.answer(&key), cycles));
         }
         (size, total)
-    }
-
-    fn record_compile(&self, start: Instant, insts: u64) {
-        self.compile_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.compiled_insts.fetch_add(insts, Ordering::Relaxed);
     }
 }
 
@@ -561,6 +548,41 @@ mod tests {
             assert_eq!(s.cycle_compiles, expected, "each slice compile interpreted once");
             assert_eq!(s.cache_misses, s.compiles - ev.constant_slices.len() as u64);
             assert_eq!(s.queries, 8);
+        }
+    }
+
+    #[test]
+    fn a_cancelled_fill_leaves_its_answer_to_the_next_query() {
+        use optinline_ir::cancel::{self, CancelToken, Cancelled};
+        let (m, sites) = two_component_module();
+        let cfg = InliningConfiguration::clean_slate().with(sites[1], Decision::Inline);
+        // Whole-module mode's first compile fills a memo answer, component
+        // mode's the constant slice's.
+        for incremental in [false, true] {
+            let fresh = SizeEvaluator::new(m.clone(), Box::new(X86Like), incremental);
+            fresh.size_of(&cfg);
+            let ev = SizeEvaluator::new(m.clone(), Box::new(X86Like), incremental);
+            let token = CancelToken::new();
+            token.cancel();
+            let unwound = {
+                let _installed = cancel::install(token);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ev.size_of(&cfg)))
+            };
+            let payload = unwound.expect_err("the query unwinds at the pipeline's checkpoint");
+            assert!(payload.downcast_ref::<Cancelled>().is_some(), "{incremental}");
+            assert_eq!(ev.compilations(), 0, "unwound mid-compile");
+            // Retried on another thread, so a cell the unwind left held
+            // fails the test instead of hanging it.
+            let (sent, received) = std::sync::mpsc::channel();
+            let (ev, cfg) = (&ev, &cfg);
+            std::thread::scope(|scope| {
+                scope.spawn(move || sent.send(ev.size_of(cfg)));
+                let size = received
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("the retry fills what the unwound query left");
+                assert_eq!(size, ev.full_size_of(cfg), "{incremental}");
+            });
+            assert_eq!(ev.compilations(), fresh.compilations(), "{incremental}");
         }
     }
 

@@ -64,7 +64,6 @@
 
 pub mod analysis;
 pub mod autotune;
-mod cache;
 mod config;
 mod dag;
 mod evaluator;
@@ -77,7 +76,6 @@ mod persist;
 mod pool;
 pub mod tree;
 
-pub use cache::{CacheStats, ShardedCache};
 pub use config::InliningConfiguration;
 pub use dag::{evaluate_inlining_tree_dag, ExecutorStats, SearchSession};
 pub use evaluator::{domain_fingerprint, evaluation_identity, Evaluator, EvaluatorStats};

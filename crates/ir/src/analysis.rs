@@ -11,7 +11,6 @@ use crate::function::Function;
 use crate::ids::{BlockId, FuncId, ValueId};
 use crate::inst::Inst;
 use crate::module::Module;
-use std::collections::BTreeSet;
 
 /// Returns the set of blocks reachable from the entry block.
 pub fn reachable_blocks(func: &Function) -> Vec<bool> {
@@ -260,23 +259,24 @@ impl EffectSummary {
     }
 }
 
-/// Functions reachable (via calls) from the module's public functions.
-///
-/// This is the liveness used by dead-function elimination and by codegen's
-/// size accounting.
-pub fn reachable_functions(module: &Module) -> BTreeSet<FuncId> {
-    let mut live = BTreeSet::new();
-    let mut stack = Vec::new();
+/// Whether each function is reachable (via calls) from the module's public
+/// functions, indexed by [`FuncId`]: the liveness dead-function
+/// elimination uses.
+pub fn reachable_functions(module: &Module) -> Vec<bool> {
+    let mut live = vec![false; module.func_count()];
+    let mut stack = Vec::with_capacity(module.func_count());
     for (id, f) in module.iter_funcs() {
         if matches!(f.linkage, crate::function::Linkage::Public) {
-            live.insert(id);
+            live[id.index()] = true;
             stack.push(id);
         }
     }
     while let Some(f) = stack.pop() {
-        for (_, callee) in module.func(f).call_edges() {
-            if live.insert(callee) {
-                stack.push(callee);
+        for inst in module.func(f).blocks.iter().flat_map(|b| &b.insts) {
+            if let Inst::Call { callee, .. } = *inst {
+                if !std::mem::replace(&mut live[callee.index()], true) {
+                    stack.push(callee);
+                }
             }
         }
     }
@@ -565,9 +565,10 @@ mod tests {
             b.ret(None);
         }
         let live = reachable_functions(&m);
-        assert!(live.contains(&a));
-        assert!(live.contains(&b_));
-        assert!(!live.contains(&dead));
+        assert_eq!(live.len(), m.func_count());
+        assert!(live[a.index()]);
+        assert!(live[b_.index()]);
+        assert!(!live[dead.index()]);
     }
 
     #[test]

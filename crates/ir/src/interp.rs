@@ -549,7 +549,7 @@ mod tests {
             let v = b.call(stubbed, &[]).unwrap();
             b.ret(Some(v));
         }
-        m.stub_out(&[stubbed].into_iter().collect());
+        m.stub_out([stubbed]);
         let err = run_main(&m).unwrap_err();
         let interp_err = err.downcast_ref::<InterpError>().expect("InterpError");
         assert_eq!(*interp_err, InterpError::CalledStub(stubbed));

@@ -160,7 +160,7 @@ impl Module {
     ///
     /// Dead-function elimination uses this instead of reindexing, so that
     /// `FuncId`s stay stable. Stubbed functions have zero size in codegen.
-    pub fn stub_out(&mut self, dead: &BTreeSet<FuncId>) {
+    pub fn stub_out(&mut self, dead: impl IntoIterator<Item = FuncId>) {
         for id in dead {
             let f = &mut self.functions[id.index()];
             let n = f.param_count();
@@ -234,8 +234,7 @@ mod tests {
         let a = m.declare_function("a", 1, Linkage::Internal);
         let v = m.func_mut(a).new_value();
         m.func_mut(a).blocks[0].insts.push(Inst::Const { dst: v, value: 1 });
-        let dead: BTreeSet<_> = [a].into_iter().collect();
-        m.stub_out(&dead);
+        m.stub_out([a]);
         assert!(m.is_stub(a));
         assert_eq!(m.func(a).param_count(), 1);
         assert!(!m.func(a).inlinable);

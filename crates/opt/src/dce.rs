@@ -13,7 +13,6 @@ use crate::pass::{Pass, PassResult, PreservedAnalyses};
 use optinline_ir::analysis::{reachable_functions, use_counts_into, EffectSummary};
 use optinline_ir::{AnalysisManager, FuncId, Inst, Module};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 
 /// The dead-instruction elimination pass.
 ///
@@ -137,23 +136,23 @@ impl Pass for DeadFunctionElim {
         fid: FuncId,
         _am: &mut AnalysisManager,
     ) -> PassResult {
-        if module.is_stub(fid) || reachable_functions(module).contains(&fid) {
+        if module.is_stub(fid) || reachable_functions(module)[fid.index()] {
             return PassResult::unchanged();
         }
-        module.stub_out(&BTreeSet::from([fid]));
+        module.stub_out([fid]);
         // Stubbing rips out the body: every analysis about it is stale.
         PassResult::changed(fid, PreservedAnalyses::none())
     }
 
     fn run(&self, module: &mut Module) -> bool {
-        let live = reachable_functions(module);
-        let dead: BTreeSet<FuncId> =
-            module.func_ids().filter(|f| !live.contains(f) && !module.is_stub(*f)).collect();
-        if dead.is_empty() {
-            return false;
+        let mut changed = false;
+        for (fid, live) in module.func_ids().zip(reachable_functions(module)) {
+            if !live && !module.is_stub(fid) {
+                module.stub_out([fid]);
+                changed = true;
+            }
         }
-        module.stub_out(&dead);
-        true
+        changed
     }
 }
 

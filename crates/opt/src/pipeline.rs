@@ -230,7 +230,6 @@ mod tests {
     use optinline_codegen::{text_size, X86Like};
     use optinline_ir::analysis::EffectSummary;
     use optinline_ir::{assert_verified, BinOp, FuncBuilder, Linkage};
-    use std::collections::BTreeSet;
 
     /// Listing 1 of the paper, adapted: `bar(a) = a + a`;
     /// `foo(n) = for i in 0..n { if bar(i) == i { return 0 } } return 1`.
@@ -397,7 +396,7 @@ mod tests {
         let (mut m, _) = listing1();
         let bar = m.func_by_name("bar").unwrap();
         let summary = EffectSummary::compute(&m);
-        m.stub_out(&BTreeSet::from([bar]));
+        m.stub_out([bar]);
         let stub = m.to_string();
         for frozen in [None, Some(summary)] {
             let mut am = match &frozen {
